@@ -52,6 +52,7 @@ from repro.cluster.reports import ClusterReport, Migration
 from repro.dsms.backend import BackendSpec
 from repro.dsms.plan import ContinuousQuery
 from repro.service.builder import ServiceBuilder
+from repro.service.coordinator import unknown_withdraw
 from repro.service.service import AdmissionService, ServiceSnapshot
 from repro.utils.validation import ValidationError, require
 
@@ -285,10 +286,8 @@ class FederatedAdmissionService:
         for shard in self.shards:
             if query_id in shard.pending_ids:
                 return shard.withdraw(query_id)
-        known = sorted(self.pending_ids) or ["<none>"]
-        raise ValidationError(
-            f"cannot withdraw unknown query id {query_id!r}; pending "
-            f"ids: {', '.join(known)}")
+        raise unknown_withdraw(
+            query_id, *(shard.pending_ids for shard in self.shards))
 
     @property
     def pending_ids(self) -> set[str]:

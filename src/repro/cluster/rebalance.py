@@ -131,6 +131,6 @@ class Rebalancer:
     @staticmethod
     def _migrate(target: AdmissionService, query: ContinuousQuery) -> None:
         """Admit *query* on *target* through its transition manager."""
-        admitted = sorted(target.engine.admitted_ids | {query.query_id})
+        admitted = sorted({*target.engine.admitted_ids, query.query_id})
         target.transitions.apply(
             target.engine, admitted, {query.query_id: query})

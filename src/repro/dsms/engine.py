@@ -21,7 +21,7 @@ ones — so continuing queries observe a gap-free stream.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, KeysView, Mapping, Sequence
 
 from repro.dsms.backend import BackendSpec, ExecutionBackend, resolve_backend
 from repro.dsms.load import LoadMeter
@@ -118,10 +118,12 @@ class StreamEngine:
         transition phase) can rely on a failed admission leaving the
         engine untouched.
         """
-        known = (set(self._sources) | set(self.catalog.operators)
-                 | set(query.operator_ids))
+        sources, shared = self._sources, self.catalog.operator_ids
+        own = query.operator_ids
         missing = sorted({name for op in query.operators
-                          for name in op.inputs if name not in known})
+                          for name in op.inputs
+                          if name not in sources and name not in shared
+                          and name not in own})
         if missing:
             raise ValidationError(
                 f"query {query.query_id!r} references unknown "
@@ -138,9 +140,13 @@ class StreamEngine:
         return self.catalog.remove(query_id)
 
     @property
-    def admitted_ids(self) -> set[str]:
-        """Ids of the currently admitted queries."""
-        return set(self.catalog.queries)
+    def admitted_ids(self) -> KeysView[str]:
+        """Ids of the currently admitted queries.
+
+        A live read-only view (membership, ``len``, truthiness and set
+        operators all work); copy it with ``set(...)`` before holding
+        it across an :meth:`admit`/:meth:`remove`."""
+        return self.catalog.query_ids
 
     @property
     def current_tick(self) -> int:

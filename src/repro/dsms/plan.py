@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, KeysView, Mapping, Sequence
 
 from repro.dsms.operators import StreamOperator
 from repro.utils.validation import ValidationError, require
@@ -161,6 +161,16 @@ class QueryPlanCatalog:
     def operators(self) -> Mapping[str, StreamOperator]:
         """Merged (shared) operators by id."""
         return dict(self._operators)
+
+    @property
+    def query_ids(self) -> KeysView[str]:
+        """Live read-only view of the registered query ids."""
+        return self._queries.keys()
+
+    @property
+    def operator_ids(self) -> KeysView[str]:
+        """Live read-only view of the merged operator ids."""
+        return self._operators.keys()
 
     def iter_queries(self) -> "Iterable[ContinuousQuery]":
         """Iterate registered queries without copying the table.

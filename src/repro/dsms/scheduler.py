@@ -33,7 +33,7 @@ from __future__ import annotations
 import abc
 from collections import deque
 from dataclasses import dataclass
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, KeysView, Mapping, Sequence
 from itertools import repeat
 
 from repro.dsms.operators import StreamOperator
@@ -372,9 +372,9 @@ class ScheduledEngine:
         self._counts = False
 
     @property
-    def admitted_ids(self) -> set[str]:
-        """Ids of the queries currently registered."""
-        return set(self.catalog.queries)
+    def admitted_ids(self) -> KeysView[str]:
+        """Ids of the queries currently registered (a live view)."""
+        return self.catalog.query_ids
 
     # ------------------------------------------------------------------
     # Execution

@@ -47,11 +47,12 @@ import contextlib
 import itertools
 import sys
 import time
-from collections import Counter, deque
+from collections import Counter, OrderedDict, deque
 from dataclasses import dataclass
 
 from repro.io import (
     serve_request_from_dict,
+    serve_request_to_dict,
     serve_response_to_dict,
 )
 from repro.serve import http
@@ -178,7 +179,8 @@ class DriverBackend:
 
     def __init__(self, driver) -> None:
         self.driver = driver
-        self._inbox: list[tuple[object, "str | None"]] = []
+        #: query id -> (query, category), in arrival (= tick) order.
+        self._inbox: dict[str, tuple[object, "str | None"]] = {}
         self.last_report: object = None
 
     @property
@@ -193,16 +195,19 @@ class DriverBackend:
     def period(self) -> int:
         return self.driver.period
 
-    def _known_ids(self) -> set[str]:
-        known = {query.query_id for query, _ in self._inbox}
-        for shard_pending in self.driver.pending:
-            known.update(query.query_id for query, _ in shard_pending)
-        for service in self.services:
-            known.update(service.pending_ids)
-            known.update(service.engine.admitted_ids)
-        for manager in self.driver.managers or ():
-            known.update(manager.active)
-        return known
+    def _holds(self, query_id: str) -> bool:
+        """Whether *query_id* is queued, running or subscribed anywhere
+        (one membership test per container, nothing copied)."""
+        return (
+            query_id in self._inbox
+            or any(query.query_id == query_id
+                   for shard_pending in self.driver.pending
+                   for query, _ in shard_pending)
+            or any(query_id in service.pending_ids
+                   or query_id in service.engine.admitted_ids
+                   for service in self.services)
+            or any(query_id in manager.active
+                   for manager in self.driver.managers or ()))
 
     def submit(self, query, category: "str | None" = None) -> None:
         """Buffer *query*; routing happens at the boundary (shard is
@@ -213,18 +218,17 @@ class DriverBackend:
                     "this driver has no subscription managers; "
                     "construct it with subscriptions enabled")
             self.driver.managers[0].category(category)
-        if query.query_id in self._known_ids():
+        if self._holds(query.query_id):
             raise ValidationError(
                 f"query id {query.query_id!r} already submitted")
         _validate_streams(query, self.services)
-        self._inbox.append((query, category))
+        self._inbox[query.query_id] = (query, category)
         return None
 
     def withdraw(self, query_id: str):
-        for index, (query, _) in enumerate(self._inbox):
-            if query.query_id == query_id:
-                del self._inbox[index]
-                return query
+        queued = self._inbox.pop(query_id, None)
+        if queued is not None:
+            return queued[0]
         for shard_pending in self.driver.pending:
             for index, (query, _) in enumerate(shard_pending):
                 if query.query_id == query_id:
@@ -239,7 +243,7 @@ class DriverBackend:
     def tick(self):
         boundary = float(
             self.driver.period * self.driver.host.ticks_per_period)
-        for query, category in self._inbox:
+        for query, category in self._inbox.values():
             self.driver.queue.push(ArrivalEvent(
                 time=boundary, query=query, category=category))
         self._inbox.clear()
@@ -413,7 +417,8 @@ class AdmissionGateway:
             deposit=self.config.retry_deposit,
             initial=self.config.retry_initial,
             cap=self.config.retry_cap)
-        self._buckets: dict[str, TokenBucket] = {}
+        #: Least recently used first, so eviction pops the front.
+        self._buckets: OrderedDict[str, TokenBucket] = OrderedDict()
         self._ids = itertools.count(1)
         self._inflight = 0
         self._draining = False
@@ -677,9 +682,9 @@ class AdmissionGateway:
                 timeout = (self.config.slow_timeout if tier == "slow"
                            else self.config.fast_timeout)
                 try:
-                    fields = await asyncio.wait_for(
-                        handler(request, request_id), timeout)
-                except asyncio.TimeoutError:
+                    async with asyncio.timeout(timeout):
+                        fields = await handler(request, request_id)
+                except TimeoutError:
                     self.counters["timeouts"] += 1
                     raise HttpError(
                         504, f"{request.path} timed out after "
@@ -727,17 +732,21 @@ class AdmissionGateway:
             status, body, headers=headers,
             keep_alive=keep_alive), keep_alive)
 
+    #: path -> (method, handler attribute, timeout tier).  Handlers are
+    #: looked up by name per request so subclasses (and wrappers put on
+    #: the class later) are honoured.
+    _ROUTES = {
+        "/healthz": ("GET", "health_document", "open"),
+        "/metrics": ("GET", "_metrics_body", "open"),
+        "/v1/submit": ("POST", "_handle_submit", "fast"),
+        "/v1/subscribe": ("POST", "_handle_subscribe", "fast"),
+        "/v1/withdraw": ("POST", "_handle_withdraw", "fast"),
+        "/v1/report": ("GET", "_handle_report", "fast"),
+        "/v1/tick": ("POST", "_handle_tick", "slow"),
+    }
+
     def _route(self, request: HttpRequest):
-        routes = {
-            "/healthz": ("GET", self.health_document, "open"),
-            "/metrics": ("GET", self._metrics_body, "open"),
-            "/v1/submit": ("POST", self._handle_submit, "fast"),
-            "/v1/subscribe": ("POST", self._handle_subscribe, "fast"),
-            "/v1/withdraw": ("POST", self._handle_withdraw, "fast"),
-            "/v1/report": ("GET", self._handle_report, "fast"),
-            "/v1/tick": ("POST", self._handle_tick, "slow"),
-        }
-        entry = routes.get(request.path)
+        entry = self._ROUTES.get(request.path)
         if entry is None:
             raise HttpError(404, f"no such endpoint {request.path!r}")
         method, handler, tier = entry
@@ -745,7 +754,7 @@ class AdmissionGateway:
             raise HttpError(
                 405, f"{request.path} takes {method}, "
                      f"not {request.method}")
-        return handler, tier
+        return getattr(self, handler), tier
 
     def _bucket(self, key: str, rate: float, burst: float) -> TokenBucket:
         """The token bucket for *key*, bounding the table as it grows.
@@ -754,15 +763,18 @@ class AdmissionGateway:
         grow one bucket per id forever; past ``max_tracked_clients``
         the longest-idle bucket is evicted (that client merely
         restarts with a full burst — the per-peer floor still holds).
+        Every lookup is followed by a ``try_acquire``, so most recently
+        looked up is most recently updated and the table's own order
+        names the longest-idle bucket without a scan.
         """
         bucket = self._buckets.get(key)
         if bucket is None:
             if len(self._buckets) >= self.config.max_tracked_clients:
-                idle = min(self._buckets,
-                           key=lambda k: self._buckets[k]._updated)
-                del self._buckets[idle]
+                self._buckets.popitem(last=False)
                 self.counters["buckets_evicted"] += 1
             bucket = self._buckets[key] = TokenBucket(rate, burst)
+        else:
+            self._buckets.move_to_end(key)
         return bucket
 
     def _gate(self, client: str, peer: str) -> None:
@@ -807,14 +819,21 @@ class AdmissionGateway:
 
     async def _acquire_service_lock(self, request_id: str,
                                     endpoint: str) -> None:
-        """Take the lock; retry contention only while the budget holds."""
-        patience = self.config.lock_patience
-        try:
-            await asyncio.wait_for(self._lock.acquire(), patience)
+        """Take the lock; retry contention only while the budget holds.
+
+        A free lock is taken directly; patience timers and the retry
+        budget are spent only when somebody holds it.
+        """
+        if not self._lock.locked():
+            await self._lock.acquire()
             return
-        except asyncio.TimeoutError:
-            pass
+        patience = self.config.lock_patience
         while True:
+            try:
+                await asyncio.wait_for(self._lock.acquire(), patience)
+                return
+            except TimeoutError:
+                pass
             if not self._budget.try_withdraw():
                 raise HttpError(
                     503, f"{endpoint} contended with a settling "
@@ -823,11 +842,6 @@ class AdmissionGateway:
             self.log.log("contention_retry", level="debug",
                          request_id=request_id, endpoint=endpoint,
                          budget=round(self._budget.balance, 2))
-            try:
-                await asyncio.wait_for(self._lock.acquire(), patience)
-                return
-            except asyncio.TimeoutError:
-                continue
 
     @contextlib.asynccontextmanager
     async def _service_lock(self, request_id: str, endpoint: str):
@@ -909,8 +923,6 @@ class AdmissionGateway:
         self._mutations_acked += 1
         if self._wal is None:
             return None
-        from repro.io import serve_request_to_dict
-
         document = serve_request_to_dict(parsed)
         if self._committer is not None:
             return self._committer.enqueue(self._wal.append_op, document)
@@ -966,7 +978,11 @@ class AdmissionGateway:
             try:
                 self.backend.withdraw(parsed.query_id)
             except ValidationError as exc:
-                raise HttpError(404, str(exc)) from exc
+                # Only the id that was asked for: the backend's message
+                # may name other clients' pending ids.
+                raise HttpError(
+                    404, f"unknown query id {parsed.query_id!r}; "
+                         f"nothing to withdraw") from exc
             receipt = self._wal_append_op(parsed)
             pending = self.backend.pending_count()
         if receipt is not None:

@@ -96,30 +96,45 @@ class HttpResponse:
                 f"response body is not valid JSON: {exc}") from exc
 
 
-async def _read_line(reader: asyncio.StreamReader, limit: int) -> bytes:
-    try:
-        line = await reader.readline()
-    except (asyncio.LimitOverrunError, ValueError) as exc:
-        raise HttpError(431, f"header line too long: {exc}") from exc
-    if len(line) > limit:
-        raise HttpError(431, "header line too long")
-    return line
-
-
-async def _read_headers(
+async def _read_head(
     reader: asyncio.StreamReader, max_line: int, max_headers: int
-) -> dict[str, str]:
+) -> "tuple[str, dict[str, str]] | None":
+    """The start line and headers of one message; ``None`` on clean EOF.
+
+    The whole head is one ``readuntil`` — one coroutine call however
+    many headers there are — so it is bounded by the reader's buffer
+    limit (64 KiB unless the stream was opened with another) as well as
+    by *max_line* per line and *max_headers* lines: over any of them is
+    a 431.  Lines end in CRLF; a bare LF is not a terminator (RFC 9112
+    lets a server insist), so one inside a CRLF-framed head is a 400
+    and a head framed in bare LFs alone never completes — 400 when the
+    peer closes, 431 when it outgrows the buffer.
+    """
+    try:
+        head = await reader.readuntil(b"\r\n\r\n")
+    except asyncio.IncompleteReadError as exc:
+        if not exc.partial:
+            return None
+        raise HttpError(
+            400, f"connection closed mid-head after "
+                 f"{len(exc.partial)} bytes") from exc
+    except asyncio.LimitOverrunError as exc:
+        raise HttpError(431, f"header block too long: {exc}") from exc
+    text = head[:-4].decode("latin-1")
+    start, *lines = text.split("\r\n")
+    if text.count("\n") != len(lines) or text.count("\r") != len(lines):
+        raise HttpError(400, "bare CR or LF in the message head")
+    if max(map(len, (start, *lines))) + 2 > max_line:
+        raise HttpError(431, "header line too long")
+    if len(lines) > max_headers:
+        raise HttpError(431, "too many headers")
     headers: dict[str, str] = {}
-    while True:
-        line = await _read_line(reader, max_line)
-        if line in (b"\r\n", b"\n", b""):
-            return headers
-        if len(headers) >= max_headers:
-            raise HttpError(431, "too many headers")
-        name, sep, value = line.decode("latin-1").partition(":")
+    for line in lines:
+        name, sep, value = line.partition(":")
         if not sep:
             raise HttpError(400, f"malformed header line {line!r}")
         headers[name.strip().lower()] = value.strip()
+    return start, headers
 
 
 async def _read_body(
@@ -154,15 +169,15 @@ async def read_request(
     max_body: int = 1 << 20,
 ) -> "HttpRequest | None":
     """Parse one request; ``None`` on a clean connection close."""
-    line = await _read_line(reader, max_line)
-    if not line:
+    head = await _read_head(reader, max_line, max_headers)
+    if head is None:
         return None
-    parts = line.decode("latin-1").strip().split()
+    line, headers = head
+    parts = line.split()
     if len(parts) != 3 or not parts[2].startswith("HTTP/1"):
         raise HttpError(400, f"malformed request line {line!r}")
     method, target, _version = parts
     split = urlsplit(target)
-    headers = await _read_headers(reader, max_line, max_headers)
     body = await _read_body(reader, headers, max_body)
     return HttpRequest(
         method=method.upper(),
@@ -182,10 +197,11 @@ async def read_response(
     max_body: int = 8 << 20,
 ) -> "HttpResponse | None":
     """Parse one response; ``None`` on a clean connection close."""
-    line = await _read_line(reader, max_line)
-    if not line:
+    head = await _read_head(reader, max_line, max_headers)
+    if head is None:
         return None
-    parts = line.decode("latin-1").strip().split(None, 2)
+    line, headers = head
+    parts = line.split(None, 2)
     if len(parts) < 2 or not parts[0].startswith("HTTP/1"):
         raise HttpError(400, f"malformed status line {line!r}")
     try:
@@ -193,7 +209,6 @@ async def read_response(
     except ValueError:
         raise HttpError(
             400, f"malformed status line {line!r}") from None
-    headers = await _read_headers(reader, max_line, max_headers)
     body = await _read_body(reader, headers, max_body)
     return HttpResponse(status=status, headers=headers, body=body)
 

@@ -108,7 +108,7 @@ class GatewayClient:
             # while idle.  A first-exchange failure may mean the
             # request executed before the server died — resending
             # would duplicate it.
-            seasoned = getattr(self, "_seasoned", False)
+            seasoned = self._seasoned
             await self.close()
             if attempt == 2 or not seasoned:
                 raise HttpError(

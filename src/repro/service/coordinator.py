@@ -11,7 +11,8 @@ packages bids + loads + capacity for the mechanism.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Collection, KeysView, Mapping, Set
+from itertools import chain, islice
 
 from repro.core.model import AuctionInstance, Operator, Query
 from repro.dsms.load import estimate_operator_loads
@@ -21,6 +22,21 @@ from repro.utils.validation import ValidationError, require
 #: ``(catalog, stream_rates) -> {op_id: load}`` — pluggable estimator.
 LoadEstimator = Callable[[QueryPlanCatalog, Mapping[str, float]],
                          Mapping[str, float]]
+
+
+def unknown_withdraw(query_id: str,
+                     *pending: Collection[str]) -> ValidationError:
+    """The error for withdrawing an id none of *pending* holds.
+
+    Names the first few pending ids and their count, never all of
+    them: the message reaches clients, and one client's typo must not
+    cost O(pending) or list every other client's queries."""
+    count = sum(map(len, pending))
+    shown = ", ".join(islice(chain.from_iterable(pending), 5)) or "<none>"
+    more = f", ... ({count} pending)" if count > 5 else ""
+    return ValidationError(
+        f"cannot withdraw unknown query id {query_id!r}; pending "
+        f"ids: {shown}{more}")
 
 
 class AuctionCoordinator:
@@ -56,14 +72,18 @@ class AuctionCoordinator:
         return dict(self._pending)
 
     @property
-    def pending_ids(self) -> set[str]:
-        """Ids of the queued submissions."""
-        return set(self._pending)
+    def pending_ids(self) -> KeysView[str]:
+        """Ids of the queued submissions.
+
+        A live read-only view (membership, ``len``, truthiness and set
+        operators all work); copy it with ``set(...)`` before holding
+        it across a submit, withdraw or settle."""
+        return self._pending.keys()
 
     def submit(
         self,
         query: ContinuousQuery,
-        reserved_ids: "frozenset[str] | set[str]" = frozenset(),
+        reserved_ids: "Set[str]" = frozenset(),
     ) -> None:
         """Queue *query* for the next auction.
 
@@ -82,10 +102,7 @@ class AuctionCoordinator:
         try:
             return self._pending.pop(query_id)
         except KeyError:
-            known = sorted(self._pending) or ["<none>"]
-            raise ValidationError(
-                f"cannot withdraw unknown query id {query_id!r}; "
-                f"pending ids: {', '.join(known)}") from None
+            raise unknown_withdraw(query_id, self._pending) from None
 
     def clear(self) -> None:
         """Drop the whole queue (after its auction ran)."""

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, KeysView, Mapping, Sequence
 
 from repro.core.mechanism import Mechanism, MechanismSpec, resolve_mechanism
 from repro.core.model import AuctionInstance
@@ -187,14 +187,14 @@ class AdmissionService:
     def withdraw(self, query_id: str) -> ContinuousQuery:
         """Remove and return a not-yet-auctioned submission.
 
-        Raises :class:`ValidationError` (naming the pending ids) when
-        *query_id* is not queued.
+        Raises :class:`ValidationError` (naming the first few pending
+        ids) when *query_id* is not queued.
         """
         return self.coordinator.withdraw(query_id)
 
     @property
-    def pending_ids(self) -> set[str]:
-        """Queries awaiting the next auction."""
+    def pending_ids(self) -> KeysView[str]:
+        """Queries awaiting the next auction (a live read-only view)."""
         return self.coordinator.pending_ids
 
     @property

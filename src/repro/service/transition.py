@@ -35,7 +35,7 @@ class TransitionManager:
         the queries are admitted directly.  Returns
         ``(added_ids, removed_ids)``.
         """
-        currently_running = engine.admitted_ids
+        currently_running = set(engine.admitted_ids)
         to_remove = tuple(sorted(currently_running - set(admitted)))
         to_add = tuple(candidates[query_id] for query_id in admitted
                        if query_id not in currently_running)

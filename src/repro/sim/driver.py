@@ -204,7 +204,7 @@ class LatencyProbe:
 
     def sync(self, plans: Mapping[str, ContinuousQuery]) -> None:
         """Make the probe run exactly the given admitted plans."""
-        current = self.engine.admitted_ids
+        current = set(self.engine.admitted_ids)
         for query_id in sorted(current - set(plans)):
             self.engine.remove(query_id)
         for query_id in sorted(set(plans) - current):

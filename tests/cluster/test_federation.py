@@ -1,6 +1,7 @@
 """Unit tests for the federation facade, rebalancer and batch path."""
 
 import json
+import re
 
 import pytest
 
@@ -106,6 +107,16 @@ class TestRouting:
         cluster.submit(select_query("q0", "a", 10.0, 1.0))
         with pytest.raises(ValidationError, match="q0"):
             cluster.withdraw("ghost")
+
+    def test_withdraw_unknown_names_only_the_first_few(self):
+        cluster = build_cluster(num_shards=2)
+        for n in range(40):
+            cluster.submit(select_query(f"q{n:02d}", "a", 10.0, 1.0))
+        with pytest.raises(ValidationError) as excinfo:
+            cluster.withdraw("ghost")
+        message = str(excinfo.value)
+        assert "(40 pending)" in message
+        assert len(re.findall(r"q\d\d", message)) == 5
 
     def test_misbehaving_policy_caught(self):
         class OutOfRange(RoundRobinPlacement):

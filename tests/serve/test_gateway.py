@@ -9,6 +9,7 @@ still pending.
 
 import asyncio
 import json
+import re
 import time
 
 import pytest
@@ -185,6 +186,28 @@ class TestProtocolErrors:
 
         asyncio.run(go())
 
+    @pytest.mark.parametrize("federated", [True, False])
+    def test_withdraw_unknown_id_404_is_small_and_private(
+            self, federated):
+        """The 404 names the id that was asked for and nothing else —
+        not the other clients' 1 000 pending ids."""
+        async def go():
+            cluster = build_cluster()
+            gateway = await started_gateway(
+                cluster if federated else cluster.shards[0])
+            for n in range(1000):
+                gateway.backend.submit(query(n))
+            async with GatewayClient(*gateway.address) as client:
+                status, body = await client.withdraw("ghost")
+            await gateway.stop(final_settle=False)
+            return status, json.dumps(body)
+
+        status, body = asyncio.run(go())
+        assert status == 404
+        assert len(body) < 512
+        assert "ghost" in body
+        assert not re.search(r"q\d", body)
+
     def test_subscribe_without_managers_409(self):
         async def go():
             gateway = await started_gateway(build_cluster())
@@ -306,6 +329,23 @@ class TestWireHardening:
 
         asyncio.run(go())
 
+    def test_bucket_eviction_takes_the_longest_idle(self):
+        """The table is kept in use order, so eviction needs no scan
+        and still drops the bucket idle the longest."""
+        gateway = AdmissionGateway(
+            build_cluster(),
+            GatewayConfig(max_tracked_clients=3, **QUIET))
+        for key in ("a", "b", "c", "a"):      # 'b' is now the oldest
+            gateway._bucket(key, 10.0, 5.0).try_acquire()
+        kept = gateway._buckets["a"]
+        gateway._bucket("d", 10.0, 5.0).try_acquire()
+        assert list(gateway._buckets) == ["c", "a", "d"]
+        assert gateway._buckets["a"] is kept
+        idle = min(gateway._buckets,
+                   key=lambda k: gateway._buckets[k]._updated)
+        assert idle == next(iter(gateway._buckets))
+        assert gateway.counters["buckets_evicted"] == 1
+
 
 class TestBackpressure:
     def test_concurrent_burst_is_throttled_with_retry_after(self):
@@ -391,6 +431,11 @@ class TestTimeoutsAndRetryBudget:
                     await asyncio.sleep(0.02)
                 assert backend.ticks_finished == 1
                 assert backend.period == 1
+                # ... exactly once: one settle generation, lock free.
+                await asyncio.sleep(0.05)
+                assert gateway._settle_generation == 1
+                assert not gateway._lock.locked()
+                assert gateway._inflight == 0
                 status, body = await client.submit(query(2))
                 assert status == 200
             assert gateway.counters["timeouts"] == 1
@@ -448,6 +493,78 @@ class TestTimeoutsAndRetryBudget:
             assert "retry budget is exhausted" in body["error"]
             assert gateway._budget.exhausted == 1
             assert float(client.last_headers["retry-after"]) > 0.0
+
+        asyncio.run(go())
+
+    def test_submit_during_a_tick_waits_spends_budget_then_503(self):
+        """Only a *held* lock costs patience and retry budget: a submit
+        that arrives mid-settle waits ``lock_patience`` per attempt,
+        withdraws one retry per extra attempt and is refused when the
+        budget is gone; the next submit finds the lock free and pays
+        nothing."""
+
+        async def go():
+            backend = SlowTickBackend(build_cluster(), delay=0.5)
+            gateway = await started_gateway(
+                backend, lock_patience=0.05, retry_deposit=0.0,
+                retry_initial=2.0, retry_cap=2.0)
+            host, port = gateway.address
+            async with GatewayClient(host, port) as ticker, \
+                    GatewayClient(host, port, client_id="s") as client:
+                await client.submit(query(1))
+                tick = asyncio.create_task(ticker.tick())
+                while not gateway._lock.locked():
+                    await asyncio.sleep(0.005)
+                started = time.monotonic()
+                status, body = await client.submit(query(2))
+                waited = time.monotonic() - started
+                assert status == 503
+                assert "retry budget is exhausted" in body["error"]
+                assert waited >= 3 * 0.05      # 1 free try + 2 retries
+                assert gateway._budget.retries == 2
+                assert gateway._budget.exhausted == 1
+                assert (await tick)[0] == 200
+                status, _ = await client.submit(query(3))
+                assert status == 200
+                assert gateway._budget.retries == 2
+            await gateway.stop(final_settle=False)
+            assert gateway._inflight == 0
+
+        asyncio.run(go())
+
+    @pytest.mark.parametrize("stall", ["holding", "waiting"])
+    def test_handler_overrunning_fast_timeout_is_504_and_clean(
+            self, stall):
+        """The deadline runs the handler in the request's own task: an
+        overrun is a 504 that leaves nothing in flight and the lock
+        free, whether it struck while holding the lock or while queued
+        for it."""
+
+        class StallingGateway(AdmissionGateway):
+            async def _handle_report(self, request, request_id):
+                async with self._service_lock(request_id, "report"):
+                    await asyncio.sleep(5.0)
+
+        async def go():
+            gateway = StallingGateway(build_cluster(), GatewayConfig(
+                fast_timeout=0.1, lock_patience=5.0, **QUIET))
+            await gateway.start()
+            async with GatewayClient(*gateway.address) as client:
+                if stall == "waiting":
+                    await gateway._lock.acquire()
+                    status, body = await client.submit(query(1))
+                    assert gateway._lock.locked()   # still the test's
+                    gateway._lock.release()
+                else:
+                    status, body = await client.report()
+                assert status == 504
+                assert "timed out after 0.1s" in body["error"]
+                assert gateway._inflight == 0
+                assert not gateway._lock.locked()
+                assert gateway.counters["timeouts"] == 1
+                status, _ = await client.submit(query(2))
+                assert status == 200
+            await gateway.stop(final_settle=False)
 
         asyncio.run(go())
 

@@ -92,6 +92,110 @@ class TestRequestParsing:
             parse_request(raw).json()
 
 
+class TestHeadFraming:
+    """The head is read with one ``readuntil`` and split afterwards."""
+
+    GET = b"GET /healthz HTTP/1.1\r\nHost: a\r\n\r\n"
+
+    def test_head_split_across_two_segments(self):
+        async def go():
+            reader = asyncio.StreamReader()
+            reader.feed_data(self.GET[:17])
+            pending = asyncio.ensure_future(read_request(reader))
+            await asyncio.sleep(0)
+            assert not pending.done()
+            reader.feed_data(self.GET[17:])
+            return await pending
+
+        request = asyncio.run(go())
+        assert (request.method, request.path) == ("GET", "/healthz")
+        assert request.headers == {"host": "a"}
+
+    def test_two_pipelined_requests_in_one_segment(self):
+        first = render_request("POST", "/v1/submit", b'{"n":1}')
+        second = render_request("POST", "/v1/withdraw", b'{"n":22}')
+
+        async def go():
+            reader = asyncio.StreamReader()
+            reader.feed_data(first + second)
+            reader.feed_eof()
+            return [await read_request(reader) for _ in range(3)]
+
+        one, two, end = asyncio.run(go())
+        assert (one.path, one.body) == ("/v1/submit", b'{"n":1}')
+        assert (two.path, two.body) == ("/v1/withdraw", b'{"n":22}')
+        assert end is None
+
+    @pytest.mark.parametrize("raw", [
+        b"GET /" + b"x" * 200 + b" HTTP/1.1\r\n\r\n",
+        b"GET / HTTP/1.1\r\nX-Long: " + b"v" * 200 + b"\r\n\r\n",
+    ])
+    def test_over_long_line_is_431(self, raw):
+        with pytest.raises(HttpError) as excinfo:
+            parse_request(raw, max_line=128)
+        assert excinfo.value.status == 431
+        assert parse_request(self.GET, max_line=128) is not None
+
+    def test_head_over_the_reader_limit_is_431(self):
+        """No terminator within the stream's buffer limit: refused,
+        not buffered without bound."""
+        async def go():
+            reader = asyncio.StreamReader(limit=256)
+            reader.feed_data(b"GET / HTTP/1.1\r\n")
+            reader.feed_data((b"X-Pad: " + b"p" * 64 + b"\r\n") * 8)
+            reader.feed_eof()
+            return await read_request(reader)
+
+        with pytest.raises(HttpError) as excinfo:
+            asyncio.run(go())
+        assert excinfo.value.status == 431
+
+    def test_header_count_at_and_over_the_limit(self):
+        def raw(count):
+            return render_request(
+                "GET", "/healthz",
+                headers={f"h{i}": "v" for i in range(count - 3)})
+
+        # render_request adds Host, Content-Length and Connection.
+        assert len(parse_request(raw(8), max_headers=8).headers) == 8
+        with pytest.raises(HttpError) as excinfo:
+            parse_request(raw(9), max_headers=8)
+        assert excinfo.value.status == 431
+
+    def test_malformed_header_is_400(self):
+        with pytest.raises(HttpError) as excinfo:
+            parse_request(b"GET / HTTP/1.1\r\nno-colon-here\r\n\r\n")
+        assert excinfo.value.status == 400
+        assert "no-colon-here" in excinfo.value.message
+
+    @pytest.mark.parametrize("raw", [
+        b"GET /healthz HT",
+        b"GET /healthz HTTP/1.1\r\nHost: a\r\n",
+        b"GET /healthz HTTP/1.1\r\nHost: a\r\nX-Cut: of",
+    ])
+    def test_eof_mid_head_is_400(self, raw):
+        with pytest.raises(HttpError) as excinfo:
+            parse_request(raw)
+        assert excinfo.value.status == 400
+        assert "mid-head" in excinfo.value.message
+
+    def test_bare_lf_is_not_a_line_terminator(self):
+        """Stated behaviour: lines end in CRLF.  A head framed in bare
+        LFs never completes (400 once the peer closes); a bare LF or CR
+        inside a CRLF-framed head is a 400, never a header split."""
+        with pytest.raises(HttpError) as excinfo:
+            parse_request(b"GET /healthz HTTP/1.1\nHost: a\n\n")
+        assert excinfo.value.status == 400
+        assert "mid-head" in excinfo.value.message
+        for raw in (b"GET / HTTP/1.1\r\nHost: a\nX-Evil: 1\r\n\r\n",
+                    b"GET / HTTP/1.1\nHost: a\r\n\r\n",
+                    b"GET / HTTP/1.1\r\nHost: a\rb\r\n\r\n"):
+            with pytest.raises(HttpError) as excinfo:
+                parse_request(raw)
+            assert excinfo.value.status == 400
+            assert "bare CR or LF" in excinfo.value.message
+
+
 class TestResponseParsing:
     def test_round_trip(self):
         raw = render_response(200, json_body({"ok": True}),
@@ -111,4 +215,10 @@ class TestResponseParsing:
     def test_malformed_status_line_is_400(self):
         with pytest.raises(HttpError) as excinfo:
             parse_response(b"HTTP/1.1 abc\r\n\r\n")
+        assert excinfo.value.status == 400
+
+    def test_clean_eof_is_none_and_eof_mid_head_is_400(self):
+        assert parse_response(b"") is None
+        with pytest.raises(HttpError) as excinfo:
+            parse_response(b"HTTP/1.1 200 OK\r\nContent-Le")
         assert excinfo.value.status == 400

@@ -89,6 +89,16 @@ class TestFacadeParity:
             service.withdraw("ghost")
         assert service.pending_ids == {"q1"}
 
+    def test_withdraw_unknown_id_names_only_the_first_few(self):
+        service = build_service()
+        for n in range(40):
+            service.submit(make_query(f"q{n:02d}", 10.0, 1.0))
+        with pytest.raises(ValidationError) as excinfo:
+            service.withdraw("ghost")
+        message = str(excinfo.value)
+        assert "q00, q01, q02, q03, q04, ... (40 pending)" in message
+        assert "q05" not in message
+
     def test_run_periods_batches(self):
         service = build_service()
         reports = service.run_periods([
