@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.result import AuctionOutcome
+from repro.utils.records import share_on_deepcopy
 
 
 @dataclass(frozen=True)
@@ -23,6 +24,8 @@ class Invoice:
     owner: str
     amount: float
     mechanism: str
+
+    __deepcopy__ = share_on_deepcopy
 
 
 @dataclass

@@ -511,7 +511,7 @@ class FederatedAdmissionService:
             placement=copy.deepcopy(self.placement),
             rebalancer=copy.deepcopy(self.rebalancer),
             period=self._period,
-            reports=copy.deepcopy(tuple(self.reports)),
+            reports=tuple(self.reports),
             shards=tuple(shard.snapshot() for shard in self.shards),
         )
 
@@ -519,8 +519,9 @@ class FederatedAdmissionService:
     def restore(cls, snapshot: ClusterSnapshot) -> "FederatedAdmissionService":
         """Rebuild a live federation from *snapshot*.
 
-        The snapshot is copied, so it can be restored again later.
-        Shard hooks are not serialized state; re-attach them on
+        Live state is copied out of the snapshot and the immutable
+        report history is shared with it, so it can be restored again
+        later.  Shard hooks are not serialized state; re-attach them on
         ``cluster.shards[i].hooks`` after restore.
         """
         if snapshot.version != CLUSTER_STATE_VERSION:
@@ -538,7 +539,7 @@ class FederatedAdmissionService:
         cluster.auction_columns = "pickle"
         cluster._process_pool = None
         cluster._period = snapshot.period
-        cluster.reports = list(copy.deepcopy(snapshot.reports))
+        cluster.reports = list(snapshot.reports)
         return cluster
 
     def save_checkpoint(self, path: object) -> None:

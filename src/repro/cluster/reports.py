@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.service.reports import PeriodReport
+from repro.utils.records import share_on_deepcopy
 
 
 @dataclass(frozen=True)
@@ -24,6 +25,8 @@ class Migration:
     origin: int
     target: int
     load: float
+
+    __deepcopy__ = share_on_deepcopy
 
 
 @dataclass(frozen=True)
@@ -45,6 +48,8 @@ class ClusterReport:
     shard_capacities: tuple[float, ...]
     migrations: tuple[Migration, ...]
     rejected_load: float
+
+    __deepcopy__ = share_on_deepcopy
 
     def __post_init__(self) -> None:
         if len(self.shard_capacities) != len(self.shard_reports):

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from collections.abc import Mapping
 
 from repro.core.model import AuctionInstance
+from repro.utils.records import share_on_deepcopy
 from repro.utils.validation import ValidationError
 
 
@@ -34,6 +35,8 @@ class AuctionOutcome:
     payments: Mapping[str, float]
     mechanism: str = ""
     details: Mapping[str, object] = field(default_factory=dict)
+
+    __deepcopy__ = share_on_deepcopy
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "payments", dict(self.payments))

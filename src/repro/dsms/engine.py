@@ -30,6 +30,7 @@ from repro.dsms.operators import AggregateOperator
 from repro.dsms.plan import ContinuousQuery, QueryPlanCatalog
 from repro.dsms.streams import StreamSource
 from repro.dsms.tuples import StreamTuple
+from repro.utils.records import deepcopy_sharing_records
 from repro.utils.validation import ValidationError, require
 
 
@@ -106,6 +107,10 @@ class StreamEngine:
         self.__dict__.update(state)
         if "backend" not in state:
             self.backend = resolve_backend("scalar")
+
+    def __deepcopy__(self, memo: dict) -> "StreamEngine":
+        """Copy the network; share the delivered (immutable) tuples."""
+        return deepcopy_sharing_records(self, memo, self.results.values())
 
     # ------------------------------------------------------------------
     # Admission

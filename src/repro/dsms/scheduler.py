@@ -40,6 +40,7 @@ from repro.dsms.operators import StreamOperator
 from repro.dsms.plan import ContinuousQuery, QueryPlanCatalog
 from repro.dsms.streams import StreamSource
 from repro.dsms.tuples import StreamTuple
+from repro.utils.records import deepcopy_sharing_records
 from repro.utils.registry import RegistrySpec, SpecRegistry
 from repro.utils.validation import ValidationError, require
 
@@ -268,6 +269,13 @@ class ScheduledEngine:
         self._tick = 0
         self.work_done = 0.0
         self.ticks_run = 0
+
+    def __deepcopy__(self, memo: dict) -> "ScheduledEngine":
+        """Copy the queues; share delivered tuples and latency samples."""
+        logs = list(self.results.values())
+        if self.latency_samples is not None:
+            logs.append(self.latency_samples)
+        return deepcopy_sharing_records(self, memo, logs)
 
     # ------------------------------------------------------------------
     # Admission

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from collections.abc import Mapping
 
+from repro.utils.records import share_on_deepcopy
+
 
 @dataclass(frozen=True)
 class StreamTuple:
@@ -31,6 +33,8 @@ class StreamTuple:
     tick: int
     payload: Mapping[str, object] = field(default_factory=dict)
     origin: tuple[str, ...] = ()
+
+    __deepcopy__ = share_on_deepcopy
 
     def __post_init__(self) -> None:
         if type(self.payload) is not dict:

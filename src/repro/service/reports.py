@@ -13,9 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.result import AuctionOutcome
+from repro.utils.records import share_on_deepcopy
 
 
-@dataclass
+@dataclass(frozen=True)
 class PeriodReport:
     """One subscription period's business summary."""
 
@@ -26,6 +27,8 @@ class PeriodReport:
     rejected: tuple[str, ...]
     engine_ticks: int
     engine_utilization: float | None
+
+    __deepcopy__ = share_on_deepcopy
 
     @property
     def admission_rate(self) -> float:

@@ -391,8 +391,11 @@ class AdmissionService:
     ) -> "AdmissionService":
         """Rebuild a live service from *snapshot*.
 
-        The snapshot is copied, so it can be restored again later.
-        Hooks are not serialized state; pass *hooks* to re-attach them.
+        Live state (engine, pending queue, mechanism and source RNGs)
+        is copied out of the snapshot; the immutable history — reports,
+        outcomes, invoices, delivered tuples — is shared with it.  The
+        snapshot can therefore be restored again later.  Hooks are not
+        serialized state; pass *hooks* to re-attach them.
         """
         if snapshot.version != SNAPSHOT_STATE_VERSION:
             raise ValidationError(

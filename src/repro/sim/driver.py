@@ -78,6 +78,7 @@ from repro.sim.subscriptions import (
 )
 from repro.sim.metrics import wal_snapshot as _wal_snapshot
 from repro.sim.trace import SimTrace, TraceRecorder
+from repro.utils.records import share_on_deepcopy
 from repro.utils.validation import ValidationError, require
 from repro.wal.crashpoints import crashpoint, register
 
@@ -119,6 +120,8 @@ class TickMetrics:
     work: float
     shard: int = 0
 
+    __deepcopy__ = share_on_deepcopy
+
 
 @dataclass(frozen=True)
 class SimPeriodReport:
@@ -132,6 +135,8 @@ class SimPeriodReport:
     reclaimed_capacity: float
     engine_ticks: int
     engine_utilization: "float | None"
+
+    __deepcopy__ = share_on_deepcopy
 
     @property
     def admitted(self) -> tuple[str, ...]:
@@ -1146,16 +1151,25 @@ class SimulationDriver:
 
     @classmethod
     def restore(cls, snapshot: SimSnapshot) -> "SimulationDriver":
-        """Rebuild a live driver from *snapshot* (copied, reusable)."""
+        """Rebuild a live driver from *snapshot*, which stays reusable.
+
+        Live state is copied out of the snapshot; the immutable history
+        records are shared with it.  The nested host snapshot goes to
+        the host's own ``restore`` as it is — that is where it is
+        copied, once.
+        """
         if snapshot.version not in (1, SIM_STATE_VERSION):
             raise ValidationError(
                 f"cannot restore simulation snapshot version "
                 f"{snapshot.version}; this build supports versions "
                 f"1..{SIM_STATE_VERSION}")
-        state = copy.deepcopy(dict(snapshot.state))
+        state = copy.deepcopy({key: value
+                               for key, value in snapshot.state.items()
+                               if key != "host"})
         driver = object.__new__(cls)
         driver.host = restore_host(
-            state["host_kind"], state["host"], batch=state["batch"])
+            state["host_kind"], snapshot.state["host"],
+            batch=state["batch"])
         driver.processes = tuple(state["processes"])
         driver.route = state["route"]
         driver.allow_idle = state["allow_idle"]

@@ -47,6 +47,7 @@ from repro.dsms.plan import ContinuousQuery, QueryPlanCatalog
 from repro.sim.arrivals import SelectPlan, as_continuous_query
 from repro.sim.columnar import ColumnarSelectInstance, RowChunk
 from repro.sim.trace import as_select_plan
+from repro.utils.records import share_on_deepcopy
 from repro.utils.rng import derive_seed, spawn_rng
 from repro.utils.validation import ValidationError, require
 
@@ -112,6 +113,8 @@ class SubscriptionPeriodResult:
     revenue: float = 0.0
     reclaimed_capacity: float = 0.0
     held_capacity: float = 0.0
+
+    __deepcopy__ = share_on_deepcopy
 
     @property
     def admitted_entries(self) -> int:

@@ -87,6 +87,19 @@ class TestPeriodReportSchema:
         assert dict(again.outcome.payments) == \
             pytest.approx(dict(report.outcome.payments))
 
+    def test_report_is_an_immutable_record(self):
+        """Checkpoints share reports instead of copying them."""
+        import copy
+        import dataclasses
+
+        report = _period_report()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.revenue = 0.0
+        assert copy.deepcopy(report) is report
+        amended = dataclasses.replace(report, revenue=1.5)
+        assert (amended.revenue, report.revenue) == (1.5, report.outcome.profit)
+        assert amended.outcome is report.outcome
+
     def test_file_round_trip(self, tmp_path):
         report = _period_report()
         path = tmp_path / "report.json"
