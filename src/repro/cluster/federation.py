@@ -442,10 +442,14 @@ class FederatedAdmissionService:
                     preparations[index], outcome)
                 for index, outcome in zip(active, outcomes)
             }
+            loads = {
+                index: [settlement.outcome.instance.union_load([query_id])
+                        for query_id in settlement.rejected]
+                for index, settlement in settlements.items()}
             migrations: tuple[Migration, ...] = ()
             if self.rebalancer is not None:
                 migrations = self.rebalancer.rebalance(
-                    self.shards, settlements)
+                    self.shards, settlements, loads)
             shard_reports = tuple(
                 (shard.execute_period(settlements[index])
                  if index in settlements else shard.run_idle_period())
@@ -458,9 +462,9 @@ class FederatedAdmissionService:
             raise
         placed = {migration.query_id for migration in migrations}
         rejected_load = float(sum(
-            settlement.outcome.instance.union_load([query_id])
-            for settlement in settlements.values()
-            for query_id in settlement.rejected
+            load
+            for index, settlement in settlements.items()
+            for query_id, load in zip(settlement.rejected, loads[index])
             if query_id not in placed
         ))
         report = ClusterReport(

@@ -62,13 +62,15 @@ class Rebalancer:
         self,
         shards: Sequence[AdmissionService],
         settlements: Mapping[int, PeriodSettlement],
+        loads: Mapping[int, Sequence[float]],
     ) -> tuple[Migration, ...]:
         """Apply post-auction migrations; returns what moved where.
 
         *settlements* maps shard index → that shard's settled period
-        (idle shards absent).  Target engines are transitioned
-        immediately, so callers must rebalance *before* executing the
-        period (:meth:`AdmissionService.execute_period`).
+        (idle shards absent) and *loads* shard index → the standalone
+        load of each of its ``rejected``, in order.  Target engines are
+        transitioned immediately, so callers must rebalance *before*
+        executing the period (:meth:`AdmissionService.execute_period`).
         """
         spare = {
             index: shard.capacity - (
@@ -80,22 +82,24 @@ class Rebalancer:
             index: {source.name for source in shard.sources}
             for index, shard in enumerate(shards)
         }
+        roomiest = max(spare.values())
         migrations: list[Migration] = []
         for origin in sorted(settlements):
             settlement = settlements[origin]
-            instance = settlement.outcome.instance
-            for query_id in settlement.rejected:
+            for query_id, load in zip(settlement.rejected, loads[origin]):
                 if (self.max_migrations is not None
                         and len(migrations) >= self.max_migrations):
                     return tuple(migrations)
+                if roomiest + _EPSILON < load:
+                    continue  # after an auction, nearly all: fits nowhere
                 query = settlement.candidates[query_id]
-                load = instance.union_load([query_id])
                 target = self._pick_target(
                     query, query_id, origin, shards, spare, streams, load)
                 if target is None:
                     continue
                 self._migrate(shards[target], query)
                 spare[target] -= load
+                roomiest = max(spare.values())
                 migrations.append(Migration(
                     query_id=query_id, origin=origin, target=target,
                     load=load))

@@ -18,7 +18,7 @@ manipulation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 
 from repro.utils.validation import (
     ValidationError,
@@ -213,29 +213,35 @@ class AuctionInstance:
         return instance
 
     @classmethod
-    def _from_parts(
+    def _assemble(
         cls,
-        operators: dict[str, Operator],
         queries: tuple["Query", ...],
         capacity: float,
-        queries_by_id: dict[str, "Query"],
-        sharing: dict[str, int],
+        priced: "Callable[[str], Operator]",
     ) -> "AuctionInstance":
-        """Fast private constructor from pre-computed derived state.
+        """One trusted pass from already-validated rows to an instance.
 
-        The caller owns every argument (nothing is copied) and
-        guarantees the ``__post_init__`` invariants: positive
-        capacity, unique query ids, every referenced operator present,
-        and ``queries_by_id``/``sharing`` consistent with ``queries``.
-        Used by the subscription boundary, which builds the operator
-        table *from* the query set and so satisfies all of them by
-        construction.
+        Operators appear in the order the queries first name them,
+        each asked of ``priced(op_id)`` once; nothing is validated,
+        sorted or copied.  The caller (the admission service's period,
+        the subscription boundary) vouches for unique query ids and a
+        positive *capacity*; the other ``__post_init__`` invariants
+        hold because the operator table is built *from* the queries.
         """
+        operators, sharing, by_id = {}, {}, {}
+        for query in queries:
+            by_id[query.query_id] = query
+            for op_id in query.operator_ids:
+                if op_id in sharing:
+                    sharing[op_id] += 1
+                else:
+                    operators[op_id] = priced(op_id)
+                    sharing[op_id] = 1
         instance = object.__new__(cls)
         object.__setattr__(instance, "operators", operators)
         object.__setattr__(instance, "queries", queries)
         object.__setattr__(instance, "capacity", capacity)
-        object.__setattr__(instance, "_queries_by_id", queries_by_id)
+        object.__setattr__(instance, "_queries_by_id", by_id)
         object.__setattr__(instance, "_sharing", sharing)
         return instance
 

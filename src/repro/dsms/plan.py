@@ -71,7 +71,7 @@ class ContinuousQuery:
         raise KeyError(op_id)
 
 
-def _check_compatible(first: StreamOperator, second: StreamOperator) -> None:
+def check_compatible(first: StreamOperator, second: StreamOperator) -> None:
     """Shared operators must agree on type, inputs and cost."""
     if type(first) is not type(second):
         raise ValidationError(
@@ -128,7 +128,7 @@ class QueryPlanCatalog:
             if existing is None:
                 self._operators[op.op_id] = op
             else:
-                _check_compatible(existing, op)
+                check_compatible(existing, op)
         self._queries[query.query_id] = query
         self._order_cache = None
         self._generation += 1

@@ -10,7 +10,7 @@ The facade owns no policy of its own — it composes three pluggable
 components plus a hook registry:
 
 * :class:`~repro.service.coordinator.AuctionCoordinator` — pending
-  queue, candidate collection, load estimation, auction building;
+  queue and auction input, priced at arrival, assembled at the tick;
 * :class:`~repro.service.transition.TransitionManager` — engine
   add/remove/transition;
 * :class:`~repro.cloud.billing.BillingLedger` — invoicing and audit;
@@ -182,7 +182,7 @@ class AdmissionService:
     def submit(self, query: ContinuousQuery) -> None:
         """Queue *query* (with its bid) for the next period's auction."""
         self.hooks.notify("on_submit", self, query)
-        self.coordinator.submit(query, reserved_ids=self.engine.admitted_ids)
+        self.coordinator.submit(query, running=self.engine.catalog)
 
     def withdraw(self, query_id: str) -> ContinuousQuery:
         """Remove and return a not-yet-auctioned submission.
@@ -229,7 +229,7 @@ class AdmissionService:
     def prepare_period(self) -> PeriodPreparation:
         """Phase 1: open the next period and build its auction input.
 
-        Collects candidates (queued + running), estimates loads, and
+        Collects candidates (queued + running), assembles their rows, and
         applies the ``pre_auction`` hooks.  Callers that split the cycle
         (e.g. the :mod:`repro.cluster` federation, which batches all
         shard auctions) must follow with :meth:`settle_period` and
@@ -274,7 +274,7 @@ class AdmissionService:
         added, removed = self.transitions.apply(
             self.engine, admitted, candidates)
         self.hooks.notify("on_transition", self, added, removed)
-        self.coordinator.clear()
+        self.coordinator.clear(keep=outcome.winner_ids)
         return PeriodSettlement(
             period=self._period,
             candidates=candidates,

@@ -45,7 +45,11 @@ from repro.dsms.load import estimate_operator_loads
 from repro.dsms.operators import SelectOperator
 from repro.dsms.plan import ContinuousQuery, QueryPlanCatalog
 from repro.sim.arrivals import SelectPlan, as_continuous_query
-from repro.sim.columnar import ColumnarSelectInstance, RowChunk
+from repro.sim.columnar import (
+    ColumnarSelectInstance,
+    RowChunk,
+    _auction_candidate,
+)
 from repro.sim.trace import as_select_plan
 from repro.utils.records import share_on_deepcopy
 from repro.utils.rng import derive_seed, spawn_rng
@@ -304,6 +308,10 @@ class SubscriptionManager:
         held = sum(loads.get(op_id, 0.0) for op_id in held_ops)
         free = max(service.capacity - held, 0.0)
 
+        def priced(op_id: str) -> Operator:
+            return Operator._trusted(
+                op_id, 0.0 if op_id in held_ops else loads.get(op_id, 0.0))
+
         outcomes: dict[str, AuctionOutcome] = {}
         admitted: list[str] = []
         rejected: list[str] = []
@@ -319,61 +327,28 @@ class SubscriptionManager:
                 rejected.extend(query.query_id for query, _name in requests)
                 continue
             plans = {query.query_id: query for query, _name in requests}
-            # Build the auction instance through the trusted
-            # constructors: every pending plan was validated on entry,
-            # and the operator table is derived from the query set, so
-            # the instance invariants hold by construction.  The
-            # validating path costs ~10µs per candidate — per period,
-            # that dwarfs the auction itself.
-            operators: dict[str, Operator] = {}
-            sharing: dict[str, int] = {}
-            by_id: dict[str, object] = {}
-            auction_queries = []
+            # Pending plans were validated on entry: the trusted assembler
+            # (validating costs ~10µs per candidate, more than the auction
+            # itself).  Held operators cost newcomers nothing.
+            auction_queries = tuple(map(_auction_candidate, plans.values()))
+            instance = AuctionInstance._assemble(
+                auction_queries, slice_capacity, priced)
             # While every candidate is an unshared single-select plan,
             # mirror its id/bid/load into flat columns — the columnar
             # GV kernel then selects straight off these arrays instead
             # of re-walking the instance per query.
-            col_ids: list[str] = []
-            col_bids: list[float] = []
-            col_loads: list[float] = []
-            columnar = True
-            for query in plans.values():
-                candidate = _auction_query(query)
-                auction_queries.append(candidate)
-                by_id[candidate.query_id] = candidate
-                if columnar and type(candidate) is SelectPlan:
-                    op_id = candidate.op_id
-                    if op_id in operators:
-                        sharing[op_id] += 1
-                        columnar = False
-                    else:
-                        load = (0.0 if op_id in held_ops
-                                else loads.get(op_id, 0.0))
-                        operators[op_id] = Operator._trusted(op_id, load)
-                        sharing[op_id] = 1
-                        col_ids.append(candidate.query_id)
-                        col_bids.append(candidate.bid)
-                        col_loads.append(load)
-                    continue
-                columnar = False
-                for op_id in candidate.operator_ids:
-                    if op_id in operators:
-                        sharing[op_id] += 1
-                    else:
-                        operators[op_id] = Operator._trusted(
-                            op_id,
-                            0.0 if op_id in held_ops
-                            else loads.get(op_id, 0.0))
-                        sharing[op_id] = 1
-            instance = AuctionInstance._from_parts(
-                operators, tuple(auction_queries), slice_capacity,
-                by_id, sharing)
-            if columnar and auction_queries:
+            if (len(instance.operators) == len(auction_queries)
+                    and all(type(candidate) is SelectPlan
+                            for candidate in auction_queries)):
+                operators = instance.operators
                 object.__setattr__(
                     instance, "_select_columns",
-                    (col_ids,
-                     np.asarray(col_bids, dtype=np.float64),
-                     np.asarray(col_loads, dtype=np.float64)))
+                    ([q.query_id for q in auction_queries],
+                     np.array([q.bid for q in auction_queries],
+                              dtype=np.float64),
+                     np.array([operators[q.op_id].load
+                               for q in auction_queries],
+                              dtype=np.float64)))
             outcome = self.mechanisms[category.name].run(instance)
             outcome = replace(
                 outcome,
@@ -649,32 +624,6 @@ class SubscriptionManager:
         result = self.run_period(service, period, expanded)
         stats["winners"] = len(result.admitted)
         return result, stats
-
-
-def _auction_query(query: ContinuousQuery):
-    """The auction-layer view of a continuous query.
-
-    A :class:`~repro.sim.arrivals.SelectPlan` already *is* the
-    auction-layer view — it exposes the whole query protocol the
-    mechanisms read (``query_id`` / ``operator_ids`` / ``bid`` /
-    ``valuation`` / ``owner`` / ``true_value`` / ``owner_id`` /
-    ``with_bid``) — so it passes through untouched.  Full continuous
-    queries go through the trusted :class:`~repro.core.model.Query`
-    constructor: plans reaching the subscription manager were
-    validated when built (synthesis, trace decode, or gateway
-    ingress) and expose their operator ids as a tuple.
-    """
-    if type(query) is SelectPlan:
-        return query
-    from repro.core.model import Query
-
-    return Query._trusted(
-        query.query_id,
-        tuple(query.operator_ids),
-        query.bid,
-        query.valuation,
-        query.owner,
-    )
 
 
 def _single_select_loads(

@@ -175,6 +175,37 @@ class TestProtocolErrors:
 
         asyncio.run(go())
 
+    def test_plan_that_would_wedge_the_auction_rejected_at_submit(self):
+        """A redefined live operator and a negative valuation each used
+        to pass submit and fail every later tick for everyone."""
+        import dataclasses
+
+        from repro.dsms.operators import SelectOperator
+        from repro.dsms.plan import ContinuousQuery
+        from tests.strategies import accept_all
+
+        async def go():
+            gateway = await started_gateway(build_cluster(shards=1))
+            async with GatewayClient(*gateway.address) as client:
+                status, _ = await client.submit(query(1))
+                assert status == 200
+                redefined = SelectOperator(
+                    "sel_q1", "s", accept_all, cost_per_tuple=7.0)
+                status, body = await client.submit(ContinuousQuery(
+                    "thief", (redefined,), sink_id="sel_q1", bid=9.0))
+                assert status == 400
+                assert "conflicting costs" in body["error"]
+                status, body = await client.submit(
+                    dataclasses.replace(query(2), valuation=-1.0))
+                assert status == 400
+                assert "valuation of query 'q2'" in body["error"]
+                status, ticked = await client.tick()
+                assert status == 200
+                assert ticked["report"]["shards"][0]["admitted"] == ["q1"]
+            await gateway.stop()
+
+        asyncio.run(go())
+
     def test_withdraw_unknown_id_404(self):
         async def go():
             gateway = await started_gateway(build_cluster())

@@ -147,3 +147,80 @@ def cluster_workloads(
         placement=placement,
         submissions=tuple(submissions),
     )
+
+
+# ----------------------------------------------------------------------
+# Multi-operator plans over a shared operator library (repro.service)
+# ----------------------------------------------------------------------
+
+#: The shared library: op id → (input name, cost per tuple).  ``join``
+#: reads a library operator, so plans form chains two and three deep.
+SHARED_LIBRARY = {
+    "parse": ("s", 0.5),
+    "clean": ("parse", 0.25),
+    "join": ("clean", 1.0),
+    "audit": ("s", 0.75),
+}
+_UPSTREAM = {"parse": (), "clean": ("parse",),
+             "join": ("parse", "clean"), "audit": ()}
+
+
+@dataclass(frozen=True)
+class PlanRecipe:
+    """What :func:`plan_from_recipe` needs to build one plan afresh.
+
+    A recipe, not a plan: a differential test gives each system under
+    comparison its *own* operator objects (engines count tuples on
+    them) and its own id strings (pickle tells equal strings from the
+    same string).
+    """
+
+    query_id: str
+    bid: float
+    valuation: "float | None"
+    owner: str
+    #: (library op id, selectivity estimate) per shared operator,
+    #: upstream first; holders may disagree on the estimate.
+    shared: tuple[tuple[str, float], ...]
+    private_cost: float
+
+
+def plan_from_recipe(recipe: PlanRecipe) -> ContinuousQuery:
+    """A fresh plan: the recipe's shared chain, then a private select."""
+    operators = []
+    for name, selectivity in recipe.shared:
+        source, cost = SHARED_LIBRARY[name]
+        # Built, not literal: every plan holds its own copy of a
+        # shared id, as plans decoded off the wire do.
+        operators.append(SelectOperator(
+            "".join(["lib_", name]),
+            source if source == "s" else "".join(["lib_", source]),
+            accept_all, cost_per_tuple=cost,
+            selectivity_estimate=selectivity))
+    tail = operators[-1].op_id if operators else "s"
+    sink = SelectOperator(f"sel_{recipe.query_id}", tail, accept_all,
+                          cost_per_tuple=recipe.private_cost,
+                          selectivity_estimate=1.0)
+    return ContinuousQuery(
+        recipe.query_id, (*operators, sink), sink_id=sink.op_id,
+        bid=recipe.bid, valuation=recipe.valuation, owner=recipe.owner)
+
+
+@st.composite
+def plan_recipes(draw, query_id: str) -> PlanRecipe:
+    """Draw a recipe whose shared chain is closed under its inputs."""
+    top = draw(st.sampled_from([None, *SHARED_LIBRARY]))
+    names = () if top is None else (*_UPSTREAM[top], top)
+    if names and draw(st.booleans()):
+        names = (*names, "audit") if "audit" not in names else names
+    shared = tuple(
+        (name, draw(st.sampled_from([0.25, 0.5, 1.0]))) for name in names)
+    bid = draw(st.floats(0.0, 100.0, allow_nan=False))
+    return PlanRecipe(
+        query_id=query_id,
+        bid=bid,
+        valuation=draw(st.sampled_from([None, bid, bid + 1.0])),
+        owner=f"c{draw(st.integers(0, 3))}",
+        shared=shared,
+        private_cost=draw(st.sampled_from([0.25, 0.5, 1.0, 2.0])),
+    )
