@@ -34,8 +34,7 @@ OUT_DIR = Path(__file__).parent / "out"
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_sim.json"
 
 
-def build_driver(args, batch_arrivals: bool = True,
-                 pump: bool = False) -> SimulationDriver:
+def build_driver(args, pump: bool = False) -> SimulationDriver:
     service = (ServiceBuilder()
                .with_sources(SyntheticStream("s", rate=args.stream_rate,
                                              seed=args.seed))
@@ -50,121 +49,8 @@ def build_driver(args, batch_arrivals: bool = True,
                   f"limit={args.arrivals},seed={args.seed}"),
         subscriptions=SubscriptionOptions(seed=args.seed),
         probe="fifo",
-        batch_arrivals=batch_arrivals,
         pump=pump,
     )
-
-
-def compare_dispatch(args, periods: int) -> int:
-    """Batched vs per-event dispatch: same results, batched faster.
-
-    Runs the identical workload through both dispatch paths and
-    asserts (a) equivalence — identical revenue, admissions and event
-    counts — and (b) that the batched fast path actually wins on
-    throughput, so a regression that quietly disables batching fails
-    CI instead of shipping.
-    """
-    results = {}
-    for label, batch in (("batched", True), ("per-event", False)):
-        driver = build_driver(args, batch_arrivals=batch)
-        started = time.perf_counter()
-        reports = driver.run(periods)
-        elapsed = time.perf_counter() - started
-        results[label] = {
-            "seconds": elapsed,
-            "events_per_sec": driver.events_processed / elapsed,
-            "events_processed": driver.events_processed,
-            "admitted": sum(len(r.admitted) for r in reports),
-            "revenue": driver.total_revenue(),
-        }
-    batched, legacy = results["batched"], results["per-event"]
-    speedup = batched["events_per_sec"] / legacy["events_per_sec"]
-    table = format_table(
-        ["metric", "batched", "per-event"],
-        [
-            ["seconds", batched["seconds"], legacy["seconds"]],
-            ["events/s", batched["events_per_sec"],
-             legacy["events_per_sec"]],
-            ["events", batched["events_processed"],
-             legacy["events_processed"]],
-            ["admitted", batched["admitted"], legacy["admitted"]],
-            ["revenue", batched["revenue"], legacy["revenue"]],
-        ],
-        precision=2,
-        title=(f"Dispatch comparison — {args.arrivals} arrivals, "
-               f"speedup {speedup:.2f}x"))
-    print(table)
-    OUT_DIR.mkdir(exist_ok=True)
-    (OUT_DIR / "dispatch_compare.json").write_text(json.dumps({
-        "results": results, "speedup": speedup}, indent=2) + "\n")
-
-    # Equivalence is exact; the speed assertion is deliberately just
-    # "faster", not a ratio, to stay robust on noisy CI runners.
-    assert batched["revenue"] == legacy["revenue"]
-    assert batched["admitted"] == legacy["admitted"]
-    assert batched["events_processed"] == legacy["events_processed"]
-    assert speedup > 1.0, (
-        f"batched dispatch is not faster than per-event "
-        f"({speedup:.2f}x)")
-    return 0
-
-
-def compare_pump(args, periods: int) -> int:
-    """Columnar pump vs batched dispatch: same results, pump faster.
-
-    The pump's admissibility contract, executed: identical period
-    reports (dataclass reprs, which recurse through every admitted /
-    rejected / expired entry and every revenue float), identical event
-    counts, and at least parity on throughput.  A regression that
-    breaks row accounting, or quietly drops the columnar boundary,
-    fails here instead of shipping.
-    """
-    results = {}
-    reports_by_label = {}
-    for label, pump in (("pump", True), ("batched", False)):
-        driver = build_driver(args, pump=pump)
-        started = time.perf_counter()
-        reports = driver.run(periods)
-        elapsed = time.perf_counter() - started
-        reports_by_label[label] = repr(reports)
-        results[label] = {
-            "seconds": elapsed,
-            "events_per_sec": driver.events_processed / elapsed,
-            "events_processed": driver.events_processed,
-            "admitted": sum(len(r.admitted) for r in reports),
-            "revenue": driver.total_revenue(),
-        }
-        if pump:
-            results[label]["pump"] = driver.metrics_snapshot()["pump"]
-    pumped, batched = results["pump"], results["batched"]
-    speedup = pumped["events_per_sec"] / batched["events_per_sec"]
-    table = format_table(
-        ["metric", "pump", "batched"],
-        [
-            ["seconds", pumped["seconds"], batched["seconds"]],
-            ["events/s", pumped["events_per_sec"],
-             batched["events_per_sec"]],
-            ["events", pumped["events_processed"],
-             batched["events_processed"]],
-            ["admitted", pumped["admitted"], batched["admitted"]],
-            ["revenue", pumped["revenue"], batched["revenue"]],
-        ],
-        precision=2,
-        title=(f"Pump comparison — {args.arrivals} arrivals, "
-               f"speedup {speedup:.2f}x"))
-    print(table)
-    OUT_DIR.mkdir(exist_ok=True)
-    (OUT_DIR / "pump_compare.json").write_text(json.dumps({
-        "results": results, "speedup": speedup}, indent=2) + "\n")
-
-    assert reports_by_label["pump"] == reports_by_label["batched"], (
-        "pump reports diverge from batched dispatch")
-    assert (pumped["events_processed"]
-            == batched["events_processed"])
-    assert speedup > 1.0, (
-        f"columnar pump is not faster than batched dispatch "
-        f"({speedup:.2f}x)")
-    return 0
 
 
 def compare_wal(args, periods: int) -> int:
@@ -334,12 +220,6 @@ def main(argv: "list[str] | None" = None) -> int:
                         help="engine ticks per subscription period")
     parser.add_argument("--mechanism", default="GV")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--compare-dispatch", action="store_true",
-                        help="run batched vs per-event dispatch, "
-                             "assert equivalence and speedup")
-    parser.add_argument("--compare-pump", action="store_true",
-                        help="run columnar pump vs batched dispatch, "
-                             "assert equivalence and speedup")
     parser.add_argument("--pump", action="store_true",
                         help="consume arrivals through the columnar "
                              "pump (numpy row blocks)")
@@ -355,18 +235,12 @@ def main(argv: "list[str] | None" = None) -> int:
     args = parser.parse_args(argv)
 
     if args.arrivals is None:
-        args.arrivals = 20_000 if (
-            args.compare_dispatch or args.compare_pump
-            or args.compare_wal) else (
+        args.arrivals = 20_000 if args.compare_wal else (
             2_000 if args.smoke else 50_000)
     # Enough boundaries to consume every arrival, plus one spare so
     # the tail of the stream still gets auctioned.
     periods = int(args.arrivals / (args.arrival_rate * args.ticks)) + 2
 
-    if args.compare_dispatch:
-        return compare_dispatch(args, periods)
-    if args.compare_pump:
-        return compare_pump(args, periods)
     if args.compare_wal:
         return compare_wal(args, periods)
 

@@ -43,8 +43,7 @@ Packages:
   actually run admitted queries (shared operators, connection points,
   transition phase).
 * :mod:`repro.cloud` — billing, multi-period subscriptions and
-  energy-aware capacity selection (Section VII extensions), plus the
-  deprecated ``DSMSCenter`` shim.
+  energy-aware capacity selection (Section VII extensions).
 * :mod:`repro.experiments` — the harness regenerating every table and
   figure of the evaluation.
 

@@ -461,19 +461,11 @@ def _cmd_sim(args: argparse.Namespace) -> int:
                  if wal_log is not None else args.periods)
     started = time.perf_counter()
     rows = []
-    try:
-        for _ in range(remaining):
-            report = driver.run(1)[0]
-            rows.append(_sim_report_row(report))
-            if args.checkpoint:
-                driver.save_checkpoint(args.checkpoint)
-    finally:
-        # Shut auction worker processes down cleanly (no-op for the
-        # thread path) so the interpreter exits without executor noise.
-        close_pool = getattr(
-            getattr(driver.host, "cluster", None), "close_pool", None)
-        if close_pool is not None:
-            close_pool()
+    for _ in range(remaining):
+        report = driver.run(1)[0]
+        rows.append(_sim_report_row(report))
+        if args.checkpoint:
+            driver.save_checkpoint(args.checkpoint)
     elapsed = time.perf_counter() - started
 
     mode = "subscriptions" if driver.managers else "re-auction"
@@ -548,31 +540,23 @@ def _write_wal_final_report(driver, wal_dir: str) -> str:
 
 
 def _apply_auction_tuning(host, args: argparse.Namespace) -> None:
-    """Apply the ``--workers``/``--auction-mode`` pool knobs to *host*.
+    """Apply the ``--workers`` pool width to *host*.
 
     Runtime tuning, not simulation state — so, unlike the workload
-    flags, both compose with ``--resume``.  They only make sense on a
-    federated host's batch auction path; setting them on a single
+    flags, it composes with ``--resume``.  It only makes sense on a
+    federated host's batch auction path; setting it on a single
     service is rejected rather than silently ignored.
     """
     from repro.utils.validation import ValidationError
 
-    cluster = getattr(host, "cluster", None)
-    auction_columns = getattr(args, "auction_columns", None)
-    if cluster is None:
-        if (args.workers is not None or args.auction_mode is not None
-                or auction_columns is not None):
-            raise ValidationError(
-                "--workers/--auction-mode/--auction-columns tune the "
-                "cluster batch auction pool and need --shards > 1 "
-                "(with --batch)")
+    if args.workers is None:
         return
-    if args.workers is not None:
-        cluster.auction_workers = args.workers
-    if args.auction_mode is not None:
-        cluster.auction_mode = args.auction_mode
-    if auction_columns is not None:
-        cluster.auction_columns = auction_columns
+    cluster = getattr(host, "cluster", None)
+    if cluster is None:
+        raise ValidationError(
+            "--workers tunes the cluster batch auction pool and needs "
+            "--shards > 1 (with --batch)")
+    cluster.auction_workers = args.workers
 
 
 def _apply_sim_defaults(args: argparse.Namespace) -> None:
@@ -678,8 +662,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                 shard.mechanism.use_selection(spec)
         if args.auction_workers is not None:
             cluster.auction_workers = args.auction_workers
-        cluster.auction_mode = args.auction_mode
-        cluster.auction_columns = args.auction_columns
         start = cluster.period
     else:
         from repro.cluster.placement import resolve_placement
@@ -708,33 +690,28 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                                   resolve_placement),
             rebalance=not args.no_rebalance,
             auction_workers=args.auction_workers,
-            auction_mode=args.auction_mode,
-            auction_columns=args.auction_columns,
         )
         start = 0
 
     rows = []
-    try:
-        for period in range(start + 1, start + args.periods + 1):
-            for query in _synthetic_submissions(
-                    period, args.queries_per_period, args.seed,
-                    lambda index: f"user_{index % max(1, args.clients)}"):
-                cluster.submit(query)
-            report = (cluster.run_period_all() if args.batch
-                      else cluster.run_period())
-            rows.append([
-                report.period,
-                len(report.admitted),
-                len(report.rejected),
-                len(report.migrated),
-                report.total_revenue,
-                (0.0 if report.utilization is None
-                 else report.utilization),
-            ])
-            if args.checkpoint:
-                cluster.save_checkpoint(args.checkpoint)
-    finally:
-        cluster.close_pool()
+    for period in range(start + 1, start + args.periods + 1):
+        for query in _synthetic_submissions(
+                period, args.queries_per_period, args.seed,
+                lambda index: f"user_{index % max(1, args.clients)}"):
+            cluster.submit(query)
+        report = (cluster.run_period_all() if args.batch
+                  else cluster.run_period())
+        rows.append([
+            report.period,
+            len(report.admitted),
+            len(report.rejected),
+            len(report.migrated),
+            report.total_revenue,
+            (0.0 if report.utilization is None
+             else report.utilization),
+        ])
+        if args.checkpoint:
+            cluster.save_checkpoint(args.checkpoint)
     print(format_table(
         ["period", "admitted", "rejected", "migrated", "revenue",
          "cluster util"],
@@ -995,16 +972,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--workers", type=int, default=None,
                      help="pool width for --batch auction boundaries "
                           "(default: CPU count)")
-    sim.add_argument("--auction-mode", choices=("thread", "process"),
-                     default=None,
-                     help="pool flavor for --batch boundaries: "
-                          "thread (default) or a persistent "
-                          "multiprocessing pool")
-    sim.add_argument("--auction-columns", choices=("pickle", "shm"),
-                     default=None,
-                     help="column transport of the --auction-mode "
-                          "process pool: pickle (default) or one "
-                          "shared-memory segment per boundary")
     sim.add_argument("--pump", action="store_true",
                      help="consume arrivals through the columnar "
                           "pump: numpy row blocks instead of "
@@ -1091,18 +1058,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--auction-workers", type=int, default=None,
                          help="pool width for --batch auctions "
                               "(default: CPU count)")
-    cluster.add_argument("--auction-mode",
-                         choices=("thread", "process"),
-                         default="thread",
-                         help="pool flavor for --batch auctions: "
-                              "thread (default) or a persistent "
-                              "multiprocessing pool")
-    cluster.add_argument("--auction-columns",
-                         choices=("pickle", "shm"),
-                         default="pickle",
-                         help="column transport of the process pool: "
-                              "pickle (default) or one shared-memory "
-                              "segment per boundary")
     cluster.add_argument("--no-rebalance", action="store_true",
                          help="disable cross-shard migration of "
                               "rejected queries")

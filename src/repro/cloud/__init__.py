@@ -1,10 +1,6 @@
-"""The DSMS-center business layer: billing, subscriptions, energy,
-and the (deprecated) auction-driven service orchestrator.
+"""The DSMS-center business layer: billing, subscriptions, energy.
 
-``DSMSCenter`` and ``PeriodReport`` are re-exported lazily: the
-orchestrator moved to :mod:`repro.service`, which itself depends on
-:mod:`repro.cloud.billing`, so importing them eagerly here would be
-circular.
+The auction-driven service orchestrator lives in :mod:`repro.service`.
 """
 
 from repro.cloud.billing import BillingLedger, Invoice
@@ -25,32 +21,15 @@ from repro.cloud.subscriptions import (
     validate_categories,
 )
 
-_LAZY = ("DSMSCenter", "PeriodReport")
-
-
-def __getattr__(name: str):
-    if name in _LAZY:
-        from repro.cloud import center
-
-        return getattr(center, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_LAZY))
-
-
 __all__ = [
     "ActiveSubscription",
     "BillingLedger",
     "CapacityChoice",
     "DEFAULT_CATEGORIES",
-    "DSMSCenter",
     "DailyResult",
     "EnergyModel",
     "GamingOutcome",
     "Invoice",
-    "PeriodReport",
     "simulate_category_gaming",
     "SubscriptionCategory",
     "SubscriptionRequest",

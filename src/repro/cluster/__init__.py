@@ -15,10 +15,7 @@ whole-cluster checkpointing.
   shards with spare capacity;
 * :class:`ClusterReport` / :class:`Migration` — the per-period
   aggregate record (versioned JSON schema in :mod:`repro.io`);
-* :class:`ClusterSnapshot` — full checkpoint/restore of a federation;
-* :class:`AuctionProcessPool` — the persistent multiprocessing pool
-  behind ``auction_mode="process"`` (GIL-free batch auctions,
-  byte-identical to the thread and sequential paths).
+* :class:`ClusterSnapshot` — full checkpoint/restore of a federation.
 
 Quickstart::
 
@@ -44,7 +41,6 @@ from repro.cluster.federation import (
     ClusterSnapshot,
     FederatedAdmissionService,
 )
-from repro.cluster.parallel import AuctionProcessPool
 from repro.cluster.placement import (
     ConsistentHashPlacement,
     LeastLoadedPlacement,
@@ -59,7 +55,6 @@ from repro.cluster.rebalance import Rebalancer
 from repro.cluster.reports import ClusterReport, Migration
 
 __all__ = [
-    "AuctionProcessPool",
     "CLUSTER_STATE_VERSION",
     "ClusterReport",
     "ClusterSnapshot",

@@ -12,15 +12,10 @@ them one front door:
 * **the cluster period** — :meth:`run_period` drives every shard
   through the prepare → auction → settle → rebalance → execute cycle
   in lockstep; :meth:`run_period_all` is the batch path that runs all
-  shard auctions together — on a thread pool
-  (``auction_mode="thread"``, the default) or a persistent
-  multiprocessing pool (``auction_mode="process"``, see
-  :mod:`repro.cluster.parallel`) that sidesteps the GIL for CPU-heavy
-  auction kernels.  Auctions are side-effect-free until settlement;
-  shards sharing a mechanism object stay sequential so per-shard RNG
-  streams are consumed in shard order, and the process path
-  round-trips each mechanism's evolved state back into the parent —
-  all three paths produce byte-identical results;
+  shard auctions together on a thread pool.  Auctions are
+  side-effect-free until settlement; shards sharing a mechanism object
+  stay sequential so per-shard RNG streams are consumed in shard
+  order — both paths produce byte-identical results;
 * **rebalancing** — an optional
   :class:`~repro.cluster.rebalance.Rebalancer` migrates rejected
   queries onto shards with spare capacity between settle and execute;
@@ -102,8 +97,6 @@ class FederatedAdmissionService:
         placement: "PlacementPolicy | str" = "consistent-hash",
         rebalancer: "Rebalancer | None" = None,
         auction_workers: "int | None" = None,
-        auction_mode: str = "thread",
-        auction_columns: str = "pickle",
     ) -> None:
         shards = tuple(shards)
         require(len(shards) >= 1, "a federation needs at least one shard")
@@ -115,14 +108,6 @@ class FederatedAdmissionService:
             require(int(auction_workers) >= 1,
                     "auction_workers must be >= 1")
             auction_workers = int(auction_workers)
-        if auction_mode not in ("thread", "process"):
-            raise ValidationError(
-                f"auction_mode must be 'thread' or 'process', got "
-                f"{auction_mode!r}")
-        if auction_columns not in ("pickle", "shm"):
-            raise ValidationError(
-                f"auction_columns must be 'pickle' or 'shm', got "
-                f"{auction_columns!r}")
         self.shards: tuple[AdmissionService, ...] = shards
         self.placement = resolve_placement(placement)
         self.rebalancer = rebalancer
@@ -131,27 +116,8 @@ class FederatedAdmissionService:
         #: not evolving state: snapshots do not carry it, and restored
         #: federations start back on the default.
         self.auction_workers = auction_workers
-        #: ``"thread"`` dispatches shard auctions on a thread pool;
-        #: ``"process"`` on a persistent multiprocessing pool (see
-        #: :mod:`repro.cluster.parallel`).  Runtime tuning like
-        #: ``auction_workers``; byte-identical results either way.
-        self.auction_mode = auction_mode
-        #: How the process pool ships each instance's numeric select
-        #: columns to its workers: ``"pickle"`` (with the job) or
-        #: ``"shm"`` (one shared-memory segment per boundary, ids-only
-        #: pickling).  Runtime tuning like ``auction_workers``;
-        #: byte-identical results either way.
-        self.auction_columns = auction_columns
-        self._process_pool: "AuctionProcessPool | None" = None
         self._period = 0
         self.reports: list[ClusterReport] = []
-
-    def __getstate__(self) -> dict:
-        # Live worker processes never travel with a copied/pickled
-        # federation; the copy lazily starts its own pool on use.
-        state = dict(self.__dict__)
-        state["_process_pool"] = None
-        return state
 
     @classmethod
     def build(
@@ -168,8 +134,6 @@ class FederatedAdmissionService:
         placement: "PlacementPolicy | str" = "consistent-hash",
         rebalance: bool = True,
         auction_workers: "int | None" = None,
-        auction_mode: str = "thread",
-        auction_columns: str = "pickle",
     ) -> "FederatedAdmissionService":
         """Assemble a homogeneous cluster of *num_shards* shards.
 
@@ -192,8 +156,7 @@ class FederatedAdmissionService:
         (``"reference"``, ``"fast"``, or a
         :class:`~repro.core.selection.SelectionSpec`); ``None`` keeps
         the default.  *auction_workers* bounds the pool the batch path
-        (:meth:`run_period_all`) auctions shards on; *auction_mode*
-        picks that pool's flavor (``"thread"`` or ``"process"``).
+        (:meth:`run_period_all`) auctions shards on.
         """
         require(int(num_shards) >= 1, "num_shards must be >= 1")
         if isinstance(backend, (str, BackendSpec)) or not isinstance(
@@ -221,8 +184,6 @@ class FederatedAdmissionService:
             placement=placement,
             rebalancer=Rebalancer() if rebalance else None,
             auction_workers=auction_workers,
-            auction_mode=auction_mode,
-            auction_columns=auction_columns,
         )
 
     # ------------------------------------------------------------------
@@ -309,42 +270,16 @@ class FederatedAdmissionService:
         """Run one cluster period through the batch auction path.
 
         All shard auctions are built first, then dispatched together
-        across a pool (:meth:`run_period` auctions shard by shard
+        across a thread pool (:meth:`run_period` auctions shard by shard
         instead), then settled, rebalanced and executed — settlement
-        stays sequential and deterministic.  ``auction_mode`` picks the
-        pool: ``"thread"`` (default) or ``"process"`` (a persistent
-        multiprocessing pool; GIL-free, mechanism state round-tripped).
-        Auctions are side-effect-free until settlement, so parallel
-        dispatch is safe; shards sharing one mechanism *object* are
-        grouped onto a single worker and run in shard order, so a
-        randomized mechanism consumes its RNG stream exactly as the
-        sequential path would.  Produces exactly the same reports as
-        :meth:`run_period`.
+        stays sequential and deterministic.  Auctions are
+        side-effect-free until settlement, so parallel dispatch is
+        safe; shards sharing one mechanism *object* are grouped onto a
+        single worker and run in shard order, so a randomized mechanism
+        consumes its RNG stream exactly as the sequential path would.
+        Produces exactly the same reports as :meth:`run_period`.
         """
         return self._run_cluster_period(batch=True)
-
-    def _auction_pool(self, workers: int):
-        """The persistent process pool, (re)built at *workers* wide."""
-        from repro.cluster.parallel import AuctionProcessPool
-
-        pool = self._process_pool
-        if (pool is None or pool.workers != workers
-                or pool.columns != self.auction_columns):
-            if pool is not None:
-                pool.close()
-            pool = self._process_pool = AuctionProcessPool(
-                workers, columns=self.auction_columns)
-        return pool
-
-    def close_pool(self) -> None:
-        """Shut down the process pool, if one was ever started.
-
-        Safe to call any time; the next ``auction_mode="process"``
-        period lazily starts a fresh pool.
-        """
-        if self._process_pool is not None:
-            self._process_pool.close()
-            self._process_pool = None
 
     def _run_auctions_batch(self, active, preparations):
         """All shard auctions of one period; outcomes in *active* order.
@@ -375,13 +310,6 @@ class FederatedAdmissionService:
         if workers <= 1:
             grouped_outcomes = [run_group(indices)
                                 for indices in grouped_indices]
-        elif self.auction_mode == "process":
-            jobs = [
-                (self.shards[indices[0]].mechanism,
-                 [preparations[index].instance for index in indices])
-                for indices in grouped_indices
-            ]
-            grouped_outcomes = self._auction_pool(workers).run_groups(jobs)
         else:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 futures = [pool.submit(run_group, indices)
@@ -539,9 +467,6 @@ class FederatedAdmissionService:
         cluster.placement = copy.deepcopy(snapshot.placement)
         cluster.rebalancer = copy.deepcopy(snapshot.rebalancer)
         cluster.auction_workers = None  # runtime tuning, not state
-        cluster.auction_mode = "thread"
-        cluster.auction_columns = "pickle"
-        cluster._process_pool = None
         cluster._period = snapshot.period
         cluster.reports = list(snapshot.reports)
         return cluster

@@ -1,7 +1,7 @@
-"""The composable admission-service API (successor of ``DSMSCenter``).
+"""The composable admission-service API.
 
-This package decomposes the monolithic DSMS-center of earlier versions
-into a stable facade over pluggable components:
+This package decomposes the paper's DSMS center into a stable facade
+over pluggable components:
 
 * :class:`AdmissionService` — the facade: submit/withdraw, the
   per-period auction-bill-transition-execute cycle, checkpointing;

@@ -1,7 +1,7 @@
 """Lifecycle hooks: the service's plug-in seam.
 
-Scenarios that used to require forking ``DSMSCenter`` — lying clients
-that inflate bids, sybil-style bid manipulation across a user's
+Scenarios that would otherwise require forking the service — lying
+clients that inflate bids, sybil-style bid manipulation across a user's
 submitted queries, energy-aware capacity adjustment, audit logging —
 become functions attached to one of five well-defined points in the
 period cycle.  A ``pre_auction`` hook may rewrite bids, owners and

@@ -115,10 +115,8 @@ class ClusterHost(SimulationHost):
     """A sharded federation behind the host interface.
 
     ``batch=True`` auctions each boundary through the federation's
-    pooled :meth:`run_period_all` path — threads by default, or the
-    persistent multiprocessing pool when the federation's
-    ``auction_mode`` is ``"process"`` (byte-identical reports every
-    way).
+    thread-pooled :meth:`run_period_all` path (byte-identical reports
+    either way).
     """
 
     kind = "cluster"

@@ -1,19 +1,17 @@
 """DSMS-center integration tests: auction → engine → billing.
 
-``DSMSCenter`` is now a deprecation shim over
-:class:`repro.service.AdmissionService`; these tests double as the
-shim's compatibility contract.
+One :class:`repro.service.AdmissionService` is the paper's DSMS
+center; these tests drive its submit → auction → engine → billing
+cycle end to end.
 """
-
-import warnings
 
 import pytest
 
-from repro.cloud.center import DSMSCenter
 from repro.core import CAT
 from repro.dsms.operators import SelectOperator
 from repro.dsms.plan import ContinuousQuery
 from repro.dsms.streams import SyntheticStream
+from repro.service import AdmissionService
 from repro.utils.validation import ValidationError
 
 
@@ -27,23 +25,12 @@ def make_query(qid, bid, cost, owner=None, shared_id=None):
 
 @pytest.fixture
 def center():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return DSMSCenter(
-            sources=[SyntheticStream("s", rate=5, poisson=False, seed=0)],
-            capacity=30.0,
-            mechanism=CAT(),
-            ticks_per_period=10,
-        )
-
-
-def test_center_construction_warns():
-    with pytest.deprecated_call():
-        DSMSCenter(
-            sources=[SyntheticStream("s", rate=5, poisson=False, seed=0)],
-            capacity=30.0,
-            mechanism=CAT(),
-        )
+    return AdmissionService(
+        sources=[SyntheticStream("s", rate=5, poisson=False, seed=0)],
+        capacity=30.0,
+        mechanism=CAT(),
+        ticks_per_period=10,
+    )
 
 
 class TestSubmission:

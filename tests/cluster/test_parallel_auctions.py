@@ -1,13 +1,11 @@
-"""The pooled batch auction paths: parallel == sequential.
+"""The pooled batch auction path: parallel == sequential.
 
 ``run_period_all`` dispatches independent shard auctions across a
-pool — threads by default, worker processes with
-``auction_mode="process"`` (auctions are side-effect-free until
-settlement); these tests pin that both pooled paths produce
-byte-identical cluster reports to the sequential :meth:`run_period` —
-including for randomized mechanisms, whose per-shard RNG streams must
-be consumed in shard order either way, and round-tripped back from the
-worker processes — and that auction failures still roll back cleanly.
+thread pool (auctions are side-effect-free until settlement); these
+tests pin that the pooled path produces byte-identical cluster reports
+to the sequential :meth:`run_period` — including for randomized
+mechanisms, whose per-shard RNG streams must be consumed in shard
+order either way — and that auction failures still roll back cleanly.
 """
 
 import json
@@ -26,8 +24,7 @@ pytestmark = pytest.mark.cluster
 
 
 def build_cluster(mechanism="two-price:seed=7", num_shards=3,
-                  capacity=8.0, selection=None, auction_workers=None,
-                  auction_mode="thread", auction_columns="pickle"):
+                  capacity=8.0, selection=None, auction_workers=None):
     return FederatedAdmissionService.build(
         num_shards=num_shards,
         sources=[SyntheticStream("s", rate=4, seed=5, poisson=False)],
@@ -37,8 +34,6 @@ def build_cluster(mechanism="two-price:seed=7", num_shards=3,
         selection=selection,
         placement="round-robin",
         auction_workers=auction_workers,
-        auction_mode=auction_mode,
-        auction_columns=auction_columns,
     )
 
 
@@ -153,236 +148,22 @@ class TestFailurePropagation:
         assert restored.auction_workers is None
 
 
-@pytest.mark.sim_parallel
-class TestProcessPool:
-    """``auction_mode="process"``: worker processes, same bytes.
-
-    Marked ``sim_parallel`` so CI can exercise the multiprocessing
-    pool in its own leg (``pytest -m sim_parallel``); every test pins
-    the pool at 2 workers.
-    """
-
-    def test_process_equals_sequential_over_periods(self):
-        """Randomized per-shard mechanisms: RNG state round-trips.
-
-        Three periods, so period N+1 only matches if the parent-side
-        mechanism RNGs advanced exactly as a sequential run's would
-        after period N — the worker's evolved state must come back.
-        """
-        sequential = build_cluster()
-        pooled = build_cluster(auction_mode="process",
-                               auction_workers=2)
-        try:
-            for left, right in zip(
-                    run_periods(sequential, 3, batch=False),
-                    run_periods(pooled, 3, batch=True)):
-                assert report_bytes(left) == report_bytes(right)
-        finally:
-            pooled.close_pool()
-        assert sequential.total_revenue() == pooled.total_revenue()
-
-    def test_process_equals_thread(self):
-        threaded = build_cluster(auction_workers=2)
-        pooled = build_cluster(auction_mode="process",
-                               auction_workers=2)
-        try:
-            for left, right in zip(run_periods(threaded, 2, batch=True),
-                                   run_periods(pooled, 2, batch=True)):
-                assert report_bytes(left) == report_bytes(right)
-        finally:
-            pooled.close_pool()
-
-    def test_shared_mechanism_object_stays_one_group(self):
-        """One shared mechanism: one worker job, state still returns."""
-        from repro.core import TwoPrice
-
-        sequential = build_cluster(mechanism=TwoPrice(seed=3))
-        pooled = build_cluster(mechanism=TwoPrice(seed=3),
-                               auction_mode="process",
-                               auction_workers=2)
-        mechanism = pooled.shards[0].mechanism
-        assert all(s.mechanism is mechanism for s in pooled.shards)
-        try:
-            for left, right in zip(
-                    run_periods(sequential, 2, batch=False),
-                    run_periods(pooled, 2, batch=True)):
-                assert report_bytes(left) == report_bytes(right)
-        finally:
-            pooled.close_pool()
-        # The parent-side object survived state splicing untouched in
-        # identity: shards still share the very same mechanism.
-        assert all(s.mechanism is mechanism for s in pooled.shards)
-
-    def test_worker_failure_rolls_back_and_is_retryable(self):
-        register_mechanism("explosive-process", _Explosive)
-        cluster = build_cluster(mechanism="explosive-process",
-                                num_shards=2,
-                                auction_mode="process",
-                                auction_workers=2)
-        try:
-            for query in submissions(1, count=4):
-                cluster.submit(query)
-            pending_before = set(cluster.pending_ids)
-            with pytest.raises(RuntimeError, match="auction blew up"):
-                cluster.run_period_all()
-            assert cluster.period == 0
-            assert cluster.pending_ids == pending_before
-            for shard in cluster.shards:
-                shard.mechanism = (
-                    __import__("repro.core", fromlist=["CAT"]).CAT())
-            report = cluster.run_period_all()
-            assert report.period == 1
-        finally:
-            cluster.close_pool()
-
-    def test_checkpoint_resume_continues_identically(self):
-        """A mid-run checkpoint resumes byte-identically on the pool."""
-        reference = build_cluster()
-        pooled = build_cluster(auction_mode="process",
-                               auction_workers=2)
-        try:
-            for query in submissions(1):
-                reference.submit(query)
-            for query in submissions(1):
-                pooled.submit(query)
-            reference.run_period()
-            pooled.run_period_all()
-            restored = FederatedAdmissionService.restore(
-                pooled.snapshot())
-        finally:
-            pooled.close_pool()
-        # Pool configuration is runtime tuning, not state.
-        assert restored.auction_mode == "thread"
-        restored.auction_mode = "process"
-        restored.auction_workers = 2
-        for query in submissions(2):
-            reference.submit(query)
-        for query in submissions(2):
-            restored.submit(query)
-        left = reference.run_period()
-        try:
-            right = restored.run_period_all()
-        finally:
-            restored.close_pool()
-        assert report_bytes(left) == report_bytes(right)
-
-    def test_shm_columns_equal_sequential_over_periods(self):
-        """Shared-memory column transport: same bytes, segments used.
-
-        Three periods so RNG state must round-trip through the shm
-        jobs too; the pool's counters prove the segment path actually
-        engaged rather than silently falling back to pickling.
-        """
-        sequential = build_cluster()
-        pooled = build_cluster(auction_mode="process",
-                               auction_workers=2,
-                               auction_columns="shm")
-        try:
-            for left, right in zip(
-                    run_periods(sequential, 3, batch=False),
-                    run_periods(pooled, 3, batch=True)):
-                assert report_bytes(left) == report_bytes(right)
-            stats = pooled._process_pool.stats
-            assert stats["shm_segments"] == 3
-            assert stats["shm_bytes"] > 0
-            assert stats["pickled_calls"] == 0
-        finally:
-            pooled.close_pool()
-
-    def test_shm_columns_equal_pickled_columns(self):
-        pickled = build_cluster(auction_mode="process",
-                                auction_workers=2)
-        shm = build_cluster(auction_mode="process",
-                            auction_workers=2,
-                            auction_columns="shm")
-        try:
-            for left, right in zip(run_periods(pickled, 2, batch=True),
-                                   run_periods(shm, 2, batch=True)):
-                assert report_bytes(left) == report_bytes(right)
-        finally:
-            pickled.close_pool()
-            shm.close_pool()
-
-    def test_switching_transport_rebuilds_pool_mid_run(self):
-        """Flipping ``auction_columns`` between periods takes effect."""
-        sequential = build_cluster()
-        pooled = build_cluster(auction_mode="process",
-                               auction_workers=2)
-        try:
-            left = run_periods(sequential, 1, batch=False)[0]
-            right = run_periods(pooled, 1, batch=True)[0]
-            assert report_bytes(left) == report_bytes(right)
-            first_pool = pooled._process_pool
-            assert first_pool.columns == "pickle"
-            pooled.auction_columns = "shm"
-            for query in submissions(2):
-                sequential.submit(query)
-            for query in submissions(2):
-                pooled.submit(query)
-            left = sequential.run_period()
-            right = pooled.run_period_all()
-            assert report_bytes(left) == report_bytes(right)
-            assert pooled._process_pool is not first_pool
-            assert pooled._process_pool.stats["shm_segments"] == 1
-        finally:
-            pooled.close_pool()
-
-    def test_multi_operator_instances_fall_back_to_pickling(self):
-        """Shapes the columnar select can't pack still run correctly."""
-        from repro.cluster.parallel import AuctionProcessPool
-        from repro.core import CAT
-        from repro.core.model import AuctionInstance, Operator, Query
-
-        operators = {"o0": Operator("o0", 1.0),
-                     "o1": Operator("o1", 2.0)}
-        queries = (Query("q0", ("o0", "o1"), bid=5.0),
-                   Query("q1", ("o0",), bid=3.0))
-        instance = AuctionInstance(operators, queries, capacity=4.0)
-        pool = AuctionProcessPool(2, columns="shm")
-        try:
-            grouped = pool.run_groups([(CAT(), [instance])])
-        finally:
-            pool.close()
-        assert pool.stats["shm_segments"] == 0
-        assert pool.stats["pickled_calls"] == 1
-        expected = CAT().run_many([instance])
-        assert repr(grouped[0]) == repr(expected)
-
-    def test_invalid_transport_rejected(self):
-        from repro.cluster.parallel import AuctionProcessPool
-        from repro.utils.validation import ValidationError
-
-        with pytest.raises(ValidationError, match="pickle"):
-            AuctionProcessPool(2, columns="mmap")
-        with pytest.raises(ValidationError, match="pickle"):
-            build_cluster(auction_columns="mmap")
-
-    def test_restored_cluster_defaults_columns_to_pickle(self):
-        cluster = build_cluster(auction_mode="process",
-                                auction_workers=2,
-                                auction_columns="shm")
-        try:
-            run_periods(cluster, 1, batch=True)
-            restored = FederatedAdmissionService.restore(
-                cluster.snapshot())
-        finally:
-            cluster.close_pool()
-        assert restored.auction_columns == "pickle"
-
-    def test_pool_survives_copy_and_pickle_cold(self):
-        import copy as copy_module
-        import pickle
-
-        cluster = build_cluster(auction_mode="process",
-                                auction_workers=2)
-        try:
-            run_periods(cluster, 1, batch=True)
-            assert cluster._process_pool is not None
-            clone = copy_module.deepcopy(cluster)
-            assert clone._process_pool is None
-            wire = pickle.loads(pickle.dumps(cluster._process_pool))
-            assert wire._executor is None
-            assert wire.workers == 2
-        finally:
-            cluster.close_pool()
-        assert cluster._process_pool is None
+def test_checkpoint_resume_continues_identically():
+    """A mid-run checkpoint resumes byte-identically on the pool."""
+    reference = build_cluster()
+    pooled = build_cluster(auction_workers=2)
+    for query in submissions(1):
+        reference.submit(query)
+    for query in submissions(1):
+        pooled.submit(query)
+    reference.run_period()
+    pooled.run_period_all()
+    restored = FederatedAdmissionService.restore(pooled.snapshot())
+    restored.auction_workers = 2
+    for query in submissions(2):
+        reference.submit(query)
+    for query in submissions(2):
+        restored.submit(query)
+    left = reference.run_period()
+    right = restored.run_period_all()
+    assert report_bytes(left) == report_bytes(right)

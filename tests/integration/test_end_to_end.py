@@ -8,7 +8,6 @@ use.
 
 import pytest
 
-from repro.cloud import DSMSCenter
 from repro.core import CAT, make_mechanism
 from repro.dsms import (
     ContinuousQuery,
@@ -18,6 +17,7 @@ from repro.dsms import (
 )
 from repro.dsms.plan import QueryPlanCatalog
 from repro.dsms.streams import SyntheticStream
+from repro.service import AdmissionService
 from repro.workload import WorkloadConfig, WorkloadGenerator
 
 
@@ -25,7 +25,7 @@ class TestPlansToAuctionToEngine:
     def test_auction_on_estimated_loads_matches_engine_reality(self):
         """Admission decisions made on analytic load estimates keep the
         engine within capacity when the estimates are exact."""
-        center = DSMSCenter(
+        center = AdmissionService(
             sources=[SyntheticStream("s", rate=4, poisson=False,
                                      seed=0)],
             capacity=20.0,
@@ -115,7 +115,7 @@ class TestWorkloadToMechanisms:
 class TestMultiPeriodBusiness:
     def test_three_period_lifecycle(self):
         """Submissions across periods, evictions, cumulative billing."""
-        center = DSMSCenter(
+        center = AdmissionService(
             sources=[SyntheticStream("s", rate=3, poisson=False,
                                      seed=1)],
             capacity=9.0,  # room for three 3-unit queries

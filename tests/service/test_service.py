@@ -1,4 +1,4 @@
-"""AdmissionService facade: parity with the old center, builder, hooks."""
+"""AdmissionService facade: the center cycle, builder, hooks."""
 
 import pytest
 
@@ -35,7 +35,7 @@ def build_service(**overrides):
 
 
 class TestFacadeParity:
-    """The new facade reproduces the old DSMSCenter behavior exactly."""
+    """The facade reproduces the paper's DSMS-center cycle exactly."""
 
     def test_admits_within_capacity(self):
         service = build_service()
@@ -57,22 +57,19 @@ class TestFacadeParity:
         assert "q1" not in report.admitted
         assert service.engine.admitted_ids == {"new0", "new1", "new2"}
 
-    def test_matches_deprecated_center(self):
-        from repro.cloud import DSMSCenter
-
+    def test_builder_matches_direct_construction(self):
         service = build_service()
-        with pytest.deprecated_call():
-            center = DSMSCenter(
-                sources=[SyntheticStream("s", rate=5, poisson=False,
-                                         seed=0)],
-                capacity=30.0,
-                mechanism=CAT(),
-                ticks_per_period=10,
-            )
-        for target in (service, center):
+        direct = AdmissionService(
+            sources=[SyntheticStream("s", rate=5, poisson=False,
+                                     seed=0)],
+            capacity=30.0,
+            mechanism=CAT(),
+            ticks_per_period=10,
+        )
+        for target in (service, direct):
             for i, bid in enumerate([50, 40, 30, 20]):
                 target.submit(make_query(f"q{i}", bid, 2.0))
-        ours, theirs = service.run_period(), center.run_period()
+        ours, theirs = service.run_period(), direct.run_period()
         assert ours.admitted == theirs.admitted
         assert ours.revenue == theirs.revenue
         assert ours.engine_ticks == theirs.engine_ticks

@@ -54,6 +54,8 @@ def assert_all_paths_identical(make_host, **kwargs):
     assert report_bytes(legacy_reports) == expected
     assert (pumped.events_processed == batched.events_processed
             == legacy.events_processed)
+    assert (pumped.total_revenue() == batched.total_revenue()
+            == legacy.total_revenue())
     return pumped
 
 
