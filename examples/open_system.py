@@ -12,7 +12,6 @@ reproduces the original byte-for-byte.
 Run:  python examples/open_system.py
 """
 
-import json
 import tempfile
 from pathlib import Path
 
@@ -72,13 +71,12 @@ def main() -> None:
 
     # Record → replay: the trace is the run's whole workload.
     with tempfile.TemporaryDirectory() as tmp:
-        trace_path = Path(tmp) / "run.trace.json"
-        from repro.io import save_sim_trace
+        trace_path = Path(tmp) / "run.trace.npz"
+        from repro.io import load_sim_trace, save_sim_trace
 
         save_sim_trace(driver.trace(), trace_path)
-        document = json.loads(trace_path.read_text())
-        print(f"\nrecorded {len(document['arrivals'])} arrivals "
-              f"(schema {document['schema']} v{document['version']})")
+        print(f"\nrecorded {len(load_sim_trace(trace_path))} arrivals "
+              f"({trace_path.stat().st_size} bytes of repro/sim-trace)")
 
         replay = build_driver(record=False,
                               arrivals=f"trace:path={trace_path}")

@@ -39,8 +39,8 @@ Examples::
     python -m repro simulate --periods 2 --resume svc.ckpt
     python -m repro sim --arrivals poisson:rate=2 --periods 10
     python -m repro sim --subscriptions --scheduler fifo --periods 10
-    python -m repro sim --periods 5 --record run.trace.json
-    python -m repro sim --periods 5 --replay run.trace.json
+    python -m repro sim --periods 5 --record run.trace.npz
+    python -m repro sim --periods 5 --replay run.trace.npz
     python -m repro sim --shards 4 --arrivals poisson:rate=8 --batch
     python -m repro sim --periods 4 --checkpoint sim.ckpt
     python -m repro sim --periods 6 --resume sim.ckpt
@@ -762,7 +762,6 @@ def _serve_target_and_config(args: argparse.Namespace):
         max_inflight=args.max_inflight,
         fast_timeout=args.fast_timeout,
         slow_timeout=args.slow_timeout,
-        allow_pickle_plans=args.allow_pickle,
         tick_interval=args.tick_interval,
         log_path=args.log,
         quiet=args.quiet,
@@ -949,8 +948,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "scheduling-policy spec: fifo, round-robin, "
                           "longest-queue-first, cheapest-first")
     sim.add_argument("--record", default=None,
-                     help="write the run's arrival trace (JSON, "
-                          "repro/sim-trace) here")
+                     help="write the run's arrival trace (the v2 "
+                          ".npz container, repro/sim-trace) here")
     sim.add_argument("--replay", default=None,
                      help="replay a recorded trace instead of "
                           "generating arrivals")
@@ -1122,10 +1121,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="data-plane request timeout, seconds")
     serve.add_argument("--slow-timeout", type=float, default=30.0,
                        help="auction-settle request timeout, seconds")
-    serve.add_argument("--allow-pickle", action="store_true",
-                       help="accept base64-pickle query plans from "
-                            "the wire (unpickling runs client-chosen "
-                            "code: trusted clients only)")
     serve.add_argument("--log", default=None,
                        help="append structured JSONL request logs here")
     serve.add_argument("--quiet", action="store_true",

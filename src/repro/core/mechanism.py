@@ -17,7 +17,7 @@ currency of CLIs, config files and the :mod:`repro.service` layer.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Callable, Iterable, Mapping
 
 from repro.core.model import AuctionInstance, Query
@@ -28,8 +28,8 @@ from repro.core.selection import (
     default_selection,
     resolve_selection,
 )
-from repro.utils.registry import SpecRegistry
-from repro.utils.specparse import parse_param_value, parse_spec_text
+from repro.utils.registry import RegistrySpec, SpecRegistry
+from repro.utils.specparse import parse_param_value
 from repro.utils.validation import ValidationError
 
 
@@ -212,10 +212,6 @@ def register_mechanism(name: str, factory: Callable[[], Mechanism]) -> None:
     _REGISTRY.register(name, factory)
 
 
-def _lookup(name: str) -> Callable[[], Mechanism]:
-    return _REGISTRY.lookup(name)
-
-
 def mechanism_params(name: str) -> "tuple[str, ...] | None":
     """Parameter names the factory of *name* accepts.
 
@@ -223,11 +219,6 @@ def mechanism_params(name: str) -> "tuple[str, ...] | None":
     or it takes ``**kwargs`` — meaning "anything goes".
     """
     return _REGISTRY.params(name)
-
-
-def _validate_params(name: str, params: Mapping[str, object]) -> None:
-    """Reject *params* the factory of *name* does not accept."""
-    _REGISTRY.validate_params(name, params)
 
 
 def make_mechanism(name: str, **kwargs: object) -> Mechanism:
@@ -253,7 +244,7 @@ _parse_param_value = parse_param_value
 
 
 @dataclass(frozen=True)
-class MechanismSpec:
+class MechanismSpec(RegistrySpec):
     """A mechanism name plus declared, validated parameters.
 
     The declarative counterpart of :func:`make_mechanism`: a spec can
@@ -267,54 +258,12 @@ class MechanismSpec:
     MechanismSpec(name='two-price', params={'seed': 7, 'partition_mode': 'hash'})
     """
 
-    name: str
-    params: Mapping[str, object] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ValidationError("mechanism spec needs a non-empty name")
-        object.__setattr__(self, "params", dict(self.params))
-
-    @classmethod
-    def parse(cls, text: str) -> "MechanismSpec":
-        """Parse ``"name"`` or ``"name:key=value,key=value"``.
-
-        Values go through a literal parser (``seed=7`` is an int,
-        ``adjust_ties=false`` a bool); anything unparseable stays a
-        string (``partition_mode=hash``).
-        """
-        name, params = parse_spec_text(text, what="mechanism spec")
-        return cls(name, params)
+    _registry = _REGISTRY
+    _what = "mechanism spec"
 
     def accepted_params(self) -> "tuple[str, ...] | None":
         """Parameters the underlying factory accepts (None = open)."""
         return mechanism_params(self.name)
-
-    def accepts(self, param: str) -> bool:
-        """Whether the underlying factory takes a *param* keyword."""
-        accepted = self.accepted_params()
-        return accepted is None or param in accepted
-
-    def validate(self) -> "MechanismSpec":
-        """Check name and params against the registry; returns self."""
-        _lookup(self.name)  # raises KeyError if unknown
-        _validate_params(self.name, self.params)
-        return self
-
-    def with_params(self, **params: object) -> "MechanismSpec":
-        """A copy with *params* merged over the existing ones."""
-        return MechanismSpec(self.name, {**self.params, **params})
-
-    def create(self) -> Mechanism:
-        """Instantiate the mechanism this spec describes."""
-        return make_mechanism(self.name, **self.params)
-
-    def __str__(self) -> str:
-        if not self.params:
-            return self.name
-        rendered = ",".join(
-            f"{key}={value}" for key, value in sorted(self.params.items()))
-        return f"{self.name}:{rendered}"
 
 
 def resolve_mechanism(

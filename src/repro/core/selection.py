@@ -22,11 +22,10 @@ instance may serve any number of mechanisms concurrently.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Callable, Mapping
 
-from repro.utils.registry import SpecRegistry
-from repro.utils.specparse import parse_spec_text
+from repro.utils.registry import RegistrySpec, SpecRegistry
 from repro.utils.validation import ValidationError
 
 
@@ -104,10 +103,6 @@ def register_selection(
     _REGISTRY.register(name, factory)
 
 
-def _lookup(name: str) -> Callable[..., SelectionPath]:
-    return _REGISTRY.lookup(name)
-
-
 def selection_params(name: str) -> "tuple[str, ...] | None":
     """Parameter names the factory of *name* accepts (None = open)."""
     return _REGISTRY.params(name)
@@ -124,44 +119,15 @@ def registered_selections() -> Mapping[str, Callable[..., SelectionPath]]:
 
 
 @dataclass(frozen=True)
-class SelectionSpec:
+class SelectionSpec(RegistrySpec):
     """A selection-path name plus declared, validated parameters.
 
     >>> SelectionSpec.parse("fast:strict=true")
     SelectionSpec(name='fast', params={'strict': True})
     """
 
-    name: str
-    params: Mapping[str, object] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ValidationError("selection spec needs a non-empty name")
-        object.__setattr__(self, "params", dict(self.params))
-
-    @classmethod
-    def parse(cls, text: str) -> "SelectionSpec":
-        """Parse ``"name"`` or ``"name:key=value,key=value"``."""
-        name, params = parse_spec_text(text, what="selection spec")
-        return cls(name, params)
-
-    def validate(self) -> "SelectionSpec":
-        """Check name and params against the registry; returns self."""
-        _lookup(self.name)
-        _REGISTRY.validate_params(self.name, self.params)
-        return self
-
-    def create(self) -> SelectionPath:
-        """Instantiate the selection path this spec describes."""
-        return make_selection(self.name, **self.params)
-
-    def __str__(self) -> str:
-        if not self.params:
-            return self.name
-        rendered = ",".join(
-            f"{key}={value}"
-            for key, value in sorted(self.params.items()))
-        return f"{self.name}:{rendered}"
+    _registry = _REGISTRY
+    _what = "selection spec"
 
 
 #: The default path every mechanism starts on.

@@ -27,14 +27,13 @@ therefore builds a fresh instance from every spec it is given.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Callable, Mapping, Sequence
 
 from repro.dsms.operators import (
     AggregateOperator, SelectOperator, StreamOperator)
 from repro.dsms.tuples import StreamTuple
-from repro.utils.registry import SpecRegistry
-from repro.utils.specparse import parse_spec_text
+from repro.utils.registry import RegistrySpec, SpecRegistry
 from repro.utils.validation import ValidationError
 
 #: A tick's batches by name (stream names and operator ids).
@@ -148,17 +147,9 @@ def register_backend(
     _REGISTRY.register(name, factory)
 
 
-def _lookup(name: str) -> Callable[..., ExecutionBackend]:
-    return _REGISTRY.lookup(name)
-
-
 def backend_params(name: str) -> "tuple[str, ...] | None":
     """Parameter names the factory of *name* accepts (None = open)."""
     return _REGISTRY.params(name)
-
-
-def _validate_params(name: str, params: Mapping[str, object]) -> None:
-    _REGISTRY.validate_params(name, params)
 
 
 def make_backend(name: str, **kwargs: object) -> ExecutionBackend:
@@ -172,7 +163,7 @@ def registered_backends() -> Mapping[str, Callable[..., ExecutionBackend]]:
 
 
 @dataclass(frozen=True)
-class BackendSpec:
+class BackendSpec(RegistrySpec):
     """A backend name plus declared, validated parameters.
 
     The declarative counterpart of :func:`make_backend`, parseable
@@ -182,37 +173,8 @@ class BackendSpec:
     BackendSpec(name='columnar', params={'batch': 1024})
     """
 
-    name: str
-    params: Mapping[str, object] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ValidationError("backend spec needs a non-empty name")
-        object.__setattr__(self, "params", dict(self.params))
-
-    @classmethod
-    def parse(cls, text: str) -> "BackendSpec":
-        """Parse ``"name"`` or ``"name:key=value,key=value"``."""
-        name, params = parse_spec_text(text, what="backend spec")
-        return cls(name, params)
-
-    def validate(self) -> "BackendSpec":
-        """Check name and params against the registry; returns self."""
-        _lookup(self.name)
-        _validate_params(self.name, self.params)
-        return self
-
-    def create(self) -> ExecutionBackend:
-        """Instantiate the backend this spec describes."""
-        return make_backend(self.name, **self.params)
-
-    def __str__(self) -> str:
-        if not self.params:
-            return self.name
-        rendered = ",".join(
-            f"{key}={value}"
-            for key, value in sorted(self.params.items()))
-        return f"{self.name}:{rendered}"
+    _registry = _REGISTRY
+    _what = "backend spec"
 
 
 def resolve_backend(

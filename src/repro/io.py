@@ -529,28 +529,12 @@ def load_snapshot(path: "str | Path") -> object:
 # ----------------------------------------------------------------------
 
 
-def sim_trace_to_dict(trace: object) -> dict:
-    """Versioned JSON document for a :class:`~repro.sim.SimTrace`.
-
-    The entry list is the run's whole workload — every arrival's
-    virtual time, query and subscription category — so replaying the
-    document against an identically configured service reproduces the
-    recorded run byte-identically.
-    """
-    from repro.sim.trace import entry_to_dict
-
-    return {
-        "schema": SIM_TRACE_SCHEMA,
-        "version": SIM_TRACE_VERSION,
-        "arrivals": [entry_to_dict(entry) for entry in trace.entries],
-    }
-
-
 def sim_trace_from_dict(payload: dict) -> object:
-    """Parse a :func:`sim_trace_to_dict` document into a SimTrace.
+    """Parse a v1 (JSON) trace document into a SimTrace.
 
-    The result is column-backed, exactly like a v2 binary load:
-    select-encoded arrivals come back as compact
+    This build no longer writes the format; the reader stays for the
+    files earlier builds wrote.  The result is the same columns a v2
+    binary load builds: arrivals come back as compact
     :class:`~repro.sim.arrivals.SelectPlan` rows, so a v1 replay
     drives the very same objects through routing and the auctions as
     the recorded run did (and as a v2 replay would) — not freshly
@@ -611,25 +595,24 @@ def _uncode_column(codes, table) -> list:
     return [lookup.get(code) for code in codes.tolist()]
 
 
+#: The arrays of a v2 trace container (and a WAL arrivals record).
+_SIM_TRACE_ARRAYS = frozenset((
+    "schema", "version", "rows", "ids", "ops",
+    "owner_table", "category_table", "input_table"))
+
+
 def sim_trace_to_arrays(trace: object) -> dict:
     """The v2 (binary) column arrays of a :class:`SimTrace`.
 
     One structured numeric array (``rows``: time, stream, cost,
     selectivity, bid, valuation + presence flag, interned owner /
     category / input-stream codes) plus the id/op string columns and
-    the interned string tables.  Opaque plans ride as JSON-encoded
-    :func:`~repro.sim.trace.encode_query` documents in a plain string
-    array, so the container never needs ``allow_pickle`` at the numpy
-    layer — the pickle payload (if any) stays inside the inspectable
-    query codec, exactly as in the v1 format.
+    the interned string tables — plain numeric and string arrays, so
+    the container never needs object arrays at the numpy layer.
     """
     import numpy as np
 
-    from repro.sim.trace import TraceColumns, encode_query
-
     columns = trace.columns()
-    if columns is None:
-        columns = TraceColumns.from_entries(trace.entries)
     count = len(columns)
     rows = np.zeros(count, dtype=[
         ("time", "f8"), ("stream", "i4"), ("cost", "f8"),
@@ -656,7 +639,6 @@ def sim_trace_to_arrays(trace: object) -> dict:
     rows["owner"] = owner_codes
     rows["category"] = category_codes
     rows["input"] = input_codes
-    opaque_rows = sorted(columns.opaque)
     return {
         "schema": np.asarray(SIM_TRACE_SCHEMA),
         "version": np.asarray(SIM_TRACE_BINARY_VERSION),
@@ -668,19 +650,14 @@ def sim_trace_to_arrays(trace: object) -> dict:
         "owner_table": owner_table,
         "category_table": category_table,
         "input_table": input_table,
-        "opaque_rows": np.asarray(opaque_rows, dtype=np.int64),
-        "opaque_queries": (np.asarray(
-            [json.dumps(encode_query(columns.opaque[row]),
-                        sort_keys=True) for row in opaque_rows],
-            dtype="U") if opaque_rows else np.empty(0, dtype="U1")),
     }
 
 
 def sim_trace_from_arrays(arrays) -> object:
-    """Rebuild a column-backed :class:`SimTrace` from the v2 arrays."""
+    """Rebuild a :class:`SimTrace` from the v2 arrays."""
     import numpy as np
 
-    from repro.sim.trace import SimTrace, TraceColumns, decode_query
+    from repro.sim.trace import SimTrace, TraceColumns
 
     try:
         schema = str(arrays["schema"])
@@ -697,6 +674,18 @@ def sim_trace_from_arrays(arrays) -> object:
             f"unsupported binary sim-trace version {version!r}; this "
             f"build reads version {SIM_TRACE_BINARY_VERSION}")
     try:
+        # Earlier builds wrote two more arrays, for plans pickled
+        # beside the columns; every select-only file holds them empty.
+        # An array this build does not read must be empty, or replay
+        # would silently skip the rows it stood for.
+        unread = [name for name in arrays
+                  if name not in _SIM_TRACE_ARRAYS and arrays[name].size]
+        if unread:
+            raise ValidationError(
+                f"binary trace holds arrivals outside its columns "
+                f"({', '.join(sorted(unread))}): it was recorded with "
+                f"pickled query plans, which ran code on load and are "
+                f"no longer read")
         rows = arrays["rows"]
         columns = TraceColumns(
             times=rows["time"].tolist(),
@@ -717,11 +706,6 @@ def sim_trace_from_arrays(arrays) -> object:
                     rows["has_valuation"].tolist())],
             owners=_uncode_column(rows["owner"],
                                   arrays["owner_table"]),
-            opaque={
-                int(row): decode_query(json.loads(str(payload)))
-                for row, payload in zip(
-                    arrays["opaque_rows"].tolist(),
-                    arrays["opaque_queries"].tolist())},
         )
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ValidationError):
@@ -741,44 +725,30 @@ def sim_trace_from_arrays(arrays) -> object:
     return SimTrace(columns=columns)
 
 
-def save_sim_trace(trace: object, path: "str | Path",
-                   format: "str | None" = None) -> None:
-    """Write a simulation trace to *path*.
+def save_sim_trace(trace: object, path: "str | Path") -> None:
+    """Write a simulation trace to *path* as the v2 ``.npz`` columns.
 
-    *format* picks the container: ``"json"`` (the v1 document),
-    ``"binary"`` (the v2 numpy ``.npz`` columns), or ``None`` to
-    choose by suffix — ``.npz`` writes binary, anything else JSON.
+    The container is the same whatever *path* is called;
+    :func:`load_sim_trace` sniffs it rather than trusting a suffix.
     """
-    if format is None:
-        format = ("binary" if str(path).endswith(".npz") else "json")
-    if format == "binary":
-        import io as _io
+    import io as _io
 
-        import numpy as np
+    import numpy as np
 
-        buffer = _io.BytesIO()
-        np.savez(buffer, **sim_trace_to_arrays(trace))
-        _atomic_write(path, buffer.getvalue())
-        return
-    if format != "json":
-        raise ValidationError(
-            f"unknown trace format {format!r}; this build writes "
-            f"'json' and 'binary'")
-    _atomic_write_text(
-        path,
-        json.dumps(sim_trace_to_dict(trace), indent=2, sort_keys=True)
-        + "\n")
+    buffer = _io.BytesIO()
+    np.savez(buffer, **sim_trace_to_arrays(trace))
+    _atomic_write(path, buffer.getvalue())
 
 
 def load_sim_trace(path: "str | Path") -> object:
-    """Read a trace written by :func:`save_sim_trace` (either format).
+    """Read a trace file: what :func:`save_sim_trace` writes, or v1 JSON.
 
     The container is sniffed, not trusted from the suffix: a zip
     magic number means the v2 binary columns (loaded with
     ``allow_pickle=False`` — the numpy layer never unpickles),
-    anything else the v1 JSON document.  Traces of non-synthetic
-    plans may carry base64-pickled queries *inside the query codec*,
-    which execute code on load — only replay traces you trust.
+    anything else the v1 JSON document earlier builds wrote.  Neither
+    reader executes anything: a file holding pickled plans is refused
+    with an error that says so.
     """
     raw = Path(path).read_bytes()
     if raw[:2] == b"PK":
@@ -970,10 +940,8 @@ def serve_request_to_dict(request: ServeRequest) -> dict:
     """Versioned JSON document for one gateway request.
 
     Query plans ride the sim-trace codec
-    (:func:`repro.sim.trace.encode_query`): compact for synthetic
-    single-select plans, base64-pickle for arbitrary ones.  Note that
-    servers refuse pickle plans by default — see
-    :func:`serve_request_from_dict`.
+    (:func:`repro.sim.trace.encode_query`), which carries single
+    pass-all select plans and refuses anything else at the sender.
     """
     from repro.sim.trace import encode_query
 
@@ -991,16 +959,13 @@ def serve_request_to_dict(request: ServeRequest) -> dict:
     return document
 
 
-def serve_request_from_dict(payload: object,
-                            allow_pickle: bool = False) -> ServeRequest:
+def serve_request_from_dict(payload: object) -> ServeRequest:
     """Parse and validate a :func:`serve_request_to_dict` document.
 
-    ``'pickle'``-encoded query plans are refused unless *allow_pickle*
-    is set: unpickling executes arbitrary code chosen by whoever built
-    the bytes, which is fine for local trace files you wrote yourself
-    and catastrophic for request bodies arriving over a socket.  A
-    gateway must leave this off unless every client is trusted
-    (:attr:`~repro.serve.gateway.GatewayConfig.allow_pickle_plans`).
+    The same call reads a request body off a socket and an op record
+    out of the WAL; the query plan goes through
+    :func:`repro.sim.trace.decode_query`, which reads ``'select'``
+    rows only and never executes anything the sender chose.
     """
     from repro.sim.trace import decode_query
 
@@ -1025,26 +990,7 @@ def serve_request_from_dict(payload: object,
             "malformed serve request: missing 'op'") from None
     query = payload.get("query")
     if query is not None:
-        if (not allow_pickle and isinstance(query, dict)
-                and query.get("plan") == "pickle"):
-            raise ValidationError(
-                "'pickle'-encoded query plans are refused at the "
-                "network boundary; send a 'select' plan, or run the "
-                "gateway with pickle plans explicitly enabled for "
-                "trusted clients only")
-        try:
-            query = decode_query(query)
-        except ValidationError:
-            raise
-        except Exception as exc:
-            # Pickled plans deserialize by reference: the *server*
-            # must be able to import the plan's modules.  A plan it
-            # cannot rebuild is the client's malformed request, not an
-            # internal error.
-            raise ValidationError(
-                f"could not decode the request's query plan "
-                f"({type(exc).__name__}: {exc}); custom plans must be "
-                f"importable where the gateway runs") from exc
+        query = decode_query(query)
     return ServeRequest(
         op=str(op),
         query=query,

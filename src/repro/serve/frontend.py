@@ -497,8 +497,7 @@ class WorkerGateway(AdmissionGateway):
         for seq, document in ops:
             if seq <= high:
                 continue
-            request = serve_request_from_dict(
-                document, allow_pickle=True)
+            request = serve_request_from_dict(document)
             if request.op == "withdraw":
                 self._buffer = [entry for entry in self._buffer
                                 if entry[2] != request.query_id]
@@ -783,8 +782,7 @@ class WorkerGateway(AdmissionGateway):
         dropped = 0
         for worker in sorted(batches):
             for seq, document in batches[worker]:
-                request = serve_request_from_dict(
-                    document, allow_pickle=True)
+                request = serve_request_from_dict(document)
                 try:
                     if request.op in ("submit", "subscribe"):
                         self.backend.submit(

@@ -327,10 +327,6 @@ class GatewayConfig:
     #: Most token buckets kept at once; the longest-idle bucket is
     #: evicted first (an evicted client restarts with a full burst).
     max_tracked_clients: int = 1024
-    #: Accept base64-pickle query plans from the wire.  Unpickling
-    #: runs arbitrary client-chosen code: leave this off unless every
-    #: client is trusted.  Compact 'select' plans always work.
-    allow_pickle_plans: bool = False
     #: Concurrent in-flight request cap (excess is shed with 503).
     max_inflight: int = 64
     #: Data-plane (submit/withdraw/report) request timeout, seconds.
@@ -905,9 +901,7 @@ class AdmissionGateway:
     # -- endpoint handlers ---------------------------------------------
 
     def _parse_request(self, request: HttpRequest):
-        return serve_request_from_dict(
-            request.json(),
-            allow_pickle=self.config.allow_pickle_plans)
+        return serve_request_from_dict(request.json())
 
     def _wal_append_op(self, parsed) -> "asyncio.Future | None":
         """Log an acknowledged mutation (called under the service lock).

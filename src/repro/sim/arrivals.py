@@ -27,7 +27,6 @@ CLI's closed-loop workload uses.
 from __future__ import annotations
 
 import abc
-import bisect
 from dataclasses import dataclass
 from collections.abc import Callable, Mapping, Sequence
 
@@ -62,10 +61,9 @@ def pass_all(_tuple: object) -> bool:
 
     Module-level, so plans stay checkpoint-picklable — and *this exact
     function* is what the trace codec recognizes: a single-select plan
-    over it travels as a compact ``'select'`` wire entry, the only
-    plan shape an untrusting gateway accepts (pickle plans are refused
-    at the network boundary by default).  Client code building plans
-    to submit over HTTP should use it.
+    over it travels as a ``'select'`` row, the only plan shape that
+    crosses a byte boundary (gateway wire, WAL, trace).  Client code
+    building plans to submit over HTTP must use it.
     """
     return True
 
@@ -148,8 +146,8 @@ class SelectPlan:
         """Build the real (validated) plan this record describes.
 
         The select runs :func:`pass_all`, so a materialized plan
-        round-trips through the trace codec's compact encoding and is
-        accepted at the gateway's pickle-refusing wire boundary.
+        round-trips through the trace codec's ``'select'`` row and is
+        accepted at the gateway's wire boundary.
         """
         op = SelectOperator(
             self.op_id, self.stream, pass_all,
@@ -323,12 +321,12 @@ class ArrivalProcess(abc.ABC):
 
         ``None`` means "no block available *right now*" — the process
         may be exhausted, may not support blocks at all (this default),
-        or may be sitting on rows only the object path can express
-        (e.g. an opaque trace entry).  Callers must fall back to
-        :meth:`next_arrivals` and may try :meth:`next_block` again
-        afterwards.  A returned block is never empty, draws from the
-        same RNG stream as the object path (block ≡ objects,
-        bit-identical), and obeys the same same-time stream-change cut.
+        or may be sitting on rows only the object path can express.
+        Callers must fall back to :meth:`next_arrivals` and may try
+        :meth:`next_block` again afterwards.  A returned block is
+        never empty, draws from the same RNG stream as the object
+        path (block ≡ objects, bit-identical), and obeys the same
+        same-time stream-change cut.
         """
         return None
 
@@ -636,52 +634,34 @@ class TraceArrivals(ArrivalProcess):
         if not isinstance(trace, SimTrace):
             raise ValidationError(
                 f"expected a SimTrace, got {type(trace).__name__}")
-        #: Column-backed traces replay straight off the columns:
-        #: compact SelectPlan queries built per batch, no per-entry
-        #: plan rebuilds and no up-front materialization.
-        self._columns = trace.columns()
-        if self._columns is None:
-            self._arrivals = [
-                Arrival(time=entry.time, query=entry.query,
-                        category=entry.category, stream=entry.stream)
-                for entry in trace.entries]
-            self._opaque_rows = []
-        else:
-            self._arrivals = None
-            self._opaque_rows = sorted(self._columns.opaque)
+        #: Traces replay straight off their columns: compact
+        #: SelectPlan queries built per batch, no per-entry plan
+        #: rebuilds and no up-front materialization.
+        self._columns = columns = trace.columns()
         self._length = len(trace)
         self._index = 0
         self._block = 1024
-        if self._columns is not None:
-            # One up-front conversion of the numeric columns (or the
-            # loader's retained arrays, when the trace came off disk)
-            # lets next_block hand out array *views* instead of
-            # re-converting a list slice per block.  float64 round-trips
-            # tolist() bitwise, so blocks are identical either way.
-            cache = getattr(self._columns, "_numeric_cache", None)
-            if cache is not None and len(cache[0]) == self._length:
-                self._times, self._costs, self._bids = cache
-            else:
-                columns = self._columns
-                self._times = np.asarray(columns.times,
-                                         dtype=np.float64)
-                self._costs = np.asarray(columns.costs,
-                                         dtype=np.float64)
-                self._bids = np.asarray(columns.bids,
-                                        dtype=np.float64)
+        # One up-front conversion of the numeric columns (or the
+        # loader's retained arrays, when the trace came off disk)
+        # lets next_block hand out array *views* instead of
+        # re-converting a list slice per block.  float64 round-trips
+        # tolist() bitwise, so blocks are identical either way.
+        cache = getattr(columns, "_numeric_cache", None)
+        if cache is not None and len(cache[0]) == self._length:
+            self._times, self._costs, self._bids = cache
+        else:
+            self._times = np.asarray(columns.times, dtype=np.float64)
+            self._costs = np.asarray(columns.costs, dtype=np.float64)
+            self._bids = np.asarray(columns.bids, dtype=np.float64)
 
     def next_arrival(self) -> "Arrival | None":
         if self._index >= self._length:
             return None
         index = self._index
         self._index += 1
-        if self._columns is not None:
-            return self._columns.arrival(index)
-        return self._arrivals[index]
+        return self._columns.arrival(index)
 
     def next_arrivals(self, limit: int) -> "list[Arrival]":
-        if self._columns is None:
-            return _cut_stream_batch(self._arrivals, self, limit)
         columns = self._columns
         start = self._index
         stop = _cut_rows(columns.times, columns.streams, start,
@@ -692,18 +672,9 @@ class TraceArrivals(ArrivalProcess):
     def next_block(self) -> "ArrivalBlock | None":
         columns = self._columns
         start = self._index
-        if columns is None or start >= self._length:
+        if start >= self._length:
             return None
         end = min(start + self._block, self._length)
-        if self._opaque_rows:
-            cut = bisect.bisect_left(self._opaque_rows, start)
-            if cut < len(self._opaque_rows):
-                opaque = self._opaque_rows[cut]
-                if opaque == start:
-                    # The object path must carry this row; the caller
-                    # falls back to next_arrivals and retries blocks.
-                    return None
-                end = min(end, opaque)
         stop = _cut_rows(columns.times, columns.streams, start, end)
         self._index = stop
         valuations = columns.valuations[start:stop]

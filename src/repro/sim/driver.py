@@ -271,8 +271,8 @@ class SimulationDriver:
         policy (spec string / :class:`PolicySpec` / instance) attaches
         one :class:`LatencyProbe` per shard.
     record:
-        ``True`` records every arrival into a replayable
-        :class:`SimTrace` (see :meth:`trace`).
+        ``True`` records every arrival (select-shaped plans only)
+        into a replayable :class:`SimTrace` (see :meth:`trace`).
     route:
         ``"placement"`` routes arrivals via the host's placement
         policy; ``"stream"`` pins arrival process *i* to shard *i*.
@@ -297,8 +297,8 @@ class SimulationDriver:
         fastpath, materializing ``SelectPlan`` objects for winners
         only.  Reports, RNG streams and recorder rows are pinned
         byte-identical to the object path; anything the pump cannot
-        columnarize (opaque trace rows, per-row cluster placement,
-        shared operators) falls back to it automatically.
+        columnarize (per-row cluster placement, shared operators)
+        falls back to it automatically.
     probe_retention:
         Cap each probe's per-tick metric records and latency samples
         to the most recent N (oldest roll off, so percentiles cover
@@ -466,10 +466,10 @@ class SimulationDriver:
     def attach_wal(self, log) -> None:
         """Log this run into *log* (a :class:`~repro.wal.WriteAheadLog`).
 
-        From here on every settle window appends its arrivals and a
-        period receipt to the log before the run moves past the
-        boundary, and compaction fires on the log's schedule.  Pass
-        ``None`` to detach.
+        From here on every settle window appends its arrivals (which
+        must be select-shaped plans) and a period receipt to the log
+        before the run moves past the boundary, and compaction fires
+        on the log's schedule.  Pass ``None`` to detach.
         """
         self.wal = log
         self._wal_buffer = None if log is None else TraceRecorder()
@@ -564,8 +564,8 @@ class SimulationDriver:
 
         With the columnar pump on, a process that can produce a row
         block gets it parked in :attr:`_blocks` behind one marker
-        event; otherwise (pump off, block-incapable process, or an
-        opaque row next) up to :attr:`lookahead` arrival objects are
+        event; otherwise (pump off, or a process with no block to
+        hand out) up to :attr:`lookahead` arrival objects are
         pushed — only the batch's final event re-triggers the pump
         when consumed, so a live process always has events queued.  A
         no-op for events pushed outside any process (the lockstep
@@ -648,8 +648,8 @@ class SimulationDriver:
                     continue
                 del self._blocks[source]
                 # The process may still hold object-form arrivals
-                # (opaque trace rows): hand it back to the object pump;
-                # _pump retries blocks once those are consumed.
+                # (next_block's contract): hand it back to the object
+                # pump; _pump retries blocks once those are consumed.
                 if self._pump_objects(source):
                     stats["fallbacks"] += 1
                 return

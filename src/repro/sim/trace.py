@@ -8,37 +8,27 @@ Replaying a trace through :class:`~repro.sim.arrivals.TraceArrivals`
 against an identically configured service reproduces the recorded run
 byte-identically: same auctions, same bills, same reports.
 
-Two file formats share the schema:
+One file format is written: **v2 (binary)**, the arrivals as numpy
+columns (times, bids, costs, selectivities, plus interned owner/
+category/stream string tables) in one ``.npz`` container that numpy
+loads with object arrays disabled.  **v1 (JSON)** — one ``arrivals``
+array of per-entry documents — is still read.
 
-* **v1 (JSON)** — one ``arrivals`` array of per-entry documents.
-  Readable, greppable, and still both written and read.
-* **v2 (binary)** — the select-encoded arrivals as numpy columns
-  (times, bids, costs, selectivities, plus interned owner/category/
-  stream string tables) in one ``.npz`` container, loaded with
-  ``allow_pickle=False`` always.  Orders of magnitude faster and
-  smaller for the synthetic workloads whose traces are millions of
-  rows.
-
-Query plans carry arbitrary Python callables, which neither format can
-hold directly, so the query codec has two encodings:
-
-* ``"select"`` — the compact form for the library's synthetic
-  single-select plans over :func:`~repro.sim.arrivals.pass_all` (the
-  output of :func:`~repro.sim.arrivals.synthetic_query`, the CLI
-  workloads and :class:`~repro.sim.arrivals.SelectPlan` records):
-  just the id, bid, owner, stream, cost and selectivity;
-* ``"pickle"`` — a base64 pickle fallback for genuinely opaque plans.
-  Like snapshot files, a trace using it executes code on load — only
-  replay traces you trust (both formats stay inspectable: grep the
-  JSON, or check :attr:`TraceColumns.opaque`) — and the gateway wire
-  codec refuses it by default.
+This module also owns what a query looks like in bytes.
+:func:`encode_query` / :func:`decode_query` speak one form, the
+``"select"`` row — id, bid, owner, stream, cost and selectivity of a
+single-select plan over :func:`~repro.sim.arrivals.pass_all` (the
+output of :func:`~repro.sim.arrivals.synthetic_query`, the CLI
+workloads and :class:`~repro.sim.arrivals.SelectPlan` records) — and
+the gateway wire body, the WAL op record and both trace formats all go
+through them.  A plan with no select form is refused where it would
+have to be written; richer plans are an in-process API.
 """
 
 from __future__ import annotations
 
-import base64
-import pickle
 from dataclasses import dataclass, field
+from math import isfinite
 
 from repro.dsms.operators import SelectOperator
 from repro.dsms.plan import ContinuousQuery
@@ -62,8 +52,8 @@ def as_select_plan(query) -> "SelectPlan | None":
     Recognizes a live :class:`SelectPlan` and any single-select
     :class:`ContinuousQuery` whose predicate is *identically* the
     public :func:`~repro.sim.arrivals.pass_all` — the only plan shape
-    the compact ``'select'`` encoding (and therefore the gateway's
-    untrusting wire boundary) can carry.
+    the ``'select'`` encoding (and therefore every byte boundary: wire,
+    WAL, trace) can carry.
     """
     if type(query) is SelectPlan:
         return query
@@ -79,14 +69,24 @@ def as_select_plan(query) -> "SelectPlan | None":
     return None
 
 
+def _require_select_plan(query) -> SelectPlan:
+    """*query* as a :class:`SelectPlan`, or a query-naming refusal."""
+    plan = as_select_plan(query)
+    if plan is None:
+        raise ValidationError(
+            f"query {getattr(query, 'query_id', query)!r} is not a "
+            f"single pass-all select, the only plan shape that can be "
+            f"recorded, logged or sent; richer plans are an in-process "
+            f"API")
+    return plan
+
+
 @dataclass
 class TraceColumns:
     """The columnar body of a trace: one row per arrival.
 
-    Select-encoded arrivals live entirely in the parallel columns;
-    the rare opaque plan keeps its query object in :attr:`opaque`
-    (row → query) with placeholder column values, so row order — and
-    therefore replay order — is exactly recording order.
+    Every arrival lives entirely in the parallel columns, so row
+    order — and therefore replay order — is exactly recording order.
     """
 
     times: list = field(default_factory=list)
@@ -100,8 +100,6 @@ class TraceColumns:
     bids: list = field(default_factory=list)
     valuations: list = field(default_factory=list)
     owners: list = field(default_factory=list)
-    #: row index → the opaque (non-select) query recorded there.
-    opaque: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -191,29 +189,8 @@ class TraceColumns:
             self.valuations.extend(valuations[start:stop])
         self.owners.extend(block.owners[start:stop])
 
-    def append_opaque(
-        self, time: float, query,
-        category: "str | None", stream: int,
-    ) -> None:
-        """Append one arrival whose plan has no compact encoding."""
-        self.opaque[len(self.times)] = query
-        self.times.append(time)
-        self.streams.append(stream)
-        self.categories.append(category)
-        self.ids.append(getattr(query, "query_id", ""))
-        self.ops.append("")
-        self.inputs.append("")
-        self.costs.append(0.0)
-        self.selectivities.append(0.0)
-        self.bids.append(0.0)
-        self.valuations.append(None)
-        self.owners.append(None)
-
-    def query(self, row: int):
-        """The recorded query of *row* (a SelectPlan when compact)."""
-        opaque = self.opaque.get(row)
-        if opaque is not None:
-            return opaque
+    def query(self, row: int) -> SelectPlan:
+        """The recorded query of *row*."""
         return SelectPlan(
             self.ids[row], self.ops[row], self.inputs[row],
             self.costs[row], self.selectivities[row], self.bids[row],
@@ -247,38 +224,30 @@ class TraceColumns:
             costs=list(self.costs),
             selectivities=list(self.selectivities),
             bids=list(self.bids), valuations=list(self.valuations),
-            owners=list(self.owners), opaque=dict(self.opaque))
+            owners=list(self.owners))
 
     @classmethod
     def from_entries(cls, entries) -> "TraceColumns":
         """Columns for an iterable of :class:`TraceEntry` rows."""
         columns = cls()
         for entry in entries:
-            plan = as_select_plan(entry.query)
-            if plan is not None:
-                columns.append_select(entry.time, plan,
-                                      entry.category, entry.stream)
-            else:
-                columns.append_opaque(entry.time, entry.query,
-                                      entry.category, entry.stream)
+            columns.append_select(
+                entry.time, _require_select_plan(entry.query),
+                entry.category, entry.stream)
         return columns
 
 
 class SimTrace:
     """An ordered record of every arrival of one simulation run.
 
-    Backed either by a tuple of :class:`TraceEntry` (the v1 JSON
-    shape) or by :class:`TraceColumns` (what the recorder produces and
-    the v2 binary format stores); ``entries`` materializes lazily from
-    columns, so column-backed traces save and replay without building
-    a million entry objects first.
+    A trace is its :class:`TraceColumns` (what the recorder produces,
+    the v2 binary format stores and both readers build); ``entries``
+    materializes lazily from them, so traces save and replay without
+    building a million entry objects first.
     """
 
-    def __init__(self, entries=(), columns: "TraceColumns | None" = None):
-        if columns is not None and entries:
-            raise ValidationError(
-                "pass entries or columns, not both")
-        self._entries = None if columns is not None else tuple(entries)
+    def __init__(self, columns: TraceColumns):
+        self._entries = None
         self._columns = columns
 
     @property
@@ -288,19 +257,17 @@ class SimTrace:
             self._entries = tuple(self._columns.entries())
         return self._entries
 
-    def columns(self) -> "TraceColumns | None":
-        """The columnar body, when this trace is column-backed."""
+    def columns(self) -> TraceColumns:
+        """The columnar body."""
         return self._columns
 
     def __len__(self) -> int:
-        if self._columns is not None:
-            return len(self._columns)
-        return len(self._entries)
+        return len(self._columns)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimTrace):
             return NotImplemented
-        return self.entries == other.entries
+        return self._columns == other._columns
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<SimTrace {len(self)} arrivals>"
@@ -309,10 +276,11 @@ class SimTrace:
 class TraceRecorder:
     """Collects arrivals as the driver processes them.
 
-    Select-shaped plans append straight onto :class:`TraceColumns` —
-    a handful of scalar list appends per arrival, no entry or plan
-    objects — which is what keeps ``record=True`` viable on
-    million-arrival runs.
+    Plans append straight onto :class:`TraceColumns` — a handful of
+    scalar list appends per arrival, no entry or plan objects — which
+    is what keeps ``record=True`` viable on million-arrival runs.  A
+    plan that is not select-shaped is refused at the arrival that
+    brings it, not at save time after the run.
     """
 
     def __init__(self) -> None:
@@ -326,17 +294,9 @@ class TraceRecorder:
         stream: int = 0,
     ) -> None:
         """Append one arrival to the recording."""
-        if type(query) is SelectPlan:
-            self._columns.append_select(
-                float(time), query, category, int(stream))
-            return
-        plan = as_select_plan(query)
-        if plan is not None:
-            self._columns.append_select(
-                float(time), plan, category, int(stream))
-        else:
-            self._columns.append_opaque(
-                float(time), query, category, int(stream))
+        self._columns.append_select(
+            float(time), _require_select_plan(query), category,
+            int(stream))
 
     def record_events(self, events, categories) -> None:
         """Append one batch of arrival events with resolved categories.
@@ -376,86 +336,75 @@ class TraceRecorder:
 
 
 def encode_query(query) -> dict:
-    """JSON-able representation of *query* (compact when possible)."""
-    plan = as_select_plan(query)
-    if plan is not None:
-        entry: dict[str, object] = {
-            "plan": "select",
-            "id": plan.query_id,
-            "op": plan.op_id,
-            "stream": plan.stream,
-            "cost": plan.cost,
-            "selectivity": plan.selectivity,
-            "bid": plan.bid,
-        }
-        if plan.valuation is not None:
-            entry["valuation"] = plan.valuation
-        if plan.owner is not None:
-            entry["owner"] = plan.owner
-        return entry
-    return {
-        "plan": "pickle",
-        "id": query.query_id,
-        "data": base64.b64encode(
-            pickle.dumps(query, protocol=pickle.HIGHEST_PROTOCOL)
-        ).decode("ascii"),
+    """JSON-able ``'select'`` row of *query* (refused if it has none)."""
+    plan = _require_select_plan(query)
+    entry: dict[str, object] = {
+        "plan": "select",
+        "id": plan.query_id,
+        "op": plan.op_id,
+        "stream": plan.stream,
+        "cost": plan.cost,
+        "selectivity": plan.selectivity,
+        "bid": plan.bid,
     }
+    if plan.valuation is not None:
+        entry["valuation"] = plan.valuation
+    if plan.owner is not None:
+        entry["owner"] = plan.owner
+    return entry
 
 
 def decode_query(entry: dict) -> ContinuousQuery:
-    """Rebuild a query from :func:`encode_query` output."""
+    """Rebuild a query from :func:`encode_query` output.
+
+    The one decoder behind the socket, the WAL op replay and the v1
+    trace reader, so it trusts nothing: any encoding but ``'select'``
+    is refused before a byte of it is touched, and a number the
+    auction cannot price (NaN, infinity) or an owner that is not a
+    name is the sender's error, naming the field and the query.
+    """
     try:
         plan = entry["plan"]
         if plan == "select":
-            return SelectPlan(
-                str(entry["id"]), str(entry["op"]),
-                str(entry["stream"]),
-                float(entry["cost"]), float(entry["selectivity"]),
-                float(entry["bid"]),
-                (float(entry["valuation"])
-                 if "valuation" in entry else None),
-                entry.get("owner"),
-            ).materialize()
-        if plan == "pickle":
-            query = pickle.loads(base64.b64decode(entry["data"]))
-            if not isinstance(query, ContinuousQuery):
+            query_id = str(entry["id"])
+            cost = float(entry["cost"])
+            selectivity = float(entry["selectivity"])
+            bid = float(entry["bid"])
+            valuation = (float(entry["valuation"])
+                         if "valuation" in entry else None)
+            owner = entry.get("owner")
+            if not (isfinite(cost) and isfinite(selectivity)
+                    and isfinite(bid)
+                    and (valuation is None or isfinite(valuation))):
+                bad = next(
+                    name for name in ("cost", "selectivity", "bid",
+                                      "valuation")
+                    if name in entry and not isfinite(float(entry[name])))
                 raise ValidationError(
-                    f"trace entry {entry.get('id')!r} unpickled to "
-                    f"{type(query).__name__}, not a ContinuousQuery")
-            return query
+                    f"query {query_id!r}: {bad} must be a finite "
+                    f"number, got {entry[bad]!r}")
+            if owner is not None and type(owner) is not str:
+                raise ValidationError(
+                    f"query {query_id!r}: owner must be a string or "
+                    f"null, got {type(owner).__name__}")
+            return SelectPlan(
+                query_id, str(entry["op"]), str(entry["stream"]),
+                cost, selectivity, bid, valuation, owner,
+            ).materialize()
     except ValidationError:
         raise
-    except (ImportError, AttributeError) as exc:
-        # Pickled plans deserialize by reference: the decoding side
-        # must be able to import every module the plan names.  A plan
-        # only the encoding side can rebuild is the sender's problem.
-        raise ValidationError(
-            f"could not rebuild the pickled query plan ({exc!r}); "
-            f"pickled plans must be importable where they are "
-            f"decoded") from exc
-    except (KeyError, TypeError, ValueError, pickle.UnpicklingError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(
             f"malformed trace query entry: {exc!r}") from exc
     raise ValidationError(
-        f"unknown trace plan encoding {plan!r}; this build reads "
-        f"'select' and 'pickle'")
-
-
-def entry_to_dict(entry: TraceEntry) -> dict:
-    """JSON-able representation of one trace entry."""
-    document: dict[str, object] = {
-        "time": entry.time,
-        "query": encode_query(entry.query),
-    }
-    if entry.category is not None:
-        document["category"] = entry.category
-    if entry.stream:
-        document["stream"] = entry.stream
-    return document
+        f"unknown trace plan encoding {plan!r} (query "
+        f"{entry.get('id')!r}); this build reads 'select' rows only "
+        f"(plans serialized as Python objects ran sender-chosen code "
+        f"on load and are refused)")
 
 
 def entry_from_dict(document: dict) -> TraceEntry:
-    """Parse one :func:`entry_to_dict` document."""
+    """Parse one v1 (JSON) trace entry document."""
     try:
         return TraceEntry(
             time=float(document["time"]),

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from collections.abc import Callable, Mapping
 from typing import ClassVar
 
+from repro.utils.specparse import parse_spec_text
 from repro.utils.validation import ValidationError
 
 
@@ -128,8 +129,6 @@ class RegistrySpec:
     @classmethod
     def parse(cls, text: str) -> "RegistrySpec":
         """Parse ``"name"`` or ``"name:key=value,key=value"``."""
-        from repro.utils.specparse import parse_spec_text
-
         name, params = parse_spec_text(text, what=cls._what)
         return cls(name, params)
 

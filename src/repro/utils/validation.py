@@ -25,6 +25,6 @@ def require_positive(value: float, name: str) -> None:
 
 
 def require_non_negative(value: float, name: str) -> None:
-    """Require that *value* is zero or positive."""
-    if value < 0:
+    """Require that *value* is zero or positive (NaN is neither)."""
+    if not value >= 0:
         raise ValidationError(f"{name} must be >= 0, got {value!r}")

@@ -155,11 +155,7 @@ def recover_gateway_backend(directory, backend, *, fsync="batch:256",
         for record in tail:
             if record.kind == rec.RECORD_OP:
                 document = rec.decode_json(record.body, "op")
-                # The pickle here is the gateway's own acknowledged
-                # log, not an untrusted socket — same trust domain as
-                # the snapshot pickle itself.
-                request = serve_request_from_dict(
-                    document, allow_pickle=True)
+                request = serve_request_from_dict(document)
                 if request.op in ("submit", "subscribe"):
                     backend.submit(request.query,
                                    category=request.category)
@@ -241,7 +237,7 @@ def _apply_op_document(backend, document) -> bool:
     """
     from repro.io import serve_request_from_dict
 
-    request = serve_request_from_dict(document, allow_pickle=True)
+    request = serve_request_from_dict(document)
     try:
         if request.op in ("submit", "subscribe"):
             backend.submit(request.query, category=request.category)

@@ -30,6 +30,11 @@ class TestOperator:
         with pytest.raises(ValidationError):
             Operator("bad", -1.0)
 
+    def test_nan_load_rejected(self):
+        # NaN is not < 0, and it passes every capacity comparison.
+        with pytest.raises(ValidationError):
+            Operator("bad", float("nan"))
+
     def test_empty_id_rejected(self):
         with pytest.raises(ValidationError):
             Operator("", 1.0)

@@ -46,7 +46,7 @@ from tests.strategies import select_query
 
 pytestmark = pytest.mark.serve
 
-QUIET = {"quiet": True, "allow_pickle_plans": True}
+QUIET = {"quiet": True}
 
 
 def build_cluster(num_shards=4, placement="consistent-hash",

@@ -8,7 +8,9 @@ still pending.
 """
 
 import asyncio
+import base64
 import json
+import pickle
 import re
 import time
 
@@ -23,15 +25,13 @@ from repro.serve import (
     HostBackend,
     REDACTED,
 )
+from repro.io import ServeRequest, serve_request_to_dict
 from repro.sim import SimulationDriver, SubscriptionOptions
 from tests.strategies import select_query
 
 pytestmark = pytest.mark.serve
 
-# tests.strategies queries carry a custom predicate, so they travel
-# as pickle plans — these gateways opt in as a trusted operator would
-# (the default-deny itself is covered in TestWireHardening).
-QUIET = {"quiet": True, "allow_pickle_plans": True}
+QUIET = {"quiet": True}
 
 
 def build_cluster(shards: int = 2, seed: int = 0):
@@ -182,7 +182,7 @@ class TestProtocolErrors:
 
         from repro.dsms.operators import SelectOperator
         from repro.dsms.plan import ContinuousQuery
-        from tests.strategies import accept_all
+        from repro.sim.arrivals import pass_all
 
         async def go():
             gateway = await started_gateway(build_cluster(shards=1))
@@ -190,7 +190,7 @@ class TestProtocolErrors:
                 status, _ = await client.submit(query(1))
                 assert status == 200
                 redefined = SelectOperator(
-                    "sel_q1", "s", accept_all, cost_per_tuple=7.0)
+                    "sel_q1", "s", pass_all, cost_per_tuple=7.0)
                 status, body = await client.submit(ContinuousQuery(
                     "thief", (redefined,), sink_id="sel_q1", bid=9.0))
                 assert status == 400
@@ -305,22 +305,78 @@ class TestSubscriptions:
 
 
 class TestWireHardening:
-    def test_pickle_plan_refused_by_default(self):
-        """Without the explicit opt-in, a pickle-encoded plan is the
-        client's 400 — never bytes fed to ``pickle.loads``."""
+    def test_pickle_plan_refused_by_default(self, monkeypatch):
+        """A pickle-encoded plan is the client's 400 on a default
+        gateway — never bytes fed to ``pickle.loads``."""
+
+        def loads(*_args, **_kwargs):
+            raise AssertionError("wire bytes reached pickle.loads")
+
+        document = serve_request_to_dict(
+            ServeRequest(op="submit", query=query(1)))
+        document["query"] = {
+            "plan": "pickle", "id": "q1",
+            "data": base64.b64encode(
+                pickle.dumps(query(1))).decode("ascii")}
+        monkeypatch.setattr(pickle, "loads", loads)
 
         async def go():
             gateway = AdmissionGateway(
                 build_cluster(), GatewayConfig(quiet=True))
             await gateway.start()
             async with GatewayClient(*gateway.address) as client:
-                status, body = await client.submit(query(1))
+                status, body = await client.request(
+                    "POST", "/v1/submit", document)
             await gateway.stop(final_settle=False)
             assert status == 400
             assert "pickle" in body["error"]
             assert gateway.backend.pending_count() == 0
 
         asyncio.run(go())
+
+    @pytest.mark.parametrize("field, value, says", [
+        ("cost", float("nan"), "'q0': cost must be a finite"),
+        ("cost", float("inf"), "'q0': cost must be a finite"),
+        ("cost", 10 ** 400, "malformed trace query entry"),
+        ("selectivity", float("nan"), "'q0': selectivity must be"),
+        ("bid", float("nan"), "'q0': bid must be a finite"),
+        ("valuation", float("-inf"), "'q0': valuation must be"),
+        ("owner", {"a": 1}, "'q0': owner must be a string"),
+    ], ids=["cost-nan", "cost-inf", "cost-overflow", "selectivity-nan",
+            "bid-nan", "valuation-inf", "owner-dict"])
+    def test_unpriceable_plan_is_a_400_and_admits_nobody(
+            self, field, value, says):
+        """One NaN load used to pass every capacity comparison: the
+        tick admitted everyone for free and answered with a body that
+        was not JSON.  A body the auction cannot price is the
+        client's 400, and the next tick is what it would have been."""
+        attack = serve_request_to_dict(
+            ServeRequest(op="submit", query=query(0, bid=9.0)))
+        attack["query"][field] = value
+
+        async def settle(attempt: bool):
+            # Four load-6 plans against capacity 20: three fit.
+            gateway = await started_gateway(build_cluster(shards=1))
+            async with GatewayClient(*gateway.address) as client:
+                if attempt:
+                    status, body = await client.request(
+                        "POST", "/v1/submit", attack)
+                    assert status == 400
+                    assert says in body["error"]
+                for n in range(1, 5):
+                    status, _ = await client.submit(select_query(
+                        f"q{n}", f"owner{n}", bid=3.0 + n, cost=3.0))
+                    assert status == 200
+                status, ticked = await client.tick()
+                assert status == 200
+            await gateway.stop(final_settle=False)
+            return ticked["report"]
+
+        clean = asyncio.run(settle(False))
+        assert asyncio.run(settle(True)) == clean
+        json.dumps(clean, allow_nan=False)  # strictly valid JSON
+        (shard,) = clean["shards"]
+        assert len(shard["admitted"]) == 3
 
     def test_client_id_rotation_cannot_duck_the_peer_floor(self):
         """Rotating x-client-id buys no rate: the per-peer-address

@@ -1,6 +1,7 @@
 """Serving-layer wire schemas: request/response envelopes."""
 
 import base64
+import pickle
 
 import pytest
 
@@ -17,13 +18,9 @@ from tests.strategies import select_query
 
 class TestServeRequest:
     def test_submit_round_trip(self):
-        # tests.strategies plans carry a custom predicate, so they
-        # travel base64-pickled — decoding them back needs the
-        # trusted-side opt-in.
         query = select_query("q1", "alice", bid=4.0, cost=2.0)
         request = ServeRequest(op="submit", query=query)
-        parsed = serve_request_from_dict(serve_request_to_dict(request),
-                                         allow_pickle=True)
+        parsed = serve_request_from_dict(serve_request_to_dict(request))
         assert parsed.op == "submit"
         assert parsed.query.query_id == "q1"
         assert parsed.query.bid == pytest.approx(4.0)
@@ -33,8 +30,7 @@ class TestServeRequest:
         query = select_query("q2", "bob", bid=3.0, cost=1.0)
         request = ServeRequest(op="subscribe", query=query,
                                category="gold")
-        parsed = serve_request_from_dict(serve_request_to_dict(request),
-                                         allow_pickle=True)
+        parsed = serve_request_from_dict(serve_request_to_dict(request))
         assert parsed.op == "subscribe"
         assert parsed.category == "gold"
 
@@ -53,15 +49,26 @@ class TestServeRequest:
         assert parsed.query.query_id == query.query_id
         assert parsed.query.bid == pytest.approx(query.bid)
 
-    def test_pickle_plan_refused_without_opt_in(self):
+    def test_pickle_plan_refused_without_opt_in(self, monkeypatch):
         # pickle.loads on wire bytes is remote code execution; the
-        # default parse must refuse before any unpickling happens.
+        # parse must refuse before any unpickling happens — and there
+        # is no opt-in any more.
+        def loads(*_args, **_kwargs):
+            raise AssertionError("wire bytes reached pickle.loads")
+
         query = select_query("q1", "alice", bid=4.0, cost=2.0)
         document = serve_request_to_dict(
             ServeRequest(op="submit", query=query))
-        assert document["query"]["plan"] == "pickle"
-        with pytest.raises(ValidationError, match="network boundary"):
+        document["query"] = {
+            "plan": "pickle", "id": "q1",
+            "data": base64.b64encode(
+                pickle.dumps(query)).decode("ascii")}
+        monkeypatch.setattr(pickle, "loads", loads)
+        with pytest.raises(ValidationError,
+                           match="unknown trace plan encoding 'pickle'"):
             serve_request_from_dict(document)
+        with pytest.raises(TypeError):
+            serve_request_from_dict(document, allow_pickle=True)
 
     def test_withdraw_round_trip(self):
         request = ServeRequest(op="withdraw", query_id="q9")
@@ -95,32 +102,6 @@ class TestServeRequest:
     def test_non_object_rejected(self):
         with pytest.raises(ValidationError, match="expected an object"):
             serve_request_from_dict([1, 2, 3])
-
-    def test_corrupt_pickle_plan_is_a_bad_request(self):
-        # Corrupt plan bytes must classify as the client's error (the
-        # gateway maps ValidationError to a 400), never as a 500.
-        query = select_query("q1", "alice", bid=4.0, cost=2.0)
-        document = serve_request_to_dict(
-            ServeRequest(op="submit", query=query))
-        document["query"] = {"plan": "pickle", "id": "q1",
-                             "data": "bm90LWEtcGlja2xl"}
-        with pytest.raises(ValidationError,
-                           match="malformed trace query entry"):
-            serve_request_from_dict(document, allow_pickle=True)
-
-    def test_unimportable_plan_is_a_bad_request(self):
-        # Pickled plans deserialize by reference: a plan naming a
-        # module only the *client* can import must fail its sender
-        # with a clear 400, not surface as an internal error.
-        ghost = base64.b64encode(
-            b"cmodule_only_the_client_has\nGhost\n.").decode("ascii")
-        query = select_query("q1", "alice", bid=4.0, cost=2.0)
-        document = serve_request_to_dict(
-            ServeRequest(op="submit", query=query))
-        document["query"] = {"plan": "pickle", "id": "q1",
-                             "data": ghost}
-        with pytest.raises(ValidationError, match="importable"):
-            serve_request_from_dict(document, allow_pickle=True)
 
 
 class TestServeResponse:

@@ -1,10 +1,9 @@
 """The ``python -m repro sim`` subcommand."""
 
-import json
-
 import pytest
 
 from repro.__main__ import _parse_categories, main
+from repro.io import load_sim_trace
 from repro.utils.validation import ValidationError
 
 FAST_NO_ARRIVALS = ["--periods", "3", "--ticks", "5", "--rate", "2"]
@@ -33,12 +32,11 @@ class TestSim:
         assert "subscriptions" in capsys.readouterr().out
 
     def test_record_then_replay_matches(self, tmp_path, capsys):
-        trace_path = tmp_path / "run.trace.json"
+        trace_path = tmp_path / "run.trace.npz"
         assert main(["sim", *FAST, "--subscriptions",
                      "--record", str(trace_path)]) == 0
         recorded = capsys.readouterr().out
-        document = json.loads(trace_path.read_text())
-        assert document["schema"] == "repro/sim-trace"
+        assert len(load_sim_trace(trace_path)) > 0
 
         # --replay replaces the workload, so --arrivals must go.
         assert main(["sim", *FAST, "--subscriptions",
@@ -56,39 +54,33 @@ class TestSim:
 
     def test_recorded_traces_are_pickle_free_and_wire_safe(
             self, tmp_path, capsys):
-        """CLI recordings never fall back to the pickle encoding.
+        """CLI recordings hold nothing but ``'select'`` rows.
 
         The CLI's synthetic workloads are all single-select plans over
         the public ``pass_all`` predicate, so every recorded entry
-        must use the compact ``'select'`` encoding — and therefore
-        round-trip through the gateway wire codec with its default
-        pickle-refusing posture.
+        round-trips through the gateway wire codec, which carries no
+        other plan shape.
         """
         from repro.io import (
             ServeRequest,
             serve_request_from_dict,
             serve_request_to_dict,
         )
-        from repro.sim.trace import decode_query
 
-        trace_path = tmp_path / "run.trace.json"
+        trace_path = tmp_path / "run.trace.npz"
         assert main(["sim", *FAST, "--subscriptions",
                      "--record", str(trace_path)]) == 0
         capsys.readouterr()
-        document = json.loads(trace_path.read_text())
-        arrivals = document["arrivals"]
+        arrivals = load_sim_trace(trace_path).entries
         assert arrivals, "recording produced no arrivals"
-        plans = {entry["query"]["plan"] for entry in arrivals}
-        assert plans == {"select"}
 
-        # Every recorded plan survives the gateway boundary without
-        # allow_pickle (the default for untrusted clients).
+        # Every recorded plan survives the gateway boundary.
         for entry in arrivals:
-            query = decode_query(entry["query"])
             wire = serve_request_to_dict(
-                ServeRequest(op="submit", query=query))
+                ServeRequest(op="submit", query=entry.query))
+            assert wire["query"]["plan"] == "select"
             parsed = serve_request_from_dict(wire)
-            assert parsed.query.query_id == entry["query"]["id"]
+            assert parsed.query.query_id == entry.query.query_id
 
     def test_checkpoint_resume_continues_the_run(self, tmp_path,
                                                  capsys):

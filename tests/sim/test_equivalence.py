@@ -14,6 +14,7 @@ the reference path it replaced.  This suite pins that:
 
 import dataclasses
 import json
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +28,8 @@ from repro.io import (
 )
 from repro.service import ServiceBuilder
 from repro.sim import SimulationDriver, SubscriptionOptions
+
+DATA = Path(__file__).parent.parent / "data"
 
 
 def build_service(seed=0, capacity=40.0):
@@ -167,17 +170,21 @@ class TestTraceReplayEquivalence:
         live, live_reports, options = self._record()
         trace = live.trace()
 
-        v1 = tmp_path / "run.trace.json"
-        v2 = tmp_path / "run.trace.npz"
-        save_sim_trace(trace, v1)
+        # Written by the parent commit from _record()'s configuration:
+        # the v1 JSON document this build no longer writes, and a v2
+        # container still carrying the two (empty) pickled-plan arrays.
+        v1 = DATA / "run.trace.v1.json"
+        old_v2 = DATA / "run.trace.v2.npz"
+        v2 = tmp_path / "run.trace.json"  # the name picks nothing
         save_sim_trace(trace, v2)
         assert v2.read_bytes()[:2] == b"PK"  # actually binary
+        assert load_sim_trace(v1) == trace
+        assert load_sim_trace(old_v2) == trace
 
-        _, v1_reports = self._replay(v1, options)
-        _, v2_reports = self._replay(v2, options)
         expected = report_bytes(live_reports)
-        assert report_bytes(v1_reports) == expected
-        assert report_bytes(v2_reports) == expected
+        for path in (v1, old_v2, v2):
+            _, reports = self._replay(path, options)
+            assert report_bytes(reports) == expected
 
     def test_v2_roundtrip_preserves_every_entry(self, tmp_path):
         live, _reports, _options = self._record()

@@ -11,8 +11,6 @@ Pins the four lifecycle guarantees of the open-system runtime:
 4. a replayed trace reproduces the live run byte-identically.
 """
 
-import json
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -298,14 +296,14 @@ class TestTraceReplay:
         assert _report_fingerprint(live_reports) == \
             _report_fingerprint(replay_reports)
 
-    def test_replay_via_json_file_is_identical(self, tmp_path):
+    def test_replay_via_trace_file_is_identical(self, tmp_path):
         from repro.io import load_sim_trace, save_sim_trace
 
         live = SimulationDriver(
             build_service(), arrivals="poisson:rate=1.5,seed=9",
             subscriptions=True, record=True)
         live_reports = live.run(4)
-        path = tmp_path / "run.trace.json"
+        path = tmp_path / "run.trace.npz"
         save_sim_trace(live.trace(), path)
 
         replay = SimulationDriver(
@@ -314,9 +312,8 @@ class TestTraceReplay:
             subscriptions=True)
         assert _report_fingerprint(live_reports) == \
             _report_fingerprint(replay.run(4))
-        # The JSON round-trip preserves every bid/cost bit-exactly.
-        document = json.loads(path.read_text())
-        assert document["schema"] == "repro/sim-trace"
+        # The round-trip preserves every bid/cost bit-exactly.
+        assert load_sim_trace(path) == live.trace()
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,5 @@
 """Trace codec and the versioned repro/sim-trace schema."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -12,10 +10,11 @@ from repro.io import (
     SIM_TRACE_VERSION,
     load_sim_trace,
     save_sim_trace,
+    sim_trace_from_arrays,
     sim_trace_from_dict,
-    sim_trace_to_dict,
+    sim_trace_to_arrays,
 )
-from repro.sim.arrivals import TraceArrivals, synthetic_query
+from repro.sim.arrivals import Arrival, TraceArrivals, synthetic_query
 from repro.sim.trace import (
     SimTrace,
     TraceEntry,
@@ -44,16 +43,20 @@ class TestQueryCodec:
         assert (decoded.operators[0].cost_per_tuple
                 == query.operators[0].cost_per_tuple)
 
-    def test_arbitrary_plans_fall_back_to_pickle(self):
+    def test_plans_without_a_select_form_are_refused(self):
         select = SelectOperator("sel", "s", _keep)
         project = ProjectOperator("proj", "sel", ("a",))
         query = ContinuousQuery("fancy", (select, project),
                                 sink_id="proj", bid=9.0)
-        encoded = encode_query(query)
-        assert encoded["plan"] == "pickle"
-        decoded = decode_query(encoded)
-        assert decoded.query_id == "fancy"
-        assert decoded.operator_ids == ("sel", "proj")
+        with pytest.raises(ValidationError, match="'fancy'"):
+            encode_query(query)
+        recorder = TraceRecorder()
+        with pytest.raises(ValidationError, match="'fancy'"):
+            recorder.record(1.0, query, None)
+        with pytest.raises(ValidationError, match="'fancy'"):
+            recorder.record_events(
+                [Arrival(1.0, query, stream=0)], [None])
+        assert len(recorder.trace()) == 0
 
     def test_unknown_plan_encoding_rejected(self):
         with pytest.raises(ValidationError):
@@ -72,18 +75,9 @@ class TestSchema:
         recorder.record(2.5, synthetic_query(rng, 1), None, stream=1)
         return recorder.trace()
 
-    def test_document_shape(self):
-        document = sim_trace_to_dict(self._trace())
-        assert document["schema"] == SIM_TRACE_SCHEMA
-        assert document["version"] == SIM_TRACE_VERSION
-        assert len(document["arrivals"]) == 2
-        assert document["arrivals"][0]["category"] == "day"
-        assert "category" not in document["arrivals"][1]
-        json.dumps(document)  # JSON-able all the way down
-
     def test_roundtrip(self, tmp_path):
         trace = self._trace()
-        path = tmp_path / "run.trace.json"
+        path = tmp_path / "run.trace.npz"
         save_sim_trace(trace, path)
         loaded = load_sim_trace(path)
         assert isinstance(loaded, SimTrace)
@@ -97,13 +91,26 @@ class TestSchema:
 
     def test_replay_through_trace_arrivals(self, tmp_path):
         trace = self._trace()
-        path = tmp_path / "run.trace.json"
+        path = tmp_path / "run.trace.npz"
         save_sim_trace(trace, path)
         process = TraceArrivals(path=str(path))
         replayed = [process.next_arrival() for _ in range(2)]
         assert process.next_arrival() is None
         assert [a.time for a in replayed] == [1.5, 2.5]
         assert replayed[0].category == "day"
+
+    def test_arrivals_outside_the_columns_rejected(self):
+        """Parent-written containers hold two more arrays, for plans
+        pickled beside the columns: empty loads, anything else must
+        not replay with those rows silently missing."""
+        trace = self._trace()
+        arrays = sim_trace_to_arrays(trace)
+        arrays["opaque_rows"] = np.empty(0, dtype=np.int64)
+        arrays["opaque_queries"] = np.empty(0, dtype="U1")
+        assert sim_trace_from_arrays(arrays) == trace
+        arrays["opaque_rows"] = np.asarray([1], dtype=np.int64)
+        with pytest.raises(ValidationError, match="opaque_rows"):
+            sim_trace_from_arrays(arrays)
 
     def test_schema_mismatch_rejected(self):
         with pytest.raises(ValidationError):

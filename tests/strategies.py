@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from repro.core.model import AuctionInstance, Operator, Query
 from repro.dsms.operators import SelectOperator
 from repro.dsms.plan import ContinuousQuery
+from repro.sim.arrivals import pass_all
 
 
 @st.composite
@@ -92,7 +93,7 @@ class ClusterWorkload:
 def select_query(qid: str, owner: str, bid: float,
                  cost: float, stream: str = "s") -> ContinuousQuery:
     """A one-operator select plan bidding *bid* (picklable)."""
-    op = SelectOperator(f"sel_{qid}", stream, accept_all,
+    op = SelectOperator(f"sel_{qid}", stream, pass_all,
                         cost_per_tuple=cost, selectivity_estimate=1.0)
     return ContinuousQuery(qid, (op,), sink_id=op.op_id, bid=bid,
                            owner=owner)

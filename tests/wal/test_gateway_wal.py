@@ -17,7 +17,7 @@ from tests.strategies import select_query
 
 pytestmark = [pytest.mark.wal, pytest.mark.serve]
 
-QUIET = {"quiet": True, "allow_pickle_plans": True}
+QUIET = {"quiet": True}
 
 
 def build_cluster(seed: int = 0):

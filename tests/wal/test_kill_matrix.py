@@ -138,7 +138,7 @@ def build_cluster():
 
 
 async def main(wal_dir, result_path):
-    config = GatewayConfig(quiet=True, allow_pickle_plans=True,
+    config = GatewayConfig(quiet=True,
                            wal_dir=wal_dir, wal_fsync="always")
     gateway = AdmissionGateway(build_cluster(), config)
     await gateway.start()
@@ -259,7 +259,7 @@ class TestServeKillMatrix:
                                          rec.RECORD_PERIOD))
 
         async def finish():
-            config = GatewayConfig(quiet=True, allow_pickle_plans=True,
+            config = GatewayConfig(quiet=True,
                                    wal_dir=str(wal_dir),
                                    wal_fsync="always")
             gateway = AdmissionGateway(build_cluster(), config)
@@ -452,7 +452,7 @@ class TestFrontendKillMatrix:
         config = FrontendConfig(
             workers=2,
             gateway=GatewayConfig(
-                quiet=True, allow_pickle_plans=True, port=0,
+                quiet=True, port=0,
                 wal_dir=str(tmp_path / "wal"),
                 wal_group_commit=True))
         armed = f"{crashpoint}:{FRONTEND_MATRIX[crashpoint]}"

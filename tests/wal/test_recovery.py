@@ -35,13 +35,20 @@ def wal_driver(directory, *, compact_every=0, **kwargs):
 
 class TestRecoveryEquivalence:
     def test_wal_attachment_does_not_perturb_the_run(self, tmp_path):
-        reference = build_driver()
-        reference.run(5)
-        driver, log = wal_driver(tmp_path / "wal")
-        driver.run(5)
-        log.close()
-        assert driver_fingerprint(driver) == \
-            driver_fingerprint(reference)
+        # Plain; GV with subscriptions and a fifo probe, whose arrivals
+        # reach the log through record_events; and the same on the
+        # pump, whose rows reach it through record_rows.
+        logged = {"mechanism": "GV", "subscriptions": True,
+                  "probe": "fifo"}
+        for index, options in enumerate(
+                ({}, logged, {**logged, "pump": True})):
+            reference = build_driver(**options)
+            reference.run(5)
+            driver, log = wal_driver(tmp_path / f"wal{index}", **options)
+            driver.run(5)
+            log.close()
+            assert driver_fingerprint(driver) == \
+                driver_fingerprint(reference)
 
     def test_abandoned_log_recovers_and_converges(self, tmp_path):
         reference = build_driver()

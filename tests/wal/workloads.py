@@ -21,14 +21,14 @@ def build_service(mechanism="CAT", ticks=10, capacity=40.0, rate=5.0,
 
 
 def build_driver(*, wal=None, record=False, seed=7, rate=3.0,
-                 mechanism="CAT"):
+                 mechanism="CAT", **options):
     """A deterministic open-system driver, optionally WAL-attached."""
     from repro.sim import SimulationDriver
 
     driver = SimulationDriver(
         build_service(mechanism=mechanism, seed=seed),
         arrivals=f"poisson:rate={rate},seed={seed}",
-        record=record)
+        record=record, **options)
     if wal is not None:
         driver.attach_wal(wal)
     return driver
