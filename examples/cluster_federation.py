@@ -79,7 +79,7 @@ def main() -> None:
     print(report_line(cluster.run_period()))
     for query in submissions_for(2):
         cluster.submit(query)
-    print(report_line(cluster.run_period_all()), "(batch auction path)")
+    print(report_line(cluster.run_period()))
     print()
 
     with tempfile.TemporaryDirectory() as tmp:

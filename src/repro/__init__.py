@@ -19,8 +19,7 @@ Packages:
 * :mod:`repro.cluster` — the scale-out layer: a
   :class:`FederatedAdmissionService` sharding submissions over N
   service instances via pluggable placement policies, with cross-shard
-  rebalancing of rejected load, batch auctions, and whole-cluster
-  checkpointing.
+  rebalancing of rejected load, and whole-cluster checkpointing.
 * :mod:`repro.sim` — the open-system event-driven simulation runtime:
   a checkpointable :class:`SimulationDriver` with a virtual clock,
   spec-addressable arrival processes (``"poisson:rate=40"``,

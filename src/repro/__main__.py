@@ -11,14 +11,14 @@ Commands
                processes, subscription lifecycles, latency probe,
                trace record/replay, checkpoints)
 ``cluster``    run a sharded FederatedAdmissionService (placement
-               policies, rebalancing, batch auctions, checkpoints)
+               policies, rebalancing, checkpoints)
 ``serve``      put an admission host on the network: the HTTP/JSON
                gateway (rate limits, retry budget, /metrics,
                graceful drain)
 ``report``     regenerate the paper's tables and figures
 ``verify``     run the Table I property-verification battery
 
-Bad spec strings (``--selection warp``, ``--backend bogus``...) exit
+Bad spec strings (``--selection warp``, ``--placement bogus``...) exit
 with code 2 and a one-line ``repro: error:`` message naming the flag
 and the offending spec — no tracebacks for misuse.
 
@@ -33,7 +33,6 @@ Examples::
     python -m repro run two-price:seed=7 wl.json -o outcome.json
     python -m repro run CAT wl1.json wl2.json wl3.json
     python -m repro simulate --mechanism CAT --periods 5
-    python -m repro simulate --backend columnar --rate 200 --periods 3
     python -m repro simulate --selection fast --profile --periods 3
     python -m repro simulate --periods 3 --checkpoint svc.ckpt
     python -m repro simulate --periods 2 --resume svc.ckpt
@@ -41,13 +40,12 @@ Examples::
     python -m repro sim --subscriptions --scheduler fifo --periods 10
     python -m repro sim --periods 5 --record run.trace.npz
     python -m repro sim --periods 5 --replay run.trace.npz
-    python -m repro sim --shards 4 --arrivals poisson:rate=8 --batch
+    python -m repro sim --shards 4 --arrivals poisson:rate=8
     python -m repro sim --periods 4 --checkpoint sim.ckpt
     python -m repro sim --periods 6 --resume sim.ckpt
-    python -m repro cluster --shards 4 --periods 5 --batch
-    python -m repro cluster --selection fast --batch --periods 5
+    python -m repro cluster --shards 4 --periods 5
+    python -m repro cluster --selection fast --periods 5
     python -m repro run CAT wl.json --selection fast
-    python -m repro cluster --backend columnar:batch=2048 --periods 3
     python -m repro cluster --placement least-loaded --periods 3
     python -m repro cluster --periods 2 --checkpoint cl.ckpt
     python -m repro cluster --periods 2 --resume cl.ckpt
@@ -197,8 +195,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 lambda text: SelectionSpec.parse(text).validate()))
         start = service.period
     else:
-        from repro.dsms.backend import BackendSpec
-
         spec = _parse_spec(
             "--mechanism", args.mechanism,
             lambda text: _spec_with_seed(text, args.seed))
@@ -207,10 +203,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                        "s", rate=args.rate, seed=args.seed))
                    .with_capacity(args.capacity)
                    .with_mechanism(spec)
-                   .with_ticks_per_period(args.ticks)
-                   .with_backend(_parse_spec(
-                       "--backend", args.backend,
-                       lambda text: BackendSpec.parse(text).validate())))
+                   .with_ticks_per_period(args.ticks))
         if args.selection:
             from repro.core.selection import SelectionSpec
 
@@ -322,7 +315,6 @@ def _cmd_sim(args: argparse.Namespace) -> int:
         driver, wal_log = recover_sim_driver(
             args.wal, fsync=args.wal_fsync,
             compact_every=args.compact_every)
-        _apply_auction_tuning(driver.host, args)
         if args.record and driver.recorder is None:
             raise ValidationError(
                 f"WAL {args.wal!r} was created without --record, so "
@@ -350,13 +342,11 @@ def _cmd_sim(args: argparse.Namespace) -> int:
                 ("--shards", args.shards is not None),
                 ("--placement", args.placement is not None),
                 ("--route", args.route is not None),
-                ("--batch", args.batch),
                 ("--pump", args.pump),
                 ("--mechanism", args.mechanism is not None),
                 ("--capacity", args.capacity is not None),
                 ("--rate", args.rate is not None),
                 ("--ticks", args.ticks is not None),
-                ("--backend", args.backend is not None),
                 ("--seed", args.seed is not None),
                 ("--probe-retention", args.probe_retention is not None),
             ) if is_set
@@ -367,7 +357,6 @@ def _cmd_sim(args: argparse.Namespace) -> int:
                 f"--resume; the checkpoint already fixes the "
                 f"simulation's configuration")
         driver = SimulationDriver.load_checkpoint(args.resume)
-        _apply_auction_tuning(driver.host, args)
         if args.record and driver.recorder is None:
             raise ValidationError(
                 f"checkpoint {args.resume!r} was not recording, so a "
@@ -378,15 +367,6 @@ def _cmd_sim(args: argparse.Namespace) -> int:
         from repro.utils.validation import ValidationError
 
         _apply_sim_defaults(args)
-        if args.batch and args.shards == 1:
-            raise ValidationError(
-                "--batch dispatches shard auctions on a thread pool "
-                "and needs --shards > 1")
-        if args.batch and (args.subscriptions or args.categories):
-            raise ValidationError(
-                "--batch only applies to re-auction boundaries "
-                "(run_period_all); subscription boundaries run "
-                "per-category auctions shard by shard")
         if args.replay and args.arrivals:
             raise ValidationError(
                 "--replay substitutes the recorded trace for the "
@@ -440,11 +420,9 @@ def _cmd_sim(args: argparse.Namespace) -> int:
             probe=probe,
             record=bool(args.record),
             route=args.route,
-            batch=args.batch,
             probe_retention=args.probe_retention,
             pump=args.pump,
         )
-        _apply_auction_tuning(driver.host, args)
         if args.wal:
             from repro.wal import WriteAheadLog
 
@@ -539,26 +517,6 @@ def _write_wal_final_report(driver, wal_dir: str) -> str:
     return str(path)
 
 
-def _apply_auction_tuning(host, args: argparse.Namespace) -> None:
-    """Apply the ``--workers`` pool width to *host*.
-
-    Runtime tuning, not simulation state — so, unlike the workload
-    flags, it composes with ``--resume``.  It only makes sense on a
-    federated host's batch auction path; setting it on a single
-    service is rejected rather than silently ignored.
-    """
-    from repro.utils.validation import ValidationError
-
-    if args.workers is None:
-        return
-    cluster = getattr(host, "cluster", None)
-    if cluster is None:
-        raise ValidationError(
-            "--workers tunes the cluster batch auction pool and needs "
-            "--shards > 1 (with --batch)")
-    cluster.auction_workers = args.workers
-
-
 def _apply_sim_defaults(args: argparse.Namespace) -> None:
     """Fill the ``sim`` parser's deferred defaults.
 
@@ -574,7 +532,6 @@ def _apply_sim_defaults(args: argparse.Namespace) -> None:
         "capacity": 40.0,
         "rate": 5.0,
         "ticks": 20,
-        "backend": "scalar",
         "seed": 0,
     }
     for name, value in defaults.items():
@@ -611,15 +568,11 @@ def _sim_report_row(report) -> list:
 
 
 def _build_sim_host(args: argparse.Namespace):
-    from repro.dsms.backend import BackendSpec
     from repro.dsms.streams import SyntheticStream
     from repro.service import ServiceBuilder
 
     spec = _parse_spec("--mechanism", args.mechanism,
                        lambda text: _spec_with_seed(text, args.seed))
-    backend = _parse_spec(
-        "--backend", args.backend,
-        lambda text: BackendSpec.parse(text).validate())
     if args.shards > 1:
         from repro.cluster import FederatedAdmissionService
         from repro.cluster.placement import resolve_placement
@@ -631,7 +584,6 @@ def _build_sim_host(args: argparse.Namespace):
             capacity=args.capacity,
             mechanism=spec,
             ticks_per_period=args.ticks,
-            backend=backend,
             placement=_parse_spec("--placement", args.placement,
                                   resolve_placement),
         )
@@ -641,7 +593,6 @@ def _build_sim_host(args: argparse.Namespace):
             .with_capacity(args.capacity)
             .with_mechanism(spec)
             .with_ticks_per_period(args.ticks)
-            .with_backend(backend)
             .build())
 
 
@@ -660,12 +611,9 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                 lambda text: SelectionSpec.parse(text).validate())
             for shard in cluster.shards:
                 shard.mechanism.use_selection(spec)
-        if args.auction_workers is not None:
-            cluster.auction_workers = args.auction_workers
         start = cluster.period
     else:
         from repro.cluster.placement import resolve_placement
-        from repro.dsms.backend import BackendSpec
 
         selection = None
         if args.selection:
@@ -682,14 +630,10 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             capacity=args.capacity,
             mechanism=spec,
             ticks_per_period=args.ticks,
-            backend=_parse_spec(
-                "--backend", args.backend,
-                lambda text: BackendSpec.parse(text).validate()),
             selection=selection,
             placement=_parse_spec("--placement", args.placement,
                                   resolve_placement),
             rebalance=not args.no_rebalance,
-            auction_workers=args.auction_workers,
         )
         start = 0
 
@@ -699,8 +643,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                 period, args.queries_per_period, args.seed,
                 lambda index: f"user_{index % max(1, args.clients)}"):
             cluster.submit(query)
-        report = (cluster.run_period_all() if args.batch
-                  else cluster.run_period())
+        report = cluster.run_period()
         rows.append([
             report.period,
             len(report.admitted),
@@ -900,9 +843,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="stream arrival rate (tuples/tick)")
     simulate.add_argument("--ticks", type=int, default=20,
                           help="engine ticks per subscription period")
-    simulate.add_argument("--backend", default="scalar",
-                          help="execution backend spec: scalar, "
-                               "columnar, columnar:batch=1024")
     simulate.add_argument("--selection", default=None,
                           help="winner-selection path spec: reference "
                                "(default), fast")
@@ -964,13 +904,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="arrival routing: by placement policy "
                           "(default), or arrival process i pinned to "
                           "shard i")
-    sim.add_argument("--batch", action="store_true",
-                     help="auction re-auction cluster boundaries on "
-                          "the pooled batch path (needs "
-                          "--shards > 1)")
-    sim.add_argument("--workers", type=int, default=None,
-                     help="pool width for --batch auction boundaries "
-                          "(default: CPU count)")
     sim.add_argument("--pump", action="store_true",
                      help="consume arrivals through the columnar "
                           "pump: numpy row blocks instead of "
@@ -990,9 +923,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--ticks", type=int, default=None,
                      help="engine ticks per subscription period "
                           "(default 20)")
-    sim.add_argument("--backend", default=None,
-                     help="execution backend spec: scalar (default), "
-                          "columnar")
     sim.add_argument("--seed", type=int, default=None,
                      help="base seed (default 0)")
     sim.add_argument("--checkpoint", default=None,
@@ -1042,21 +972,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="stream arrival rate (tuples/tick)")
     cluster.add_argument("--ticks", type=int, default=20,
                          help="engine ticks per subscription period")
-    cluster.add_argument("--backend", default="scalar",
-                         help="execution backend spec applied to "
-                              "every shard: scalar, columnar, "
-                              "columnar:batch=1024")
     cluster.add_argument("--selection", default=None,
                          help="winner-selection path spec applied to "
                               "every shard: reference (default), fast")
     cluster.add_argument("--seed", type=int, default=0)
-    cluster.add_argument("--batch", action="store_true",
-                         help="use the run_period_all batch auction "
-                              "path (independent shard auctions run "
-                              "on a thread pool)")
-    cluster.add_argument("--auction-workers", type=int, default=None,
-                         help="pool width for --batch auctions "
-                              "(default: CPU count)")
     cluster.add_argument("--no-rebalance", action="store_true",
                          help="disable cross-shard migration of "
                               "rejected queries")
@@ -1089,9 +1008,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="stream arrival rate (tuples/tick)")
     serve.add_argument("--ticks", type=int, default=20,
                        help="engine ticks per subscription period")
-    serve.add_argument("--backend", default="scalar",
-                       help="execution backend spec: scalar (default), "
-                            "columnar")
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument("--subscriptions", action="store_true",
                        help="serve subscription lifecycles "

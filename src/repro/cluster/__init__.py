@@ -2,9 +2,9 @@
 
 The scale-out layer: N independent
 :class:`~repro.service.AdmissionService` shards behind one facade,
-with pluggable submission routing, lockstep cluster periods (including
-a batch auction path), cross-shard rebalancing of rejected load, and
-whole-cluster checkpointing.
+with pluggable submission routing, lockstep cluster periods,
+cross-shard rebalancing of rejected load, and whole-cluster
+checkpointing.
 
 * :class:`FederatedAdmissionService` — the facade;
 * :class:`PlacementPolicy` and its implementations
@@ -31,7 +31,7 @@ Quickstart::
         placement="consistent-hash:seed=7",
     )
     cluster.submit(my_query)              # routed by client id
-    report = cluster.run_period_all()     # all shard auctions, batched
+    report = cluster.run_period()         # one auction per shard
     print(report.total_revenue, report.migrated)
 """
 

@@ -11,11 +11,9 @@ them one front door:
   cluster-wide query-id uniqueness enforced before the shard sees it;
 * **the cluster period** — :meth:`run_period` drives every shard
   through the prepare → auction → settle → rebalance → execute cycle
-  in lockstep; :meth:`run_period_all` is the batch path that runs all
-  shard auctions together on a thread pool.  Auctions are
-  side-effect-free until settlement; shards sharing a mechanism object
-  stay sequential so per-shard RNG streams are consumed in shard
-  order — both paths produce byte-identical results;
+  in lockstep, auctioning shard by shard in shard order and stopping
+  at the first failure.  Auctions are side-effect-free until
+  settlement;
 * **rebalancing** — an optional
   :class:`~repro.cluster.rebalance.Rebalancer` migrates rejected
   queries onto shards with spare capacity between settle and execute;
@@ -32,8 +30,6 @@ them one front door:
 from __future__ import annotations
 
 import copy
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
 
@@ -96,7 +92,6 @@ class FederatedAdmissionService:
         shards: Sequence[AdmissionService],
         placement: "PlacementPolicy | str" = "consistent-hash",
         rebalancer: "Rebalancer | None" = None,
-        auction_workers: "int | None" = None,
     ) -> None:
         shards = tuple(shards)
         require(len(shards) >= 1, "a federation needs at least one shard")
@@ -104,18 +99,9 @@ class FederatedAdmissionService:
             raise ValidationError(
                 "the same AdmissionService object appears twice in the "
                 "shard list; every shard must be an independent service")
-        if auction_workers is not None:
-            require(int(auction_workers) >= 1,
-                    "auction_workers must be >= 1")
-            auction_workers = int(auction_workers)
         self.shards: tuple[AdmissionService, ...] = shards
         self.placement = resolve_placement(placement)
         self.rebalancer = rebalancer
-        #: Pool width of the batch auction path (None = one worker per
-        #: mechanism group, capped by the CPU count).  Runtime tuning,
-        #: not evolving state: snapshots do not carry it, and restored
-        #: federations start back on the default.
-        self.auction_workers = auction_workers
         self._period = 0
         self.reports: list[ClusterReport] = []
 
@@ -133,7 +119,6 @@ class FederatedAdmissionService:
         selection: "object | None" = None,
         placement: "PlacementPolicy | str" = "consistent-hash",
         rebalance: bool = True,
-        auction_workers: "int | None" = None,
     ) -> "FederatedAdmissionService":
         """Assemble a homogeneous cluster of *num_shards* shards.
 
@@ -155,8 +140,7 @@ class FederatedAdmissionService:
         *selection* pins every shard mechanism's winner-selection path
         (``"reference"``, ``"fast"``, or a
         :class:`~repro.core.selection.SelectionSpec`); ``None`` keeps
-        the default.  *auction_workers* bounds the pool the batch path
-        (:meth:`run_period_all`) auctions shards on.
+        the default.
         """
         require(int(num_shards) >= 1, "num_shards must be >= 1")
         if isinstance(backend, (str, BackendSpec)) or not isinstance(
@@ -183,7 +167,6 @@ class FederatedAdmissionService:
             shards=shards,
             placement=placement,
             rebalancer=Rebalancer() if rebalance else None,
-            auction_workers=auction_workers,
         )
 
     # ------------------------------------------------------------------
@@ -264,76 +247,19 @@ class FederatedAdmissionService:
 
     def run_period(self) -> ClusterReport:
         """Run one cluster period, auctioning shard by shard."""
-        return self._run_cluster_period(batch=False)
-
-    def run_period_all(self) -> ClusterReport:
-        """Run one cluster period through the batch auction path.
-
-        All shard auctions are built first, then dispatched together
-        across a thread pool (:meth:`run_period` auctions shard by shard
-        instead), then settled, rebalanced and executed — settlement
-        stays sequential and deterministic.  Auctions are
-        side-effect-free until settlement, so parallel dispatch is
-        safe; shards sharing one mechanism *object* are grouped onto a
-        single worker and run in shard order, so a randomized mechanism
-        consumes its RNG stream exactly as the sequential path would.
-        Produces exactly the same reports as :meth:`run_period`.
-        """
-        return self._run_cluster_period(batch=True)
-
-    def _run_auctions_batch(self, active, preparations):
-        """All shard auctions of one period; outcomes in *active* order.
-
-        Shard indices are grouped by mechanism object identity (the
-        usual federation gives every shard its own mechanism, so each
-        group is one shard); groups run concurrently on the pool, the
-        shards *within* a group sequentially via
-        :meth:`~repro.core.Mechanism.run_many`.  Exceptions surface in
-        deterministic group order, and the caller's rollback handles
-        them exactly as on the sequential path.
-        """
-        groups: dict[int, list[int]] = {}
-        for index in active:
-            key = id(self.shards[index].mechanism)
-            groups.setdefault(key, []).append(index)
-        grouped_indices = list(groups.values())
-
-        def run_group(indices: list[int]):
-            mechanism = self.shards[indices[0]].mechanism
-            return mechanism.run_many(
-                preparations[index].instance for index in indices)
-
-        workers = self.auction_workers
-        if workers is None:
-            workers = min(32, os.cpu_count() or 1)
-        workers = min(workers, len(grouped_indices))
-        if workers <= 1:
-            grouped_outcomes = [run_group(indices)
-                                for indices in grouped_indices]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(run_group, indices)
-                           for indices in grouped_indices]
-                grouped_outcomes = [future.result() for future in futures]
-        by_shard = {
-            index: outcome
-            for indices, outcomes in zip(grouped_indices, grouped_outcomes)
-            for index, outcome in zip(indices, outcomes)
-        }
-        return [by_shard[index] for index in active]
-
-    def _run_cluster_period(self, batch: bool) -> ClusterReport:
         # Phase A/B — prepare and auction.  Nothing is billed or
         # transitioned yet, so a failure here (a pre_auction hook, a
         # mechanism bug) rolls back cleanly: shard counters return to
         # where they were, pending queues are untouched, and the
-        # period can simply be retried.  One caveat either way
-        # (sequential or pooled): auctions that ran before the failure
-        # surfaced have already consumed their mechanisms' randomness —
-        # and the thread pool may have run *more* of them than the
-        # sequential stop-at-first-error path would — so a retried
-        # period with randomized mechanisms is valid but not bit-equal
-        # to a never-failed run; restore from a checkpoint for that.
+        # period can simply be retried.  Every active shard is
+        # prepared before the first auction, and auctions run in shard
+        # order and stop at the first error: if shard k's auction
+        # raises, the mechanisms of the active shards before k have
+        # each consumed exactly one period of randomness, k's whatever
+        # it drew before raising, and those after k none — so a
+        # retried period with randomized mechanisms is valid but not
+        # bit-equal to a never-failed run; restore from a checkpoint
+        # for that.
         active = [
             index for index, shard in enumerate(self.shards)
             if shard.pending_ids or shard.engine.admitted_ids
@@ -342,14 +268,11 @@ class FederatedAdmissionService:
         try:
             for index in active:
                 preparations[index] = self.shards[index].prepare_period()
-            if batch:
-                outcomes = self._run_auctions_batch(active, preparations)
-            else:
-                outcomes = [
-                    self.shards[index].mechanism.run(
-                        preparations[index].instance)
-                    for index in active
-                ]
+            outcomes = [
+                self.shards[index].mechanism.run(
+                    preparations[index].instance)
+                for index in active
+            ]
         except Exception:
             for index in preparations:
                 self.shards[index]._period -= 1
@@ -406,10 +329,17 @@ class FederatedAdmissionService:
         self.reports.append(report)
         return report
 
+    def run_period_all(self) -> ClusterReport:
+        """:meth:`run_period` under the name the frozen benchmark lists.
+
+        ``benchmarks/macro/spans.py::TARGETS`` resolves this name, which
+        is the only reason it exists; call :meth:`run_period`.
+        """
+        return self.run_period()
+
     def run_periods(
         self,
         submissions_per_period: Iterable[Sequence[ContinuousQuery]],
-        batch: bool = False,
     ) -> list[ClusterReport]:
         """Run several periods, routing each batch before its auction.
 
@@ -421,7 +351,7 @@ class FederatedAdmissionService:
         """
         from repro.sim.driver import SimulationDriver
 
-        return SimulationDriver.lockstep(self, batch=batch).run_lockstep(
+        return SimulationDriver.lockstep(self).run_lockstep(
             submissions_per_period)
 
     # ------------------------------------------------------------------
@@ -466,7 +396,6 @@ class FederatedAdmissionService:
             AdmissionService.restore(shard) for shard in snapshot.shards)
         cluster.placement = copy.deepcopy(snapshot.placement)
         cluster.rebalancer = copy.deepcopy(snapshot.rebalancer)
-        cluster.auction_workers = None  # runtime tuning, not state
         cluster._period = snapshot.period
         cluster.reports = list(snapshot.reports)
         return cluster

@@ -31,7 +31,6 @@ from repro.core.mechanism import (
     register_mechanism,
     registered_mechanisms,
     resolve_mechanism,
-    run_batch,
 )
 from repro.core.model import AuctionInstance, Operator, Query
 from repro.core.selection import (
@@ -113,7 +112,6 @@ __all__ = [
     "resolve_selection",
     "registered_mechanisms",
     "registered_selections",
-    "run_batch",
     "remaining_load",
     "static_fair_share_load",
     "total_load",

@@ -174,35 +174,6 @@ class Mechanism(abc.ABC):
         return f"<{type(self).__name__} {self.name!r}>"
 
 
-def run_batch(
-    runs: "Iterable[tuple[Mechanism, AuctionInstance]]",
-) -> list[AuctionOutcome]:
-    """Run ``(mechanism, instance)`` pairs in order, batching.
-
-    The cross-mechanism batch hook: consecutive runs sharing the *same*
-    mechanism object are dispatched through one
-    :meth:`Mechanism.run_many` call, so a caller auctioning many
-    instances — the :mod:`repro.cluster` federation running all shard
-    auctions of a period — goes through the batch path instead of N
-    single dispatches.  Outcomes come back in input order, and results
-    are identical to running each pair with :meth:`Mechanism.run`:
-    stateful mechanisms consume their randomness sequentially either
-    way.
-    """
-    outcomes: list[AuctionOutcome] = []
-    group_mechanism: "Mechanism | None" = None
-    group: list[AuctionInstance] = []
-    for mechanism, instance in runs:
-        if mechanism is not group_mechanism and group:
-            outcomes.extend(group_mechanism.run_many(group))
-            group = []
-        group_mechanism = mechanism
-        group.append(instance)
-    if group:
-        outcomes.extend(group_mechanism.run_many(group))
-    return outcomes
-
-
 #: The mechanism registry (shared machinery: utils.registry).
 _REGISTRY = SpecRegistry("mechanism")
 

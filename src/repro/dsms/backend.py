@@ -15,8 +15,8 @@ operator execution to an :class:`ExecutionBackend`:
 Backends are *spec-string addressable* through a registry mirroring
 :class:`repro.core.mechanism.MechanismSpec`: ``"scalar"``,
 ``"columnar"``, ``"columnar:batch=1024"`` — the currency of
-:class:`~repro.service.builder.ServiceConfig`, the cluster federation
-and the CLI's ``--backend`` flag.
+:class:`~repro.service.builder.ServiceConfig` and the cluster
+federation.
 
 A backend instance may hold per-operator execution state (the columnar
 backend keeps join windows and aggregate buffers as column batches),

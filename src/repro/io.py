@@ -134,6 +134,41 @@ _PICKLE_ERRORS = (
 )
 
 
+def _read_pickle_envelope(path: "str | Path", what: str) -> dict:
+    """Unpickle the envelope dict a ``save_*_snapshot`` call wrote."""
+    try:
+        envelope = pickle.loads(Path(path).read_bytes())
+    except _PICKLE_ERRORS as exc:
+        raise ValidationError(
+            f"malformed {what} file {str(path)!r}: {exc!r}") from exc
+    if not isinstance(envelope, dict):
+        raise ValidationError(
+            f"malformed {what} file {str(path)!r}: not an envelope")
+    return envelope
+
+
+def _check_envelope(payload: object, what: str, noun: str, label: str,
+                    schema: str, version: int) -> None:
+    """Require *payload* to be a *schema* document at *version*.
+
+    *what*, *noun* and *label* are how the not-an-object, wrong-schema
+    and wrong-version errors name the document.
+    """
+    if not isinstance(payload, dict):
+        raise ValidationError(
+            f"malformed {what}: expected an object, got "
+            f"{type(payload).__name__}")
+    found = payload.get("schema")
+    if found != schema:
+        raise ValidationError(
+            f"not a {noun} (schema {found!r}, expected {schema!r})")
+    found = payload.get("version")
+    if found != version:
+        raise ValidationError(
+            f"unsupported {label} version {found!r}; this build reads "
+            f"version {version}")
+
+
 def instance_to_dict(instance: AuctionInstance) -> dict:
     """Plain-JSON-able representation of *instance*."""
     queries = []
@@ -310,20 +345,9 @@ def report_from_dict(payload: dict) -> object:
     """Parse a :func:`report_to_dict` document into a PeriodReport."""
     from repro.service.reports import PeriodReport
 
-    if not isinstance(payload, dict):
-        raise ValidationError(
-            f"malformed report document: expected an object, got "
-            f"{type(payload).__name__}")
-    schema = payload.get("schema")
-    if schema != PERIOD_REPORT_SCHEMA:
-        raise ValidationError(
-            f"not a period-report document (schema {schema!r}, "
-            f"expected {PERIOD_REPORT_SCHEMA!r})")
-    version = payload.get("version")
-    if version != PERIOD_REPORT_VERSION:
-        raise ValidationError(
-            f"unsupported period-report version {version!r}; this "
-            f"build reads version {PERIOD_REPORT_VERSION}")
+    _check_envelope(payload, "report document", "period-report document",
+                    "period-report", PERIOD_REPORT_SCHEMA,
+                    PERIOD_REPORT_VERSION)
     try:
         instance = instance_from_dict(payload["instance"])
         outcome = outcome_from_dict(payload["outcome"], instance)
@@ -414,20 +438,9 @@ def cluster_report_from_dict(payload: dict) -> object:
     """Parse a :func:`cluster_report_to_dict` document."""
     from repro.cluster.reports import ClusterReport, Migration
 
-    if not isinstance(payload, dict):
-        raise ValidationError(
-            f"malformed cluster report: expected an object, got "
-            f"{type(payload).__name__}")
-    schema = payload.get("schema")
-    if schema != CLUSTER_REPORT_SCHEMA:
-        raise ValidationError(
-            f"not a cluster-report document (schema {schema!r}, "
-            f"expected {CLUSTER_REPORT_SCHEMA!r})")
-    version = payload.get("version")
-    if version != CLUSTER_REPORT_VERSION:
-        raise ValidationError(
-            f"unsupported cluster-report version {version!r}; this "
-            f"build reads version {CLUSTER_REPORT_VERSION}")
+    _check_envelope(payload, "cluster report", "cluster-report document",
+                    "cluster-report", CLUSTER_REPORT_SCHEMA,
+                    CLUSTER_REPORT_VERSION)
     try:
         return ClusterReport(
             period=int(payload["period"]),
@@ -486,16 +499,8 @@ def _unwrap_snapshot_envelope(envelope: object, origin: str) -> object:
     if not isinstance(envelope, dict):
         raise ValidationError(
             f"malformed snapshot file {origin!r}: not an envelope")
-    schema = envelope.get("schema")
-    if schema != SNAPSHOT_SCHEMA:
-        raise ValidationError(
-            f"not a service snapshot (schema {schema!r}, expected "
-            f"{SNAPSHOT_SCHEMA!r})")
-    version = envelope.get("version")
-    if version != SNAPSHOT_VERSION:
-        raise ValidationError(
-            f"unsupported snapshot version {version!r}; this build "
-            f"reads version {SNAPSHOT_VERSION}")
+    _check_envelope(envelope, "snapshot", "service snapshot", "snapshot",
+                    SNAPSHOT_SCHEMA, SNAPSHOT_VERSION)
     return envelope["snapshot"]
 
 
@@ -516,12 +521,8 @@ def load_snapshot(path: "str | Path") -> object:
 
     Pickle executes code on load — only open snapshot files you trust.
     """
-    try:
-        envelope = pickle.loads(Path(path).read_bytes())
-    except _PICKLE_ERRORS as exc:
-        raise ValidationError(
-            f"malformed snapshot file {str(path)!r}: {exc!r}") from exc
-    return _unwrap_snapshot_envelope(envelope, str(path))
+    return _unwrap_snapshot_envelope(
+        _read_pickle_envelope(path, "snapshot"), str(path))
 
 
 # ----------------------------------------------------------------------
@@ -542,20 +543,8 @@ def sim_trace_from_dict(payload: dict) -> object:
     """
     from repro.sim.trace import SimTrace, TraceColumns, entry_from_dict
 
-    if not isinstance(payload, dict):
-        raise ValidationError(
-            f"malformed trace document: expected an object, got "
-            f"{type(payload).__name__}")
-    schema = payload.get("schema")
-    if schema != SIM_TRACE_SCHEMA:
-        raise ValidationError(
-            f"not a sim-trace document (schema {schema!r}, expected "
-            f"{SIM_TRACE_SCHEMA!r})")
-    version = payload.get("version")
-    if version != SIM_TRACE_VERSION:
-        raise ValidationError(
-            f"unsupported sim-trace version {version!r}; this build "
-            f"reads version {SIM_TRACE_VERSION}")
+    _check_envelope(payload, "trace document", "sim-trace document",
+                    "sim-trace", SIM_TRACE_SCHEMA, SIM_TRACE_VERSION)
     entries = payload.get("arrivals")
     if not isinstance(entries, list):
         raise ValidationError(
@@ -660,19 +649,14 @@ def sim_trace_from_arrays(arrays) -> object:
     from repro.sim.trace import SimTrace, TraceColumns
 
     try:
-        schema = str(arrays["schema"])
-        version = int(arrays["version"])
+        envelope = {"schema": str(arrays["schema"]),
+                    "version": int(arrays["version"])}
     except KeyError as exc:
         raise ValidationError(
             f"malformed binary trace: missing {exc}") from exc
-    if schema != SIM_TRACE_SCHEMA:
-        raise ValidationError(
-            f"not a sim-trace document (schema {schema!r}, expected "
-            f"{SIM_TRACE_SCHEMA!r})")
-    if version != SIM_TRACE_BINARY_VERSION:
-        raise ValidationError(
-            f"unsupported binary sim-trace version {version!r}; this "
-            f"build reads version {SIM_TRACE_BINARY_VERSION}")
+    _check_envelope(envelope, "binary trace", "sim-trace document",
+                    "binary sim-trace", SIM_TRACE_SCHEMA,
+                    SIM_TRACE_BINARY_VERSION)
     try:
         # Earlier builds wrote two more arrays, for plans pickled
         # beside the columns; every select-only file holds them empty.
@@ -796,26 +780,10 @@ def save_sim_snapshot(snapshot: object, path: "str | Path") -> None:
 
 def load_sim_snapshot(path: "str | Path") -> object:
     """Read a snapshot envelope written by :func:`save_sim_snapshot`."""
-    try:
-        envelope = pickle.loads(Path(path).read_bytes())
-    except _PICKLE_ERRORS as exc:
-        raise ValidationError(
-            f"malformed simulation snapshot file {str(path)!r}: "
-            f"{exc!r}") from exc
-    if not isinstance(envelope, dict):
-        raise ValidationError(
-            f"malformed simulation snapshot file {str(path)!r}: not "
-            f"an envelope")
-    schema = envelope.get("schema")
-    if schema != SIM_SNAPSHOT_SCHEMA:
-        raise ValidationError(
-            f"not a simulation snapshot (schema {schema!r}, expected "
-            f"{SIM_SNAPSHOT_SCHEMA!r})")
-    version = envelope.get("version")
-    if version != SIM_SNAPSHOT_VERSION:
-        raise ValidationError(
-            f"unsupported simulation-snapshot version {version!r}; "
-            f"this build reads version {SIM_SNAPSHOT_VERSION}")
+    envelope = _read_pickle_envelope(path, "simulation snapshot")
+    _check_envelope(envelope, "simulation snapshot",
+                    "simulation snapshot", "simulation-snapshot",
+                    SIM_SNAPSHOT_SCHEMA, SIM_SNAPSHOT_VERSION)
     return envelope["snapshot"]
 
 
@@ -859,26 +827,10 @@ def load_cluster_snapshot(path: "str | Path") -> object:
     """
     from repro.cluster.federation import ClusterSnapshot
 
-    try:
-        envelope = pickle.loads(Path(path).read_bytes())
-    except _PICKLE_ERRORS as exc:
-        raise ValidationError(
-            f"malformed cluster snapshot file {str(path)!r}: "
-            f"{exc!r}") from exc
-    if not isinstance(envelope, dict):
-        raise ValidationError(
-            f"malformed cluster snapshot file {str(path)!r}: not an "
-            f"envelope")
-    schema = envelope.get("schema")
-    if schema != CLUSTER_SNAPSHOT_SCHEMA:
-        raise ValidationError(
-            f"not a cluster snapshot (schema {schema!r}, expected "
-            f"{CLUSTER_SNAPSHOT_SCHEMA!r})")
-    version = envelope.get("version")
-    if version != CLUSTER_SNAPSHOT_VERSION:
-        raise ValidationError(
-            f"unsupported cluster-snapshot version {version!r}; this "
-            f"build reads version {CLUSTER_SNAPSHOT_VERSION}")
+    envelope = _read_pickle_envelope(path, "cluster snapshot")
+    _check_envelope(envelope, "cluster snapshot", "cluster snapshot",
+                    "cluster-snapshot", CLUSTER_SNAPSHOT_SCHEMA,
+                    CLUSTER_SNAPSHOT_VERSION)
     try:
         cluster = envelope["cluster"]
         shards = tuple(
@@ -1019,20 +971,9 @@ def serve_response_to_dict(
 
 def serve_response_from_dict(payload: object) -> dict:
     """Validate a :func:`serve_response_to_dict` envelope, return it."""
-    if not isinstance(payload, dict):
-        raise ValidationError(
-            f"malformed serve response: expected an object, got "
-            f"{type(payload).__name__}")
-    schema = payload.get("schema")
-    if schema != SERVE_RESPONSE_SCHEMA:
-        raise ValidationError(
-            f"not a serve response (schema {schema!r}, expected "
-            f"{SERVE_RESPONSE_SCHEMA!r})")
-    version = payload.get("version")
-    if version != SERVE_RESPONSE_VERSION:
-        raise ValidationError(
-            f"unsupported serve-response version {version!r}; this "
-            f"build reads version {SERVE_RESPONSE_VERSION}")
+    _check_envelope(payload, "serve response", "serve response",
+                    "serve-response", SERVE_RESPONSE_SCHEMA,
+                    SERVE_RESPONSE_VERSION)
     if "status" not in payload or "request_id" not in payload:
         raise ValidationError(
             "malformed serve response: missing 'status'/'request_id'")

@@ -93,7 +93,7 @@ CP_SETTLE_AFTER_PERIOD = register(
 SIM_STATE_VERSION = 2
 
 _STATE_FIELDS = (
-    "host_kind", "host", "batch", "clock", "period", "queue",
+    "host_kind", "host", "clock", "period", "queue",
     "processes", "route", "managers", "pending", "probes", "recorder",
     "reports", "events_processed", "allow_idle", "lookahead",
     "batch_arrivals", "expired_buffer", "renewed_buffer",
@@ -276,8 +276,6 @@ class SimulationDriver:
     route:
         ``"placement"`` routes arrivals via the host's placement
         policy; ``"stream"`` pins arrival process *i* to shard *i*.
-    batch:
-        Auction federated boundaries through the pooled batch path.
     lookahead:
         How many arrivals the pump pulls from a process per call (the
         per-source event-queue fill).  Purely a throughput knob: any
@@ -315,19 +313,12 @@ class SimulationDriver:
         probe: "object | None" = None,
         record: bool = False,
         route: str = "placement",
-        batch: bool = False,
         allow_idle: bool = True,
         lookahead: int = 64,
         batch_arrivals: bool = True,
         pump: bool = False,
         probe_retention: "int | None" = None,
     ) -> None:
-        from repro.cluster.federation import FederatedAdmissionService
-
-        if isinstance(host, FederatedAdmissionService):
-            from repro.sim.hosts import ClusterHost
-
-            host = ClusterHost(host, batch=batch)
         self.host: SimulationHost = wrap_host(host)
         if isinstance(arrivals, (str, ArrivalSpec, ArrivalProcess)):
             arrivals = (arrivals,)
@@ -1082,7 +1073,7 @@ class SimulationDriver:
     # ------------------------------------------------------------------
 
     @classmethod
-    def lockstep(cls, host, batch: bool = False) -> "SimulationDriver":
+    def lockstep(cls, host) -> "SimulationDriver":
         """A driver configured as the pure closed-loop period runner.
 
         No arrival processes, no subscriptions, no probe — and
@@ -1091,7 +1082,7 @@ class SimulationDriver:
         (auctioning running queries, or raising when there is nothing
         to auction at all).
         """
-        return cls(host, batch=batch, allow_idle=False)
+        return cls(host, allow_idle=False)
 
     def run_lockstep(
         self,
@@ -1123,7 +1114,6 @@ class SimulationDriver:
         state: dict[str, object] = {
             "host_kind": self.host.kind,
             "host": self.host.snapshot(),
-            "batch": bool(getattr(self.host, "batch", False)),
         }
         state.update(copy.deepcopy({
             "clock": self.clock,
@@ -1168,8 +1158,7 @@ class SimulationDriver:
                                if key != "host"})
         driver = object.__new__(cls)
         driver.host = restore_host(
-            state["host_kind"], snapshot.state["host"],
-            batch=state["batch"])
+            state["host_kind"], snapshot.state["host"])
         driver.processes = tuple(state["processes"])
         driver.route = state["route"]
         driver.allow_idle = state["allow_idle"]

@@ -112,18 +112,12 @@ class ServiceHost(SimulationHost):
 
 
 class ClusterHost(SimulationHost):
-    """A sharded federation behind the host interface.
-
-    ``batch=True`` auctions each boundary through the federation's
-    thread-pooled :meth:`run_period_all` path (byte-identical reports
-    either way).
-    """
+    """A sharded federation behind the host interface."""
 
     kind = "cluster"
 
-    def __init__(self, cluster, batch: bool = False) -> None:
+    def __init__(self, cluster) -> None:
         self.cluster = cluster
-        self.batch = bool(batch)
 
     @property
     def services(self) -> "tuple[AdmissionService, ...]":
@@ -166,8 +160,7 @@ class ClusterHost(SimulationHost):
     def run_auction_period(self, allow_idle: bool = True):
         # The federation handles idle shards itself (run_idle_period),
         # so allow_idle has nothing to restrict here.
-        return (self.cluster.run_period_all() if self.batch
-                else self.cluster.run_period())
+        return self.cluster.run_period()
 
     def snapshot(self):
         return self.cluster.snapshot()
@@ -189,15 +182,14 @@ def wrap_host(host) -> SimulationHost:
         f"SimulationHost")
 
 
-def restore_host(kind: str, payload, batch: bool = False) -> SimulationHost:
+def restore_host(kind: str, payload) -> SimulationHost:
     """Rebuild a host from its snapshot ``(kind, payload)`` pair."""
     if kind == "service":
         return ServiceHost(AdmissionService.restore(payload))
     if kind == "cluster":
         from repro.cluster.federation import FederatedAdmissionService
 
-        return ClusterHost(
-            FederatedAdmissionService.restore(payload), batch=batch)
+        return ClusterHost(FederatedAdmissionService.restore(payload))
     raise ValidationError(
         f"unknown simulation host kind {kind!r}; this build restores "
         f"'service' and 'cluster'")

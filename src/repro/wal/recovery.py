@@ -142,9 +142,7 @@ def recover_gateway_backend(directory, backend, *, fsync="batch:256",
             raise ValidationError(
                 f"WAL {directory} was written by a host-backed "
                 f"gateway; this backend is {type(backend).__name__}")
-        backend.host = restore_host(
-            state["host_kind"], state["host"],
-            batch=bool(state.get("batch", False)))
+        backend.host = restore_host(state["host_kind"], state["host"])
     else:
         raise ValidationError(
             f"unknown gateway WAL state kind {kind!r}")
@@ -278,9 +276,7 @@ def recover_striped_gateway(directory, backend, *, fsync="batch:256",
         raise ValidationError(
             f"WAL {directory} does not hold a front-end (host-backed) "
             f"state document; cannot recover striped gateway")
-    backend.host = restore_host(
-        state["host_kind"], state["host"],
-        batch=bool(state.get("batch", False)))
+    backend.host = restore_host(state["host_kind"], state["host"])
     backend.last_report = None
     consumed = {int(stripe): int(seq)
                 for stripe, seq in (state.get("consumed") or {}).items()}
@@ -328,5 +324,4 @@ def gateway_wal_state(backend) -> dict:
         "kind": "host",
         "host_kind": host.kind,
         "host": host.snapshot(),
-        "batch": bool(getattr(host, "batch", False)),
     }

@@ -9,8 +9,10 @@ service; a 4-shard cluster.  Every query is a
 
 ``python -m tests.checkpoints write`` rewrites the files under
 ``tests/data/`` — only ever from the commit whose format they pin —
-and ``python -m tests.checkpoints check`` resumes each of them.  Both
-run under ``PYTHONHASHSEED=0``: the subscription book sums operator
+and ``python -m tests.checkpoints check`` resumes each of them;
+``check-batch`` resumes the one file ``write`` cannot produce (see
+:data:`BATCH_TIER`).  All run under ``PYTHONHASHSEED=0``: the
+subscription book sums operator
 loads over a ``set``, so the last bit of a reclaimed capacity carried
 inside a checkpoint depends on the hash seed of the process that wrote
 it, and only a reader with the same seed continues it to the byte.
@@ -80,6 +82,11 @@ def build_driver() -> SimulationDriver:
     )
 
 
+def build_cluster_driver() -> SimulationDriver:
+    return SimulationDriver(build_cluster(),
+                            arrivals="poisson:rate=2,seed=6")
+
+
 def advance(system, periods: int) -> list[str]:
     """Run *periods* more periods; each report, as its full ``repr``."""
     if isinstance(system, SimulationDriver):
@@ -115,6 +122,16 @@ TIERS = (
 )
 
 
+#: ``cluster-sim.batch.checkpoint``: :func:`build_cluster_driver` with
+#: ``batch=True``, written by the last build that had the thread-pool
+#: batch path.  Its state carries ``"batch": True``, which this build
+#: neither writes nor reads — so it is not in :data:`TIERS`, and
+#: ``write`` never rewrites it.
+BATCH_TIER = Tier("cluster-sim.batch", build_cluster_driver,
+                  SimulationDriver.restore, save_sim_snapshot,
+                  load_sim_snapshot)
+
+
 def write_fixtures() -> None:
     DATA.mkdir(exist_ok=True)
     for tier in TIERS:
@@ -124,9 +141,9 @@ def write_fixtures() -> None:
         print(f"{tier.fixture}: {tier.fixture.stat().st_size} bytes")
 
 
-def check_fixtures() -> None:
+def check_fixtures(tiers=TIERS) -> None:
     """Each committed file resumes as the uninterrupted run continues."""
-    for tier in TIERS:
+    for tier in tiers:
         uninterrupted = tier.build()
         advance(uninterrupted, FIXTURE_PERIODS)
         expected = advance(uninterrupted, 3)
@@ -142,7 +159,14 @@ def check_fixtures() -> None:
         print(f"{tier.name}: resumed {tier.fixture.name}")
 
 
+def check_batch_fixture() -> None:
+    """The stored ``"batch": True`` is ignored, not an error."""
+    assert load_sim_snapshot(BATCH_TIER.fixture).state["batch"] is True
+    check_fixtures((BATCH_TIER,))
+
+
 if __name__ == "__main__":
     if sys.flags.hash_randomization:
         sys.exit("run with PYTHONHASHSEED=0")
-    {"write": write_fixtures, "check": check_fixtures}[sys.argv[1]]()
+    {"write": write_fixtures, "check": check_fixtures,
+     "check-batch": check_batch_fixture}[sys.argv[1]]()

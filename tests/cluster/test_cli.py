@@ -21,23 +21,13 @@ def test_cluster_simulation_renders_table(capsys):
     assert "total revenue:" in out
 
 
-def test_cluster_batch_and_sequential_agree(capsys):
-    args = ["cluster", "--shards", "2", "--periods", "2",
-            "--ticks", "3", "--seed", "4"]
-    sequential = run_cli(args, capsys)
-    batch = run_cli(args + ["--batch"], capsys)
-    assert sequential == batch
-
-
 def test_cluster_selection_and_workers_agree_with_default(capsys):
     args = ["cluster", "--shards", "2", "--periods", "2",
             "--ticks", "3", "--seed", "4",
             "--mechanism", "two-price:seed=7"]
-    sequential = run_cli(args, capsys)
-    pooled_fast = run_cli(
-        args + ["--batch", "--selection", "fast",
-                "--auction-workers", "4"], capsys)
-    assert sequential == pooled_fast
+    reference = run_cli(args, capsys)
+    fast = run_cli(args + ["--selection", "fast"], capsys)
+    assert reference == fast
 
 
 def test_cluster_resume_honors_selection_and_workers(tmp_path, capsys):
@@ -48,8 +38,7 @@ def test_cluster_resume_honors_selection_and_workers(tmp_path, capsys):
     reference = run_cli(["cluster", "--periods", "1",
                          "--resume", checkpoint], capsys)
     fast = run_cli(["cluster", "--periods", "1", "--resume", checkpoint,
-                    "--selection", "fast", "--batch",
-                    "--auction-workers", "2"], capsys)
+                    "--selection", "fast"], capsys)
     assert fast == reference
 
 

@@ -118,15 +118,3 @@ def test_migrated_query_is_never_double_billed(workload):
             assert billed.count(query_id) == 0, (
                 f"migrated query {query_id} was billed in the period "
                 f"it migrated")
-
-
-@given(cluster_workloads(max_shards=3, max_periods=2))
-@invariant_settings
-def test_batch_path_matches_sequential_path(workload):
-    sequential, _ = run_workload(workload)
-    batch = build_cluster(workload)
-    batch_reports = batch.run_periods(workload.submissions, batch=True)
-    for ours, theirs in zip(sequential.reports, batch_reports):
-        assert (json.dumps(cluster_report_to_dict(ours), sort_keys=True)
-                == json.dumps(cluster_report_to_dict(theirs),
-                              sort_keys=True))

@@ -1,20 +1,23 @@
-"""Unit tests for the federation facade, rebalancer and batch path."""
+"""Unit tests for the federation facade and rebalancer."""
 
 import json
 import re
 
 import pytest
+from hypothesis import given, settings
 
 from repro.cluster import (
     FederatedAdmissionService,
     Rebalancer,
     RoundRobinPlacement,
 )
+from repro.core import CAT
+from repro.core.mechanism import Mechanism
 from repro.dsms.streams import SyntheticStream
 from repro.io import cluster_report_to_dict
 from repro.utils.validation import ValidationError
 
-from tests.strategies import select_query
+from tests.strategies import cluster_workloads, select_query
 
 pytestmark = pytest.mark.cluster
 
@@ -34,6 +37,31 @@ def build_cluster(num_shards=2, capacity=10.0, mechanism="CAT",
 
 def report_bytes(report):
     return json.dumps(cluster_report_to_dict(report), sort_keys=True)
+
+
+def build_randomized(num_shards=3):
+    """Round-robin shards, each with its own seeded Two-price."""
+    return build_cluster(num_shards=num_shards, capacity=8.0,
+                         mechanism="two-price:seed=7", ticks=3)
+
+
+def submissions(period, count=7):
+    return [
+        select_query(f"p{period}q{i}", owner=f"c{i % 3}",
+                     bid=10.0 + 3 * i, cost=0.5 + 0.25 * i)
+        for i in range(count)
+    ]
+
+
+def rng_state(mechanism):
+    return mechanism._rng.bit_generator.state
+
+
+class _Explosive(Mechanism):
+    name = "explosive"
+
+    def _select(self, instance):
+        raise RuntimeError("auction blew up")
 
 
 class TestConstruction:
@@ -170,6 +198,58 @@ class TestClusterPeriods:
         report = cluster.run_period()  # retry succeeds
         assert report.period == 1
 
+    def test_auction_failure_rolls_back_and_is_retryable(self):
+        cluster = build_randomized(num_shards=2)
+        for shard in cluster.shards:
+            shard.mechanism = _Explosive()
+        for query in submissions(1, count=4):
+            cluster.submit(query)
+        pending_before = set(cluster.pending_ids)
+        with pytest.raises(RuntimeError, match="auction blew up"):
+            cluster.run_period()
+        assert cluster.period == 0
+        assert cluster.pending_ids == pending_before
+        for shard in cluster.shards:
+            assert shard.period == 0
+        # Swap in a working mechanism and retry the period.
+        for shard in cluster.shards:
+            shard.mechanism = CAT()
+        report = cluster.run_period()
+        assert report.period == 1
+
+    def test_failed_period_stops_at_the_first_failing_auction(self):
+        """Auctions run in shard order and stop at the first error:
+        the shards before it drew one period of randomness, the shards
+        after it none."""
+        def build():
+            cluster = build_randomized(num_shards=3)
+            for i in range(12):  # four light queries a shard: all in H
+                cluster.submit(select_query(
+                    f"q{i}", owner=f"c{i % 3}", bid=10.0 + i, cost=0.25))
+            return cluster
+
+        unfailed = build()
+        fresh = [rng_state(shard.mechanism) for shard in unfailed.shards]
+        unfailed.run_period()
+
+        cluster = build()
+        cluster.shards[1].mechanism = _Explosive()
+        pending_before = set(cluster.pending_ids)
+        with pytest.raises(RuntimeError, match="auction blew up"):
+            cluster.run_period()
+        assert rng_state(cluster.shards[2].mechanism) == fresh[2]
+        assert (rng_state(cluster.shards[0].mechanism)
+                == rng_state(unfailed.shards[0].mechanism) != fresh[0])
+        assert cluster.period == 0
+        assert [shard.period for shard in cluster.shards] == [0, 0, 0]
+        assert cluster.pending_ids == pending_before
+        assert cluster.reports == []
+
+        cluster.shards[1].mechanism = CAT()
+        report = cluster.run_period()  # retry succeeds
+        assert report.period == 1
+        assert [shard.period for shard in cluster.shards] == [1, 1, 1]
+
     def test_post_settlement_failure_commits_the_period(self):
         """Once a shard billed, the period is consumed: counters stay
         aligned everywhere even though no report is recorded."""
@@ -204,6 +284,53 @@ class TestClusterPeriods:
         ])
         assert [r.period for r in reports] == [1, 2]
         assert cluster.period == 2
+
+    def test_pool_options_are_refused(self):
+        """The thread-pool batch path and its options are gone."""
+        from repro.__main__ import main
+        from repro.sim import SimulationDriver
+
+        with pytest.raises(TypeError, match="auction_workers"):
+            FederatedAdmissionService.build(
+                num_shards=2,
+                sources=[SyntheticStream("s", rate=4, seed=5)],
+                capacity=10.0, mechanism="CAT", auction_workers=2)
+        cluster = build_cluster(num_shards=2)
+        with pytest.raises(TypeError, match="batch"):
+            cluster.run_periods([[]], batch=True)
+        with pytest.raises(TypeError, match="batch"):
+            SimulationDriver(cluster, batch=True)
+        for argv in (["sim", "--batch"],
+                     ["cluster", "--auction-workers", "2"],
+                     ["simulate", "--backend", "columnar"]):
+            with pytest.raises(SystemExit) as refused:
+                main(argv)
+            assert refused.value.code == 2, argv
+
+    @given(workload=cluster_workloads(max_periods=2))
+    @settings(max_examples=25, deadline=None)
+    def test_property_fast_selection_equals_reference(self, workload):
+        def build(selection):
+            return FederatedAdmissionService.build(
+                num_shards=workload.num_shards,
+                sources=[SyntheticStream(
+                    "s", rate=workload.rate, seed=workload.seed)],
+                capacity=workload.capacity,
+                mechanism="two-price:seed=13",
+                ticks_per_period=2,
+                selection=selection,
+                placement=workload.placement,
+            )
+
+        reference = build("reference")
+        fast = build("fast")
+        for batch in workload.submissions:
+            for query in batch:
+                reference.submit(query)
+                fast.submit(query)
+            left = reference.run_period()
+            right = fast.run_period()
+            assert report_bytes(left) == report_bytes(right)
 
 
 class TestRebalancing:
@@ -266,60 +393,6 @@ class TestRebalancing:
         assert with_rebalance.rejected_load < without.rejected_load
 
 
-class TestBatchPath:
-    @pytest.mark.parametrize("mechanism", ["CAT", "two-price:seed=7"])
-    def test_run_period_all_matches_run_period(self, mechanism):
-        def fill(cluster):
-            for period in range(1, 3):
-                for i in range(5):
-                    cluster.submit(select_query(
-                        f"p{period}q{i}", f"c{i % 3}",
-                        10.0 * (i + 1) + period, 1.0))
-                yield
-
-        sequential = build_cluster(num_shards=3, mechanism=mechanism,
-                                   placement="consistent-hash:seed=2")
-        batch = build_cluster(num_shards=3, mechanism=mechanism,
-                              placement="consistent-hash:seed=2")
-        seq_reports, batch_reports = [], []
-        for _ in fill(sequential):
-            seq_reports.append(sequential.run_period())
-        for _ in fill(batch):
-            batch_reports.append(batch.run_period_all())
-        for ours, theirs in zip(seq_reports, batch_reports):
-            assert report_bytes(ours) == report_bytes(theirs)
-
-
-class TestRunBatchHook:
-    def test_groups_consecutive_same_mechanism_runs(self):
-        from repro.core import CAT, run_batch
-        from repro.workload import example1
-
-        calls = []
-
-        class Spy(CAT):
-            def run_many(self, instances):
-                instances = list(instances)
-                calls.append(len(instances))
-                return super().run_many(instances)
-
-        first, second = Spy(), Spy()
-        instance = example1()
-        outcomes = run_batch([
-            (first, instance), (first, instance),
-            (second, instance), (first, instance),
-        ])
-        assert calls == [2, 1, 1]
-        assert len(outcomes) == 4
-        solo = CAT().run(instance)
-        for outcome in outcomes:
-            assert outcome.winner_ids == solo.winner_ids
-
-    def test_empty_batch(self):
-        from repro.core import run_batch
-
-        assert run_batch([]) == []
-
 class TestShardBackends:
     def _build(self, backend, num_shards=2):
         return FederatedAdmissionService.build(
@@ -369,3 +442,23 @@ class TestShardBackends:
             return [report_bytes(r) for r in cluster.reports]
 
         assert run("scalar") == run("columnar")
+
+
+def test_checkpoint_resume_continues_identically():
+    """A mid-run checkpoint resumes byte-identically."""
+    reference = build_randomized()
+    interrupted = build_randomized()
+    for query in submissions(1):
+        reference.submit(query)
+    for query in submissions(1):
+        interrupted.submit(query)
+    reference.run_period()
+    interrupted.run_period()
+    restored = FederatedAdmissionService.restore(interrupted.snapshot())
+    for query in submissions(2):
+        reference.submit(query)
+    for query in submissions(2):
+        restored.submit(query)
+    left = reference.run_period()
+    right = restored.run_period()
+    assert report_bytes(left) == report_bytes(right)

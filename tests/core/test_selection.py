@@ -160,8 +160,6 @@ class TestServiceThreading:
             capacity=20.0,
             mechanism="CAT",
             selection="fast",
-            auction_workers=2,
         )
-        assert cluster.auction_workers == 2
         for shard in cluster.shards:
             assert shard.mechanism.selection.name == "fast"

@@ -24,14 +24,26 @@ REPO = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
 
 
-def test_old_files_resume_byte_identically():
+def run_checkpoints(command):
     env = {**os.environ, "PYTHONHASHSEED": "0",
            "PYTHONPATH": os.pathsep.join([os.path.join(REPO, "src"), REPO])}
-    done = subprocess.run(
-        [sys.executable, "-m", "tests.checkpoints", "check"],
+    return subprocess.run(
+        [sys.executable, "-m", "tests.checkpoints", command],
         capture_output=True, text=True, env=env, cwd=REPO, timeout=120)
+
+
+def test_old_files_resume_byte_identically():
+    done = run_checkpoints("check")
     assert done.returncode == 0, done.stderr
     assert done.stdout.count("resumed") == len(TIERS)
+
+
+def test_checkpoint_written_with_batch_resumes_sequentially():
+    """A cluster driver checkpoint the parent build wrote with
+    ``batch=True`` continues as an uninterrupted run on this build."""
+    done = run_checkpoints("check-batch")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.count("resumed") == 1
 
 
 def test_versions_and_envelopes_are_unchanged():

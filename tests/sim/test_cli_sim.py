@@ -100,8 +100,7 @@ class TestSim:
         assert main(["sim", "--periods", "2", "--ticks", "4",
                      "--shards", "2", "--route", "stream",
                      "--arrivals", "poisson:rate=1,prefix=s0",
-                     "--arrivals", "poisson:rate=1,prefix=s1",
-                     "--batch"]) == 0
+                     "--arrivals", "poisson:rate=1,prefix=s1"]) == 0
         assert "2 shard(s)" in capsys.readouterr().out
 
     def test_resume_rejects_mode_changing_flags(self, tmp_path,
@@ -121,13 +120,6 @@ class TestSim:
         assert "--mechanism" in message
         assert "--capacity" in message
 
-    def test_batch_requires_a_real_cluster(self, capsys):
-        assert main(["sim", *FAST, "--batch"]) == 2
-        assert "--shards" in capsys.readouterr().err
-        assert main(["sim", *FAST, "--batch", "--shards", "2",
-                     "--subscriptions"]) == 2
-        assert "repro: error:" in capsys.readouterr().err
-
     def test_resume_rejects_record_on_non_recording_checkpoint(
             self, tmp_path, capsys):
         ckpt = tmp_path / "sim.ckpt"
@@ -143,7 +135,6 @@ class TestSim:
              "--arrivals 'nope:x=1'"),
             (["sim", *FAST, "--scheduler", "warp"],
              "--scheduler 'warp'"),
-            (["sim", *FAST, "--backend", "gpu"], "--backend 'gpu'"),
             (["sim", *FAST, "--mechanism", "VCG"],
              "--mechanism 'VCG'"),
             (["sim", *FAST, "--shards", "2", "--placement", "pin"],

@@ -129,16 +129,6 @@ class TestLockstepEquivalence:
                         for r in delegated_reports], sort_keys=True)
         assert a == b
 
-    def test_cluster_run_periods_batch_path(self):
-        sequential = build_cluster().run_periods(batches())
-        batched = build_cluster().run_periods(batches(), batch=True)
-        from repro.io import cluster_report_to_dict
-
-        assert json.dumps([cluster_report_to_dict(r)
-                           for r in sequential], sort_keys=True) == \
-            json.dumps([cluster_report_to_dict(r)
-                        for r in batched], sort_keys=True)
-
 
 class TestOpenSystem:
     def test_poisson_arrivals_reach_the_auction(self):
@@ -358,8 +348,7 @@ class TestCheckpointing:
     def test_cluster_resume_is_byte_identical(self, tmp_path):
         def make():
             return SimulationDriver(
-                build_cluster(), arrivals="poisson:rate=2,seed=6",
-                batch=True)
+                build_cluster(), arrivals="poisson:rate=2,seed=6")
 
         uninterrupted = make()
         uninterrupted.run(5)
@@ -374,7 +363,6 @@ class TestCheckpointing:
         b = [(type(r).__name__, r.period, r.total_revenue)
              for r in resumed.reports]
         assert a == b
-        assert getattr(resumed.host, "batch", None) is True
 
 
 class TestBuilderIntegration:
