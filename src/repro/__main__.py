@@ -96,16 +96,23 @@ def _parse_spec(flag: str, text: str, parse):
         raise ValidationError(f"{flag} {text!r}: {message}") from exc
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _selection_spec(args: argparse.Namespace):
+    """The validated ``--selection`` spec, or ``None`` when not given."""
+    if not args.selection:
+        return None
     from repro.core.selection import SelectionSpec
 
+    return _parse_spec("--selection", args.selection,
+                       lambda text: SelectionSpec.parse(text).validate())
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
     spec = _parse_spec("mechanism", args.mechanism,
                        lambda text: _spec_with_seed(text, args.seed))
     mechanism = spec.create()
-    if args.selection:
-        mechanism.use_selection(_parse_spec(
-            "--selection", args.selection,
-            lambda text: SelectionSpec.parse(text).validate()))
+    selection = _selection_spec(args)
+    if selection is not None:
+        mechanism.use_selection(selection)
     instances = [load_instance(path) for path in args.instance]
     outcomes = mechanism.run_many(instances)
     if len(outcomes) == 1:
@@ -187,12 +194,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     if args.resume:
         service = AdmissionService.load_checkpoint(args.resume)
-        if args.selection:
-            from repro.core.selection import SelectionSpec
-
-            service.mechanism.use_selection(_parse_spec(
-                "--selection", args.selection,
-                lambda text: SelectionSpec.parse(text).validate()))
+        selection = _selection_spec(args)
+        if selection is not None:
+            service.mechanism.use_selection(selection)
         start = service.period
     else:
         spec = _parse_spec(
@@ -204,12 +208,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                    .with_capacity(args.capacity)
                    .with_mechanism(spec)
                    .with_ticks_per_period(args.ticks))
-        if args.selection:
-            from repro.core.selection import SelectionSpec
-
-            builder.with_selection(_parse_spec(
-                "--selection", args.selection,
-                lambda text: SelectionSpec.parse(text).validate()))
+        selection = _selection_spec(args)
+        if selection is not None:
+            builder.with_selection(selection)
         service = builder.build()
         start = 0
 
@@ -603,25 +604,15 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
     if args.resume:
         cluster = FederatedAdmissionService.load_checkpoint(args.resume)
-        if args.selection:
-            from repro.core.selection import SelectionSpec
-
-            spec = _parse_spec(
-                "--selection", args.selection,
-                lambda text: SelectionSpec.parse(text).validate())
+        selection = _selection_spec(args)
+        if selection is not None:
             for shard in cluster.shards:
-                shard.mechanism.use_selection(spec)
+                shard.mechanism.use_selection(selection)
         start = cluster.period
     else:
         from repro.cluster.placement import resolve_placement
 
-        selection = None
-        if args.selection:
-            from repro.core.selection import SelectionSpec
-
-            selection = _parse_spec(
-                "--selection", args.selection,
-                lambda text: SelectionSpec.parse(text).validate())
+        selection = _selection_spec(args)
         spec = _parse_spec("--mechanism", args.mechanism,
                            lambda text: _spec_with_seed(text, args.seed))
         cluster = FederatedAdmissionService.build(

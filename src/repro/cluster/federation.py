@@ -40,7 +40,6 @@ from repro.cluster.placement import (
 )
 from repro.cluster.rebalance import Rebalancer
 from repro.cluster.reports import ClusterReport, Migration
-from repro.dsms.backend import BackendSpec
 from repro.dsms.plan import ContinuousQuery
 from repro.service.builder import ServiceBuilder
 from repro.service.coordinator import unknown_withdraw
@@ -115,7 +114,6 @@ class FederatedAdmissionService:
         mechanism: object,
         ticks_per_period: int = 50,
         hold_ticks: int = 1,
-        backend: "object | Sequence[object]" = "scalar",
         selection: "object | None" = None,
         placement: "PlacementPolicy | str" = "consistent-hash",
         rebalance: bool = True,
@@ -131,28 +129,12 @@ class FederatedAdmissionService:
         *capacity* is per shard: the cluster offers ``num_shards ×
         capacity`` total work units per tick.
 
-        *backend* selects each shard engine's execution backend: one
-        spec (string or :class:`~repro.dsms.backend.BackendSpec`)
-        applied to every shard, or a sequence of ``num_shards`` specs
-        for a heterogeneous cluster (e.g. columnar on the hot shards,
-        scalar elsewhere).
-
         *selection* pins every shard mechanism's winner-selection path
         (``"reference"``, ``"fast"``, or a
         :class:`~repro.core.selection.SelectionSpec`); ``None`` keeps
         the default.
         """
         require(int(num_shards) >= 1, "num_shards must be >= 1")
-        if isinstance(backend, (str, BackendSpec)) or not isinstance(
-                backend, Sequence):
-            shard_backends = [backend] * int(num_shards)
-        else:
-            shard_backends = list(backend)
-            if len(shard_backends) != int(num_shards):
-                raise ValidationError(
-                    f"got {len(shard_backends)} backend specs for "
-                    f"{int(num_shards)} shards; pass one spec or "
-                    f"exactly one per shard")
         builder = (ServiceBuilder()
                    .with_sources(*sources)
                    .with_capacity(capacity)
@@ -161,8 +143,7 @@ class FederatedAdmissionService:
                    .with_hold_ticks(hold_ticks))
         if selection is not None:
             builder.with_selection(selection)
-        shards = [builder.with_backend(shard_backend).build()
-                  for shard_backend in shard_backends]
+        shards = [builder.build() for _ in range(int(num_shards))]
         return cls(
             shards=shards,
             placement=placement,

@@ -11,9 +11,8 @@ the *implementation* that computes them:
   without a fast kernel (or raising, with ``strict=true``).
 
 Selection paths are *spec-string addressable* through a registry
-mirroring :class:`repro.core.mechanism.MechanismSpec` and
-:class:`repro.dsms.backend.BackendSpec`: ``"reference"``, ``"fast"``,
-``"fast:strict=true"`` — the currency of
+mirroring :class:`repro.core.mechanism.MechanismSpec`:
+``"reference"``, ``"fast"``, ``"fast:strict=true"`` — the currency of
 :class:`~repro.service.builder.ServiceConfig`, the cluster federation
 and the CLI's ``--selection`` flag.  A path is stateless, so one
 instance may serve any number of mechanisms concurrently.
@@ -89,7 +88,7 @@ class FastSelection(SelectionPath):
 
 
 # ----------------------------------------------------------------------
-# Registry and specs (mirrors repro.core.mechanism / repro.dsms.backend)
+# Registry and specs (mirrors repro.core.mechanism)
 # ----------------------------------------------------------------------
 
 #: The selection-path registry (shared machinery: utils.registry).

@@ -1,16 +1,7 @@
 """Aurora-style DSMS simulator: streams, operators, shared plans,
 the tick engine with connection points, and load estimation."""
 
-from repro.dsms.backend import (
-    BackendSpec,
-    ExecutionBackend,
-    ScalarBackend,
-    make_backend,
-    register_backend,
-    registered_backends,
-    resolve_backend,
-)
-from repro.dsms.columnar import ColumnarBackend, ColumnBatch, col
+from repro.dsms.backend import ScalarBackend
 from repro.dsms.engine import ConnectionPoint, StreamEngine
 from repro.dsms.load import (
     LoadMeter,
@@ -67,13 +58,9 @@ from repro.dsms.windows import (
 
 __all__ = [
     "AggregateOperator",
-    "BackendSpec",
     "CanonicalizationReport",
     "CheapestFirstPolicy",
-    "ColumnBatch",
-    "ColumnarBackend",
     "ConnectionPoint",
-    "ExecutionBackend",
     "ContinuousQuery",
     "DistinctOperator",
     "EngineReport",
@@ -106,14 +93,9 @@ __all__ = [
     "UnionOperator",
     "auction_instance_from_catalog",
     "canonicalize",
-    "col",
     "estimate_operator_loads",
-    "make_backend",
     "news_stories",
     "operator_signature",
-    "register_backend",
-    "registered_backends",
-    "resolve_backend",
     "run_shedding_comparison",
     "sensor_readings",
     "stock_quotes",

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, KeysView, Mapping, Sequence
 
-from repro.dsms.backend import BackendSpec, ExecutionBackend, resolve_backend
+from repro.dsms.backend import ScalarBackend
 from repro.dsms.load import LoadMeter
 from repro.dsms.metrics import EngineReport
 from repro.dsms.operators import AggregateOperator
@@ -68,20 +68,12 @@ class StreamEngine:
     units the auction uses; the engine never refuses work — admission
     control is the auction's job — but it meters overload so tests can
     assert that admitted sets respect capacity on average.
-
-    ``backend`` selects the execution backend (see
-    :mod:`repro.dsms.backend`): a spec string (``"scalar"``,
-    ``"columnar:batch=1024"``), a :class:`BackendSpec`, or a live
-    :class:`ExecutionBackend` instance.  Connection points, the
-    transition phase, and result delivery are backend-agnostic; only
-    the operator execution itself is delegated.
     """
 
     def __init__(
         self,
         sources: Iterable[StreamSource],
         capacity: float | None = None,
-        backend: "ExecutionBackend | BackendSpec | str" = "scalar",
     ) -> None:
         self._sources: dict[str, StreamSource] = {}
         for source in sources:
@@ -90,7 +82,7 @@ class StreamEngine:
                     f"duplicate stream name {source.name!r}")
             self._sources[source.name] = source
         self.capacity = capacity
-        self.backend = resolve_backend(backend)
+        self.backend = ScalarBackend()
         self.catalog = QueryPlanCatalog()
         self.meter = LoadMeter()
         self.report = EngineReport(capacity=capacity)
@@ -101,12 +93,12 @@ class StreamEngine:
         self._in_transition = False
 
     def __setstate__(self, state: dict) -> None:
-        # Checkpoints written before backends existed lack the
-        # attribute; they resume on the scalar interpreter, which is
-        # exactly how they were executing when saved.
+        # Checkpoints written before the interpreter was an attribute
+        # lack it; every checkpoint since pickles it by name, so it
+        # stays in the state for older builds to find.
         self.__dict__.update(state)
         if "backend" not in state:
-            self.backend = resolve_backend("scalar")
+            self.backend = ScalarBackend()
 
     def __deepcopy__(self, memo: dict) -> "StreamEngine":
         """Copy the network; share the delivered (immutable) tuples."""
@@ -186,15 +178,8 @@ class StreamEngine:
         arrivals: Mapping[str, list[StreamTuple]],
         source_count: int,
     ) -> None:
-        generation = self.catalog.generation
-        cache = getattr(self, "_sink_cache", None)
-        if cache is None or cache[0] != generation:
-            sink_ids = {query.sink_id
-                        for query in self.catalog.iter_queries()}
-            self._sink_cache = cache = (generation, sink_ids)
-        sink_ids = cache[1]
         outputs, work_by_op = self.backend.run_operators(
-            self.catalog.ordered_operators(), arrivals, sink_ids)
+            self.catalog.ordered_operators(), arrivals)
         self.meter.record_tick(work_by_op)
         delivered: dict[str, int] = {}
         for query in self.catalog.iter_queries():
@@ -245,11 +230,10 @@ class StreamEngine:
         drained: dict[str, int] = {}
         flushed: dict[str, list[StreamTuple]] = {}
         for op in self.catalog.topological_order():
-            if (isinstance(op, AggregateOperator)
-                    and self.backend.pending_tuples(op)):
+            if isinstance(op, AggregateOperator) and op.pending_tuples():
                 used_by = set(self.catalog.queries_containing(op.op_id))
                 if used_by & targets:
-                    flushed[op.op_id] = self.backend.flush_aggregate(op)
+                    flushed[op.op_id] = op.flush_partial()
         for query_id in targets:
             query = self.catalog.queries[query_id]
             produced = flushed.get(query.sink_id, [])

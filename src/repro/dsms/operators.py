@@ -320,7 +320,7 @@ class AggregateOperator(StreamOperator):
 
         The single source of truth for aggregate output shape — both
         the window-close path and the drain-phase partial flush go
-        through here (the columnar kernel mirrors it).
+        through here.
         """
         groups: dict[object, list[StreamTuple]] = {}
         for t in self._buffer:

@@ -112,7 +112,7 @@ class CheapestFirstPolicy(SchedulingPolicy):
 
 
 # ----------------------------------------------------------------------
-# Registry and specs (mirrors repro.dsms.backend)
+# Registry and specs (mirrors repro.core.mechanism)
 # ----------------------------------------------------------------------
 
 #: The scheduling-policy registry (shared machinery: utils.registry).

@@ -118,9 +118,8 @@ class SheddingEngine(StreamEngine):
         sources,
         capacity: float,
         shedder: TupleShedder,
-        backend: object = "scalar",
     ) -> None:
-        super().__init__(sources, capacity=capacity, backend=backend)
+        super().__init__(sources, capacity=capacity)
         self.shedder = shedder
 
     def _process(self, arrivals, source_count):

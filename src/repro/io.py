@@ -126,10 +126,10 @@ def _read_json(path: "str | Path", what: str) -> object:
 
 
 #: What a corrupt or truncated pickle can raise: the unpickler's own
-#: errors plus whatever a garbage stream makes it do — resolve a
-#: missing global, index past the memo, build with wrong arguments.
+#: errors plus whatever a garbage stream makes it do — index past the
+#: memo, build with wrong arguments.
 _PICKLE_ERRORS = (
-    pickle.UnpicklingError, EOFError, AttributeError, ImportError,
+    pickle.UnpicklingError, EOFError,
     IndexError, KeyError, ValueError, TypeError,
 )
 
@@ -138,6 +138,11 @@ def _read_pickle_envelope(path: "str | Path", what: str) -> dict:
     """Unpickle the envelope dict a ``save_*_snapshot`` call wrote."""
     try:
         envelope = pickle.loads(Path(path).read_bytes())
+    except (ImportError, AttributeError) as exc:
+        # A class this build does not have: another build's file.
+        raise ValidationError(
+            f"{what} file {str(path)!r} was written by a build that "
+            f"has {exc.name or exc}; this build does not") from exc
     except _PICKLE_ERRORS as exc:
         raise ValidationError(
             f"malformed {what} file {str(path)!r}: {exc!r}") from exc

@@ -22,7 +22,6 @@ from collections.abc import Callable, Iterable
 
 from repro.core.mechanism import Mechanism, MechanismSpec
 from repro.core.selection import SelectionPath, SelectionSpec
-from repro.dsms.backend import BackendSpec, ExecutionBackend
 from repro.dsms.scheduler import PolicySpec, SchedulingPolicy
 from repro.dsms.streams import StreamSource
 from repro.service.hooks import HookRegistry
@@ -35,9 +34,7 @@ class ServiceConfig:
     """Declarative service settings (everything but live objects).
 
     ``mechanism`` is a spec string (``"CAT"``, ``"two-price:seed=7"``)
-    or a :class:`MechanismSpec`; ``backend`` is an execution-backend
-    spec (``"scalar"``, ``"columnar:batch=1024"``) or a
-    :class:`BackendSpec`; ``selection`` is a winner-selection-path
+    or a :class:`MechanismSpec`; ``selection`` is a winner-selection-path
     spec (``"reference"``, ``"fast"``) or a :class:`SelectionSpec` —
     ``None`` (the default) pins nothing, leaving the mechanism's own
     selection setting untouched.  All are validated against their
@@ -49,7 +46,6 @@ class ServiceConfig:
     mechanism: "str | MechanismSpec" = "CAT"
     ticks_per_period: int = 50
     hold_ticks: int = 1
-    backend: "str | BackendSpec" = "scalar"
     selection: "str | SelectionSpec | None" = None
     scheduler: "str | PolicySpec | None" = None
 
@@ -59,7 +55,6 @@ class ServiceConfig:
                 "ticks_per_period must be positive")
         require(self.hold_ticks >= 0, "hold_ticks must be >= 0")
         self.mechanism_spec().validate()
-        self.backend_spec().validate()
         spec = self.selection_spec()
         if spec is not None:
             spec.validate()
@@ -72,12 +67,6 @@ class ServiceConfig:
         if isinstance(self.mechanism, MechanismSpec):
             return self.mechanism
         return MechanismSpec.parse(self.mechanism)
-
-    def backend_spec(self) -> BackendSpec:
-        """The backend setting as a :class:`BackendSpec`."""
-        if isinstance(self.backend, BackendSpec):
-            return self.backend
-        return BackendSpec.parse(self.backend)
 
     def selection_spec(self) -> "SelectionSpec | None":
         """The selection setting as a :class:`SelectionSpec`.
@@ -94,12 +83,6 @@ class ServiceConfig:
     ) -> "ServiceConfig":
         """A copy of this config with a different mechanism."""
         return replace(self, mechanism=mechanism)
-
-    def with_backend(
-        self, backend: "str | BackendSpec"
-    ) -> "ServiceConfig":
-        """A copy of this config with a different execution backend."""
-        return replace(self, backend=backend)
 
     def with_selection(
         self, selection: "str | SelectionSpec"
@@ -141,7 +124,6 @@ class ServiceBuilder:
         self._mechanism: "Mechanism | MechanismSpec | str | None" = None
         self._ticks_per_period: "int | None" = None
         self._hold_ticks: "int | None" = None
-        self._backend: "ExecutionBackend | BackendSpec | str | None" = None
         self._selection: "SelectionPath | SelectionSpec | str | None" = None
         self._scheduler: "SchedulingPolicy | PolicySpec | str | None" = None
         self._arrivals: list[object] = []
@@ -161,7 +143,6 @@ class ServiceBuilder:
         self._mechanism = config.mechanism_spec()
         self._ticks_per_period = config.ticks_per_period
         self._hold_ticks = config.hold_ticks
-        self._backend = config.backend_spec()
         self._selection = config.selection_spec()
         self._scheduler = config.scheduler_spec()
         return self
@@ -191,13 +172,6 @@ class ServiceBuilder:
     def with_hold_ticks(self, hold_ticks: int) -> "ServiceBuilder":
         """Set how many ticks of arrivals transitions hold."""
         self._hold_ticks = int(hold_ticks)
-        return self
-
-    def with_backend(
-        self, backend: "ExecutionBackend | BackendSpec | str"
-    ) -> "ServiceBuilder":
-        """Set the engine's execution backend (instance, spec, string)."""
-        self._backend = backend
         return self
 
     def with_selection(
@@ -358,13 +332,6 @@ class ServiceBuilder:
                               else self._ticks_per_period),
             hold_ticks=(1 if self._hold_ticks is None
                         else self._hold_ticks),
-            # A live backend instance may hold per-engine state, so
-            # each built service gets its own copy (specs/strings
-            # already produce a fresh instance per resolve).
-            backend=("scalar" if self._backend is None
-                     else copy.deepcopy(self._backend)
-                     if isinstance(self._backend, ExecutionBackend)
-                     else self._backend),
             selection=self._selection,
             ledger=self._ledger,
             hooks=hooks,

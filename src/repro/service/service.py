@@ -35,7 +35,6 @@ from collections.abc import Iterable, KeysView, Mapping, Sequence
 from repro.core.mechanism import Mechanism, MechanismSpec, resolve_mechanism
 from repro.core.model import AuctionInstance
 from repro.core.result import AuctionOutcome
-from repro.dsms.backend import BackendSpec, ExecutionBackend
 from repro.dsms.engine import StreamEngine
 from repro.dsms.plan import ContinuousQuery
 from repro.dsms.streams import StreamSource
@@ -130,11 +129,6 @@ class AdmissionService:
     hold_ticks:
         Ticks of arrivals held at the connection points during each
         transition.
-    backend:
-        The engine's execution backend: an
-        :class:`~repro.dsms.backend.ExecutionBackend` instance, a
-        :class:`~repro.dsms.backend.BackendSpec`, or a spec string
-        (``"scalar"``, ``"columnar:batch=1024"``).
     selection:
         The mechanism's winner-selection path: a
         :class:`~repro.core.selection.SelectionPath`, a
@@ -153,7 +147,6 @@ class AdmissionService:
         mechanism: "Mechanism | MechanismSpec | str",
         ticks_per_period: int = 50,
         hold_ticks: int = 1,
-        backend: "ExecutionBackend | BackendSpec | str" = "scalar",
         selection: "object | None" = None,
         ledger: "object | None" = None,
         hooks: "HookRegistry | None" = None,
@@ -166,8 +159,7 @@ class AdmissionService:
         if selection is not None:
             self.mechanism.use_selection(selection)
         self.ticks_per_period = int(ticks_per_period)
-        self.engine = StreamEngine(self.sources, capacity=self.capacity,
-                                   backend=backend)
+        self.engine = StreamEngine(self.sources, capacity=self.capacity)
         self.ledger = BillingLedger() if ledger is None else ledger
         self.hooks = HookRegistry() if hooks is None else hooks
         self.coordinator = AuctionCoordinator(self.capacity)

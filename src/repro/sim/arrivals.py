@@ -9,7 +9,7 @@ arrivals the uninterrupted run would have drawn.
 
 Processes are *spec-string addressable* through the shared
 ``utils.registry``/``specparse`` grammar, the same currency mechanisms
-and backends use:
+and selection paths use:
 
 * ``"poisson:rate=40"`` — exponential inter-arrival gaps, mean
   ``rate`` arrivals per engine tick;
@@ -764,7 +764,7 @@ def _cut_rows(times, streams, start: int, end: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# Registry and specs (mirrors repro.dsms.backend)
+# Registry and specs (mirrors repro.core.mechanism)
 # ----------------------------------------------------------------------
 
 #: The arrival-process registry (shared machinery: utils.registry).

@@ -2,8 +2,8 @@
 
 One implementation of the parsing used by every spec-addressable
 registry in the library — mechanisms (``"two-price:seed=7"``),
-execution backends (``"columnar:batch=1024"``), placement policies —
-so the grammar cannot drift between layers.
+arrival processes (``"poisson:rate=40"``), placement policies — so
+the grammar cannot drift between layers.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ def parse_spec_text(
     """Split ``"name"`` / ``"name:k=v,k=v"`` into name and params.
 
     Values go through :func:`parse_param_value`; *what* names the spec
-    family in error messages (``"mechanism spec"``, ``"backend
+    family in error messages (``"mechanism spec"``, ``"arrival
     spec"``).
     """
     head, _, tail = text.strip().partition(":")

@@ -393,55 +393,12 @@ class TestRebalancing:
         assert with_rebalance.rejected_load < without.rejected_load
 
 
-class TestShardBackends:
-    def _build(self, backend, num_shards=2):
-        return FederatedAdmissionService.build(
-            num_shards=num_shards,
-            sources=[SyntheticStream("s", rate=4, seed=5,
-                                     poisson=False)],
-            capacity=10.0,
-            mechanism="CAT",
-            ticks_per_period=4,
-            backend=backend,
-            placement="round-robin",
-        )
-
-    def test_single_spec_applies_to_every_shard(self):
-        from repro.dsms.columnar import ColumnarBackend
-
-        cluster = self._build("columnar:batch=512", num_shards=3)
-        for shard in cluster.shards:
-            assert isinstance(shard.engine.backend, ColumnarBackend)
-            assert shard.engine.backend.batch_rows == 512
-        backends = {id(s.engine.backend) for s in cluster.shards}
-        assert len(backends) == 3  # no shared backend state
-
-    def test_per_shard_backend_specs(self):
-        from repro.dsms.backend import ScalarBackend
-        from repro.dsms.columnar import ColumnarBackend
-
-        cluster = self._build(["scalar", "columnar"], num_shards=2)
-        assert isinstance(cluster.shards[0].engine.backend,
-                          ScalarBackend)
-        assert isinstance(cluster.shards[1].engine.backend,
-                          ColumnarBackend)
-
-    def test_backend_count_mismatch_rejected(self):
-        with pytest.raises(ValidationError, match="backend specs"):
-            self._build(["scalar"], num_shards=2)
-
-    def test_cluster_periods_equivalent_across_backends(self):
-        def run(backend):
-            cluster = self._build(backend)
-            for period in range(1, 3):
-                for i in range(6):
-                    cluster.submit(select_query(
-                        f"p{period}_q{i}", owner=f"u{i % 3}",
-                        bid=5.0 + i, cost=0.5 + 0.25 * i))
-                cluster.run_period()
-            return [report_bytes(r) for r in cluster.reports]
-
-        assert run("scalar") == run("columnar")
+def test_backend_option_is_refused():
+    with pytest.raises(TypeError, match="backend"):
+        FederatedAdmissionService.build(
+            num_shards=2,
+            sources=[SyntheticStream("s", rate=4, seed=5)],
+            capacity=10.0, mechanism="CAT", backend="scalar")
 
 
 def test_checkpoint_resume_continues_identically():

@@ -262,6 +262,11 @@ class TestBuilderAndConfig:
         assert fresh.run_period().engine_utilization == \
             report.engine_utilization
 
+    def test_backend_option_is_gone(self):
+        with pytest.raises(TypeError):
+            ServiceConfig(capacity=1.0, backend="scalar")
+        assert not hasattr(ServiceBuilder(), "with_backend")
+
 
 class TestHooks:
     def test_unknown_event_rejected(self):
@@ -350,97 +355,3 @@ class TestHooks:
             service.submit(make_query(f"new{i}", bid, 2.0))
         service.run_period()
         assert seen["removed"] == ("q1",)
-
-
-class TestExecutionBackendThreading:
-    """The backend spec reaches the engine through every assembly path."""
-
-    def _sources(self):
-        return [SyntheticStream("s", rate=5, poisson=False, seed=0)]
-
-    def test_builder_backend_spec(self):
-        from repro.dsms.columnar import ColumnarBackend
-
-        service = (ServiceBuilder()
-                   .with_sources(*self._sources())
-                   .with_capacity(30.0)
-                   .with_mechanism("CAT")
-                   .with_backend("columnar:batch=256")
-                   .build())
-        assert isinstance(service.engine.backend, ColumnarBackend)
-        assert service.engine.backend.batch_rows == 256
-
-    def test_config_carries_backend(self):
-        from repro.dsms.backend import BackendSpec
-        from repro.dsms.columnar import ColumnarBackend
-
-        config = ServiceConfig(capacity=30.0, mechanism="CAT",
-                               backend="columnar")
-        assert config.backend_spec() == BackendSpec("columnar")
-        service = service_from_config(config, self._sources())
-        assert isinstance(service.engine.backend, ColumnarBackend)
-        scalar = config.with_backend("scalar")
-        assert scalar.backend_spec().name == "scalar"
-
-    def test_config_rejects_unknown_backend(self):
-        with pytest.raises(KeyError, match="unknown execution backend"):
-            ServiceConfig(capacity=30.0, backend="vectorwise")
-
-    def test_builds_do_not_share_backend_state(self):
-        from repro.dsms.columnar import ColumnarBackend
-
-        builder = (ServiceBuilder()
-                   .with_sources(*self._sources())
-                   .with_capacity(30.0)
-                   .with_mechanism("CAT")
-                   .with_backend(ColumnarBackend()))
-        first = builder.build()
-        second = builder.build()
-        assert first.engine.backend is not second.engine.backend
-
-    @staticmethod
-    def _period_queries(period):
-        return [make_query(f"p{period}_q{i}", bid=10.0 + i,
-                           cost=1.0 + 0.5 * i)
-                for i in range(4)]
-
-    def test_periods_equivalent_across_backends(self):
-        def run(backend):
-            service = (ServiceBuilder()
-                       .with_sources(*self._sources())
-                       .with_capacity(30.0)
-                       .with_mechanism("CAT")
-                       .with_ticks_per_period(10)
-                       .with_backend(backend)
-                       .build())
-            reports = service.run_periods(
-                [self._period_queries(1), self._period_queries(2)])
-            return ([(r.revenue, r.admitted, r.engine_utilization)
-                     for r in reports],
-                    {qid: len(log)
-                     for qid, log in service.engine.results.items()})
-
-        assert run("scalar") == run("columnar")
-
-    def test_snapshot_restore_preserves_columnar_backend(self):
-        from repro.dsms.columnar import ColumnarBackend
-
-        service = (ServiceBuilder()
-                   .with_sources(*self._sources())
-                   .with_capacity(30.0)
-                   .with_mechanism("CAT")
-                   .with_ticks_per_period(5)
-                   .with_backend("columnar:batch=128")
-                   .build())
-        for query in self._period_queries(1):
-            service.submit(query)
-        service.run_period()
-        resumed = AdmissionService.restore(service.snapshot())
-        assert isinstance(resumed.engine.backend, ColumnarBackend)
-        assert resumed.engine.backend.batch_rows == 128
-        for query in self._period_queries(2):
-            service.submit(query)
-            resumed.submit(query)
-        assert (service.run_period().revenue
-                == resumed.run_period().revenue)
-        assert service.engine.report == resumed.engine.report

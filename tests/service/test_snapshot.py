@@ -148,6 +148,23 @@ def test_snapshot_file_validation(tmp_path):
     assert isinstance(load_snapshot(good), ServiceSnapshot)
 
 
+def test_snapshot_from_a_build_with_the_columnar_backend_is_refused():
+    """``tests/data/service.columnar.checkpoint`` is
+    ``tests/checkpoints.py::build_service`` with
+    ``.with_backend("columnar:batch=128")`` after three periods,
+    written by the last build that had that backend (never rewritten
+    by ``tests.checkpoints write``).  Its engine holds
+    ``repro.dsms.columnar`` state this build cannot resume: a one-line
+    refusal that names it, not a traceback."""
+    from tests.checkpoints import DATA
+
+    with pytest.raises(ValidationError) as refused:
+        load_snapshot(DATA / "service.columnar.checkpoint")
+    message = str(refused.value)
+    assert "written by a build that has repro.dsms.columnar" in message
+    assert "malformed" not in message
+
+
 def test_hooks_are_reattached_not_restored(tmp_path):
     calls = []
     service = build_service()
