@@ -713,51 +713,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.serve import serve_forever
 
-    if args.workers > 1:
-        return _serve_multiprocess(args)
     target, config = _serve_target_and_config(args)
     asyncio.run(serve_forever(target, config))
-    return 0
-
-
-def _serve_multiprocess(args: argparse.Namespace) -> int:
-    """The pre-fork front-end: N workers on one port."""
-    import signal
-    import threading
-
-    from repro.serve import FrontendConfig, GatewaySupervisor
-
-    for flag, wrong in (("--subscriptions", args.subscriptions),
-                        ("--categories", args.categories),
-                        ("--scheduler", args.scheduler)):
-        if wrong:
-            raise ValidationError(
-                f"{flag} runs through a simulation driver, which is "
-                f"single-process; drop it or use --workers 1")
-    if args.shards < 2:
-        raise ValidationError(
-            "--workers > 1 routes by shard affinity and needs a "
-            "federated cluster; add --shards 2 (or more)")
-    _target, gateway_config = _serve_target_and_config(args)
-    config = FrontendConfig(workers=args.workers,
-                            gateway=gateway_config)
-
-    def factory():
-        return _build_sim_host(args)
-
-    stop = threading.Event()
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        signal.signal(signum, lambda *_: stop.set())
-    supervisor = GatewaySupervisor(factory, config).start()
-    try:
-        host, port = supervisor.address
-        print(f"serving on http://{host}:{port} with "
-              f"{args.workers} workers "
-              f"({'SO_REUSEPORT' if supervisor.reuseport else 'shared socket'})"
-              + (f", striped WAL at {args.wal}" if args.wal else ""))
-        stop.wait()
-    finally:
-        supervisor.stop()
     return 0
 
 
@@ -1048,13 +1005,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fold the WAL into a fresh snapshot "
                             "every this many settled periods "
                             "(default 64; 0 disables)")
-    serve.add_argument("--workers", type=int, default=1,
-                       help="pre-fork this many gateway worker "
-                            "processes sharing the port, with "
-                            "shard-affinity routing and per-worker "
-                            "WAL stripes (needs --shards > 1 and "
-                            "consistent-hash placement; default 1: "
-                            "a single process)")
     serve.add_argument("--wal-group-commit", action="store_true",
                        help="batch concurrent acknowledged mutations "
                             "into one fsync (leader/follower group "

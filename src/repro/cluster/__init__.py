@@ -35,7 +35,6 @@ Quickstart::
     print(report.total_revenue, report.migrated)
 """
 
-from repro.cluster.affinity import ShardAffinityMap, affinity_key
 from repro.cluster.federation import (
     CLUSTER_STATE_VERSION,
     ClusterSnapshot,
@@ -65,9 +64,7 @@ __all__ = [
     "PlacementPolicy",
     "Rebalancer",
     "RoundRobinPlacement",
-    "ShardAffinityMap",
     "ShardStatus",
-    "affinity_key",
     "register_placement",
     "registered_placements",
     "resolve_placement",

@@ -3,20 +3,11 @@
 Puts an admission host on the network: a pure-asyncio gateway
 (:class:`AdmissionGateway`) with per-client rate limiting, tiered
 timeouts, a server-side retry budget, graceful draining shutdown, and
-structured redacting logs — plus the pre-fork multi-process front-end
-(:class:`GatewaySupervisor`: shard-affinity routing, striped WAL
-group commit, worker respawn) and the seeded socket-level load
-generator (:mod:`repro.serve.loadgen`) that exercises both.
+structured redacting logs — plus the seeded socket-level load
+generator (:mod:`repro.serve.loadgen`) that exercises it.
 """
 
 from repro.serve.backpressure import RetryBudget, TokenBucket
-from repro.serve.frontend import (
-    COORDINATOR,
-    FrontendConfig,
-    GatewaySupervisor,
-    WorkerGateway,
-    stripe_directory,
-)
 from repro.serve.gateway import (
     AdmissionGateway,
     DriverBackend,
@@ -37,15 +28,10 @@ from repro.serve.logs import REDACTED, StructuredLog, redact
 
 __all__ = [
     "AdmissionGateway",
-    "COORDINATOR",
     "DriverBackend",
-    "FrontendConfig",
     "GatewayClient",
     "GatewayConfig",
-    "GatewaySupervisor",
     "HostBackend",
-    "WorkerGateway",
-    "stripe_directory",
     "HttpError",
     "HttpRequest",
     "HttpResponse",

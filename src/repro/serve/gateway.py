@@ -119,7 +119,7 @@ class HostBackend:
 
     Submissions go straight to the host in request order — a gateway-
     mediated run admits byte-identically to the same submissions made
-    in-process, which the serving benchmark asserts.
+    in-process, which ``tests/serve/test_gateway.py`` asserts.
     """
 
     #: Whether ``/v1/subscribe`` is available.
@@ -281,17 +281,13 @@ class RawBody:
 
     Handlers normally return envelope fields; returning a ``RawBody``
     instead short-circuits JSON encoding entirely — the cached
-    ``/v1/report`` body and a front-end worker relaying a forwarded
-    response both use it.
+    ``/v1/report`` body uses it.
     """
 
-    __slots__ = ("body", "status", "headers")
+    __slots__ = ("body",)
 
-    def __init__(self, body: bytes, status: int = 200,
-                 headers: "dict[str, str] | None" = None) -> None:
+    def __init__(self, body: bytes) -> None:
         self.body = body
-        self.status = status
-        self.headers = headers or {}
 
 
 #: The request-id placeholder baked into cached response bodies; its
@@ -399,12 +395,10 @@ class AdmissionGateway:
     """
 
     def __init__(self, target: object,
-                 config: "GatewayConfig | None" = None,
-                 log: "StructuredLog | None" = None) -> None:
+                 config: "GatewayConfig | None" = None) -> None:
         self.backend = make_backend(target)
         self.config = config or GatewayConfig()
-        self._owns_log = log is None
-        self.log = log if log is not None else StructuredLog(
+        self.log = StructuredLog(
             path=self.config.log_path,
             stream=None if self.config.quiet else sys.stderr)
         self._server: "asyncio.AbstractServer | None" = None
@@ -591,8 +585,7 @@ class AdmissionGateway:
                      throttled=self.counters["throttled"],
                      shed=self.counters["shed"],
                      timeouts=self.counters["timeouts"])
-        if self._owns_log:
-            self.log.close()
+        self.log.close()
 
     async def _auto_tick(self) -> None:
         while not self._draining:
@@ -654,8 +647,7 @@ class AdmissionGateway:
                                     keep_alive=keep_alive)
 
     async def _respond(
-        self, request: HttpRequest, client_host: str, *,
-        gate: bool = True,
+        self, request: HttpRequest, client_host: str,
     ) -> tuple[bytes, bool]:
         request_id = f"r{next(self._ids):06d}"
         client = request.headers.get("x-client-id", client_host)
@@ -671,8 +663,7 @@ class AdmissionGateway:
                     raw, document = bytes(document), None
                 status = 200
             else:
-                if gate:
-                    self._gate(client, client_host)
+                self._gate(client, client_host)
                 self._budget.record_request()
                 self._inflight += 1
                 timeout = (self.config.slow_timeout if tier == "slow"
@@ -689,12 +680,10 @@ class AdmissionGateway:
                     self._inflight -= 1
                 if isinstance(fields, RawBody):
                     raw, document = fields.body, None
-                    status = fields.status
-                    headers.update(fields.headers)
                 else:
                     document = serve_response_to_dict(
                         "ok", request_id, **fields)
-                    status = 200
+                status = 200
         except HttpError as exc:
             status = exc.status
             document = serve_response_to_dict(
@@ -729,8 +718,8 @@ class AdmissionGateway:
             keep_alive=keep_alive), keep_alive)
 
     #: path -> (method, handler attribute, timeout tier).  Handlers are
-    #: looked up by name per request so subclasses (and wrappers put on
-    #: the class later) are honoured.
+    #: looked up by name per request so wrappers put on the class
+    #: later are honoured.
     _ROUTES = {
         "/healthz": ("GET", "health_document", "open"),
         "/metrics": ("GET", "_metrics_body", "open"),

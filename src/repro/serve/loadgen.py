@@ -19,12 +19,10 @@ Retries and final statuses are tallied in the returned
 from __future__ import annotations
 
 import asyncio
-import multiprocessing
 import time
 from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.cluster.affinity import affinity_key
 from repro.io import ServeRequest, serve_request_to_dict
 from repro.serve import http
 from repro.serve.http import HttpError
@@ -80,15 +78,13 @@ class GatewayClient:
     async def request(
         self, method: str, target: str,
         document: "object | None" = None,
-        headers: "dict[str, str] | None" = None,
     ) -> tuple[int, dict]:
         """One request/response round trip; returns (status, body)."""
         body = b"" if document is None else http.json_body(document)
-        merged = {"x-client-id": self.client_id, **(headers or {})}
         payload = http.render_request(
             method, target, body,
             host=f"{self.host}:{self.port}",
-            headers=merged)
+            headers={"x-client-id": self.client_id})
         for attempt in (1, 2):
             if self._writer is None:
                 await self.connect()
@@ -122,12 +118,7 @@ class GatewayClient:
         op = "subscribe" if category is not None else "submit"
         document = serve_request_to_dict(ServeRequest(
             op=op, query=query, category=category))
-        # The affinity hint lets a multi-process front-end route this
-        # request to its owning worker without decoding the body; a
-        # single-process gateway simply ignores the header.
-        return await self.request(
-            "POST", f"/v1/{op}", document,
-            headers={"x-affinity-key": affinity_key(query)})
+        return await self.request("POST", f"/v1/{op}", document)
 
     async def withdraw(self, query_id: str) -> tuple[int, dict]:
         document = serve_request_to_dict(ServeRequest(
@@ -165,10 +156,6 @@ class LoadgenResult:
     #: query ids in completion order (submission order at
     #: ``concurrency=1``).
     query_ids: list[str] = field(default_factory=list)
-    #: raw per-request latency samples in seconds — what
-    #: ``latency_ms`` summarizes, kept so a multi-process fan-out can
-    #: merge percentiles over every worker's samples at once.
-    latency_s: list[float] = field(default_factory=list, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -210,7 +197,6 @@ async def run_load(
     tick_every: "int | None" = None,
     max_attempts: int = 5,
     client_prefix: str = "client",
-    processes: int = 1,
 ) -> LoadgenResult:
     """Drive *requests* seeded submissions at the gateway.
 
@@ -220,44 +206,12 @@ async def run_load(
     production).  ``tick_every`` runs a period settle after every that
     many completed submissions — the open-loop analogue of the
     simulator's period boundary.
-
-    ``processes`` forks that many generator processes, each driving a
-    contiguous slice of the same pre-materialized arrival list with
-    its own client-id namespace (``p0-…``, ``p1-…``) — one Python
-    process cannot saturate a multi-worker front-end through one GIL.
-    The merged result recomputes the latency percentiles over *every*
-    process's raw samples and measures throughput against the slowest
-    process's wall clock.
     """
     require(int(requests) >= 1, "requests must be >= 1")
     require(int(concurrency) >= 1, "concurrency must be >= 1")
     require(int(max_attempts) >= 1, "max_attempts must be >= 1")
-    require(int(processes) >= 1, "processes must be >= 1")
     spec_label = str(arrivals)
     work = materialize(arrivals, requests)
-    if int(processes) > 1:
-        return await _run_load_fanout(
-            host, port, spec_label, work,
-            processes=int(processes), concurrency=concurrency,
-            tick_every=tick_every, max_attempts=max_attempts,
-            client_prefix=client_prefix)
-    return await _drive_load(
-        host, port, spec_label, work, concurrency=concurrency,
-        tick_every=tick_every, max_attempts=max_attempts,
-        client_prefix=client_prefix)
-
-
-async def _drive_load(
-    host: str,
-    port: int,
-    spec_label: str,
-    work: "list[Arrival]",
-    *,
-    concurrency: int,
-    tick_every: "int | None",
-    max_attempts: int,
-    client_prefix: str,
-) -> LoadgenResult:
     queue: asyncio.Queue = asyncio.Queue()
     for arrival in work:
         queue.put_nowait(arrival)
@@ -335,118 +289,4 @@ async def _drive_load(
             [seconds * 1000.0 for seconds in latencies]),
         statuses=dict(statuses),
         query_ids=query_ids,
-        latency_s=latencies,
-    )
-
-
-def _loadgen_child(conn, host, port, spec_label, work, concurrency,
-                   tick_every, max_attempts, client_prefix) -> None:
-    """Forked generator process: drive one slice, pipe the raw
-    numbers back (a fresh event loop — the parent's is not ours)."""
-    try:
-        result = asyncio.run(_drive_load(
-            host, port, spec_label, work, concurrency=concurrency,
-            tick_every=tick_every, max_attempts=max_attempts,
-            client_prefix=client_prefix))
-        conn.send({
-            "ok": True,
-            "statuses": result.statuses,
-            "latency_s": result.latency_s,
-            "retries": result.retries,
-            "ticks": result.ticks,
-            "elapsed_s": result.elapsed_s,
-            "query_ids": result.query_ids,
-        })
-    except Exception as exc:  # noqa: BLE001 - reported to the parent
-        conn.send({"ok": False,
-                   "error": f"{type(exc).__name__}: {exc}"})
-    finally:
-        conn.close()
-
-
-async def _run_load_fanout(
-    host: str,
-    port: int,
-    spec_label: str,
-    work: "list[Arrival]",
-    *,
-    processes: int,
-    concurrency: int,
-    tick_every: "int | None",
-    max_attempts: int,
-    client_prefix: str,
-) -> LoadgenResult:
-    context = multiprocessing.get_context("fork")
-    children = []
-    base, extra = divmod(len(work), processes)
-    offset = 0
-    for index in range(processes):
-        count = base + (1 if index < extra else 0)
-        if count == 0:
-            continue
-        parent_conn, child_conn = context.Pipe(duplex=False)
-        process = context.Process(
-            target=_loadgen_child,
-            args=(child_conn, host, port, spec_label,
-                  work[offset:offset + count], concurrency,
-                  tick_every, max_attempts,
-                  f"p{index}-{client_prefix}"),
-            name=f"loadgen-{index}")
-        process.start()
-        child_conn.close()
-        children.append((process, parent_conn))
-        offset += count
-
-    loop = asyncio.get_running_loop()
-
-    def collect() -> list[dict]:
-        payloads = []
-        for process, conn in children:
-            try:
-                payloads.append(conn.recv())
-            except EOFError:
-                payloads.append({
-                    "ok": False,
-                    "error": f"loadgen process {process.name} died "
-                             f"(exit {process.exitcode})"})
-            finally:
-                conn.close()
-            process.join()
-        return payloads
-
-    payloads = await loop.run_in_executor(None, collect)
-    failures = [p["error"] for p in payloads if not p.get("ok")]
-    if failures:
-        raise ValidationError(
-            "loadgen fan-out failed: " + "; ".join(failures))
-
-    from repro.sim.metrics import percentile_dict
-
-    statuses: Counter = Counter()
-    latencies: list[float] = []
-    query_ids: list[str] = []
-    retries = ticks = 0
-    elapsed = 1e-9
-    for payload in payloads:
-        statuses.update(payload["statuses"])
-        latencies.extend(payload["latency_s"])
-        query_ids.extend(payload["query_ids"])
-        retries += payload["retries"]
-        ticks += payload["ticks"]
-        elapsed = max(elapsed, payload["elapsed_s"])
-    completed = statuses.get("200", 0)
-    return LoadgenResult(
-        arrivals=spec_label,
-        requests=len(work),
-        completed=completed,
-        errors=sum(statuses.values()) - completed,
-        retries=retries,
-        ticks=ticks,
-        elapsed_s=elapsed,
-        requests_per_s=len(work) / elapsed,
-        latency_ms=percentile_dict(
-            [seconds * 1000.0 for seconds in latencies]),
-        statuses=dict(statuses),
-        query_ids=query_ids,
-        latency_s=latencies,
     )

@@ -55,8 +55,6 @@ from repro.wal.recovery import (
     gateway_wal_state,
     recover_gateway_backend,
     recover_sim_driver,
-    recover_striped_gateway,
-    resume_stripe,
 )
 
 __all__ = [
@@ -81,8 +79,6 @@ __all__ = [
     "list_snapshots",
     "recover_gateway_backend",
     "recover_sim_driver",
-    "recover_striped_gateway",
-    "resume_stripe",
     "registered_crashpoints",
     "scan_wal",
     "segment_name",

@@ -19,7 +19,7 @@ The response is only written after the future resolves, so the
 client-visible guarantee is unchanged: every acknowledged mutation is
 durable.  What changes is the price — ``fsyncs / mutations`` drops
 toward ``1 / batch size`` under concurrency (visible in
-``stats_snapshot()["fsyncs_per_record"]``), and a lone request pays at
+``stats_snapshot()["fsyncs_per_mutation"]``), and a lone request pays at
 most the window (2 ms by default) of extra latency.
 """
 
@@ -103,22 +103,18 @@ class GroupCommitter:
             if not future.done():
                 future.set_result(None)
 
-    async def flush(self) -> None:
-        """Force everything enqueued so far durable, immediately.
-
-        Used by drains and shutdown: takes over the pending batch
-        directly — a leader still waiting out its window wakes to an
-        empty batch and no-ops, and a sync already in flight is
-        covered because ``fsync`` on the active segment persists every
-        byte appended before this call, batch boundaries or not.
-        """
-        await self._flush_now()
-
     async def close(self) -> None:
-        """Flush the tail and refuse further enqueues."""
+        """Flush the tail and refuse further enqueues.
+
+        Takes over the pending batch directly — a leader still waiting
+        out its window wakes to an empty batch and no-ops, and a sync
+        already in flight is covered because ``fsync`` on the active
+        segment persists every byte appended before this call, batch
+        boundaries or not.
+        """
         if self._closed:
             return
-        await self.flush()
+        await self._flush_now()
         self._closed = True
 
     def stats_snapshot(self) -> dict:

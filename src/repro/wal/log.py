@@ -413,23 +413,13 @@ class WriteAheadLog:
                             rec.encode_arrivals(trace))
 
     def append_period(self, *, period, events, revenue,
-                      arrivals, queue=None, consumed=None) -> bool:
-        """Log the settle receipt that makes *period* replay-checkable.
-
-        *consumed*, when given, maps WAL stripe index → highest op
-        sequence number this settle consumed from that stripe — the
-        merge cursor striped recovery advances per period (see
-        :func:`~repro.wal.recovery.recover_striped_gateway`).
-        """
+                      arrivals, queue=None) -> bool:
+        """Log the settle receipt that makes *period* replay-checkable."""
         document = {"period": int(period), "events": int(events),
                     "revenue": float(revenue),
                     "arrivals": int(arrivals)}
         if queue is not None:
             document["queue"] = queue
-        if consumed is not None:
-            document["consumed"] = {
-                str(stripe): int(seq)
-                for stripe, seq in sorted(consumed.items())}
         return self._append(rec.RECORD_PERIOD,
                             rec.encode_json(document))
 

@@ -128,6 +128,12 @@ def recover_gateway_backend(directory, backend, *, fsync="batch:256",
         raise ValidationError(
             f"WAL {directory} holds a {type(state).__name__} "
             f"snapshot, not a gateway state document")
+    if "consumed" in state:
+        raise ValidationError(
+            f"WAL {directory} was written by a build that has the "
+            f"multi-worker front-end; its acknowledged ops are in the "
+            f"stripe-NN/ logs beside it, which this build does not "
+            f"read — recover it with the build that wrote it")
     kind = state["kind"]
     if kind == "driver":
         if not hasattr(backend, "driver"):
@@ -170,139 +176,6 @@ def recover_gateway_backend(directory, backend, *, fsync="batch:256",
         log.suspended = False
     log.stats["replayed"] = len(tail)
     return log
-
-
-def resume_stripe(directory, *, fsync="never", segment_bytes=None):
-    """Reopen one per-worker WAL stripe after a crash.
-
-    A stripe holds only ``OP`` records, each carrying the worker's own
-    monotonic ``seq`` plus the acknowledged request document.  Returns
-    ``(log, ops, next_seq)`` where *ops* is every surviving
-    ``(seq, request document)`` in sequence order and *next_seq*
-    continues the stripe's numbering past everything ever logged.
-    """
-    from repro.wal import log as wal_log
-
-    scan = scan_wal(directory)
-    log, scan = WriteAheadLog.resume(
-        directory, scan, keep_kinds=(rec.RECORD_OP,), fsync=fsync,
-        segment_bytes=(segment_bytes
-                       or wal_log.DEFAULT_SEGMENT_BYTES))
-    ops = []
-    for record in scan.tail(keep_kinds=(rec.RECORD_OP,)):
-        document = rec.decode_json(record.body, "op")
-        ops.append((int(document["seq"]), document["request"]))
-    ops.sort(key=lambda pair: pair[0])
-    state = _checkpoint_state(directory, scan, log)
-    base_seq = int(state.get("seq", 0)) if isinstance(state, dict) else 0
-    next_seq = max([base_seq] + [seq for seq, _ in ops]) + 1
-    return log, ops, next_seq
-
-
-def _scan_stripe_ops(directory):
-    """Read every stripe's ops without opening them for append.
-
-    The coordinator calls this during recovery, *before* any worker
-    process exists; stripes stay untouched (each worker truncates its
-    own torn tail when it resumes).  Torn final frames are simply not
-    in the scan, which is safe: every op a recorded period consumed
-    was fsynced before that period settled, so the torn region can
-    only hold ops no receipt references yet.
-    """
-    stripes: "dict[int, list]" = {}
-    for path in sorted(Path(directory).glob("stripe-*")):
-        stem = path.name[len("stripe-"):]
-        if not path.is_dir() or not stem.isdigit():
-            continue
-        if not list_snapshots(path):
-            continue
-        ops = []
-        for record in scan_wal(path).tail(keep_kinds=(rec.RECORD_OP,)):
-            document = rec.decode_json(record.body, "op")
-            ops.append((int(document["seq"]), document["request"]))
-        ops.sort(key=lambda pair: pair[0])
-        stripes[int(stem)] = ops
-    return stripes
-
-
-def _apply_op_document(backend, document) -> bool:
-    """Re-apply one logged op; ``False`` when it is (re-)dropped.
-
-    The live coordinator drops an op that fails validation (e.g. a
-    duplicate query id submitted through two different workers) and
-    settles without it; replay must drop it identically or the receipt
-    check would refuse an otherwise-correct recovery.
-    """
-    from repro.io import serve_request_from_dict
-
-    request = serve_request_from_dict(document)
-    try:
-        if request.op in ("submit", "subscribe"):
-            backend.submit(request.query, category=request.category)
-        else:
-            backend.withdraw(request.query_id)
-    except ValidationError:
-        return False
-    return True
-
-
-def recover_striped_gateway(directory, backend, *, fsync="batch:256",
-                            segment_bytes=None, compact_every=0):
-    """Rebuild a multi-worker front-end's state from striped WALs.
-
-    The coordinator's main log at *directory* holds the checkpoint
-    snapshots and ``PERIOD`` receipts; each receipt carries a
-    ``consumed`` map — stripe index → highest op sequence that settle
-    drained.  Replay merges the per-worker stripes deterministically:
-    for each recorded period, every stripe's ops in ``(previous
-    consumed, consumed]`` are re-applied in worker order then sequence
-    order (exactly the live drain order), the settle re-runs, and the
-    receipt is checked.  Returns ``(log, consumed)`` — the reopened
-    main log and the final per-stripe merge cursor; ops past it are
-    the workers' unsettled buffers, which each worker reloads from its
-    own stripe.
-    """
-    from repro.sim.hosts import restore_host
-    from repro.wal import log as wal_log
-
-    scan = scan_wal(directory)
-    log, scan = WriteAheadLog.resume(
-        directory, scan, keep_kinds=(rec.RECORD_PERIOD,),
-        fsync=fsync, compact_every=compact_every,
-        segment_bytes=(segment_bytes
-                       or wal_log.DEFAULT_SEGMENT_BYTES))
-    state = _checkpoint_state(directory, scan, log)
-    if not isinstance(state, dict) or state.get("kind") != "host":
-        raise ValidationError(
-            f"WAL {directory} does not hold a front-end (host-backed) "
-            f"state document; cannot recover striped gateway")
-    backend.host = restore_host(state["host_kind"], state["host"])
-    backend.last_report = None
-    consumed = {int(stripe): int(seq)
-                for stripe, seq in (state.get("consumed") or {}).items()}
-    stripes = _scan_stripe_ops(directory)
-    replayed = dropped = 0
-    for record in scan.tail(keep_kinds=(rec.RECORD_PERIOD,)):
-        document = rec.decode_json(record.body, "period")
-        target = {int(stripe): int(seq) for stripe, seq
-                  in (document.get("consumed") or {}).items()}
-        for stripe in sorted(set(consumed) | set(target)):
-            low = consumed.get(stripe, 0)
-            high = max(low, target.get(stripe, low))
-            for seq, op_document in stripes.get(stripe, ()):
-                if low < seq <= high:
-                    if not _apply_op_document(backend, op_document):
-                        dropped += 1
-            consumed[stripe] = high
-        backend.tick()
-        check_receipt(
-            document, period=backend.period,
-            revenue=backend.total_revenue(), queue=None,
-            origin="striped gateway replay")
-        replayed += 1
-    log.stats["replayed"] = replayed
-    log.stats["replay_dropped"] = dropped
-    return log, consumed
 
 
 def gateway_wal_state(backend) -> dict:

@@ -105,6 +105,53 @@ class TestHappyPath:
         asyncio.run(go())
 
 
+class TestInProcessEquivalence:
+    def test_reports_byte_identical_to_in_process(self):
+        """The gateway adds transport, never semantics: two batches
+        over the wire settle to the bytes direct calls settle to."""
+        from repro.serve.gateway import report_document
+
+        def build():
+            return FederatedAdmissionService.build(
+                num_shards=4,
+                sources=[SyntheticStream("s", rate=2.0, seed=0)],
+                capacity=20.0, mechanism="CAT", ticks_per_period=4,
+                placement="consistent-hash")
+
+        def canonical(document):
+            return json.dumps(document, sort_keys=True)
+
+        batches = [
+            [select_query(f"q{i}", f"owner{i}", bid=4.0 + (i % 3),
+                          cost=1.0) for i in range(start, start + 10)]
+            for start in (0, 10)]
+
+        backend = HostBackend(build())
+        expected = []
+        for batch in batches:
+            for each in batch:
+                backend.submit(each)
+            expected.append(canonical(report_document(backend.tick())))
+
+        async def go():
+            gateway = await started_gateway(build())
+            reports = []
+            try:
+                async with GatewayClient(*gateway.address) as client:
+                    for batch in batches:
+                        for each in batch:
+                            status, body = await client.submit(each)
+                            assert status == 200, body
+                        status, body = await client.tick()
+                        assert status == 200, body
+                        reports.append(canonical(body["report"]))
+            finally:
+                await gateway.stop(final_settle=False)
+            return reports
+
+        assert asyncio.run(go()) == expected
+
+
 class TestProtocolErrors:
     def test_unknown_endpoint_404(self):
         async def go():

@@ -67,6 +67,10 @@ class TestMaterialize:
         with pytest.raises(ValidationError):
             asyncio.run(run_load("127.0.0.1", 1, requests=0))
 
+    def test_process_fan_out_is_gone(self):
+        with pytest.raises(TypeError, match="processes"):
+            run_load("127.0.0.1", 1, requests=1, processes=2)
+
 
 class TestSeededRuns:
     def test_sequential_replay_is_deterministic(self):

@@ -1,5 +1,6 @@
 """Serving-layer wire schemas: request/response envelopes."""
 
+import asyncio
 import base64
 import pickle
 
@@ -124,3 +125,51 @@ class TestServeResponse:
         document["version"] = 99
         with pytest.raises(ValidationError, match="version"):
             serve_response_from_dict(document)
+
+
+class TestFrontEndIsGone:
+    """PR 21 deleted the multi-process front-end: one gateway process,
+    no routing header, no second deployment to import."""
+
+    def test_submit_carries_no_affinity_header(self):
+        from repro.serve import GatewayClient, http
+
+        seen = []
+
+        async def handle(reader, writer):
+            seen.append(await http.read_request(reader, max_body=1 << 20))
+            writer.write(http.render_response(
+                200, http.json_body({}), keep_alive=False))
+            await writer.drain()
+            writer.close()
+
+        async def go():
+            server = await asyncio.start_server(handle, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            async with GatewayClient("127.0.0.1", port,
+                                     client_id="c1") as client:
+                await client.submit(
+                    select_query("q1", "owner1", bid=4.0, cost=1.0))
+            server.close()
+            await server.wait_closed()
+
+        asyncio.run(go())
+        assert sorted(seen[0].headers) == [
+            "connection", "content-length", "content-type", "host",
+            "x-client-id"]
+
+    def test_front_end_names_are_not_importable(self):
+        import repro.cluster
+        import repro.serve
+        import repro.wal
+
+        for module, names in (
+                (repro.serve, ("GatewaySupervisor", "WorkerGateway",
+                               "FrontendConfig")),
+                (repro.cluster, ("ShardAffinityMap", "affinity_key")),
+                (repro.wal, ("recover_striped_gateway",
+                             "resume_stripe"))):
+            for name in names:
+                assert not hasattr(module, name), (module.__name__, name)
+        with pytest.raises(ImportError):
+            from repro.serve import GatewaySupervisor  # noqa: F401

@@ -107,6 +107,12 @@ class TestCLI:
         assert err.startswith("repro: error: --selection 'warp'")
         assert "selection path" in err
 
+    def test_serve_workers_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as refused:
+            main(["serve", "--workers", "2"])
+        assert refused.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
     def test_simulate_profile_dumps_phase_timings(self, capsys):
         assert main(["simulate", "--periods", "2", "--ticks", "2",
                      "--selection", "fast", "--profile"]) == 0

@@ -231,3 +231,102 @@ class TestGatewayRecovery:
             await second.stop()
 
         asyncio.run(go())
+
+
+class TestGroupCommit:
+    """``wal_group_commit=True`` on the gateway itself: concurrent
+    acknowledged mutations share fsyncs, and every one of them is
+    still there after an abrupt stop."""
+
+    OPEN = {"wal_group_commit": True, "wal_group_window": 0.005,
+            "client_rate": 1e6, "client_burst": 1e6,
+            "peer_rate": 1e9, "peer_burst": 1e9}
+
+    async def loaded(self, wal_dir):
+        from repro.serve import run_load
+
+        gateway = await started(wal_dir, **self.OPEN)
+        result = await run_load(
+            *gateway.address, arrivals="poisson:rate=100000,seed=7",
+            requests=80, concurrency=16)
+        assert result.completed == 80, result.statuses
+        return gateway, result
+
+    def test_concurrent_mutations_share_fsyncs(self, tmp_path):
+        async def go():
+            gateway, _ = await self.loaded(tmp_path / "wal")
+            async with GatewayClient(*gateway.address) as client:
+                status, metrics = await client.metrics()
+            await gateway.stop(final_settle=False)
+            assert status == 200
+            commit = metrics["wal"]["group_commit"]
+            assert commit["mutations"] == 80
+            assert commit["fsyncs"] < commit["mutations"]
+            assert commit["fsyncs_per_mutation"] < 1.0
+
+        asyncio.run(go())
+
+    def test_acknowledged_mutations_survive_an_abrupt_stop(self, tmp_path):
+        async def go():
+            first, result = await self.loaded(tmp_path / "wal")
+            await crash(first)
+
+            second = await started(tmp_path / "wal", **self.OPEN)
+            async with GatewayClient(*second.address) as client:
+                health = await wait_clean(client)
+                assert health["recovered_from_wal"] is True
+                assert health["replayed_records"] == 80
+            pending = {query_id
+                       for service in second.backend.services
+                       for query_id in service.pending_ids}
+            assert pending == set(result.query_ids)
+            assert len(pending) == 80
+            await second.stop(final_settle=False)
+
+        asyncio.run(go())
+
+
+class TestFrontendDirectoryRefused:
+    """A WAL directory an older build's ``serve --workers N`` wrote
+    keeps its acknowledged ops in ``stripe-NN/`` logs this build does
+    not read: it is refused by name, never recovered without them."""
+
+    def test_striped_directory_is_refused_and_gateway_fails_closed(
+            self, tmp_path):
+        from repro.serve import HostBackend
+        from repro.utils.validation import ValidationError
+        from repro.wal import (
+            WriteAheadLog,
+            gateway_wal_state,
+            recover_gateway_backend,
+        )
+
+        wal_dir = tmp_path / "wal"
+        state = gateway_wal_state(HostBackend(build_cluster()))
+        WriteAheadLog.create(
+            wal_dir, {**state, "consumed": {"0": 0, "1": 0}}).close()
+        stripe = WriteAheadLog.create(
+            wal_dir / "stripe-00", {"kind": "stripe", "worker": 0,
+                                    "seq": 0})
+        stripe.append_op({"seq": 1, "request": {"op": "submit"}})
+        stripe.close()
+
+        with pytest.raises(ValidationError) as refused:
+            recover_gateway_backend(wal_dir, HostBackend(build_cluster()))
+        message = str(refused.value)
+        assert ("written by a build that has the multi-worker "
+                "front-end") in message
+        assert "stripe-" in message
+        assert "malformed" not in message
+
+        async def go():
+            gateway = await started(wal_dir)
+            async with GatewayClient(*gateway.address) as client:
+                health = await wait_clean(client)
+                assert health["status"] == "draining"
+                assert health["recovered_from_wal"] is False
+                status, _ = await client.submit(query(0))
+                assert status == 503
+            await gateway.stop(final_settle=False)
+
+        asyncio.run(go())

@@ -18,12 +18,10 @@ A crashpoint whose armed child exits 0 was never reached — that is a
 test failure too, so the matrix doubles as a reachability check.
 """
 
-import asyncio
 import json
 import os
 import subprocess
 import sys
-import time
 
 import pytest
 
@@ -137,9 +135,10 @@ def build_cluster():
         placement="round-robin")
 
 
-async def main(wal_dir, result_path):
+async def main(wal_dir, result_path, group_commit):
     config = GatewayConfig(quiet=True,
-                           wal_dir=wal_dir, wal_fsync="always")
+                           wal_dir=wal_dir, wal_fsync="always",
+                           wal_group_commit=group_commit == "group")
     gateway = AdmissionGateway(build_cluster(), config)
     await gateway.start()
     async with GatewayClient(*gateway.address) as client:
@@ -151,7 +150,7 @@ async def main(wal_dir, result_path):
         json.dump(state, handle)
 
 
-asyncio.run(main(sys.argv[1], sys.argv[2]))
+asyncio.run(main(*sys.argv[1:4]))
 """
 
 #: The op sequence every serve child runs; each op durably logs
@@ -202,7 +201,8 @@ def gateway_state(gateway):
     }
 
 
-def run_serve_child(tmp_path, wal_dir, crashpoint=None):
+def run_serve_child(tmp_path, wal_dir, crashpoint=None,
+                    commit="fsync"):
     script = tmp_path / "serve_child.py"
     script.write_text(SERVE_CHILD)
     result_path = tmp_path / "result.json"
@@ -211,7 +211,8 @@ def run_serve_child(tmp_path, wal_dir, crashpoint=None):
     if crashpoint is not None:
         env["REPRO_CRASHPOINT"] = crashpoint
     proc = subprocess.run(
-        [sys.executable, str(script), str(wal_dir), str(result_path)],
+        [sys.executable, str(script), str(wal_dir), str(result_path),
+         commit],
         capture_output=True, text=True, env=env, cwd=REPO, timeout=120)
     return proc, result_path
 
@@ -226,11 +227,17 @@ def serve_reference(tmp_path_factory):
 
 @pytest.mark.serve
 class TestServeKillMatrix:
-    @pytest.mark.parametrize(
-        "crashpoint", sorted(SERVE_MATRIX),
-        ids=lambda name: name.replace(".", "-"))
+    # Every crashpoint runs twice: the second child serves under the
+    # group committer (the log's own policy is then "never"), and a
+    # 200 must still mean on disk, against the same reference state.
+    @pytest.mark.parametrize("crashpoint,commit", [
+        pytest.param(name, commit,
+                     id=name.replace(".", "-") + suffix)
+        for name in sorted(SERVE_MATRIX)
+        for commit, suffix in (("fsync", ""), ("group", "-group"))])
     def test_kill_recover_finish_converges(self, tmp_path,
-                                           serve_reference, crashpoint):
+                                           serve_reference, crashpoint,
+                                           commit):
         import asyncio
 
         from repro.wal import records as rec, scan_wal
@@ -247,7 +254,7 @@ class TestServeKillMatrix:
         wal_dir = tmp_path / "wal"
         armed = f"{crashpoint}:{SERVE_MATRIX[crashpoint]}"
         proc, _ = run_serve_child(tmp_path, wal_dir,
-                                  crashpoint=armed)
+                                  crashpoint=armed, commit=commit)
         assert proc.returncode == -9, (
             f"{armed} never fired (rc={proc.returncode}): "
             f"{proc.stderr[-500:]}")
@@ -275,230 +282,4 @@ class TestServeKillMatrix:
         state = asyncio.run(finish())
         assert state == serve_reference
         keys = [tuple(k) for k in state["invoices"]]
-        assert len(keys) == len(set(keys)), "duplicate invoices"
-
-
-# ----------------------------------------------------------------------
-# The multi-process front-end matrix: SIGKILL a worker at every
-# frontend crashpoint, let the supervisor respawn it, and demand the
-# run converges to an uninterrupted in-process reference — recovered
-# twice, once live (striped reload over the coordinator's consumed
-# map) and once offline (``recover_striped_gateway``).
-# ----------------------------------------------------------------------
-
-FRONTEND_MATRIX = {
-    # Coordinator dies mid-settle before the period record: nothing
-    # became durable; the retried tick replays every stripe op.
-    "frontend.tick.before-period-record": 1,
-    # Coordinator dies after the period record fsync: the settle IS
-    # durable but the ack was lost; the period-aware driver must not
-    # settle a second time.
-    "frontend.tick.after-period-record": 1,
-    # Dies right after a drain syncs its stripe (buffer swapped out):
-    # first the coordinator at its own drain, then — once the
-    # respawned, disarmed coordinator re-drains its peers — worker 1.
-    "frontend.drain.after-sync": 1,
-}
-
-
-def frontend_cluster():
-    from repro.cluster import FederatedAdmissionService
-    from repro.dsms.streams import SyntheticStream
-
-    return FederatedAdmissionService.build(
-        num_shards=4,
-        sources=[SyntheticStream("s", rate=2.0, seed=0)],
-        capacity=20.0, mechanism="CAT", ticks_per_period=4,
-        placement="consistent-hash")
-
-
-def frontend_queries(n, start=0, worker=None, affinity=None):
-    """*n* queries; with *worker* set, only keys that worker owns."""
-    from tests.strategies import select_query
-
-    from repro.cluster.affinity import affinity_key
-
-    out, index = [], start
-    while len(out) < n:
-        query = select_query(f"k{index}", f"owner{index}",
-                             bid=4.0 + (index % 3), cost=1.0)
-        index += 1
-        if worker is not None and affinity.worker_of(
-                affinity_key(query)) != worker:
-            continue
-        out.append(query)
-    return out
-
-
-def coordinator_report(supervisor, timeout=2.0):
-    """The coordinator's authoritative /v1/report over its control
-    port (the public port may land on a worker with a stale view), or
-    ``None`` while the coordinator is dead or respawning."""
-    from repro.serve.frontend import COORDINATOR, _control_call
-
-    try:
-        status, body = _control_call(
-            supervisor.control_ports[COORDINATOR], "/v1/report",
-            timeout=timeout)
-    except Exception:
-        return None
-    return body if status == 200 else None
-
-
-async def frontend_submit(client, query, attempts=80):
-    """Submit with reconnect-and-retry: survives the window where a
-    killed worker's shared listening socket queues the connection."""
-    from repro.serve import HttpError
-
-    for _ in range(attempts):
-        try:
-            status, body = await asyncio.wait_for(
-                client.submit(query), 5.0)
-        except (OSError, HttpError, asyncio.TimeoutError):
-            await client.close()
-            await asyncio.sleep(0.1)
-            continue
-        if status == 200:
-            return
-        await asyncio.sleep(0.1)
-    raise AssertionError(f"submit never acked: {query.query_id}")
-
-
-def ensure_period(supervisor, target, deadline_s=60.0):
-    """Drive the cluster to *target* settled periods, resiliently.
-
-    Checks the coordinator's durable period before every tick and
-    awaits each tick to completion (the coordinator's control port
-    backlog survives a respawn, so a sent tick resolves once the new
-    process accepts it), so a settle that became durable but lost its
-    ack is never repeated — exactly the resume a period-aware client
-    performs.
-    """
-    from repro.serve import GatewayClient, HttpError
-    from repro.serve.frontend import COORDINATOR
-
-    port = supervisor.control_ports[COORDINATOR]
-
-    async def tick_once():
-        try:
-            async with GatewayClient("127.0.0.1", port,
-                                     client_id="matrix") as client:
-                await asyncio.wait_for(client.tick(), 25.0)
-        except (OSError, HttpError, asyncio.TimeoutError):
-            pass
-
-    deadline = time.time() + deadline_s
-    while True:
-        report = coordinator_report(supervisor)
-        if report is not None and report["period"] >= target:
-            return report
-        assert time.time() < deadline, (
-            f"period {target} never reached")
-        if report is None:
-            time.sleep(0.2)
-        else:
-            asyncio.run(tick_once())
-
-
-def wait_respawn(supervisor, index, pid=None, deadline_s=30.0):
-    deadline = time.time() + deadline_s
-    while (supervisor.respawns[index] == 0
-           or supervisor.worker_pid(index) == pid
-           or supervisor.worker_pid(index) is None):
-        assert time.time() < deadline, (
-            f"worker {index} never respawned")
-        time.sleep(0.05)
-
-
-@pytest.mark.serve
-class TestFrontendKillMatrix:
-    @pytest.mark.parametrize("crashpoint", sorted(FRONTEND_MATRIX))
-    def test_respawn_converges_to_reference(self, tmp_path,
-                                            crashpoint):
-        import asyncio as _asyncio
-
-        from repro.cluster.affinity import ShardAffinityMap
-        from repro.serve import (
-            GatewayClient,
-            GatewayConfig,
-            HostBackend,
-        )
-        from repro.serve.frontend import (
-            COORDINATOR,
-            FrontendConfig,
-            GatewaySupervisor,
-        )
-        from repro.serve.gateway import report_document
-        from repro.wal import recover_striped_gateway
-
-        affinity = ShardAffinityMap.for_cluster(
-            HostBackend(frontend_cluster()).host.cluster, 2)
-        # The drain crashpoint also fells worker 1 when the respawned
-        # coordinator re-drains it; keep the first settle's ops out of
-        # worker 1's buffer so the skipped drain is provably empty.
-        first = frontend_queries(
-            10, worker=COORDINATOR if "drain" in crashpoint else None,
-            affinity=affinity)
-        second = frontend_queries(10, start=100)
-
-        reference = HostBackend(frontend_cluster())
-        expected = []
-        for batch in (first, second):
-            for query in batch:
-                reference.submit(query)
-            expected.append(json.dumps(
-                report_document(reference.tick()), sort_keys=True))
-
-        config = FrontendConfig(
-            workers=2,
-            gateway=GatewayConfig(
-                quiet=True, port=0,
-                wal_dir=str(tmp_path / "wal"),
-                wal_group_commit=True))
-        armed = f"{crashpoint}:{FRONTEND_MATRIX[crashpoint]}"
-        os.environ["REPRO_CRASHPOINT"] = armed
-        try:
-            supervisor = GatewaySupervisor(
-                frontend_cluster, config).start()
-        finally:
-            os.environ.pop("REPRO_CRASHPOINT", None)
-
-        async def submit_batch(batch):
-            host, port = supervisor.address
-            async with GatewayClient(host, port,
-                                     client_id="matrix") as client:
-                for query in batch:
-                    await frontend_submit(client, query)
-
-        try:
-            _asyncio.run(submit_batch(first))
-            report = ensure_period(supervisor, 1)
-            assert json.dumps(report["report"],
-                              sort_keys=True) == expected[0]
-            # The coordinator must actually have died and respawned —
-            # a crashpoint that never fired is a test failure too.
-            wait_respawn(supervisor, COORDINATOR)
-            if "drain" in crashpoint:
-                wait_respawn(supervisor, 1)
-            _asyncio.run(submit_batch(second))
-            report = ensure_period(supervisor, 2)
-            assert json.dumps(report["report"],
-                              sort_keys=True) == expected[1]
-            live_revenue = report["revenue"]
-        finally:
-            supervisor.stop()
-
-        recovered = HostBackend(frontend_cluster())
-        log, consumed = recover_striped_gateway(
-            tmp_path / "wal", recovered)
-        log.close()
-        assert recovered.period == 2
-        assert recovered.total_revenue() == live_revenue
-        assert json.dumps(report_document(recovered.last_report),
-                          sort_keys=True) == expected[1]
-        keys = sorted(
-            (shard, invoice.period, invoice.query_id)
-            for shard, service in enumerate(recovered.services)
-            for invoice in service.ledger.invoices)
-        assert keys, "billing ledger is empty — workload too small"
         assert len(keys) == len(set(keys)), "duplicate invoices"

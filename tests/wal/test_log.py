@@ -211,20 +211,12 @@ class TestCrashpoints:
         import repro.serve.gateway  # noqa: F401
         import repro.sim.driver  # noqa: F401
 
+        from tests.wal.test_kill_matrix import SERVE_MATRIX, SIM_MATRIX
+
+        # Equality, not >=: a crashpoint registered with no matrix row
+        # would otherwise never be killed at.
         names = crashpoints.registered_crashpoints()
-        assert set(names) >= {
-            "wal.append.before-frame",
-            "wal.append.after-frame",
-            "wal.compact.before-snapshot",
-            "wal.compact.after-snapshot",
-            "wal.compact.after-checkpoint",
-            "wal.compact.after-prune",
-            "driver.settle.before-period-record",
-            "driver.settle.after-period-record",
-            "gateway.tick.before-period-record",
-            "gateway.tick.after-period-record",
-            "io.save.after-tmp",
-        }
+        assert set(names) == set(SIM_MATRIX) | set(SERVE_MATRIX)
 
     def test_arm_counts_hits_before_firing(self, tmp_path):
         fired = []
