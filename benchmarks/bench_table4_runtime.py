@@ -23,8 +23,10 @@ def instance(scale):
 
 @pytest.mark.parametrize("name", TABLE4_MECHANISMS)
 def test_mechanism_runtime(benchmark, name, instance):
+    # The paper's algorithm, not the array kernel a skip-over
+    # mechanism (or any mechanism on a warm index) would pick itself.
     mechanism = mechanism_factory(name, 0)
-    outcome = benchmark(mechanism.run, instance)
+    outcome = benchmark(mechanism.run, instance, selection="reference")
     assert outcome.used_capacity <= instance.capacity + 1e-6
 
 

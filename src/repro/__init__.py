@@ -13,9 +13,9 @@ Packages:
   registry, and declarative :class:`MechanismSpec` configuration.
 * :mod:`repro.service` — the public service API: an
   :class:`AdmissionService` facade assembled by a
-  :class:`ServiceBuilder` from typed :class:`ServiceConfig`, composed
-  of an auction coordinator, a transition manager, a billing ledger,
-  and a lifecycle-hook system; snapshot/restore included.
+  :class:`ServiceBuilder`, composed of an auction coordinator, a
+  transition manager, a billing ledger, and a lifecycle-hook system;
+  snapshot/restore included.
 * :mod:`repro.cluster` — the scale-out layer: a
   :class:`FederatedAdmissionService` sharding submissions over N
   service instances via pluggable placement policies, with cross-shard
@@ -102,7 +102,6 @@ from repro.service import (
     HookRegistry,
     PeriodReport,
     ServiceBuilder,
-    ServiceConfig,
     ServiceSnapshot,
 )
 
@@ -128,7 +127,6 @@ __all__ = [
     "Query",
     "RandomAdmission",
     "ServiceBuilder",
-    "ServiceConfig",
     "ServiceSnapshot",
     "TwoPrice",
     "__version__",

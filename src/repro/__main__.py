@@ -18,7 +18,7 @@ Commands
 ``report``     regenerate the paper's tables and figures
 ``verify``     run the Table I property-verification battery
 
-Bad spec strings (``--selection warp``, ``--placement bogus``...) exit
+Bad spec strings (``--scheduler warp``, ``--placement bogus``...) exit
 with code 2 and a one-line ``repro: error:`` message naming the flag
 and the offending spec — no tracebacks for misuse.
 
@@ -33,7 +33,7 @@ Examples::
     python -m repro run two-price:seed=7 wl.json -o outcome.json
     python -m repro run CAT wl1.json wl2.json wl3.json
     python -m repro simulate --mechanism CAT --periods 5
-    python -m repro simulate --selection fast --profile --periods 3
+    python -m repro simulate --profile --periods 3
     python -m repro simulate --periods 3 --checkpoint svc.ckpt
     python -m repro simulate --periods 2 --resume svc.ckpt
     python -m repro sim --arrivals poisson:rate=2 --periods 10
@@ -44,8 +44,6 @@ Examples::
     python -m repro sim --periods 4 --checkpoint sim.ckpt
     python -m repro sim --periods 6 --resume sim.ckpt
     python -m repro cluster --shards 4 --periods 5
-    python -m repro cluster --selection fast --periods 5
-    python -m repro run CAT wl.json --selection fast
     python -m repro cluster --placement least-loaded --periods 3
     python -m repro cluster --periods 2 --checkpoint cl.ckpt
     python -m repro cluster --periods 2 --resume cl.ckpt
@@ -96,23 +94,10 @@ def _parse_spec(flag: str, text: str, parse):
         raise ValidationError(f"{flag} {text!r}: {message}") from exc
 
 
-def _selection_spec(args: argparse.Namespace):
-    """The validated ``--selection`` spec, or ``None`` when not given."""
-    if not args.selection:
-        return None
-    from repro.core.selection import SelectionSpec
-
-    return _parse_spec("--selection", args.selection,
-                       lambda text: SelectionSpec.parse(text).validate())
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     spec = _parse_spec("mechanism", args.mechanism,
                        lambda text: _spec_with_seed(text, args.seed))
     mechanism = spec.create()
-    selection = _selection_spec(args)
-    if selection is not None:
-        mechanism.use_selection(selection)
     instances = [load_instance(path) for path in args.instance]
     outcomes = mechanism.run_many(instances)
     if len(outcomes) == 1:
@@ -194,24 +179,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     if args.resume:
         service = AdmissionService.load_checkpoint(args.resume)
-        selection = _selection_spec(args)
-        if selection is not None:
-            service.mechanism.use_selection(selection)
         start = service.period
     else:
         spec = _parse_spec(
             "--mechanism", args.mechanism,
             lambda text: _spec_with_seed(text, args.seed))
-        builder = (ServiceBuilder()
+        service = (ServiceBuilder()
                    .with_sources(SyntheticStream(
                        "s", rate=args.rate, seed=args.seed))
                    .with_capacity(args.capacity)
                    .with_mechanism(spec)
-                   .with_ticks_per_period(args.ticks))
-        selection = _selection_spec(args)
-        if selection is not None:
-            builder.with_selection(selection)
-        service = builder.build()
+                   .with_ticks_per_period(args.ticks)
+                   .build())
         start = 0
 
     rows = []
@@ -343,7 +322,6 @@ def _cmd_sim(args: argparse.Namespace) -> int:
                 ("--shards", args.shards is not None),
                 ("--placement", args.placement is not None),
                 ("--route", args.route is not None),
-                ("--pump", args.pump),
                 ("--mechanism", args.mechanism is not None),
                 ("--capacity", args.capacity is not None),
                 ("--rate", args.rate is not None),
@@ -422,7 +400,6 @@ def _cmd_sim(args: argparse.Namespace) -> int:
             record=bool(args.record),
             route=args.route,
             probe_retention=args.probe_retention,
-            pump=args.pump,
         )
         if args.wal:
             from repro.wal import WriteAheadLog
@@ -604,15 +581,10 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
     if args.resume:
         cluster = FederatedAdmissionService.load_checkpoint(args.resume)
-        selection = _selection_spec(args)
-        if selection is not None:
-            for shard in cluster.shards:
-                shard.mechanism.use_selection(selection)
         start = cluster.period
     else:
         from repro.cluster.placement import resolve_placement
 
-        selection = _selection_spec(args)
         spec = _parse_spec("--mechanism", args.mechanism,
                            lambda text: _spec_with_seed(text, args.seed))
         cluster = FederatedAdmissionService.build(
@@ -621,7 +593,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             capacity=args.capacity,
             mechanism=spec,
             ticks_per_period=args.ticks,
-            selection=selection,
             placement=_parse_spec("--placement", args.placement,
                                   resolve_placement),
             rebalance=not args.no_rebalance,
@@ -772,9 +743,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0,
                      help="seed for randomized mechanisms (unless the "
                           "spec sets one)")
-    run.add_argument("--selection", default=None,
-                     help="winner-selection path spec: reference, "
-                          "fast, fast:strict=true")
     run.add_argument("-o", "--output", default=None,
                      help="also write the outcome JSON here")
     run.set_defaults(handler=_cmd_run)
@@ -791,9 +759,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="stream arrival rate (tuples/tick)")
     simulate.add_argument("--ticks", type=int, default=20,
                           help="engine ticks per subscription period")
-    simulate.add_argument("--selection", default=None,
-                          help="winner-selection path spec: reference "
-                               "(default), fast")
     simulate.add_argument("--profile", action="store_true",
                           help="dump per-phase (prepare/auction/"
                                "settle/execute) wall-clock timings "
@@ -852,11 +817,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="arrival routing: by placement policy "
                           "(default), or arrival process i pinned to "
                           "shard i")
-    sim.add_argument("--pump", action="store_true",
-                     help="consume arrivals through the columnar "
-                          "pump: numpy row blocks instead of "
-                          "per-arrival events (identical results, "
-                          "higher throughput)")
     sim.add_argument("--probe-retention", type=int, default=None,
                      help="keep only the most recent N probe tick "
                           "records and latency samples (default: "
@@ -920,9 +880,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="stream arrival rate (tuples/tick)")
     cluster.add_argument("--ticks", type=int, default=20,
                          help="engine ticks per subscription period")
-    cluster.add_argument("--selection", default=None,
-                         help="winner-selection path spec applied to "
-                              "every shard: reference (default), fast")
     cluster.add_argument("--seed", type=int, default=0)
     cluster.add_argument("--no-rebalance", action="store_true",
                          help="disable cross-shard migration of "

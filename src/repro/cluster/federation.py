@@ -114,7 +114,6 @@ class FederatedAdmissionService:
         mechanism: object,
         ticks_per_period: int = 50,
         hold_ticks: int = 1,
-        selection: "object | None" = None,
         placement: "PlacementPolicy | str" = "consistent-hash",
         rebalance: bool = True,
     ) -> "FederatedAdmissionService":
@@ -128,11 +127,6 @@ class FederatedAdmissionService:
         shards (its randomness is then consumed in shard-index order).
         *capacity* is per shard: the cluster offers ``num_shards ×
         capacity`` total work units per tick.
-
-        *selection* pins every shard mechanism's winner-selection path
-        (``"reference"``, ``"fast"``, or a
-        :class:`~repro.core.selection.SelectionSpec`); ``None`` keeps
-        the default.
         """
         require(int(num_shards) >= 1, "num_shards must be >= 1")
         builder = (ServiceBuilder()
@@ -141,8 +135,6 @@ class FederatedAdmissionService:
                    .with_mechanism(mechanism)
                    .with_ticks_per_period(ticks_per_period)
                    .with_hold_ticks(hold_ticks))
-        if selection is not None:
-            builder.with_selection(selection)
         shards = [builder.build() for _ in range(int(num_shards))]
         return cls(
             shards=shards,

@@ -24,12 +24,11 @@ from __future__ import annotations
 import abc
 import bisect
 import hashlib
-import inspect
 from dataclasses import dataclass
 from collections.abc import Callable, Mapping, Sequence
 
-from repro.core.mechanism import MechanismSpec
 from repro.dsms.plan import ContinuousQuery
+from repro.utils.registry import RegistrySpec, SpecRegistry
 from repro.utils.validation import ValidationError, require
 
 
@@ -168,19 +167,20 @@ class ConsistentHashPlacement(PlacementPolicy):
         return shards[owners[position]].index
 
 
-_PLACEMENTS: dict[str, Callable[..., PlacementPolicy]] = {}
+#: The placement registry (shared machinery: utils.registry).
+_REGISTRY = SpecRegistry("placement policy", param_noun="placement")
 
 
 def register_placement(
     name: str, factory: Callable[..., PlacementPolicy]
 ) -> None:
     """Register a placement *factory* under *name* (case-insensitive)."""
-    _PLACEMENTS[name.lower()] = factory
+    _REGISTRY.register(name, factory)
 
 
 def registered_placements() -> Mapping[str, Callable[..., PlacementPolicy]]:
     """Read-only view of the placement registry (name → factory)."""
-    return dict(_PLACEMENTS)
+    return _REGISTRY.as_mapping()
 
 
 register_placement("round-robin", RoundRobinPlacement)
@@ -188,29 +188,12 @@ register_placement("least-loaded", LeastLoadedPlacement)
 register_placement("consistent-hash", ConsistentHashPlacement)
 
 
-def _validate_params(
-    name: str, factory: Callable[..., PlacementPolicy],
-    params: Mapping[str, object],
-) -> None:
-    """Reject parameters the policy factory does not accept."""
-    if not params:
-        return
-    try:
-        signature = inspect.signature(factory)
-    except (TypeError, ValueError):  # pragma: no cover - exotic factory
-        return
-    accepted = [p.name for p in signature.parameters.values()
-                if p.kind in (inspect.Parameter.POSITIONAL_OR_KEYWORD,
-                              inspect.Parameter.KEYWORD_ONLY)]
-    if any(p.kind is inspect.Parameter.VAR_KEYWORD
-           for p in signature.parameters.values()):
-        return
-    unknown = sorted(set(params) - set(accepted))
-    if unknown:
-        menu = ", ".join(accepted) if accepted else "none"
-        raise ValidationError(
-            f"placement {name!r} does not accept parameter(s) "
-            f"{unknown}; accepted parameters: {menu}")
+@dataclass(frozen=True)
+class _PlacementSpec(RegistrySpec):
+    """A placement-policy name plus declared, validated parameters."""
+
+    _registry = _REGISTRY
+    _what = "placement spec"
 
 
 def resolve_placement(
@@ -225,16 +208,10 @@ def resolve_placement(
     if isinstance(placement, PlacementPolicy):
         return placement
     if isinstance(placement, str):
-        spec = MechanismSpec.parse(placement)
         try:
-            factory = _PLACEMENTS[spec.name.lower()]
-        except KeyError:
-            known = ", ".join(sorted(_PLACEMENTS))
-            raise ValidationError(
-                f"unknown placement policy {spec.name!r}; "
-                f"known: {known}") from None
-        _validate_params(spec.name, factory, spec.params)
-        return factory(**spec.params)
+            return _PlacementSpec.parse(placement).create()
+        except KeyError as exc:
+            raise ValidationError(exc.args[0]) from None
     raise ValidationError(
         f"cannot resolve a placement policy from {placement!r}; pass a "
         f"PlacementPolicy or a spec string like 'round-robin' or "

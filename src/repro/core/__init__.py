@@ -37,10 +37,6 @@ from repro.core.selection import (
     FastSelection,
     ReferenceSelection,
     SelectionPath,
-    SelectionSpec,
-    make_selection,
-    register_selection,
-    registered_selections,
     resolve_selection,
 )
 from repro.core.optc import (
@@ -97,21 +93,17 @@ __all__ = [
     "RandomAdmission",
     "ReferenceSelection",
     "SelectionPath",
-    "SelectionSpec",
     "TwoPrice",
     "greedy_value_gap",
     "make_mechanism",
-    "make_selection",
     "mechanism_params",
     "optimal_constant_pricing",
     "optimal_single_price",
     "optimal_winner_set",
     "register_mechanism",
-    "register_selection",
     "resolve_mechanism",
     "resolve_selection",
     "registered_mechanisms",
-    "registered_selections",
     "remaining_load",
     "static_fair_share_load",
     "total_load",

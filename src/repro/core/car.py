@@ -38,6 +38,7 @@ class CAR(Mechanism):
 
     name = "CAR"
     bid_strategyproof = False
+    superlinear_reference = True
     sybil_immune = False
     profit_guarantee = False
 

@@ -68,6 +68,7 @@ class SkipOverDensityMechanism(Mechanism):
     """
 
     load_measure: LoadMeasure
+    superlinear_reference = True
 
     def _select(self, instance: AuctionInstance):
         order = priority_order(instance, self.load_measure)

@@ -9,8 +9,8 @@ price.  Every kernel is the bitwise twin of its pure-Python reference
 :mod:`repro.core.movement_window` / :mod:`repro.core.two_price`);
 ``tests/core/test_fastpath_differential.py`` pins the equivalence.
 
-Selected through the :mod:`repro.core.selection` registry: spec string
-``"fast"`` (or ``"fast:strict=true"`` to forbid silent fallback).
+:meth:`repro.core.Mechanism.run` picks this path where it wins (see
+there); ``selection="fast"`` names it.
 """
 
 from repro.core.fastpath.index import InstanceIndex

@@ -22,14 +22,8 @@ from collections.abc import Callable, Iterable, Mapping
 
 from repro.core.model import AuctionInstance, Query
 from repro.core.result import AuctionOutcome
-from repro.core.selection import (
-    SelectionPath,
-    SelectionSpec,
-    default_selection,
-    resolve_selection,
-)
+from repro.core.selection import SelectionPath, resolve_selection
 from repro.utils.registry import RegistrySpec, SpecRegistry
-from repro.utils.specparse import parse_param_value
 from repro.utils.validation import ValidationError
 
 
@@ -53,49 +47,69 @@ class Mechanism(abc.ABC):
     #: Whether the mechanism carries a provable profit guarantee.
     profit_guarantee: bool = False
 
-    #: The selection path this mechanism runs on: ``None`` means the
-    #: process default (``"reference"``).  Set per instance with
+    #: Whether the reference ``_select`` is one of the paper's
+    #: super-linear algorithms (Table IV: CAR's admission rounds, the
+    #: skip-over mechanisms' per-winner movement windows) — where the
+    #: array kernel wins even after paying for a cold index.
+    superlinear_reference: bool = False
+
+    #: The selection path this mechanism is pinned to; ``None`` (the
+    #: default) lets :meth:`run` pick per instance.  Set with
     #: :meth:`use_selection`; a ``run(..., selection=...)`` argument
     #: overrides it for one call.
-    selection: "SelectionPath | SelectionSpec | str | None" = None
+    selection: "SelectionPath | str | None" = None
 
-    def use_selection(
-        self, selection: "SelectionPath | SelectionSpec | str"
-    ) -> "Mechanism":
+    def use_selection(self, selection: "SelectionPath | str") -> "Mechanism":
         """Pin this mechanism to a selection path; returns ``self``.
 
-        Accepts any form :func:`repro.core.selection.resolve_selection`
-        does — ``"reference"``, ``"fast"``, ``"fast:strict=true"``, a
-        spec, or a live path.  The resolved path is stored, so specs
-        fail here (with the registry's menu) rather than mid-auction.
+        Accepts what :func:`repro.core.selection.resolve_selection`
+        does — ``"reference"``, ``"fast"``, or a live path.  The
+        resolved path is stored, so a bad name fails here (with the
+        two accepted ones) rather than mid-auction.
         """
         self.selection = resolve_selection(selection)
         return self
 
     def _selection_path(
-        self, override: "SelectionPath | SelectionSpec | str | None"
+        self, override: "SelectionPath | str | None",
+        instance: AuctionInstance,
     ) -> SelectionPath:
+        """The override, else the pinned path, else the observed one.
+
+        With nothing named, the kernels run where they win: on an
+        instance that already holds its columns (the cached index or
+        the columnar row hook ``InstanceIndex.of`` reads — the index
+        is then free) and on the super-linear references; the
+        O(n log n) references beat a kernel that must first compile a
+        cold object instance.
+        """
         selection = override if override is not None else self.selection
         if selection is None:
-            return default_selection()
+            selection = (
+                "fast" if self.superlinear_reference
+                or getattr(instance, "_fastpath_cache", None) is not None
+                or hasattr(instance, "_index_columns")
+                else "reference")
         return resolve_selection(selection)
 
     def run(
         self,
         instance: AuctionInstance,
         *,
-        selection: "SelectionPath | SelectionSpec | str | None" = None,
+        selection: "SelectionPath | str | None" = None,
     ) -> AuctionOutcome:
         """Run the auction on *instance* and return the outcome.
 
         The outcome is validated against server capacity; a mechanism
         that over-admits is a bug, not a modelling choice.  *selection*
-        overrides the mechanism's pinned selection path for this call;
+        names the implementation for this call (over a pinned one);
         every path produces identical outcomes (the differential suite
-        pins it), so the choice is purely a throughput knob.
+        pins it), so left alone the mechanism picks the faster one
+        from what it observes.
         """
-        path = self._selection_path(selection)
-        payments, details = path.select(self, self._seal(instance))
+        sealed = self._seal(instance)
+        path = self._selection_path(selection, sealed)
+        payments, details = path.select(self, sealed)
         outcome = AuctionOutcome(
             instance=instance,
             payments=payments,
@@ -109,7 +123,7 @@ class Mechanism(abc.ABC):
         self,
         instances: Iterable[AuctionInstance],
         *,
-        selection: "SelectionPath | SelectionSpec | str | None" = None,
+        selection: "SelectionPath | str | None" = None,
     ) -> list[AuctionOutcome]:
         """Run the auction on every instance, in order.
 
@@ -207,11 +221,6 @@ def make_mechanism(name: str, **kwargs: object) -> Mechanism:
 def registered_mechanisms() -> Mapping[str, Callable[[], Mechanism]]:
     """Read-only view of the registry (name → factory)."""
     return _REGISTRY.as_mapping()
-
-
-#: Backwards-compatible alias (the parser now lives in utils.specparse
-#: so every spec-addressable registry shares one grammar).
-_parse_param_value = parse_param_value
 
 
 @dataclass(frozen=True)

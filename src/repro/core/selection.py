@@ -1,30 +1,27 @@
-"""Pluggable winner-selection paths for the auction mechanisms.
+"""Winner-selection paths for the auction mechanisms.
 
-The mechanisms own their *semantics*; a :class:`SelectionPath` chooses
-the *implementation* that computes them:
+The mechanisms own their *semantics*; a :class:`SelectionPath` is the
+*implementation* that computes them:
 
 * :class:`ReferenceSelection` — each mechanism's pure-Python
   ``_select``, the executable form of the paper's algorithms;
 * :class:`FastSelection` — the :mod:`repro.core.fastpath` array
   kernels, bitwise identical to the reference (pinned by the
   differential suite), falling back to ``_select`` for mechanisms
-  without a fast kernel (or raising, with ``strict=true``).
+  without a fast kernel (or raising, with ``strict=True``).
 
-Selection paths are *spec-string addressable* through a registry
-mirroring :class:`repro.core.mechanism.MechanismSpec`:
-``"reference"``, ``"fast"``, ``"fast:strict=true"`` — the currency of
-:class:`~repro.service.builder.ServiceConfig`, the cluster federation
-and the CLI's ``--selection`` flag.  A path is stateless, so one
-instance may serve any number of mechanisms concurrently.
+Which of the two runs is :meth:`repro.core.Mechanism.run`'s decision,
+taken from what it observes about the mechanism and the instance.
+Code that needs one in particular — the oracle side of a differential
+test, an A/B timing — names it: ``"reference"``, ``"fast"``, or a live
+path object.  A path is stateless, so one instance may serve any
+number of mechanisms concurrently.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
-from collections.abc import Callable, Mapping
 
-from repro.utils.registry import RegistrySpec, SpecRegistry
 from repro.utils.validation import ValidationError
 
 
@@ -36,7 +33,7 @@ class SelectionPath(abc.ABC):
     selection path trades representation, never outcomes.
     """
 
-    #: Registry name of the selection path.
+    #: The name the path is addressed by.
     name: str = "selection"
 
     @abc.abstractmethod
@@ -82,81 +79,30 @@ class FastSelection(SelectionPath):
         if self._strict:
             raise ValidationError(
                 f"mechanism {mechanism.name!r} has no fast selection "
-                f"kernel; run it with selection='reference' (or drop "
-                f"strict=true to allow the fallback)")
+                f"kernel; run it with selection='reference' (or a "
+                f"non-strict FastSelection to allow the fallback)")
         return mechanism._select(instance)
 
 
-# ----------------------------------------------------------------------
-# Registry and specs (mirrors repro.core.mechanism)
-# ----------------------------------------------------------------------
-
-#: The selection-path registry (shared machinery: utils.registry).
-_REGISTRY = SpecRegistry("selection path", param_noun="selection path")
+#: The two paths by name (both stateless, so one object each).
+_PATHS = {"reference": ReferenceSelection(), "fast": FastSelection()}
 
 
-def register_selection(
-    name: str, factory: Callable[..., SelectionPath]
-) -> None:
-    """Register a selection-path *factory* (case-insensitive name)."""
-    _REGISTRY.register(name, factory)
+def resolve_selection(selection: "SelectionPath | str") -> SelectionPath:
+    """Coerce *selection* to a live path.
 
-
-def selection_params(name: str) -> "tuple[str, ...] | None":
-    """Parameter names the factory of *name* accepts (None = open)."""
-    return _REGISTRY.params(name)
-
-
-def make_selection(name: str, **kwargs: object) -> SelectionPath:
-    """Instantiate a registered selection path, validating kwargs."""
-    return _REGISTRY.create(name, **kwargs)
-
-
-def registered_selections() -> Mapping[str, Callable[..., SelectionPath]]:
-    """Read-only view of the registry (name → factory)."""
-    return _REGISTRY.as_mapping()
-
-
-@dataclass(frozen=True)
-class SelectionSpec(RegistrySpec):
-    """A selection-path name plus declared, validated parameters.
-
-    >>> SelectionSpec.parse("fast:strict=true")
-    SelectionSpec(name='fast', params={'strict': True})
-    """
-
-    _registry = _REGISTRY
-    _what = "selection spec"
-
-
-#: The default path every mechanism starts on.
-_DEFAULT = ReferenceSelection()
-
-
-def default_selection() -> SelectionPath:
-    """The process-wide default selection path (``"reference"``)."""
-    return _DEFAULT
-
-
-def resolve_selection(
-    selection: "SelectionPath | SelectionSpec | str",
-) -> SelectionPath:
-    """Coerce any accepted selection form to a live instance.
-
-    Accepts a live :class:`SelectionPath`, a :class:`SelectionSpec`,
-    or a spec string like ``"reference"`` / ``"fast:strict=true"``.
+    Accepts a live :class:`SelectionPath` or one of the two names,
+    ``"reference"`` / ``"fast"``.
     """
     if isinstance(selection, SelectionPath):
         return selection
-    if isinstance(selection, SelectionSpec):
-        return selection.create()
     if isinstance(selection, str):
-        return SelectionSpec.parse(selection).create()
+        try:
+            return _PATHS[selection.lower()]
+        except KeyError:
+            raise KeyError(
+                f"unknown selection path {selection!r}; "
+                f"known: {', '.join(sorted(_PATHS))}") from None
     raise ValidationError(
         f"cannot resolve a selection path from {selection!r}; pass a "
-        f"SelectionPath, a SelectionSpec, or a spec string like "
-        f"'reference' or 'fast'")
-
-
-register_selection("reference", ReferenceSelection)
-register_selection("fast", FastSelection)
+        f"SelectionPath or one of the names 'reference' / 'fast'")

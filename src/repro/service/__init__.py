@@ -5,8 +5,7 @@ over pluggable components:
 
 * :class:`AdmissionService` — the facade: submit/withdraw, the
   per-period auction-bill-transition-execute cycle, checkpointing;
-* :class:`ServiceBuilder` / :class:`ServiceConfig` — fluent assembly
-  from typed, validated settings;
+* :class:`ServiceBuilder` — fluent assembly from validated settings;
 * :class:`AuctionCoordinator` — candidate collection + load estimation;
 * :class:`TransitionManager` — engine add/remove/transition;
 * :class:`HookRegistry` — lifecycle middleware (``on_submit``,
@@ -32,11 +31,7 @@ Quickstart::
     report = service.run_period()
 """
 
-from repro.service.builder import (
-    ServiceBuilder,
-    ServiceConfig,
-    service_from_config,
-)
+from repro.service.builder import ServiceBuilder
 from repro.service.coordinator import AuctionCoordinator
 from repro.service.hooks import FILTER_EVENTS, HOOK_EVENTS, HookRegistry
 from repro.service.reports import PeriodReport
@@ -60,8 +55,6 @@ __all__ = [
     "PeriodSettlement",
     "SNAPSHOT_STATE_VERSION",
     "ServiceBuilder",
-    "ServiceConfig",
     "ServiceSnapshot",
     "TransitionManager",
-    "service_from_config",
 ]

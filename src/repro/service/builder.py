@@ -1,10 +1,8 @@
-"""Typed configuration and fluent assembly of an admission service.
+"""Fluent assembly of an admission service.
 
-:class:`ServiceConfig` is the declarative half — a frozen, serializable
-description (capacity, mechanism spec, period length) with no live
-objects in it.  :class:`ServiceBuilder` is the imperative half — a
-fluent builder that combines a config (or inline settings) with the
-live parts: stream sources, a pre-built mechanism, hooks, a ledger.
+:class:`ServiceBuilder` combines settings (capacity, mechanism spec,
+period length) with the live parts: stream sources, a pre-built
+mechanism, hooks, a ledger.  Everything is validated at ``build()``.
 
 >>> service = (ServiceBuilder()
 ...     .with_sources(SyntheticStream("s", rate=5))
@@ -17,95 +15,15 @@ live parts: stream sources, a pre-built mechanism, hooks, a ledger.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, replace
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 
 from repro.core.mechanism import Mechanism, MechanismSpec
-from repro.core.selection import SelectionPath, SelectionSpec
+from repro.core.selection import SelectionPath
 from repro.dsms.scheduler import PolicySpec, SchedulingPolicy
 from repro.dsms.streams import StreamSource
 from repro.service.hooks import HookRegistry
 from repro.service.service import AdmissionService
-from repro.utils.validation import ValidationError, require
-
-
-@dataclass(frozen=True)
-class ServiceConfig:
-    """Declarative service settings (everything but live objects).
-
-    ``mechanism`` is a spec string (``"CAT"``, ``"two-price:seed=7"``)
-    or a :class:`MechanismSpec`; ``selection`` is a winner-selection-path
-    spec (``"reference"``, ``"fast"``) or a :class:`SelectionSpec` —
-    ``None`` (the default) pins nothing, leaving the mechanism's own
-    selection setting untouched.  All are validated against their
-    registries on construction, so a config with a typo'd name or
-    parameter never gets as far as ``build()``.
-    """
-
-    capacity: float
-    mechanism: "str | MechanismSpec" = "CAT"
-    ticks_per_period: int = 50
-    hold_ticks: int = 1
-    selection: "str | SelectionSpec | None" = None
-    scheduler: "str | PolicySpec | None" = None
-
-    def __post_init__(self) -> None:
-        require(self.capacity > 0, "capacity must be positive")
-        require(self.ticks_per_period > 0,
-                "ticks_per_period must be positive")
-        require(self.hold_ticks >= 0, "hold_ticks must be >= 0")
-        self.mechanism_spec().validate()
-        spec = self.selection_spec()
-        if spec is not None:
-            spec.validate()
-        policy = self.scheduler_spec()
-        if policy is not None:
-            policy.validate()
-
-    def mechanism_spec(self) -> MechanismSpec:
-        """The mechanism setting as a :class:`MechanismSpec`."""
-        if isinstance(self.mechanism, MechanismSpec):
-            return self.mechanism
-        return MechanismSpec.parse(self.mechanism)
-
-    def selection_spec(self) -> "SelectionSpec | None":
-        """The selection setting as a :class:`SelectionSpec`.
-
-        ``None`` means the config pins no selection path.
-        """
-        if self.selection is None or isinstance(self.selection,
-                                                SelectionSpec):
-            return self.selection
-        return SelectionSpec.parse(self.selection)
-
-    def with_mechanism(
-        self, mechanism: "str | MechanismSpec"
-    ) -> "ServiceConfig":
-        """A copy of this config with a different mechanism."""
-        return replace(self, mechanism=mechanism)
-
-    def with_selection(
-        self, selection: "str | SelectionSpec"
-    ) -> "ServiceConfig":
-        """A copy of this config with a different selection path."""
-        return replace(self, selection=selection)
-
-    def scheduler_spec(self) -> "PolicySpec | None":
-        """The scheduling-policy setting as a :class:`PolicySpec`.
-
-        ``None`` means the config pins no policy (the open-system
-        latency probe then defaults to round-robin).
-        """
-        if self.scheduler is None or isinstance(self.scheduler,
-                                                PolicySpec):
-            return self.scheduler
-        return PolicySpec.parse(self.scheduler)
-
-    def with_scheduler(
-        self, scheduler: "str | PolicySpec"
-    ) -> "ServiceConfig":
-        """A copy of this config with a different scheduling policy."""
-        return replace(self, scheduler=scheduler)
+from repro.utils.validation import ValidationError
 
 
 class ServiceBuilder:
@@ -118,34 +36,22 @@ class ServiceBuilder:
     service's ticks never advance another's source RNG state.
     """
 
-    def __init__(self, config: "ServiceConfig | None" = None) -> None:
+    def __init__(self) -> None:
         self._sources: list[StreamSource] = []
         self._capacity: "float | None" = None
         self._mechanism: "Mechanism | MechanismSpec | str | None" = None
         self._ticks_per_period: "int | None" = None
         self._hold_ticks: "int | None" = None
-        self._selection: "SelectionPath | SelectionSpec | str | None" = None
+        self._selection: "SelectionPath | str | None" = None
         self._scheduler: "SchedulingPolicy | PolicySpec | str | None" = None
         self._arrivals: list[object] = []
         self._subscriptions: "object | None" = None
         self._ledger: "object | None" = None
         self._hooks = HookRegistry()
-        if config is not None:
-            self.with_config(config)
 
     # ------------------------------------------------------------------
     # Settings
     # ------------------------------------------------------------------
-
-    def with_config(self, config: ServiceConfig) -> "ServiceBuilder":
-        """Adopt every setting of *config* (sources stay as they are)."""
-        self._capacity = config.capacity
-        self._mechanism = config.mechanism_spec()
-        self._ticks_per_period = config.ticks_per_period
-        self._hold_ticks = config.hold_ticks
-        self._selection = config.selection_spec()
-        self._scheduler = config.scheduler_spec()
-        return self
 
     def with_sources(self, *sources: StreamSource) -> "ServiceBuilder":
         """Add the given stream sources."""
@@ -175,9 +81,10 @@ class ServiceBuilder:
         return self
 
     def with_selection(
-        self, selection: "SelectionPath | SelectionSpec | str"
+        self, selection: "SelectionPath | str"
     ) -> "ServiceBuilder":
-        """Set the mechanism's selection path (instance, spec, string)."""
+        """Pin the mechanism's selection path (``"reference"``,
+        ``"fast"``, or a live path) instead of letting it pick."""
         self._selection = selection
         return self
 
@@ -270,7 +177,7 @@ class ServiceBuilder:
         dropping them here would be a trap.  A configured scheduler is
         different: it is only a *probe hint* for
         :meth:`build_simulation` and never changes service semantics,
-        so a config carrying one still builds a plain service.
+        so a builder carrying one still builds a plain service.
         """
         if self._arrivals or self._subscriptions:
             raise ValidationError(
@@ -291,7 +198,7 @@ class ServiceBuilder:
         freshly built service, carrying the builder's arrival
         processes and subscription options.  The latency probe is
         attached when *probe* is truthy or a scheduler was configured
-        (:meth:`with_scheduler` / :class:`ServiceConfig.scheduler`);
+        (:meth:`with_scheduler`);
         ``record=True`` records the run's arrival trace for replay.
         """
         from repro.sim.driver import SimulationDriver
@@ -324,7 +231,7 @@ class ServiceBuilder:
                 ".with_mechanism(...)")
         hooks = HookRegistry()
         hooks.extend(self._hooks)
-        return AdmissionService(
+        service = AdmissionService(
             sources=copy.deepcopy(tuple(self._sources)),
             capacity=self._capacity,
             mechanism=self._mechanism,
@@ -332,15 +239,11 @@ class ServiceBuilder:
                               else self._ticks_per_period),
             hold_ticks=(1 if self._hold_ticks is None
                         else self._hold_ticks),
-            selection=self._selection,
             ledger=self._ledger,
             hooks=hooks,
         )
-
-
-def service_from_config(
-    config: ServiceConfig,
-    sources: Iterable[StreamSource],
-) -> AdmissionService:
-    """One-call assembly: a config plus its live stream sources."""
-    return ServiceBuilder(config).with_sources(*sources).build()
+        if self._selection is not None:
+            # Pinned on the mechanism, so it rides along through
+            # federations and checkpoints.
+            service.mechanism.use_selection(self._selection)
+        return service

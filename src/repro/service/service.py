@@ -129,14 +129,6 @@ class AdmissionService:
     hold_ticks:
         Ticks of arrivals held at the connection points during each
         transition.
-    selection:
-        The mechanism's winner-selection path: a
-        :class:`~repro.core.selection.SelectionPath`, a
-        :class:`~repro.core.selection.SelectionSpec`, or a spec string
-        (``"reference"``, ``"fast"``).  Pinned onto the mechanism via
-        :meth:`~repro.core.Mechanism.use_selection`, so it rides along
-        through batch runs, federations and checkpoints.  ``None``
-        leaves the mechanism's own setting untouched.
     """
 
     def __init__(
@@ -147,7 +139,6 @@ class AdmissionService:
         mechanism: "Mechanism | MechanismSpec | str",
         ticks_per_period: int = 50,
         hold_ticks: int = 1,
-        selection: "object | None" = None,
         ledger: "object | None" = None,
         hooks: "HookRegistry | None" = None,
     ) -> None:
@@ -156,8 +147,6 @@ class AdmissionService:
         self.sources: tuple[StreamSource, ...] = tuple(sources)
         self.capacity = float(capacity)
         self.mechanism = resolve_mechanism(mechanism)
-        if selection is not None:
-            self.mechanism.use_selection(selection)
         self.ticks_per_period = int(ticks_per_period)
         self.engine = StreamEngine(self.sources, capacity=self.capacity)
         self.ledger = BillingLedger() if ledger is None else ledger

@@ -9,7 +9,7 @@ arrivals the uninterrupted run would have drawn.
 
 Processes are *spec-string addressable* through the shared
 ``utils.registry``/``specparse`` grammar, the same currency mechanisms
-and selection paths use:
+and placement policies use:
 
 * ``"poisson:rate=40"`` — exponential inter-arrival gaps, mean
   ``rate`` arrivals per engine tick;

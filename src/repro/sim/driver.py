@@ -286,9 +286,9 @@ class SimulationDriver:
         event at a time — the reference path the equivalence suite
         compares against.
     pump:
-        Run the columnar arrival pump: processes that can hand whole
-        numpy row-blocks (``ArrivalProcess.next_block``) skip the
-        per-arrival event objects entirely — one
+        Whether arrivals take the columnar pump: processes that can
+        hand whole numpy row-blocks (``ArrivalProcess.next_block``)
+        skip the per-arrival event objects entirely — one
         :class:`~repro.sim.events.ArrivalBlockEvent` marker per block
         cursor keeps the event order, rows are consumed in array
         slices, and boundary auctions score them through the columnar
@@ -296,7 +296,14 @@ class SimulationDriver:
         only.  Reports, RNG streams and recorder rows are pinned
         byte-identical to the object path; anything the pump cannot
         columnarize (per-row cluster placement, shared operators)
-        falls back to it automatically.
+        falls back to it automatically.  ``None`` (default) lets the
+        driver pick from what it observes: the pump while exactly one
+        arrival process feeds it and its rows need no per-row
+        placement (a single service, or ``route="stream"``) — long
+        slices, where it wins — and the object path otherwise, or
+        when ``batch_arrivals=False`` asks for per-event dispatch.
+        ``True`` / ``False`` name a path (the equivalence suites'
+        oracle keyword); :attr:`pump` holds the resolved bool.
     probe_retention:
         Cap each probe's per-tick metric records and latency samples
         to the most recent N (oldest roll off, so percentiles cover
@@ -316,7 +323,7 @@ class SimulationDriver:
         allow_idle: bool = True,
         lookahead: int = 64,
         batch_arrivals: bool = True,
-        pump: bool = False,
+        pump: "bool | None" = None,
         probe_retention: "int | None" = None,
     ) -> None:
         self.host: SimulationHost = wrap_host(host)
@@ -381,6 +388,10 @@ class SimulationDriver:
         self._expired_buffer: dict[int, list[str]] = {}
         self._reclaimed_buffer: dict[int, float] = {}
         self._renewed_buffer: list[str] = []
+        if pump is None:
+            pump = (self.batch_arrivals and len(self.processes) == 1
+                    and (route == "stream"
+                         or isinstance(self.host, ServiceHost)))
         self.pump = bool(pump)
         #: source index → (ArrivalBlock, cursor): the parked row-blocks
         #: the markers in the queue point into.
@@ -721,7 +732,6 @@ class SimulationDriver:
         dispatch verbatim.
         """
         route_stream = self.route == "stream"
-        shards = len(self.host.services)
         sinks = self._arrival_sinks()
         stats = self._pump_stats
         if self.managers is None:
@@ -739,14 +749,9 @@ class SimulationDriver:
                                      source)
             for row in range(start, stop):
                 plan = block.plan(row)
-                pinned = None
-                if route_stream:
-                    pinned = block.stream_at(row, source)
-                    if not 0 <= pinned < shards:
-                        raise ValidationError(
-                            f"arrival {plan.query_id!r} is pinned to "
-                            f"stream {pinned}, but the host has only "
-                            f"{shards} shard(s)")
+                pinned = (self._pinned_shard(block.stream_at(row, source),
+                                             plan.query_id)
+                          if route_stream else None)
                 submit(plan.materialize(), shard=pinned)
                 stats["winners"] += 1
             return
@@ -761,11 +766,8 @@ class SimulationDriver:
                 if all(int(streams[row]) == first
                        for row in range(start + 1, stop)):
                     shard = first
-            if shard is not None and not 0 <= shard < shards:
-                raise ValidationError(
-                    f"arrival {block.ids[start]!r} is pinned to "
-                    f"stream {shard}, but the host has only "
-                    f"{shards} shard(s)")
+            if shard is not None:
+                self._pinned_shard(shard, block.ids[start])
         elif isinstance(self.host, ServiceHost):
             # A bare service routes everything to shard 0 statelessly.
             shard = 0
@@ -777,13 +779,8 @@ class SimulationDriver:
             for row in range(start, stop):
                 plan = block.plan(row)
                 if route_stream:
-                    pinned = block.stream_at(row, source)
-                    if not 0 <= pinned < shards:
-                        raise ValidationError(
-                            f"arrival {plan.query_id!r} is pinned to "
-                            f"stream {pinned}, but the host has only "
-                            f"{shards} shard(s)")
-                    row_shard = pinned
+                    row_shard = self._pinned_shard(
+                        block.stream_at(row, source), plan.query_id)
                 else:
                     row_shard = self.host.route(plan)
                 manager = self.managers[row_shard]
@@ -822,13 +819,8 @@ class SimulationDriver:
             RowChunk(block, start, stop, categories))
 
     def _on_arrival(self, event: ArrivalEvent) -> None:
-        pinned = event.stream if self.route == "stream" else None
-        if pinned is not None and not (
-                0 <= pinned < len(self.host.services)):
-            raise ValidationError(
-                f"arrival {event.query.query_id!r} is pinned to "
-                f"stream {pinned}, but the host has only "
-                f"{len(self.host.services)} shard(s)")
+        pinned = (self._pinned_shard(event.stream, event.query.query_id)
+                  if self.route == "stream" else None)
         if self.managers is not None:
             shard = pinned if pinned is not None else self.host.route(
                 event.query)
@@ -880,7 +872,6 @@ class SimulationDriver:
     def _admit_batch(self, events: "list[ArrivalEvent]") -> None:
         """One vectorized admission pass over a run of arrivals."""
         route_stream = self.route == "stream"
-        shards = len(self.host.services)
         sinks = self._arrival_sinks()
         if self.managers is None:
             if sinks:
@@ -888,16 +879,18 @@ class SimulationDriver:
                 for sink in sinks:
                     sink.record_events(events, categories)
             for event in events:
-                pinned = self._pinned_shard(event, route_stream, shards)
+                pinned = (self._pinned_shard(event.stream,
+                                             event.query.query_id)
+                          if route_stream else None)
                 self.host.submit(as_continuous_query(event.query),
                                  shard=pinned)
             return
         shard_of = []
         by_shard: dict[int, list[int]] = {}
         for position, event in enumerate(events):
-            pinned = self._pinned_shard(event, route_stream, shards)
-            shard = (pinned if pinned is not None
-                     else self.host.route(event.query))
+            shard = (self._pinned_shard(event.stream,
+                                        event.query.query_id)
+                     if route_stream else self.host.route(event.query))
             shard_of.append(shard)
             by_shard.setdefault(shard, []).append(position)
         # Resolve categories shard by shard: one vectorized draw per
@@ -923,17 +916,14 @@ class SimulationDriver:
             pending[shard_of[position]].append(
                 (event.query, category_of[position]))
 
-    def _pinned_shard(self, event: ArrivalEvent, route_stream: bool,
-                      shards: int) -> "int | None":
-        if not route_stream:
-            return None
-        pinned = event.stream
-        if not 0 <= pinned < shards:
+    def _pinned_shard(self, stream: int, query_id: str) -> int:
+        """The shard ``route="stream"`` pins *stream* to, checked."""
+        shards = len(self.host.services)
+        if not 0 <= stream < shards:
             raise ValidationError(
-                f"arrival {event.query.query_id!r} is pinned to "
-                f"stream {pinned}, but the host has only "
-                f"{shards} shard(s)")
-        return pinned
+                f"arrival {query_id!r} is pinned to stream {stream}, "
+                f"but the host has only {shards} shard(s)")
+        return stream
 
     def _on_expiry(self, event: ExpiryEvent) -> None:
         # Merge the adjacent run of same-time, same-shard expiries into

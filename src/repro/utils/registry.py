@@ -1,7 +1,7 @@
 """A generic name → factory registry with signature validation.
 
 Backs every spec-addressable registry in the library (mechanisms,
-selection paths, scheduling policies, arrival processes):
+placement policies, scheduling policies, arrival processes):
 case-insensitive lookup, factory-signature introspection, and keyword
 validation that fails with the accepted parameter menu instead of an
 opaque ``TypeError`` — one implementation, parameterized only by the

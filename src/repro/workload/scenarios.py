@@ -9,8 +9,6 @@ alerts).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.model import AuctionInstance, Operator, Query
 from repro.utils.rng import spawn_rng
 from repro.workload.zipf import BoundedZipf

@@ -21,27 +21,6 @@ def test_cluster_simulation_renders_table(capsys):
     assert "total revenue:" in out
 
 
-def test_cluster_selection_and_workers_agree_with_default(capsys):
-    args = ["cluster", "--shards", "2", "--periods", "2",
-            "--ticks", "3", "--seed", "4",
-            "--mechanism", "two-price:seed=7"]
-    reference = run_cli(args, capsys)
-    fast = run_cli(args + ["--selection", "fast"], capsys)
-    assert reference == fast
-
-
-def test_cluster_resume_honors_selection_and_workers(tmp_path, capsys):
-    checkpoint = str(tmp_path / "cl.ckpt")
-    run_cli(["cluster", "--shards", "2", "--periods", "1",
-             "--ticks", "2", "--seed", "3",
-             "--checkpoint", checkpoint], capsys)
-    reference = run_cli(["cluster", "--periods", "1",
-                         "--resume", checkpoint], capsys)
-    fast = run_cli(["cluster", "--periods", "1", "--resume", checkpoint,
-                    "--selection", "fast"], capsys)
-    assert fast == reference
-
-
 def test_cluster_placement_spec(capsys):
     out = run_cli(["cluster", "--shards", "2", "--periods", "1",
                    "--ticks", "3", "--placement", "least-loaded"], capsys)

@@ -311,16 +311,18 @@ class TestClusterPeriods:
     @settings(max_examples=25, deadline=None)
     def test_property_fast_selection_equals_reference(self, workload):
         def build(selection):
-            return FederatedAdmissionService.build(
+            cluster = FederatedAdmissionService.build(
                 num_shards=workload.num_shards,
                 sources=[SyntheticStream(
                     "s", rate=workload.rate, seed=workload.seed)],
                 capacity=workload.capacity,
                 mechanism="two-price:seed=13",
                 ticks_per_period=2,
-                selection=selection,
                 placement=workload.placement,
             )
+            for shard in cluster.shards:
+                shard.mechanism.use_selection(selection)
+            return cluster
 
         reference = build("reference")
         fast = build("fast")

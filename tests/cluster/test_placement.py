@@ -138,6 +138,12 @@ class TestRegistryAndSpecs:
         with pytest.raises(ValidationError, match="round-robin"):
             resolve_placement("round-robin:seed=1")
 
+    @pytest.mark.parametrize("text", ["consistent-hash:seed", "", ":x=1"])
+    def test_malformed_spec_is_called_a_placement_spec(self, text):
+        with pytest.raises(ValidationError, match="placement spec") as info:
+            resolve_placement(text)
+        assert "mechanism" not in str(info.value)
+
     def test_unresolvable_value_rejected(self):
         with pytest.raises(ValidationError, match="PlacementPolicy"):
             resolve_placement(42)
@@ -156,4 +162,4 @@ class TestRegistryAndSpecs:
         finally:
             from repro.cluster import placement as placement_module
 
-            placement_module._PLACEMENTS.pop("always-zero", None)
+            placement_module._REGISTRY._factories.pop("always-zero", None)

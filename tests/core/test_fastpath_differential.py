@@ -4,8 +4,11 @@ Every mechanism of the paper runs each random shared-DAG instance
 through both selection paths; winners, payments (values *and* dict
 ordering) and the full details dictionaries must be identical — the
 fast path trades representation, never semantics.  The fast mechanisms
-run with ``strict=true`` so a silently missing kernel cannot pass as
-equivalence.
+run a strict :class:`FastSelection` so a silently missing kernel cannot
+pass as equivalence, the reference leg names ``"reference"``, and a
+third leg pins nothing: whichever path the mechanism picks from what it
+observes (cold, then with the index the strict leg left cached) must
+produce the same outcome.
 """
 
 import pytest
@@ -20,6 +23,9 @@ from repro.core.selection import FastSelection
 from repro.utils.validation import ValidationError
 
 from tests.strategies import auction_instances
+
+#: Strict: a mechanism without a kernel raises instead of falling back.
+STRICT = FastSelection(strict=True)
 
 #: (registry name, factory kwargs) for the seven paper mechanisms.
 FAST_MECHANISMS = [
@@ -56,10 +62,15 @@ def assert_identical(reference, fast):
 @given(instance=auction_instances(max_queries=10, max_operators=12))
 @settings(max_examples=100, deadline=None)
 def test_fast_equals_reference(name, kwargs, instance):
-    reference = make_mechanism(name, **kwargs).run(instance)
+    reference = make_mechanism(name, **kwargs).run(
+        instance, selection="reference")
+    cold = make_mechanism(name, **kwargs).run(instance)
     fast = make_mechanism(name, **kwargs).use_selection(
-        "fast:strict=true").run(instance)
+        STRICT).run(instance)
+    warm = make_mechanism(name, **kwargs).run(instance)
     assert_identical(reference, fast)
+    assert_identical(reference, cold)
+    assert_identical(reference, warm)
 
 
 @pytest.mark.parametrize(
@@ -69,10 +80,11 @@ def test_fast_equals_reference(name, kwargs, instance):
 @settings(max_examples=50, deadline=None)
 def test_two_price_partition_modes(mode, instance, seed):
     reference = make_mechanism(
-        "two-price", seed=seed, partition_mode=mode).run(instance)
+        "two-price", seed=seed, partition_mode=mode).run(
+        instance, selection="reference")
     fast = make_mechanism(
         "two-price", seed=seed, partition_mode=mode).use_selection(
-        "fast:strict=true").run(instance)
+        STRICT).run(instance)
     assert_identical(reference, fast)
 
 
@@ -83,11 +95,12 @@ def test_two_price_rng_streams_stay_interchangeable(instance):
     mixed = make_mechanism("two-price", seed=5)
     outcomes = []
     for turn in range(4):
-        selection = "fast:strict=true" if turn % 2 else "reference"
+        selection = STRICT if turn % 2 else "reference"
         outcomes.append(mixed.run(instance, selection=selection))
     pure = make_mechanism("two-price", seed=5)
     for turn, outcome in enumerate(outcomes):
-        assert_identical(pure.run(instance), outcome)
+        assert_identical(
+            pure.run(instance, selection="reference"), outcome)
 
 
 @pytest.mark.parametrize("name,kwargs", FALLBACK_MECHANISMS,
@@ -96,10 +109,13 @@ def test_two_price_rng_streams_stay_interchangeable(instance):
 @settings(max_examples=20, deadline=None)
 def test_fallback_mechanisms_unchanged_under_fast(name, kwargs,
                                                   instance):
-    reference = make_mechanism(name, **kwargs).run(instance)
+    reference = make_mechanism(name, **kwargs).run(
+        instance, selection="reference")
     fast = make_mechanism(name, **kwargs).use_selection("fast").run(
         instance)
+    observed = make_mechanism(name, **kwargs).run(instance)
     assert_identical(reference, fast)
+    assert_identical(reference, observed)
 
 
 def test_car_denormal_residue_does_not_reselect_admitted():
@@ -114,9 +130,8 @@ def test_car_denormal_residue_does_not_reselect_admitted():
         {"q0": 1e308, "q1": 2.0},
         capacity=1.0,
     )
-    reference = make_mechanism("CAR").run(instance)
-    fast = make_mechanism("CAR").use_selection(
-        "fast:strict=true").run(instance)
+    reference = make_mechanism("CAR").run(instance, selection="reference")
+    fast = make_mechanism("CAR").use_selection(STRICT).run(instance)
     assert_identical(reference, fast)
     assert reference.details["admission_order"] == ["q0", "q1"]
 
@@ -126,8 +141,7 @@ def test_strict_fast_rejects_kernel_less_mechanisms():
 
     instance = AuctionInstance.build(
         {"a": 1.0}, {"q0": ["a"]}, {"q0": 5.0}, capacity=10.0)
-    mechanism = make_mechanism("Random", seed=0).use_selection(
-        "fast:strict=true")
+    mechanism = make_mechanism("Random", seed=0).use_selection(STRICT)
     with pytest.raises(ValidationError, match="no fast selection"):
         mechanism.run(instance)
 

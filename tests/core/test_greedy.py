@@ -2,8 +2,6 @@
 
 import math
 
-import pytest
-
 from repro.core.greedy import (
     greedy_admit,
     priority_of,

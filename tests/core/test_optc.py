@@ -1,7 +1,5 @@
 """Unit tests for the OPT_C constant-pricing benchmark."""
 
-import pytest
-
 from repro.core import make_mechanism
 from repro.core.model import AuctionInstance, Operator, Query
 from repro.core.optc import optimal_constant_pricing

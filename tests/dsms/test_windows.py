@@ -1,7 +1,5 @@
 """Sliding-window operator tests."""
 
-import pytest
-
 from repro.dsms.tuples import StreamTuple
 from repro.dsms.windows import (
     DistinctOperator,

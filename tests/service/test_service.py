@@ -10,8 +10,6 @@ from repro.service import (
     AdmissionService,
     HookRegistry,
     ServiceBuilder,
-    ServiceConfig,
-    service_from_config,
 )
 from repro.utils.validation import ValidationError
 
@@ -214,22 +212,26 @@ class TestBuilderAndConfig:
                    .build())
         assert service.mechanism.name == "Two-price"
 
-    def test_config_validates_eagerly(self):
-        with pytest.raises(KeyError):
-            ServiceConfig(capacity=5.0, mechanism="no-such-mechanism")
-        with pytest.raises(ValidationError, match="accepted parameters"):
-            ServiceConfig(capacity=5.0, mechanism="CAT:volume=11")
-        with pytest.raises(ValidationError):
-            ServiceConfig(capacity=-1.0)
+    def test_build_validates_what_the_config_front_door_used_to(self):
+        import repro.service
 
-    def test_service_from_config(self):
-        config = ServiceConfig(capacity=30.0, mechanism="CAT",
-                               ticks_per_period=10)
-        service = service_from_config(
-            config, [SyntheticStream("s", rate=5, poisson=False, seed=0)])
-        service.submit(make_query("q1", 10.0, 1.0))
-        report = service.run_period()
-        assert report.admitted == ("q1",)
+        def build(capacity, mechanism):
+            return (ServiceBuilder()
+                    .with_sources(SyntheticStream("s", rate=1))
+                    .with_capacity(capacity).with_mechanism(mechanism)
+                    .build())
+
+        with pytest.raises(KeyError):
+            build(5.0, "no-such-mechanism")
+        with pytest.raises(ValidationError, match="accepted parameters"):
+            build(5.0, "CAT:volume=11")
+        with pytest.raises(ValidationError):
+            build(-1.0, "CAT")
+        assert not hasattr(repro.service, "ServiceConfig")
+        assert not hasattr(repro.service, "service_from_config")
+        assert not hasattr(ServiceBuilder(), "with_config")
+        with pytest.raises(TypeError):
+            ServiceBuilder(object())
 
     def test_builds_are_independent(self):
         builder = (ServiceBuilder()
@@ -263,8 +265,6 @@ class TestBuilderAndConfig:
             report.engine_utilization
 
     def test_backend_option_is_gone(self):
-        with pytest.raises(TypeError):
-            ServiceConfig(capacity=1.0, backend="scalar")
         assert not hasattr(ServiceBuilder(), "with_backend")
 
 

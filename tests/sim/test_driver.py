@@ -257,6 +257,35 @@ class TestOpenSystem:
             SimulationDriver(build_service(), route="teleport")
 
 
+ONE = "poisson:rate=5,seed=1"
+TWO = ["poisson:rate=2,seed=1,prefix=a", "poisson:rate=3,seed=2,prefix=b"]
+
+
+def four_shards():
+    return build_cluster(4)
+
+
+@pytest.mark.parametrize("build,kwargs,pump", [
+    (build_service, dict(arrivals=ONE), True),
+    (build_service, dict(arrivals=TWO), False),
+    (build_service, dict(), False),
+    (build_service, dict(arrivals=ONE, batch_arrivals=False), False),
+    (build_service, dict(arrivals=ONE, pump=False), False),
+    (four_shards, dict(arrivals=ONE), False),
+    (four_shards, dict(arrivals=ONE, route="stream"), True),
+    (four_shards, dict(arrivals=TWO, route="stream"), False),
+    (four_shards, dict(arrivals=TWO, pump=True), True),
+])
+def test_driver_takes_the_arrival_path_it_observes(build, kwargs, pump):
+    """``pump=None``: one process whose rows need no per-row placement
+    is pumped; a keyword names a path; a restore keeps the stored bool
+    (the last row's would resolve the other way)."""
+    driver = SimulationDriver(build(), **kwargs)
+    assert driver.pump is pump
+    driver.run(1)
+    assert SimulationDriver.restore(driver.snapshot()).pump is pump
+
+
 class TestProbe:
     def test_metrics_cover_every_tick(self):
         driver = SimulationDriver(
@@ -391,14 +420,16 @@ class TestBuilderIntegration:
             builder.build()
 
     def test_config_scheduler_is_validated_and_adopted(self):
-        from repro.service import ServiceConfig
+        def builder():
+            return (ServiceBuilder()
+                    .with_sources(SyntheticStream("s", rate=5.0))
+                    .with_capacity(10.0)
+                    .with_mechanism("CAT"))
 
-        with pytest.raises(KeyError):
-            ServiceConfig(capacity=10.0, scheduler="warp-speed")
-        config = ServiceConfig(capacity=10.0, scheduler="fifo")
-        assert config.scheduler_spec().name == "fifo"
-        assert config.with_scheduler("round-robin").scheduler == \
-            "round-robin"
+        with pytest.raises(KeyError, match="fifo.*round-robin"):
+            builder().with_scheduler("warp-speed").build_simulation()
+        driver = builder().with_scheduler("fifo").build_simulation()
+        assert driver.probes[0].engine.policy.name == "fifo"
 
     def test_unwrappable_host_rejected(self):
         with pytest.raises(ValidationError):

@@ -9,7 +9,6 @@ from repro.io import (
     instance_from_dict,
     instance_to_dict,
     load_instance,
-    outcome_to_dict,
     save_instance,
     save_outcome,
 )
@@ -86,36 +85,27 @@ class TestCLI:
         assert main(["run", "Two-price", str(instance_path),
                      "--seed", "5"]) == 0
 
-    def test_run_selection_fast_matches_reference(self, tmp_path,
-                                                  capsys):
-        instance_path = tmp_path / "wl.json"
-        assert main(["generate", "--queries", "40", "--sharing", "4",
-                     "--seed", "9", "-o", str(instance_path)]) == 0
-        capsys.readouterr()
-        assert main(["run", "CAT", str(instance_path)]) == 0
-        reference = capsys.readouterr().out
-        assert main(["run", "CAT", str(instance_path),
-                     "--selection", "fast:strict=true"]) == 0
-        assert capsys.readouterr().out == reference
-
-    def test_run_rejects_unknown_selection(self, tmp_path, capsys):
-        instance_path = tmp_path / "wl.json"
-        save_instance(example1(), instance_path)
-        assert main(["run", "CAT", str(instance_path),
-                     "--selection", "warp"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("repro: error: --selection 'warp'")
-        assert "selection path" in err
-
     def test_serve_workers_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as refused:
             main(["serve", "--workers", "2"])
         assert refused.value.code == 2
         assert "--workers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["sim", "--pump"], "--pump"),
+        (["run", "CAT", "wl.json", "--selection", "fast"], "--selection"),
+        (["simulate", "--selection", "fast"], "--selection"),
+        (["cluster", "--selection", "fast"], "--selection"),
+    ])
+    def test_path_selection_flags_are_gone(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as refused:
+            main(argv)
+        assert refused.value.code == 2
+        assert flag in capsys.readouterr().err
+
     def test_simulate_profile_dumps_phase_timings(self, capsys):
         assert main(["simulate", "--periods", "2", "--ticks", "2",
-                     "--selection", "fast", "--profile"]) == 0
+                     "--profile"]) == 0
         out = capsys.readouterr().out
         document = json.loads(out[out.index('{\n  "profile"'):])
         assert document["profile"] == "simulate"
