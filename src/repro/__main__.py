@@ -26,6 +26,10 @@ Mechanisms are given as *specs*: a registry name, optionally followed
 by validated parameters — ``CAT``, ``two-price:seed=7``,
 ``two-price:seed=7,partition_mode=hash``.
 
+A flag several subcommands take (``--shards``, ``--wal-fsync``...) is
+defined once, in :func:`_flag_groups`, and reads, defaults and
+validates the same on each of them.
+
 Examples::
 
     python -m repro generate --queries 100 --sharing 8 -o wl.json
@@ -33,7 +37,6 @@ Examples::
     python -m repro run two-price:seed=7 wl.json -o outcome.json
     python -m repro run CAT wl1.json wl2.json wl3.json
     python -m repro simulate --mechanism CAT --periods 5
-    python -m repro simulate --profile --periods 3
     python -m repro simulate --periods 3 --checkpoint svc.ckpt
     python -m repro simulate --periods 2 --resume svc.ckpt
     python -m repro sim --arrivals poisson:rate=2 --periods 10
@@ -143,67 +146,83 @@ def _synthetic_submissions(period, count, seed, owner_of):
             owner=owner_of(index))
 
 
-def _profiled_period(service, timings: "list[dict]") -> "object":
-    """One service period through the phased API, timing each phase.
+def _build_host(args: argparse.Namespace, federate: bool, **federation):
+    """The admission host the *system* (and *federation*) flags name:
+    one service, or with *federate* a ``--shards``-way federation."""
+    from repro.dsms.streams import SyntheticStream
 
-    Equivalent to :meth:`AdmissionService.run_period`, with
-    ``time.perf_counter`` wrapped around prepare / auction / settle /
-    execute; appends the phase record to *timings* and returns the
-    period report.
+    spec = _parse_spec("--mechanism", args.mechanism,
+                       lambda text: _spec_with_seed(text, args.seed))
+    source = SyntheticStream("s", rate=args.rate, seed=args.seed)
+    if federate:
+        from repro.cluster import FederatedAdmissionService
+        from repro.cluster.placement import resolve_placement
+
+        return FederatedAdmissionService.build(
+            num_shards=args.shards,
+            sources=[source],
+            capacity=args.capacity,
+            mechanism=spec,
+            ticks_per_period=args.ticks,
+            placement=_parse_spec("--placement", args.placement,
+                                  resolve_placement),
+            **federation,
+        )
+    from repro.service import ServiceBuilder
+
+    return (ServiceBuilder()
+            .with_sources(source)
+            .with_capacity(args.capacity)
+            .with_mechanism(spec)
+            .with_ticks_per_period(args.ticks)
+            .build())
+
+
+def _build_system(args: argparse.Namespace, **renewal):
+    """``(host, subscriptions, probe)`` from the *system*, *federation*
+    and *lifecycle* flags — what ``sim`` simulates and ``serve`` serves.
+
+    *renewal* carries the ``SubscriptionOptions`` only ``sim`` has
+    flags for.
     """
-    import time
+    subscriptions = None
+    if args.subscriptions or args.categories:
+        from repro.sim import SubscriptionOptions
 
-    t0 = time.perf_counter()
-    preparation = service.prepare_period()
-    t1 = time.perf_counter()
-    outcome = service.mechanism.run(preparation.instance)
-    t2 = time.perf_counter()
-    settlement = service.settle_period(preparation, outcome)
-    t3 = time.perf_counter()
-    report = service.execute_period(settlement)
-    t4 = time.perf_counter()
-    timings.append({
-        "period": report.period,
-        "prepare": t1 - t0,
-        "auction": t2 - t1,
-        "settle": t3 - t2,
-        "execute": t4 - t3,
-    })
-    return report
+        subscriptions = SubscriptionOptions(
+            categories=(_parse_categories(args.categories)
+                        if args.categories else
+                        SubscriptionOptions().categories),
+            seed=args.seed,
+            **renewal,
+        )
+    probe = None
+    if args.scheduler:
+        from repro.dsms.scheduler import resolve_policy
+
+        probe = _parse_spec("--scheduler", args.scheduler,
+                            resolve_policy)
+    host = _build_host(args, federate=args.shards > 1)
+    return host, subscriptions, probe
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from repro.dsms.streams import SyntheticStream
-    from repro.service import AdmissionService, ServiceBuilder
+    from repro.service import AdmissionService
     from repro.utils.tables import format_table
 
     if args.resume:
         service = AdmissionService.load_checkpoint(args.resume)
-        start = service.period
     else:
-        spec = _parse_spec(
-            "--mechanism", args.mechanism,
-            lambda text: _spec_with_seed(text, args.seed))
-        service = (ServiceBuilder()
-                   .with_sources(SyntheticStream(
-                       "s", rate=args.rate, seed=args.seed))
-                   .with_capacity(args.capacity)
-                   .with_mechanism(spec)
-                   .with_ticks_per_period(args.ticks)
-                   .build())
-        start = 0
+        service = _build_host(args, federate=False)
+    start = service.period
 
     rows = []
-    timings: list[dict] = []
     for period in range(start + 1, start + args.periods + 1):
         for query in _synthetic_submissions(
                 period, args.queries_per_period, args.seed,
                 lambda index: f"user_{index}"):
             service.submit(query)
-        if args.profile:
-            report = _profiled_period(service, timings)
-        else:
-            report = service.run_period()
+        report = service.run_period()
         rows.append([
             report.period,
             len(report.admitted),
@@ -223,17 +242,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     print(f"total revenue: {service.total_revenue():.2f}")
     if args.checkpoint:
         print(f"checkpoint written to {args.checkpoint}")
-    if args.profile:
-        totals = {
-            phase: sum(entry[phase] for entry in timings)
-            for phase in ("prepare", "auction", "settle", "execute")
-        }
-        print(json.dumps({
-            "profile": "simulate",
-            "mechanism": str(service.mechanism.name),
-            "periods": timings,
-            "totals": totals,
-        }, indent=2))
     return 0
 
 
@@ -272,8 +280,6 @@ def _cmd_sim(args: argparse.Namespace) -> int:
 
     wal_log = None
     if args.wal and args.resume:
-        from repro.utils.validation import ValidationError
-
         raise ValidationError(
             "--wal recovers from its own log directory and cannot "
             "be combined with --resume")
@@ -284,8 +290,11 @@ def _cmd_sim(args: argparse.Namespace) -> int:
     else:
         wal_recover = False
 
+    # ``sim`` defers the defaults of everything that configures the
+    # simulation (None = not given on this command line).
+    workload = [action for group in _flag_groups(*_SIM_WORKLOAD)
+                for action in group._actions]
     if wal_recover:
-        from repro.utils.validation import ValidationError
         from repro.wal import recover_sim_driver
 
         # The WAL directory fixes the simulation's configuration; the
@@ -305,31 +314,11 @@ def _cmd_sim(args: argparse.Namespace) -> int:
               + (", torn tail truncated)" if wal_log.stats["torn_tail"]
                  else ")"))
     elif args.resume:
-        from repro.utils.validation import ValidationError
-
         # A checkpoint carries the whole simulation configuration;
         # flags that would change it are rejected rather than
         # silently ignored.
-        conflicting = [
-            flag for flag, is_set in (
-                ("--replay", args.replay is not None),
-                ("--arrivals", args.arrivals is not None),
-                ("--subscriptions", args.subscriptions),
-                ("--categories", args.categories is not None),
-                ("--no-renew", args.no_renew),
-                ("--max-renewals", args.max_renewals is not None),
-                ("--scheduler", args.scheduler is not None),
-                ("--shards", args.shards is not None),
-                ("--placement", args.placement is not None),
-                ("--route", args.route is not None),
-                ("--mechanism", args.mechanism is not None),
-                ("--capacity", args.capacity is not None),
-                ("--rate", args.rate is not None),
-                ("--ticks", args.ticks is not None),
-                ("--seed", args.seed is not None),
-                ("--probe-retention", args.probe_retention is not None),
-            ) if is_set
-        ]
+        conflicting = [action.option_strings[0] for action in workload
+                       if getattr(args, action.dest) is not None]
         if conflicting:
             raise ValidationError(
                 f"{', '.join(conflicting)} cannot be combined with "
@@ -342,10 +331,9 @@ def _cmd_sim(args: argparse.Namespace) -> int:
                 f"resumed run cannot produce a complete trace; rerun "
                 f"the original simulation with --record")
     else:
-        from repro.sim import SubscriptionOptions
-        from repro.utils.validation import ValidationError
-
-        _apply_sim_defaults(args)
+        for action in workload:
+            if getattr(args, action.dest) is None:
+                setattr(args, action.dest, action.default)
         if args.replay and args.arrivals:
             raise ValidationError(
                 "--replay substitutes the recorded trace for the "
@@ -375,23 +363,9 @@ def _cmd_sim(args: argparse.Namespace) -> int:
                 arrivals.append(_parse_spec(
                     "--arrivals", text,
                     lambda _t, spec=spec: spec.validate()))
-        subscriptions = None
-        if args.subscriptions or args.categories:
-            subscriptions = SubscriptionOptions(
-                categories=(_parse_categories(args.categories)
-                            if args.categories else
-                            SubscriptionOptions().categories),
-                auto_renew=not args.no_renew,
-                max_renewals=args.max_renewals,
-                seed=args.seed,
-            )
-        probe = None
-        if args.scheduler:
-            from repro.dsms.scheduler import resolve_policy
-
-            probe = _parse_spec("--scheduler", args.scheduler,
-                                resolve_policy)
-        host = _build_sim_host(args)
+        host, subscriptions, probe = _build_system(
+            args, auto_renew=not args.no_renew,
+            max_renewals=args.max_renewals)
         driver = SimulationDriver(
             host,
             arrivals=arrivals,
@@ -399,7 +373,6 @@ def _cmd_sim(args: argparse.Namespace) -> int:
             probe=probe,
             record=bool(args.record),
             route=args.route,
-            probe_retention=args.probe_retention,
         )
         if args.wal:
             from repro.wal import WriteAheadLog
@@ -495,28 +468,6 @@ def _write_wal_final_report(driver, wal_dir: str) -> str:
     return str(path)
 
 
-def _apply_sim_defaults(args: argparse.Namespace) -> None:
-    """Fill the ``sim`` parser's deferred defaults.
-
-    The parser leaves workload settings as ``None`` so the resume
-    branch can tell "explicitly set" (a conflict with the checkpoint)
-    from "defaulted"; a fresh build resolves them here.
-    """
-    defaults = {
-        "shards": 1,
-        "placement": "consistent-hash",
-        "route": "placement",
-        "mechanism": "CAT",
-        "capacity": 40.0,
-        "rate": 5.0,
-        "ticks": 20,
-        "seed": 0,
-    }
-    for name, value in defaults.items():
-        if getattr(args, name) is None:
-            setattr(args, name, value)
-
-
 def _sim_report_row(report) -> list:
     """One boundary report as a table row, whatever the host produced.
 
@@ -545,59 +496,16 @@ def _sim_report_row(report) -> list:
     ]
 
 
-def _build_sim_host(args: argparse.Namespace):
-    from repro.dsms.streams import SyntheticStream
-    from repro.service import ServiceBuilder
-
-    spec = _parse_spec("--mechanism", args.mechanism,
-                       lambda text: _spec_with_seed(text, args.seed))
-    if args.shards > 1:
-        from repro.cluster import FederatedAdmissionService
-        from repro.cluster.placement import resolve_placement
-
-        return FederatedAdmissionService.build(
-            num_shards=args.shards,
-            sources=[SyntheticStream("s", rate=args.rate,
-                                     seed=args.seed)],
-            capacity=args.capacity,
-            mechanism=spec,
-            ticks_per_period=args.ticks,
-            placement=_parse_spec("--placement", args.placement,
-                                  resolve_placement),
-        )
-    return (ServiceBuilder()
-            .with_sources(SyntheticStream("s", rate=args.rate,
-                                          seed=args.seed))
-            .with_capacity(args.capacity)
-            .with_mechanism(spec)
-            .with_ticks_per_period(args.ticks)
-            .build())
-
-
 def _cmd_cluster(args: argparse.Namespace) -> int:
     from repro.cluster import FederatedAdmissionService
-    from repro.dsms.streams import SyntheticStream
     from repro.utils.tables import format_table
 
     if args.resume:
         cluster = FederatedAdmissionService.load_checkpoint(args.resume)
-        start = cluster.period
     else:
-        from repro.cluster.placement import resolve_placement
-
-        spec = _parse_spec("--mechanism", args.mechanism,
-                           lambda text: _spec_with_seed(text, args.seed))
-        cluster = FederatedAdmissionService.build(
-            num_shards=args.shards,
-            sources=[SyntheticStream("s", rate=args.rate, seed=args.seed)],
-            capacity=args.capacity,
-            mechanism=spec,
-            ticks_per_period=args.ticks,
-            placement=_parse_spec("--placement", args.placement,
-                                  resolve_placement),
-            rebalance=not args.no_rebalance,
-        )
-        start = 0
+        cluster = _build_host(args, federate=True,
+                              rebalance=not args.no_rebalance)
+    start = cluster.period
 
     rows = []
     for period in range(start + 1, start + args.periods + 1):
@@ -638,27 +546,12 @@ def _serve_target_and_config(args: argparse.Namespace):
     """
     from repro.serve import GatewayConfig
 
-    host = _build_sim_host(args)
-    target: object = host
-    if args.subscriptions or args.categories or args.scheduler:
-        from repro.sim import SimulationDriver, SubscriptionOptions
+    target, subscriptions, probe = _build_system(args)
+    if subscriptions is not None or probe is not None:
+        from repro.sim import SimulationDriver
 
-        subscriptions = None
-        if args.subscriptions or args.categories:
-            subscriptions = SubscriptionOptions(
-                categories=(_parse_categories(args.categories)
-                            if args.categories else
-                            SubscriptionOptions().categories),
-                seed=args.seed,
-            )
-        probe = None
-        if args.scheduler:
-            from repro.dsms.scheduler import resolve_policy
-
-            probe = _parse_spec("--scheduler", args.scheduler,
-                                resolve_policy)
         target = SimulationDriver(
-            host, subscriptions=subscriptions, probe=probe)
+            target, subscriptions=subscriptions, probe=probe)
     config = GatewayConfig(
         host=args.host,
         port=args.port,
@@ -673,8 +566,6 @@ def _serve_target_and_config(args: argparse.Namespace):
         wal_dir=args.wal,
         wal_fsync=args.wal_fsync,
         compact_every=args.compact_every,
-        wal_group_commit=args.wal_group_commit,
-        wal_group_window=args.wal_group_window,
     )
     return target, config
 
@@ -722,6 +613,164 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(v.consistent for v in verdicts) else 1
 
 
+#: The flag groups that configure a simulation, as ``sim`` takes them —
+#: exactly what a ``sim`` checkpoint already fixes.
+_SIM_WORKLOAD = ("open-system", "lifecycle", "federation", "system")
+
+
+def _flag_groups(*names: str) -> "list[argparse.ArgumentParser]":
+    """Fresh argparse parents for the *names*\\ d groups of flags.
+
+    Every flag two subcommands share is defined here, once, so it
+    reads, defaults and validates the same wherever it appears.  The
+    parents are built anew per call, never shared between subcommands:
+    ``set_defaults`` on a subcommand rewrites the defaults of the
+    action objects it was built from.
+    """
+    def group(*parents):
+        return argparse.ArgumentParser(add_help=False,
+                                       parents=list(parents))
+
+    seed = group()
+    seed.add_argument("--seed", type=int, default=0,
+                      help="base seed: workloads, stream sources, and "
+                           "randomized mechanisms unless the spec sets "
+                           "one (default 0)")
+    capacity = group()
+    capacity.add_argument("--capacity", type=float, default=40.0,
+                          help="server capacity, per shard (default "
+                               "40; generate: the paper's ratio)")
+    output = group()
+    output.add_argument("-o", "--output", default=None,
+                        help="also write the JSON document here "
+                             "(generate: default instance.json)")
+
+    # simulate, sim, cluster, serve
+    system = group(capacity, seed)
+    system.add_argument("--mechanism", default="CAT",
+                        help="mechanism spec (default CAT)")
+    system.add_argument("--rate", type=float, default=5.0,
+                        help="stream arrival rate (tuples/tick, "
+                             "default 5)")
+    system.add_argument("--ticks", type=int, default=20,
+                        help="engine ticks per subscription period "
+                             "(default 20)")
+
+    # sim, cluster, serve
+    federation = group()
+    federation.add_argument("--shards", type=int, default=1,
+                            help="number of AdmissionService shards "
+                                 "(default 1: a single service; "
+                                 "cluster: 4)")
+    federation.add_argument("--placement", default="consistent-hash",
+                            help="placement spec: consistent-hash, "
+                                 "least-loaded, round-robin — "
+                                 "optionally with parameters, e.g. "
+                                 "consistent-hash:seed=7")
+
+    # sim, serve
+    lifecycle = group()
+    lifecycle.add_argument("--subscriptions", action="store_true",
+                           help="run Section VII subscription "
+                                "lifecycles (per-category auctions, "
+                                "expiry, renewal; serve: "
+                                "/v1/subscribe)")
+    lifecycle.add_argument("--categories", default=None,
+                           help="subscription category mix as "
+                                "name=length:fraction pairs, e.g. "
+                                "day=1:0.4,week=7:0.35,month=30:0.25 "
+                                "(implies --subscriptions)")
+    lifecycle.add_argument("--scheduler", default=None,
+                           help="attach per-shard latency probes with "
+                                "this scheduling-policy spec: fifo, "
+                                "round-robin, longest-queue-first, "
+                                "cheapest-first")
+
+    # sim, serve
+    wal = group()
+    wal.add_argument("--wal", default=None, metavar="DIR",
+                     help="write-ahead log directory: settles (serve: "
+                          "and acknowledged mutations) are logged "
+                          "before the run moves on, and starting "
+                          "again over the same directory recovers to "
+                          "the uninterrupted result (sim: --periods "
+                          "is the total horizon; serve: 503 until the "
+                          "tail is replayed)")
+    wal.add_argument("--wal-fsync", default="batch:256",
+                     metavar="POLICY",
+                     help="WAL fsync policy: never, always, or "
+                          "batch:N (default batch:256)")
+    wal.add_argument("--compact-every", type=int, default=64,
+                     metavar="PERIODS",
+                     help="fold the WAL into a fresh snapshot every "
+                          "this many settled periods (default 64; "
+                          "0 disables)")
+
+    # simulate, sim, cluster
+    periods = group()
+    periods.add_argument("--periods", type=int, default=5,
+                         help="period boundaries to run (default 5)")
+    periods.add_argument("--checkpoint", default=None,
+                         help="write a resumable checkpoint here "
+                              "after every period")
+    periods.add_argument("--resume", default=None,
+                         help="resume from a checkpoint file instead "
+                              "of starting fresh")
+
+    # simulate, cluster
+    closed_loop = group(periods)
+    closed_loop.add_argument("--queries-per-period", type=int,
+                             default=6,
+                             help="synthetic submissions per period "
+                                  "(default 6; cluster: 12)")
+
+    # sim alone, but part of what its checkpoints fix
+    open_system = group()
+    open_system.add_argument("--replay", default=None,
+                             help="replay a recorded trace instead of "
+                                  "generating arrivals")
+    open_system.add_argument("--arrivals", action="append",
+                             default=None,
+                             help="arrival-process spec (repeatable; "
+                                  "one per shard with --route stream): "
+                                  "poisson:rate=2, "
+                                  "burst:size=20,every=10, "
+                                  "trace:path=run.trace.json "
+                                  "(default poisson:rate=2)")
+    open_system.add_argument("--no-renew", action="store_true",
+                             help="expired subscriptions do not "
+                                  "resubmit")
+    open_system.add_argument("--max-renewals", type=int, default=None,
+                             help="bound on automatic renewals per "
+                                  "query")
+    open_system.add_argument("--route", default="placement",
+                             choices=("placement", "stream"),
+                             help="arrival routing: by placement "
+                                  "policy (default), or arrival "
+                                  "process i pinned to shard i")
+
+    groups = {"seed": seed, "capacity": capacity, "output": output,
+              "system": system, "federation": federation,
+              "lifecycle": lifecycle, "wal": wal, "periods": periods,
+              "closed-loop": closed_loop, "open-system": open_system}
+    return [groups[name] for name in names]
+
+
+def _check_shared_flags(args: argparse.Namespace) -> None:
+    """The one validator of each shared flag, on whichever subcommand
+    carries it, before the handler builds anything."""
+    if getattr(args, "shards", None) is not None and args.shards < 1:
+        raise ValidationError(
+            f"--shards must be >= 1, got {args.shards}")
+    if getattr(args, "periods", 0) < 0:
+        raise ValidationError(
+            f"--periods must be >= 0, got {args.periods}")
+    if hasattr(args, "wal_fsync"):
+        from repro.wal.log import _parse_fsync
+
+        _parse_spec("--wal-fsync", args.wal_fsync, _parse_fsync)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -731,7 +780,8 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     run = commands.add_parser(
-        "run", help="run a mechanism on one or more JSON instances")
+        "run", help="run a mechanism on one or more JSON instances",
+        parents=_flag_groups("seed", "output"))
     run.add_argument("mechanism",
                      help="a mechanism spec: CAR, CAF, CAF+, CAT, CAT+, "
                           "GV, Two-price, Random, OPT_C, k-unit, "
@@ -740,192 +790,52 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("instance", nargs="+",
                      help="path(s) to instance JSON file(s); several "
                           "run as one batch")
-    run.add_argument("--seed", type=int, default=0,
-                     help="seed for randomized mechanisms (unless the "
-                          "spec sets one)")
-    run.add_argument("-o", "--output", default=None,
-                     help="also write the outcome JSON here")
     run.set_defaults(handler=_cmd_run)
 
     simulate = commands.add_parser(
         "simulate",
-        help="run an AdmissionService over synthetic submissions")
-    simulate.add_argument("--mechanism", default="CAT",
-                          help="mechanism spec (default CAT)")
-    simulate.add_argument("--periods", type=int, default=5)
-    simulate.add_argument("--queries-per-period", type=int, default=6)
-    simulate.add_argument("--capacity", type=float, default=40.0)
-    simulate.add_argument("--rate", type=float, default=5.0,
-                          help="stream arrival rate (tuples/tick)")
-    simulate.add_argument("--ticks", type=int, default=20,
-                          help="engine ticks per subscription period")
-    simulate.add_argument("--profile", action="store_true",
-                          help="dump per-phase (prepare/auction/"
-                               "settle/execute) wall-clock timings "
-                               "as JSON after the run")
-    simulate.add_argument("--seed", type=int, default=0)
-    simulate.add_argument("--checkpoint", default=None,
-                          help="write a resumable checkpoint here "
-                               "after every period")
-    simulate.add_argument("--resume", default=None,
-                          help="resume from a checkpoint file instead "
-                               "of starting fresh")
+        help="run an AdmissionService over synthetic submissions",
+        parents=_flag_groups("system", "closed-loop"))
     simulate.set_defaults(handler=_cmd_simulate)
 
+    workload = _flag_groups(*_SIM_WORKLOAD)
     sim = commands.add_parser(
         "sim",
         help="run the open-system event-driven simulation (arrival "
-             "processes, subscriptions, latency probe, trace replay)")
-    sim.add_argument("--arrivals", action="append", default=None,
-                     help="arrival-process spec (repeatable; one per "
-                          "shard with --route stream): "
-                          "poisson:rate=2, burst:size=20,every=10, "
-                          "trace:path=run.trace.json "
-                          "(default poisson:rate=2)")
-    sim.add_argument("--periods", type=int, default=5,
-                     help="period boundaries to run")
-    sim.add_argument("--subscriptions", action="store_true",
-                     help="run Section VII subscription lifecycles "
-                          "(per-category auctions, expiry, renewal)")
-    sim.add_argument("--categories", default=None,
-                     help="subscription category mix as "
-                          "name=length:fraction pairs, e.g. "
-                          "day=1:0.4,week=7:0.35,month=30:0.25 "
-                          "(implies --subscriptions)")
-    sim.add_argument("--no-renew", action="store_true",
-                     help="expired subscriptions do not resubmit")
-    sim.add_argument("--max-renewals", type=int, default=None,
-                     help="bound on automatic renewals per query")
-    sim.add_argument("--scheduler", default=None,
-                     help="attach the latency probe with this "
-                          "scheduling-policy spec: fifo, round-robin, "
-                          "longest-queue-first, cheapest-first")
+             "processes, subscriptions, latency probe, trace replay)",
+        parents=workload + _flag_groups("periods", "wal"))
     sim.add_argument("--record", default=None,
                      help="write the run's arrival trace (the v2 "
                           ".npz container, repro/sim-trace) here")
-    sim.add_argument("--replay", default=None,
-                     help="replay a recorded trace instead of "
-                          "generating arrivals")
-    sim.add_argument("--shards", type=int, default=None,
-                     help="drive a federated cluster with this many "
-                          "shards (default 1: a single service)")
-    sim.add_argument("--placement", default=None,
-                     help="cluster placement spec (with --shards > 1; "
-                          "default consistent-hash)")
-    sim.add_argument("--route", choices=("placement", "stream"),
-                     default=None,
-                     help="arrival routing: by placement policy "
-                          "(default), or arrival process i pinned to "
-                          "shard i")
-    sim.add_argument("--probe-retention", type=int, default=None,
-                     help="keep only the most recent N probe tick "
-                          "records and latency samples (default: "
-                          "unbounded, exact over the whole run)")
-    sim.add_argument("--mechanism", default=None,
-                     help="mechanism spec (default CAT)")
-    sim.add_argument("--capacity", type=float, default=None,
-                     help="per-shard capacity (default 40)")
-    sim.add_argument("--rate", type=float, default=None,
-                     help="stream arrival rate (tuples/tick, "
-                          "default 5)")
-    sim.add_argument("--ticks", type=int, default=None,
-                     help="engine ticks per subscription period "
-                          "(default 20)")
-    sim.add_argument("--seed", type=int, default=None,
-                     help="base seed (default 0)")
-    sim.add_argument("--checkpoint", default=None,
-                     help="write a resumable simulation checkpoint "
-                          "here after every period")
-    sim.add_argument("--resume", default=None,
-                     help="resume from a simulation checkpoint "
-                          "instead of starting fresh")
-    sim.add_argument("--wal", default=None, metavar="DIR",
-                     help="write-ahead log directory: every settle "
-                          "window is logged before the run moves on, "
-                          "and re-running the same command after a "
-                          "crash recovers and converges to the "
-                          "uninterrupted result (--periods is the "
-                          "total horizon)")
-    sim.add_argument("--wal-fsync", default="batch:256",
-                     metavar="POLICY",
-                     help="WAL fsync policy: never, always, or "
-                          "batch:N (default batch:256)")
-    sim.add_argument("--compact-every", type=int, default=64,
-                     metavar="PERIODS",
-                     help="fold the WAL into a fresh snapshot and "
-                          "truncate recovered segments every this "
-                          "many periods (default 64; 0 disables)")
-    sim.set_defaults(handler=_cmd_sim)
+    # Deferred defaults (None = not given): --resume refuses what the
+    # checkpoint already fixes, a fresh run fills in the rest.
+    sim.set_defaults(handler=_cmd_sim, **{
+        action.dest: None for group in workload
+        for action in group._actions})
 
     cluster = commands.add_parser(
         "cluster",
         help="run a sharded FederatedAdmissionService over synthetic "
-             "submissions")
-    cluster.add_argument("--shards", type=int, default=4,
-                         help="number of AdmissionService shards")
-    cluster.add_argument("--placement", default="consistent-hash",
-                         help="placement spec: consistent-hash, "
-                              "least-loaded, round-robin — optionally "
-                              "with parameters, e.g. "
-                              "consistent-hash:seed=7")
-    cluster.add_argument("--mechanism", default="CAT",
-                         help="mechanism spec (default CAT)")
-    cluster.add_argument("--periods", type=int, default=5)
-    cluster.add_argument("--queries-per-period", type=int, default=12)
+             "submissions",
+        parents=_flag_groups("federation", "system", "closed-loop"))
     cluster.add_argument("--clients", type=int, default=6,
                          help="distinct client owners submitting")
-    cluster.add_argument("--capacity", type=float, default=40.0,
-                         help="per-shard capacity")
-    cluster.add_argument("--rate", type=float, default=5.0,
-                         help="stream arrival rate (tuples/tick)")
-    cluster.add_argument("--ticks", type=int, default=20,
-                         help="engine ticks per subscription period")
-    cluster.add_argument("--seed", type=int, default=0)
     cluster.add_argument("--no-rebalance", action="store_true",
                          help="disable cross-shard migration of "
                               "rejected queries")
-    cluster.add_argument("--checkpoint", default=None,
-                         help="write a resumable cluster checkpoint "
-                              "here after every period")
-    cluster.add_argument("--resume", default=None,
-                         help="resume from a cluster checkpoint "
-                              "instead of starting fresh")
-    cluster.set_defaults(handler=_cmd_cluster)
+    cluster.set_defaults(handler=_cmd_cluster, shards=4,
+                         queries_per_period=12)
 
     serve = commands.add_parser(
         "serve",
         help="serve an admission host over HTTP/JSON (submit, "
-             "withdraw, subscribe, period ticks, /metrics)")
+             "withdraw, subscribe, period ticks, /metrics)",
+        parents=_flag_groups("federation", "system", "lifecycle",
+                             "wal"))
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default 127.0.0.1)")
     serve.add_argument("--port", type=int, default=8080,
                        help="bind port (0 = ephemeral; default 8080)")
-    serve.add_argument("--shards", type=int, default=1,
-                       help="serve a federated cluster with this many "
-                            "shards (default 1: a single service)")
-    serve.add_argument("--placement", default="consistent-hash",
-                       help="cluster placement spec (with --shards > 1)")
-    serve.add_argument("--mechanism", default="CAT",
-                       help="mechanism spec (default CAT)")
-    serve.add_argument("--capacity", type=float, default=40.0,
-                       help="per-shard capacity (default 40)")
-    serve.add_argument("--rate", type=float, default=5.0,
-                       help="stream arrival rate (tuples/tick)")
-    serve.add_argument("--ticks", type=int, default=20,
-                       help="engine ticks per subscription period")
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--subscriptions", action="store_true",
-                       help="serve subscription lifecycles "
-                            "(/v1/subscribe) through a simulation "
-                            "driver")
-    serve.add_argument("--categories", default=None,
-                       help="subscription category mix, e.g. "
-                            "day=1:0.4,week=7:0.35,month=30:0.25 "
-                            "(implies --subscriptions)")
-    serve.add_argument("--scheduler", default=None,
-                       help="attach per-shard latency probes with this "
-                            "scheduling-policy spec (surfaces in "
-                            "/metrics)")
     serve.add_argument("--tick-interval", type=float, default=None,
                        help="run an auction period automatically every "
                             "this many seconds (default: only on "
@@ -946,51 +856,24 @@ def build_parser() -> argparse.ArgumentParser:
                        help="append structured JSONL request logs here")
     serve.add_argument("--quiet", action="store_true",
                        help="suppress the human-readable stderr log")
-    serve.add_argument("--wal", default=None, metavar="DIR",
-                       help="write-ahead log directory: acknowledged "
-                            "submissions and settles are logged "
-                            "before the response goes out, and a "
-                            "restarted gateway replays its log tail "
-                            "(503 + /healthz recovery=replaying "
-                            "until caught up)")
-    serve.add_argument("--wal-fsync", default="batch:256",
-                       metavar="POLICY",
-                       help="WAL fsync policy: never, always, or "
-                            "batch:N (default batch:256)")
-    serve.add_argument("--compact-every", type=int, default=64,
-                       metavar="PERIODS",
-                       help="fold the WAL into a fresh snapshot "
-                            "every this many settled periods "
-                            "(default 64; 0 disables)")
-    serve.add_argument("--wal-group-commit", action="store_true",
-                       help="batch concurrent acknowledged mutations "
-                            "into one fsync (leader/follower group "
-                            "commit; needs --wal)")
-    serve.add_argument("--wal-group-window", type=float,
-                       default=0.002, metavar="SECONDS",
-                       help="how long a group-commit leader waits "
-                            "for followers before syncing "
-                            "(default 0.002)")
     serve.set_defaults(handler=_cmd_serve)
 
     generate = commands.add_parser(
-        "generate", help="generate a Table III workload instance")
+        "generate", help="generate a Table III workload instance",
+        parents=_flag_groups("capacity", "seed", "output"))
     generate.add_argument("--queries", type=int, default=200)
     generate.add_argument("--sharing", type=int, default=8,
                           help="maximum degree of operator sharing")
-    generate.add_argument("--capacity", type=float, default=None,
-                          help="server capacity (default: paper ratio)")
-    generate.add_argument("--seed", type=int, default=0)
-    generate.add_argument("-o", "--output", default="instance.json")
-    generate.set_defaults(handler=_cmd_generate)
+    generate.set_defaults(handler=_cmd_generate, capacity=None,
+                          output="instance.json")
 
     report = commands.add_parser(
         "report", help="regenerate the paper's tables and figures")
     report.set_defaults(handler=_cmd_report)
 
     verify = commands.add_parser(
-        "verify", help="run the Table I property battery")
-    verify.add_argument("--seed", type=int, default=0)
+        "verify", help="run the Table I property battery",
+        parents=_flag_groups("seed"))
     verify.set_defaults(handler=_cmd_verify)
     return parser
 
@@ -1005,6 +888,7 @@ def main(argv: "list[str] | None" = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_shared_flags(args)
         return args.handler(args)
     except (ValidationError, KeyError) as exc:
         message = exc.args[0] if exc.args else str(exc)

@@ -208,7 +208,6 @@ class ScheduledEngine:
         capacity: float,
         policy: "SchedulingPolicy | PolicySpec | str | None" = None,
         keep_latency_samples: bool = False,
-        max_latency_samples: "int | None" = None,
         count_mode: bool = False,
     ) -> None:
         require(capacity > 0, "capacity must be positive")
@@ -226,17 +225,9 @@ class ScheduledEngine:
         self.latency: dict[str, LatencyStats] = {}
         #: Raw per-delivery latencies (ticks), kept only on request —
         #: the SLA percentiles of the open-system simulation need the
-        #: distribution, not just the running mean.  A cap turns the
-        #: store into a sliding window over the most recent deliveries
-        #: (long open-system runs would otherwise grow without bound).
-        if max_latency_samples is not None:
-            require(int(max_latency_samples) >= 1,
-                    "max_latency_samples must be >= 1")
-        self.latency_samples: "list[int] | deque | None" = None
-        if keep_latency_samples:
-            self.latency_samples = (
-                [] if max_latency_samples is None
-                else deque(maxlen=int(max_latency_samples)))
+        #: distribution, not just the running mean.
+        self.latency_samples: "list[int] | None" = (
+            [] if keep_latency_samples else None)
         # op id -> input name -> queue of (arrival tick, tuple)
         self._queues: dict[str, dict[str, deque]] = {}
         # Count mode (latency accounting only): queues carry

@@ -200,9 +200,7 @@ class DriverBackend:
         (one membership test per container, nothing copied)."""
         return (
             query_id in self._inbox
-            or any(query.query_id == query_id
-                   for shard_pending in self.driver.pending
-                   for query, _ in shard_pending)
+            or query_id in self.driver.pending_ids()
             or any(query_id in service.pending_ids
                    or query_id in service.engine.admitted_ids
                    for service in self.services)
@@ -229,11 +227,9 @@ class DriverBackend:
         queued = self._inbox.pop(query_id, None)
         if queued is not None:
             return queued[0]
-        for shard_pending in self.driver.pending:
-            for index, (query, _) in enumerate(shard_pending):
-                if query.query_id == query_id:
-                    del shard_pending[index]
-                    return query
+        parked = self.driver.withdraw_pending(query_id)
+        if parked is not None:
+            return parked
         for service in self.services:
             if query_id in service.pending_ids:
                 return service.withdraw(query_id)
@@ -252,7 +248,7 @@ class DriverBackend:
 
     def pending_count(self) -> int:
         return (len(self._inbox)
-                + sum(len(p) for p in self.driver.pending)
+                + self.driver.pending_count()
                 + sum(len(service.pending_ids)
                       for service in self.services))
 
@@ -351,20 +347,15 @@ class GatewayConfig:
     #: out; a restarted gateway replays the log tail (reporting
     #: ``recovery: replaying`` on /healthz until caught up).
     wal_dir: "str | None" = None
-    #: WAL fsync policy: ``never``, ``always``, or ``batch:N``.
+    #: WAL fsync policy: ``never``, ``always``, or ``batch:N``.  Under
+    #: ``always`` every 200 means "on disk", and the acknowledged
+    #: mutations are group-committed
+    #: (:class:`~repro.wal.groupcommit.GroupCommitter`): appends happen
+    #: in request order, concurrent requests share one fsync.
     wal_fsync: str = "batch:256"
     #: Compact the WAL into a fresh snapshot every this many settled
     #: periods (0 disables compaction).
     compact_every: int = 64
-    #: Group-commit acknowledged mutations: appends happen in request
-    #: order, but concurrent requests share one fsync per bounded
-    #: flush window instead of paying ``wal_fsync`` each.  Durability
-    #: per acknowledged response is *stronger* than ``batch:N`` — every
-    #: 200 means "on disk" — at a fraction of the fsyncs.
-    wal_group_commit: bool = False
-    #: Group-commit flush-wait window, seconds (the most extra latency
-    #: a lone mutation pays to wait for batch-mates).
-    wal_group_window: float = 0.002
 
     def __post_init__(self) -> None:
         require(self.max_inflight >= 1, "max_inflight must be >= 1")
@@ -374,8 +365,6 @@ class GatewayConfig:
         require(self.slow_timeout > 0, "slow_timeout must be positive")
         require(self.lock_patience > 0, "lock_patience must be positive")
         require(self.drain_timeout >= 0, "drain_timeout must be >= 0")
-        require(self.wal_group_window >= 0,
-                "wal_group_window must be >= 0")
 
 
 class AdmissionGateway:
@@ -480,18 +469,23 @@ class AdmissionGateway:
                      recovering=self._recovering or None)
         return self
 
+    def _group_commits(self) -> bool:
+        """Whether the configured policy is ``always`` (as the log
+        itself would read it): a durable 200 is a group-committed one."""
+        from repro.wal.log import _parse_fsync
+
+        return _parse_fsync(self.config.wal_fsync)[0] == "always"
+
     def _wal_fsync_policy(self) -> str:
         """The underlying log's policy (``never`` under group commit —
         the committer owns every fsync)."""
-        return ("never" if self.config.wal_group_commit
-                else self.config.wal_fsync)
+        return "never" if self._group_commits() else self.config.wal_fsync
 
     def _attach_committer(self) -> None:
-        if self._wal is not None and self.config.wal_group_commit:
+        if self._wal is not None and self._group_commits():
             from repro.wal.groupcommit import GroupCommitter
 
-            self._committer = GroupCommitter(
-                self._wal, window=self.config.wal_group_window)
+            self._committer = GroupCommitter(self._wal)
 
     def _recover_wal(self):
         from repro.wal.recovery import recover_gateway_backend
@@ -897,11 +891,11 @@ class AdmissionGateway:
 
         The append happens *before* the 200 goes out, so every response
         the client sees is durable to the configured fsync policy.
-        Under group commit the append still happens here — in request
-        order, under the lock — but the fsync is deferred: the caller
-        awaits the returned future *after* releasing the lock, so
-        concurrent mutations share one fsync instead of queueing on
-        the window.
+        Under group commit (``wal_fsync="always"``) the append still
+        happens here — in request order, under the lock — but the
+        fsync is deferred: the caller awaits the returned future
+        *after* releasing the lock, so concurrent mutations share one
+        fsync instead of each paying its own under the lock.
         """
         self._mutations_acked += 1
         if self._wal is None:
@@ -1110,6 +1104,10 @@ class AdmissionGateway:
             "shards": stats["shards"],
             "wal": wal_snapshot(self._wal),
         }
+        if self._wal is not None:
+            # The configured policy, not the log's own: under group
+            # commit the log is opened ``never``.
+            document["wal"]["fsync_policy"] = self.config.wal_fsync
         if self._committer is not None:
             document["wal"]["group_commit"] = (
                 self._committer.stats_snapshot())

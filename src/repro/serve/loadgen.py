@@ -196,7 +196,6 @@ async def run_load(
     concurrency: int = 4,
     tick_every: "int | None" = None,
     max_attempts: int = 5,
-    client_prefix: str = "client",
 ) -> LoadgenResult:
     """Drive *requests* seeded submissions at the gateway.
 
@@ -251,8 +250,7 @@ async def run_load(
             await client.tick()
 
     async def worker(index: int) -> None:
-        client = GatewayClient(
-            host, port, client_id=f"{client_prefix}{index}")
+        client = GatewayClient(host, port, client_id=f"client{index}")
         try:
             while True:
                 try:

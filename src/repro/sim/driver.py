@@ -35,11 +35,10 @@ byte-identically mid-simulation.
 
 from __future__ import annotations
 
-import collections
 import copy
 import dataclasses
 from dataclasses import dataclass
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -101,6 +100,11 @@ _STATE_FIELDS = (
 )
 
 _STATE_FIELDS_V2 = _STATE_FIELDS + ("pump", "blocks", "pump_stats")
+
+#: How many arrivals the object pump pulls from a process per call (the
+#: per-source event-queue fill).  Any value produces the identical
+#: event order; snapshots still carry it as ``"lookahead"``.
+LOOKAHEAD = 64
 
 
 def _fresh_pump_stats() -> dict:
@@ -184,7 +188,6 @@ class LatencyProbe:
         capacity: float,
         policy: "SchedulingPolicy | PolicySpec | str | None" = None,
         shard: int = 0,
-        retention: "int | None" = None,
     ) -> None:
         # count_mode: the probe only reads latency accounting, never
         # result tuples, so the engine runs its run-length fast lane
@@ -192,18 +195,10 @@ class LatencyProbe:
         # back to tuple queues by itself on anything richer).
         self.engine = ScheduledEngine(
             copy.deepcopy(tuple(sources)), capacity,
-            policy=policy, keep_latency_samples=True,
-            max_latency_samples=retention, count_mode=True)
+            policy=policy, keep_latency_samples=True, count_mode=True)
         self.shard = int(shard)
-        self.retention = None if retention is None else int(retention)
-        if self.retention is not None:
-            require(self.retention >= 1, "probe retention must be >= 1")
-        #: Per-tick records; capped to the most recent ``retention``
-        #: ticks when a cap is set (older records roll off), exact and
-        #: unbounded otherwise.
-        self.metrics: "list[TickMetrics]" = (
-            [] if self.retention is None
-            else collections.deque(maxlen=self.retention))
+        #: Per-tick records, exact over the whole run.
+        self.metrics: "list[TickMetrics]" = []
         self._delivered = 0
         self._latency_total = 0.0
 
@@ -276,10 +271,6 @@ class SimulationDriver:
     route:
         ``"placement"`` routes arrivals via the host's placement
         policy; ``"stream"`` pins arrival process *i* to shard *i*.
-    lookahead:
-        How many arrivals the pump pulls from a process per call (the
-        per-source event-queue fill).  Purely a throughput knob: any
-        value produces the identical event order.
     batch_arrivals:
         Drain adjacent arrival runs as one vectorized admission pass
         (the fast path, default).  ``False`` dispatches arrivals one
@@ -304,11 +295,6 @@ class SimulationDriver:
         when ``batch_arrivals=False`` asks for per-event dispatch.
         ``True`` / ``False`` name a path (the equivalence suites'
         oracle keyword); :attr:`pump` holds the resolved bool.
-    probe_retention:
-        Cap each probe's per-tick metric records and latency samples
-        to the most recent N (oldest roll off, so percentiles cover
-        the trailing window).  ``None`` (default) keeps everything —
-        exact, but unbounded on long-horizon runs.
     """
 
     def __init__(
@@ -321,10 +307,8 @@ class SimulationDriver:
         record: bool = False,
         route: str = "placement",
         allow_idle: bool = True,
-        lookahead: int = 64,
         batch_arrivals: bool = True,
         pump: "bool | None" = None,
-        probe_retention: "int | None" = None,
     ) -> None:
         self.host: SimulationHost = wrap_host(host)
         if isinstance(arrivals, (str, ArrivalSpec, ArrivalProcess)):
@@ -342,8 +326,6 @@ class SimulationDriver:
                 f"only {shards} shard(s)")
         self.route = route
         self.allow_idle = bool(allow_idle)
-        require(int(lookahead) >= 1, "lookahead must be >= 1")
-        self.lookahead = int(lookahead)
         self.batch_arrivals = bool(batch_arrivals)
 
         self.managers: "tuple[SubscriptionManager, ...] | None" = None
@@ -369,7 +351,7 @@ class SimulationDriver:
                     policy=(copy.deepcopy(policy_spec)
                             if isinstance(policy_spec, SchedulingPolicy)
                             else resolve_policy(policy_spec)),
-                    shard=i, retention=probe_retention)
+                    shard=i)
                 for i, service in enumerate(self.host.services))
 
         self.recorder: "TraceRecorder | None" = (
@@ -460,6 +442,51 @@ class SimulationDriver:
         """Revenue billed across all shards so far."""
         return sum(service.total_revenue()
                    for service in self.host.services)
+
+    def pending_ids(self) -> Iterator[str]:
+        """Ids parked for the next boundary's subscription auction,
+        one per row: a pumped :class:`RowChunk` yields each of its
+        rows, an object-path ``(query, category)`` pair its query."""
+        for shard_pending in self.pending:
+            for item in shard_pending:
+                if type(item) is RowChunk:
+                    yield from item.block.ids[item.start:item.stop]
+                else:
+                    yield item[0].query_id
+
+    def pending_count(self) -> int:
+        """How many ids :meth:`pending_ids` yields, without the walk
+        over each chunk's rows."""
+        return sum(len(item) if type(item) is RowChunk else 1
+                   for shard_pending in self.pending
+                   for item in shard_pending)
+
+    def withdraw_pending(self, query_id: str) -> "object | None":
+        """Take *query_id* out of the parked rows; ``None`` if absent.
+
+        A pumped row leaves by splitting its chunk around it, so the
+        rows on either side keep their arrival order and categories.
+        """
+        for shard_pending in self.pending:
+            for index, item in enumerate(shard_pending):
+                if type(item) is not RowChunk:
+                    if item[0].query_id == query_id:
+                        del shard_pending[index]
+                        return item[0]
+                    continue
+                block, start = item.block, item.start
+                for row in range(start, item.stop):
+                    if block.ids[row] == query_id:
+                        cut = row - start
+                        halves = (
+                            RowChunk(block, start, row,
+                                     item.categories[:cut]),
+                            RowChunk(block, row + 1, item.stop,
+                                     item.categories[cut + 1:]))
+                        shard_pending[index:index + 1] = [
+                            half for half in halves if len(half)]
+                        return block.plan(row)
+        return None
 
     # ------------------------------------------------------------------
     # The write-ahead log
@@ -567,7 +594,7 @@ class SimulationDriver:
         With the columnar pump on, a process that can produce a row
         block gets it parked in :attr:`_blocks` behind one marker
         event; otherwise (pump off, or a process with no block to
-        hand out) up to :attr:`lookahead` arrival objects are
+        hand out) up to :data:`LOOKAHEAD` arrival objects are
         pushed — only the batch's final event re-triggers the pump
         when consumed, so a live process always has events queued.  A
         no-op for events pushed outside any process (the lockstep
@@ -587,7 +614,7 @@ class SimulationDriver:
 
     def _pump_objects(self, index: int) -> bool:
         """The per-arrival-object pump; True if anything was pushed."""
-        arrivals = self.processes[index].next_arrivals(self.lookahead)
+        arrivals = self.processes[index].next_arrivals(LOOKAHEAD)
         if not arrivals:
             return False
         push = self.queue.push
@@ -1118,7 +1145,7 @@ class SimulationDriver:
             "reports": self.reports,
             "events_processed": self.events_processed,
             "allow_idle": self.allow_idle,
-            "lookahead": self.lookahead,
+            "lookahead": LOOKAHEAD,
             "batch_arrivals": self.batch_arrivals,
             "expired_buffer": self._expired_buffer,
             "renewed_buffer": self._renewed_buffer,
@@ -1161,7 +1188,6 @@ class SimulationDriver:
         driver.clock = state["clock"]
         driver.reports = list(state["reports"])
         driver.events_processed = state["events_processed"]
-        driver.lookahead = int(state["lookahead"])
         driver.batch_arrivals = bool(state["batch_arrivals"])
         # Strict access: a snapshot missing the expiry-attribution
         # buffers is truncated, and silently defaulting them would

@@ -9,25 +9,24 @@ classic leader/follower scheme:
 * a request *enqueues* its record (appending the frame immediately, so
   the physical log keeps application order) and receives a future;
 * the first enqueue of a batch elects itself leader and schedules one
-  flush after a bounded wait window (``window`` seconds), during which
-  followers pile on for free;
+  flush as a task, so every enqueue of the same event-loop iteration
+  rides along for free;
 * the leader runs the ``fsync`` in an executor thread — the event loop
-  keeps accepting (and batching) while the disk works — then resolves
-  every future in the batch.
+  keeps accepting while the disk works, and what it accepts is the next
+  batch, so the sync in flight is all the batching window there is —
+  then resolves every future in the batch.
 
 The response is only written after the future resolves, so the
 client-visible guarantee is unchanged: every acknowledged mutation is
 durable.  What changes is the price — ``fsyncs / mutations`` drops
 toward ``1 / batch size`` under concurrency (visible in
-``stats_snapshot()["fsyncs_per_mutation"]``), and a lone request pays at
-most the window (2 ms by default) of extra latency.
+``stats_snapshot()["fsyncs_per_mutation"]``), and a lone request pays one
+hand-off to the executor thread over an inline ``fsync``.
 """
 
 from __future__ import annotations
 
 import asyncio
-
-from repro.utils.validation import require
 
 
 class GroupCommitter:
@@ -37,10 +36,8 @@ class GroupCommitter:
     when to sync.  All methods must be called on one event loop.
     """
 
-    def __init__(self, log, *, window: float = 0.002) -> None:
-        require(float(window) >= 0.0, "window must be >= 0")
+    def __init__(self, log) -> None:
         self.log = log
-        self.window = float(window)
         self._pending: "list[asyncio.Future]" = []
         self._leader: "asyncio.Task | None" = None
         self._closed = False
@@ -69,21 +66,13 @@ class GroupCommitter:
         self.stats["mutations"] += 1
         self._pending.append(future)
         if self._leader is None:
-            self._leader = loop.create_task(self._flush_after_window())
+            self._leader = loop.create_task(self._flush_now())
         return future
 
-    async def _flush_after_window(self) -> None:
-        try:
-            if self.window > 0.0:
-                await asyncio.sleep(self.window)
-        finally:
-            # Step down first: enqueues arriving while the sync runs in
-            # the executor elect a fresh leader instead of waiting a
-            # whole extra window behind this one.
-            self._leader = None
-        await self._flush_now()
-
     async def _flush_now(self) -> None:
+        # Step down first: enqueues arriving while the sync runs in
+        # the executor elect a fresh leader for the next batch.
+        self._leader = None
         batch, self._pending = self._pending, []
         if not batch:
             return
@@ -106,8 +95,8 @@ class GroupCommitter:
     async def close(self) -> None:
         """Flush the tail and refuse further enqueues.
 
-        Takes over the pending batch directly — a leader still waiting
-        out its window wakes to an empty batch and no-ops, and a sync
+        Takes over the pending batch directly — a leader that has not
+        run yet wakes to an empty batch and no-ops, and a sync
         already in flight is covered because ``fsync`` on the active
         segment persists every byte appended before this call, batch
         boundaries or not.
@@ -120,7 +109,6 @@ class GroupCommitter:
     def stats_snapshot(self) -> dict:
         snapshot = dict(self.stats)
         mutations = snapshot["mutations"]
-        snapshot["window_s"] = self.window
         snapshot["fsyncs_per_mutation"] = (
             round(snapshot["fsyncs"] / mutations, 6) if mutations else 0.0)
         return snapshot

@@ -351,6 +351,54 @@ class TestSubscriptions:
         asyncio.run(go())
 
 
+    def test_submit_and_withdraw_over_a_pumping_driver(self):
+        """One arrival process over a single service resolves to the
+        pump, so between ticks the driver parks its own arrivals as
+        row chunks — which the duplicate-id check, the pending count
+        and withdraw must read like any other parked query."""
+        from repro.service import ServiceBuilder
+
+        async def go():
+            service = (ServiceBuilder()
+                       .with_sources(SyntheticStream("s", rate=2.0, seed=0))
+                       .with_capacity(20.0).with_mechanism("CAT")
+                       .with_ticks_per_period(4).build())
+            driver = SimulationDriver(
+                service, arrivals="poisson:rate=5,seed=1",
+                subscriptions=SubscriptionOptions(seed=1))
+            assert driver.pump
+            gateway = await started_gateway(driver)
+            async with GatewayClient(*gateway.address) as client:
+                status, _ = await client.tick()
+                assert status == 200
+                status, body = await client.submit(query(1))
+                assert status == 200, body
+                parked = list(driver.pending_ids())
+                assert len(parked) > len(driver.pending[0]) >= 1
+                assert body["pending"] == len(parked) + 1
+                status, body = await client.submit(select_query(
+                    parked[0], "owner", bid=4.0, cost=1.0))
+                assert status == 400
+                assert "already submitted" in body["error"]
+                # A pumped row leaves by splitting its chunk.
+                victim = parked[len(parked) // 2]
+                status, body = await client.withdraw(victim)
+                assert status == 200, body
+                assert body["pending"] == len(parked)
+                status, body = await client.withdraw(victim)
+                assert status == 404
+                status, ticked = await client.tick()
+                assert status == 200
+                seen = (ticked["report"]["admitted"]
+                        + ticked["report"]["rejected"])
+                assert victim not in seen
+                assert set(parked) - {victim} <= set(seen)
+                assert "q1" in seen
+            await gateway.stop(final_settle=False)
+
+        asyncio.run(go())
+
+
 class TestWireHardening:
     def test_pickle_plan_refused_by_default(self, monkeypatch):
         """A pickle-encoded plan is the client's 400 on a default

@@ -103,19 +103,34 @@ class TestCLI:
         assert refused.value.code == 2
         assert flag in capsys.readouterr().err
 
-    def test_simulate_profile_dumps_phase_timings(self, capsys):
-        assert main(["simulate", "--periods", "2", "--ticks", "2",
-                     "--profile"]) == 0
-        out = capsys.readouterr().out
-        document = json.loads(out[out.index('{\n  "profile"'):])
-        assert document["profile"] == "simulate"
-        assert [entry["period"] for entry in document["periods"]] == [1, 2]
-        for entry in document["periods"]:
-            assert set(entry) == {"period", "prepare", "auction",
-                                  "settle", "execute"}
-        assert set(document["totals"]) == {"prepare", "auction",
-                                           "settle", "execute"}
-        assert all(value >= 0 for value in document["totals"].values())
+    @pytest.mark.parametrize("argv,flag", [
+        (["serve", "--wal-group-commit"], "--wal-group-commit"),
+        (["serve", "--wal-group-window", "0"], "--wal-group-window"),
+        (["simulate", "--profile"], "--profile"),
+        (["sim", "--probe-retention", "5"], "--probe-retention"),
+    ])
+    def test_guarantee_and_unset_knob_flags_are_gone(self, argv, flag,
+                                                     capsys):
+        with pytest.raises(SystemExit) as refused:
+            main(argv)
+        assert refused.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["sim", "--shards", "0"], "--shards"),
+        (["serve", "--shards", "-3"], "--shards"),
+        (["sim", "--periods", "-2"], "--periods"),
+        (["simulate", "--periods", "-2"], "--periods"),
+        (["sim", "--wal-fsync", "bogus"], "--wal-fsync 'bogus'"),
+    ])
+    def test_shared_flags_validate_the_same_everywhere(self, argv, flag,
+                                                       capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1, captured.err
+        assert captured.err.startswith("repro: error:"), captured.err
+        assert flag in captured.err
 
     def test_verify_command(self, capsys, monkeypatch):
         # Shrink the battery via a tiny seed-compatible call by

@@ -234,12 +234,11 @@ class TestGatewayRecovery:
 
 
 class TestGroupCommit:
-    """``wal_group_commit=True`` on the gateway itself: concurrent
-    acknowledged mutations share fsyncs, and every one of them is
-    still there after an abrupt stop."""
+    """``wal_fsync="always"`` on the gateway *is* group commit:
+    concurrent acknowledged mutations share fsyncs, and every one of
+    them is still there after an abrupt stop."""
 
-    OPEN = {"wal_group_commit": True, "wal_group_window": 0.005,
-            "client_rate": 1e6, "client_burst": 1e6,
+    OPEN = {"client_rate": 1e6, "client_burst": 1e6,
             "peer_rate": 1e9, "peer_burst": 1e9}
 
     async def loaded(self, wal_dir):
@@ -282,6 +281,28 @@ class TestGroupCommit:
             assert pending == set(result.query_ids)
             assert len(pending) == 80
             await second.stop(final_settle=False)
+
+        asyncio.run(go())
+
+    @pytest.mark.parametrize("policy,committed", [
+        ("always", True), (" ALWAYS ", True),
+        ("batch:256", False), ("never", False)])
+    def test_only_always_commits_in_groups_and_metrics_say_so(
+            self, tmp_path, policy, committed):
+        async def go():
+            gateway = await started(tmp_path / "wal", wal_fsync=policy)
+            async with GatewayClient(*gateway.address) as client:
+                status, _ = await client.submit(query(0))
+                assert status == 200
+                status, metrics = await client.metrics()
+            await gateway.stop(final_settle=False)
+            assert (gateway._committer is not None) is committed
+            assert ("group_commit" in metrics["wal"]) is committed
+            # The configured policy, not the "never" the log is opened
+            # with under the committer.
+            assert metrics["wal"]["fsync_policy"] == policy
+            if committed:
+                assert "window_s" not in metrics["wal"]["group_commit"]
 
         asyncio.run(go())
 

@@ -135,10 +135,9 @@ def build_cluster():
         placement="round-robin")
 
 
-async def main(wal_dir, result_path, group_commit):
+async def main(wal_dir, result_path):
     config = GatewayConfig(quiet=True,
-                           wal_dir=wal_dir, wal_fsync="always",
-                           wal_group_commit=group_commit == "group")
+                           wal_dir=wal_dir, wal_fsync="always")
     gateway = AdmissionGateway(build_cluster(), config)
     await gateway.start()
     async with GatewayClient(*gateway.address) as client:
@@ -150,7 +149,7 @@ async def main(wal_dir, result_path, group_commit):
         json.dump(state, handle)
 
 
-asyncio.run(main(*sys.argv[1:4]))
+asyncio.run(main(*sys.argv[1:3]))
 """
 
 #: The op sequence every serve child runs; each op durably logs
@@ -201,8 +200,7 @@ def gateway_state(gateway):
     }
 
 
-def run_serve_child(tmp_path, wal_dir, crashpoint=None,
-                    commit="fsync"):
+def run_serve_child(tmp_path, wal_dir, crashpoint=None):
     script = tmp_path / "serve_child.py"
     script.write_text(SERVE_CHILD)
     result_path = tmp_path / "result.json"
@@ -211,8 +209,7 @@ def run_serve_child(tmp_path, wal_dir, crashpoint=None,
     if crashpoint is not None:
         env["REPRO_CRASHPOINT"] = crashpoint
     proc = subprocess.run(
-        [sys.executable, str(script), str(wal_dir), str(result_path),
-         commit],
+        [sys.executable, str(script), str(wal_dir), str(result_path)],
         capture_output=True, text=True, env=env, cwd=REPO, timeout=120)
     return proc, result_path
 
@@ -227,17 +224,13 @@ def serve_reference(tmp_path_factory):
 
 @pytest.mark.serve
 class TestServeKillMatrix:
-    # Every crashpoint runs twice: the second child serves under the
-    # group committer (the log's own policy is then "never"), and a
-    # 200 must still mean on disk, against the same reference state.
-    @pytest.mark.parametrize("crashpoint,commit", [
-        pytest.param(name, commit,
-                     id=name.replace(".", "-") + suffix)
-        for name in sorted(SERVE_MATRIX)
-        for commit, suffix in (("fsync", ""), ("group", "-group"))])
+    # ``wal_fsync="always"`` serves under the group committer (the
+    # log's own policy is then "never"): a 200 must still mean on disk.
+    @pytest.mark.parametrize(
+        "crashpoint", sorted(SERVE_MATRIX),
+        ids=lambda name: name.replace(".", "-"))
     def test_kill_recover_finish_converges(self, tmp_path,
-                                           serve_reference, crashpoint,
-                                           commit):
+                                           serve_reference, crashpoint):
         import asyncio
 
         from repro.wal import records as rec, scan_wal
@@ -253,8 +246,7 @@ class TestServeKillMatrix:
 
         wal_dir = tmp_path / "wal"
         armed = f"{crashpoint}:{SERVE_MATRIX[crashpoint]}"
-        proc, _ = run_serve_child(tmp_path, wal_dir,
-                                  crashpoint=armed, commit=commit)
+        proc, _ = run_serve_child(tmp_path, wal_dir, crashpoint=armed)
         assert proc.returncode == -9, (
             f"{armed} never fired (rc={proc.returncode}): "
             f"{proc.stderr[-500:]}")
