@@ -689,13 +689,15 @@ def _flag_groups(*names: str) -> "list[argparse.ArgumentParser]":
     # sim, serve
     wal = group()
     wal.add_argument("--wal", default=None, metavar="DIR",
-                     help="write-ahead log directory: settles (serve: "
-                          "and acknowledged mutations) are logged "
-                          "before the run moves on, and starting "
-                          "again over the same directory recovers to "
-                          "the uninterrupted result (sim: --periods "
-                          "is the total horizon; serve: 503 until the "
-                          "tail is replayed)")
+                     help="write-ahead log directory: each settle's "
+                          "receipt (serve: and every acknowledged "
+                          "mutation) is logged before the run moves "
+                          "on, and starting again over the same "
+                          "directory recovers to the uninterrupted "
+                          "result (sim: --periods is the total "
+                          "horizon; serve: 503 until the tail is "
+                          "replayed); a directory the other command "
+                          "wrote is refused untouched")
     wal.add_argument("--wal-fsync", default="batch:256",
                      metavar="POLICY",
                      help="WAL fsync policy: never, always, or "

@@ -589,7 +589,7 @@ def _uncode_column(codes, table) -> list:
     return [lookup.get(code) for code in codes.tolist()]
 
 
-#: The arrays of a v2 trace container (and a WAL arrivals record).
+#: The arrays of a v2 trace container.
 _SIM_TRACE_ARRAYS = frozenset((
     "schema", "version", "rows", "ids", "ops",
     "owner_table", "category_table", "input_table"))

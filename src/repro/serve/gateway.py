@@ -365,6 +365,24 @@ class GatewayConfig:
         require(self.slow_timeout > 0, "slow_timeout must be positive")
         require(self.lock_patience > 0, "lock_patience must be positive")
         require(self.drain_timeout >= 0, "drain_timeout must be >= 0")
+        require(self.tick_interval is None or self.tick_interval > 0,
+                "tick_interval must be positive (None = on demand only)")
+        require(self.max_body >= 1, "max_body must be >= 1")
+        require(self.compact_every >= 0, "compact_every must be >= 0")
+        # The rate, burst and retry rules are the classes' own: build
+        # each once, so a typo fails here and not on every request.
+        for fields, build, values in (
+                ("client_rate / client_burst", TokenBucket,
+                 (self.client_rate, self.client_burst)),
+                ("peer_rate / peer_burst", TokenBucket,
+                 (self.peer_rate, self.peer_burst)),
+                ("retry_deposit / retry_initial / retry_cap", RetryBudget,
+                 (self.retry_deposit, self.retry_initial,
+                  self.retry_cap))):
+            try:
+                build(*values)
+            except ValidationError as exc:
+                raise ValidationError(f"{fields}: {exc}") from None
 
 
 class AdmissionGateway:
@@ -416,6 +434,9 @@ class AdmissionGateway:
         self._metrics_cache: "tuple[tuple, float, bytes] | None" = None
         self._recovering = False
         self._recovered_from_wal = False
+        #: The one-line reason a WAL replay failed (the gateway then
+        #: stays closed to mutations for good); ``None`` otherwise.
+        self._recovery_error: "str | None" = None
         self._replayed_records = 0
         self.counters: Counter = Counter()
         self._latency: dict[str, deque] = {
@@ -504,6 +525,7 @@ class AdmissionGateway:
             # acknowledged log must not take new mutations on top of
             # half-recovered state.
             self._draining = True
+            self._recovery_error = (str(exc) or repr(exc)).splitlines()[0]
             self.log.log("wal_recovery_failed", level="error",
                          error=repr(exc))
             return
@@ -758,6 +780,11 @@ class AdmissionGateway:
 
     def _gate(self, client: str, peer: str) -> None:
         """Admission control for the admission controller."""
+        if self._recovery_error is not None:
+            raise HttpError(
+                503, f"gateway could not replay its write-ahead log "
+                     f"and takes no mutations: {self._recovery_error}",
+                retry_after=self.config.drain_timeout)
         if self._draining:
             raise HttpError(
                 503, "gateway is draining; resubmit elsewhere",
@@ -858,8 +885,7 @@ class AdmissionGateway:
                 period=self.backend.period,
                 events=getattr(getattr(self.backend, "driver", None),
                                "events_processed", 0),
-                revenue=self.backend.total_revenue(),
-                arrivals=0)
+                revenue=self.backend.total_revenue())
             if self._committer is not None:
                 # The log's own policy is "never" under group commit;
                 # the period receipt is rare enough to sync in place.
@@ -1039,9 +1065,11 @@ class AdmissionGateway:
         uptime = (time.monotonic() - self._started_at
                   if self._started_at is not None else 0.0)
         stats = self._backend_stats()
-        return {
+        document = {
             "status": "draining" if self._draining else "ok",
-            "recovery": "replaying" if self._recovering else "clean",
+            "recovery": ("replaying" if self._recovering
+                         else "clean" if self._recovery_error is None
+                         else "failed"),
             "recovered_from_wal": self._recovered_from_wal,
             "replayed_records": self._replayed_records,
             "period": stats["period"],
@@ -1049,6 +1077,9 @@ class AdmissionGateway:
             "inflight": self._inflight,
             "uptime_s": round(uptime, 3),
         }
+        if self._recovery_error is not None:
+            document["error"] = self._recovery_error
+        return document
 
     #: How long a rendered /metrics body may be re-served unchanged
     #: (its own request counters go that stale; settles and mutations

@@ -356,10 +356,8 @@ class SimulationDriver:
 
         self.recorder: "TraceRecorder | None" = (
             TraceRecorder() if record else None)
-        #: Attached write-ahead log (see :meth:`attach_wal`) and the
-        #: per-settle-window arrival buffer it drains at boundaries.
+        #: Attached write-ahead log (see :meth:`attach_wal`).
         self.wal = None
-        self._wal_buffer: "TraceRecorder | None" = None
         self.queue = EventQueue()
         self._period = self.host.period
         self.clock = float(self._period * self.host.ticks_per_period)
@@ -495,44 +493,30 @@ class SimulationDriver:
     def attach_wal(self, log) -> None:
         """Log this run into *log* (a :class:`~repro.wal.WriteAheadLog`).
 
-        From here on every settle window appends its arrivals (which
-        must be select-shaped plans) and a period receipt to the log
-        before the run moves past the boundary, and compaction fires
-        on the log's schedule.  Pass ``None`` to detach.
+        From here on every boundary appends a period receipt to the
+        log before the run moves past it, and compaction snapshots the
+        driver on the log's schedule.  Arrivals are not logged: a
+        recovery regenerates them from the arrival processes' RNG
+        state in the snapshot, so any plan shape may arrive.  Pass
+        ``None`` to detach.
         """
         self.wal = log
-        self._wal_buffer = None if log is None else TraceRecorder()
-
-    def _arrival_sinks(self) -> tuple:
-        """The recorders every admitted arrival is appended to."""
-        if self._wal_buffer is None:
-            return (self.recorder,) if self.recorder is not None else ()
-        if self.recorder is None:
-            return (self._wal_buffer,)
-        return (self.recorder, self._wal_buffer)
 
     def _log_period(self) -> None:
-        """Append this boundary's window to the WAL (buffer hand-off).
-
-        The buffer swap happens even while the log is suspended during
-        recovery replay — the replayed window's arrivals must not leak
-        into the first live window's record.
+        """Append this boundary's receipt to the WAL — or, while the
+        log is suspended during recovery replay, check the state this
+        boundary reached against the receipt the original run wrote.
         """
         wal = self.wal
-        buffer = self._wal_buffer
-        self._wal_buffer = TraceRecorder()
-        if wal.suspended:
-            wal.verify_replay(
-                period=self._period, revenue=self.total_revenue(),
-                queue=self.queue.kind_counts(), origin="sim replay")
-            return
-        wal.append_arrivals(SimTrace(columns=buffer._columns))
-        crashpoint(CP_SETTLE_BEFORE_PERIOD)
-        wal.append_period(
+        receipt = dict(
             period=self._period, events=self.events_processed,
             revenue=self.total_revenue(),
-            arrivals=len(buffer._columns),
             queue=self.queue.kind_counts())
+        if wal.suspended:
+            wal.verify_replay(**receipt, origin="sim replay")
+            return
+        crashpoint(CP_SETTLE_BEFORE_PERIOD)
+        wal.append_period(**receipt)
         crashpoint(CP_SETTLE_AFTER_PERIOD)
         if wal.due_for_compaction(self._period):
             wal.compact(self.snapshot(), self._period)
@@ -759,11 +743,11 @@ class SimulationDriver:
         dispatch verbatim.
         """
         route_stream = self.route == "stream"
-        sinks = self._arrival_sinks()
+        recorder = self.recorder
         stats = self._pump_stats
         if self.managers is None:
             submit = self.host.submit
-            if sinks:
+            if recorder is not None:
                 # Whole-slice capture: rows byte-identical to the
                 # per-row record() calls, without 11 list appends per
                 # arrival on the admission hot path.
@@ -771,8 +755,7 @@ class SimulationDriver:
                 categories = (list(categories[start:stop])
                               if categories is not None
                               else [None] * (stop - start))
-                for sink in sinks:
-                    sink.record_rows(block, start, stop, categories,
+                recorder.record_rows(block, start, stop, categories,
                                      source)
             for row in range(start, stop):
                 plan = block.plan(row)
@@ -816,10 +799,10 @@ class SimulationDriver:
                     category = manager.assign_category(plan)
                 else:
                     manager.category(category)
-                for sink in sinks:
-                    sink.record(float(block.times[row]), plan,
-                                category,
-                                block.stream_at(row, source))
+                if recorder is not None:
+                    recorder.record(float(block.times[row]), plan,
+                                    category,
+                                    block.stream_at(row, source))
                 self.pending[row_shard].append((plan, category))
             return
 
@@ -840,8 +823,8 @@ class SimulationDriver:
             for name in requested[start:stop]:
                 if name is not None:
                     manager.category(name)
-        for sink in sinks:
-            sink.record_rows(block, start, stop, categories, source)
+        if recorder is not None:
+            recorder.record_rows(block, start, stop, categories, source)
         self.pending[shard].append(
             RowChunk(block, start, stop, categories))
 
@@ -855,14 +838,14 @@ class SimulationDriver:
             category = (event.category
                         or manager.assign_category(event.query))
             manager.category(category)  # validate requested names too
-            for sink in self._arrival_sinks():
-                sink.record(event.time, event.query, category,
-                            event.stream)
+            if self.recorder is not None:
+                self.recorder.record(event.time, event.query, category,
+                                     event.stream)
             self.pending[shard].append((event.query, category))
         else:
-            for sink in self._arrival_sinks():
-                sink.record(event.time, event.query,
-                            event.category, event.stream)
+            if self.recorder is not None:
+                self.recorder.record(event.time, event.query,
+                                     event.category, event.stream)
             self.host.submit(as_continuous_query(event.query),
                              shard=pinned)
         if event.source is not None and event.final:
@@ -899,12 +882,11 @@ class SimulationDriver:
     def _admit_batch(self, events: "list[ArrivalEvent]") -> None:
         """One vectorized admission pass over a run of arrivals."""
         route_stream = self.route == "stream"
-        sinks = self._arrival_sinks()
+        recorder = self.recorder
         if self.managers is None:
-            if sinks:
+            if recorder is not None:
                 categories = [event.category for event in events]
-                for sink in sinks:
-                    sink.record_events(events, categories)
+                recorder.record_events(events, categories)
             for event in events:
                 pinned = (self._pinned_shard(event.stream,
                                              event.query.query_id)
@@ -936,8 +918,8 @@ class SimulationDriver:
                 if events[position].category is not None:
                     # validate requested names too
                     manager.category(events[position].category)
-        for sink in sinks:
-            sink.record_events(events, category_of)
+        if recorder is not None:
+            recorder.record_events(events, category_of)
         pending = self.pending
         for position, event in enumerate(events):
             pending[shard_of[position]].append(
@@ -1205,7 +1187,6 @@ class SimulationDriver:
         # restored driver starts detached (recovery re-attaches the
         # live log after replay).
         driver.wal = None
-        driver._wal_buffer = None
         return driver
 
     def save_checkpoint(self, path: object) -> None:

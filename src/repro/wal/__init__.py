@@ -1,23 +1,25 @@
 """Durable write-ahead event log + crash recovery.
 
 ``repro.wal`` makes long-horizon sim and serve runs crash-recoverable
-with exactly-once billing: every settle window and every acknowledged
-gateway mutation is framed (CRC32, length-prefixed) into segmented log
-files before the run moves on, periodic compaction folds the log
-prefix into a ``repro/sim-snapshot`` envelope, and recovery replays
-the surviving tail through the same deterministic event loop — torn
-trailing writes are detected and discarded, and the resumed run is
-byte-identical to the uninterrupted one (the fault-injection matrix in
-``tests/wal`` proves it with real ``kill -9``\\ s at every registered
-crashpoint).
+with exactly-once billing: every settle's receipt and every
+acknowledged gateway mutation is framed (CRC32, length-prefixed) into
+segmented log files before the run moves on, periodic compaction folds
+the log prefix into a ``repro/sim-snapshot`` envelope, and recovery
+replays the surviving tail through the same deterministic event loop —
+torn trailing writes are detected and discarded, and the resumed run
+is byte-identical to the uninterrupted one (the fault-injection matrix
+in ``tests/wal`` proves it with real ``kill -9``\\ s at every
+registered crashpoint).  The log holds exactly what a recovery reads,
+and a directory is replayed by the runtime that wrote it (sim or
+gateway) or refused as found.
 
 Layers:
 
-* :mod:`repro.wal.records` — frame codec over the v2 trace arrays;
+* :mod:`repro.wal.records` — frame codec over canonical JSON bodies;
 * :mod:`repro.wal.log` — segments, fsync policies, compaction,
   torn-tail truncation;
-* :mod:`repro.wal.recovery` — snapshot + tail replay with receipt
-  verification;
+* :mod:`repro.wal.recovery` — owner check, snapshot + tail replay
+  with receipt verification;
 * :mod:`repro.wal.crashpoints` — the named fault-injection points.
 """
 
@@ -42,7 +44,6 @@ from repro.wal.log import (
     wal_exists,
 )
 from repro.wal.records import (
-    RECORD_ARRIVALS,
     RECORD_CHECKPOINT,
     RECORD_OP,
     RECORD_PERIOD,
@@ -61,7 +62,6 @@ __all__ = [
     "DEFAULT_SEGMENT_BYTES",
     "FrameError",
     "GroupCommitter",
-    "RECORD_ARRIVALS",
     "RECORD_CHECKPOINT",
     "RECORD_OP",
     "RECORD_PERIOD",

@@ -11,7 +11,7 @@ Segments hold the frames of :mod:`repro.wal.records` back to back.
 The durability contract is write-ahead + forced ordering:
 
 * every mutation is framed and appended *before* it is acknowledged
-  (gateway ops) or *as* it is applied (sim settle windows), under the
+  (gateway ops) or *as* it is applied (sim settle receipts), under the
   configured fsync policy — ``never`` (OS decides), ``batch:n``
   (fsync every *n* records), ``always`` (fsync per append);
 * compaction first saves a snapshot atomically, then rolls to a fresh
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.utils.validation import ValidationError
@@ -108,10 +108,7 @@ class WalScan:
     segments: "list[tuple[int, Path]]"
     records: "list[WalRecord]"
     torn: bool = False
-    torn_segment: "int | None" = None
-    torn_offset: "int | None" = None
     discarded_bytes: int = 0
-    snapshots: "list[tuple[int, Path]]" = field(default_factory=list)
 
     def checkpoint(self) -> "WalRecord | None":
         """The latest ``CHECKPOINT`` record, if any survived."""
@@ -120,21 +117,18 @@ class WalScan:
                 return record
         return None
 
-    def tail(self, keep_kinds=None) -> "list[WalRecord]":
-        """Records after the latest checkpoint (the replay worklist)."""
+    def tail(self) -> "list[WalRecord]":
+        """The replay worklist: ``PERIOD`` and ``OP`` records after the
+        latest checkpoint.  A retired ``ARRIVALS`` frame in a directory
+        an earlier build wrote is left out here, and so by every owner.
+        """
         checkpoint = self.checkpoint()
-        tail = []
-        for record in self.records:
-            if checkpoint is not None and (
-                    record.segment, record.start) <= (
-                    checkpoint.segment, checkpoint.start):
-                continue
-            if record.kind == rec.RECORD_CHECKPOINT:
-                continue
-            if keep_kinds is not None and record.kind not in keep_kinds:
-                continue
-            tail.append(record)
-        return tail
+        return [
+            record for record in self.records
+            if record.kind in (rec.RECORD_PERIOD, rec.RECORD_OP)
+            and (checkpoint is None
+                 or (record.segment, record.start)
+                 > (checkpoint.segment, checkpoint.start))]
 
 
 def scan_wal(directory) -> WalScan:
@@ -149,8 +143,7 @@ def scan_wal(directory) -> WalScan:
     if not segments:
         raise ValidationError(
             f"no WAL segments found in {directory}")
-    scan = WalScan(directory=directory, segments=segments,
-                   records=[], snapshots=list_snapshots(directory))
+    scan = WalScan(directory=directory, segments=segments, records=[])
     last_seq = segments[-1][0]
     for seq, path in segments:
         try:
@@ -169,25 +162,32 @@ def scan_wal(directory) -> WalScan:
                 raise ValidationError(
                     f"corrupt WAL segment {path}: {error}") from None
             scan.torn = True
-            scan.torn_segment = seq
-            scan.torn_offset = error.offset
             scan.discarded_bytes = len(buffer) - error.offset
     return scan
 
 
-def check_receipt(document: dict, *, period: int, revenue: float,
-                  queue: "dict | None", origin: str) -> None:
+def check_receipt(document: dict, *, period: int, events: int,
+                  revenue: float, queue: "dict | None",
+                  origin: str) -> None:
     """Compare a period record against the state a replay produced.
 
-    Exact comparisons are deliberate: JSON round-trips Python floats
-    bit-exactly and a replay recomputes revenue in the same summation
-    order, so any tolerance would only hide divergence.
+    Every field a receipt carries is compared here — one that is not
+    would not be written.  Exact comparisons are deliberate: JSON
+    round-trips Python floats bit-exactly and a replay recomputes
+    revenue in the same summation order, so any tolerance would only
+    hide divergence.
     """
     want_period = int(document.get("period", -1))
     if want_period != int(period):
         raise ValidationError(
             f"WAL replay diverged during {origin}: log expects period "
             f"{want_period}, replay reached {period}")
+    want_events = document.get("events")
+    if want_events is not None and int(want_events) != int(events):
+        raise ValidationError(
+            f"WAL replay diverged during {origin} at period {period}: "
+            f"log expects {want_events} events processed, replay "
+            f"counted {events}")
     want_revenue = document.get("revenue")
     if want_revenue is not None and float(want_revenue) != float(revenue):
         raise ValidationError(
@@ -232,13 +232,10 @@ class WriteAheadLog:
     by :func:`scan_wal` before reopening for append).
     """
 
-    def __init__(self, directory, *, fsync="batch:256",
-                 segment_bytes=DEFAULT_SEGMENT_BYTES,
-                 compact_every=0):
+    def __init__(self, directory, *, fsync="batch:256", compact_every=0):
         self.directory = Path(directory)
         self.fsync_policy = str(fsync)
         self._fsync_mode, self._fsync_every = _parse_fsync(fsync)
-        self.segment_bytes = int(segment_bytes)
         self.compact_every = int(compact_every)
         self.checkpoint_period = 0
         #: When True, appends are silently dropped — recovery replays
@@ -262,8 +259,7 @@ class WriteAheadLog:
 
     @classmethod
     def create(cls, directory, state, *, fsync="batch:256",
-               segment_bytes=DEFAULT_SEGMENT_BYTES, compact_every=0,
-               period=0):
+               compact_every=0):
         """Initialise a fresh WAL: genesis snapshot + checkpoint.
 
         *state* is whatever the owner recovers from — a
@@ -271,79 +267,54 @@ class WriteAheadLog:
         for serve — saved through the atomic `repro.io` path.
         """
         directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError):
+            raise ValidationError(
+                f"WAL path {directory} is not a directory") from None
         if wal_exists(directory):
             raise ValidationError(
                 f"WAL directory {directory} already contains "
                 f"segments; use resume")
-        log = cls(directory, fsync=fsync, segment_bytes=segment_bytes,
-                  compact_every=compact_every)
-        log._open_segment(0, truncate=True)
-        log._write_checkpoint(state, int(period))
+        log = cls(directory, fsync=fsync, compact_every=compact_every)
+        log._open_segment(0)
+        log._write_checkpoint(state)
         return log
 
     @classmethod
-    def resume(cls, directory, scan=None, *, keep_kinds=None,
-               fsync="batch:256", segment_bytes=DEFAULT_SEGMENT_BYTES,
+    def resume(cls, directory, scan=None, *, fsync="batch:256",
                compact_every=0):
         """Reopen *directory* after a crash, truncating the torn tail.
 
-        *keep_kinds* names the record kinds the owner can actually
-        replay; trailing records of other kinds (e.g. an ``ARRIVALS``
-        window whose ``PERIOD`` receipt never landed) are cut along
-        with the tear so the physical log ends at a replayable record.
-        Returns ``(log, scan)``.
+        Only bytes that failed to decode are cut; every frame that
+        scanned stays where it is, whatever its kind — deciding whose
+        directory this is, and so whether to reopen it at all, is the
+        caller's job *before* it calls this (see
+        :mod:`repro.wal.recovery`).  Returns ``(log, scan)``.
         """
         directory = Path(directory)
         if scan is None:
             scan = scan_wal(directory)
-        keep = None if keep_kinds is None else set(keep_kinds)
-        if keep is not None:
-            keep.add(rec.RECORD_CHECKPOINT)
-        cut_seq, cut_end = -1, 0
-        for record in scan.records:
-            if keep is not None and record.kind not in keep:
-                continue
-            cut_seq, cut_end = record.segment, record.end
-        if cut_seq < 0:
-            # A log with no replayable record at all — e.g. killed
-            # while writing the genesis checkpoint frame.  The genesis
-            # snapshot was saved atomically *before* that frame, so if
-            # it exists the run is still recoverable from period 0.
-            if not list_snapshots(directory):
-                raise ValidationError(
-                    f"WAL {directory} holds no replayable records "
-                    f"and no snapshot; refusing to resume")
-            cut_seq, cut_end = scan.segments[-1][0], 0
-        dropped = [r for r in scan.records
-                   if (r.segment, r.start) >= (cut_seq, cut_end)]
-        scan.records = [r for r in scan.records
-                        if (r.segment, r.start) < (cut_seq, cut_end)]
-        log = cls(directory, fsync=fsync, segment_bytes=segment_bytes,
-                  compact_every=compact_every)
-        for seq, path in scan.segments:
-            if seq > cut_seq:
-                path.unlink()
-        log._truncate_segment(cut_seq, cut_end)
+        seq = scan.segments[-1][0]
+        log = cls(directory, fsync=fsync, compact_every=compact_every)
+        log._truncate_segment(seq, max(
+            (r.end for r in scan.records if r.segment == seq), default=0))
         log.stats["recoveries"] = 1
         log.stats["torn_tail"] = scan.torn
-        log.stats["discarded_bytes"] = (
-            scan.discarded_bytes
-            + sum(r.end - r.start for r in dropped))
+        log.stats["discarded_bytes"] = scan.discarded_bytes
         checkpoint = scan.checkpoint()
         if checkpoint is not None:
             document = rec.decode_json(checkpoint.body, "checkpoint")
             log.checkpoint_period = int(document.get("period", 0))
         return log, scan
 
-    def _open_segment(self, seq: int, *, truncate: bool = False):
+    def _open_segment(self, seq: int):
+        """Start segment *seq* empty (genesis, or a roll)."""
         if self._handle is not None:
             self._handle.close()
-        path = self.directory / segment_name(seq)
-        mode = "wb" if truncate else "ab"
-        self._handle = open(path, mode)
+        self._handle = open(self.directory / segment_name(seq), "wb")
         self._seq = seq
-        self._segment_size = self._handle.tell()
+        self._segment_size = 0
         self.stats["segments"] += 1
 
     def _truncate_segment(self, seq: int, size: int):
@@ -376,7 +347,7 @@ class WriteAheadLog:
             if self._handle is None:
                 raise ValidationError(
                     f"WAL {self.directory} is closed")
-            if self._segment_size >= self.segment_bytes:
+            if self._segment_size >= DEFAULT_SEGMENT_BYTES:
                 self._roll_locked()
             frame = rec.encode_frame(kind, body)
             crashpoint(CP_APPEND_BEFORE_FRAME)
@@ -403,21 +374,12 @@ class WriteAheadLog:
         self._unsynced = 0
         handle.close()
         self._handle = None
-        self._open_segment(self._seq + 1, truncate=True)
+        self._open_segment(self._seq + 1)
 
-    def append_arrivals(self, trace) -> bool:
-        """Log one settle window's admissions; skipped when empty."""
-        if trace is None or not len(trace):
-            return False
-        return self._append(rec.RECORD_ARRIVALS,
-                            rec.encode_arrivals(trace))
-
-    def append_period(self, *, period, events, revenue,
-                      arrivals, queue=None) -> bool:
+    def append_period(self, *, period, events, revenue, queue=None) -> bool:
         """Log the settle receipt that makes *period* replay-checkable."""
         document = {"period": int(period), "events": int(events),
-                    "revenue": float(revenue),
-                    "arrivals": int(arrivals)}
+                    "revenue": float(revenue)}
         if queue is not None:
             document["queue"] = queue
         return self._append(rec.RECORD_PERIOD,
@@ -437,7 +399,7 @@ class WriteAheadLog:
         """Receipts queued by :meth:`expect_replay` not yet verified."""
         return len(self._replay_expect)
 
-    def verify_replay(self, *, period, revenue, queue=None,
+    def verify_replay(self, *, period, events, revenue, queue=None,
                       origin="replay") -> None:
         """Check replayed state against the next expected receipt.
 
@@ -449,8 +411,8 @@ class WriteAheadLog:
         if not self._replay_expect:
             return
         document = self._replay_expect.pop(0)
-        check_receipt(document, period=period, revenue=revenue,
-                      queue=queue, origin=origin)
+        check_receipt(document, period=period, events=events,
+                      revenue=revenue, queue=queue, origin=origin)
 
     def sync(self):
         """Flush + fsync the active segment regardless of policy."""
@@ -493,14 +455,13 @@ class WriteAheadLog:
         self.stats["compactions"] += 1
         self.checkpoint_period = period
 
-    def _write_checkpoint(self, state, period: int):
+    def _write_checkpoint(self, state):
         """Genesis: snapshot + checkpoint record in the empty log."""
         from repro.io import save_sim_snapshot
 
-        path = self.directory / snapshot_name(period)
+        path = self.directory / snapshot_name(0)
         save_sim_snapshot(state, path)
-        self._write_checkpoint_record(path.name, period)
-        self.checkpoint_period = period
+        self._write_checkpoint_record(path.name, 0)
 
     def _write_checkpoint_record(self, snapshot: str, period: int):
         document = {"period": int(period), "snapshot": str(snapshot)}

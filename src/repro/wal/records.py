@@ -1,16 +1,17 @@
-"""WAL record framing: length-prefixed CRC32 frames over the v2 codec.
+"""WAL record framing: length-prefixed CRC32 frames over JSON bodies.
 
 Every record in a WAL segment is one *frame*::
 
     u32 length | u32 crc32(payload) | payload (length bytes)
 
-and every payload starts with a one-byte record kind.  Arrival records
-carry the v2 sim-trace binary columns (the same arrays
-``repro.io.sim_trace_to_arrays`` feeds ``np.savez``) packed as raw
-``.npy`` blobs — no zip container, so a torn write can never fake a
-valid central directory.  Period, op, and checkpoint records are
-canonical JSON (sorted keys) so byte-identical state produces
-byte-identical frames.
+and every payload starts with a one-byte record kind.  Period, op, and
+checkpoint records are canonical JSON (sorted keys) so byte-identical
+state produces byte-identical frames.  A fourth kind, ``ARRIVALS``
+(one settle window's arrivals as packed trace columns), is *retired*:
+no recovery ever read it — the sim driver regenerates arrivals from
+the RNG state in its snapshot — so nothing writes it any more, but a
+directory an earlier build wrote still holds such frames and they
+must decode as frames rather than read as a tear.
 
 The scan helpers below are deliberately paranoid: a frame that is
 short, oversized, or fails its CRC terminates the scan.  Whether that
@@ -22,23 +23,20 @@ final segment as torn and anywhere else as a `ValidationError`.
 
 from __future__ import annotations
 
-import io as _stdio
 import json
 import struct
 import zlib
 
-import numpy as np
-
 from repro.utils.validation import ValidationError
 
 #: Record kinds (first payload byte).
-RECORD_ARRIVALS = 1   #: packed v2 trace arrays for one settle window
+RECORD_ARRIVALS = 1   #: retired: decoded and skipped, never written
 RECORD_PERIOD = 2     #: JSON settle receipt {period, events, revenue, ...}
 RECORD_OP = 3         #: JSON serve-request document (gateway mutation)
 RECORD_CHECKPOINT = 4 #: JSON {period, snapshot} — compaction boundary
 
-RECORD_KINDS = (RECORD_ARRIVALS, RECORD_PERIOD, RECORD_OP,
-                RECORD_CHECKPOINT)
+#: The kinds this build writes (and a recovery reads).
+RECORD_KINDS = (RECORD_PERIOD, RECORD_OP, RECORD_CHECKPOINT)
 
 _FRAME = struct.Struct("<II")
 FRAME_HEADER = _FRAME.size
@@ -56,7 +54,8 @@ class FrameError(ValueError):
 def encode_frame(kind: int, body: bytes) -> bytes:
     """Frame ``kind`` + *body* into header | crc | payload bytes."""
     if kind not in RECORD_KINDS:
-        raise ValidationError(f"unknown WAL record kind {kind!r}")
+        what = "retired" if kind == RECORD_ARRIVALS else "unknown"
+        raise ValidationError(f"{what} WAL record kind {kind!r}")
     payload = bytes([kind]) + body
     return _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
 
@@ -81,7 +80,7 @@ def decode_frame(buffer: bytes, offset: int) -> "tuple[int, bytes, int]":
     if zlib.crc32(payload) != crc:
         raise FrameError(f"CRC mismatch at offset {offset}")
     kind = payload[0]
-    if kind not in RECORD_KINDS:
+    if kind not in RECORD_KINDS and kind != RECORD_ARRIVALS:
         raise FrameError(f"unknown record kind {kind} at "
                          f"offset {offset}")
     return kind, payload[1:], end
@@ -125,61 +124,3 @@ def decode_json(body: bytes, what: str) -> dict:
         raise ValidationError(f"WAL {what} record must be a JSON "
                               f"object, got {type(document).__name__}")
     return document
-
-
-# --- arrivals record bodies ---------------------------------------------
-
-def pack_arrays(arrays: "dict[str, np.ndarray]") -> bytes:
-    """Pack named arrays as a JSON name manifest + sequential npy blobs.
-
-    Layout: ``u32 manifest_len | manifest JSON (sorted name list) |
-    npy blob per name, in manifest order``.  Each blob is a complete
-    ``.npy`` stream written with ``allow_pickle=False``, so structured
-    dtypes survive but arbitrary objects cannot ride along.
-    """
-    names = sorted(arrays)
-    manifest = json.dumps(names, separators=(",", ":")).encode("utf-8")
-    stream = _stdio.BytesIO()
-    stream.write(struct.pack("<I", len(manifest)))
-    stream.write(manifest)
-    for name in names:
-        # Not ascontiguousarray: that promotes 0-d arrays to 1-d
-        # (ndmin=1), and the schema/version tags are 0-d.  A 0-d
-        # array is always contiguous anyway.
-        value = np.asarray(arrays[name])
-        if not value.flags["C_CONTIGUOUS"]:
-            value = np.ascontiguousarray(value)
-        np.lib.format.write_array(stream, value, allow_pickle=False)
-    return stream.getvalue()
-
-
-def unpack_arrays(body: bytes) -> "dict[str, np.ndarray]":
-    """Inverse of :func:`pack_arrays`; ValidationError on any damage."""
-    try:
-        (manifest_len,) = struct.unpack_from("<I", body, 0)
-        manifest = body[4:4 + manifest_len].decode("utf-8")
-        names = json.loads(manifest)
-        stream = _stdio.BytesIO(body[4 + manifest_len:])
-        arrays = {}
-        for name in names:
-            arrays[str(name)] = np.lib.format.read_array(
-                stream, allow_pickle=False)
-    except (struct.error, UnicodeDecodeError, json.JSONDecodeError,
-            ValueError, KeyError, EOFError) as error:
-        raise ValidationError(
-            f"WAL arrivals record failed to unpack: {error}") from None
-    return arrays
-
-
-def encode_arrivals(trace) -> bytes:
-    """Arrivals body for a :class:`repro.sim.trace.SimTrace` window."""
-    from repro.io import sim_trace_to_arrays
-
-    return pack_arrays(sim_trace_to_arrays(trace))
-
-
-def decode_arrivals(body: bytes):
-    """Rebuild the :class:`SimTrace` window from an arrivals body."""
-    from repro.io import sim_trace_from_arrays
-
-    return sim_trace_from_arrays(unpack_arrays(body))

@@ -1,16 +1,22 @@
 """Crash recovery: latest snapshot + log-tail replay, verified.
 
-Both recovery paths follow the same shape — scan the WAL, truncate the
-torn tail, load the snapshot the newest surviving checkpoint names,
-then replay the tail records *through the same deterministic machinery
-that produced them*:
+Both recoveries open a directory the same way (:func:`_open_wal`) —
+scan it, load the snapshot the newest surviving checkpoint names,
+decide *whose* directory it is from what that snapshot is, and only
+then reopen it for append, which truncates the torn tail.  A directory
+the other runtime wrote is refused as found: nothing in it is cut,
+because every record in it is somebody's acknowledged data.  The tail
+records then replay *through the same deterministic machinery that
+produced them*:
 
 * the sim driver regenerates every arrival from its snapshotted RNG
-  streams, so a ``PERIOD`` record replays as one ``driver.run(1)``
-  call — the record's receipt (period index, cumulative revenue, queue
-  composition) is then *checked* against the re-run, and any mismatch
-  is a hard :class:`~repro.utils.validation.ValidationError` rather
-  than a silently different result;
+  streams — which is why its log holds receipts and no arrivals — so a
+  ``PERIOD`` record replays as one ``driver.run(1)`` call; the
+  record's receipt (period index, events processed, cumulative
+  revenue, queue composition) is then *checked* against the re-run,
+  and any mismatch is a hard
+  :class:`~repro.utils.validation.ValidationError` rather than a
+  silently different result;
 * the gateway's mutations are externally driven, so its ``OP`` records
   replay by re-applying each acknowledged submit/withdraw to the
   restored backend, and its ``PERIOD`` records by re-running the
@@ -35,17 +41,20 @@ from repro.wal.log import (
 )
 
 
-def _checkpoint_state(directory, scan, log):
-    """Load the state object recovery starts from.
+def _open_wal(directory, owner: str, **policy):
+    """Scan, load the base state, check the owner, then resume.
 
-    Prefers the snapshot named by the newest checkpoint record; a log
-    whose genesis checkpoint was torn away falls back to the newest
-    snapshot file on disk (saved atomically, so it is complete if it
-    exists at all).
+    The base state is the snapshot the newest checkpoint record names;
+    a log whose genesis checkpoint was torn away falls back to the
+    newest snapshot file on disk (saved atomically, so it is complete
+    if it exists at all).  *owner* is ``"sim"`` or ``"gateway"``: a
+    gateway snapshots a state document, a sim driver a
+    :class:`~repro.sim.SimSnapshot`.  Returns ``(state, log, scan)``.
     """
     from repro.io import load_sim_snapshot
 
     directory = Path(directory)
+    scan = scan_wal(directory)
     checkpoint = scan.checkpoint()
     if checkpoint is not None:
         document = rec.decode_json(checkpoint.body, "checkpoint")
@@ -53,37 +62,39 @@ def _checkpoint_state(directory, scan, log):
         if not path.is_file():
             raise ValidationError(
                 f"WAL checkpoint names missing snapshot {path}")
-        return load_sim_snapshot(path)
-    snapshots = list_snapshots(directory)
-    if not snapshots:
+    else:
+        snapshots = list_snapshots(directory)
+        if not snapshots:
+            raise ValidationError(
+                f"WAL {directory} has no checkpoint record and no "
+                f"snapshot files; nothing to recover from")
+        period, path = snapshots[-1]
+    state = load_sim_snapshot(path)
+    writer = "gateway" if isinstance(state, dict) else "sim"
+    if writer != owner:
         raise ValidationError(
-            f"WAL {directory} has no checkpoint record and no "
-            f"snapshot files; nothing to recover from")
-    period, path = snapshots[-1]
-    log.checkpoint_period = period
-    return load_sim_snapshot(path)
+            f"WAL directory {directory} was written by a {writer} run "
+            f"and only a {writer} run can replay it; this {owner} run "
+            f"left it untouched")
+    log, scan = WriteAheadLog.resume(directory, scan, **policy)
+    if checkpoint is None:
+        log.checkpoint_period = period
+    return state, log, scan
 
 
-def recover_sim_driver(directory, *, fsync="batch:256",
-                       segment_bytes=None, compact_every=0):
+def recover_sim_driver(directory, *, fsync="batch:256", compact_every=0):
     """Rebuild a :class:`~repro.sim.SimulationDriver` from its WAL.
 
     Returns ``(driver, log)`` with the log attached to the driver and
     open for append — the caller just keeps calling ``driver.run``.
     """
     from repro.sim.driver import SimulationDriver
-    from repro.wal import log as wal_log
 
-    scan = scan_wal(directory)
-    log, scan = WriteAheadLog.resume(
-        directory, scan, keep_kinds=(rec.RECORD_PERIOD,),
-        fsync=fsync, compact_every=compact_every,
-        segment_bytes=(segment_bytes
-                       or wal_log.DEFAULT_SEGMENT_BYTES))
-    snapshot = _checkpoint_state(directory, scan, log)
+    snapshot, log, scan = _open_wal(
+        directory, "sim", fsync=fsync, compact_every=compact_every)
     driver = SimulationDriver.restore(snapshot)
     driver.attach_wal(log)
-    tail = scan.tail(keep_kinds=(rec.RECORD_PERIOD,))
+    tail = scan.tail()
     documents = [rec.decode_json(record.body, "period")
                  for record in tail]
     log.suspended = True
@@ -102,7 +113,7 @@ def recover_sim_driver(directory, *, fsync="batch:256",
 
 
 def recover_gateway_backend(directory, backend, *, fsync="batch:256",
-                            segment_bytes=None, compact_every=0):
+                            compact_every=0):
     """Rebuild a gateway *backend*'s state from its WAL, in place.
 
     *backend* is the freshly constructed
@@ -115,26 +126,16 @@ def recover_gateway_backend(directory, backend, *, fsync="batch:256",
     from repro.io import serve_request_from_dict
     from repro.sim.driver import SimulationDriver
     from repro.sim.hosts import restore_host
-    from repro.wal import log as wal_log
 
-    scan = scan_wal(directory)
-    log, scan = WriteAheadLog.resume(
-        directory, scan, keep_kinds=(rec.RECORD_OP, rec.RECORD_PERIOD),
-        fsync=fsync, compact_every=compact_every,
-        segment_bytes=(segment_bytes
-                       or wal_log.DEFAULT_SEGMENT_BYTES))
-    state = _checkpoint_state(directory, scan, log)
-    if not isinstance(state, dict) or "kind" not in state:
-        raise ValidationError(
-            f"WAL {directory} holds a {type(state).__name__} "
-            f"snapshot, not a gateway state document")
+    state, log, scan = _open_wal(
+        directory, "gateway", fsync=fsync, compact_every=compact_every)
     if "consumed" in state:
         raise ValidationError(
             f"WAL {directory} was written by a build that has the "
             f"multi-worker front-end; its acknowledged ops are in the "
             f"stripe-NN/ logs beside it, which this build does not "
             f"read — recover it with the build that wrote it")
-    kind = state["kind"]
+    kind = state.get("kind")
     if kind == "driver":
         if not hasattr(backend, "driver"):
             raise ValidationError(
@@ -153,7 +154,7 @@ def recover_gateway_backend(directory, backend, *, fsync="batch:256",
         raise ValidationError(
             f"unknown gateway WAL state kind {kind!r}")
     backend.last_report = None
-    tail = scan.tail(keep_kinds=(rec.RECORD_OP, rec.RECORD_PERIOD))
+    tail = scan.tail()
     log.suspended = True
     try:
         for record in tail:
@@ -170,6 +171,8 @@ def recover_gateway_backend(directory, backend, *, fsync="batch:256",
                 backend.tick()
                 check_receipt(
                     document, period=backend.period,
+                    events=(backend.driver.events_processed
+                            if hasattr(backend, "driver") else 0),
                     revenue=backend.total_revenue(), queue=None,
                     origin="gateway replay")
     finally:

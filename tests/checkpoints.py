@@ -16,6 +16,14 @@ subscription book sums operator
 loads over a ``set``, so the last bit of a reclaimed capacity carried
 inside a checkpoint depends on the hash seed of the process that wrote
 it, and only a reader with the same seed continues it to the byte.
+
+One more file set follows the same rule and has no ``write`` here at
+all: ``tests/data/sim-wal.arrivals/`` is a ``sim --wal`` directory (a
+segment and its genesis snapshot) written — only ever from the commit
+whose format it pins — by the last build that logged ``ARRIVALS``
+frames, which this build decodes and skips but cannot write.  The
+command that wrote it is in ``tests/wal/test_format_compat.py``; it is
+regenerated from that commit or not at all.
 """
 
 import sys

@@ -56,6 +56,39 @@ async def started_gateway(target, **overrides):
     return gateway
 
 
+@pytest.mark.parametrize("overrides,field,argv", [
+    ({"tick_interval": -1.0}, "tick_interval", ["--tick-interval", "-1"]),
+    ({"tick_interval": 0.0}, "tick_interval", None),
+    ({"client_rate": -5.0}, "client_rate", ["--client-rate", "-5"]),
+    ({"client_burst": 0.0}, "client_burst", ["--client-burst", "0"]),
+    ({"peer_rate": 0.0}, "peer_rate", None),
+    ({"retry_initial": 2.0, "retry_cap": 1.0}, "retry_cap", None),
+    ({"retry_deposit": -0.1}, "retry_deposit", None),
+    ({"max_body": 0}, "max_body", None),
+    ({"compact_every": -1}, "compact_every", None),
+])
+def test_config_refuses_at_construction_what_cannot_work_at_run_time(
+        overrides, field, argv, capsys):
+    """An operator's typo is the operator's error, once, at start-up —
+    not a 400 billed to every client or a tick loop that never sleeps."""
+    from repro.__main__ import main
+    from repro.utils.validation import ValidationError
+
+    with pytest.raises(ValidationError, match=field):
+        GatewayConfig(**overrides)
+    if argv is not None:
+        assert main(["serve", *argv]) == 2
+        error = capsys.readouterr().err
+        assert error.count("\n") == 1 and field in error, error
+        assert error.startswith("repro: error:"), error
+
+
+def test_config_accepts_the_wide_open_rates_the_benchmarks_use():
+    config = GatewayConfig(quiet=True, client_rate=1e9, client_burst=1e9,
+                           peer_rate=1e9, peer_burst=1e9)
+    assert config.tick_interval is None and config.compact_every == 64
+
+
 class TestHappyPath:
     def test_submit_tick_report_round_trip(self):
         async def go():

@@ -15,12 +15,25 @@ import repro.__main__ as cli
 from repro.dsms.scheduler import ScheduledEngine
 from repro.serve import GatewayConfig, run_load
 from repro.sim import SimulationDriver
+from repro.wal import (
+    WriteAheadLog,
+    recover_gateway_backend,
+    recover_sim_driver,
+    records,
+)
 from repro.wal.groupcommit import GroupCommitter
+from repro.wal.log import WalScan
 
 RULE = ("an option stays only when two callers that are not tests or "
         "examples need different values (ROADMAP, ground rules): name "
         "the two callers in the change that raises this count, or make "
         "the value a constant")
+
+RECORD_RULE = ("the log holds what recovery reads (ROADMAP, ground "
+               "rules): a record kind is written only if WalScan.tail() "
+               "or WalScan.checkpoint() returns it to a replay that "
+               "uses it — name the reader in the change that adds a "
+               "writer, or do not write the record")
 
 
 def subcommands() -> dict:
@@ -49,6 +62,13 @@ def test_each_flag_is_defined_once_and_the_counts_are_pinned():
             len(inspect.signature(SimulationDriver).parameters),
         "ScheduledEngine parameters":
             len(inspect.signature(ScheduledEngine).parameters),
+        **{f"{name} parameters": len(inspect.signature(call).parameters)
+           for name, call in [
+               ("WriteAheadLog", WriteAheadLog),
+               ("WriteAheadLog.create", WriteAheadLog.create),
+               ("WriteAheadLog.resume", WriteAheadLog.resume),
+               ("recover_sim_driver", recover_sim_driver),
+               ("recover_gateway_backend", recover_gateway_backend)]},
     }
     # Every option plus run's two positionals is one call site.
     assert counts == {
@@ -57,6 +77,12 @@ def test_each_flag_is_defined_once_and_the_counts_are_pinned():
         "GatewayConfig fields": 22,
         "SimulationDriver parameters": 9,
         "ScheduledEngine parameters": 5,
+        # directory (+ state / scan / backend), fsync, compact_every.
+        "WriteAheadLog parameters": 3,
+        "WriteAheadLog.create parameters": 4,
+        "WriteAheadLog.resume parameters": 4,
+        "recover_sim_driver parameters": 3,
+        "recover_gateway_backend parameters": 4,
     }, RULE
 
 
@@ -68,11 +94,52 @@ def test_each_flag_is_defined_once_and_the_counts_are_pinned():
     lambda: SimulationDriver(None, probe_retention=5),
     lambda: ScheduledEngine([], 1.0, max_latency_samples=4),
     lambda: run_load("127.0.0.1", 1, client_prefix="x"),
+    lambda: WriteAheadLog.resume("d", keep_kinds=()),
+    lambda: WalScan("d", [], []).tail(keep_kinds=()),
+    lambda: WriteAheadLog("d", segment_bytes=1),
+    lambda: recover_sim_driver("d", segment_bytes=1),
+    lambda: WriteAheadLog.create("d", "state", period=1),
+    lambda: WriteAheadLog("d").append_period(
+        period=1, events=1, revenue=0.0, arrivals=0),
 ], ids=["wal_group_commit", "wal_group_window", "window", "lookahead",
-        "probe_retention", "max_latency_samples", "client_prefix"])
+        "probe_retention", "max_latency_samples", "client_prefix",
+        "resume-keep_kinds", "tail-keep_kinds", "segment_bytes",
+        "recover-segment_bytes", "create-period", "arrivals"])
 def test_removed_keywords_are_type_errors(call):
     with pytest.raises(TypeError, match="unexpected keyword"):
         call()
+
+
+def test_the_write_only_record_family_is_gone():
+    assert not hasattr(WriteAheadLog, "append_arrivals")
+    for name in ("encode_arrivals", "decode_arrivals", "pack_arrays",
+                 "unpack_arrays"):
+        assert not hasattr(records, name)
+    for name in ("torn_segment", "torn_offset", "snapshots"):
+        assert name not in {f.name for f in dataclasses.fields(WalScan)}
+
+
+def test_every_record_kind_written_is_a_kind_recovery_reads(tmp_path):
+    """The record census: drive every public writer of
+    ``WriteAheadLog`` once; the kinds on disk are exactly the kinds
+    ``WalScan.tail()`` and ``WalScan.checkpoint()`` hand a recovery."""
+    from repro.wal import scan_wal
+
+    writers = sorted(name for name in vars(WriteAheadLog)
+                     if name.startswith("append_"))
+    assert writers == ["append_op", "append_period"], RECORD_RULE
+    log = WriteAheadLog.create(tmp_path / "wal", "state", fsync="never")
+    log.append_op({"op": "x"})
+    log.append_period(period=1, events=0, revenue=0.0)
+    log.compact("state", 1)
+    log.append_op({"op": "y"})
+    log.append_period(period=2, events=0, revenue=0.0)
+    log.close()
+    scan = scan_wal(tmp_path / "wal")
+    written = {record.kind for record in scan.records}
+    read = {record.kind for record in scan.tail()} | {
+        scan.checkpoint().kind}
+    assert written == read == set(records.RECORD_KINDS), RECORD_RULE
 
 
 def test_lookahead_is_still_written_to_checkpoints():

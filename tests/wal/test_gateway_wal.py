@@ -48,13 +48,19 @@ async def crash(gateway):
     await gateway._server.wait_closed()
 
 
-async def wait_clean(client, tries: int = 100):
+async def wait_replayed(client, tries: int = 100):
     for _ in range(tries):
         status, health = await client.health()
-        if status == 200 and health["recovery"] == "clean":
+        if status == 200 and health["recovery"] != "replaying":
             return health
         await asyncio.sleep(0.05)
     raise AssertionError("gateway never finished its WAL replay")
+
+
+async def wait_clean(client):
+    health = await wait_replayed(client)
+    assert health["recovery"] == "clean", health
+    return health
 
 
 def gateway_invoices(gateway):
@@ -233,6 +239,45 @@ class TestGatewayRecovery:
         asyncio.run(go())
 
 
+class TestReceiptEvents:
+    """A gateway receipt's ``events`` is joined on replay like its
+    period and revenue: the driver's count, ``0`` for a host."""
+
+    def test_tampered_events_is_a_hard_error_on_gateway_replay(
+            self, tmp_path):
+        from repro.serve import DriverBackend
+        from repro.sim import SimulationDriver, SubscriptionOptions
+        from repro.utils.validation import ValidationError
+        from repro.wal import recover_gateway_backend
+        from tests.wal.test_recovery import rewrite_last_receipt
+
+        def build_backend():
+            return DriverBackend(SimulationDriver(
+                build_cluster(),
+                subscriptions=SubscriptionOptions(seed=1)))
+
+        async def go(wal_dir):
+            config = GatewayConfig(**QUIET, wal_dir=str(wal_dir),
+                                   wal_fsync="always")
+            gateway = AdmissionGateway(build_backend(), config)
+            await gateway.start()
+            async with GatewayClient(*gateway.address) as client:
+                for n in range(4):
+                    status, _ = await client.submit(query(n))
+                    assert status == 200
+                status, _ = await client.tick()
+                assert status == 200
+            await crash(gateway)
+            return gateway.backend.driver.events_processed
+
+        events = asyncio.run(go(tmp_path / "wal"))
+        assert events > 0
+        recover_gateway_backend(tmp_path / "wal", build_backend()).close()
+        rewrite_last_receipt(tmp_path / "wal", events=lambda n: n - 1)
+        with pytest.raises(ValidationError, match="events"):
+            recover_gateway_backend(tmp_path / "wal", build_backend())
+
+
 class TestGroupCommit:
     """``wal_fsync="always"`` on the gateway *is* group commit:
     concurrent acknowledged mutations share fsyncs, and every one of
@@ -343,8 +388,9 @@ class TestFrontendDirectoryRefused:
         async def go():
             gateway = await started(wal_dir)
             async with GatewayClient(*gateway.address) as client:
-                health = await wait_clean(client)
+                health = await wait_replayed(client)
                 assert health["status"] == "draining"
+                assert health["recovery"] == "failed"
                 assert health["recovered_from_wal"] is False
                 status, _ = await client.submit(query(0))
                 assert status == 503

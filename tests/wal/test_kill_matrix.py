@@ -37,10 +37,12 @@ SIM_ARGS = ["--periods", "8", "--rate", "30", "--capacity", "50",
 
 #: crashpoint -> hit count placing the crash mid-run (hit 1 of the
 #: append sites is the genesis checkpoint; compaction fires at periods
-#: 3 and 6; settles at periods 1..8).
+#: 3 and 6; settles at periods 1..8).  The run appends 11 frames — a
+#: receipt per settle plus three checkpoints — and hit 7 is period 5's
+#: receipt, between the two compactions.
 SIM_MATRIX = {
-    "wal.append.before-frame": 9,
-    "wal.append.after-frame": 9,
+    "wal.append.before-frame": 7,
+    "wal.append.after-frame": 7,
     "wal.compact.before-snapshot": 2,
     "wal.compact.after-snapshot": 2,
     "wal.compact.after-checkpoint": 2,

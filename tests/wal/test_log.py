@@ -56,7 +56,7 @@ class TestLifecycle:
     def test_appends_scan_back_in_order(self, tmp_path):
         log = fresh_log(tmp_path)
         log.append_op({"op": "submit", "n": 1})
-        log.append_period(period=1, events=10, revenue=2.5, arrivals=3)
+        log.append_period(period=1, events=10, revenue=2.5)
         log.append_op({"op": "withdraw", "n": 2})
         log.close()
         scan = scan_wal(tmp_path / "wal")
@@ -67,8 +67,9 @@ class TestLifecycle:
         assert period["period"] == 1
         assert period["revenue"] == 2.5
 
-    def test_segments_roll_at_the_size_cap(self, tmp_path):
-        log = fresh_log(tmp_path, segment_bytes=256)
+    def test_segments_roll_at_the_size_cap(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.wal.log.DEFAULT_SEGMENT_BYTES", 256)
+        log = fresh_log(tmp_path)
         for n in range(20):
             log.append_op({"op": "submit", "pad": "x" * 64, "n": n})
         log.close()
@@ -94,9 +95,8 @@ class TestTornTail:
         whole = segment.read_bytes()
         segment.write_bytes(whole[:-4])
 
-        log, scan = WriteAheadLog.resume(
-            directory, keep_kinds=(rec.RECORD_OP,), fsync="never")
-        tail = scan.tail(keep_kinds=(rec.RECORD_OP,))
+        log, scan = WriteAheadLog.resume(directory, fsync="never")
+        tail = scan.tail()
         assert [rec.decode_json(r.body, "op")["n"] for r in tail] == [0, 1]
         assert log.stats["torn_tail"] is True
         assert log.stats["discarded_bytes"] > 0
@@ -107,20 +107,6 @@ class TestTornTail:
                   for r in scan_wal(directory).records
                   if r.kind == rec.RECORD_OP]
         assert reread == [0, 1, "post-recovery"]
-
-    def test_resume_cuts_back_to_the_last_replayable_kind(self, tmp_path):
-        # Trailing records the owner cannot replay (an ARRIVALS window
-        # whose PERIOD receipt never landed) are cut with the tear.
-        log = fresh_log(tmp_path)
-        log.append_period(period=1, events=5, revenue=1.0, arrivals=0)
-        log.append_op({"orphan": True})
-        log.close()
-        directory = tmp_path / "wal"
-        log, scan = WriteAheadLog.resume(
-            directory, keep_kinds=(rec.RECORD_PERIOD,), fsync="never")
-        log.close()
-        kinds = [r.kind for r in scan_wal(directory).records]
-        assert kinds == [rec.RECORD_CHECKPOINT, rec.RECORD_PERIOD]
 
     def test_interior_corruption_is_a_hard_error(self, tmp_path):
         directory = self.append_three_ops(tmp_path)
@@ -139,8 +125,7 @@ class TestCompaction:
     def test_compact_prunes_segments_and_snapshots(self, tmp_path):
         log = fresh_log(tmp_path, compact_every=1)
         for period in range(1, 4):
-            log.append_period(period=period, events=1, revenue=0.0,
-                              arrivals=0)
+            log.append_period(period=period, events=1, revenue=0.0)
             assert log.due_for_compaction(period)
             log.compact(f"state-{period}", period)
         log.close()
@@ -157,21 +142,19 @@ class TestCompaction:
         log = fresh_log(tmp_path, compact_every=1)
         stale = tmp_path / "wal" / "snapshot-00000009.ckpt.abc.tmp"
         stale.write_bytes(b"interrupted atomic save")
-        log.append_period(period=1, events=1, revenue=0.0, arrivals=0)
+        log.append_period(period=1, events=1, revenue=0.0)
         log.compact("state", 1)
         log.close()
         assert not stale.exists()
 
     def test_recovery_replays_only_past_the_checkpoint(self, tmp_path):
         log = fresh_log(tmp_path)
-        log.append_period(period=1, events=1, revenue=1.0, arrivals=0)
+        log.append_period(period=1, events=1, revenue=1.0)
         log.compact("state-1", 1)
-        log.append_period(period=2, events=1, revenue=2.0, arrivals=0)
+        log.append_period(period=2, events=1, revenue=2.0)
         log.close()
-        _, scan = WriteAheadLog.resume(
-            tmp_path / "wal", keep_kinds=(rec.RECORD_PERIOD,),
-            fsync="never")
-        tail = scan.tail(keep_kinds=(rec.RECORD_PERIOD,))
+        _, scan = WriteAheadLog.resume(tmp_path / "wal", fsync="never")
+        tail = scan.tail()
         assert [rec.decode_json(r.body, "p")["period"]
                 for r in tail] == [2]
 

@@ -1,8 +1,7 @@
-"""The WAL frame codec: CRC framing, JSON canonicals, array packing."""
+"""The WAL frame codec: CRC framing, JSON canonicals, the retired kind."""
 
 import zlib
 
-import numpy as np
 import pytest
 
 from repro.utils.validation import ValidationError
@@ -77,44 +76,3 @@ class TestJsonRecords:
     def test_non_object_body_rejected(self):
         with pytest.raises(ValidationError, match="object"):
             rec.decode_json(b"[1,2,3]", "op")
-
-
-class TestArrayPacking:
-    def test_round_trips_dtypes_orders_and_zero_dim(self):
-        arrays = {
-            "floats": np.arange(6, dtype=np.float64).reshape(2, 3),
-            "ints": np.array([1, 2, 3], dtype=np.int32),
-            "strings": np.array(["alpha", "b"], dtype="U5"),
-            "scalar": np.array("tag"),
-            "empty": np.zeros((0,), dtype=np.float32),
-        }
-        unpacked = rec.unpack_arrays(rec.pack_arrays(arrays))
-        assert sorted(unpacked) == sorted(arrays)
-        for name, array in arrays.items():
-            np.testing.assert_array_equal(unpacked[name], array)
-            assert unpacked[name].dtype == array.dtype
-            assert unpacked[name].shape == array.shape
-
-    def test_truncated_pack_raises_validation_error(self):
-        body = rec.pack_arrays({"x": np.arange(100.0)})
-        with pytest.raises(ValidationError):
-            rec.unpack_arrays(body[:len(body) // 2])
-
-
-class TestArrivalsCodec:
-    def test_trace_round_trips_through_the_arrivals_body(self):
-        from repro.sim import SimulationDriver
-        from tests.wal.workloads import build_service
-
-        driver = SimulationDriver(
-            build_service(), arrivals="poisson:rate=2,seed=7",
-            record=True)
-        driver.run(3)
-        trace = driver.trace()
-        assert len(trace) > 0
-        restored = rec.decode_arrivals(rec.encode_arrivals(trace))
-        assert len(restored) == len(trace)
-        assert ([e.query.query_id for e in restored.entries]
-                == [e.query.query_id for e in trace.entries])
-        assert ([e.time for e in restored.entries]
-                == [e.time for e in trace.entries])

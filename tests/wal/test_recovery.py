@@ -33,11 +33,39 @@ def wal_driver(directory, *, compact_every=0, **kwargs):
     return driver, log
 
 
+def rewrite_last_receipt(directory, **changes):
+    """Re-frame the final (trailing) period record with *changes*
+    applied — a CRC-clean record that says something else."""
+    seq, segment = list_segments(directory)[-1]
+    blob = segment.read_bytes()
+    kind, body, start, end = list(rec.iter_frames(blob))[-1]
+    assert kind == rec.RECORD_PERIOD and end == len(blob)
+    document = rec.decode_json(body, "period")
+    for field, change in changes.items():
+        document[field] = change(document[field])
+    segment.write_bytes(blob[:start] + rec.encode_frame(
+        rec.RECORD_PERIOD, rec.encode_json(document)))
+
+
+def odd_ticks(item) -> bool:
+    """A filtering predicate (module-level: snapshots pickle plans)."""
+    return item.tick % 2 == 1
+
+
+def filtering_query(n: int):
+    from repro.dsms import ContinuousQuery, SelectOperator
+
+    op = SelectOperator(f"sel_f{n}", "s", odd_ticks, cost_per_tuple=1.0,
+                        selectivity_estimate=0.5)
+    return ContinuousQuery(f"f{n}", (op,), sink_id=op.op_id,
+                           bid=5.0 + n % 7, owner=f"owner{n}")
+
+
 class TestRecoveryEquivalence:
     def test_wal_attachment_does_not_perturb_the_run(self, tmp_path):
-        # Plain; GV with subscriptions and a fifo probe, whose arrivals
-        # reach the log through record_events; and the same on the
-        # pump, whose rows reach it through record_rows.
+        # Plain; GV with subscriptions and a fifo probe on the batched
+        # object path; and the same on the pump.  No arrival reaches
+        # the log on either — only each boundary's receipt does.
         logged = {"mechanism": "GV", "subscriptions": True,
                   "probe": "fifo"}
         for index, options in enumerate(
@@ -83,6 +111,46 @@ class TestRecoveryEquivalence:
         segment.write_bytes(blob)
         with pytest.raises(ValidationError, match="revenue"):
             recover_sim_driver(directory, fsync="never")
+
+    def test_tampered_events_count_is_a_hard_error(self, tmp_path):
+        driver, log = wal_driver(tmp_path / "wal")
+        driver.run(3)
+        log.close()
+        rewrite_last_receipt(tmp_path / "wal", events=lambda n: n + 1)
+        with pytest.raises(ValidationError, match="events"):
+            recover_sim_driver(tmp_path / "wal", fsync="never")
+
+    def test_filtering_plans_are_logged_and_recovered(self, tmp_path):
+        # The log never needed an arrival's bytes — recovery restores
+        # the plans from the snapshot — so a plan with no byte form
+        # (anything but a pass-all select) runs under a log like any
+        # other.
+        from repro.sim import SimulationDriver
+        from repro.sim.arrivals import Arrival, ScheduledArrivals
+        from tests.wal.workloads import build_service
+
+        def build():
+            return SimulationDriver(
+                build_service(), arrivals=ScheduledArrivals([
+                    Arrival(time=2.0 * n, query=filtering_query(n))
+                    for n in range(30)]))
+
+        reference = build()
+        reference.run(6)
+        assert reference.total_revenue() > 0
+
+        driver = build()
+        driver.attach_wal(WriteAheadLog.create(
+            tmp_path / "wal", driver.snapshot(), fsync="never",
+            compact_every=2))
+        driver.run(3)  # abandoned mid-run: no close(), no sync
+        recovered, log = recover_sim_driver(tmp_path / "wal",
+                                            fsync="never")
+        assert recovered.period == 3
+        recovered.run(6 - recovered.period)
+        log.close()
+        assert driver_fingerprint(recovered) == \
+            driver_fingerprint(reference)
 
     def test_recovery_across_a_compaction_boundary(self, tmp_path):
         reference = build_driver()
