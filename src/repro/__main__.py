@@ -511,7 +511,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     for period in range(start + 1, start + args.periods + 1):
         for query in _synthetic_submissions(
                 period, args.queries_per_period, args.seed,
-                lambda index: f"user_{index % max(1, args.clients)}"):
+                lambda index: f"user_{index % args.clients}"):
             cluster.submit(query)
         report = cluster.run_period()
         rows.append([
@@ -767,6 +767,11 @@ def _check_shared_flags(args: argparse.Namespace) -> None:
     if getattr(args, "periods", 0) < 0:
         raise ValidationError(
             f"--periods must be >= 0, got {args.periods}")
+    for flag in ("queries_per_period", "clients"):
+        if getattr(args, flag, 1) < 1:
+            raise ValidationError(
+                f"--{flag.replace('_', '-')} must be >= 1, got "
+                f"{getattr(args, flag)}")
     if hasattr(args, "wal_fsync"):
         from repro.wal.log import _parse_fsync
 

@@ -316,16 +316,15 @@ class FederatedAdmissionService:
     ) -> list[ClusterReport]:
         """Run several periods, routing each batch before its auction.
 
-        Like :meth:`AdmissionService.run_periods`, this is now the
-        degenerate schedule of the open-system runtime: one
-        :class:`~repro.sim.SimulationDriver` boundary per batch, with
-        identical routing/auction interleaving and byte-identical
-        reports.
+        Batches are pulled lazily, one per period, as in
+        :meth:`AdmissionService.run_periods`.
         """
-        from repro.sim.driver import SimulationDriver
-
-        return SimulationDriver.lockstep(self).run_lockstep(
-            submissions_per_period)
+        reports = []
+        for batch in submissions_per_period:
+            for query in batch:
+                self.submit(query)
+            reports.append(self.run_period())
+        return reports
 
     # ------------------------------------------------------------------
     # Introspection

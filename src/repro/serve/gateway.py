@@ -153,7 +153,7 @@ class HostBackend:
         return self.services[0].withdraw(query_id)
 
     def tick(self):
-        self.last_report = self.host.run_auction_period(allow_idle=True)
+        self.last_report = self.host.run_auction_period()
         return self.last_report
 
     def pending_count(self) -> int:
@@ -170,9 +170,8 @@ class DriverBackend:
     """Serve a :class:`~repro.sim.SimulationDriver`.
 
     Submissions buffer in a gateway-side inbox and are pushed as
-    arrival events at the upcoming boundary's time when a tick runs —
-    the same schedule :meth:`SimulationDriver.run_lockstep` builds, so
-    withdrawing before the boundary is cheap (the event queue never
+    arrival events at the upcoming boundary's time when a tick runs,
+    so withdrawing before the boundary is cheap (the event queue never
     sees the query).  Subscriptions are available when the driver has
     managers.
     """

@@ -319,18 +319,15 @@ class AdmissionService:
     ) -> list[PeriodReport]:
         """Run several periods, submitting each batch before its auction.
 
-        The historical lockstep loop, now expressed as the degenerate
-        schedule of the open-system runtime: each batch becomes
-        arrival events at its period boundary on a
-        :class:`~repro.sim.SimulationDriver`, which then runs exactly
-        one boundary per batch.  Reports are byte-identical to the old
-        in-line loop (same submit/auction interleaving, same hook
-        order, same errors on empty auctions).
+        Batches are pulled lazily, one per period; a period with
+        nothing to auction raises, as :meth:`run_period` does.
         """
-        from repro.sim.driver import SimulationDriver
-
-        return SimulationDriver.lockstep(self).run_lockstep(
-            submissions_per_period)
+        reports = []
+        for batch in submissions_per_period:
+            for query in batch:
+                self.submit(query)
+            reports.append(self.run_period())
+        return reports
 
     # ------------------------------------------------------------------
     # Introspection

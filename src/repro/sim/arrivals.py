@@ -18,10 +18,16 @@ and placement policies use:
 * ``"trace:path=run.trace.json"`` — replay a recorded
   ``repro/sim-trace`` document, byte-identically.
 
-Synthetic processes build single-select query plans through
-:func:`synthetic_query` (module-level predicate, so every plan is
-checkpoint-picklable), drawing bids and costs from the same ranges the
-CLI's closed-loop workload uses.
+The three built-in processes generate their rows once, as numpy
+:class:`ArrivalBlock`\\ s (``_generate_block``); the object stream
+(:meth:`~ArrivalProcess.next_arrival` /
+:meth:`~ArrivalProcess.next_arrivals`) is a view of the parked block,
+so the driver's columnar pump and every object-path caller read the
+same rows from the same RNG draws.  A process's state is its RNG, its
+counters and at most one parked block.  Synthetic rows are the
+single-select plans :func:`synthetic_query` builds (module-level
+predicate, so every plan is checkpoint-picklable), drawing bids and
+costs from the same ranges the CLI's closed-loop workload uses.
 """
 
 from __future__ import annotations
@@ -172,19 +178,20 @@ def as_continuous_query(query) -> ContinuousQuery:
 class ArrivalBlock:
     """A contiguous run of arrivals held as parallel columns.
 
-    The columnar counterpart of a ``list[Arrival]`` pump batch: one
-    numpy row-block the driver consumes directly — admission
-    bookkeeping runs over the arrays, and a :class:`SelectPlan` object
-    is built (via :meth:`plan`) only for rows that actually need one.
+    What a row process generates: one numpy row-block the driver's
+    pump consumes directly — admission bookkeeping runs over the
+    arrays, and a :class:`SelectPlan` object is built (via
+    :meth:`plan`) only for rows that actually need one.
+    :meth:`arrivals` is the object form of a run of rows.
 
     Columns with a single value for every row may be stored as a
     scalar: ``inputs`` is usually the one stream name, ``streams`` is
     ``None`` ("pin to the producing process", like
     ``Arrival.stream=None``) for synthetic processes, ``valuations`` /
     ``categories`` are ``None`` when every row is truthful /
-    unassigned.  ``times`` is always a float64 array in non-decreasing
-    order, with no same-time stream change inside one block (the same
-    cut :func:`_cut_rows` applies to object batches).
+    unassigned.  ``times``, ``costs`` and ``bids`` are always float64
+    arrays, ``times`` in non-decreasing order with no same-time stream
+    change inside one block (the cut :func:`_cut_rows` makes).
     """
 
     __slots__ = ("times", "ids", "ops", "owners", "inputs", "costs",
@@ -219,10 +226,6 @@ class ArrivalBlock:
             return selectivities
         return float(selectivities[row])
 
-    def category_at(self, row: int) -> "str | None":
-        categories = self.categories
-        return None if categories is None else categories[row]
-
     def stream_at(self, row: int, default: int) -> int:
         """The event-stream sort key of *row* (the shard, under
         ``route="stream"``); *default* is the producing process index,
@@ -244,17 +247,45 @@ class ArrivalBlock:
             None if valuations is None else valuations[row],
             self.owners[row])
 
-    def arrival(self, row: int) -> Arrival:
-        """The object form of one row (fallback interop)."""
-        streams = self.streams
-        if streams is not None and type(streams) is not int:
-            streams = int(streams[row])
-        return Arrival(
-            time=float(self.times[row]), query=self.plan(row),
-            category=self.category_at(row), stream=streams)
+    def arrivals(self, start: int = 0,
+                 stop: "int | None" = None) -> "list[Arrival]":
+        """Rows ``[start, stop)`` (default: all) in object form.
+
+        Each numeric column converts once for the whole run of rows
+        (``tolist`` yields exactly the ``float(...)`` of each element
+        that :meth:`plan` takes); a scalar column repeats.
+        """
+        if stop is None:
+            stop = len(self.ids)
+        count = stop - start
+
+        def rows(column):
+            return ([column] * count if _is_scalar(column)
+                    else column[start:stop])
+
+        plans = map(SelectPlan, rows(self.ids), rows(self.ops),
+                    rows(self.inputs), self.costs[start:stop].tolist(),
+                    rows(self.selectivities),
+                    self.bids[start:stop].tolist(), rows(self.valuations),
+                    rows(self.owners))
+        return list(map(Arrival, self.times[start:stop].tolist(), plans,
+                        rows(self.categories), rows(self.streams)))
+
+    def rows_from(self, start: int) -> "ArrivalBlock":
+        """Rows ``[start, len)`` as a block of their own."""
+        if not start:
+            return self
+        return ArrivalBlock(*(
+            column if _is_scalar(column) else column[start:]
+            for column in (getattr(self, name) for name in self.__slots__)))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<ArrivalBlock {len(self)} rows>"
+
+
+def _is_scalar(column) -> bool:
+    """Whether a block column holds one value for every row."""
+    return column is None or type(column) in (str, float, int)
 
 
 def synthetic_query(
@@ -320,13 +351,11 @@ class ArrivalProcess(abc.ABC):
         """The next arrivals as one columnar row-block, or ``None``.
 
         ``None`` means "no block available *right now*" — the process
-        may be exhausted, may not support blocks at all (this default),
-        or may be sitting on rows only the object path can express.
-        Callers must fall back to :meth:`next_arrivals` and may try
-        :meth:`next_block` again afterwards.  A returned block is
-        never empty, draws from the same RNG stream as the object
-        path (block ≡ objects, bit-identical), and obeys the same
-        same-time stream-change cut.
+        may be exhausted or may not produce blocks at all (this
+        default).  Callers must fall back to :meth:`next_arrivals` and
+        may try :meth:`next_block` again afterwards.  A returned block
+        is never empty and obeys the same same-time stream-change cut
+        as an object batch.
         """
         return None
 
@@ -334,123 +363,154 @@ class ArrivalProcess(abc.ABC):
         return f"<{type(self).__name__} {self.name!r}>"
 
 
-class _BlockSynthesizer:
-    """Shared block machinery of the synthetic processes.
+class _RowProcess(ArrivalProcess):
+    """A process that generates its rows once, as blocks.
 
-    Bids and costs are drawn as numpy *blocks* (one ``uniform(n)`` call
-    per column instead of two scalar draws per arrival), which is where
-    the synthetic hot path spends its time.  A ``Generator``'s block
-    draw is bit-identical to the same number of sequential scalar
-    draws, so block size never changes the stream — it only changes
-    how the exponential/uniform draws *interleave* across columns,
-    which is why the block layout is fixed (gaps, then costs, then
-    bids) rather than configurable per call.
+    A subclass implements :meth:`_generate_block` alone.  The object
+    stream is a view of one *parked* block plus a row cursor: the
+    first object read parks a freshly generated block, converts its
+    rows once (:meth:`ArrivalBlock.arrivals`), and hands them out up to
+    the end of that block — never across it, so draws, times and
+    stream cuts do not depend on which view reads them.
+    :meth:`next_block` hands out the parked remainder before
+    generating.  The pickled state is the RNG, the counters and the
+    parked block; the converted rows are rebuilt on demand.
     """
 
-    def _init_blocks(self, block: int) -> None:
+    #: The block the object view is reading, and its next row.
+    _parked: "ArrivalBlock | None" = None
+    _row = 0
+    #: ``_parked`` in object form (derived, never pickled).
+    _objects: "list[Arrival] | None" = None
+
+    @abc.abstractmethod
+    def _generate_block(self) -> "ArrivalBlock | None":
+        """Draw the next block of rows; ``None`` once exhausted."""
+
+    def next_block(self) -> "ArrivalBlock | None":
+        block = self._parked
+        if block is None:
+            return self._generate_block()
+        rest = block.rows_from(self._row)
+        self._unpark()
+        return rest
+
+    def next_arrivals(self, limit: int) -> "list[Arrival]":
+        return self._take(int(limit))
+
+    def next_arrival(self) -> "Arrival | None":
+        taken = self._take(1)
+        return taken[0] if taken else None
+
+    def _take(self, limit: int) -> "list[Arrival]":
+        if self._parked is None:
+            block = self._generate_block()
+            if block is None:
+                return []
+            self._parked, self._row = block, 0
+        objects = self._objects
+        if objects is None:
+            objects = self._objects = self._parked.arrivals()
+        start = self._row
+        taken = objects[start:start + limit]
+        self._row = start + len(taken)
+        if self._row >= len(objects):
+            self._unpark()
+        return taken
+
+    def _unpark(self) -> None:
+        self._parked, self._row, self._objects = None, 0, None
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_objects", None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        state = dict(state)
+        # Builds before this one buffered Arrival objects; the
+        # unconsumed tail of that buffer is this layout's parked block.
+        buffer = state.pop("_buffer", None)
+        cursor = state.pop("_cursor", 0)
+        self.__dict__.update(state)
+        if buffer is not None and cursor < len(buffer):
+            self._parked, self._row = _block_of(buffer[cursor:]), 0
+
+
+def _block_of(arrivals: "Sequence[Arrival]") -> ArrivalBlock:
+    """The block holding synthetic *arrivals* (plan queries, no
+    category or stream pin)."""
+    plans = [arrival.query for arrival in arrivals]
+    valuations = [plan.valuation for plan in plans]
+    if all(valuation is None for valuation in valuations):
+        valuations = None
+    return ArrivalBlock(
+        np.asarray([arrival.time for arrival in arrivals],
+                   dtype=np.float64),
+        [plan.query_id for plan in plans],
+        [plan.op_id for plan in plans],
+        [plan.owner for plan in plans],
+        [plan.stream for plan in plans],
+        np.asarray([plan.cost for plan in plans], dtype=np.float64),
+        [plan.selectivity for plan in plans],
+        np.asarray([plan.bid for plan in plans], dtype=np.float64),
+        valuations=valuations)
+
+
+class _SyntheticRows(_RowProcess):
+    """The half Poisson and Burst share: ids, owners, costs and bids.
+
+    Bids and costs are drawn as numpy *blocks* (one ``uniform(n)`` call
+    per column instead of two scalar draws per arrival).  A
+    ``Generator``'s block draw is bit-identical to the same number of
+    sequential scalar draws, so block size never changes the stream —
+    it only changes how draws *interleave* across columns, which is
+    why the layout is fixed (a process's own time draws, then costs,
+    then bids).  Rows are drawn ``block`` at a time, fewer when
+    ``limit`` is near.
+    """
+
+    def __init__(self, seed: int, limit: "int | None", stream: str,
+                 clients: int, prefix: str, block: int) -> None:
+        if limit is not None:
+            require(int(limit) >= 0, "limit must be >= 0")
         require(int(block) >= 1, "block size must be >= 1")
+        self._rng = spawn_rng(seed)
+        self._limit = None if limit is None else int(limit)
+        self._stream = stream
+        self._clients = int(clients)
+        self._prefix = prefix
+        self._count = 0
         self._block = int(block)
-        self._buffer: list[Arrival] = []
-        self._cursor = 0
 
-    def _buffered(self) -> "Arrival | None":
-        if self._cursor >= len(self._buffer):
-            self._refill()
-            if not self._buffer:
-                return None
-        arrival = self._buffer[self._cursor]
-        self._cursor += 1
-        return arrival
-
-    def _buffered_batch(self, limit: int) -> "list[Arrival]":
-        if self._cursor >= len(self._buffer):
-            self._refill()
-        out = self._buffer[self._cursor:self._cursor + int(limit)]
-        self._cursor += len(out)
-        return out
-
-    def _draw_queries(self, count: int) -> "list[SelectPlan]":
-        """*count* synthetic plans, columns drawn in one block each."""
-        costs = np.round(
-            self._rng.uniform(0.5, 2.0, count), 2).tolist()
-        bids = np.round(
-            self._rng.uniform(5.0, 100.0, count), 2).tolist()
-        clients = max(1, self._clients)
-        prefix = self._prefix
-        stream = self._stream
-        base = self._count
-        plans = []
-        for offset in range(count):
-            index = base + offset
-            query_id = f"{prefix}{index}"
-            plans.append(SelectPlan(
-                query_id, "sel_" + query_id, stream,
-                costs[offset], 1.0, bids[offset],
-                None, f"user_{index % clients}"))
-        return plans
-
-    def _draw_columns(self, count: int):
-        """The column form of :meth:`_draw_queries`.
-
-        Consumes the RNG identically (one uniform block for costs, one
-        for bids) but keeps the numeric columns as arrays — the ids
-        still have to be Python strings either way.
-        """
-        costs = np.round(self._rng.uniform(0.5, 2.0, count), 2)
-        bids = np.round(self._rng.uniform(5.0, 100.0, count), 2)
-        clients = max(1, self._clients)
-        prefix = self._prefix
-        base = self._count
-        ids = [f"{prefix}{base + offset}" for offset in range(count)]
-        ops = ["sel_" + query_id for query_id in ids]
-        owners = [f"user_{(base + offset) % clients}"
-                  for offset in range(count)]
-        return ids, ops, owners, costs, bids
-
-    def _tail_block(self) -> "ArrivalBlock | None":
-        """Drain a buffered object tail as one block.
-
-        A process checkpointed mid-block resumes with part of its
-        buffer unconsumed; converting that tail keeps the block path
-        bit-identical to the object path after a restore.
-        """
-        entries = self._buffer[self._cursor:]
-        self._buffer = []
-        self._cursor = 0
-        if not entries:
-            return None
-        plans = [arrival.query for arrival in entries]
-        times = np.asarray([arrival.time for arrival in entries],
-                           dtype=np.float64)
-        valuations = [plan.valuation for plan in plans]
-        if all(valuation is None for valuation in valuations):
-            valuations = None
-        return ArrivalBlock(
-            times,
-            [plan.query_id for plan in plans],
-            [plan.op_id for plan in plans],
-            [plan.owner for plan in plans],
-            [plan.stream for plan in plans],
-            np.asarray([plan.cost for plan in plans], dtype=np.float64),
-            [plan.selectivity for plan in plans],
-            np.asarray([plan.bid for plan in plans], dtype=np.float64),
-            valuations=valuations)
-
-    def _synth_block_header(self) -> "int | None":
-        """Common ``next_block`` prologue: rows to draw, or ``None``."""
+    def _rows_to_draw(self) -> int:
         count = self._block
         if self._limit is not None:
             count = min(count, self._limit - self._count)
-        return count if count > 0 else None
+        return max(count, 0)
+
+    def _block_at(self, times: np.ndarray) -> ArrivalBlock:
+        """The rows arriving at *times*: their query columns drawn."""
+        count = len(times)
+        costs = np.round(self._rng.uniform(0.5, 2.0, count), 2)
+        bids = np.round(self._rng.uniform(5.0, 100.0, count), 2)
+        clients = max(1, self._clients)
+        base = self._count
+        ids = [f"{self._prefix}{base + offset}" for offset in range(count)]
+        ops = ["sel_" + query_id for query_id in ids]
+        owners = [f"user_{(base + offset) % clients}"
+                  for offset in range(count)]
+        self._count = base + count
+        return ArrivalBlock(times, ids, ops, owners, self._stream,
+                            costs, 1.0, bids)
 
 
-class PoissonArrivals(_BlockSynthesizer, ArrivalProcess):
+class PoissonArrivals(_SyntheticRows):
     """Poisson arrivals: exponential gaps with mean ``1/rate`` ticks.
 
-    Arrivals are generated in blocks of ``block`` (queries come out as
-    compact :class:`SelectPlan` records); the buffered tail is part of
-    the process state, so a pickled process resumes mid-block exactly
-    where it stopped.
+    Rows are generated in blocks of ``block``; the parked block is
+    part of the process state, so a pickled process resumes mid-block
+    exactly where it stopped.
     """
 
     name = "poisson"
@@ -467,64 +527,24 @@ class PoissonArrivals(_BlockSynthesizer, ArrivalProcess):
         block: int = 256,
     ) -> None:
         require(rate > 0, "arrival rate must be positive")
-        if limit is not None:
-            require(int(limit) >= 0, "limit must be >= 0")
+        super().__init__(seed, limit, stream, clients, prefix, block)
         self._rate = float(rate)
-        self._rng = spawn_rng(seed)
-        self._limit = None if limit is None else int(limit)
-        self._stream = stream
-        self._clients = int(clients)
-        self._prefix = prefix
         self._time = float(start)
-        self._count = 0
-        self._init_blocks(block)
 
-    def _refill(self) -> None:
-        count = self._block
-        if self._limit is not None:
-            count = min(count, self._limit - self._count)
-        if count <= 0:
-            self._buffer = []
-            self._cursor = 0
-            return
-        gaps = self._rng.exponential(1.0 / self._rate, count).tolist()
-        plans = self._draw_queries(count)
-        time = self._time
-        buffer = []
-        for gap, plan in zip(gaps, plans):
-            time += gap
-            buffer.append(Arrival(time=time, query=plan))
-        self._time = time
-        self._count += count
-        self._buffer = buffer
-        self._cursor = 0
-
-    def next_arrival(self) -> "Arrival | None":
-        return self._buffered()
-
-    def next_arrivals(self, limit: int) -> "list[Arrival]":
-        return self._buffered_batch(limit)
-
-    def next_block(self) -> "ArrivalBlock | None":
-        if self._cursor < len(self._buffer):
-            return self._tail_block()
-        count = self._synth_block_header()
-        if count is None:
+    def _generate_block(self) -> "ArrivalBlock | None":
+        count = self._rows_to_draw()
+        if not count:
             return None
-        # Same RNG order as _refill: gaps first, then the query columns.
         gaps = self._rng.exponential(1.0 / self._rate, count)
         gaps[0] += self._time
         # cumsum accumulates sequentially, so the running times are
-        # bit-identical to the object path's scalar `time += gap` loop.
+        # bit-identical to a scalar `time += gap` walk.
         times = np.cumsum(gaps)
-        ids, ops, owners, costs, bids = self._draw_columns(count)
         self._time = float(times[-1])
-        self._count += count
-        return ArrivalBlock(times, ids, ops, owners, self._stream,
-                            costs, 1.0, bids)
+        return self._block_at(times)
 
 
-class BurstArrivals(_BlockSynthesizer, ArrivalProcess):
+class BurstArrivals(_SyntheticRows):
     """Flash crowds: ``size`` simultaneous arrivals every ``every`` ticks."""
 
     name = "burst"
@@ -543,75 +563,35 @@ class BurstArrivals(_BlockSynthesizer, ArrivalProcess):
     ) -> None:
         require(int(size) >= 1, "burst size must be >= 1")
         require(every > 0, "burst interval must be positive")
-        if limit is not None:
-            require(int(limit) >= 0, "limit must be >= 0")
+        super().__init__(seed, limit, stream, clients, prefix, block)
         self._size = int(size)
         self._every = float(every)
-        self._rng = spawn_rng(seed)
-        self._limit = None if limit is None else int(limit)
-        self._stream = stream
-        self._clients = int(clients)
-        self._prefix = prefix
         self._start = float(start)
         self._burst = 1
         self._within = 0
-        self._count = 0
-        self._init_blocks(block)
 
-    def _refill(self) -> None:
-        count = self._block
-        if self._limit is not None:
-            count = min(count, self._limit - self._count)
-        if count <= 0:
-            self._buffer = []
-            self._cursor = 0
-            return
-        plans = self._draw_queries(count)
-        buffer = []
-        for plan in plans:
-            time = self._start + self._burst * self._every
-            buffer.append(Arrival(time=time, query=plan))
-            self._within += 1
-            if self._within >= self._size:
-                self._within = 0
-                self._burst += 1
-        self._count += count
-        self._buffer = buffer
-        self._cursor = 0
-
-    def next_arrival(self) -> "Arrival | None":
-        return self._buffered()
-
-    def next_arrivals(self, limit: int) -> "list[Arrival]":
-        return self._buffered_batch(limit)
-
-    def next_block(self) -> "ArrivalBlock | None":
-        if self._cursor < len(self._buffer):
-            return self._tail_block()
-        count = self._synth_block_header()
-        if count is None:
+    def _generate_block(self) -> "ArrivalBlock | None":
+        count = self._rows_to_draw()
+        if not count:
             return None
-        ids, ops, owners, costs, bids = self._draw_columns(count)
-        # Row i fires in burst number burst0 + (within0 + i) // size —
-        # exactly the object loop's counter walk, vectorized.
+        # Row i fires in burst number burst0 + (within0 + i) // size.
         offsets = self._within + np.arange(count, dtype=np.int64)
         bursts = self._burst + offsets // self._size
         times = self._start + bursts.astype(np.float64) * self._every
         total = self._within + count
         self._burst += total // self._size
         self._within = total % self._size
-        self._count += count
-        return ArrivalBlock(times, ids, ops, owners, self._stream,
-                            costs, 1.0, bids)
+        return self._block_at(times)
 
 
-class TraceArrivals(ArrivalProcess):
+class TraceArrivals(_RowProcess):
     """Replays the arrivals of a recorded ``repro/sim-trace`` document.
 
     Give it a live :class:`~repro.sim.trace.SimTrace` or a path to a
     trace file.  Entries replay with their recorded times, queries
     *and* categories, so a replayed run auctions exactly the workload
-    the recorded run saw.
+    the recorded run saw.  A block is up to 1 024 rows sliced straight
+    off the trace's columns, cut before a same-time stream change.
     """
 
     name = "trace"
@@ -634,18 +614,15 @@ class TraceArrivals(ArrivalProcess):
         if not isinstance(trace, SimTrace):
             raise ValidationError(
                 f"expected a SimTrace, got {type(trace).__name__}")
-        #: Traces replay straight off their columns: compact
-        #: SelectPlan queries built per batch, no per-entry plan
-        #: rebuilds and no up-front materialization.
         self._columns = columns = trace.columns()
         self._length = len(trace)
         self._index = 0
         self._block = 1024
         # One up-front conversion of the numeric columns (or the
         # loader's retained arrays, when the trace came off disk)
-        # lets next_block hand out array *views* instead of
-        # re-converting a list slice per block.  float64 round-trips
-        # tolist() bitwise, so blocks are identical either way.
+        # lets a block hand out array *views* instead of re-converting
+        # a list slice per block.  float64 round-trips tolist()
+        # bitwise, so blocks are identical either way.
         cache = getattr(columns, "_numeric_cache", None)
         if cache is not None and len(cache[0]) == self._length:
             self._times, self._costs, self._bids = cache
@@ -654,22 +631,7 @@ class TraceArrivals(ArrivalProcess):
             self._costs = np.asarray(columns.costs, dtype=np.float64)
             self._bids = np.asarray(columns.bids, dtype=np.float64)
 
-    def next_arrival(self) -> "Arrival | None":
-        if self._index >= self._length:
-            return None
-        index = self._index
-        self._index += 1
-        return self._columns.arrival(index)
-
-    def next_arrivals(self, limit: int) -> "list[Arrival]":
-        columns = self._columns
-        start = self._index
-        stop = _cut_rows(columns.times, columns.streams, start,
-                         min(start + int(limit), self._length))
-        self._index = stop
-        return columns.arrivals_slice(start, stop)
-
-    def next_block(self) -> "ArrivalBlock | None":
+    def _generate_block(self) -> "ArrivalBlock | None":
         columns = self._columns
         start = self._index
         if start >= self._length:
@@ -699,9 +661,8 @@ class ScheduledArrivals(ArrivalProcess):
 
     The hand-written counterpart of the stochastic processes: you
     decide exactly who arrives when — deterministic scenarios, tests,
-    reproducing a specific ordering.  (The ``run_periods`` lockstep
-    path feeds its batches to the driver directly as arrival events;
-    it does not go through this class.)
+    reproducing a specific ordering.  Any plan shape may arrive, so
+    this process has no block form.
     """
 
     name = "scheduled"
@@ -727,33 +688,25 @@ class ScheduledArrivals(ArrivalProcess):
         return entry
 
     def next_arrivals(self, limit: int) -> "list[Arrival]":
-        return _cut_stream_batch(self._entries, self, limit)
-
-
-def _cut_stream_batch(arrivals, process, limit: int) -> "list[Arrival]":
-    """Slice the next batch, cut before a same-time stream change.
-
-    Replay processes carry per-arrival stream pins; two same-time
-    arrivals on *different* streams must not ride one pump batch, or
-    the event queue's ``(time, priority, stream, sequence)`` key would
-    re-order them against recorded order.  The cut keeps every batch's
-    keys non-decreasing; the next pump picks up right after the cut.
-    """
-    start = process._index
-    end = min(start + int(limit), len(arrivals))
-    stop = start + 1 if end > start else start
-    while stop < end:
-        previous, current = arrivals[stop - 1], arrivals[stop]
-        if (current.time == previous.time
-                and current.stream != previous.stream):
-            break
-        stop += 1
-    process._index = stop
-    return list(arrivals[start:stop])
+        start = self._index
+        window = self._entries[start:start + int(limit)]
+        stop = start + _cut_rows([a.time for a in window],
+                                 [a.stream for a in window],
+                                 0, len(window))
+        self._index = stop
+        return window[:stop - start]
 
 
 def _cut_rows(times, streams, start: int, end: int) -> int:
-    """The columnar counterpart of :func:`_cut_stream_batch`'s cut."""
+    """Where the batch of rows ``[start, end)`` must stop.
+
+    Replayed rows carry per-row stream pins; two same-time rows on
+    *different* streams must not ride one pump batch, or the event
+    queue's ``(time, priority, stream, sequence)`` key would re-order
+    them against recorded order.  The cut keeps every batch's keys
+    non-decreasing; the next pull picks up right after it.  A batch is
+    never empty while rows remain.
+    """
     stop = start + 1 if end > start else start
     while stop < end:
         if (times[stop] == times[stop - 1]

@@ -1,18 +1,20 @@
 """The open-system simulation driver.
 
-:class:`SimulationDriver` turns the admission service's lockstep
-period loop into a *discrete-event simulation*: a virtual clock (in
-engine ticks), one deterministic :class:`~repro.sim.events.EventQueue`,
-and five event kinds — arrivals, period boundaries, subscription
-expiries, renewals, and probe ticks.  The same driver runs:
+:class:`SimulationDriver` runs an admission host as a *discrete-event
+simulation*: a virtual clock (in engine ticks), one deterministic
+:class:`~repro.sim.events.EventQueue`, and five event kinds —
+arrivals, period boundaries, subscription expiries, renewals, and
+probe ticks.  (The closed loop — submit a batch, run a period — needs
+none of this and is :meth:`AdmissionService.run_periods`' own loop.)
+The driver runs:
 
-* the **closed loop** — :meth:`AdmissionService.run_periods` is now a
-  degenerate schedule of this driver (each submission batch arrives
-  exactly at its period boundary), byte-identical to the historical
-  loop;
 * the **open system** — spec-addressable arrival processes
   (``"poisson:rate=40"``, ``"burst"``, ``"trace:path=..."``) feed
-  queries continuously; boundaries auction whatever arrived;
+  queries continuously; boundaries auction whatever arrived.  A
+  process generates rows once, as blocks: one process on a single
+  service (or ``route="stream"``) is *pumped* — its blocks are
+  consumed in array slices — and every other driver reads the same
+  rows as :class:`~repro.sim.events.ArrivalEvent` objects;
 * **subscription lifecycles** — with
   :class:`~repro.sim.subscriptions.SubscriptionOptions`, boundaries
   run Section VII per-category auctions, expiries reclaim capacity,
@@ -306,7 +308,6 @@ class SimulationDriver:
         probe: "object | None" = None,
         record: bool = False,
         route: str = "placement",
-        allow_idle: bool = True,
         batch_arrivals: bool = True,
         pump: "bool | None" = None,
     ) -> None:
@@ -325,7 +326,6 @@ class SimulationDriver:
                 f"but there are {len(self.processes)} processes and "
                 f"only {shards} shard(s)")
         self.route = route
-        self.allow_idle = bool(allow_idle)
         self.batch_arrivals = bool(batch_arrivals)
 
         self.managers: "tuple[SubscriptionManager, ...] | None" = None
@@ -580,12 +580,8 @@ class SimulationDriver:
         event; otherwise (pump off, or a process with no block to
         hand out) up to :data:`LOOKAHEAD` arrival objects are
         pushed — only the batch's final event re-triggers the pump
-        when consumed, so a live process always has events queued.  A
-        no-op for events pushed outside any process (the lockstep
-        schedule feeds batches directly).
+        when consumed, so a live process always has events queued.
         """
-        if not 0 <= index < len(self.processes):
-            return
         if self.pump and index not in self._blocks:
             block = self.processes[index].next_block()
             if block is not None:
@@ -738,9 +734,9 @@ class SimulationDriver:
         list — categories drawn/validated now, in pop order, so the
         manager RNG matches the object path draw for draw — and the
         boundary auction scores it columnar.  Slices needing per-row
-        routing state (cluster placement, mixed per-row streams) take
-        the object path row by row, which is the reference per-event
-        dispatch verbatim.
+        routing state (cluster placement, mixed per-row streams) go
+        through :meth:`_admit_batch` as arrival events — the object
+        path's own admission pass.
         """
         route_stream = self.route == "stream"
         recorder = self.recorder
@@ -783,27 +779,15 @@ class SimulationDriver:
             shard = 0
 
         if shard is None:
-            # Placement routing (or mixed per-row streams): the
-            # reference per-event path, row by row.
+            # Placement routing (or mixed per-row streams): the slice's
+            # rows as arrival events, through the object path's batch.
             stats["fallbacks"] += 1
-            for row in range(start, stop):
-                plan = block.plan(row)
-                if route_stream:
-                    row_shard = self._pinned_shard(
-                        block.stream_at(row, source), plan.query_id)
-                else:
-                    row_shard = self.host.route(plan)
-                manager = self.managers[row_shard]
-                category = block.category_at(row)
-                if category is None:
-                    category = manager.assign_category(plan)
-                else:
-                    manager.category(category)
-                if recorder is not None:
-                    recorder.record(float(block.times[row]), plan,
-                                    category,
-                                    block.stream_at(row, source))
-                self.pending[row_shard].append((plan, category))
+            self._admit_batch([
+                ArrivalEvent(time=arrival.time, query=arrival.query,
+                             category=arrival.category,
+                             stream=(source if arrival.stream is None
+                                     else arrival.stream))
+                for arrival in block.arrivals(start, stop)])
             return
 
         manager = self.managers[shard]
@@ -987,8 +971,7 @@ class SimulationDriver:
         if self.managers is not None:
             report = self._run_subscription_period(period)
         else:
-            report = self.host.run_auction_period(
-                allow_idle=self.allow_idle)
+            report = self.host.run_auction_period()
         self._period = period
         self.reports.append(report)
         self.queue.push(PeriodEvent(
@@ -1068,43 +1051,6 @@ class SimulationDriver:
             probe.sync(self.host.services[index].engine.catalog.queries)
 
     # ------------------------------------------------------------------
-    # The degenerate (closed-loop) schedule
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def lockstep(cls, host) -> "SimulationDriver":
-        """A driver configured as the pure closed-loop period runner.
-
-        No arrival processes, no subscriptions, no probe — and
-        ``allow_idle=False``, so an empty boundary behaves exactly as
-        the historical :meth:`AdmissionService.run_periods` loop did
-        (auctioning running queries, or raising when there is nothing
-        to auction at all).
-        """
-        return cls(host, allow_idle=False)
-
-    def run_lockstep(
-        self,
-        submissions_per_period: Iterable[Sequence[ContinuousQuery]],
-    ) -> list[object]:
-        """Feed each batch to its boundary, one period per batch.
-
-        Batches are pulled lazily; each batch's queries become arrival
-        events at the upcoming boundary's time, then exactly one
-        boundary runs — the same submit/auction interleaving the
-        historical lockstep loop produced, now as an event schedule.
-        """
-        reports: list[object] = []
-        ticks_per_period = self.host.ticks_per_period
-        for batch in submissions_per_period:
-            boundary_time = float(self._period * ticks_per_period)
-            for query in batch:
-                self.queue.push(ArrivalEvent(
-                    time=boundary_time, query=query))
-            reports.extend(self.run(1))
-        return reports
-
-    # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------
 
@@ -1126,7 +1072,8 @@ class SimulationDriver:
             "recorder": self.recorder,
             "reports": self.reports,
             "events_processed": self.events_processed,
-            "allow_idle": self.allow_idle,
+            # Fields older builds require; both are constants here.
+            "allow_idle": True,
             "lookahead": LOOKAHEAD,
             "batch_arrivals": self.batch_arrivals,
             "expired_buffer": self._expired_buffer,
@@ -1160,7 +1107,6 @@ class SimulationDriver:
             state["host_kind"], snapshot.state["host"])
         driver.processes = tuple(state["processes"])
         driver.route = state["route"]
-        driver.allow_idle = state["allow_idle"]
         driver.managers = state["managers"]
         driver.pending = list(state["pending"])
         driver.probes = state["probes"]

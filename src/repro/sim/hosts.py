@@ -54,12 +54,11 @@ class SimulationHost(abc.ABC):
         """
 
     @abc.abstractmethod
-    def run_auction_period(self, allow_idle: bool = True):
-        """Run one closed-loop period boundary; returns its report.
+    def run_auction_period(self):
+        """Run one period boundary; returns its report.
 
-        ``allow_idle=False`` reproduces the historical strict
-        behaviour of :meth:`AdmissionService.run_periods`: a period
-        with nothing to auction raises instead of idling.
+        A shard with nothing to auction and nothing running idles
+        through the period instead of raising.
         """
 
     @abc.abstractmethod
@@ -101,9 +100,8 @@ class ServiceHost(SimulationHost):
         self.service.submit(query)
         return 0
 
-    def run_auction_period(self, allow_idle: bool = True):
-        if (not allow_idle or self.service.pending_ids
-                or self.service.engine.admitted_ids):
+    def run_auction_period(self):
+        if self.service.pending_ids or self.service.engine.admitted_ids:
             return self.service.run_period()
         return self.service.run_idle_period()
 
@@ -157,9 +155,8 @@ class ClusterHost(SimulationHost):
         self.cluster.shards[shard].submit(query)
         return shard
 
-    def run_auction_period(self, allow_idle: bool = True):
-        # The federation handles idle shards itself (run_idle_period),
-        # so allow_idle has nothing to restrict here.
+    def run_auction_period(self):
+        # The federation idles empty shards itself (run_idle_period).
         return self.cluster.run_period()
 
     def snapshot(self):

@@ -212,9 +212,9 @@ class SubscriptionManager:
         plans: Sequence[ContinuousQuery],
         stream_rates: Mapping[str, float],
     ) -> dict[str, float]:
-        loads = _single_select_loads(plans, stream_rates)
-        if loads is not None:
-            return loads
+        single = _single_select_loads_ex(plans, stream_rates)
+        if single is not None:
+            return single[0]
         catalog = QueryPlanCatalog(
             [as_continuous_query(plan) for plan in plans])
         return estimate_operator_loads(catalog, stream_rates)
@@ -333,22 +333,6 @@ class SubscriptionManager:
             auction_queries = tuple(map(_auction_candidate, plans.values()))
             instance = AuctionInstance._assemble(
                 auction_queries, slice_capacity, priced)
-            # While every candidate is an unshared single-select plan,
-            # mirror its id/bid/load into flat columns — the columnar
-            # GV kernel then selects straight off these arrays instead
-            # of re-walking the instance per query.
-            if (len(instance.operators) == len(auction_queries)
-                    and all(type(candidate) is SelectPlan
-                            for candidate in auction_queries)):
-                operators = instance.operators
-                object.__setattr__(
-                    instance, "_select_columns",
-                    ([q.query_id for q in auction_queries],
-                     np.array([q.bid for q in auction_queries],
-                              dtype=np.float64),
-                     np.array([operators[q.op_id].load
-                               for q in auction_queries],
-                              dtype=np.float64)))
             outcome = self.mechanisms[category.name].run(instance)
             outcome = replace(
                 outcome,
@@ -626,10 +610,10 @@ class SubscriptionManager:
         return result, stats
 
 
-def _single_select_loads(
+def _single_select_loads_ex(
     plans: Sequence, stream_rates: Mapping[str, float]
-) -> "dict[str, float] | None":
-    """Operator loads without building a catalog, when plans allow.
+) -> "tuple[dict[str, float], set[str]] | None":
+    """Operator loads without building a catalog, plus input streams.
 
     Every single-select plan over a source stream loads its operator
     with ``stream_rate * cost_per_tuple`` — bitwise exactly what
@@ -637,20 +621,9 @@ def _single_select_loads(
     Returns ``None`` (fall back to the full catalog walk) as soon as
     any plan has another shape, two plans disagree on a shared
     operator's definition, or an operator feeds another — the cases
-    where topology actually matters.
-    """
-    result = _single_select_loads_ex(plans, stream_rates)
-    return None if result is None else result[0]
-
-
-def _single_select_loads_ex(
-    plans: Sequence, stream_rates: Mapping[str, float]
-) -> "tuple[dict[str, float], set[str]] | None":
-    """:func:`_single_select_loads` plus the input-stream names.
-
-    The columnar boundary needs the inputs to decide whether *pending*
-    rows chain onto the active plans' topology without re-walking the
-    active book.
+    where topology actually matters.  The columnar boundary needs the
+    input-stream names to decide whether *pending* rows chain onto the
+    active plans' topology without re-walking the active book.
     """
     loads: dict[str, float] = {}
     inputs: set[str] = set()

@@ -32,7 +32,7 @@ from math import isfinite
 
 from repro.dsms.operators import SelectOperator
 from repro.dsms.plan import ContinuousQuery
-from repro.sim.arrivals import Arrival, SelectPlan, pass_all
+from repro.sim.arrivals import SelectPlan, pass_all
 from repro.utils.validation import ValidationError
 
 
@@ -195,16 +195,6 @@ class TraceColumns:
             self.ids[row], self.ops[row], self.inputs[row],
             self.costs[row], self.selectivities[row], self.bids[row],
             self.valuations[row], self.owners[row])
-
-    def arrival(self, row: int) -> Arrival:
-        """Row *row* as a replayable :class:`Arrival`."""
-        return Arrival(
-            time=self.times[row], query=self.query(row),
-            category=self.categories[row], stream=self.streams[row])
-
-    def arrivals_slice(self, start: int, stop: int) -> list[Arrival]:
-        """Rows ``[start, stop)`` as arrivals, in order."""
-        return [self.arrival(row) for row in range(start, stop)]
 
     def entries(self) -> list[TraceEntry]:
         """Every row as a :class:`TraceEntry`, in recording order."""

@@ -3,6 +3,8 @@
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.arrivals import (
     Arrival,
@@ -15,6 +17,7 @@ from repro.sim.arrivals import (
     resolve_arrivals,
     synthetic_query,
 )
+from repro.sim.trace import as_select_plan
 from repro.utils.validation import ValidationError
 
 
@@ -166,6 +169,122 @@ def _rng():
     import numpy as np
 
     return np.random.default_rng(0)
+
+
+def _trace(rows=40):
+    """A multi-stream trace with same-time stream changes to cut at."""
+    from repro.sim.trace import SimTrace, TraceColumns
+
+    rng = _rng()
+    columns = TraceColumns()
+    for index in range(rows):
+        query = synthetic_query(rng, index, prefix="t")
+        columns.append_select(
+            float(index // 3), as_select_plan(query),
+            ("day", None, "week")[index % 3], (index // 2) % 2)
+    return SimTrace(columns)
+
+
+def _processes():
+    """name → factory of a fresh row process with small blocks."""
+    from repro.sim.arrivals import TraceArrivals
+
+    def trace():
+        process = TraceArrivals(trace=_trace())
+        process._block = 6
+        return process
+
+    return {
+        "poisson": lambda: PoissonArrivals(rate=2.0, seed=4, block=7,
+                                           limit=40),
+        "burst": lambda: BurstArrivals(size=3, every=2.0, seed=4,
+                                       block=5, limit=37),
+        "trace": trace,
+    }
+
+
+def block_rows(block):
+    return [(block.ids[row], float(block.times[row]),
+             float(block.costs[row]), float(block.bids[row]),
+             block.owners[row],
+             None if block.categories is None else block.categories[row],
+             None if block.streams is None else block.stream_at(row, 0))
+            for row in range(len(block))]
+
+
+def object_rows(arrivals):
+    return [(a.query.query_id, a.time, a.query.cost, a.query.bid,
+             a.query.owner, a.category, a.stream) for a in arrivals]
+
+
+def drain_blocks(process):
+    rows = []
+    while (block := process.next_block()) is not None:
+        rows.extend(block_rows(block))
+    return rows
+
+
+class TestOneProducer:
+    """The object stream is a view of the blocks: any interleaving of
+    the three reads, with pickle round-trips anywhere, yields exactly
+    the rows ``next_block()`` alone yields."""
+
+    @pytest.mark.parametrize("name", ["poisson", "burst", "trace"])
+    @given(reads=st.lists(st.one_of(
+        st.just(("one",)), st.just(("block",)), st.just(("pickle",)),
+        st.tuples(st.just("many"), st.integers(0, 9))), max_size=40))
+    @settings(max_examples=40, deadline=None)
+    def test_any_interleaving_reads_the_block_stream(self, name, reads):
+        make = _processes()[name]
+        expected = drain_blocks(make())
+        process = make()
+        rows = []
+        for read in reads:
+            if read[0] == "one":
+                arrival = process.next_arrival()
+                rows.extend(object_rows([arrival] if arrival else []))
+            elif read[0] == "many":
+                rows.extend(object_rows(process.next_arrivals(read[1])))
+            elif read[0] == "block":
+                block = process.next_block()
+                rows.extend(block_rows(block) if block else [])
+            else:
+                process = pickle.loads(pickle.dumps(process))
+        rows.extend(drain_blocks(process))
+        assert rows == expected
+        assert process.next_arrival() is None
+        assert process.next_arrivals(5) == []
+
+    def test_object_batches_end_at_block_ends_and_stream_cuts(self):
+        process = _processes()["trace"]()
+        batches = []
+        while arrivals := process.next_arrivals(64):
+            batches.append([(a.time, a.stream) for a in arrivals])
+        for batch in batches:
+            assert len(batch) <= 6
+            assert all(later[0] > earlier[0] or later[1] == earlier[1]
+                       for earlier, later in zip(batch, batch[1:]))
+        assert sum(map(len, batches)) == 40
+
+    @pytest.mark.parametrize("name", ["poisson", "burst"])
+    @pytest.mark.parametrize("consumed", [0, 3, None],
+                             ids=["unread", "mid-buffer", "spent"])
+    def test_the_parent_layout_continues_the_stream(self, name, consumed):
+        """A state pickled by builds that buffered ``Arrival`` objects
+        (``_buffer`` + ``_cursor``) resumes at its cursor row."""
+        make = _processes()[name]
+        expected = drain_blocks(make())
+        process = make()
+        block = process.next_block()
+        cursor = len(block) if consumed is None else consumed
+        state = dict(vars(process), _buffer=block.arrivals(),
+                     _cursor=cursor)
+        resumed = type(process).__new__(type(process))
+        resumed.__setstate__(pickle.loads(pickle.dumps(state)))
+        assert (resumed._parked is None) == (cursor == len(block))
+        rows = object_rows(resumed.next_arrivals(2))
+        rows.extend(drain_blocks(resumed))
+        assert rows == expected[cursor:]
 
 
 class TestSyntheticQuery:

@@ -132,6 +132,23 @@ class TestCLI:
         assert captured.err.startswith("repro: error:"), captured.err
         assert flag in captured.err
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["cluster", "--periods", "1", "--queries-per-period", "-3"],
+         "--queries-per-period"),
+        (["simulate", "--queries-per-period", "0"],
+         "--queries-per-period"),
+        (["cluster", "--clients", "0"], "--clients"),
+        (["cluster", "--clients", "-5"], "--clients"),
+    ], ids=["cluster-queries", "simulate-queries", "clients-0",
+            "clients-negative"])
+    def test_closed_loop_flags_below_one_are_refused(self, argv, flag,
+                                                     capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"repro: error: {flag} must be >= 1, got {argv[-1]}\n")
+
     def test_verify_command(self, capsys, monkeypatch):
         # Shrink the battery via a tiny seed-compatible call by
         # patching the defaults.

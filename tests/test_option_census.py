@@ -75,7 +75,7 @@ def test_each_flag_is_defined_once_and_the_counts_are_pinned():
         "distinct CLI options": 38,
         "add_argument call sites": 40,
         "GatewayConfig fields": 22,
-        "SimulationDriver parameters": 9,
+        "SimulationDriver parameters": 8,
         "ScheduledEngine parameters": 5,
         # directory (+ state / scan / backend), fsync, compact_every.
         "WriteAheadLog parameters": 3,
@@ -92,6 +92,7 @@ def test_each_flag_is_defined_once_and_the_counts_are_pinned():
     lambda: GroupCommitter(None, window=0.0),
     lambda: SimulationDriver(None, lookahead=8),
     lambda: SimulationDriver(None, probe_retention=5),
+    lambda: SimulationDriver(None, allow_idle=False),
     lambda: ScheduledEngine([], 1.0, max_latency_samples=4),
     lambda: run_load("127.0.0.1", 1, client_prefix="x"),
     lambda: WriteAheadLog.resume("d", keep_kinds=()),
@@ -102,7 +103,8 @@ def test_each_flag_is_defined_once_and_the_counts_are_pinned():
     lambda: WriteAheadLog("d").append_period(
         period=1, events=1, revenue=0.0, arrivals=0),
 ], ids=["wal_group_commit", "wal_group_window", "window", "lookahead",
-        "probe_retention", "max_latency_samples", "client_prefix",
+        "probe_retention", "allow_idle", "max_latency_samples",
+        "client_prefix",
         "resume-keep_kinds", "tail-keep_kinds", "segment_bytes",
         "recover-segment_bytes", "create-period", "arrivals"])
 def test_removed_keywords_are_type_errors(call):
@@ -146,3 +148,14 @@ def test_lookahead_is_still_written_to_checkpoints():
     from tests.checkpoints import build_driver
 
     assert build_driver().snapshot().state["lookahead"] == 64
+
+
+def test_allow_idle_is_still_written_and_ignored_on_restore():
+    from tests.checkpoints import build_driver
+
+    snapshot = build_driver().snapshot()
+    assert snapshot.state["allow_idle"] is True
+    state = dict(snapshot.state, allow_idle=False)
+    restored = SimulationDriver.restore(
+        type(snapshot)(version=snapshot.version, state=state))
+    assert not hasattr(restored, "allow_idle")
