@@ -1,14 +1,12 @@
 """Regenerate every table and figure of the paper's Section VI.
 
-Equivalent to ``python -m repro.experiments``; scale is configurable
+Equivalent to ``python -m repro report``; scale is configurable
 with environment variables:
 
     REPRO_SETS=5 REPRO_QUERIES=500 python examples/reproduce_figures.py
 
-The committed reference numbers in EXPERIMENTS.md were produced with
-REPRO_SETS=3 REPRO_QUERIES=300 (see DESIGN.md for the scaling
-argument: capacities shrink proportionally so the capacity-to-demand
-ratios match the paper's).
+At a reduced scale capacities shrink proportionally, so the
+capacity-to-demand ratios match the paper's.
 
 Run:  python examples/reproduce_figures.py
 """

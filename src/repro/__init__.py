@@ -36,15 +36,18 @@ Packages:
 * :mod:`repro.workload` — the Table III workload generator, including
   the operator-splitting procedure for varying the degree of sharing,
   and the lying workloads of Figure 5.
-* :mod:`repro.gametheory` — strategyproofness and sybil-immunity
-  analysis tools, with the paper's constructive attacks.
-* :mod:`repro.dsms` — an Aurora-style stream engine substrate that can
-  actually run admitted queries (shared operators, connection points,
-  transition phase).
+* :mod:`repro.gametheory` — the Table I property battery behind
+  ``python -m repro verify``, the sybil search, and the paper's
+  constructive attacks (Section V).
+* :mod:`repro.dsms` — an Aurora-style stream engine that runs admitted
+  queries (shared operators, connection points, transition phase),
+  plus the tuple-level load shedders the paper's introduction
+  contrasts admission with.
 * :mod:`repro.cloud` — billing, multi-period subscriptions and
-  energy-aware capacity selection (Section VII extensions).
-* :mod:`repro.experiments` — the harness regenerating every table and
-  figure of the evaluation.
+  energy-aware capacity selection (Section VII).
+* :mod:`repro.experiments` — the harness behind ``python -m repro
+  report`` and ``benchmarks/bench_*.py``: every table and figure of
+  the evaluation.
 
 Quickstart — one auction::
 

@@ -1,10 +1,10 @@
-"""The DSMS-center business layer: billing, subscriptions, energy.
+"""The DSMS-center business layer (Section VII): billing,
+multi-period subscriptions, energy-aware capacity selection.
 
 The auction-driven service orchestrator lives in :mod:`repro.service`.
 """
 
 from repro.cloud.billing import BillingLedger, Invoice
-from repro.cloud.gaming import GamingOutcome, simulate_category_gaming
 from repro.cloud.energy import (
     CapacityChoice,
     EnergyModel,
@@ -28,9 +28,7 @@ __all__ = [
     "DEFAULT_CATEGORIES",
     "DailyResult",
     "EnergyModel",
-    "GamingOutcome",
     "Invoice",
-    "simulate_category_gaming",
     "SubscriptionCategory",
     "SubscriptionRequest",
     "SubscriptionScheduler",

@@ -266,10 +266,12 @@ class FederatedAdmissionService:
                     preparations[index], outcome)
                 for index, outcome in zip(active, outcomes)
             }
-            loads = {
-                index: [settlement.outcome.instance.union_load([query_id])
-                        for query_id in settlement.rejected]
-                for index, settlement in settlements.items()}
+            loads = {}
+            for index, settlement in settlements.items():
+                instance = settlement.outcome.instance
+                loads[index] = {query_id: instance.union_load([query_id])
+                                for query_id in settlement.rejected
+                                if instance.has_query(query_id)}
             migrations: tuple[Migration, ...] = ()
             if self.rebalancer is not None:
                 migrations = self.rebalancer.rebalance(
@@ -287,8 +289,8 @@ class FederatedAdmissionService:
         placed = {migration.query_id for migration in migrations}
         rejected_load = float(sum(
             load
-            for index, settlement in settlements.items()
-            for query_id, load in zip(settlement.rejected, loads[index])
+            for priced in loads.values()
+            for query_id, load in priced.items()
             if query_id not in placed
         ))
         report = ClusterReport(

@@ -62,15 +62,17 @@ class Rebalancer:
         self,
         shards: Sequence[AdmissionService],
         settlements: Mapping[int, PeriodSettlement],
-        loads: Mapping[int, Sequence[float]],
+        loads: Mapping[int, Mapping[str, float]],
     ) -> tuple[Migration, ...]:
         """Apply post-auction migrations; returns what moved where.
 
         *settlements* maps shard index → that shard's settled period
-        (idle shards absent) and *loads* shard index → the standalone
-        load of each of its ``rejected``, in order.  Target engines are
-        transitioned immediately, so callers must rebalance *before*
-        executing the period (:meth:`AdmissionService.execute_period`).
+        (idle shards absent) and *loads* shard index → query id → the
+        standalone load of each of its ``rejected`` the auction priced,
+        in order (one it could not price stays where it is).  Target
+        engines are transitioned immediately, so callers must rebalance
+        *before* executing the period
+        (:meth:`AdmissionService.execute_period`).
         """
         spare = {
             index: shard.capacity - (
@@ -86,7 +88,7 @@ class Rebalancer:
         migrations: list[Migration] = []
         for origin in sorted(settlements):
             settlement = settlements[origin]
-            for query_id, load in zip(settlement.rejected, loads[origin]):
+            for query_id, load in loads[origin].items():
                 if (self.max_migrations is not None
                         and len(migrations) >= self.max_migrations):
                     return tuple(migrations)

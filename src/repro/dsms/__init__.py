@@ -1,5 +1,7 @@
 """Aurora-style DSMS simulator: streams, operators, shared plans,
-the tick engine with connection points, and load estimation."""
+the tick engine with connection points, scheduling, load estimation,
+and the tuple-level load shedders admission control is contrasted
+with (the paper's introduction)."""
 
 from repro.dsms.backend import ScalarBackend
 from repro.dsms.engine import ConnectionPoint, StreamEngine
@@ -18,7 +20,6 @@ from repro.dsms.operators import (
     StreamOperator,
     UnionOperator,
 )
-from repro.dsms.builder import QueryBuilder
 from repro.dsms.plan import ContinuousQuery, QueryPlanCatalog
 from repro.dsms.scheduler import (
     CheapestFirstPolicy,
@@ -27,11 +28,6 @@ from repro.dsms.scheduler import (
     RoundRobinPolicy,
     ScheduledEngine,
     SchedulingPolicy,
-)
-from repro.dsms.sharing_detector import (
-    CanonicalizationReport,
-    canonicalize,
-    operator_signature,
 )
 from repro.dsms.shedding import (
     PriorityShedder,
@@ -50,19 +46,12 @@ from repro.dsms.streams import (
     stock_quotes,
 )
 from repro.dsms.tuples import StreamTuple
-from repro.dsms.windows import (
-    DistinctOperator,
-    SlidingAggregateOperator,
-    TopKOperator,
-)
 
 __all__ = [
     "AggregateOperator",
-    "CanonicalizationReport",
     "CheapestFirstPolicy",
     "ConnectionPoint",
     "ContinuousQuery",
-    "DistinctOperator",
     "EngineReport",
     "JoinOperator",
     "LatencyStats",
@@ -71,7 +60,6 @@ __all__ = [
     "MapOperator",
     "PriorityShedder",
     "ProjectOperator",
-    "QueryBuilder",
     "QueryPlanCatalog",
     "RandomShedder",
     "ReplayStream",
@@ -82,9 +70,7 @@ __all__ = [
     "SelectOperator",
     "SheddingComparison",
     "SheddingEngine",
-    "SlidingAggregateOperator",
     "StreamEngine",
-    "TopKOperator",
     "TupleShedder",
     "StreamOperator",
     "StreamSource",
@@ -92,10 +78,8 @@ __all__ = [
     "SyntheticStream",
     "UnionOperator",
     "auction_instance_from_catalog",
-    "canonicalize",
     "estimate_operator_loads",
     "news_stories",
-    "operator_signature",
     "run_shedding_comparison",
     "sensor_readings",
     "stock_quotes",

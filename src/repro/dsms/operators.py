@@ -48,10 +48,10 @@ class StreamOperator(abc.ABC):
         self.op_id = op_id
         self.inputs = tuple(inputs)
         self.cost_per_tuple = float(cost_per_tuple)
-        #: Parameter fingerprint for common-subexpression detection
-        #: (:mod:`repro.dsms.sharing_detector`).  Two operators of the
-        #: same type, inputs and cost share iff their keys are equal;
-        #: ``None`` (the default) marks the operator as private.
+        #: Parameter fingerprint: two operators of the same type,
+        #: inputs and cost compute the same stream iff their keys are
+        #: equal; ``None`` (the default) marks the operator as private.
+        #: Nothing here reads it; pickled operator state carries it.
         self.share_key = share_key
         self.processed_tuples = 0
         self.emitted_tuples = 0

@@ -1,11 +1,8 @@
-"""Experiment harness regenerating every table and figure of Section VI."""
+"""Experiment harness regenerating every table and figure of Section VI.
 
-from repro.experiments.export import (
-    export_figure,
-    export_figure5,
-    export_report,
-    export_sweep,
-)
+``python -m repro report`` prints them all (:func:`full_report`); the
+``benchmarks/bench_*.py`` scripts run one each."""
+
 from repro.experiments.figures import (
     FigureResult,
     UtilizationSummary,
@@ -67,10 +64,6 @@ __all__ = [
     "UtilizationSummary",
     "backpressure_rows",
     "export_backpressure",
-    "export_figure",
-    "export_figure5",
-    "export_report",
-    "export_sweep",
     "figure4_all_profits",
     "figure4_profit",
     "figure4a",

@@ -1,6 +1,6 @@
 """Run every experiment and print the paper's tables and figures.
 
-``python -m repro.experiments`` regenerates, at the configured scale
+``python -m repro report`` regenerates, at the configured scale
 (see :class:`repro.experiments.harness.ExperimentScale`):
 
 * Figure 4(a) — admission rate vs. sharing (capacity 15,000);

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Collection, Iterable, KeysView, Mapping
 from itertools import chain, islice
+from math import isfinite
 
 from repro.core.model import AuctionInstance, Operator, Query
 from repro.dsms.plan import ContinuousQuery, QueryPlanCatalog, check_compatible
@@ -249,7 +250,10 @@ class AuctionCoordinator:
 
         Rows and prices were made at arrival; this copies pointers, after
         a contested operator re-adopts every candidate in order, new
-        *stream_rates* re-price every operator, unseen candidates enter."""
+        *stream_rates* re-price every operator, unseen candidates enter.
+        A candidate holding an operator whose load overflowed (``cost ×
+        rate`` past the largest float) is left out, so it is reported
+        rejected and the others clear as if it had never come."""
         if not candidates:
             raise ValidationError("no queries to auction")
         if self._contested:
@@ -258,8 +262,17 @@ class AuctionCoordinator:
             self._rates = dict(stream_rates)
             self._flush()
         self._clash = False
-        return AuctionInstance._assemble(
-            tuple(self._sync(candidates)), self.capacity, self._operator)
+        rows = tuple(self._sync(candidates))
+        instance = AuctionInstance._assemble(
+            rows, self.capacity, self._operator)
+        overflowed = {op_id for op_id, op in instance.operators.items()
+                      if not isfinite(op.load)}
+        if overflowed:
+            instance = AuctionInstance._assemble(
+                tuple(row for row in rows
+                      if overflowed.isdisjoint(row.operator_ids)),
+                self.capacity, self._operator)
+        return instance
 
     def _operator(self, op_id: str) -> Operator:
         """The priced operator, re-issued under the first holder's own id

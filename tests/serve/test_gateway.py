@@ -26,6 +26,7 @@ from repro.serve import (
     REDACTED,
 )
 from repro.io import ServeRequest, serve_request_to_dict
+from repro.serve.http import HttpResponse
 from repro.sim import SimulationDriver, SubscriptionOptions
 from tests.strategies import select_query
 
@@ -505,6 +506,55 @@ class TestWireHardening:
         json.dumps(clean, allow_nan=False)  # strictly valid JSON
         (shard,) = clean["shards"]
         assert len(shard["admitted"]) == 3
+
+    @pytest.mark.parametrize("target", ["service", "federation", "driver"])
+    def test_overflowing_load_is_rejected_and_the_period_clears(
+            self, target, monkeypatch):
+        """A finite cost times the stream rate can overflow to an
+        infinite load (1e308 × 2).  The submit is accepted, since a
+        federation prices at the tick; the auction leaves that query
+        out and reports it rejected, the query beside it is admitted,
+        the next period settles normally, and every body is strict
+        JSON."""
+        def reject(token):
+            raise ValueError(f"non-JSON token {token}")
+
+        monkeypatch.setattr(
+            HttpResponse, "json",
+            lambda response: json.loads(response.body,
+                                        parse_constant=reject))
+
+        def outcome(report):
+            shards = report.get("shards", [report])
+            return ({q for shard in shards for q in shard["admitted"]},
+                    {q for shard in shards for q in shard["rejected"]})
+
+        cluster = FederatedAdmissionService.build(
+            num_shards=4 if target == "federation" else 1,
+            sources=[SyntheticStream("s", rate=2.0, seed=0)],
+            capacity=100.0, mechanism="GV", ticks_per_period=4)
+        host = cluster if target == "federation" else cluster.shards[0]
+
+        async def go():
+            gateway = await started_gateway(
+                SimulationDriver(host) if target == "driver" else host)
+            reports = []
+            async with GatewayClient(*gateway.address) as client:
+                for batch in (("poisoned", "harmless"), ("later",)):
+                    for qid in batch:
+                        status, _ = await client.submit(select_query(
+                            qid, "o", bid=10.0,
+                            cost=1e308 if qid == "poisoned" else 1.0))
+                        assert status == 200
+                    status, body = await client.tick()
+                    assert status == 200
+                    reports.append(body["report"])
+            await gateway.stop(final_settle=False)
+            return reports
+
+        first, second = asyncio.run(go())
+        assert outcome(first) == ({"harmless"}, {"poisoned"})
+        assert outcome(second) == ({"harmless", "later"}, set())
 
     def test_client_id_rotation_cannot_duck_the_peer_floor(self):
         """Rotating x-client-id buys no rate: the per-peer-address
