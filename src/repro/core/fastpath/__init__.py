@@ -19,10 +19,9 @@ from repro.core.fastpath.kernels import (
     bid_order_indices,
     density_order,
     density_priorities,
-    find_last,
     greedy_walk,
-    movement_window_lasts,
     optimal_single_price_array,
+    skip_over_walk,
 )
 from repro.core.fastpath.select import fast_select
 
@@ -33,8 +32,7 @@ __all__ = [
     "density_order",
     "density_priorities",
     "fast_select",
-    "find_last",
     "greedy_walk",
-    "movement_window_lasts",
     "optimal_single_price_array",
+    "skip_over_walk",
 ]

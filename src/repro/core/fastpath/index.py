@@ -6,7 +6,8 @@ lookups, every capacity test a set union.  :class:`InstanceIndex`
 compiles the instance once into flat arrays —
 
 * a CSR query → operator membership matrix (``indptr`` / ``indices``,
-  operator indices stored in each query's declared operator order);
+  operator indices stored in each query's declared operator order) and
+  its transpose (``op_ptr`` / ``op_members``);
 * contiguous numpy arrays for operator loads, sharing degrees and bids
   (plus plain-``float`` list mirrors for the scalar hot loops, where
   boxed ``np.float64`` item access would dominate);
@@ -17,7 +18,11 @@ compiles the instance once into flat arrays —
 Exactness contract: every derived float is accumulated in *the same
 order* as the reference code (left-to-right over each query's declared
 operators), so fast-path selections are bitwise identical to the pure
-Python ones — the property the differential suite pins.
+Python ones — the property the differential suite pins.  The build
+computes the measures one operator slot at a time — term 1 of every
+query, then term 2 of every query that has one, ... — which is the same
+sequence of float additions per query, at a cost linear in the
+(query, operator) entries.
 
 Instances are immutable, so the index is built once and cached on the
 instance itself (never invalidated).  The cache is deliberately
@@ -27,6 +32,8 @@ instance simply rebuilds its index on first fast-path use.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 
@@ -51,7 +58,8 @@ class InstanceIndex:
         "indptr",
         "indices",
         "query_ops",
-        "op_queries",
+        "op_ptr",
+        "op_members",
         "bids",
         "bids_list",
         "simple_queries",
@@ -64,93 +72,73 @@ class InstanceIndex:
 
     def __init__(self, instance: AuctionInstance) -> None:
         queries = instance.queries
+        operators = instance.operators
         n = len(queries)
         self.capacity = float(instance.capacity)
         self.num_queries = n
         self.query_ids = [q.query_id for q in queries]
 
         # Operator catalogue in the instance's (dict) order.
-        self.op_ids = list(instance.operators)
+        self.op_ids = list(operators)
         op_index = {op_id: i for i, op_id in enumerate(self.op_ids)}
-        self.num_operators = len(self.op_ids)
-        self.op_loads_list = [
-            instance.operators[op_id].load for op_id in self.op_ids]
-        self.op_loads = np.asarray(self.op_loads_list, dtype=np.float64)
-        sharing_list = [instance.sharing_degree(op_id)
-                        for op_id in self.op_ids]
-        self.sharing = np.asarray(sharing_list, dtype=np.int64)
+        m = self.num_operators = len(self.op_ids)
+        self.op_loads_list = [operators[op_id].load for op_id in self.op_ids]
+        loads = self.op_loads = np.asarray(self.op_loads_list,
+                                           dtype=np.float64)
 
-        # CSR membership, operator indices in declared query order, and
-        # the sequentially-accumulated load measures (the accumulation
-        # order matters: it reproduces the reference sums bitwise).
-        ops_per_query = [query.operator_ids for query in queries]
-        if all(len(op_ids) == 1 for op_ids in ops_per_query):
-            # Single-operator queries — the open-system admission
-            # workload, where thousands of these are built per run.
-            # Every sequential accumulation collapses to one term
-            # (0.0 + x == x exactly; x/k matches the scalar division
-            # bitwise), so the measures vectorize without breaking the
-            # exactness contract.
-            ops = [op_index[op_ids[0]] for op_ids in ops_per_query]
-            indices = np.asarray(ops, dtype=np.int64)
-            self.indptr = np.arange(n + 1, dtype=np.int64)
-            self.indices = indices
-            self.query_ops = [[o] for o in ops]
-            total_arr = self.op_loads[indices]
-            fair_arr = total_arr / self.sharing[indices]
-            self.total_loads = total_arr
-            self.fair_share_loads = fair_arr
-            self.total_loads_list = total_arr.tolist()
-            self.fair_share_loads_list = fair_arr.tolist()
-            self.simple_queries = (self.sharing[indices] == 1).tolist()
-        else:
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            flat: list[int] = []
-            query_ops: list[list[int]] = []
-            total_loads: list[float] = []
-            fair_share_loads: list[float] = []
-            loads = self.op_loads_list
-            for qi, op_ids in enumerate(ops_per_query):
-                ops = [op_index[op_id] for op_id in op_ids]
-                query_ops.append(ops)
-                flat.extend(ops)
-                indptr[qi + 1] = len(flat)
-                total = 0.0
-                fair = 0.0
-                for o in ops:
-                    load = loads[o]
-                    total += load
-                    fair += load / sharing_list[o]
-                total_loads.append(total)
-                fair_share_loads.append(fair)
-            self.indptr = indptr
-            self.indices = np.asarray(flat, dtype=np.int64)
-            self.query_ops = query_ops
-            self.total_loads_list = total_loads
-            self.fair_share_loads_list = fair_share_loads
-            self.total_loads = np.asarray(total_loads, dtype=np.float64)
-            self.fair_share_loads = np.asarray(
-                fair_share_loads, dtype=np.float64)
-            # Queries whose operators are all unshared (degree 1):
-            # their marginal load is always their full total load, and
-            # admitting them can never change any other query's
-            # marginal — the skip-over movement-window kernel exploits
-            # both.
-            self.simple_queries = [
-                all(sharing_list[o] == 1 for o in ops)
-                for ops in query_ops]
+        # CSR membership, operator indices in declared query order.  A
+        # query names each operator once, so the sharing degree is the
+        # operator's count in the flat list.
+        self.query_ops = [[op_index[op_id] for op_id in q.operator_ids]
+                          for q in queries]
+        lengths = np.fromiter(map(len, self.query_ops), dtype=np.int64,
+                              count=n)
+        indptr = self.indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        indices = self.indices = np.fromiter(
+            chain.from_iterable(self.query_ops), dtype=np.int64,
+            count=int(indptr[-1]))
+        sharing = self.sharing = np.bincount(indices, minlength=m)
+
+        # The load measures, one pass per operator slot: term j of every
+        # query that has one is added to its partial sum before term
+        # j + 1 — the same left-to-right float sequence as a per-query
+        # loop.  With the queries ranked longest first, those that have
+        # a term j are a prefix of the ranking, so pass j touches only
+        # them.
+        total_terms = loads[indices]
+        fair_terms = total_terms / sharing[indices]
+        longest_first = np.argsort(-lengths)
+        starts = indptr[longest_first]
+        # counts[j]: the number of queries with more than j operators.
+        counts = n - np.cumsum(np.bincount(lengths))[:-1]
+        total = np.zeros(n)
+        fair = np.zeros(n)
+        for j, count in enumerate(counts.tolist()):
+            group = longest_first[:count]
+            at = starts[:count] + j
+            total[group] += total_terms[at]
+            fair[group] += fair_terms[at]
+        self.total_loads, self.total_loads_list = total, total.tolist()
+        self.fair_share_loads = fair
+        self.fair_share_loads_list = fair.tolist()
+        # Queries whose operators are all unshared (degree 1): their
+        # marginal load is always their full total load, and admitting
+        # them can never change any other query's marginal — the
+        # skip-over movement-window kernel exploits both.
+        self.simple_queries = (np.maximum.reduceat(
+            sharing[indices], indptr[:-1]) == 1).tolist()
 
         self.bids_list = [q.bid for q in queries]
         self.bids = np.asarray(self.bids_list, dtype=np.float64)
 
-        # Transpose: operator → queries containing it, in instance query
-        # order (CAR's incremental remaining-load updates walk these).
-        op_members: list[list[int]] = [[] for _ in range(self.num_operators)]
-        for qi, ops in enumerate(self.query_ops):
-            for o in ops:
-                op_members[o].append(qi)
-        self.op_queries = [
-            np.asarray(members, dtype=np.int64) for members in op_members]
+        # Transpose: operator o → the queries containing it, in
+        # instance query order, as op_members[op_ptr[o]:op_ptr[o + 1]]
+        # (CAR's incremental remaining-load updates slice these).
+        rows = np.repeat(np.arange(n, dtype=np.int64), lengths)
+        self.op_members = rows[np.argsort(indices, kind="stable")]
+        op_ptr = self.op_ptr = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(sharing, out=op_ptr[1:])
 
         # Rank of each query id in lexicographic order: the vectorized
         # tie-break key standing in for the reference's string compare.
@@ -190,7 +178,8 @@ class InstanceIndex:
         index.indptr = np.arange(n + 1, dtype=np.int64)
         index.indices = arange
         index.query_ops = [[o] for o in range(n)]
-        index.op_queries = [arange[o:o + 1] for o in range(n)]
+        index.op_ptr = index.indptr
+        index.op_members = arange
         index.total_loads = loads_arr
         index.total_loads_list = index.op_loads_list
         index.fair_share_loads = loads_arr / index.sharing

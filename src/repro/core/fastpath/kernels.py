@@ -10,7 +10,8 @@ unions that dominate the reference hot loops:
 * :func:`greedy_walk` ↔ :func:`repro.core.greedy.greedy_admit`;
 * :func:`density_order` / :func:`bid_order_indices` ↔
   :func:`repro.core.greedy.priority_order` / :func:`repro.core.gv.bid_order`;
-* :func:`find_last` ↔ :func:`repro.core.movement_window.find_last`;
+* :func:`skip_over_walk` (every winner in one pass) ↔
+  :func:`repro.core.movement_window.find_last`;
 * :func:`optimal_single_price_array` ↔
   :func:`repro.core.two_price.optimal_single_price`.
 
@@ -19,6 +20,8 @@ pins the equivalence on random shared-DAG instances.
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 import numpy as np
 
@@ -153,105 +156,79 @@ def select_screen(
 def greedy_walk(
     index: InstanceIndex,
     order: list[int],
-    skip_over: bool,
 ) -> tuple[list[int], "int | None", FastTracker]:
-    """Admit queries from *order* until the server is full.
+    """Admit queries from *order* until the first one that does not fit.
 
-    The fast twin of :func:`repro.core.greedy.greedy_admit`: returns
-    ``(winners, first_loser, tracker)`` with winners in admission order
-    and ``first_loser`` the query index that ended (stop-at-first) or
-    first interrupted (skip-over) the walk, or ``None``.
+    The fast twin of :func:`repro.core.greedy.greedy_admit` (stop at
+    the first loser; :func:`skip_over_walk` is the skip-over pass):
+    returns ``(winners, first_loser, tracker)`` with winners in
+    admission order and ``first_loser`` the query index that ended the
+    walk, or ``None``.  The tracker's marginal-load test and admission
+    are inlined.
     """
     tracker = FastTracker(index)
+    running = tracker._running
+    loads = index.op_loads_list
+    query_ops = index.query_ops
+    cap_eps = index.capacity + EPSILON
+    used = 0.0
     winners: list[int] = []
     first_loser: "int | None" = None
     for qi in order:
-        if tracker.try_admit(qi):
-            winners.append(qi)
-            continue
-        if first_loser is None:
-            first_loser = qi
-        if not skip_over:
-            break
-    return winners, first_loser, tracker
-
-
-def find_last(
-    index: InstanceIndex,
-    order: list[int],
-    position: int,
-) -> "int | None":
-    """``last(winner)`` for a skip-over pass — the fast twin of
-    :func:`repro.core.movement_window.find_last`.
-
-    *position* locates the winner inside *order*.  One replay of the
-    pass with the winner removed, her marginal load maintained
-    incrementally, yields the admission test for every candidate
-    position; the first failing one is the movement-window boundary.
-    """
-    capacity = index.capacity
-    loads = index.op_loads_list
-    query_ops = index.query_ops
-    num_ops = index.num_operators
-
-    winner_ops = bytearray(num_ops)
-    winner_margin = 0.0
-    for o in query_ops[order[position]]:
-        winner_margin += loads[o]
-        winner_ops[o] = 1
-
-    running = bytearray(num_ops)
-    used = 0.0
-
-    def admit_if_fits(qi: int) -> None:
-        nonlocal used, winner_margin
-        margin = 0.0
         ops = query_ops[qi]
+        margin = 0.0
         for o in ops:
             if not running[o]:
                 margin += loads[o]
-        if used + margin > capacity + EPSILON:
-            return
+        if used + margin > cap_eps:
+            first_loser = qi
+            break
         used += margin
         for o in ops:
-            if not running[o]:
-                running[o] = 1
-                if winner_ops[o]:
-                    winner_margin -= loads[o]
-
-    for qi in order[:position]:
-        admit_if_fits(qi)
-    for qi in order[position + 1:]:
-        admit_if_fits(qi)
-        if used + winner_margin > capacity + EPSILON:
-            return qi
-    return None
+            running[o] = 1
+        winners.append(qi)
+    tracker.used = used
+    return winners, first_loser, tracker
 
 
-def movement_window_lasts(
+def skip_over_walk(
     index: InstanceIndex,
     order: list[int],
-    winners: list[int],
-) -> dict[int, "int | None"]:
-    """``last(w)`` for *every* winner of one skip-over pass.
+) -> "tuple[list[int], int | None, dict[int, int | None]]":
+    """One skip-over pass over *order* and ``last(w)`` for every winner.
 
-    Calling :func:`find_last` per winner replays the order's prefix
-    from scratch each time.  This kernel exploits that the replay
-    without winner ``w`` is *identical* to the main walk up to ``w``'s
-    position (``w`` contributes nothing before it is reached): one
-    shared walk snapshots the admission state — running-operator mask,
-    used capacity, and the operator activation count — at each
-    winner's position, and only the per-winner suffix is replayed.
+    *order* ranks every query of *index*, as :func:`density_order`
+    does.  Returns ``(winners, first_loser, lasts)``: the winners and
+    first loser of :func:`repro.core.greedy.greedy_admit` with
+    ``skip_over=True``, plus the movement-window boundary
+    :func:`repro.core.movement_window.find_last` would find for each
+    winner.  That function replays the order from scratch per winner;
+    here one walk records what every replay reads, and each replay is
+    cut to where it can differ from it:
 
-    Two further exactness-preserving shortcuts:
+    * **Before the winner.**  The replay without winner ``w`` is the
+      walk itself up to ``w``'s position ``p``; it starts from the
+      used capacity the walk had there.
+    * **Up to the first loser.**  The walk admitted every query before
+      its first loser.  The replay without ``w`` admits them too, at
+      the margins the walk recorded, except at the positions that
+      first need one of the operators ``w`` activated again (at most
+      ``|ops(w)|`` of them), where the margin is summed op by op.  So
+      this stretch is the recurrence ``used += margin`` over recorded
+      floats — the same additions and tests as the op-level replay,
+      bit for bit.  If a fit test fails there (float rounding can
+      make the replay's ``used`` outgrow the walk's), the op-level
+      replay takes over from that position.
+    * **From the first loser on**, the op-level replay, on a running
+      mask rebuilt from the walk's operator activation indices.
 
-    * queries whose operators are all unshared
-      (``index.simple_queries``) admit at exactly their precomputed
-      total load and cannot alter anyone else's marginal, so their
-      mask updates are skipped;
-    * the winner test ``used + winner_margin`` only moves when an
-      admission happens, so it is evaluated on admissions only (plus
-      once up front), matching the reference's first-failing position.
+    Queries whose operators are all unshared
+    (``index.simple_queries``) admit at exactly their precomputed total
+    load and cannot alter anyone else's marginal, so their mask updates
+    are skipped.  The winner test ``used + winner_margin`` runs after
+    every replayed position, admitted or not, as the reference's does:
+    a test that already holds before the first position fires there
+    only if admitting that position does not undo it.
 
     The winner's incrementally-shrinking marginal is reconstructed by
     subtracting already-running winner operators in *activation
@@ -266,91 +243,148 @@ def movement_window_lasts(
     totals = index.total_loads_list
     simple = index.simple_queries
     cap_eps = index.capacity + EPSILON
-    winner_set = set(winners)
 
-    never = num_ops + 1  # activation index of never-activated operators
+    # The walk, recording each position's margin and the operator
+    # activation count before it, and each winner's position and the
+    # used capacity before it.
+    never = num_ops  # activation index of never-activated operators
     act_index = [never] * num_ops
-    act_count = 0
-    snapshots: dict[int, tuple[int, bytes, float, int]] = {}
+    act_before: list[int] = []
+    margins: list[float] = []
     running = bytearray(num_ops)
+    act_count = 0
     used = 0.0
+    winners: list[int] = []
+    placed: list[tuple[int, float]] = []
+    lost = n  # position of the first loser
     for pos, qi in enumerate(order):
-        if qi in winner_set:
-            snapshots[qi] = (pos, bytes(running), used, act_count)
+        act_before.append(act_count)
         if simple[qi]:
             margin = totals[qi]
-            if used + margin <= cap_eps:
-                used += margin
-            continue
-        ops = query_ops[qi]
-        margin = 0.0
-        for o in ops:
-            if not running[o]:
-                margin += loads[o]
+        else:
+            ops = query_ops[qi]
+            margin = 0.0
+            for o in ops:
+                if not running[o]:
+                    margin += loads[o]
+        margins.append(margin)
         if used + margin > cap_eps:
+            if lost == n:
+                lost = pos
             continue
+        winners.append(qi)
+        placed.append((pos, used))
         used += margin
-        for o in ops:
-            if not running[o]:
-                running[o] = 1
-                act_index[o] = act_count
-                act_count += 1
+        if not simple[qi]:
+            for o in ops:
+                if not running[o]:
+                    running[o] = 1
+                    act_index[o] = act_count
+                    act_count += 1
+    act_before.append(act_count)
+    first_loser = None if lost == n else order[lost]
+
+    # next_use[o]: the second position holding a query with operator o
+    # (n if none).  An operator first activated before the first loser
+    # was activated at its first position, so a replay without its
+    # activator needs it again at next_use[o].
+    positions = np.empty(n, dtype=np.int64)
+    positions[np.asarray(order, dtype=np.int64)] = np.arange(n)
+    entry_pos = np.repeat(positions, np.diff(index.indptr))
+    first = np.full(num_ops, n, dtype=np.int64)
+    np.minimum.at(first, index.indices, entry_pos)
+    later = entry_pos != first[index.indices]
+    second = np.full(num_ops, n, dtype=np.int64)
+    np.minimum.at(second, index.indices[later], entry_pos[later])
+    next_use = second.tolist()
+    activation = np.asarray(act_index, dtype=np.int64)
 
     # Per-position triples save two list indexings per replay step.
     items = [(qi, simple[qi], totals[qi]) for qi in order]
 
     lasts: dict[int, "int | None"] = {}
-    for w in winners:
-        pos, running_bytes, used, act_before = snapshots[w]
+    for w, (p, used) in zip(winners, placed):
+        before = act_before[p]
         w_ops = query_ops[w]
-        winner_margin = 0.0
-        for o in w_ops:
-            winner_margin += loads[o]
+        winner_margin = totals[w]
         already = sorted(
-            (act_index[o], o) for o in w_ops if act_index[o] < act_before)
+            (act_index[o], o) for o in w_ops if act_index[o] < before)
         for _, o in already:
             winner_margin -= loads[o]
 
-        if used + winner_margin > cap_eps:
-            lasts[w] = order[pos + 1] if pos + 1 < n else None
-            continue
         # Admissions keep `used <= cap_eps`, so once the winner's
         # marginal is non-positive the test can never fire again.
         if winner_margin <= 0.0:
             lasts[w] = None
             continue
-        winner_in = bytearray(num_ops)
-        for o in w_ops:
-            winner_in[o] = 1
-        running = bytearray(running_bytes)
+        # The operators w activated: not running in the replay until a
+        # later query brings them in.
+        pending = {o for o in w_ops if act_index[o] >= before}
+        reuses = iter(sorted({next_use[o] for o in pending}))
+        reuse = next(reuses, n)
         last: "int | None" = None
-        for qi, is_simple, total in items[pos + 1:]:
-            if is_simple:
-                margin = total
+        start = max(p + 1, lost)  # where the op-level replay begins
+        for k in range(p + 1, lost):
+            if k != reuse:
+                margin = margins[k]
                 if used + margin > cap_eps:
-                    continue
+                    start = k
+                    break
                 used += margin
             else:
-                ops = query_ops[qi]
+                reuse = next(reuses, n)
+                ops = query_ops[order[k]]
+                now = act_before[k]
                 margin = 0.0
                 for o in ops:
-                    if not running[o]:
+                    if act_index[o] >= now or o in pending:
                         margin += loads[o]
                 if used + margin > cap_eps:
-                    continue
+                    start = k
+                    break
                 used += margin
                 for o in ops:
-                    if not running[o]:
-                        running[o] = 1
-                        if winner_in[o]:
-                            winner_margin -= loads[o]
+                    if o in pending:
+                        pending.discard(o)
+                        winner_margin -= loads[o]
                 if winner_margin <= 0.0:
+                    start = n
                     break
             if used + winner_margin > cap_eps:
-                last = qi
+                last = order[k]
+                start = n
                 break
+
+        if start < n:
+            running = bytearray(
+                (activation < act_before[start]).tobytes())
+            for o in pending:
+                running[o] = 0
+            for qi, is_simple, total in islice(items, start, None):
+                if is_simple:
+                    margin = total
+                    if used + margin <= cap_eps:
+                        used += margin
+                else:
+                    ops = query_ops[qi]
+                    margin = 0.0
+                    for o in ops:
+                        if not running[o]:
+                            margin += loads[o]
+                    if used + margin <= cap_eps:
+                        used += margin
+                        for o in ops:
+                            if not running[o]:
+                                running[o] = 1
+                                if o in pending:
+                                    winner_margin -= loads[o]
+                        if winner_margin <= 0.0:
+                            break
+                if used + winner_margin > cap_eps:
+                    last = qi
+                    break
         lasts[w] = last
-    return lasts
+    return winners, first_loser, lasts
 
 
 def optimal_single_price_array(values: np.ndarray) -> tuple[float, float]:

@@ -27,9 +27,9 @@ from repro.core.fastpath.kernels import (
     bid_order_indices,
     density_order,
     greedy_walk,
-    movement_window_lasts,
     optimal_single_price_array,
     select_screen,
+    skip_over_walk,
 )
 from repro.core.greedy import priority_of
 from repro.core.gv import GreedyByValuation
@@ -92,7 +92,7 @@ def _measure_arrays(mechanism, instance: AuctionInstance):
 def _density_stop_at_first(index: InstanceIndex, loads: np.ndarray,
                            loads_list: list[float]):
     order = density_order(index, loads)
-    winners, lost, _ = greedy_walk(index, order, skip_over=False)
+    winners, lost, _ = greedy_walk(index, order)
     ids = index.query_ids
     details: dict[str, object] = {
         "priority_order": [ids[qi] for qi in order],
@@ -109,8 +109,7 @@ def _density_stop_at_first(index: InstanceIndex, loads: np.ndarray,
 def _density_skip_over(index: InstanceIndex, loads: np.ndarray,
                        loads_list: list[float]):
     order = density_order(index, loads)
-    winners, first_loser, _ = greedy_walk(index, order, skip_over=True)
-    lasts = movement_window_lasts(index, order, winners)
+    winners, first_loser, lasts = skip_over_walk(index, order)
     ids = index.query_ids
     payments: dict[str, float] = {}
     last_map: dict[str, "str | None"] = {}
@@ -151,7 +150,8 @@ def _car(index: InstanceIndex):
     already-admitted queries, whose remaining loads the reference
     freezes; those slots are never read again, and pending queries see
     the identical subtraction sequence, so every value that matters is
-    bitwise equal.)
+    bitwise equal.)  Only the densities a round's subtractions touched
+    are divided again; the others would be the same division.
     """
     n = index.num_queries
     ids = index.query_ids
@@ -159,6 +159,8 @@ def _car(index: InstanceIndex):
     bids = index.bids
     id_rank = index.id_rank
     loads = index.op_loads_list
+    op_ptr = index.op_ptr.tolist()
+    op_members = index.op_members
     cr = np.array(index.total_loads_list, dtype=np.float64)
     pending = np.ones(n, dtype=bool)
     running = bytearray(index.num_operators)
@@ -168,31 +170,42 @@ def _car(index: InstanceIndex):
     lost: "int | None" = None
 
     remaining = n
-    while remaining:
-        with np.errstate(over="ignore", divide="ignore",
-                         invalid="ignore"):
-            priorities = np.divide(bids, cr)
-        priorities[cr == 0.0] = np.inf
-        masked = np.where(pending, priorities, -np.inf)
-        best_value = masked.max()
-        # A pending priority can itself be -inf (huge bid over a tiny
-        # *negative* remaining-load residue overflows), colliding with
-        # the non-pending sentinel — so restrict ties to pending.
-        candidates = np.nonzero(pending & (masked == best_value))[0]
-        best = int(candidates[np.argmin(id_rank[candidates])])
-        margin = float(cr[best])
-        if used + margin > capacity + EPSILON:
-            lost = best
-            break
-        pending[best] = False
-        remaining -= 1
-        used += margin
-        admission_order.append(ids[best])
-        admission_loads[ids[best]] = margin
-        for o in index.query_ops[best]:
-            if not running[o]:
-                running[o] = 1
-                cr[index.op_queries[o]] -= loads[o]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # Densities of the pending queries; -inf marks an admitted one.
+        masked = np.divide(bids, cr)
+        masked[cr == 0.0] = np.inf
+        while remaining:
+            best_value = masked.max()
+            # A pending priority can itself be -inf (huge bid over a
+            # tiny *negative* remaining-load residue overflows),
+            # colliding with the admitted-query sentinel — so restrict
+            # ties to pending.
+            candidates = np.nonzero(pending & (masked == best_value))[0]
+            best = int(candidates[np.argmin(id_rank[candidates])])
+            margin = float(cr[best])
+            if used + margin > capacity + EPSILON:
+                lost = best
+                break
+            pending[best] = False
+            masked[best] = -np.inf
+            remaining -= 1
+            used += margin
+            admission_order.append(ids[best])
+            admission_loads[ids[best]] = margin
+            touched = []
+            for o in index.query_ops[best]:
+                if not running[o]:
+                    running[o] = 1
+                    members = op_members[op_ptr[o]:op_ptr[o + 1]]
+                    cr[members] -= loads[o]
+                    touched.append(members)
+            if touched:
+                members = np.concatenate(touched)
+                members = members[pending[members]]
+                left = cr[members]
+                densities = np.divide(bids[members], left)
+                densities[left == 0.0] = np.inf
+                masked[members] = densities
 
     details: dict[str, object] = {
         "admission_order": admission_order,
@@ -278,7 +291,7 @@ def _gv_columnar(instance: AuctionInstance) -> SelectResult:
 
 def _greedy_by_valuation(index: InstanceIndex):
     order = bid_order_indices(index)
-    winners, lost, _ = greedy_walk(index, order, skip_over=False)
+    winners, lost, _ = greedy_walk(index, order)
     ids = index.query_ids
     details: dict[str, object] = {
         "bid_order": [ids[qi] for qi in order],
@@ -304,7 +317,7 @@ def _two_price(mechanism: TwoPrice, instance: AuctionInstance,
     interchangeable mid-stream.
     """
     order = bid_order_indices(index)
-    winners, lost, _ = greedy_walk(index, order, skip_over=False)
+    winners, lost, _ = greedy_walk(index, order)
     queries = instance.queries
     h_set = [queries[qi] for qi in winners]
     details: dict[str, object] = {

@@ -21,9 +21,25 @@ from collections.abc import Iterable
 from repro.core.model import AuctionInstance, Query
 
 
+def sequential_sum(values: Iterable[float]) -> float:
+    """``values`` added one by one, left to right.
+
+    The order every load measure is defined in, and the one the fast
+    kernels (:mod:`repro.core.fastpath`) reproduce bit for bit.  Unlike
+    the built-in ``sum``, which compensates float rounding from Python
+    3.12 on, this gives the same bits on every interpreter.  It starts
+    from the integer ``0`` as ``sum`` does, so integer loads stay exact.
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 def total_load(instance: AuctionInstance, query: Query) -> float:
     """``C^T_i``: sum of the query's operator loads (sharing ignored)."""
-    return sum(instance.operator(op_id).load for op_id in query.operator_ids)
+    return sequential_sum(
+        instance.operator(op_id).load for op_id in query.operator_ids)
 
 
 def static_fair_share_load(instance: AuctionInstance, query: Query) -> float:
@@ -33,7 +49,7 @@ def static_fair_share_load(instance: AuctionInstance, query: Query) -> float:
     (Definition 3).  Sharing degrees come from the full submitted pool,
     so the measure is *static* over the course of winner selection.
     """
-    return sum(
+    return sequential_sum(
         instance.operator(op_id).load / instance.sharing_degree(op_id)
         for op_id in query.operator_ids
     )
@@ -51,7 +67,7 @@ def remaining_load(
     pay for them again (Definition 2).
     """
     admitted = set(admitted_operator_ids)
-    return sum(
+    return sequential_sum(
         instance.operator(op_id).load
         for op_id in query.operator_ids
         if op_id not in admitted
@@ -85,11 +101,12 @@ class LoadTracker:
         """Remaining (marginal) load of admitting *query* right now."""
         operators = self._instance.operators
         running = self._running_ops
-        return sum(
-            operators[op_id].load
-            for op_id in query.operator_ids
-            if op_id not in running
-        )
+        # sequential_sum, inlined: every admission test runs this.
+        margin = 0
+        for op_id in query.operator_ids:
+            if op_id not in running:
+                margin += operators[op_id].load
+        return margin
 
     def fits(self, query: Query) -> bool:
         """True if *query* fits in the remaining capacity."""

@@ -37,6 +37,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.core.greedy import LoadMeasure, priority_of
+from repro.core.loads import sequential_sum
 from repro.core.model import AuctionInstance, Query
 
 
@@ -61,14 +62,14 @@ def find_last(
     # shrinks it, making every per-position admission test O(1).
     capacity = instance.capacity
     winner_ops = set(winner.operator_ids)
-    winner_margin = sum(
+    winner_margin = sequential_sum(
         instance.operator(op_id).load for op_id in winner.operator_ids)
     running: set[str] = set()
     used = 0.0
 
     def admit_if_fits(query: Query) -> None:
         nonlocal used, winner_margin
-        margin = sum(
+        margin = sequential_sum(
             instance.operator(op_id).load
             for op_id in query.operator_ids
             if op_id not in running

@@ -30,6 +30,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field, replace
 from collections.abc import Mapping, Sequence
+from math import isfinite
 
 import numpy as np
 
@@ -312,6 +313,11 @@ class SubscriptionManager:
             return Operator._trusted(
                 op_id, 0.0 if op_id in held_ops else loads.get(op_id, 0.0))
 
+        # Operators whose load overflowed (``cost × rate`` past the
+        # largest float); a held one costs newcomers nothing.
+        overflowed = {op_id for op_id, load in loads.items()
+                      if not isfinite(load)} - held_ops
+
         outcomes: dict[str, AuctionOutcome] = {}
         admitted: list[str] = []
         rejected: list[str] = []
@@ -327,6 +333,15 @@ class SubscriptionManager:
                 rejected.extend(query.query_id for query, _name in requests)
                 continue
             plans = {query.query_id: query for query, _name in requests}
+            if overflowed:
+                # A candidate holding an overflowed operator is left out
+                # and reported rejected, as AuctionCoordinator.build does.
+                for query_id, query in list(plans.items()):
+                    if not overflowed.isdisjoint(query.operator_ids):
+                        del plans[query_id]
+                        rejected.append(query_id)
+                if not plans:
+                    continue
             # Pending plans were validated on entry: the trusted assembler
             # (validating costs ~10µs per candidate, more than the auction
             # itself).  Held operators cost newcomers nothing.
@@ -498,23 +513,31 @@ class SubscriptionManager:
         # the scalar products, bitwise).
         costs_arr = np.asarray(cost_list, dtype=np.float64)
         bids_arr = np.asarray(bid_list, dtype=np.float64)
-        if len(set(inputs)) == 1:
-            loads_arr = stream_rates.get(inputs[0], 0.0) * costs_arr
-        else:
-            rates = np.asarray(
-                [stream_rates.get(name, 0.0) for name in inputs],
-                dtype=np.float64)
-            loads_arr = rates * costs_arr
+        with np.errstate(over="ignore"):
+            if len(set(inputs)) == 1:
+                loads_arr = stream_rates.get(inputs[0], 0.0) * costs_arr
+            else:
+                rates = np.asarray(
+                    [stream_rates.get(name, 0.0) for name in inputs],
+                    dtype=np.float64)
+                loads_arr = rates * costs_arr
 
         by_cat: dict[str, list[int]] = {}
         for row, name in enumerate(cats):
             by_cat.setdefault(name, []).append(row)
+        # A row whose load overflowed is left out of its category's
+        # auction and reported rejected, as in run_period.
+        overflowed = np.flatnonzero(~np.isfinite(loads_arr)).tolist()
+        rejected: list[str] = [ids[row] for row in overflowed]
+        if overflowed:
+            dropped = set(overflowed)
+            by_cat = {name: [row for row in rows if row not in dropped]
+                      for name, rows in by_cat.items()}
         has_vals = any(v is not None for v in valuations)
         has_objs = any(obj is not None for obj in objs)
 
         outcomes: dict[str, AuctionOutcome] = {}
         admitted: list[str] = []
-        rejected: list[str] = []
         revenue = 0.0
         to_admit: list[ContinuousQuery] = []
         for category in self.options.categories:

@@ -21,10 +21,9 @@ from repro.core.fastpath import (
     InstanceIndex,
     bid_order_indices,
     density_order,
-    find_last,
     greedy_walk,
-    movement_window_lasts,
     optimal_single_price_array,
+    skip_over_walk,
 )
 from repro.core.greedy import greedy_admit, priority_order
 from repro.core.gv import bid_order
@@ -189,8 +188,11 @@ class TestOrdersAndWalk:
             instance,
             [instance.queries[qi] for qi in order],
             skip_over=skip_over)
-        winners, first_loser, tracker = greedy_walk(
-            index, order, skip_over=skip_over)
+        if skip_over:
+            winners, first_loser, _ = skip_over_walk(index, order)
+        else:
+            winners, first_loser, tracker = greedy_walk(index, order)
+            assert tracker.used == reference.tracker.used_capacity
         ids = index.query_ids
         assert [ids[qi] for qi in winners] == [
             q.query_id for q in reference.winners]
@@ -198,7 +200,6 @@ class TestOrdersAndWalk:
                           else reference.first_loser.query_id)
         assert (None if first_loser is None
                 else ids[first_loser]) == expected_loser
-        assert tracker.used == reference.tracker.used_capacity
 
 
 class TestMovementWindow:
@@ -209,19 +210,170 @@ class TestMovementWindow:
 
         index = InstanceIndex.of(instance)
         order = density_order(index, index.fair_share_loads)
-        winners, _, _ = greedy_walk(index, order, skip_over=True)
-        lasts = movement_window_lasts(index, order, winners)
+        winners, _, lasts = skip_over_walk(index, order)
         assert set(lasts) == set(winners)
         order_queries = [instance.queries[qi] for qi in order]
         for qi in winners:
-            single = find_last(index, order, order.index(qi))
-            assert lasts[qi] == single
             expected = ref_find_last(
                 instance, order_queries, instance.queries[qi])
             got = (None if lasts[qi] is None
                    else index.query_ids[lasts[qi]])
             assert got == (None if expected is None
                            else expected.query_id)
+
+
+#: Under CAT+'s total-load order, the replay without one winner fails
+#: a fit test before the walk's first loser (float rounding), so the
+#: op-level replay takes over from that position.
+FALLBACK_BEFORE_FIRST_LOSER = build(
+    {"o0": 0.7, "o1": 0.15, "o2": 0.7, "o3": 0.05},
+    {"q0": ["o1", "o0", "o2", "o3"], "q1": ["o3", "o0", "o1", "o2"],
+     "q2": ["o3", "o2", "o0"], "q3": ["o0", "o3"], "q4": ["o0"],
+     "q5": ["o2", "o1", "o3", "o0"]},
+    {"q0": 5.0, "q1": 2.0, "q2": 2.0, "q3": 1.0, "q4": 1.0, "q5": 5.0},
+    capacity=1.5999999989999998,
+)
+
+#: Everyone wins: the walk fills the capacity to exactly 1.7.  The
+#: replay without q2 sums the same operators in other groupings and
+#: reaches 1.7000000000000002 at q1, so it cannot re-admit q1.  A
+#: replay that trusted the walk's admissions would report
+#: last(q2) = q1.
+FALLBACK_DECIDES_LAST = build(
+    {"o0": 0.35, "o1": 0.15, "o2": 0.05, "o3": 0.7, "o4": 0.45},
+    {"q0": ["o2", "o3"], "q1": ["o0", "o4", "o1", "o2", "o3"],
+     "q2": ["o2", "o1"]},
+    {"q0": 3.0, "q1": 3.0, "q2": 3.0},
+    capacity=1.6999999989999999,
+)
+
+#: Under CAT+, the replay without q1 fails the fit test at a position
+#: whose margin it takes from the walk (no operator of q1 comes back
+#: there): q1's boundary is then decided by the op-level replay from
+#: that position.  A replay that trusted the walk's admission there
+#: would report no boundary for q1.
+FALLBACK_AT_RECORDED_MARGIN = build(
+    {"o0": 0.3, "o1": 0.45, "o2": 1 / 3, "o3": 0.2, "o4": 1 / 7,
+     "o5": 0.35},
+    {"q0": ["o0", "o3", "o4", "o1"], "q1": ["o4", "o3", "o2"],
+     "q2": ["o4", "o3", "o5", "o1", "o2"],
+     "q3": ["o2", "o5", "o3", "o0", "o1"], "q4": ["o2", "o5", "o3"],
+     "q5": ["o2"]},
+    {"q0": 2.0, "q1": 3.0, "q2": 4.0, "q3": 1.0, "q4": 3.0, "q5": 4.0},
+    capacity=1.776190475190476,
+)
+
+#: The winner test already holds before the first replayed position,
+#: and admitting that position undoes it: the reference finds no
+#: boundary there.
+TEST_UNDONE_BY_FIRST_ADMISSION = build(
+    {"o0": 0.6, "o1": 0.3333333333333333, "o2": 0.15},
+    {"q0": ["o1", "o0"], "q1": ["o0"], "q2": ["o1", "o0", "o2"],
+     "q3": ["o2", "o0"], "q4": ["o1"], "q5": ["o0", "o1"]},
+    {"q0": 1.0, "q1": 2.0, "q2": 2.0, "q3": 2.0, "q4": 1.0, "q5": 4.0},
+    capacity=1.0833333323333332,
+)
+
+
+@pytest.mark.parametrize("measure", ["total", "fair_share"])
+@pytest.mark.parametrize(
+    "instance", [FALLBACK_BEFORE_FIRST_LOSER, FALLBACK_DECIDES_LAST,
+                 FALLBACK_AT_RECORDED_MARGIN,
+                 TEST_UNDONE_BY_FIRST_ADMISSION],
+    ids=["fallback", "fallback-decides", "fallback-recorded", "undone"])
+def test_float_edge_lasts_equal_single_replays(instance, measure):
+    from repro.core.movement_window import find_last as ref_find_last
+
+    index = InstanceIndex.of(instance)
+    loads = getattr(index, f"{measure}_loads")
+    order = density_order(index, loads)
+    winners, first_loser, lasts = skip_over_walk(index, order)
+    order_queries = [instance.queries[qi] for qi in order]
+    reference = greedy_admit(instance, order_queries, skip_over=True)
+    assert [index.query_ids[qi] for qi in winners] == [
+        q.query_id for q in reference.winners]
+    assert (None if first_loser is None
+            else index.query_ids[first_loser]) == (
+        None if reference.first_loser is None
+        else reference.first_loser.query_id)
+    for qi in winners:
+        expected = ref_find_last(
+            instance, order_queries, instance.queries[qi])
+        assert lasts[qi] == (None if expected is None
+                             else index.query_ids.index(expected.query_id))
+    # And so the mechanism whose order this is charges what the
+    # reference charges.
+    from repro.core import make_mechanism
+
+    name = {"total": "CAT+", "fair_share": "CAF+"}[measure]
+    fast = make_mechanism(name).run(instance, selection="fast")
+    reference = make_mechanism(name).run(instance, selection="reference")
+    assert fast.payments == reference.payments
+    assert fast.details == reference.details
+
+
+#: Loads where the summation order shows: 1e16 + 1.0 rounds back to
+#: 1e16, so each query's measures depend on its declared order.
+ORDER_SENSITIVE_LOADS = [1e16, 1.0, 1.0, 1e16, 0.5, 3.0, 1.0, 2.0 ** -40,
+                         1e15, 1.0, 0.25, 7.0, 1.0, 1e16]
+
+
+def _order_sensitive_instance():
+    shared = {f"s{i}": load for i, load in enumerate(ORDER_SENSITIVE_LOADS)}
+    private = {f"p{i}": load for i, load in enumerate(ORDER_SENSITIVE_LOADS)}
+    names = list(shared)
+    specs = {
+        "forward": names,
+        "backward": names[::-1],
+        "ones_first": names[1:3] + names[5:] + names[:1] + names[3:5],
+        "twelve": names[2:],
+        "single": ["s1"],
+        "private": list(private),
+    }
+    return build({**shared, **private}, specs,
+                 {qid: 1.0 for qid in specs}, capacity=1e17)
+
+
+class TestColumnPasses:
+    def test_order_sensitive_loads_sum_left_to_right(self):
+        instance = _order_sensitive_instance()
+        index = InstanceIndex(instance)
+        totals, fairs = [], []
+        for query in instance.queries:
+            total = fair = 0.0
+            for op_id in query.operator_ids:
+                load = instance.operator(op_id).load
+                total += load
+                fair += load / instance.sharing_degree(op_id)
+            totals.append(total)
+            fairs.append(fair)
+        assert [x.hex() for x in index.total_loads_list] == [
+            x.hex() for x in totals]
+        assert [x.hex() for x in index.fair_share_loads_list] == [
+            x.hex() for x in fairs]
+        assert index.total_loads.tolist() == index.total_loads_list
+        assert index.fair_share_loads.tolist() == (
+            index.fair_share_loads_list)
+        # The same operators in another order sum to other floats.
+        assert len(set(totals[:3])) > 1
+
+    def test_structure_of_a_ragged_instance(self):
+        instance = _order_sensitive_instance()
+        index = InstanceIndex(instance)
+        op_ids = index.op_ids
+        assert index.sharing.tolist() == [
+            instance.sharing_degree(op_id) for op_id in op_ids]
+        assert index.simple_queries == [
+            all(instance.sharing_degree(op_id) == 1
+                for op_id in query.operator_ids)
+            for query in instance.queries]
+        assert index.simple_queries[-1] and not any(
+            index.simple_queries[:-1])
+        for o, op_id in enumerate(op_ids):
+            members = index.op_members[index.op_ptr[o]:index.op_ptr[o + 1]]
+            assert members.tolist() == [
+                qi for qi, query in enumerate(instance.queries)
+                if op_id in query.operator_ids]
 
 
 class TestOptimalSinglePrice:
@@ -256,7 +408,7 @@ class TestEmptyInstance:
         instance = AuctionInstance({}, (), capacity=5.0)
         index = InstanceIndex.of(instance)
         assert density_order(index, index.total_loads) == []
-        winners, lost, tracker = greedy_walk(index, [], skip_over=False)
+        winners, lost, tracker = greedy_walk(index, [])
         assert winners == [] and lost is None and tracker.used == 0.0
 
 

@@ -153,6 +153,22 @@ class TestAuctionInstance:
     def test_with_capacity(self):
         assert make_instance().with_capacity(100.0).capacity == 100.0
 
+    def test_with_capacity_starts_without_the_index(self):
+        from repro.core.fastpath import InstanceIndex
+
+        source = make_instance()
+        InstanceIndex.of(source)
+        clone = source.with_capacity(9.0)
+        # The index is per instance: the copy builds its own.
+        assert "_fastpath_cache" not in clone.__dict__
+        assert InstanceIndex.of(clone).capacity == 9.0
+        assert clone == AuctionInstance(source.operators, source.queries, 9.0)
+
+    @pytest.mark.parametrize("capacity", [0.0, -1.0, float("nan")])
+    def test_with_capacity_checks_the_capacity(self, capacity):
+        with pytest.raises(ValidationError):
+            make_instance().with_capacity(capacity)
+
     def test_truthful_resets_bids(self):
         instance = make_instance().with_bid("q1", 2.0)
         truthful = instance.truthful()

@@ -507,7 +507,9 @@ class TestWireHardening:
         (shard,) = clean["shards"]
         assert len(shard["admitted"]) == 3
 
-    @pytest.mark.parametrize("target", ["service", "federation", "driver"])
+    @pytest.mark.parametrize(
+        "target", ["service", "federation", "driver",
+                   "driver+subscriptions"])
     def test_overflowing_load_is_rejected_and_the_period_clears(
             self, target, monkeypatch):
         """A finite cost times the stream rate can overflow to an
@@ -515,7 +517,9 @@ class TestWireHardening:
         federation prices at the tick; the auction leaves that query
         out and reports it rejected, the query beside it is admitted,
         the next period settles normally, and every body is strict
-        JSON."""
+        JSON.  The poisoned query outbids its neighbour, so GV would
+        meet it first.  A driver with subscriptions prices each
+        category's auction itself, and leaves it out the same way."""
         def reject(token):
             raise ValueError(f"non-JSON token {token}")
 
@@ -535,16 +539,24 @@ class TestWireHardening:
             capacity=100.0, mechanism="GV", ticks_per_period=4)
         host = cluster if target == "federation" else cluster.shards[0]
 
+        if target == "driver":
+            host = SimulationDriver(host)
+        elif target == "driver+subscriptions":
+            host = SimulationDriver(
+                host, subscriptions=SubscriptionOptions(seed=0))
+        category = "day" if target == "driver+subscriptions" else None
+
         async def go():
-            gateway = await started_gateway(
-                SimulationDriver(host) if target == "driver" else host)
+            gateway = await started_gateway(host)
             reports = []
             async with GatewayClient(*gateway.address) as client:
                 for batch in (("poisoned", "harmless"), ("later",)):
                     for qid in batch:
+                        poisoned = qid == "poisoned"
                         status, _ = await client.submit(select_query(
-                            qid, "o", bid=10.0,
-                            cost=1e308 if qid == "poisoned" else 1.0))
+                            qid, "o", bid=20.0 if poisoned else 10.0,
+                            cost=1e308 if poisoned else 1.0),
+                            category=category)
                         assert status == 200
                     status, body = await client.tick()
                     assert status == 200

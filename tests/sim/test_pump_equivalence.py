@@ -11,12 +11,15 @@ cluster-routed runs, plus the edges: bursts, near-empty blocks,
 mid-run checkpoint stitching, and trace record/replay.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.io import save_sim_trace
 from repro.sim import SimulationDriver, SubscriptionOptions
+from repro.sim.trace import SimTrace, TraceColumns
 
 from tests.sim.test_equivalence import (
     build_cluster,
@@ -199,3 +202,46 @@ class TestPumpTraceReplay:
         replayed = replay.run(4)
         assert report_bytes(replayed) == report_bytes(live_reports)
         assert replay.events_processed == live.events_processed
+
+    def test_overflowing_rows_clear_as_if_they_never_came(self, tmp_path):
+        """Every fifth recorded row re-costed to 1e308 (an infinite
+        load at this rate) and bidding far above the rest: the columnar
+        boundary and the object one both leave those rows out of their
+        category's auction and report them rejected, and everyone else
+        clears as in a trace without them.  GV meets the poisoned rows
+        first: taken in, they would stop each auction they enter."""
+        live, _ = run_driver(
+            build_service(), record=True,
+            arrivals="poisson:rate=4,seed=21",
+            subscriptions=SubscriptionOptions(seed=2))
+        columns = live.trace().columns()
+        clean = TraceColumns(**{
+            name.name: [value for row, value in
+                        enumerate(getattr(columns, name.name)) if row % 5]
+            for name in dataclasses.fields(TraceColumns)})
+        poisoned = columns.copy()
+        for row in range(0, len(poisoned), 5):
+            poisoned.costs[row] = 1e308
+            poisoned.bids[row] = 1e6
+
+        def replay(trace_columns, name):
+            path = tmp_path / f"{name}.trace.npz"
+            save_sim_trace(SimTrace(trace_columns), path)
+            return assert_all_paths_identical(
+                build_service, arrivals=f"trace:path={path}",
+                subscriptions=SubscriptionOptions(seed=2, mechanism="GV"))
+
+        expected = replay(clean, "clean")
+        pumped = replay(poisoned, "poisoned")
+        assert pumped.metrics_snapshot()["pump"]["fallbacks"] == 0
+        assert ([report.admitted for report in pumped.reports]
+                == [report.admitted for report in expected.reports])
+        assert pumped.total_revenue() == expected.total_revenue()
+        # Rows arriving after the last boundary are never auctioned.
+        dropped = set(poisoned.ids[::5])
+        rejected = {query_id for report in pumped.reports
+                    for query_id in report.rejected}
+        assert dropped & rejected
+        assert rejected - dropped == {
+            query_id for report in expected.reports
+            for query_id in report.rejected}
