@@ -113,10 +113,14 @@ class StreamEngine:
 
         Checked before any state mutates, so callers (and the
         transition phase) can rely on a failed admission leaving the
-        engine untouched.
+        engine untouched.  A plan that reads only this engine's sources
+        is valid without looking up shared or own operators.
         """
-        sources, shared = self._sources, self.catalog.operator_ids
-        own = query.operator_ids
+        sources = self._sources
+        if all(name in sources for op in query.operators
+               for name in op.inputs):
+            return
+        shared, own = self.catalog.operator_ids, query.operator_ids
         missing = sorted({name for op in query.operators
                           for name in op.inputs
                           if name not in sources and name not in shared

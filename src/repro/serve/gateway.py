@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import inspect
 import itertools
 import sys
 import time
@@ -294,6 +295,32 @@ _RID_TOKEN = b'"request_id":"\\u0001rid\\u0001"'
 _RID_PREFIX = b'"request_id":"'
 
 
+class ServiceLock(asyncio.Lock):
+    """The service lock, which a request can also take without waiting."""
+
+    def acquire_now(self) -> bool:
+        """Take the lock if :meth:`acquire` would grant it without
+        suspending — it is free and nobody is queued for it."""
+        # asyncio.Lock's own state (3.11–3.13): a release hands the
+        # lock to the first waiter *before* it runs, so "free" alone
+        # would let this caller in ahead of it.
+        if self._locked or self._waiters:
+            return False
+        self._locked = True
+        return True
+
+
+async def _after_commit(receipt: "asyncio.Future", fields: dict) -> dict:
+    """*fields*, once the group commit holding the mutation is durable."""
+    await receipt
+    return fields
+
+
+#: The counter key for every path the gateway does not route, so
+#: made-up paths cannot grow ``/metrics`` one key at a time.
+_UNROUTED = "(unrouted)"
+
+
 # ----------------------------------------------------------------------
 # The gateway
 # ----------------------------------------------------------------------
@@ -394,10 +421,13 @@ class AdmissionGateway:
         ...
         await gateway.stop()       # drain + final settle
 
-    All service access is serialized by one asyncio lock; submits run
-    synchronously under it (cancel-safe), the period settle runs in a
-    worker thread with the lock released by its done-callback so a
-    timed-out client cannot release it mid-auction.
+    All service access is serialized by one asyncio lock.  A data-plane
+    request that finds it free (and nobody queued) runs its handler
+    under it and is answered in the callback that read it; one that
+    would have to wait — for the lock, a group commit, or a settle —
+    is finished by its connection's one task.  The period settle runs
+    in a worker thread with the lock released by its done-callback so
+    a timed-out client cannot release it mid-auction.
     """
 
     def __init__(self, target: object,
@@ -408,7 +438,7 @@ class AdmissionGateway:
             path=self.config.log_path,
             stream=None if self.config.quiet else sys.stderr)
         self._server: "asyncio.AbstractServer | None" = None
-        self._lock = asyncio.Lock()
+        self._lock = ServiceLock()
         self._budget = RetryBudget(
             deposit=self.config.retry_deposit,
             initial=self.config.retry_initial,
@@ -421,7 +451,7 @@ class AdmissionGateway:
         self._stopped = False
         self._started_at: "float | None" = None
         self._tick_task: "asyncio.Task | None" = None
-        self._connections: set = set()
+        self._connections: "set[_Connection]" = set()
         self._backend_cache: "dict | None" = None
         self._wal = None
         self._committer = None
@@ -468,8 +498,8 @@ class AdmissionGateway:
                     compact_every=self.config.compact_every)
                 self._attach_committer()
         self._backend_stats()       # prime the open-tier snapshot
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port)
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.config.host, self.config.port)
         self.port = self._server.sockets[0].getsockname()[1]
         self._started_at = time.monotonic()
         if recover:
@@ -585,13 +615,21 @@ class AdmissionGateway:
             self._wal.sync()
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-        # Closing idle keep-alive connections sends their handlers a
-        # clean EOF, so no task is left to be cancelled at loop exit.
-        for writer in list(self._connections):
-            writer.close()
+        # Idle keep-alive connections close once their answers are
+        # flushed; one whose peer will not read them is cut after the
+        # drain timeout.  This comes before ``wait_closed``, which
+        # (from Python 3.12.1) waits for every connection to drop.
+        for connection in list(self._connections):
+            connection.transport.close()
+        deadline = loop.time() + self.config.drain_timeout
+        while self._connections and loop.time() < deadline:
+            await asyncio.sleep(0.005)
+        for connection in list(self._connections):
+            connection.transport.abort()
         while self._connections:
             await asyncio.sleep(0.005)
+        if self._server is not None:
+            await self._server.wait_closed()
         if self._wal is not None:
             self._wal.close()
         self._stopped = True
@@ -616,118 +654,134 @@ class AdmissionGateway:
 
     # -- connection handling -------------------------------------------
 
-    async def _handle_connection(self, reader, writer) -> None:
-        peer = writer.get_extra_info("peername")
-        client_host = str(peer[0]) if peer else "unknown"
-        self._connections.add(writer)
-        try:
-            while True:
-                try:
-                    request = await http.read_request(
-                        reader, max_body=self.config.max_body)
-                except HttpError as exc:
-                    writer.write(self._render_error(
-                        exc, "r000000", keep_alive=False))
-                    await writer.drain()
-                    return
-                if request is None:
-                    return
-                payload, keep_alive = await self._respond(
-                    request, client_host)
-                writer.write(payload)
-                await writer.drain()
-                if not keep_alive:
-                    return
-        except (ConnectionResetError, BrokenPipeError,
-                asyncio.IncompleteReadError):
-            pass
-        finally:
-            self._connections.discard(writer)
-            writer.close()
-            # Swallowing CancelledError here is deliberate: the
-            # response (if any) is already written, the coroutine ends
-            # on the next line, and ending it cleanly instead of
-            # cancelled keeps loop teardown quiet.
-            with contextlib.suppress(Exception, asyncio.CancelledError):
-                await writer.wait_closed()
-
-    def _render_error(self, exc: HttpError, request_id: str,
-                      keep_alive: bool = True) -> bytes:
+    @staticmethod
+    def _error(exc: Exception, request_id: str):
+        """The status, body and headers that answer *exc*."""
         headers = {}
-        if exc.retry_after is not None:
-            headers["Retry-After"] = f"{max(exc.retry_after, 0.0):.3f}"
-        body = http.json_body(serve_response_to_dict(
-            "error", request_id, error=exc.message))
-        return http.render_response(exc.status, body, headers=headers,
-                                    keep_alive=keep_alive)
+        if isinstance(exc, HttpError):
+            status, message = exc.status, exc.message
+            if exc.retry_after is not None:
+                headers["Retry-After"] = f"{max(exc.retry_after, 0.0):.3f}"
+        elif isinstance(exc, ValidationError):
+            status, message = 400, str(exc)
+        else:
+            status = 500
+            message = f"internal error: {type(exc).__name__}: {exc}"
+        return status, http.json_body(serve_response_to_dict(
+            "error", request_id, error=message)), headers
 
-    async def _respond(
-        self, request: HttpRequest, client_host: str,
-    ) -> tuple[bytes, bool]:
+    def _render_error(self, exc: HttpError) -> bytes:
+        """The answer to bytes that did not parse as a request (the
+        connection closes after it: its framing is lost)."""
+        status, body, headers = self._error(exc, "r000000")
+        return http.render_response(status, body, headers=headers,
+                                    keep_alive=False)
+
+    def _respond(self, request: HttpRequest, client_host: str):
+        """Answer one request: ``(payload, keep_alive)``, or an
+        awaitable of that pair when the answer has to wait.
+
+        A data-plane handler runs here, under the service lock, when
+        the lock is free and nobody is queued for it.  It waits when
+        the lock is not (the connection's task then queues for it
+        under the timeout, lock-patience and retry-budget rules), and
+        when the handler's result is awaitable — ``/v1/tick``, a
+        group-commit receipt, or an ``async def`` handler — which is
+        then awaited with the lock released.
+        """
         request_id = f"r{next(self._ids):06d}"
-        client = request.headers.get("x-client-id", client_host)
         started = time.monotonic()
-        headers: dict[str, str] = {}
         tier = None
-        raw: "bytes | None" = None
         try:
             handler, tier = self._route(request)
             if tier == "open":
-                document = handler()
-                if isinstance(document, (bytes, bytearray)):
-                    raw, document = bytes(document), None
-                status = 200
+                result = handler()
             else:
-                self._gate(client, client_host)
+                self._gate(request.headers.get("x-client-id", client_host),
+                           client_host)
                 self._budget.record_request()
                 self._inflight += 1
-                timeout = (self.config.slow_timeout if tier == "slow"
-                           else self.config.fast_timeout)
+                if tier == "slow" or not self._lock.acquire_now():
+                    return self._respond_later(
+                        request, request_id, client_host, started, tier,
+                        handler, None)
                 try:
-                    async with asyncio.timeout(timeout):
-                        fields = await handler(request, request_id)
-                except TimeoutError:
-                    self.counters["timeouts"] += 1
-                    raise HttpError(
-                        504, f"{request.path} timed out after "
-                             f"{timeout:g}s") from None
-                finally:
+                    result = handler(request, request_id)
+                except BaseException:
                     self._inflight -= 1
-                if isinstance(fields, RawBody):
-                    raw, document = fields.body, None
-                else:
-                    document = serve_response_to_dict(
-                        "ok", request_id, **fields)
-                status = 200
-        except HttpError as exc:
-            status = exc.status
-            document = serve_response_to_dict(
-                "error", request_id, error=exc.message)
-            if exc.retry_after is not None:
-                headers["Retry-After"] = (
-                    f"{max(exc.retry_after, 0.0):.3f}")
-        except ValidationError as exc:
-            status = 400
-            document = serve_response_to_dict(
-                "error", request_id, error=str(exc))
-        except Exception as exc:  # noqa: BLE001 - the server must stand
-            status = 500
-            document = serve_response_to_dict(
-                "error", request_id,
-                error=f"internal error: {type(exc).__name__}: {exc}")
+                    raise
+                finally:
+                    self._lock.release()
+                if inspect.isawaitable(result):
+                    return self._respond_later(
+                        request, request_id, client_host, started, tier,
+                        handler, result)
+                self._inflight -= 1
+        except Exception as exc:  # noqa: BLE001 - answered, not raised
+            result = exc
+        return self._reply(request, request_id, client_host, started,
+                           tier, result)
+
+    async def _respond_later(self, request, request_id, client_host,
+                             started, tier, handler, pending):
+        """Finish a request that had to wait (see :meth:`_respond`)."""
+        timeout = (self.config.slow_timeout if tier == "slow"
+                   else self.config.fast_timeout)
+        try:
+            try:
+                async with asyncio.timeout(timeout):
+                    if pending is None and tier == "fast":
+                        async with self._service_lock(
+                                request_id, request.path.rsplit("/")[-1]):
+                            pending = handler(request, request_id)
+                    elif pending is None:
+                        pending = handler(request, request_id)
+                    result = (await pending if inspect.isawaitable(pending)
+                              else pending)
+            except TimeoutError:
+                self.counters["timeouts"] += 1
+                raise HttpError(
+                    504, f"{request.path} timed out after "
+                         f"{timeout:g}s") from None
+            finally:
+                self._inflight -= 1
+        except Exception as exc:  # noqa: BLE001 - answered, not raised
+            result = exc
+        return self._reply(request, request_id, client_host, started,
+                           tier, result)
+
+    def _reply(self, request, request_id, client_host, started, tier,
+               result) -> tuple[bytes, bool]:
+        """Account for, log and render one answer."""
+        status, headers = 200, None
+        try:
+            if isinstance(result, Exception):
+                raise result
+            if isinstance(result, RawBody):
+                body = result.body
+            elif isinstance(result, (bytes, bytearray)):
+                body = bytes(result)
+            else:
+                body = http.json_body(result if tier == "open" else
+                                      serve_response_to_dict(
+                                          "ok", request_id, **result))
+        except Exception as exc:  # noqa: BLE001 - answered, not raised
+            status, body, headers = self._error(exc, request_id)
         elapsed = time.monotonic() - started
         if tier in ("fast", "slow"):
             self._latency[tier].append(elapsed)
-        self.counters[f"{request.path}:{status}"] += 1
-        self.log.log(
-            "request",
-            level="error" if status >= 500 else "info",
-            request_id=request_id, client=client,
-            method=request.method, path=request.path, status=status,
-            ms=round(elapsed * 1000.0, 3),
-            params=dict(request.params) or None)
+        path = request.path if request.path in self._ROUTES else _UNROUTED
+        self.counters[f"{path}:{status}"] += 1
+        if self.log.enabled:
+            self.log.log(
+                "request",
+                level="error" if status >= 500 else "info",
+                request_id=request_id,
+                client=request.headers.get("x-client-id", client_host),
+                method=request.method, path=request.path, status=status,
+                ms=round(elapsed * 1000.0, 3),
+                params=dict(request.params) or None)
         keep_alive = request.keep_alive
-        body = raw if raw is not None else http.json_body(document)
         return (http.render_response(
             status, body, headers=headers,
             keep_alive=keep_alive), keep_alive)
@@ -931,25 +985,23 @@ class AdmissionGateway:
         self._wal.append_op(document)
         return None
 
-    async def _handle_submit(self, request: HttpRequest,
-                             request_id: str) -> dict:
+    # The data-plane handlers run under the service lock, which
+    # :meth:`_respond` holds for them; a group-commit receipt is
+    # returned as an awaitable, awaited once the lock is released.
+
+    def _handle_submit(self, request: HttpRequest, request_id: str):
         parsed = self._parse_request(request)
         if parsed.op not in ("submit", "subscribe"):
             raise ValidationError(
                 f"/v1/submit got a {parsed.op!r} request")
-        async with self._service_lock(request_id, "submit"):
-            shard = self.backend.submit(parsed.query,
-                                        category=parsed.category)
-            receipt = self._wal_append_op(parsed)
-            period = self.backend.period
-            pending = self.backend.pending_count()
-        if receipt is not None:
-            await receipt
-        return {"query_id": parsed.query.query_id, "shard": shard,
-                "period": period, "pending": pending}
+        shard = self.backend.submit(parsed.query, category=parsed.category)
+        receipt = self._wal_append_op(parsed)
+        fields = {"query_id": parsed.query.query_id, "shard": shard,
+                  "period": self.backend.period,
+                  "pending": self.backend.pending_count()}
+        return fields if receipt is None else _after_commit(receipt, fields)
 
-    async def _handle_subscribe(self, request: HttpRequest,
-                                request_id: str) -> dict:
+    def _handle_subscribe(self, request: HttpRequest, request_id: str):
         parsed = self._parse_request(request)
         if parsed.op != "subscribe":
             raise ValidationError(
@@ -959,48 +1011,39 @@ class AdmissionGateway:
                 409, "this gateway's backend takes plain submissions "
                      "only; serve a SimulationDriver with "
                      "subscriptions enabled")
-        async with self._service_lock(request_id, "subscribe"):
-            self.backend.submit(parsed.query, category=parsed.category)
-            receipt = self._wal_append_op(parsed)
-            period = self.backend.period
-            pending = self.backend.pending_count()
-        if receipt is not None:
-            await receipt
-        return {"query_id": parsed.query.query_id,
-                "category": parsed.category,
-                "period": period, "pending": pending}
+        self.backend.submit(parsed.query, category=parsed.category)
+        receipt = self._wal_append_op(parsed)
+        fields = {"query_id": parsed.query.query_id,
+                  "category": parsed.category,
+                  "period": self.backend.period,
+                  "pending": self.backend.pending_count()}
+        return fields if receipt is None else _after_commit(receipt, fields)
 
-    async def _handle_withdraw(self, request: HttpRequest,
-                               request_id: str) -> dict:
+    def _handle_withdraw(self, request: HttpRequest, request_id: str):
         parsed = self._parse_request(request)
         if parsed.op != "withdraw":
             raise ValidationError(
                 f"/v1/withdraw got a {parsed.op!r} request")
-        async with self._service_lock(request_id, "withdraw"):
-            try:
-                self.backend.withdraw(parsed.query_id)
-            except ValidationError as exc:
-                # Only the id that was asked for: the backend's message
-                # may name other clients' pending ids.
-                raise HttpError(
-                    404, f"unknown query id {parsed.query_id!r}; "
-                         f"nothing to withdraw") from exc
-            receipt = self._wal_append_op(parsed)
-            pending = self.backend.pending_count()
-        if receipt is not None:
-            await receipt
-        return {"query_id": parsed.query_id, "withdrawn": True,
-                "pending": pending}
+        try:
+            self.backend.withdraw(parsed.query_id)
+        except ValidationError as exc:
+            # Only the id that was asked for: the backend's message
+            # may name other clients' pending ids.
+            raise HttpError(
+                404, f"unknown query id {parsed.query_id!r}; "
+                     f"nothing to withdraw") from exc
+        receipt = self._wal_append_op(parsed)
+        fields = {"query_id": parsed.query_id, "withdrawn": True,
+                  "pending": self.backend.pending_count()}
+        return fields if receipt is None else _after_commit(receipt, fields)
 
-    async def _handle_report(self, request: HttpRequest,
-                             request_id: str) -> RawBody:
-        async with self._service_lock(request_id, "report"):
-            cache = self._report_cache
-            if cache is None or cache[0] != self._settle_generation:
-                cache = self._render_report_cache()
-        prefix, suffix = cache[1], cache[2]
+    def _handle_report(self, request: HttpRequest,
+                       request_id: str) -> RawBody:
+        cache = self._report_cache
+        if cache is None or cache[0] != self._settle_generation:
+            cache = self._render_report_cache()
         return RawBody(b"".join(
-            (prefix, request_id.encode("ascii"), suffix)))
+            (cache[1], request_id.encode("ascii"), cache[2])))
 
     def _render_report_cache(self) -> "tuple[int, bytes, bytes]":
         """Render /v1/report once per settle generation.
@@ -1144,6 +1187,105 @@ class AdmissionGateway:
         if stats["probe"] is not None:
             document["probe"] = stats["probe"]
         return document
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection: requests in, answers out, in order.
+
+    Received bytes go into a :class:`~repro.serve.http.RequestParser`,
+    and each complete request is answered by
+    :meth:`AdmissionGateway._respond` in the callback that read it —
+    unless its answer has to wait.  Then :attr:`waiting`, the
+    connection's one task, finishes it, and the requests pipelined
+    behind it stay in the buffer, neither run nor answered, until it
+    has: requests run and are answered in the order they arrived.  A
+    peer that does not read its answers stops the connection taking
+    requests, and one that keeps sending while none are taken is no
+    longer read.
+    """
+
+    #: Unparsed bytes past which reading pauses while no request is
+    #: being taken (the buffer limit an asyncio stream applies).
+    READ_HIGH_WATER = http.MAX_HEAD
+
+    def __init__(self, gateway: AdmissionGateway) -> None:
+        self.gateway = gateway
+        self.parser = http.RequestParser(max_body=gateway.config.max_body)
+        self.transport: "asyncio.Transport | None" = None
+        self.peer = "unknown"
+        self.waiting: "asyncio.Task | None" = None
+        self.writing_paused = False
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        peer = transport.get_extra_info("peername")
+        self.peer = str(peer[0]) if peer else "unknown"
+        self.gateway._connections.add(self)
+
+    def connection_lost(self, exc) -> None:
+        self.gateway._connections.discard(self)
+
+    def data_received(self, data: bytes) -> None:
+        self.parser.feed(data)
+        self._serve()
+
+    def eof_received(self) -> bool:
+        self.parser.feed_eof()
+        self._serve()
+        # Half-closed: answers still owed go out before we close.
+        return True
+
+    def pause_writing(self) -> None:
+        self.writing_paused = True
+
+    def resume_writing(self) -> None:
+        self.writing_paused = False
+        self._serve()
+
+    def _serve(self) -> None:
+        """Answer buffered requests in order until one has to wait."""
+        transport = self.transport
+        while (self.waiting is None and not self.writing_paused
+               and not transport.is_closing()):
+            try:
+                request = self.parser.next_request()
+            except HttpError as exc:
+                transport.write(self.gateway._render_error(exc))
+                transport.close()
+                return
+            if request is None:
+                if self.parser.finished:
+                    transport.close()
+                break
+            answer = self.gateway._respond(request, self.peer)
+            if isinstance(answer, tuple):
+                self._send(*answer)
+            else:
+                self.waiting = asyncio.get_running_loop().create_task(
+                    self._answer_later(answer))
+        if self.waiting is not None or self.writing_paused:
+            if self.parser.buffered > self.READ_HIGH_WATER:
+                transport.pause_reading()
+        elif not transport.is_reading():
+            transport.resume_reading()
+
+    def _send(self, payload: bytes, keep_alive: bool) -> None:
+        self.transport.write(payload)
+        if not keep_alive:
+            self.transport.close()
+
+    async def _answer_later(self, answer) -> None:
+        try:
+            payload, keep_alive = await answer
+        except BaseException:
+            self.transport.close()
+            raise
+        finally:
+            self.waiting = None
+        # A peer gone meanwhile gets nothing; its request still ran.
+        if not self.transport.is_closing():
+            self._send(payload, keep_alive)
+            self._serve()
 
 
 async def serve_forever(target: object,

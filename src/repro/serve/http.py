@@ -1,16 +1,29 @@
-"""Minimal HTTP/1.1 framing over asyncio streams.
+"""Minimal HTTP/1.1: one message parser, a server and a client framing.
 
 The gateway speaks plain HTTP/JSON so any client — curl, a browser, a
 load balancer's health checker — can talk to it, but the container
 ships no HTTP library; this module is the small, strict subset the
 gateway and its load generator need: request/response line parsing,
-headers, ``Content-Length`` bodies, and keep-alive.  Both directions
-live here so the server (:func:`read_request`) and the client
-(:func:`read_response`) cannot drift apart.
+headers, ``Content-Length`` bodies, and keep-alive.
 
-Framing limits are explicit arguments — an over-long request line or
-an oversized body raises :class:`HttpError` with the right status
-(431/413) instead of buffering unboundedly.
+One synchronous parser reads every message head and declares every
+body length (:func:`_parse_head`, :func:`_body_length`), so the two
+ways bytes arrive cannot drift apart:
+
+* the gateway's server is an ``asyncio.Protocol`` that feeds whatever
+  the socket delivers into a :class:`RequestParser` and takes complete
+  requests off its buffer — no stream reader, task or coroutine per
+  request;
+* the load generator's client, and anything else holding an
+  ``asyncio.StreamReader``, reads one message at a time with
+  :func:`read_request` / :func:`read_response`: a ``readuntil`` for the
+  head and a ``readexactly`` for the body around the same parser.
+
+Framing limits are explicit arguments — an over-long request line, a
+head over :data:`MAX_HEAD` or an oversized body raises
+:class:`HttpError` with the right status (431/413) instead of buffering
+unboundedly, and a ``Transfer-Encoding`` body is refused (501, or 400
+beside a ``Content-Length``) before anything acts on the message.
 """
 
 from __future__ import annotations
@@ -36,6 +49,7 @@ REASONS = {
     429: "Too Many Requests",
     431: "Request Header Fields Too Large",
     500: "Internal Server Error",
+    501: "Not Implemented",
     503: "Service Unavailable",
     504: "Gateway Timeout",
 }
@@ -96,50 +110,55 @@ class HttpResponse:
                 f"response body is not valid JSON: {exc}") from exc
 
 
-async def _read_head(
-    reader: asyncio.StreamReader, max_line: int, max_headers: int
-) -> "tuple[str, dict[str, str]] | None":
-    """The start line and headers of one message; ``None`` on clean EOF.
+#: The longest message head (start line, headers and the blank line
+#: before the body) either entry point buffers before answering 431 —
+#: the buffer limit asyncio streams apply by default.
+MAX_HEAD = 1 << 16
 
-    The whole head is one ``readuntil`` — one coroutine call however
-    many headers there are — so it is bounded by the reader's buffer
-    limit (64 KiB unless the stream was opened with another) as well as
-    by *max_line* per line and *max_headers* lines: over any of them is
-    a 431.  Lines end in CRLF; a bare LF is not a terminator (RFC 9112
-    lets a server insist), so one inside a CRLF-framed head is a 400
-    and a head framed in bare LFs alone never completes — 400 when the
-    peer closes, 431 when it outgrows the buffer.
+
+def _parse_head(head: bytes, max_line: int,
+                max_headers: int) -> tuple[str, dict[str, str]]:
+    """The start line and headers of one head (its final CRLFCRLF cut).
+
+    Lines end in CRLF; a bare LF is not a terminator (RFC 9112 lets a
+    server insist), so one inside a CRLF-framed head is a 400.  Over
+    *max_line* per line or *max_headers* lines is a 431.
     """
-    try:
-        head = await reader.readuntil(b"\r\n\r\n")
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise HttpError(
-            400, f"connection closed mid-head after "
-                 f"{len(exc.partial)} bytes") from exc
-    except asyncio.LimitOverrunError as exc:
-        raise HttpError(431, f"header block too long: {exc}") from exc
-    text = head[:-4].decode("latin-1")
-    start, *lines = text.split("\r\n")
-    if text.count("\n") != len(lines) or text.count("\r") != len(lines):
+    text = head.decode("latin-1")
+    lines = text.split("\r\n")
+    count = len(lines) - 1
+    if text.count("\n") != count or text.count("\r") != count:
         raise HttpError(400, "bare CR or LF in the message head")
-    if max(map(len, (start, *lines))) + 2 > max_line:
+    if max(map(len, lines)) + 2 > max_line:
         raise HttpError(431, "header line too long")
-    if len(lines) > max_headers:
+    if count > max_headers:
         raise HttpError(431, "too many headers")
     headers: dict[str, str] = {}
-    for line in lines:
+    for line in lines[1:]:
         name, sep, value = line.partition(":")
         if not sep:
             raise HttpError(400, f"malformed header line {line!r}")
         headers[name.strip().lower()] = value.strip()
-    return start, headers
+    return lines[0], headers
 
 
-async def _read_body(
-    reader: asyncio.StreamReader, headers: dict[str, str], max_body: int
-) -> bytes:
+def _body_length(headers: dict[str, str], max_body: int) -> int:
+    """The body length the head declares.
+
+    Only ``Content-Length`` framing is read.  A ``Transfer-Encoding``
+    is refused before anything acts on the message: with a
+    ``Content-Length`` beside it the framing is ambiguous (400, RFC
+    9112 §6.3), alone it is a framing this parser does not implement
+    (501) — reading its chunks as the next message would be worse.
+    """
+    if "transfer-encoding" in headers:
+        if "content-length" in headers:
+            raise HttpError(
+                400, "both Transfer-Encoding and Content-Length given")
+        raise HttpError(
+            501, f"Transfer-Encoding "
+                 f"{headers['transfer-encoding']!r} is not supported; "
+                 f"send a Content-Length body")
     raw = headers.get("content-length", "0")
     try:
         length = int(raw)
@@ -151,14 +170,156 @@ async def _read_body(
         raise HttpError(
             413, f"body of {length} bytes exceeds the {max_body}-byte "
                  f"limit")
+    return length
+
+
+def _request_head(head: bytes, max_line: int, max_headers: int,
+                  max_body: int) -> tuple[HttpRequest, int]:
+    """A request with its body still to come, and that body's length."""
+    line, headers = _parse_head(head, max_line, max_headers)
+    parts = line.split()
+    if len(parts) != 3 or not parts[2].startswith("HTTP/1"):
+        raise HttpError(400, f"malformed request line {line!r}")
+    method, target, _version = parts
+    split = urlsplit(target)
+    return HttpRequest(
+        method=method.upper(),
+        target=target,
+        path=split.path or "/",
+        params=dict(parse_qsl(split.query)),
+        headers=headers,
+    ), _body_length(headers, max_body)
+
+
+def _response_head(head: bytes, max_line: int, max_headers: int,
+                   max_body: int) -> tuple[HttpResponse, int]:
+    """A response with its body still to come, and that body's length."""
+    line, headers = _parse_head(head, max_line, max_headers)
+    parts = line.split(None, 2)
+    if len(parts) < 2 or not parts[0].startswith("HTTP/1"):
+        raise HttpError(400, f"malformed status line {line!r}")
+    try:
+        status = int(parts[1])
+    except ValueError:
+        raise HttpError(
+            400, f"malformed status line {line!r}") from None
+    return (HttpResponse(status=status, headers=headers),
+            _body_length(headers, max_body))
+
+
+def _mid_body(got: int, length: int) -> HttpError:
+    return HttpError(
+        400, f"connection closed mid-body ({got}/{length} bytes)")
+
+
+class RequestParser:
+    """Requests out of a byte stream fed in whatever pieces arrive.
+
+    The server's half: :meth:`feed` appends received bytes to one
+    buffer and :meth:`next_request` takes the next complete request
+    off its front (``None`` until one is complete), so pipelined
+    requests come out one at a time, in order.  The head is found
+    without rescanning bytes already searched, and is refused with a
+    431 once it outgrows *max_head* without ending — the bound a
+    stream reader's buffer limit used to give.  After
+    :meth:`feed_eof`, a partial message is a 400 and :attr:`finished`
+    says the peer closed cleanly between messages.
+    """
+
+    def __init__(self, *, max_line: int = 8192, max_headers: int = 64,
+                 max_body: int = 1 << 20, max_head: int = MAX_HEAD) -> None:
+        self.max_line = max_line
+        self.max_headers = max_headers
+        self.max_body = max_body
+        self.max_head = max_head
+        self._buffer = bytearray()
+        #: Where the search for the head's end resumes.
+        self._scanned = 0
+        #: The parsed head whose body is still arriving.
+        self._pending: "tuple[HttpRequest, int] | None" = None
+        self._eof = False
+
+    @property
+    def buffered(self) -> int:
+        """Bytes received and not yet taken as a request."""
+        return len(self._buffer)
+
+    @property
+    def finished(self) -> bool:
+        """The peer closed, and nothing it sent is left unparsed."""
+        return self._eof and not self._buffer and self._pending is None
+
+    def feed(self, data: bytes) -> None:
+        self._buffer += data
+
+    def feed_eof(self) -> None:
+        self._eof = True
+
+    def next_request(self) -> "HttpRequest | None":
+        """The next complete request, or ``None`` until one is."""
+        buffer = self._buffer
+        if self._pending is None:
+            end = buffer.find(b"\r\n\r\n", self._scanned)
+            if end < 0:
+                if len(buffer) - 3 > self.max_head:
+                    raise HttpError(
+                        431, f"header block too long: no end of head "
+                             f"within {self.max_head} bytes")
+                if self._eof and buffer:
+                    raise HttpError(
+                        400, f"connection closed mid-head after "
+                             f"{len(buffer)} bytes")
+                self._scanned = max(0, len(buffer) - 3)
+                return None
+            if end > self.max_head:
+                raise HttpError(
+                    431, f"header block too long: the head ends "
+                         f"{end} bytes in, past the {self.max_head}-byte "
+                         f"limit")
+            self._pending = _request_head(
+                bytes(buffer[:end]), self.max_line, self.max_headers,
+                self.max_body)
+            del buffer[:end + 4]
+            self._scanned = 0
+        request, length = self._pending
+        if len(buffer) < length:
+            if self._eof:
+                raise _mid_body(len(buffer), length)
+            return None
+        if length:
+            request.body = bytes(buffer[:length])
+            del buffer[:length]
+        self._pending = None
+        return request
+
+
+async def _read_head(reader: asyncio.StreamReader) -> "bytes | None":
+    """One message head off *reader*; ``None`` on clean EOF.
+
+    One ``readuntil``, bounded by the reader's buffer limit
+    (:data:`MAX_HEAD` unless the stream was opened with another): a
+    head that outgrows it is a 431, one the peer cuts short a 400.
+    """
+    try:
+        head = await reader.readuntil(b"\r\n\r\n")
+    except asyncio.IncompleteReadError as exc:
+        if not exc.partial:
+            return None
+        raise HttpError(
+            400, f"connection closed mid-head after "
+                 f"{len(exc.partial)} bytes") from exc
+    except asyncio.LimitOverrunError as exc:
+        raise HttpError(431, f"header block too long: {exc}") from exc
+    return head[:-4]
+
+
+async def _read_body(reader: asyncio.StreamReader, length: int) -> bytes:
     if length == 0:
         return b""
     try:
         return await reader.readexactly(length)
     except asyncio.IncompleteReadError as exc:
-        raise HttpError(
-            400, f"connection closed mid-body ({len(exc.partial)}/"
-                 f"{length} bytes)") from exc
+        raise _mid_body(len(exc.partial), length) from exc
 
 
 async def read_request(
@@ -168,25 +329,13 @@ async def read_request(
     max_headers: int = 64,
     max_body: int = 1 << 20,
 ) -> "HttpRequest | None":
-    """Parse one request; ``None`` on a clean connection close."""
-    head = await _read_head(reader, max_line, max_headers)
+    """Parse one request off a stream; ``None`` on a clean close."""
+    head = await _read_head(reader)
     if head is None:
         return None
-    line, headers = head
-    parts = line.split()
-    if len(parts) != 3 or not parts[2].startswith("HTTP/1"):
-        raise HttpError(400, f"malformed request line {line!r}")
-    method, target, _version = parts
-    split = urlsplit(target)
-    body = await _read_body(reader, headers, max_body)
-    return HttpRequest(
-        method=method.upper(),
-        target=target,
-        path=split.path or "/",
-        params=dict(parse_qsl(split.query)),
-        headers=headers,
-        body=body,
-    )
+    request, length = _request_head(head, max_line, max_headers, max_body)
+    request.body = await _read_body(reader, length)
+    return request
 
 
 async def read_response(
@@ -196,21 +345,14 @@ async def read_response(
     max_headers: int = 64,
     max_body: int = 8 << 20,
 ) -> "HttpResponse | None":
-    """Parse one response; ``None`` on a clean connection close."""
-    head = await _read_head(reader, max_line, max_headers)
+    """Parse one response off a stream; ``None`` on a clean close."""
+    head = await _read_head(reader)
     if head is None:
         return None
-    line, headers = head
-    parts = line.split(None, 2)
-    if len(parts) < 2 or not parts[0].startswith("HTTP/1"):
-        raise HttpError(400, f"malformed status line {line!r}")
-    try:
-        status = int(parts[1])
-    except ValueError:
-        raise HttpError(
-            400, f"malformed status line {line!r}") from None
-    body = await _read_body(reader, headers, max_body)
-    return HttpResponse(status=status, headers=headers, body=body)
+    response, length = _response_head(
+        head, max_line, max_headers, max_body)
+    response.body = await _read_body(reader, length)
+    return response
 
 
 #: Precomputed response-head byte pairs, keyed by
@@ -281,7 +423,11 @@ def render_request(
     return head + body
 
 
+#: One encoder for every body: ``json.dumps`` with these options would
+#: build a fresh one per call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def json_body(document: object) -> bytes:
     """A JSON document as compact, sorted, UTF-8 bytes."""
-    return json.dumps(document, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
+    return _ENCODER.encode(document).encode("utf-8")

@@ -91,14 +91,19 @@ class StructuredLog:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._handle = self.path.open("a", encoding="utf-8")
 
+    @property
+    def enabled(self) -> bool:
+        """Whether a record would reach any sink (a quiet gateway's
+        hot path checks this before building one)."""
+        return self.stream is not None or self._handle is not None
+
     def log(self, event: str, level: str = "info", **fields: object) -> dict:
         """Emit one record to every sink; returns the (redacted) record."""
         if level not in _LEVELS:
             raise ValueError(
                 f"unknown log level {level!r}; use one of {_LEVELS}")
-        if self.stream is None and self._handle is None:
-            # No sink: skip building and redacting the record entirely
-            # (a quiet gateway logs every request on the hot path).
+        if not self.enabled:
+            # No sink: skip building and redacting the record entirely.
             return {}
         record = {"ts": round(float(self._clock()), 6), "level": level,
                   "event": event, **redact(fields)}

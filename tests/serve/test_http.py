@@ -1,11 +1,21 @@
-"""HTTP/1.1 framing: parse, render, and the protocol-limit errors."""
+"""HTTP/1.1 framing: parse, render, and the protocol-limit errors.
+
+Every request-parsing case runs through both entry points to the one
+parser: :func:`read_request` over an ``asyncio.StreamReader`` (what a
+stream holder uses; ``TestRequestParsing``, ``TestHeadFraming``) and a
+fed :class:`RequestParser` (what the gateway's protocol uses; the
+``...Fed`` subclasses, which swap the ``parse_request`` fixture).
+"""
 
 import asyncio
 
 import pytest
 
 from repro.serve.http import (
+    MAX_HEAD,
+    REASONS,
     HttpError,
+    RequestParser,
     json_body,
     read_request,
     read_response,
@@ -15,14 +25,26 @@ from repro.serve.http import (
 from repro.utils.validation import ValidationError
 
 
-def parse_request(raw: bytes, **limits):
+def parse_via_stream(raw: bytes, head_limit: "int | None" = None,
+                     **limits):
     async def go():
-        reader = asyncio.StreamReader()
+        reader = (asyncio.StreamReader() if head_limit is None
+                  else asyncio.StreamReader(limit=head_limit))
         reader.feed_data(raw)
         reader.feed_eof()
         return await read_request(reader, **limits)
 
     return asyncio.run(go())
+
+
+def parse_via_feed(raw: bytes, head_limit: "int | None" = None,
+                   **limits):
+    if head_limit is not None:
+        limits["max_head"] = head_limit
+    parser = RequestParser(**limits)
+    parser.feed(raw)
+    parser.feed_eof()
+    return parser.next_request()
 
 
 def parse_response(raw: bytes, **limits):
@@ -36,7 +58,13 @@ def parse_response(raw: bytes, **limits):
 
 
 class TestRequestParsing:
-    def test_round_trip(self):
+    @pytest.fixture
+    def parse_request(self):
+        """Parse one message, then EOF; *head_limit* is the stream's
+        buffer limit (the fed parser's ``max_head``)."""
+        return parse_via_stream
+
+    def test_round_trip(self, parse_request):
         raw = render_request(
             "post", "/v1/submit?a=1&b=two", json_body({"x": 1}),
             headers={"x-client-id": "c7"})
@@ -48,54 +76,86 @@ class TestRequestParsing:
         assert request.json() == {"x": 1}
         assert request.keep_alive
 
-    def test_connection_close_honoured(self):
+    def test_connection_close_honoured(self, parse_request):
         raw = render_request("GET", "/healthz", keep_alive=False)
         assert not parse_request(raw).keep_alive
 
-    def test_clean_eof_returns_none(self):
+    def test_clean_eof_returns_none(self, parse_request):
         assert parse_request(b"") is None
 
-    def test_malformed_request_line_is_400(self):
+    def test_malformed_request_line_is_400(self, parse_request):
         with pytest.raises(HttpError) as excinfo:
             parse_request(b"NOT-HTTP\r\n\r\n")
         assert excinfo.value.status == 400
 
-    def test_oversized_body_is_413(self):
+    def test_oversized_body_is_413(self, parse_request):
         raw = render_request("POST", "/v1/submit", b"x" * 100)
         with pytest.raises(HttpError) as excinfo:
             parse_request(raw, max_body=10)
         assert excinfo.value.status == 413
 
-    def test_too_many_headers_is_431(self):
+    def test_too_many_headers_is_431(self, parse_request):
         headers = {f"h{i}": "v" for i in range(100)}
         raw = render_request("GET", "/healthz", headers=headers)
         with pytest.raises(HttpError) as excinfo:
             parse_request(raw, max_headers=8)
         assert excinfo.value.status == 431
 
-    def test_bad_content_length_is_400(self):
+    def test_bad_content_length_is_400(self, parse_request):
         raw = (b"POST /x HTTP/1.1\r\nContent-Length: ten\r\n\r\n")
         with pytest.raises(HttpError) as excinfo:
             parse_request(raw)
         assert excinfo.value.status == 400
 
-    def test_truncated_body_is_400(self):
+    def test_truncated_body_is_400(self, parse_request):
         raw = b"POST /x HTTP/1.1\r\nContent-Length: 50\r\n\r\nshort"
         with pytest.raises(HttpError) as excinfo:
             parse_request(raw)
         assert excinfo.value.status == 400
         assert "mid-body" in excinfo.value.message
 
-    def test_non_json_body_raises_validation_error(self):
+    def test_non_json_body_raises_validation_error(self, parse_request):
         raw = render_request("POST", "/x", b"not json")
         with pytest.raises(ValidationError, match="not valid JSON"):
             parse_request(raw).json()
+
+    def test_chunked_body_is_501_before_anything_reads_it(
+            self, parse_request):
+        """A framing this parser does not read is refused, not taken
+        as an empty body with the chunks parsed as the next request."""
+        raw = (b"POST /v1/tick HTTP/1.1\r\nTransfer-Encoding: chunked"
+               b"\r\n\r\n0\r\n\r\n")
+        with pytest.raises(HttpError) as excinfo:
+            parse_request(raw)
+        assert excinfo.value.status == 501
+        assert "Transfer-Encoding" in excinfo.value.message
+        assert REASONS[501] == "Not Implemented"
+
+    def test_transfer_encoding_beside_content_length_is_400(
+            self, parse_request):
+        raw = (b"POST /v1/tick HTTP/1.1\r\nContent-Length: 5\r\n"
+               b"Transfer-Encoding: chunked\r\n\r\n0\r\n\r\n")
+        with pytest.raises(HttpError) as excinfo:
+            parse_request(raw)
+        assert excinfo.value.status == 400
+        assert "both Transfer-Encoding and Content-Length" in (
+            excinfo.value.message)
+
+
+class TestRequestParsingFed(TestRequestParsing):
+    @pytest.fixture
+    def parse_request(self):
+        return parse_via_feed
 
 
 class TestHeadFraming:
     """The head is read with one ``readuntil`` and split afterwards."""
 
     GET = b"GET /healthz HTTP/1.1\r\nHost: a\r\n\r\n"
+
+    @pytest.fixture
+    def parse_request(self):
+        return parse_via_stream
 
     def test_head_split_across_two_segments(self):
         async def go():
@@ -130,27 +190,38 @@ class TestHeadFraming:
         b"GET /" + b"x" * 200 + b" HTTP/1.1\r\n\r\n",
         b"GET / HTTP/1.1\r\nX-Long: " + b"v" * 200 + b"\r\n\r\n",
     ])
-    def test_over_long_line_is_431(self, raw):
+    def test_over_long_line_is_431(self, raw, parse_request):
         with pytest.raises(HttpError) as excinfo:
             parse_request(raw, max_line=128)
         assert excinfo.value.status == 431
         assert parse_request(self.GET, max_line=128) is not None
 
-    def test_head_over_the_reader_limit_is_431(self):
-        """No terminator within the stream's buffer limit: refused,
-        not buffered without bound."""
-        async def go():
-            reader = asyncio.StreamReader(limit=256)
-            reader.feed_data(b"GET / HTTP/1.1\r\n")
-            reader.feed_data((b"X-Pad: " + b"p" * 64 + b"\r\n") * 8)
-            reader.feed_eof()
-            return await read_request(reader)
-
+    def test_head_over_the_reader_limit_is_431(self, parse_request):
+        """No terminator within the buffer limit: refused, not
+        buffered without bound."""
+        raw = (b"GET / HTTP/1.1\r\n"
+               + (b"X-Pad: " + b"p" * 64 + b"\r\n") * 8)
         with pytest.raises(HttpError) as excinfo:
-            asyncio.run(go())
+            parse_request(raw, head_limit=256)
         assert excinfo.value.status == 431
+        # Ended within the limit, the same head parses.
+        assert parse_request(raw + b"\r\n", head_limit=1024) is not None
 
-    def test_header_count_at_and_over_the_limit(self):
+    @pytest.mark.parametrize("ended", [False, True])
+    def test_default_head_limit_is_64_kib(self, parse_request, ended):
+        """The bound an asyncio stream's default buffer gave for free:
+        a head over 64 KiB is a 431 whether or not it ever ends, though
+        every line and the header count are within their own limits."""
+        pad = (b"X-Pad: " + b"p" * 8000 + b"\r\n") * 9
+        raw = b"GET / HTTP/1.1\r\n" + pad + (b"\r\n" if ended else b"")
+        assert len(raw) > MAX_HEAD == 1 << 16
+        with pytest.raises(HttpError) as excinfo:
+            parse_request(raw)
+        assert excinfo.value.status == 431
+        fits = b"GET / HTTP/1.1\r\n" + pad[:8 * 8009] + b"\r\n"
+        assert parse_request(fits).headers["x-pad"] == "p" * 8000
+
+    def test_header_count_at_and_over_the_limit(self, parse_request):
         def raw(count):
             return render_request(
                 "GET", "/healthz",
@@ -162,7 +233,7 @@ class TestHeadFraming:
             parse_request(raw(9), max_headers=8)
         assert excinfo.value.status == 431
 
-    def test_malformed_header_is_400(self):
+    def test_malformed_header_is_400(self, parse_request):
         with pytest.raises(HttpError) as excinfo:
             parse_request(b"GET / HTTP/1.1\r\nno-colon-here\r\n\r\n")
         assert excinfo.value.status == 400
@@ -173,13 +244,13 @@ class TestHeadFraming:
         b"GET /healthz HTTP/1.1\r\nHost: a\r\n",
         b"GET /healthz HTTP/1.1\r\nHost: a\r\nX-Cut: of",
     ])
-    def test_eof_mid_head_is_400(self, raw):
+    def test_eof_mid_head_is_400(self, raw, parse_request):
         with pytest.raises(HttpError) as excinfo:
             parse_request(raw)
         assert excinfo.value.status == 400
         assert "mid-head" in excinfo.value.message
 
-    def test_bare_lf_is_not_a_line_terminator(self):
+    def test_bare_lf_is_not_a_line_terminator(self, parse_request):
         """Stated behaviour: lines end in CRLF.  A head framed in bare
         LFs never completes (400 once the peer closes); a bare LF or CR
         inside a CRLF-framed head is a 400, never a header split."""
@@ -196,6 +267,56 @@ class TestHeadFraming:
             assert "bare CR or LF" in excinfo.value.message
 
 
+class TestHeadFramingFed(TestHeadFraming):
+    """The same cases through a fed parser, whose buffer holds
+    whatever has not been taken as a request yet."""
+
+    @pytest.fixture
+    def parse_request(self):
+        return parse_via_feed
+
+    def test_head_split_across_two_segments(self):
+        """Any split, down to single bytes: nothing until the last."""
+        raw = render_request("POST", "/v1/submit?a=1", b'{"n":1}',
+                             headers={"x-client-id": "c7"})
+        parser = RequestParser()
+        for byte in raw[:-1]:
+            parser.feed(bytes([byte]))
+            assert parser.next_request() is None
+        parser.feed(raw[-1:])
+        request = parser.next_request()
+        assert (request.path, request.params, request.body) == (
+            "/v1/submit", {"a": "1"}, b'{"n":1}')
+        assert request.headers["x-client-id"] == "c7"
+        assert parser.buffered == 0 and not parser.finished
+
+    def test_two_pipelined_requests_in_one_segment(self):
+        first = render_request("POST", "/v1/submit", b'{"n":1}')
+        second = render_request("POST", "/v1/withdraw", b'{"n":22}')
+        parser = RequestParser()
+        parser.feed(first + second + first[:9])
+        one, two = parser.next_request(), parser.next_request()
+        assert (one.path, one.body) == ("/v1/submit", b'{"n":1}')
+        assert (two.path, two.body) == ("/v1/withdraw", b'{"n":22}')
+        assert parser.next_request() is None
+        assert parser.buffered == 9
+        parser.feed(first[9:])
+        assert parser.next_request().body == b'{"n":1}'
+        parser.feed_eof()
+        assert parser.next_request() is None and parser.finished
+
+    def test_eof_mid_body_is_400(self):
+        parser = RequestParser()
+        parser.feed(b"POST /x HTTP/1.1\r\nContent-Length: 50\r\n\r\n"
+                    b"short")
+        assert parser.next_request() is None
+        parser.feed_eof()
+        with pytest.raises(HttpError) as excinfo:
+            parser.next_request()
+        assert excinfo.value.status == 400
+        assert "mid-body (5/50 bytes)" in excinfo.value.message
+
+
 class TestResponseParsing:
     def test_round_trip(self):
         raw = render_response(200, json_body({"ok": True}),
@@ -206,8 +327,8 @@ class TestResponseParsing:
         assert response.json() == {"ok": True}
 
     def test_reason_phrases_cover_gateway_statuses(self):
-        for status in (200, 400, 404, 405, 413, 429, 431, 500, 503,
-                       504):
+        for status in (200, 400, 404, 405, 413, 429, 431, 500, 501,
+                       503, 504):
             line = render_response(status).split(b"\r\n")[0]
             assert str(status).encode() in line
             assert line != f"HTTP/1.1 {status} Unknown".encode()
