@@ -60,8 +60,9 @@ from repro.serve import http
 from repro.serve.backpressure import RetryBudget, TokenBucket
 from repro.serve.http import HttpError, HttpRequest
 from repro.serve.logs import StructuredLog
-from repro.sim.events import ArrivalEvent
+from repro.sim.arrivals import ArrivalBlock, SelectPlan
 from repro.sim.hosts import wrap_host
+from repro.sim.trace import require_select_plan
 from repro.utils.validation import ValidationError, require
 from repro.wal.crashpoints import crashpoint, register
 
@@ -170,17 +171,19 @@ class HostBackend:
 class DriverBackend:
     """Serve a :class:`~repro.sim.SimulationDriver`.
 
-    Submissions buffer in a gateway-side inbox and are pushed as
-    arrival events at the upcoming boundary's time when a tick runs,
-    so withdrawing before the boundary is cheap (the event queue never
-    sees the query).  Subscriptions are available when the driver has
-    managers.
+    Submissions buffer in a gateway-side inbox as select rows (a plan
+    with no select form, which no wire body or WAL op can carry, is
+    refused at submit).  A tick hands the driver the inbox as one
+    :class:`~repro.sim.arrivals.ArrivalBlock` at the upcoming
+    boundary's time, admitted by the driver's row body, so withdrawing
+    before the boundary is cheap (the event queue never sees the
+    query).  Subscriptions are available when the driver has managers.
     """
 
     def __init__(self, driver) -> None:
         self.driver = driver
-        #: query id -> (query, category), in arrival (= tick) order.
-        self._inbox: dict[str, tuple[object, "str | None"]] = {}
+        #: query id -> (select row, category), in arrival (= tick) order.
+        self._inbox: dict[str, tuple[SelectPlan, "str | None"]] = {}
         self.last_report: object = None
 
     @property
@@ -220,7 +223,8 @@ class DriverBackend:
             raise ValidationError(
                 f"query id {query.query_id!r} already submitted")
         _validate_streams(query, self.services)
-        self._inbox[query.query_id] = (query, category)
+        self._inbox[query.query_id] = (require_select_plan(query),
+                                       category)
         return None
 
     def withdraw(self, query_id: str):
@@ -237,12 +241,14 @@ class DriverBackend:
             f"unknown query id {query_id!r}; nothing to withdraw")
 
     def tick(self):
-        boundary = float(
-            self.driver.period * self.driver.host.ticks_per_period)
-        for query, category in self._inbox.values():
-            self.driver.queue.push(ArrivalEvent(
-                time=boundary, query=query, category=category))
-        self._inbox.clear()
+        if self._inbox:
+            boundary = float(
+                self.driver.period * self.driver.host.ticks_per_period)
+            rows = self._inbox.values()
+            self.driver.arrive(ArrivalBlock.of_plans(
+                [boundary] * len(rows), [plan for plan, _ in rows],
+                [category for _, category in rows], stream=0))
+            self._inbox.clear()
         self.last_report = self.driver.run(1)[0]
         return self.last_report
 

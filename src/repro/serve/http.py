@@ -23,13 +23,18 @@ Framing limits are explicit arguments — an over-long request line, a
 head over :data:`MAX_HEAD` or an oversized body raises
 :class:`HttpError` with the right status (431/413) instead of buffering
 unboundedly, and a ``Transfer-Encoding`` body is refused (501, or 400
-beside a ``Content-Length``) before anything acts on the message.
+beside a ``Content-Length``) before anything acts on the message.  So
+is every head whose framing two readers could take two ways (400): a
+``Content-Length`` that is not ASCII digits or is repeated with
+another value, whitespace before a field name's colon, and a method
+that is not a token.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import re
 from dataclasses import dataclass, field
 from urllib.parse import parse_qsl, urlsplit
 
@@ -110,6 +115,9 @@ class HttpResponse:
                 f"response body is not valid JSON: {exc}") from exc
 
 
+#: RFC 9110 §5.6.2 ``token``: what a method is made of.
+_TOKEN = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")
+
 #: The longest message head (start line, headers and the blank line
 #: before the body) either entry point buffers before answering 431 —
 #: the buffer limit asyncio streams apply by default.
@@ -122,7 +130,10 @@ def _parse_head(head: bytes, max_line: int,
 
     Lines end in CRLF; a bare LF is not a terminator (RFC 9112 lets a
     server insist), so one inside a CRLF-framed head is a 400.  Over
-    *max_line* per line or *max_headers* lines is a 431.
+    *max_line* per line or *max_headers* lines is a 431.  A field name
+    with whitespace around it is a 400 (before the colon: RFC 9112
+    §5.1), and ``Content-Length`` may repeat only with one value
+    (§6.3); any other repeated field keeps its last value.
     """
     text = head.decode("latin-1")
     lines = text.split("\r\n")
@@ -136,9 +147,14 @@ def _parse_head(head: bytes, max_line: int,
     headers: dict[str, str] = {}
     for line in lines[1:]:
         name, sep, value = line.partition(":")
-        if not sep:
+        if not sep or not name or name.strip() != name:
             raise HttpError(400, f"malformed header line {line!r}")
-        headers[name.strip().lower()] = value.strip()
+        name = name.lower()
+        value = value.strip()
+        if name == "content-length" and headers.get(name, value) != value:
+            raise HttpError(400, "Content-Length repeated with "
+                                 "different values")
+        headers[name] = value
     return lines[0], headers
 
 
@@ -160,12 +176,9 @@ def _body_length(headers: dict[str, str], max_body: int) -> int:
                  f"{headers['transfer-encoding']!r} is not supported; "
                  f"send a Content-Length body")
     raw = headers.get("content-length", "0")
-    try:
-        length = int(raw)
-    except ValueError:
-        raise HttpError(400, f"bad Content-Length {raw!r}") from None
-    if length < 0:
+    if not (raw.isascii() and raw.isdigit()):
         raise HttpError(400, f"bad Content-Length {raw!r}")
+    length = int(raw)
     if length > max_body:
         raise HttpError(
             413, f"body of {length} bytes exceeds the {max_body}-byte "
@@ -181,6 +194,8 @@ def _request_head(head: bytes, max_line: int, max_headers: int,
     if len(parts) != 3 or not parts[2].startswith("HTTP/1"):
         raise HttpError(400, f"malformed request line {line!r}")
     method, target, _version = parts
+    if not _TOKEN.fullmatch(method):
+        raise HttpError(400, f"request method {method!r} is not a token")
     split = urlsplit(target)
     return HttpRequest(
         method=method.upper(),

@@ -213,6 +213,34 @@ class ArrivalBlock:
         self.categories = categories
         self.streams = streams
 
+    @classmethod
+    def of_plans(cls, times: "Sequence[float]",
+                 plans: "Sequence[SelectPlan]",
+                 categories: "list | None" = None,
+                 stream: "int | None" = None) -> "ArrivalBlock":
+        """The block holding *plans*, arriving at *times* (one each).
+
+        *categories* holds one requested name (or ``None``) per plan;
+        *stream* pins every row to one event stream (``None``: the
+        producing process's, like ``Arrival.stream=None``).
+        """
+        valuations = [plan.valuation for plan in plans]
+        if all(valuation is None for valuation in valuations):
+            valuations = None
+        if categories is not None and all(
+                name is None for name in categories):
+            categories = None
+        return cls(
+            np.asarray(times, dtype=np.float64),
+            [plan.query_id for plan in plans],
+            [plan.op_id for plan in plans],
+            [plan.owner for plan in plans],
+            [plan.stream for plan in plans],
+            np.asarray([plan.cost for plan in plans], dtype=np.float64),
+            [plan.selectivity for plan in plans],
+            np.asarray([plan.bid for plan in plans], dtype=np.float64),
+            valuations=valuations, categories=categories, streams=stream)
+
     def __len__(self) -> int:
         return len(self.ids)
 
@@ -434,27 +462,11 @@ class _RowProcess(ArrivalProcess):
         cursor = state.pop("_cursor", 0)
         self.__dict__.update(state)
         if buffer is not None and cursor < len(buffer):
-            self._parked, self._row = _block_of(buffer[cursor:]), 0
-
-
-def _block_of(arrivals: "Sequence[Arrival]") -> ArrivalBlock:
-    """The block holding synthetic *arrivals* (plan queries, no
-    category or stream pin)."""
-    plans = [arrival.query for arrival in arrivals]
-    valuations = [plan.valuation for plan in plans]
-    if all(valuation is None for valuation in valuations):
-        valuations = None
-    return ArrivalBlock(
-        np.asarray([arrival.time for arrival in arrivals],
-                   dtype=np.float64),
-        [plan.query_id for plan in plans],
-        [plan.op_id for plan in plans],
-        [plan.owner for plan in plans],
-        [plan.stream for plan in plans],
-        np.asarray([plan.cost for plan in plans], dtype=np.float64),
-        [plan.selectivity for plan in plans],
-        np.asarray([plan.bid for plan in plans], dtype=np.float64),
-        valuations=valuations)
+            rest = buffer[cursor:]
+            self._parked = ArrivalBlock.of_plans(
+                [arrival.time for arrival in rest],
+                [arrival.query for arrival in rest])
+            self._row = 0
 
 
 class _SyntheticRows(_RowProcess):

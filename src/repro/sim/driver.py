@@ -11,10 +11,12 @@ The driver runs:
 * the **open system** — spec-addressable arrival processes
   (``"poisson:rate=40"``, ``"burst"``, ``"trace:path=..."``) feed
   queries continuously; boundaries auction whatever arrived.  A
-  process generates rows once, as blocks: one process on a single
-  service (or ``route="stream"``) is *pumped* — its blocks are
-  consumed in array slices — and every other driver reads the same
-  rows as :class:`~repro.sim.events.ArrivalEvent` objects;
+  process generates rows once, as blocks, and the driver admits them
+  as rows — consumed in array slices, routed per row where the host
+  places them — as it does rows handed in from outside a process
+  (:meth:`SimulationDriver.arrive`, a gateway's inbox).  Per-event
+  :class:`~repro.sim.events.ArrivalEvent` dispatch stays as the
+  oracle the equivalence suites compare against;
 * **subscription lifecycles** — with
   :class:`~repro.sim.subscriptions.SubscriptionOptions`, boundaries
   run Section VII per-category auctions, expiries reclaim capacity,
@@ -41,8 +43,7 @@ import copy
 import dataclasses
 from dataclasses import dataclass
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-
-import numpy as np
+from itertools import islice
 
 from repro.dsms.plan import ContinuousQuery
 from repro.dsms.scheduler import (
@@ -105,7 +106,9 @@ _STATE_FIELDS_V2 = _STATE_FIELDS + ("pump", "blocks", "pump_stats")
 
 #: How many arrivals the object pump pulls from a process per call (the
 #: per-source event-queue fill).  Any value produces the identical
-#: event order; snapshots still carry it as ``"lookahead"``.
+#: order among process arrivals; rows handed to ``arrive()`` go after
+#: the batch queued before them.  Snapshots still carry it as
+#: ``"lookahead"``.
 LOOKAHEAD = 64
 
 
@@ -274,29 +277,27 @@ class SimulationDriver:
         ``"placement"`` routes arrivals via the host's placement
         policy; ``"stream"`` pins arrival process *i* to shard *i*.
     batch_arrivals:
-        Drain adjacent arrival runs as one vectorized admission pass
-        (the fast path, default).  ``False`` dispatches arrivals one
-        event at a time — the reference path the equivalence suite
-        compares against.
+        What ``pump=None`` resolves to: ``True`` (default) admits
+        arrivals as rows, ``False`` asks for per-event dispatch — the
+        oracle the equivalence suites compare against.
     pump:
-        Whether arrivals take the columnar pump: processes that can
-        hand whole numpy row-blocks (``ArrivalProcess.next_block``)
-        skip the per-arrival event objects entirely — one
+        Whether arrival processes are pumped: a process that can hand
+        whole numpy row-blocks (``ArrivalProcess.next_block``) skips
+        the per-arrival event objects entirely — one
         :class:`~repro.sim.events.ArrivalBlockEvent` marker per block
         cursor keeps the event order, rows are consumed in array
-        slices, and boundary auctions score them through the columnar
-        fastpath, materializing ``SelectPlan`` objects for winners
-        only.  Reports, RNG streams and recorder rows are pinned
-        byte-identical to the object path; anything the pump cannot
-        columnarize (per-row cluster placement, shared operators)
-        falls back to it automatically.  ``None`` (default) lets the
-        driver pick from what it observes: the pump while exactly one
-        arrival process feeds it and its rows need no per-row
-        placement (a single service, or ``route="stream"``) — long
-        slices, where it wins — and the object path otherwise, or
-        when ``batch_arrivals=False`` asks for per-event dispatch.
-        ``True`` / ``False`` name a path (the equivalence suites'
-        oracle keyword); :attr:`pump` holds the resolved bool.
+        slices (routed per row when the host places them), and
+        boundary auctions score them through the columnar fastpath,
+        materializing ``SelectPlan`` objects for winners only.
+        Reports, RNG streams and recorder rows are pinned
+        byte-identical to per-event dispatch.  ``None`` (default)
+        resolves to ``batch_arrivals``; ``True`` / ``False`` name a
+        path (the equivalence suites' oracle keyword).  With the pump
+        off every process arrival is one :class:`ArrivalEvent`
+        through :meth:`_on_arrival`.  :attr:`pump` holds the resolved
+        bool, and a restored driver keeps the one it was saved with,
+        so a checkpoint continues on the path that wrote it.  Rows
+        handed to :meth:`arrive` take the row body either way.
     """
 
     def __init__(
@@ -368,14 +369,13 @@ class SimulationDriver:
         self._expired_buffer: dict[int, list[str]] = {}
         self._reclaimed_buffer: dict[int, float] = {}
         self._renewed_buffer: list[str] = []
-        if pump is None:
-            pump = (self.batch_arrivals and len(self.processes) == 1
-                    and (route == "stream"
-                         or isinstance(self.host, ServiceHost)))
-        self.pump = bool(pump)
+        self.pump = self.batch_arrivals if pump is None else bool(pump)
         #: source index → (ArrivalBlock, cursor): the parked row-blocks
         #: the markers in the queue point into.
         self._blocks: dict[int, tuple[ArrivalBlock, int]] = {}
+        #: source index → (block, row): while an arrive() block is
+        #: parked, the process rows queued before it (see arrive).
+        self._ahead: dict[int, tuple[ArrivalBlock, int]] = {}
         self._pump_stats = _fresh_pump_stats()
         for index in range(len(self.processes)):
             self._pump(index)
@@ -557,10 +557,7 @@ class SimulationDriver:
         self.events_processed += 1
         self.clock = max(self.clock, float(event.time))
         if isinstance(event, ArrivalEvent):
-            if self.batch_arrivals:
-                self._on_arrival_run(event)
-            else:
-                self._on_arrival(event)
+            self._on_arrival(event)
         elif isinstance(event, ExpiryEvent):
             self._on_expiry(event)
         elif isinstance(event, RenewalEvent):
@@ -621,6 +618,35 @@ class SimulationDriver:
                               source=index, stream=stream),
             stream=stream)
 
+    def arrive(self, block: ArrivalBlock) -> None:
+        """Queue *block*'s rows as arrivals from outside every process.
+
+        A gateway's inbox enters this way at each tick.  The rows pin
+        their own stream (``block.streams`` is not ``None``: no process
+        index stands behind them) and take the row body whether or not
+        the pump is on, one event each: at their queue key they go
+        after the arrivals queued before this call and before those
+        queued after it, as the same rows pushed here as
+        :class:`ArrivalEvent`\\ s would.  One such block is parked at a
+        time.
+        """
+        source = len(self.processes)
+        if not len(block) or block.streams is None or (
+                source in self._blocks):
+            raise ValidationError(
+                "arrive() takes one non-empty block at a time, with its "
+                "rows pinned to a stream")
+        # Per-event dispatch queues a process's rows LOOKAHEAD at a
+        # time, never across a block's end: the rest of each parked
+        # block's current batch is queued before these rows.
+        self._ahead = {
+            index: (parked, min(len(parked),
+                                (cursor // LOOKAHEAD + 1) * LOOKAHEAD))
+            for index, (parked, cursor) in self._blocks.items()}
+        self._blocks[source] = (block, 0)
+        self._pump_stats["blocks"] += 1
+        self._push_block_marker(source, block, 0)
+
     def _on_block(self, event: ArrivalBlockEvent) -> None:
         """Consume rows from the marker's block up to the next event.
 
@@ -649,6 +675,10 @@ class SimulationDriver:
                                  float(block.times[stop - 1]))
                 cursor = stop
             if cursor >= len(block.ids):
+                if source == len(self.processes):
+                    del self._blocks[source]  # nothing refills these
+                    self._ahead = {}
+                    return
                 fresh = self.processes[source].next_block()
                 if fresh is not None:
                     block, cursor = fresh, 0
@@ -667,12 +697,28 @@ class SimulationDriver:
                 self._push_block_marker(source, block, cursor)
                 return
             head = self.queue._heap[0][4]
-            if type(head) is ArrivalBlockEvent:
+            outside = len(self.processes)
+            if source == outside:
+                # Rows handed to arrive() entered the queue in one
+                # push, ahead of every arrival queued after it.
+                first = True
+            elif type(head) is not ArrivalBlockEvent:
+                # An object-path arrival holds the identical key; it
+                # was queued before our re-pushed marker would be.
+                first = False
+            elif head.source == outside:
+                # Per-event dispatch queued the rest of our lookahead
+                # batch before the rows handed to arrive() (see there).
+                ahead = self._ahead.get(source)
+                first = (ahead is not None and ahead[0] is block
+                         and cursor < ahead[1])
+            else:
                 # Two pump markers at the identical (time, priority,
                 # stream) key would re-queue behind each other forever.
                 # Ours popped first (earlier sequence — the reference
-                # would pop its row first for the same reason), so
-                # consume one row to guarantee progress.
+                # would pop its row first for the same reason).
+                first = True
+            if first:
                 self._admit_rows(block, cursor, cursor + 1, source)
                 self.events_processed += 1
                 stats["rows"] += 1
@@ -680,9 +726,6 @@ class SimulationDriver:
                 cursor += 1
                 self._blocks[source] = (block, cursor)
                 continue
-            # An object-path arrival holds the identical key; it was
-            # queued before our re-pushed marker would be, so it goes
-            # first.
             stats["yields"] += 1
             self._push_block_marker(source, block, cursor)
             return
@@ -709,8 +752,8 @@ class SimulationDriver:
         # same-time arrivals, so rows at exactly head_time stay; a
         # PeriodEvent head runs after them, so they go.
         side = "right" if head_priority > ARRIVAL_PRIORITY else "left"
-        stop = cursor + int(np.searchsorted(times[cursor:], head_time,
-                                            side=side))
+        # Rows before the cursor are consumed, and times never fall.
+        stop = max(cursor, int(times.searchsorted(head_time, side)))
         if head_priority != ARRIVAL_PRIORITY:
             return stop, False
         tie = False
@@ -725,22 +768,21 @@ class SimulationDriver:
 
     def _admit_rows(self, block: ArrivalBlock, start: int, stop: int,
                     source: int) -> None:
-        """Admit one consumed row slice — `_admit_batch` over columns.
+        """Admit one consumed row slice — :meth:`_on_arrival` over columns.
 
         Open system: every row materializes once (it is submitted into
         the service queue either way) but skips the event objects and
-        heap churn.  Subscription mode: a slice that resolves to one
-        shard parks as a :class:`RowChunk` in that shard's pending
-        list — categories drawn/validated now, in pop order, so the
-        manager RNG matches the object path draw for draw — and the
-        boundary auction scores it columnar.  Slices needing per-row
-        routing state (cluster placement, mixed per-row streams) go
-        through :meth:`_admit_batch` as arrival events — the object
-        path's own admission pass.
+        heap churn.  Subscription mode: each row is routed in pop order
+        — ``host.route`` under placement over a federation, its stream
+        pin under ``route="stream"`` — then each shard's categories are
+        drawn in one call over that shard's rows (so every manager's
+        RNG matches per-event dispatch draw for draw) and requested
+        names validated; the slice is recorded once and each maximal
+        same-shard run parks as a :class:`RowChunk` in that shard's
+        pending list, for the boundary auction to score columnar.
         """
         route_stream = self.route == "stream"
         recorder = self.recorder
-        stats = self._pump_stats
         if self.managers is None:
             submit = self.host.submit
             if recorder is not None:
@@ -759,58 +801,59 @@ class SimulationDriver:
                                              plan.query_id)
                           if route_stream else None)
                 submit(plan.materialize(), shard=pinned)
-                stats["winners"] += 1
+            self._pump_stats["winners"] += stop - start
             return
 
-        shard: "int | None" = None
-        if route_stream:
-            streams = block.streams
-            if streams is None or isinstance(streams, int):
-                shard = block.stream_at(start, source)
-            else:
-                first = int(streams[start])
-                if all(int(streams[row]) == first
-                       for row in range(start + 1, stop)):
-                    shard = first
-            if shard is not None:
-                self._pinned_shard(shard, block.ids[start])
+        count = stop - start
+        streams = block.streams
+        if route_stream and (streams is None or type(streams) is int):
+            shards = self._pinned_shard(block.stream_at(start, source),
+                                        block.ids[start])
+        elif route_stream:
+            shards = [self._pinned_shard(int(streams[row]), block.ids[row])
+                      for row in range(start, stop)]
         elif isinstance(self.host, ServiceHost):
-            # A bare service routes everything to shard 0 statelessly.
-            shard = 0
-
-        if shard is None:
-            # Placement routing (or mixed per-row streams): the slice's
-            # rows as arrival events, through the object path's batch.
-            stats["fallbacks"] += 1
-            self._admit_batch([
-                ArrivalEvent(time=arrival.time, query=arrival.query,
-                             category=arrival.category,
-                             stream=(source if arrival.stream is None
-                                     else arrival.stream))
-                for arrival in block.arrivals(start, stop)])
-            return
-
-        manager = self.managers[shard]
-        requested = block.categories
-        if requested is None:
-            categories = manager.assign_categories(stop - start)
+            shards = 0
         else:
-            categories = list(requested[start:stop])
-            unassigned = [i for i, name in enumerate(categories)
-                          if name is None]
-            # Draw first, then validate the requested names — the
-            # batched reference order (RNG before validation errors).
-            if unassigned:
-                drawn = manager.assign_categories(len(unassigned))
-                for i, name in zip(unassigned, drawn):
-                    categories[i] = name
-            for name in requested[start:stop]:
-                if name is not None:
-                    manager.category(name)
+            route = self.host.route
+            shards = [route(block.plan(row)) for row in range(start, stop)]
+        # The slice's maximal same-shard runs, as (shard, first, last)
+        # offsets: one run unless rows are routed one by one.
+        if type(shards) is int:
+            runs = [(shards, 0, count)]
+        else:
+            runs = []
+            first = 0
+            for offset in range(1, count + 1):
+                if offset == count or shards[offset] != shards[first]:
+                    runs.append((shards[first], first, offset))
+                    first = offset
+        # Each shard draws once, in pop order, for its rows that did
+        # not request a category; then requested names are validated.
+        requested = block.categories
+        draws: dict[int, int] = {}
+        for shard, first, last in runs:
+            draws[shard] = draws.get(shard, 0) + (
+                last - first if requested is None
+                else requested[start + first:start + last].count(None))
+        drawn = {shard: iter(self.managers[shard].assign_categories(n))
+                 for shard, n in draws.items() if n}
+        categories: list[str] = []
+        for shard, first, last in runs:
+            if requested is None:
+                names = list(islice(drawn[shard], last - first))
+            else:
+                names = list(requested[start + first:start + last])
+                for offset, name in enumerate(names):
+                    if name is None:
+                        names[offset] = next(drawn[shard])
+                    else:
+                        self.managers[shard].category(name)
+            categories += names
+            self.pending[shard].append(RowChunk(
+                block, start + first, start + last, names))
         if recorder is not None:
             recorder.record_rows(block, start, stop, categories, source)
-        self.pending[shard].append(
-            RowChunk(block, start, stop, categories))
 
     def _on_arrival(self, event: ArrivalEvent) -> None:
         pinned = (self._pinned_shard(event.stream, event.query.query_id)
@@ -834,80 +877,6 @@ class SimulationDriver:
                              shard=pinned)
         if event.source is not None and event.final:
             self._pump(event.source)
-
-    def _on_arrival_run(self, first: ArrivalEvent) -> None:
-        """Drain the adjacent run of arrivals, admit them as a batch.
-
-        The arrival counterpart of :meth:`_on_expiry`'s run merging:
-        keep popping while the queue's head is an arrival, pumping a
-        source the moment its batch-final event pops (its next
-        arrivals enter the heap and extend the run in correct order),
-        and hand the whole run to one admission pass.  Pop order — and
-        with it every per-manager RNG draw, recorder row and pending
-        append — is exactly what one-at-a-time dispatch produces; the
-        equivalence suite pins that.
-        """
-        queue = self.queue
-        events = [first]
-        if first.source is not None and first.final:
-            self._pump(first.source)
-        while True:
-            head = queue.peek()
-            if type(head) is not ArrivalEvent:
-                break
-            queue.pop()
-            self.events_processed += 1
-            events.append(head)
-            if head.source is not None and head.final:
-                self._pump(head.source)
-        self.clock = max(self.clock, float(events[-1].time))
-        self._admit_batch(events)
-
-    def _admit_batch(self, events: "list[ArrivalEvent]") -> None:
-        """One vectorized admission pass over a run of arrivals."""
-        route_stream = self.route == "stream"
-        recorder = self.recorder
-        if self.managers is None:
-            if recorder is not None:
-                categories = [event.category for event in events]
-                recorder.record_events(events, categories)
-            for event in events:
-                pinned = (self._pinned_shard(event.stream,
-                                             event.query.query_id)
-                          if route_stream else None)
-                self.host.submit(as_continuous_query(event.query),
-                                 shard=pinned)
-            return
-        shard_of = []
-        by_shard: dict[int, list[int]] = {}
-        for position, event in enumerate(events):
-            shard = (self._pinned_shard(event.stream,
-                                        event.query.query_id)
-                     if route_stream else self.host.route(event.query))
-            shard_of.append(shard)
-            by_shard.setdefault(shard, []).append(position)
-        # Resolve categories shard by shard: one vectorized draw per
-        # manager covers its arrivals in pop order, which consumes
-        # each manager's RNG exactly as per-event assignment does.
-        category_of: list = [event.category for event in events]
-        for shard, positions in by_shard.items():
-            manager = self.managers[shard]
-            unassigned = [position for position in positions
-                          if events[position].category is None]
-            if unassigned:
-                drawn = manager.assign_categories(len(unassigned))
-                for position, name in zip(unassigned, drawn):
-                    category_of[position] = name
-            for position in positions:
-                if events[position].category is not None:
-                    # validate requested names too
-                    manager.category(events[position].category)
-        if recorder is not None:
-            recorder.record_events(events, category_of)
-        pending = self.pending
-        for position, event in enumerate(events):
-            pending[shard_of[position]].append(
-                (event.query, category_of[position]))
 
     def _pinned_shard(self, stream: int, query_id: str) -> int:
         """The shard ``route="stream"`` pins *stream* to, checked."""
@@ -1081,6 +1050,7 @@ class SimulationDriver:
             "reclaimed_buffer": self._reclaimed_buffer,
             "pump": self.pump,
             "blocks": self._blocks,
+            "ahead": self._ahead,
             "pump_stats": self._pump_stats,
         }))
         return SimSnapshot(version=SIM_STATE_VERSION, state=state)
@@ -1127,6 +1097,7 @@ class SimulationDriver:
         # their queues, so defaulting to pump-off is exact.
         driver.pump = bool(state.get("pump", False))
         driver._blocks = dict(state.get("blocks") or {})
+        driver._ahead = dict(state.get("ahead") or {})
         driver._pump_stats = dict(state.get("pump_stats")
                                   or _fresh_pump_stats())
         # The WAL is a process resource, not simulation state: a

@@ -62,9 +62,8 @@ class ArrivalEvent(Event):
     ``stream`` is the event-stream index the arrival belongs to (the
     shard, under per-stream routing); ``source`` is the index of the
     arrival *process* that produced it (``None`` for events pushed
-    outside any process, e.g. by a gateway's driver backend).  The two differ
-    only during trace replay, where one process re-emits arrivals
-    recorded from many streams.  ``final`` marks the last arrival of
+    outside any process).  The two differ only during trace replay,
+    where one process re-emits arrivals recorded from many streams.  ``final`` marks the last arrival of
     its source's pump batch: consuming it is what triggers the next
     lookahead pull, so a source always has events queued until it
     runs dry.

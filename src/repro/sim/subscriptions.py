@@ -189,7 +189,7 @@ class SubscriptionManager:
         One vectorized draw consuming the assignment RNG exactly as
         *count* sequential :meth:`assign_category` calls would (a
         ``Generator``'s block draw is bit-identical to the same number
-        of scalar draws), so batched and per-event admission assign
+        of scalar draws), so row and per-event admission assign
         identical categories.
         """
         categories = self.options.categories

@@ -69,7 +69,7 @@ def as_select_plan(query) -> "SelectPlan | None":
     return None
 
 
-def _require_select_plan(query) -> SelectPlan:
+def require_select_plan(query) -> SelectPlan:
     """*query* as a :class:`SelectPlan`, or a query-naming refusal."""
     plan = as_select_plan(query)
     if plan is None:
@@ -120,27 +120,6 @@ class TraceColumns:
         self.bids.append(plan.bid)
         self.valuations.append(plan.valuation)
         self.owners.append(plan.owner)
-
-    def extend_select_events(self, events, categories) -> None:
-        """Append one arrival-event batch whose queries are all plans.
-
-        Column-at-a-time comprehensions over the batch, byte-identical
-        to calling :meth:`append_select` per event — ``append_select``
-        stores the plan attributes uncast, and only time/stream carry
-        ``float``/``int`` casts.
-        """
-        self.times.extend([float(event.time) for event in events])
-        self.streams.extend([int(event.stream) for event in events])
-        self.categories.extend(categories)
-        plans = [event.query for event in events]
-        self.ids.extend([plan.query_id for plan in plans])
-        self.ops.extend([plan.op_id for plan in plans])
-        self.inputs.extend([plan.stream for plan in plans])
-        self.costs.extend([plan.cost for plan in plans])
-        self.selectivities.extend([plan.selectivity for plan in plans])
-        self.bids.extend([plan.bid for plan in plans])
-        self.valuations.extend([plan.valuation for plan in plans])
-        self.owners.extend([plan.owner for plan in plans])
 
     def extend_select_block(
         self, block, start: int, stop: int,
@@ -222,7 +201,7 @@ class TraceColumns:
         columns = cls()
         for entry in entries:
             columns.append_select(
-                entry.time, _require_select_plan(entry.query),
+                entry.time, require_select_plan(entry.query),
                 entry.category, entry.stream)
         return columns
 
@@ -285,22 +264,8 @@ class TraceRecorder:
     ) -> None:
         """Append one arrival to the recording."""
         self._columns.append_select(
-            float(time), _require_select_plan(query), category,
+            float(time), require_select_plan(query), category,
             int(stream))
-
-    def record_events(self, events, categories) -> None:
-        """Append one batch of arrival events with resolved categories.
-
-        Takes the columnar fast path when every query in the batch is
-        already a :class:`SelectPlan`; any other shape falls back to
-        the per-event :meth:`record` calls it replaces.
-        """
-        if all(type(event.query) is SelectPlan for event in events):
-            self._columns.extend_select_events(events, categories)
-            return
-        for event, category in zip(events, categories):
-            self.record(event.time, event.query, category,
-                        event.stream)
 
     def record_rows(
         self, block, start: int, stop: int,
@@ -327,7 +292,7 @@ class TraceRecorder:
 
 def encode_query(query) -> dict:
     """JSON-able ``'select'`` row of *query* (refused if it has none)."""
-    plan = _require_select_plan(query)
+    plan = require_select_plan(query)
     entry: dict[str, object] = {
         "plan": "select",
         "id": plan.query_id,

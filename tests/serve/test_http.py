@@ -107,6 +107,34 @@ class TestRequestParsing:
             parse_request(raw)
         assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize("raw", [
+        b"POST /x HTTP/1.1\r\nContent-Length: +2\r\n\r\n{}",
+        b"POST /x HTTP/1.1\r\nContent-Length: 1_0\r\n\r\n0123456789",
+        b"POST /x HTTP/1.1\r\nContent-Length: \xb2\r\n\r\n{}",
+        b"POST /x HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 0"
+        b"\r\n\r\n{}GET /healthz HTTP/1.1\r\n\r\n",
+        b"POST /x HTTP/1.1\r\nContent-Length : 2\r\n\r\n{}",
+        b"POST /x HTTP/1.1\r\n Content-Length: 2\r\n\r\n{}",
+        b"{}GET /healthz HTTP/1.1\r\n\r\n",
+        b"G(T /healthz HTTP/1.1\r\n\r\n",
+    ], ids=["plus-sign", "underscore", "latin-1-digit", "repeated",
+            "space-before-colon", "leading-space", "brace-method",
+            "paren-method"])
+    def test_ambiguous_framing_is_400(self, raw, parse_request):
+        """A head two readers could frame two ways is refused: a
+        Content-Length that is not ASCII digits or is repeated with
+        another value, a field name with whitespace before its colon
+        (RFC 9112 §5.1, §6.3), a method that is not a token (RFC 9110
+        §9.1)."""
+        with pytest.raises(HttpError) as excinfo:
+            parse_request(raw)
+        assert excinfo.value.status == 400
+
+    def test_repeated_equal_content_length_is_one(self, parse_request):
+        raw = (b"POST /x HTTP/1.1\r\nContent-Length: 2\r\n"
+               b"Content-Length: 2\r\n\r\n{}")
+        assert parse_request(raw).body == b"{}"
+
     def test_truncated_body_is_400(self, parse_request):
         raw = b"POST /x HTTP/1.1\r\nContent-Length: 50\r\n\r\nshort"
         with pytest.raises(HttpError) as excinfo:

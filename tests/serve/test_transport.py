@@ -227,6 +227,43 @@ class TestFraming:
         assert (period, pending) == (0, 1)
 
 
+    @pytest.mark.parametrize("head", [
+        b"POST /v1/tick HTTP/1.1\r\nContent-Length: +0\r\n",
+        b"POST /v1/tick HTTP/1.1\r\nContent-Length: 0\r\n"
+        b"Content-Length: 2\r\n",
+        b"POST /v1/tick HTTP/1.1\r\nContent-Length : 0\r\n",
+        b"{}POST /v1/tick HTTP/1.1\r\nContent-Length: 0\r\n",
+    ], ids=["signed-length", "conflicting-lengths", "space-before-colon",
+            "method-not-a-token"])
+    def test_ambiguous_head_runs_nothing(self, head):
+        """A tick whose framing could be read two ways is answered 400
+        and the connection closes: neither it nor the tick pipelined
+        behind it settles."""
+
+        async def go():
+            gateway = await started_gateway()
+            reader, writer = await asyncio.open_connection(
+                *gateway.address)
+            writer.write(submit_bytes(1))
+            submitted = await read_response(reader)
+            writer.write(head + b"Host: x\r\n\r\n"
+                         + render_request("POST", "/v1/tick"))
+            refused = await read_response(reader)
+            rest = await asyncio.wait_for(reader.read(), 5.0)
+            writer.close()
+            period = gateway.backend.period
+            pending = gateway.backend.pending_count()
+            await gateway.stop(final_settle=False)
+            return submitted, refused, rest, period, pending
+
+        submitted, refused, rest, period, pending = asyncio.run(go())
+        assert submitted.status == 200
+        assert refused.status == 400
+        assert refused.headers["connection"] == "close"
+        assert rest == b""
+        assert (period, pending) == (0, 1)
+
+
 class TestFlowControl:
     def test_a_peer_that_never_reads_is_paused_not_buffered(self):
         """Answers pile up unread: the connection stops taking

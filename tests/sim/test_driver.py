@@ -267,19 +267,21 @@ def four_shards():
 
 @pytest.mark.parametrize("build,kwargs,pump", [
     (build_service, dict(arrivals=ONE), True),
-    (build_service, dict(arrivals=TWO), False),
-    (build_service, dict(), False),
+    (build_service, dict(arrivals=TWO), True),
+    (build_service, dict(), True),
     (build_service, dict(arrivals=ONE, batch_arrivals=False), False),
     (build_service, dict(arrivals=ONE, pump=False), False),
-    (four_shards, dict(arrivals=ONE), False),
+    (four_shards, dict(arrivals=ONE), True),
     (four_shards, dict(arrivals=ONE, route="stream"), True),
-    (four_shards, dict(arrivals=TWO, route="stream"), False),
-    (four_shards, dict(arrivals=TWO, pump=True), True),
+    (four_shards, dict(arrivals=TWO, route="stream"), True),
+    (four_shards, dict(arrivals=TWO, batch_arrivals=False, pump=True),
+     True),
 ])
 def test_driver_takes_the_arrival_path_it_observes(build, kwargs, pump):
-    """``pump=None``: one process whose rows need no per-row placement
-    is pumped; a keyword names a path; a restore keeps the stored bool
-    (the last row's would resolve the other way)."""
+    """``pump=None`` resolves to ``batch_arrivals``: every process that
+    hands out blocks is pumped, placement-routed or not; a keyword
+    names a path; a restore keeps the stored bool (the ``pump=False``
+    row's would resolve the other way)."""
     driver = SimulationDriver(build(), **kwargs)
     assert driver.pump is pump
     driver.run(1)

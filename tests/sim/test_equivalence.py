@@ -1,11 +1,12 @@
 """Fast-layer equivalence: every shortcut must be invisible.
 
-The simulation runtime's throughput work — batched arrival dispatch,
-the v2 binary trace columns, the probe's count-mode engine — is only
-admissible because each fast path produces *byte-identical* results to
-the reference path it replaced.  This suite pins that:
+The simulation runtime's throughput work — row admission of arrivals
+(the default), the v2 binary trace columns, the probe's count-mode
+engine — is only admissible because each fast path produces
+*byte-identical* results to the reference path it replaced.  This
+suite pins that:
 
-* batched arrival dispatch ≡ per-event dispatch (reports,
+* the default arrival path ≡ per-event dispatch (reports,
   ``events_processed``, recorder rows);
 * trace-v2 (binary) replay ≡ trace-v1 (JSON) replay ≡ the live run;
 * the property-based sweep covers arrival rates, seeds, subscription

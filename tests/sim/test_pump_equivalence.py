@@ -5,21 +5,45 @@ row-blocks from the arrival processes and admits boundary slices
 through the columnar twin, materializing plan objects for winners
 only.  It is only admissible because every observable — period
 reports, ``events_processed``, recorder rows, RNG streams, checkpoint
-round-trips — is byte-identical to the batched and per-event object
-paths.  This suite pins that across open-system, subscription, and
-cluster-routed runs, plus the edges: bursts, near-empty blocks,
-mid-run checkpoint stitching, and trace record/replay.
+round-trips — is byte-identical to per-event dispatch.  This suite
+pins that across open-system, subscription, and cluster-routed runs,
+plus the edges: bursts, near-empty blocks, mid-run checkpoint
+stitching, and trace record/replay — and rows a gateway hands the
+driver are admitted as the same rows pushed as per-event arrivals
+would be.
 """
 
 import dataclasses
+import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import FederatedAdmissionService
+from repro.dsms.operators import ProjectOperator, SelectOperator
+from repro.dsms.plan import ContinuousQuery
+from repro.dsms.streams import SyntheticStream
 from repro.io import save_sim_trace
+from repro.serve.gateway import DriverBackend, report_document
 from repro.sim import SimulationDriver, SubscriptionOptions
-from repro.sim.trace import SimTrace, TraceColumns
+from repro.sim.arrivals import (
+    Arrival,
+    ArrivalBlock,
+    ScheduledArrivals,
+    TraceArrivals,
+    synthetic_query,
+)
+from repro.sim.driver import LOOKAHEAD
+from repro.sim.events import ArrivalEvent
+from repro.sim.trace import (
+    SimTrace,
+    TraceColumns,
+    TraceRecorder,
+    as_select_plan,
+)
+from repro.utils.validation import ValidationError
 
 from tests.sim.test_equivalence import (
     build_cluster,
@@ -46,7 +70,8 @@ def run_driver(host, periods=4, pump=False, batch_arrivals=True,
 
 
 def assert_all_paths_identical(make_host, **kwargs):
-    """Pump ≡ batched ≡ per-event on fresh hosts from *make_host*."""
+    """Pump ≡ the default path ≡ per-event on fresh hosts from
+    *make_host*."""
     pumped, pumped_reports = run_driver(make_host(), pump=True,
                                         **kwargs)
     batched, batched_reports = run_driver(make_host(), **kwargs)
@@ -85,7 +110,8 @@ class TestPumpEqualsObjectPaths:
             subscriptions=SubscriptionOptions(seed=1))
 
     def test_cluster_placement_routing_identical(self):
-        """Placement routing admits per-row (pump falls back cleanly)."""
+        """Placement routing, open system: rows are submitted one by
+        one and the host places each."""
         assert_all_paths_identical(
             build_cluster,
             arrivals="poisson:rate=4,seed=17",
@@ -245,3 +271,229 @@ class TestPumpTraceReplay:
         assert rejected - dropped == {
             query_id for report in expected.reports
             for query_id in report.rejected}
+
+
+PLACEMENTS = ["round-robin", "least-loaded", "consistent-hash"]
+
+
+def build_placed_cluster(placement, shards=4):
+    return FederatedAdmissionService.build(
+        num_shards=shards,
+        sources=[SyntheticStream("s", rate=5.0, seed=0)],
+        capacity=40.0,
+        mechanism="CAT",
+        ticks_per_period=5,
+        placement=placement,
+    )
+
+
+def trace_rows(driver):
+    return [repr(entry) for entry in driver.trace().entries]
+
+
+class TestPlacementRoutedSubscriptions:
+    """Subscription mode over a placement-routed federation: the row
+    body routes each row in pop order (round-robin keeps a cursor,
+    least-loaded reads the shards' queues) and parks same-shard runs
+    as chunks on several shards' pending lists."""
+
+    def spec(self):
+        return dict(arrivals="poisson:rate=4,seed=17",
+                    subscriptions=SubscriptionOptions(seed=4),
+                    record=True)
+
+    @pytest.mark.parametrize("placement", PLACEMENTS)
+    def test_rows_equal_per_event(self, placement):
+        pumped = assert_all_paths_identical(
+            lambda: build_placed_cluster(placement), **self.spec())
+        legacy, _ = run_driver(build_placed_cluster(placement),
+                               batch_arrivals=False, **self.spec())
+        assert trace_rows(pumped) == trace_rows(legacy)
+        pump = pumped.metrics_snapshot()["pump"]
+        assert pump["enabled"] is True
+        assert pump["rows"] == len(pumped.trace())
+        assert pump["fallbacks"] == 0
+        served = {shard for report in pumped.reports
+                  for shard, result in enumerate(report.shard_results)
+                  if result.admitted or result.rejected}
+        assert len(served) > 1
+
+    @pytest.mark.parametrize("placement", PLACEMENTS)
+    def test_mid_period_checkpoint_stitches(self, placement):
+        """Stopped halfway through a period, with chunks parked and a
+        block cursor mid-block, the restored driver finishes the run
+        as the per-event reference does."""
+        reference, reference_reports = run_driver(
+            build_placed_cluster(placement), periods=4,
+            batch_arrivals=False, **self.spec())
+        first = SimulationDriver(build_placed_cluster(placement),
+                                 **self.spec())
+        while first.clock < 2.5 * first.host.ticks_per_period:
+            first._step()
+        assert first.period == 3 and first.pending_count() > 0
+        restored = SimulationDriver.restore(first.snapshot())
+        restored.run(1)
+
+        assert report_bytes(restored.reports) == report_bytes(
+            reference_reports)
+        assert restored.events_processed == reference.events_processed
+        assert trace_rows(restored) == trace_rows(reference)
+
+
+def build_hashed_cluster():
+    return FederatedAdmissionService.build(
+        num_shards=4,
+        sources=[SyntheticStream("s", rate=2.0, seed=0)],
+        capacity=30.0,
+        mechanism="CAT",
+        ticks_per_period=4,
+        placement="consistent-hash",
+    )
+
+
+def settle_both(make_driver, ticks):
+    """Run *ticks* — each a list of ``("submit", query, category)`` /
+    ``("withdraw", query_id)`` ops — through a :class:`DriverBackend`
+    over a row-admitting driver, and through a per-event driver fed
+    the surviving submissions as :class:`ArrivalEvent` s at the same
+    boundary times; returns both drivers and both report lists."""
+    backend = DriverBackend(make_driver(batch_arrivals=True))
+    oracle = make_driver(batch_arrivals=False)
+    rows, expected = [], []
+    for ops in ticks:
+        inbox = {}
+        for op in ops:
+            if op[0] == "submit":
+                _, query, category = op
+                backend.submit(query, category=category)
+                inbox[query.query_id] = (query, category)
+            else:
+                backend.withdraw(op[1])
+                del inbox[op[1]]
+        boundary = float(oracle.period * oracle.host.ticks_per_period)
+        for query, category in inbox.values():
+            oracle.queue.push(ArrivalEvent(
+                time=boundary, query=as_select_plan(query),
+                category=category))
+        rows.append(backend.tick())
+        expected.append(oracle.run(1)[0])
+    return backend.driver, oracle, rows, expected
+
+
+def assert_settled_alike(driver, oracle, rows, expected):
+    assert report_bytes(rows) == report_bytes(expected)
+    assert ([json.dumps(report_document(report), sort_keys=True)
+             for report in rows]
+            == [json.dumps(report_document(report), sort_keys=True)
+                for report in expected])
+    assert driver.events_processed == oracle.events_processed
+    assert trace_rows(driver) == trace_rows(oracle)
+
+
+class TestGatewayRows:
+    """A :class:`DriverBackend` hands the driver its inbox as one row
+    block per tick; the driver admits it as the same rows pushed as
+    per-event arrivals at the boundary time."""
+
+    def test_ticks_equal_per_event_arrivals(self):
+        rng = np.random.default_rng(3)
+        serial = iter(range(10 ** 6))
+
+        def fresh():
+            return synthetic_query(rng, next(serial), prefix="g",
+                                   clients=11)
+
+        ticks = []
+        for _ in range(5):
+            ops = [("submit", fresh(), None) for _ in range(12)]
+            ops += [("submit", fresh(), name)
+                    for name in ("day", "day", "week", "month")]
+            ops.append(("withdraw", ops[3][1].query_id))
+            ticks.append(ops)
+
+        def make_driver(batch_arrivals):
+            return SimulationDriver(
+                build_hashed_cluster(),
+                subscriptions=SubscriptionOptions(seed=7),
+                record=True, batch_arrivals=batch_arrivals)
+
+        driver, oracle, rows, expected = settle_both(make_driver, ticks)
+        assert_settled_alike(driver, oracle, rows, expected)
+        # Day subscriptions auto-renew: later ticks' rows sat in the
+        # pending lists beside renewals.
+        assert any(report.renewed for report in rows[1:])
+        assert driver.pump is True and oracle.pump is False
+
+    @pytest.mark.parametrize("count", [5, LOOKAHEAD + 6, 2 * LOOKAHEAD + 6])
+    @pytest.mark.parametrize("kind", ["trace", "scheduled"])
+    def test_process_rows_share_the_first_ticks_queue_key(self, kind,
+                                                         count):
+        """A fresh driver's process has *count* rows at time 0 on
+        stream 0 — the key of rows submitted before the first tick.
+        Per-event dispatch pops the process rows it queued at
+        construction (one lookahead batch) first, then the submits,
+        then the rest; the row body keeps that order whether the
+        process hands out blocks (trace) or objects (scheduled)."""
+        def process():
+            rng = np.random.default_rng(5)
+            arrivals = [
+                Arrival(0.0 if index < count else 0.5 + index / 10,
+                        synthetic_query(rng, index, prefix="p"))
+                for index in range(count + 20)]
+            if kind == "scheduled":
+                return ScheduledArrivals(arrivals)
+            recorder = TraceRecorder()
+            for arrival in arrivals:
+                recorder.record(arrival.time, arrival.query, None, 0)
+            return TraceArrivals(trace=recorder.trace())
+
+        rng = np.random.default_rng(9)
+        submits = [("submit", synthetic_query(rng, index, prefix="g"),
+                    "day" if index % 3 == 0 else None)
+                   for index in range(10)]
+
+        def make_driver(batch_arrivals):
+            return SimulationDriver(
+                build_hashed_cluster(), arrivals=process(),
+                subscriptions=SubscriptionOptions(seed=3),
+                record=True, batch_arrivals=batch_arrivals)
+
+        driver, oracle, rows, expected = settle_both(
+            make_driver, [submits, [], []])
+        assert_settled_alike(driver, oracle, rows, expected)
+        order = [entry.query.query_id for entry in driver.trace().entries]
+        first_submit = order.index("g0")
+        assert order[first_submit - 1] == f"p{min(count, LOOKAHEAD) - 1}"
+
+    def test_inbox_refuses_a_plan_with_no_select_form(self):
+        """No wire body or WAL op can carry such a plan, and the inbox
+        holds select rows: it is refused at submit, by name."""
+        backend = DriverBackend(SimulationDriver(build_hashed_cluster()))
+        select = SelectOperator("sel", "s", keep_all)
+        project = ProjectOperator("proj", "sel", ("a",))
+        fancy = ContinuousQuery("fancy", (select, project),
+                                sink_id="proj", bid=9.0)
+        with pytest.raises(ValidationError,
+                           match="'fancy' is not a single pass-all"):
+            backend.submit(fancy)
+        assert backend.pending_count() == 0
+
+    def test_arrive_takes_one_pinned_block_at_a_time(self):
+        driver = SimulationDriver(build_service())
+        rng = np.random.default_rng(1)
+        plans = [as_select_plan(synthetic_query(rng, index))
+                 for index in range(3)]
+        with pytest.raises(ValidationError, match="pinned to a stream"):
+            driver.arrive(ArrivalBlock.of_plans([0.0] * 3, plans))
+        driver.arrive(ArrivalBlock.of_plans([0.0] * 3, plans, stream=0))
+        with pytest.raises(ValidationError, match="one non-empty block"):
+            driver.arrive(ArrivalBlock.of_plans([0.0] * 3, plans,
+                                                stream=0))
+        report = driver.run(1)[0]
+        assert driver.events_processed == 3 + 1    # rows + the boundary
+        assert {query_id for query_id in report.admitted + report.rejected
+                } == {plan.query_id for plan in plans}
+
+
+def keep_all(_tuple):
+    return True

@@ -14,7 +14,7 @@ from repro.io import (
     sim_trace_from_dict,
     sim_trace_to_arrays,
 )
-from repro.sim.arrivals import Arrival, TraceArrivals, synthetic_query
+from repro.sim.arrivals import TraceArrivals, synthetic_query
 from repro.sim.trace import (
     SimTrace,
     TraceEntry,
@@ -53,9 +53,6 @@ class TestQueryCodec:
         recorder = TraceRecorder()
         with pytest.raises(ValidationError, match="'fancy'"):
             recorder.record(1.0, query, None)
-        with pytest.raises(ValidationError, match="'fancy'"):
-            recorder.record_events(
-                [Arrival(1.0, query, stream=0)], [None])
         assert len(recorder.trace()) == 0
 
     def test_unknown_plan_encoding_rejected(self):
