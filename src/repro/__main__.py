@@ -403,7 +403,7 @@ def _cmd_sim(args: argparse.Namespace) -> int:
          "revenue", "util"],
         rows, precision=2,
         title=(f"Open-system simulation — {mode}, "
-               f"{len(driver.host.services)} shard(s), "
+               f"{len(driver.host.shards)} shard(s), "
                f"{args.periods} boundaries")))
     print(f"total revenue: {driver.total_revenue():.2f}")
     print(f"events processed: {driver.events_processed} "
@@ -460,7 +460,7 @@ def _write_wal_final_report(driver, wal_dir: str) -> str:
                            invoice.owner, invoice.amount,
                            invoice.mechanism]
                           for invoice in service.ledger.invoices]}
-            for index, service in enumerate(driver.host.services)],
+            for index, service in enumerate(driver.host.shards)],
     }
     path = Path(wal_dir) / "final_report.json"
     _atomic_write_text(

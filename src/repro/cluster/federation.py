@@ -5,10 +5,11 @@ deployment runs many.  :class:`FederatedAdmissionService` owns N
 independent :class:`~repro.service.AdmissionService` shards and gives
 them one front door:
 
-* **routing** — :meth:`submit` sends each query to a shard chosen by a
-  pluggable :class:`~repro.cluster.placement.PlacementPolicy`
-  (consistent-hash on client id, least-loaded, round-robin), with
-  cluster-wide query-id uniqueness enforced before the shard sees it;
+* **routing** — :meth:`submit` sends each query to a shard the caller
+  pins or :meth:`route` picks with a pluggable
+  :class:`~repro.cluster.placement.PlacementPolicy` (consistent-hash on
+  client id, least-loaded, round-robin), with cluster-wide query-id
+  uniqueness enforced before the shard sees it;
 * **the cluster period** — :meth:`run_period` drives every shard
   through the prepare → auction → settle → rebalance → execute cycle
   in lockstep, auctioning shard by shard in shard order and stopping
@@ -25,6 +26,10 @@ them one front door:
   shard's snapshot envelope into one versioned cluster snapshot with
   the same guarantee as a single service: the resumed run is
   byte-identical to the uninterrupted one.
+
+The driver, the gateway and WAL recovery hold this one host type: a
+bare service is a *solo* federation of one (see
+:meth:`FederatedAdmissionService.of`).
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from repro.cluster.reports import ClusterReport, Migration
 from repro.dsms.plan import ContinuousQuery
 from repro.service.builder import ServiceBuilder
 from repro.service.coordinator import unknown_withdraw
+from repro.service.reports import PeriodReport
 from repro.service.service import AdmissionService, ServiceSnapshot
 from repro.utils.validation import ValidationError, require
 
@@ -82,7 +88,8 @@ class FederatedAdmissionService:
     homogeneous case.  Shards stay fully independent services — each
     with its own engine, ledger, mechanism and hooks — so everything
     that works on one :class:`AdmissionService` (hooks, introspection,
-    per-shard checkpoints) still works on ``cluster.shards[i]``.
+    per-shard checkpoints) still works on ``cluster.shards[i]``.  It
+    starts at the period its shards are at, which must be one period.
     """
 
     def __init__(
@@ -98,11 +105,52 @@ class FederatedAdmissionService:
             raise ValidationError(
                 "the same AdmissionService object appears twice in the "
                 "shard list; every shard must be an independent service")
+        periods = [shard.period for shard in shards]
+        if len(set(periods)) != 1:
+            raise ValidationError(
+                f"shards are at periods {periods}; a federation runs "
+                f"its shards in lockstep, so they must start at the "
+                f"same period")
         self.shards: tuple[AdmissionService, ...] = shards
         self.placement = resolve_placement(placement)
         self.rebalancer = rebalancer
-        self._period = 0
+        self._period = periods[0]
+        self._solo = False
         self.reports: list[ClusterReport] = []
+
+    @classmethod
+    def of(cls, target: object) -> "FederatedAdmissionService":
+        """*target* as a federation: a federation passes through, and a
+        bare :class:`AdmissionService` becomes a *solo* federation of
+        one, which reports and saves as the service itself."""
+        if isinstance(target, cls):
+            return target
+        if isinstance(target, AdmissionService):
+            federation = cls(shards=(target,))
+            federation._solo = True
+            return federation
+        raise ValidationError(
+            f"cannot host {type(target).__name__}; pass an "
+            f"AdmissionService or a FederatedAdmissionService")
+
+    def host_state(self) -> "tuple[str, ServiceSnapshot | ClusterSnapshot]":
+        """The ``(kind, payload)`` pair drivers and gateways save: the
+        service's own snapshot for a solo federation."""
+        if self._solo:
+            return "service", self.shards[0].snapshot()
+        return "cluster", self.snapshot()
+
+    @classmethod
+    def from_host_state(cls, kind: str,
+                        payload: object) -> "FederatedAdmissionService":
+        """Rebuild a host from a :meth:`host_state` pair."""
+        if kind == "service":
+            return cls.of(AdmissionService.restore(payload))
+        if kind == "cluster":
+            return cls.restore(payload)
+        raise ValidationError(
+            f"unknown simulation host kind {kind!r}; this build restores "
+            f"'service' and 'cluster'")
 
     @classmethod
     def build(
@@ -176,27 +224,44 @@ class FederatedAdmissionService:
                 return index
         return None
 
-    def submit(self, query: ContinuousQuery) -> int:
-        """Route *query* to a shard; returns the chosen shard index.
+    def route(self, query: ContinuousQuery) -> int:
+        """The shard the placement policy picks for *query*, checked.
 
-        Query ids are unique cluster-wide: a collision with any shard's
-        pending queue or running set is rejected here, before the
-        placement policy runs.
+        A one-shard federation answers 0 without consulting the policy.
         """
-        existing = self.locate(query.query_id)
-        if existing is not None:
-            raise ValidationError(
-                f"query id {query.query_id!r} already submitted "
-                f"(held by shard {existing})")
-        statuses = self.shard_statuses()
-        index = self.placement.choose(query, statuses)
+        if len(self.shards) == 1:
+            return 0
+        index = self.placement.choose(query, self.shard_statuses())
         if not 0 <= index < len(self.shards):
             raise ValidationError(
                 f"placement policy {self.placement.name!r} chose shard "
                 f"{index}, but the cluster has shards 0.."
                 f"{len(self.shards) - 1}")
-        self.shards[index].submit(query)
         return index
+
+    def submit(self, query: ContinuousQuery,
+               shard: "int | None" = None) -> int:
+        """Queue *query* on a shard; returns the shard index.
+
+        ``shard=None`` routes by :meth:`route`; an explicit index pins
+        the query to that shard (per-shard event streams).  Query ids
+        are unique cluster-wide: a collision with any shard's pending
+        queue or running set is rejected here, before the placement
+        policy runs.
+        """
+        if shard is not None and not 0 <= shard < len(self.shards):
+            raise ValidationError(
+                f"shard {shard} out of range; the cluster has shards "
+                f"0..{len(self.shards) - 1}")
+        existing = self.locate(query.query_id)
+        if existing is not None:
+            raise ValidationError(
+                f"query id {query.query_id!r} already submitted "
+                f"(held by shard {existing})")
+        if shard is None:
+            shard = self.route(query)
+        self.shards[shard].submit(query)
+        return shard
 
     def withdraw(self, query_id: str) -> ContinuousQuery:
         """Withdraw a pending submission from whichever shard holds it."""
@@ -218,8 +283,22 @@ class FederatedAdmissionService:
     # The cluster period
     # ------------------------------------------------------------------
 
-    def run_period(self) -> ClusterReport:
-        """Run one cluster period, auctioning shard by shard."""
+    def run_period(self) -> "ClusterReport | PeriodReport":
+        """Run one cluster period, auctioning shard by shard.
+
+        A shard with nothing pending and nothing running idles through
+        the period.  A solo federation returns its service's own
+        :class:`~repro.service.PeriodReport` and records no
+        :class:`ClusterReport`.
+        """
+        if self._solo:
+            shard = self.shards[0]
+            try:
+                if shard.pending_ids or shard.engine.admitted_ids:
+                    return shard.run_period()
+                return shard.run_idle_period()
+            finally:
+                self._period = shard.period
         # Phase A/B — prepare and auction.  Nothing is billed or
         # transitioned yet, so a failure here (a pre_auction hook, a
         # mechanism bug) rolls back cleanly: shard counters return to
@@ -365,11 +444,11 @@ class FederatedAdmissionService:
                 f"cannot restore cluster snapshot version "
                 f"{snapshot.version}; this build supports version "
                 f"{CLUSTER_STATE_VERSION}")
-        cluster = object.__new__(cls)
-        cluster.shards = tuple(
-            AdmissionService.restore(shard) for shard in snapshot.shards)
-        cluster.placement = copy.deepcopy(snapshot.placement)
-        cluster.rebalancer = copy.deepcopy(snapshot.rebalancer)
+        cluster = cls(
+            shards=[AdmissionService.restore(shard)
+                    for shard in snapshot.shards],
+            placement=copy.deepcopy(snapshot.placement),
+            rebalancer=copy.deepcopy(snapshot.rebalancer))
         cluster._period = snapshot.period
         cluster.reports = list(snapshot.reports)
         return cluster

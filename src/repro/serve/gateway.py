@@ -51,6 +51,7 @@ import time
 from collections import Counter, OrderedDict, deque
 from dataclasses import dataclass
 
+from repro.cluster.federation import FederatedAdmissionService
 from repro.io import (
     serve_request_from_dict,
     serve_request_to_dict,
@@ -61,7 +62,6 @@ from repro.serve.backpressure import RetryBudget, TokenBucket
 from repro.serve.http import HttpError, HttpRequest
 from repro.serve.logs import StructuredLog
 from repro.sim.arrivals import ArrivalBlock, SelectPlan
-from repro.sim.hosts import wrap_host
 from repro.sim.trace import require_select_plan
 from repro.utils.validation import ValidationError, require
 from repro.wal.crashpoints import crashpoint, register
@@ -119,7 +119,8 @@ def _validate_streams(query, services) -> None:
 class HostBackend:
     """Serve a bare admission host (service or federation).
 
-    Submissions go straight to the host in request order — a gateway-
+    Submissions go straight to the federation (:attr:`cluster`; a
+    bare service is a federation of one) in request order — a gateway-
     mediated run admits byte-identically to the same submissions made
     in-process, which ``tests/serve/test_gateway.py`` asserts.
     """
@@ -128,16 +129,22 @@ class HostBackend:
     subscriptions = False
 
     def __init__(self, target: object) -> None:
-        self.host = wrap_host(target)
+        self.cluster = FederatedAdmissionService.of(target)
         self.last_report: object = None
 
     @property
+    def host(self) -> "HostBackend":
+        # The macro benchmark reads a restarted gateway's federation
+        # as ``gateway.backend.host.cluster``; that name is frozen.
+        return self
+
+    @property
     def services(self):
-        return self.host.services
+        return self.cluster.shards
 
     @property
     def period(self) -> int:
-        return self.host.period
+        return self.cluster.period
 
     def submit(self, query, category: "str | None" = None) -> "int | None":
         if category is not None:
@@ -146,23 +153,20 @@ class HostBackend:
                 "backend; serve a SimulationDriver built with "
                 "subscriptions enabled")
         _validate_streams(query, self.services)
-        return self.host.submit(query)
+        return self.cluster.submit(query)
 
     def withdraw(self, query_id: str):
-        cluster = getattr(self.host, "cluster", None)
-        if cluster is not None:
-            return cluster.withdraw(query_id)
-        return self.services[0].withdraw(query_id)
+        return self.cluster.withdraw(query_id)
 
     def tick(self):
-        self.last_report = self.host.run_auction_period()
+        self.last_report = self.cluster.run_period()
         return self.last_report
 
     def pending_count(self) -> int:
         return sum(len(service.pending_ids) for service in self.services)
 
     def total_revenue(self) -> float:
-        return sum(service.total_revenue() for service in self.services)
+        return self.cluster.total_revenue()
 
     def probe_snapshot(self) -> "dict | None":
         return None
@@ -192,7 +196,7 @@ class DriverBackend:
 
     @property
     def services(self):
-        return self.driver.host.services
+        return self.driver.host.shards
 
     @property
     def period(self) -> int:
@@ -204,9 +208,7 @@ class DriverBackend:
         return (
             query_id in self._inbox
             or query_id in self.driver.pending_ids()
-            or any(query_id in service.pending_ids
-                   or query_id in service.engine.admitted_ids
-                   for service in self.services)
+            or self.driver.host.locate(query_id) is not None
             or any(query_id in manager.active
                    for manager in self.driver.managers or ()))
 
@@ -243,7 +245,7 @@ class DriverBackend:
     def tick(self):
         if self._inbox:
             boundary = float(
-                self.driver.period * self.driver.host.ticks_per_period)
+                self.driver.period * self.services[0].ticks_per_period)
             rows = self._inbox.values()
             self.driver.arrive(ArrivalBlock.of_plans(
                 [boundary] * len(rows), [plan for plan, _ in rows],

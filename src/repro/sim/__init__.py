@@ -45,12 +45,6 @@ from repro.sim.events import (
     RenewalEvent,
     TickEvent,
 )
-from repro.sim.hosts import (
-    ClusterHost,
-    ServiceHost,
-    SimulationHost,
-    wrap_host,
-)
 from repro.sim.metrics import (
     latency_percentiles,
     metrics_snapshot,
@@ -70,7 +64,6 @@ __all__ = [
     "ArrivalProcess",
     "ArrivalSpec",
     "BurstArrivals",
-    "ClusterHost",
     "Event",
     "EventQueue",
     "ExpiryEvent",
@@ -80,12 +73,10 @@ __all__ = [
     "RenewalEvent",
     "SIM_STATE_VERSION",
     "ScheduledArrivals",
-    "ServiceHost",
     "SimPeriodReport",
     "SimSnapshot",
     "SimTrace",
     "SimulationDriver",
-    "SimulationHost",
     "SubscriptionEntry",
     "SubscriptionManager",
     "SubscriptionOptions",
@@ -103,5 +94,4 @@ __all__ = [
     "registered_arrivals",
     "resolve_arrivals",
     "synthetic_query",
-    "wrap_host",
 ]

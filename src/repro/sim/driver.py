@@ -1,10 +1,12 @@
 """The open-system simulation driver.
 
-:class:`SimulationDriver` runs an admission host as a *discrete-event
-simulation*: a virtual clock (in engine ticks), one deterministic
-:class:`~repro.sim.events.EventQueue`, and five event kinds —
-arrivals, period boundaries, subscription expiries, renewals, and
-probe ticks.  (The closed loop — submit a batch, run a period — needs
+:class:`SimulationDriver` runs an admission host — a
+:class:`~repro.cluster.FederatedAdmissionService`, a bare
+:class:`~repro.service.AdmissionService` being a federation of one —
+as a *discrete-event simulation*: a virtual clock (in engine ticks),
+one deterministic :class:`~repro.sim.events.EventQueue`, and five
+event kinds — arrivals, period boundaries, subscription expiries,
+renewals, and probe ticks.  (The closed loop — submit a batch, run a period — needs
 none of this and is :meth:`AdmissionService.run_periods`' own loop.)
 The driver runs:
 
@@ -21,8 +23,8 @@ The driver runs:
   :class:`~repro.sim.subscriptions.SubscriptionOptions`, boundaries
   run Section VII per-category auctions, expiries reclaim capacity,
   renewals resubmit — all billed through the service's ledger;
-* **cluster scale** — a :class:`~repro.cluster.FederatedAdmissionService`
-  shares the driver's single clock; per-shard arrival streams merge
+* **cluster scale** — every shard of the federation shares the
+  driver's single clock; per-shard arrival streams merge
   deterministically (``route="stream"``) or route by placement.
 
 Per-tick queue/latency metrics come from an optional *latency probe*:
@@ -45,6 +47,7 @@ from dataclasses import dataclass
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import islice
 
+from repro.cluster.federation import FederatedAdmissionService
 from repro.dsms.plan import ContinuousQuery
 from repro.dsms.scheduler import (
     PolicySpec,
@@ -70,7 +73,6 @@ from repro.sim.events import (
     RenewalEvent,
     TickEvent,
 )
-from repro.sim.hosts import ServiceHost, SimulationHost, restore_host, wrap_host
 from repro.sim.metrics import metrics_snapshot as _metrics_snapshot
 from repro.sim.metrics import latency_percentiles as _latency_percentiles
 from repro.sim.subscriptions import (
@@ -254,9 +256,9 @@ class SimulationDriver:
     Parameters
     ----------
     host:
-        An :class:`AdmissionService`, a
-        :class:`FederatedAdmissionService`, or a pre-wrapped
-        :class:`~repro.sim.hosts.SimulationHost`.
+        A :class:`FederatedAdmissionService`, or an
+        :class:`AdmissionService` — held in :attr:`host` as a federation
+        of one that reports and checkpoints as the bare service.
     arrivals:
         Zero or more arrival processes — live
         :class:`~repro.sim.arrivals.ArrivalProcess` objects, specs, or
@@ -312,7 +314,7 @@ class SimulationDriver:
         batch_arrivals: bool = True,
         pump: "bool | None" = None,
     ) -> None:
-        self.host: SimulationHost = wrap_host(host)
+        self.host = FederatedAdmissionService.of(host)
         if isinstance(arrivals, (str, ArrivalSpec, ArrivalProcess)):
             arrivals = (arrivals,)
         self.processes: tuple[ArrivalProcess, ...] = tuple(
@@ -320,7 +322,7 @@ class SimulationDriver:
         if route not in ("placement", "stream"):
             raise ValidationError(
                 f"route must be 'placement' or 'stream', got {route!r}")
-        shards = len(self.host.services)
+        shards = len(self.host.shards)
         if route == "stream" and len(self.processes) > shards:
             raise ValidationError(
                 f"route='stream' pins arrival process i to shard i, "
@@ -339,7 +341,7 @@ class SimulationDriver:
                     f"or None, got {subscriptions!r}")
             self.managers = tuple(
                 SubscriptionManager(options, service.mechanism, shard=i)
-                for i, service in enumerate(self.host.services))
+                for i, service in enumerate(self.host.shards))
         self.pending: list[list[tuple[ContinuousQuery, str]]] = [
             [] for _ in range(shards)]
 
@@ -353,7 +355,7 @@ class SimulationDriver:
                             if isinstance(policy_spec, SchedulingPolicy)
                             else resolve_policy(policy_spec)),
                     shard=i)
-                for i, service in enumerate(self.host.services))
+                for i, service in enumerate(self.host.shards))
 
         self.recorder: "TraceRecorder | None" = (
             TraceRecorder() if record else None)
@@ -361,7 +363,8 @@ class SimulationDriver:
         self.wal = None
         self.queue = EventQueue()
         self._period = self.host.period
-        self.clock = float(self._period * self.host.ticks_per_period)
+        self.clock = float(
+            self._period * self.host.shards[0].ticks_per_period)
         self.reports: list[object] = []
         self.events_processed = 0
         #: shard → ids expired / capacity reclaimed since the last
@@ -438,8 +441,7 @@ class SimulationDriver:
 
     def total_revenue(self) -> float:
         """Revenue billed across all shards so far."""
-        return sum(service.total_revenue()
-                   for service in self.host.services)
+        return self.host.total_revenue()
 
     def pending_ids(self) -> Iterator[str]:
         """Ids parked for the next boundary's subscription auction,
@@ -812,7 +814,7 @@ class SimulationDriver:
         elif route_stream:
             shards = [self._pinned_shard(int(streams[row]), block.ids[row])
                       for row in range(start, stop)]
-        elif isinstance(self.host, ServiceHost):
+        elif len(self.host.shards) == 1:
             shards = 0
         else:
             route = self.host.route
@@ -880,7 +882,7 @@ class SimulationDriver:
 
     def _pinned_shard(self, stream: int, query_id: str) -> int:
         """The shard ``route="stream"`` pins *stream* to, checked."""
-        shards = len(self.host.services)
+        shards = len(self.host.shards)
         if not 0 <= stream < shards:
             raise ValidationError(
                 f"arrival {query_id!r} is pinned to stream {stream}, "
@@ -908,7 +910,7 @@ class SimulationDriver:
                      if query_id in manager.active]
         if not query_ids:
             return
-        service = self.host.services[event.shard]
+        service = self.host.shards[event.shard]
         rates = {source.name: source.expected_rate()
                  for source in service.sources}
         entries, reclaimed = manager.expire(service, query_ids, rates)
@@ -936,11 +938,11 @@ class SimulationDriver:
 
     def _on_period(self, event: PeriodEvent) -> None:
         period = event.period
-        ticks_per_period = self.host.ticks_per_period
+        ticks_per_period = self.host.shards[0].ticks_per_period
         if self.managers is not None:
             report = self._run_subscription_period(period)
         else:
-            report = self.host.run_auction_period()
+            report = self.host.run_period()
         self._period = period
         self.reports.append(report)
         self.queue.push(PeriodEvent(
@@ -951,10 +953,10 @@ class SimulationDriver:
             self._log_period()
 
     def _run_subscription_period(self, period: int) -> SimPeriodReport:
-        services = self.host.services
+        services = self.host.shards
         shard_results = []
         revenue = 0.0
-        ticks_per_period = self.host.ticks_per_period
+        ticks_per_period = services[0].ticks_per_period
         for index, service in enumerate(services):
             manager = self.managers[index]
             pending = self.pending[index]
@@ -1017,7 +1019,7 @@ class SimulationDriver:
 
     def _sync_probes(self) -> None:
         for index, probe in enumerate(self.probes):
-            probe.sync(self.host.services[index].engine.catalog.queries)
+            probe.sync(self.host.shards[index].engine.catalog.queries)
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -1025,10 +1027,8 @@ class SimulationDriver:
 
     def snapshot(self) -> SimSnapshot:
         """Capture the whole simulation as a restorable snapshot."""
-        state: dict[str, object] = {
-            "host_kind": self.host.kind,
-            "host": self.host.snapshot(),
-        }
+        host_kind, host = self.host.host_state()
+        state: dict[str, object] = {"host_kind": host_kind, "host": host}
         state.update(copy.deepcopy({
             "clock": self.clock,
             "period": self._period,
@@ -1073,7 +1073,7 @@ class SimulationDriver:
                                for key, value in snapshot.state.items()
                                if key != "host"})
         driver = object.__new__(cls)
-        driver.host = restore_host(
+        driver.host = FederatedAdmissionService.from_host_state(
             state["host_kind"], snapshot.state["host"])
         driver.processes = tuple(state["processes"])
         driver.route = state["route"]

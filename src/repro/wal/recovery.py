@@ -119,13 +119,14 @@ def recover_gateway_backend(directory, backend, *, fsync="batch:256",
     *backend* is the freshly constructed
     :class:`~repro.serve.gateway.DriverBackend` /
     :class:`~repro.serve.gateway.HostBackend` the gateway was started
-    with; its driver/host is replaced by the recovered one, then the
-    tail of acknowledged ops and settles is re-applied.  Returns the
-    open :class:`WriteAheadLog`.
+    with; its driver or its federation (``backend.cluster``) is
+    replaced by the recovered one (an unknown host kind is refused),
+    then the tail of acknowledged ops and settles is re-applied.
+    Returns the open :class:`WriteAheadLog`.
     """
+    from repro.cluster.federation import FederatedAdmissionService
     from repro.io import serve_request_from_dict
     from repro.sim.driver import SimulationDriver
-    from repro.sim.hosts import restore_host
 
     state, log, scan = _open_wal(
         directory, "gateway", fsync=fsync, compact_every=compact_every)
@@ -145,11 +146,12 @@ def recover_gateway_backend(directory, backend, *, fsync="batch:256",
         backend.driver = SimulationDriver.restore(state["snapshot"])
         backend._inbox.clear()
     elif kind == "host":
-        if not hasattr(backend, "host"):
+        if not hasattr(backend, "cluster"):
             raise ValidationError(
                 f"WAL {directory} was written by a host-backed "
                 f"gateway; this backend is {type(backend).__name__}")
-        backend.host = restore_host(state["host_kind"], state["host"])
+        backend.cluster = FederatedAdmissionService.from_host_state(
+            state["host_kind"], state["host"])
     else:
         raise ValidationError(
             f"unknown gateway WAL state kind {kind!r}")
@@ -195,9 +197,5 @@ def gateway_wal_state(backend) -> dict:
                 "cannot checkpoint a gateway backend with queued "
                 "submissions; settle the inbox first")
         return {"kind": "driver", "snapshot": backend.driver.snapshot()}
-    host = backend.host
-    return {
-        "kind": "host",
-        "host_kind": host.kind,
-        "host": host.snapshot(),
-    }
+    host_kind, host = backend.cluster.host_state()
+    return {"kind": "host", "host_kind": host_kind, "host": host}

@@ -74,6 +74,25 @@ class TestConstruction:
         with pytest.raises(ValidationError, match="twice"):
             FederatedAdmissionService(shards=[shard, shard])
 
+    def test_starts_at_the_period_its_shards_reached(self):
+        shard = build_cluster(num_shards=1).shards[0]
+        for period in range(3):
+            shard.submit(select_query(f"q{period}", "a", 10.0, 1.0))
+            shard.run_period()
+        cluster = FederatedAdmissionService(shards=[shard])
+        assert cluster.period == 3
+        cluster.submit(select_query("next", "a", 10.0, 1.0))
+        report = cluster.run_period()
+        assert report.period == 4
+        assert [r.period for r in report.shard_reports] == [4]
+
+    def test_refuses_shards_at_different_periods(self):
+        ahead, behind = build_cluster(num_shards=2).shards
+        ahead.submit(select_query("q", "a", 10.0, 1.0))
+        ahead.run_period()
+        with pytest.raises(ValidationError, match=r"periods \[1, 0\]"):
+            FederatedAdmissionService(shards=[ahead, behind])
+
     def test_build_validates_shard_count(self):
         with pytest.raises(ValidationError, match="num_shards"):
             build_cluster(num_shards=0)

@@ -34,7 +34,7 @@ def snapshot_reports(snapshot):
 def services(system):
     """The admission services under a driver, service or cluster."""
     if isinstance(system, SimulationDriver):
-        return system.host.services
+        return system.host.shards
     return getattr(system, "shards", (system,))
 
 
@@ -109,7 +109,7 @@ class TestHistoryIsShared:
         assert len(copied) == len(held)
         for engine, source in zip(copied, held):
             assert engine is source
-        for service, source in zip(restored.host.services, held):
+        for service, source in zip(restored.host.shards, held):
             assert service.engine is not source
 
 

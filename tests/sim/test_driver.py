@@ -325,7 +325,7 @@ class TestCheckpointing:
               m.work) for m in driver.tick_metrics()],
             sorted(driver.latency_percentiles().items()),
             [(i.period, i.query_id, i.owner, i.amount, i.mechanism)
-             for s in driver.host.services for i in s.ledger.invoices],
+             for s in driver.host.shards for i in s.ledger.invoices],
             driver.events_processed,
         ]
 

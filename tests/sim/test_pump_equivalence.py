@@ -328,7 +328,7 @@ class TestPlacementRoutedSubscriptions:
             batch_arrivals=False, **self.spec())
         first = SimulationDriver(build_placed_cluster(placement),
                                  **self.spec())
-        while first.clock < 2.5 * first.host.ticks_per_period:
+        while first.clock < 2.5 * first.host.shards[0].ticks_per_period:
             first._step()
         assert first.period == 3 and first.pending_count() > 0
         restored = SimulationDriver.restore(first.snapshot())
@@ -370,7 +370,8 @@ def settle_both(make_driver, ticks):
             else:
                 backend.withdraw(op[1])
                 del inbox[op[1]]
-        boundary = float(oracle.period * oracle.host.ticks_per_period)
+        boundary = float(
+            oracle.period * oracle.host.shards[0].ticks_per_period)
         for query, category in inbox.values():
             oracle.queue.push(ArrivalEvent(
                 time=boundary, query=as_select_plan(query),

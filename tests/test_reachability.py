@@ -41,7 +41,7 @@ REACHED = {
     "repro.gametheory": "properties strategyproof sybil",
     "repro.serve": "backpressure gateway http loadgen logs",
     "repro.service": "builder coordinator hooks reports service transition",
-    "repro.sim": "arrivals columnar driver events hosts metrics "
+    "repro.sim": "arrivals columnar driver events metrics "
                  "subscriptions trace",
     "repro.utils": "records registry rng specparse tables validation",
     "repro.wal": "crashpoints groupcommit log records recovery",

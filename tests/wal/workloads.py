@@ -36,7 +36,7 @@ def build_driver(*, wal=None, record=False, seed=7, rate=3.0,
 
 def ledger_invoices(host):
     """Every invoice in *host*'s ledgers as comparable tuples."""
-    services = getattr(host, "services", None) or [host]
+    services = getattr(host, "shards", None) or [host]
     return [
         (shard, invoice.period, invoice.query_id, invoice.owner,
          invoice.amount, invoice.mechanism)
