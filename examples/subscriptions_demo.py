@@ -1,77 +1,104 @@
 """Multi-period subscription auctions (Section VII).
 
-Offers day / week / month subscription categories, partitions capacity
-across them, and runs an independent CAT auction per category each
-day, reclaiming the capacity of expiring subscriptions — the paper's
-proposed extension to heterogeneous subscription lengths.
+Offers day / week / month subscription categories, partitions the free
+capacity across them, and runs an independent CAT auction per category
+at each period boundary (one period is one day), reclaiming the
+capacity of expiring subscriptions — the paper's proposed extension to
+heterogeneous subscription lengths.  The days run on the production
+path: requests arrive through :class:`~repro.sim.ScheduledArrivals`
+and a :class:`~repro.sim.SimulationDriver` runs each boundary.
 
 Run:  python examples/subscriptions_demo.py
 """
 
 import numpy as np
 
-from repro.cloud import (
-    DEFAULT_CATEGORIES,
-    SubscriptionRequest,
-    SubscriptionScheduler,
-)
-from repro.core import make_mechanism
-from repro.core.model import Operator, Query
+from repro.cloud import DEFAULT_CATEGORIES
+from repro.dsms.operators import SelectOperator
+from repro.dsms.plan import ContinuousQuery
+from repro.dsms.streams import SyntheticStream
+from repro.service import ServiceBuilder
+from repro.sim import ScheduledArrivals, SimulationDriver, SubscriptionOptions
+from repro.sim.arrivals import Arrival, pass_all
 from repro.utils.tables import format_table
+
+DAYS = 14
+TICKS_PER_DAY = 1
 
 
 def main() -> None:
     rng = np.random.default_rng(3)
-    # A catalogue of twelve operators; queries draw 1–3 each, so hot
-    # operators get shared across subscribers.
-    operators = {
-        f"op{i}": Operator(f"op{i}", float(rng.integers(1, 6)))
+    # A catalogue of twelve select operators over one stream at rate
+    # 1.0, so an operator's load is its cost; queries draw 1–3 each,
+    # so hot operators get shared across subscribers.
+    operators = [
+        SelectOperator(f"op{i}", "s", pass_all,
+                       cost_per_tuple=float(rng.integers(1, 6)),
+                       selectivity_estimate=1.0)
         for i in range(12)
-    }
-    scheduler = SubscriptionScheduler(
-        operators,
-        total_capacity=30.0,
-        mechanism_factory=lambda name: make_mechanism("CAT"),
-        categories=DEFAULT_CATEGORIES,
-    )
+    ]
 
     categories = [c.name for c in DEFAULT_CATEGORIES]
     next_id = 0
-    rows = []
-    for day in range(1, 15):
-        requests = []
-        for _ in range(int(rng.integers(2, 6))):
-            count = int(rng.integers(1, 4))
-            picks = rng.choice(12, size=count, replace=False)
-            query = Query(
-                query_id=f"s{next_id}",
-                operator_ids=tuple(f"op{int(i)}" for i in picks),
+    arrivals = []
+    requests_per_day = []
+    for day in range(1, DAYS + 1):
+        count = int(rng.integers(2, 6))
+        for _ in range(count):
+            picks = rng.choice(12, size=int(rng.integers(1, 4)),
+                               replace=False)
+            plan = tuple(operators[int(i)] for i in picks)
+            query = ContinuousQuery(
+                f"s{next_id}", plan, sink_id=plan[-1].op_id,
                 bid=float(np.round(rng.uniform(5, 60), 2)),
-                owner=f"client{next_id}",
-            )
+                owner=f"client{next_id}")
             category = categories[int(rng.integers(0, len(categories)))]
-            requests.append(SubscriptionRequest(query, category))
+            # Day d's boundary runs at time (d - 1) * TICKS_PER_DAY;
+            # arrivals at that instant join its auction.
+            arrivals.append(Arrival((day - 1) * TICKS_PER_DAY, query,
+                                    category=category))
             next_id += 1
-        result = scheduler.run_day(requests)
+        requests_per_day.append(count)
+
+    service = (ServiceBuilder()
+               .with_sources(SyntheticStream("s", rate=1.0, seed=3))
+               .with_capacity(30.0)
+               .with_mechanism("CAT")
+               .with_ticks_per_period(TICKS_PER_DAY)
+               .build())
+    driver = SimulationDriver(
+        service, arrivals=ScheduledArrivals(arrivals),
+        subscriptions=SubscriptionOptions(
+            categories=DEFAULT_CATEGORIES, auto_renew=False))
+    [manager] = driver.managers
+    rates = {"s": 1.0}
+
+    rows = []
+    for day, requests in enumerate(requests_per_day, start=1):
+        [report] = driver.run(1)
+        # run(1) returns once the next boundary's expiries are in, so
+        # the book below is what the next day's auctions start from.
         rows.append([
             day,
-            len(requests),
-            len(result.admitted),
-            len(result.expired),
-            result.revenue,
-            scheduler.occupied_capacity(),
-            len(scheduler.active),
+            requests,
+            len(report.admitted),
+            len(report.expired),
+            report.revenue,
+            manager.held_capacity(rates),
+            len(manager.active),
         ])
 
     print(format_table(
         ["day", "requests", "admitted", "expired", "revenue",
-         "occupied", "active subs"],
+         "held", "active subs"],
         rows, precision=2,
         title="Two weeks of day/week/month subscription auctions "
               "(capacity 30, CAT per category)"))
     print()
     print(f"total revenue over the fortnight: "
-          f"${scheduler.total_revenue():.2f}")
+          f"${driver.total_revenue():.2f}")
+    print("held / active subs: the book the next day's auctions start")
+    print("from, after the subscriptions that end at that boundary.")
     print("Each category's auction is independently strategyproof, so")
     print("the composed scheme remains bid-strategyproof (Section VII);")
     print("gaming *category choice* across periods stays open, as the")

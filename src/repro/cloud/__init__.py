@@ -1,7 +1,9 @@
-"""The DSMS-center business layer (Section VII): billing,
-multi-period subscriptions, energy-aware capacity selection.
+"""The DSMS-center business layer (Section VII): billing, the
+subscription category mix, energy-aware capacity selection.
 
-The auction-driven service orchestrator lives in :mod:`repro.service`.
+The auction-driven service orchestrator lives in :mod:`repro.service`;
+the multi-period subscription lifecycle that auctions each category at
+a period boundary lives in :mod:`repro.sim.subscriptions`.
 """
 
 from repro.cloud.billing import BillingLedger, Invoice
@@ -13,25 +15,17 @@ from repro.cloud.energy import (
 )
 from repro.cloud.subscriptions import (
     DEFAULT_CATEGORIES,
-    ActiveSubscription,
-    DailyResult,
     SubscriptionCategory,
-    SubscriptionRequest,
-    SubscriptionScheduler,
     validate_categories,
 )
 
 __all__ = [
-    "ActiveSubscription",
     "BillingLedger",
     "CapacityChoice",
     "DEFAULT_CATEGORIES",
-    "DailyResult",
     "EnergyModel",
     "Invoice",
     "SubscriptionCategory",
-    "SubscriptionRequest",
-    "SubscriptionScheduler",
     "best_capacity",
     "evaluate_capacities",
     "validate_categories",

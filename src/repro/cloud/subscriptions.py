@@ -1,24 +1,23 @@
-"""Multi-period subscription auctions (Section VII).
+"""Subscription categories of the multi-period auctions (Section VII).
 
 The paper's extension to queries wanting different minimum subscription
-lengths: partition system capacity across *subscription categories*
-(say day / week / month), run an independent strategyproof auction per
-category, and each day reclaim the capacity of expiring subscriptions
-and iterate.  Because each per-category auction is bid-strategyproof,
-the scheme as a whole remains bid-strategyproof (users may still game
-*category choice* across periods — the open problem the paper notes;
-see ``examples/subscriptions_demo.py`` for a demonstration).
+lengths partitions the free capacity across *subscription categories*
+(say day / week / month) and runs an independent strategyproof auction
+per category at each period boundary.  This module holds the category
+mix; :class:`repro.sim.subscriptions.SubscriptionManager` runs the
+boundary on a live admission service (``examples/subscriptions_demo.py``
+drives a fortnight of it).  Because each per-category auction is
+bid-strategyproof, the scheme as a whole remains bid-strategyproof;
+users may still game *category choice* across periods — the open
+problem the paper notes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from collections.abc import Callable, Mapping, Sequence
+from dataclasses import dataclass
+from collections.abc import Sequence
 
-from repro.core.mechanism import Mechanism
-from repro.core.model import AuctionInstance, Operator, Query
-from repro.core.result import AuctionOutcome
-from repro.utils.validation import ValidationError, require, require_positive
+from repro.utils.validation import ValidationError, require
 
 
 @dataclass(frozen=True)
@@ -67,167 +66,3 @@ def validate_categories(
             f"{total_fraction:g} > 1; the partition shares one "
             f"capacity, so the fractions must sum to at most 1")
     return categories
-
-
-@dataclass(frozen=True)
-class SubscriptionRequest:
-    """A query bidding for a given subscription category."""
-
-    query: Query
-    category: str
-
-
-@dataclass(frozen=True)
-class ActiveSubscription:
-    """A running subscription occupying capacity until ``expires_day``."""
-
-    query: Query
-    category: str
-    start_day: int
-    expires_day: int
-    payment: float
-
-
-@dataclass
-class DailyResult:
-    """What happened on one scheduler day."""
-
-    day: int
-    outcomes: Mapping[str, AuctionOutcome] = field(default_factory=dict)
-    admitted: list[ActiveSubscription] = field(default_factory=list)
-    expired: list[ActiveSubscription] = field(default_factory=list)
-    reclaimed_capacity: float = 0.0
-
-    @property
-    def revenue(self) -> float:
-        """Revenue collected from the day's auctions."""
-        return sum(outcome.profit for outcome in self.outcomes.values())
-
-
-class SubscriptionScheduler:
-    """Runs the daily per-category auctions of Section VII.
-
-    Parameters
-    ----------
-    operators:
-        The shared operator catalogue (loads) requests draw from.
-    total_capacity:
-        The system capacity partitioned across categories.
-    mechanism_factory:
-        Builds the auction mechanism for a category
-        (``factory(category_name)``); per Section VII you may "run the
-        strategyproof auction mechanism of your choice" per category.
-    categories:
-        The offered subscription lengths and capacity fractions
-        (fractions must sum to at most 1).
-    """
-
-    def __init__(
-        self,
-        operators: Mapping[str, Operator],
-        total_capacity: float,
-        mechanism_factory: Callable[[str], Mechanism],
-        categories: Sequence[SubscriptionCategory] = DEFAULT_CATEGORIES,
-    ) -> None:
-        require_positive(total_capacity, "total_capacity")
-        categories = validate_categories(categories)
-        self._operators = dict(operators)
-        self.total_capacity = float(total_capacity)
-        self._mechanism_factory = mechanism_factory
-        self.categories = {c.name: c for c in categories}
-        self.active: list[ActiveSubscription] = []
-        self.day = 0
-        self.history: list[DailyResult] = []
-
-    # ------------------------------------------------------------------
-    # Capacity accounting
-    # ------------------------------------------------------------------
-
-    def occupied_capacity(self) -> float:
-        """Union load of every active subscription's operators.
-
-        Shared operators across active subscriptions are counted once —
-        the engine runs them once.
-        """
-        ops: set[str] = set()
-        for subscription in self.active:
-            ops.update(subscription.query.operator_ids)
-        return sum(self._operators[op_id].load for op_id in ops)
-
-    def free_capacity(self) -> float:
-        """Capacity not held by active subscriptions."""
-        return max(self.total_capacity - self.occupied_capacity(), 0.0)
-
-    # ------------------------------------------------------------------
-    # The daily cycle
-    # ------------------------------------------------------------------
-
-    def run_day(
-        self, requests: Sequence[SubscriptionRequest]
-    ) -> DailyResult:
-        """One day: expire, reclaim, partition, auction per category."""
-        self.day += 1
-        result = DailyResult(day=self.day)
-
-        # 1. Reclaim the capacity of subscriptions expiring today.
-        still_active = []
-        for subscription in self.active:
-            if subscription.expires_day <= self.day:
-                result.expired.append(subscription)
-            else:
-                still_active.append(subscription)
-        self.active = still_active
-        result.reclaimed_capacity = sum(
-            sum(self._operators[op].load
-                for op in sub.query.operator_ids)
-            for sub in result.expired
-        )
-
-        # 2. Partition the currently free capacity among categories.
-        # Operators already running for active subscriptions cost new
-        # requests nothing extra (they are shared with the running
-        # queries), so their load is zeroed in the auction input.
-        free = self.free_capacity()
-        active_ops: set[str] = set()
-        for subscription in self.active:
-            active_ops.update(subscription.query.operator_ids)
-        auction_operators = {
-            op_id: (Operator(op_id, 0.0) if op_id in active_ops
-                    else operator)
-            for op_id, operator in self._operators.items()
-        }
-        outcomes: dict[str, AuctionOutcome] = {}
-        for name, category in self.categories.items():
-            pending = [r.query for r in requests if r.category == name]
-            if not pending:
-                continue
-            slice_capacity = free * category.capacity_fraction
-            if slice_capacity <= 0:
-                continue
-            instance = AuctionInstance(
-                operators=auction_operators,
-                queries=tuple(pending),
-                capacity=slice_capacity,
-            )
-            mechanism = self._mechanism_factory(name)
-            outcome = mechanism.run(instance)
-            outcomes[name] = outcome
-            for query in pending:
-                if outcome.is_winner(query.query_id):
-                    subscription = ActiveSubscription(
-                        query=query,
-                        category=name,
-                        start_day=self.day,
-                        expires_day=self.day + category.length_days,
-                        payment=outcome.payment(query.query_id),
-                    )
-                    self.active.append(subscription)
-                    result.admitted.append(subscription)
-
-        result.outcomes = outcomes
-        self.history.append(result)
-        return result
-
-    def total_revenue(self) -> float:
-        """Revenue across all days run so far."""
-        return sum(result.revenue for result in self.history)

@@ -1,9 +1,8 @@
 """Subscription lifecycles on a live admission service.
 
-:mod:`repro.cloud.subscriptions` models Section VII's multi-period
-categories on bare auction instances; this module makes those category
-auctions *first-class period events* of an
-:class:`~repro.service.AdmissionService`:
+This module runs Section VII's multi-period category auctions (the
+category mix is :mod:`repro.cloud.subscriptions`) as *first-class
+period events* of an :class:`~repro.service.AdmissionService`:
 
 * arrivals request a category (day / week / month); the period
   boundary runs one independent auction per category over the
@@ -39,7 +38,7 @@ from repro.cloud.subscriptions import (
     SubscriptionCategory,
     validate_categories,
 )
-from repro.core.mechanism import Mechanism, MechanismSpec
+from repro.core.mechanism import Mechanism
 from repro.core.model import AuctionInstance, Operator
 from repro.core.result import AuctionOutcome
 from repro.dsms.load import estimate_operator_loads
@@ -61,18 +60,15 @@ from repro.utils.validation import ValidationError, require
 class SubscriptionOptions:
     """Declarative settings of the subscription lifecycle.
 
-    ``mechanism`` picks the per-category auction: a spec string /
-    :class:`MechanismSpec` instantiated freshly per category, or
-    ``None`` to clone the host service's mechanism (each category gets
-    an independent copy, so randomized mechanisms hold independent
-    RNG streams).  ``auto_renew`` resubmits expiring subscriptions for
+    Every category auctions with its own deep copy of the shard
+    service's mechanism, so randomized mechanisms hold independent RNG
+    streams.  ``auto_renew`` resubmits expiring subscriptions for
     their old category; ``max_renewals`` bounds how often (``None`` =
     forever).  ``seed`` drives the category assignment of arrivals
     that did not request one.
     """
 
     categories: Sequence[SubscriptionCategory] = DEFAULT_CATEGORIES
-    mechanism: "str | MechanismSpec | None" = None
     auto_renew: bool = True
     max_renewals: "int | None" = None
     seed: int = 0
@@ -83,15 +79,6 @@ class SubscriptionOptions:
         if self.max_renewals is not None:
             require(int(self.max_renewals) >= 0,
                     "max_renewals must be >= 0")
-        if isinstance(self.mechanism, str):
-            MechanismSpec.parse(self.mechanism).validate()
-        elif isinstance(self.mechanism, MechanismSpec):
-            self.mechanism.validate()
-        elif self.mechanism is not None:
-            raise ValidationError(
-                f"subscription mechanism must be a spec string, a "
-                f"MechanismSpec, or None (clone the service's), got "
-                f"{self.mechanism!r}")
 
 
 @dataclass
@@ -121,11 +108,6 @@ class SubscriptionPeriodResult:
 
     __deepcopy__ = share_on_deepcopy
 
-    @property
-    def admitted_entries(self) -> int:
-        """How many subscriptions this boundary opened."""
-        return len(self.admitted)
-
 
 class SubscriptionManager:
     """The subscription book of one admission service (one shard).
@@ -144,15 +126,9 @@ class SubscriptionManager:
     ) -> None:
         self.options = options
         self.shard = int(shard)
-        self.mechanisms: dict[str, Mechanism] = {}
-        for category in options.categories:
-            if options.mechanism is None:
-                mechanism = copy.deepcopy(service_mechanism)
-            elif isinstance(options.mechanism, MechanismSpec):
-                mechanism = options.mechanism.create()
-            else:
-                mechanism = MechanismSpec.parse(options.mechanism).create()
-            self.mechanisms[category.name] = mechanism
+        self.mechanisms: dict[str, Mechanism] = {
+            category.name: copy.deepcopy(service_mechanism)
+            for category in options.categories}
         self.active: dict[str, SubscriptionEntry] = {}
         self._rng = spawn_rng(
             derive_seed(options.seed, "categories", self.shard))
@@ -242,12 +218,6 @@ class SubscriptionManager:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-
-    def expiring(self, period: int) -> list[str]:
-        """Query ids whose subscription ends at *period*'s boundary."""
-        return sorted(
-            query_id for query_id, entry in self.active.items()
-            if entry.expires_period <= period)
 
     def expire(
         self,

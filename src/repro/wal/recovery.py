@@ -2,9 +2,10 @@
 
 Both recoveries open a directory the same way (:func:`_open_wal`) —
 scan it, load the snapshot the newest surviving checkpoint names,
-decide *whose* directory it is from what that snapshot is, and only
-then reopen it for append, which truncates the torn tail.  A directory
-the other runtime wrote is refused as found: nothing in it is cut,
+decide *whose* directory it is from what that snapshot is, restore
+the driver or host it describes, and only then reopen it for append,
+which truncates the torn tail.  A directory this run cannot replay is
+refused as found: nothing in it is cut and no handle stays open,
 because every record in it is somebody's acknowledged data.  The tail
 records then replay *through the same deterministic machinery that
 produced them*:
@@ -41,15 +42,18 @@ from repro.wal.log import (
 )
 
 
-def _open_wal(directory, owner: str, **policy):
-    """Scan, load the base state, check the owner, then resume.
+def _open_wal(directory, owner: str, restore, **policy):
+    """Scan, load the base state, restore it, then resume.
 
     The base state is the snapshot the newest checkpoint record names;
     a log whose genesis checkpoint was torn away falls back to the
     newest snapshot file on disk (saved atomically, so it is complete
     if it exists at all).  *owner* is ``"sim"`` or ``"gateway"``: a
     gateway snapshots a state document, a sim driver a
-    :class:`~repro.sim.SimSnapshot`.  Returns ``(state, log, scan)``.
+    :class:`~repro.sim.SimSnapshot`.  ``restore(state)`` rebuilds what
+    the state describes, and raises for a state this run cannot
+    replay — before :meth:`WriteAheadLog.resume` cuts a byte or opens
+    a handle.  Returns ``(restored, log, scan)``.
     """
     from repro.io import load_sim_snapshot
 
@@ -76,10 +80,11 @@ def _open_wal(directory, owner: str, **policy):
             f"WAL directory {directory} was written by a {writer} run "
             f"and only a {writer} run can replay it; this {owner} run "
             f"left it untouched")
+    restored = restore(state)
     log, scan = WriteAheadLog.resume(directory, scan, **policy)
     if checkpoint is None:
         log.checkpoint_period = period
-    return state, log, scan
+    return restored, log, scan
 
 
 def recover_sim_driver(directory, *, fsync="batch:256", compact_every=0):
@@ -87,27 +92,30 @@ def recover_sim_driver(directory, *, fsync="batch:256", compact_every=0):
 
     Returns ``(driver, log)`` with the log attached to the driver and
     open for append — the caller just keeps calling ``driver.run``.
+    A replay that fails closes the log before it raises.
     """
     from repro.sim.driver import SimulationDriver
 
-    snapshot, log, scan = _open_wal(
-        directory, "sim", fsync=fsync, compact_every=compact_every)
-    driver = SimulationDriver.restore(snapshot)
+    driver, log, scan = _open_wal(
+        directory, "sim", SimulationDriver.restore,
+        fsync=fsync, compact_every=compact_every)
     driver.attach_wal(log)
     tail = scan.tail()
-    documents = [rec.decode_json(record.body, "period")
-                 for record in tail]
     log.suspended = True
-    log.expect_replay(documents)
     try:
-        for _ in documents:
+        log.expect_replay([rec.decode_json(record.body, "period")
+                           for record in tail])
+        for _ in tail:
             driver.run(1)
+        if log.pending_replays():
+            raise ValidationError(
+                f"WAL replay of {directory} stopped with "
+                f"{log.pending_replays()} period record(s) unverified")
+    except BaseException:
+        log.close()
+        raise
     finally:
         log.suspended = False
-    if log.pending_replays():
-        raise ValidationError(
-            f"WAL replay of {directory} stopped with "
-            f"{log.pending_replays()} period record(s) unverified")
     log.stats["replayed"] = len(tail)
     return driver, log
 
@@ -120,41 +128,48 @@ def recover_gateway_backend(directory, backend, *, fsync="batch:256",
     :class:`~repro.serve.gateway.DriverBackend` /
     :class:`~repro.serve.gateway.HostBackend` the gateway was started
     with; its driver or its federation (``backend.cluster``) is
-    replaced by the recovered one (an unknown host kind is refused),
-    then the tail of acknowledged ops and settles is re-applied.
+    replaced by the recovered one (a state this backend cannot take is
+    refused), then the tail of acknowledged ops and settles is
+    re-applied; a replay that fails closes the log before it raises.
     Returns the open :class:`WriteAheadLog`.
     """
     from repro.cluster.federation import FederatedAdmissionService
     from repro.io import serve_request_from_dict
     from repro.sim.driver import SimulationDriver
 
-    state, log, scan = _open_wal(
-        directory, "gateway", fsync=fsync, compact_every=compact_every)
-    if "consumed" in state:
-        raise ValidationError(
-            f"WAL {directory} was written by a build that has the "
-            f"multi-worker front-end; its acknowledged ops are in the "
-            f"stripe-NN/ logs beside it, which this build does not "
-            f"read — recover it with the build that wrote it")
-    kind = state.get("kind")
-    if kind == "driver":
-        if not hasattr(backend, "driver"):
+    def restore(state):
+        if "consumed" in state:
             raise ValidationError(
-                f"WAL {directory} was written by a driver-backed "
-                f"gateway; this backend is "
-                f"{type(backend).__name__}")
-        backend.driver = SimulationDriver.restore(state["snapshot"])
-        backend._inbox.clear()
-    elif kind == "host":
-        if not hasattr(backend, "cluster"):
-            raise ValidationError(
-                f"WAL {directory} was written by a host-backed "
-                f"gateway; this backend is {type(backend).__name__}")
-        backend.cluster = FederatedAdmissionService.from_host_state(
-            state["host_kind"], state["host"])
-    else:
+                f"WAL {directory} was written by a build that has the "
+                f"multi-worker front-end; its acknowledged ops are in "
+                f"the stripe-NN/ logs beside it, which this build does "
+                f"not read — recover it with the build that wrote it")
+        kind = state.get("kind")
+        if kind == "driver":
+            if not hasattr(backend, "driver"):
+                raise ValidationError(
+                    f"WAL {directory} was written by a driver-backed "
+                    f"gateway; this backend is "
+                    f"{type(backend).__name__}")
+            return SimulationDriver.restore(state["snapshot"])
+        if kind == "host":
+            if not hasattr(backend, "cluster"):
+                raise ValidationError(
+                    f"WAL {directory} was written by a host-backed "
+                    f"gateway; this backend is {type(backend).__name__}")
+            return FederatedAdmissionService.from_host_state(
+                state["host_kind"], state["host"])
         raise ValidationError(
             f"unknown gateway WAL state kind {kind!r}")
+
+    restored, log, scan = _open_wal(
+        directory, "gateway", restore,
+        fsync=fsync, compact_every=compact_every)
+    if hasattr(backend, "driver"):
+        backend.driver = restored
+        backend._inbox.clear()
+    else:
+        backend.cluster = restored
     backend.last_report = None
     tail = scan.tail()
     log.suspended = True
@@ -177,6 +192,9 @@ def recover_gateway_backend(directory, backend, *, fsync="batch:256",
                             if hasattr(backend, "driver") else 0),
                     revenue=backend.total_revenue(), queue=None,
                     origin="gateway replay")
+    except BaseException:
+        log.close()
+        raise
     finally:
         log.suspended = False
     log.stats["replayed"] = len(tail)

@@ -1,28 +1,15 @@
-"""Multi-period subscription scheduler tests (Section VII)."""
+"""Subscription category mix tests (Section VII).
+
+The boundary that auctions the categories is
+:class:`repro.sim.SubscriptionManager`'s; its tests are in
+``tests/sim/test_sim_subscriptions.py``.
+"""
 
 import pytest
 
-from repro.cloud.subscriptions import (
-    DEFAULT_CATEGORIES,
-    SubscriptionCategory,
-    SubscriptionRequest,
-    SubscriptionScheduler,
-)
-from repro.core import make_mechanism
-from repro.core.model import Operator, Query
+from repro.cloud.subscriptions import SubscriptionCategory
+from repro.sim import SubscriptionOptions
 from repro.utils.validation import ValidationError
-
-
-def ops(**loads):
-    return {name: Operator(name, load) for name, load in loads.items()}
-
-
-def scheduler(capacity=20.0, categories=DEFAULT_CATEGORIES, **loads):
-    catalogue = ops(**(loads or {"a": 2.0, "b": 3.0, "c": 4.0, "d": 5.0}))
-    return SubscriptionScheduler(
-        catalogue, capacity,
-        mechanism_factory=lambda name: make_mechanism("CAT"),
-        categories=categories)
 
 
 class TestConfiguration:
@@ -30,13 +17,13 @@ class TestConfiguration:
         bad = (SubscriptionCategory("x", 1, 0.7),
                SubscriptionCategory("y", 1, 0.5))
         with pytest.raises(ValidationError):
-            scheduler(categories=bad)
+            SubscriptionOptions(categories=bad)
 
     def test_fraction_error_names_the_categories(self):
         bad = (SubscriptionCategory("gold", 1, 0.7),
                SubscriptionCategory("silver", 7, 0.5))
         with pytest.raises(ValidationError) as excinfo:
-            scheduler(categories=bad)
+            SubscriptionOptions(categories=bad)
         message = str(excinfo.value)
         assert "gold=0.7" in message
         assert "silver=0.5" in message
@@ -45,13 +32,13 @@ class TestConfiguration:
     def test_fractions_summing_exactly_to_one_are_fine(self):
         exact = (SubscriptionCategory("x", 1, 0.6),
                  SubscriptionCategory("y", 1, 0.4))
-        assert scheduler(categories=exact).categories.keys() == {"x", "y"}
+        assert SubscriptionOptions(categories=exact).categories == exact
 
     def test_fraction_barely_over_one_is_rejected(self):
         bad = (SubscriptionCategory("x", 1, 0.6),
                SubscriptionCategory("y", 1, 0.4 + 1e-6))
         with pytest.raises(ValidationError) as excinfo:
-            scheduler(categories=bad)
+            SubscriptionOptions(categories=bad)
         assert "x=0.6" in str(excinfo.value)
 
     def test_validate_categories_helper_returns_tuple(self):
@@ -66,86 +53,10 @@ class TestConfiguration:
         bad = (SubscriptionCategory("x", 1, 0.3),
                SubscriptionCategory("x", 2, 0.3))
         with pytest.raises(ValidationError):
-            scheduler(categories=bad)
+            SubscriptionOptions(categories=bad)
 
     def test_category_validation(self):
         with pytest.raises(ValidationError):
             SubscriptionCategory("x", 0, 0.5)
         with pytest.raises(ValidationError):
             SubscriptionCategory("x", 1, 0.0)
-
-
-class TestDailyCycle:
-    def test_admission_and_expiry(self):
-        sched = scheduler(capacity=20.0)
-        requests = [
-            SubscriptionRequest(Query("d1", ("a",), bid=10.0), "day"),
-            SubscriptionRequest(Query("w1", ("b",), bid=20.0), "week"),
-        ]
-        day1 = sched.run_day(requests)
-        admitted = {s.query.query_id for s in day1.admitted}
-        assert admitted == {"d1", "w1"}
-        d1 = next(s for s in day1.admitted if s.query.query_id == "d1")
-        assert d1.expires_day == 2
-        # Day 2: the day-subscription expires and its capacity returns.
-        day2 = sched.run_day([])
-        assert {s.query.query_id for s in day2.expired} == {"d1"}
-        assert sched.free_capacity() == pytest.approx(20.0 - 3.0)
-
-    def test_capacity_partitioned_per_category(self):
-        categories = (SubscriptionCategory("day", 1, 0.5),
-                      SubscriptionCategory("week", 7, 0.5))
-        sched = scheduler(capacity=10.0, categories=categories,
-                          a=6.0, b=4.0)
-        requests = [
-            SubscriptionRequest(Query("big", ("a",), bid=100.0), "day"),
-            SubscriptionRequest(Query("ok", ("b",), bid=10.0), "week"),
-        ]
-        day = sched.run_day(requests)
-        admitted = {s.query.query_id for s in day.admitted}
-        # The 6-unit query exceeds its 5-unit category slice.
-        assert admitted == {"ok"}
-
-    def test_shared_operators_across_subscriptions(self):
-        month_only = (SubscriptionCategory("month", 30, 1.0),)
-        sched = scheduler(capacity=10.0, categories=month_only,
-                          shared=6.0, p1=1.0, p2=1.0)
-        day1 = sched.run_day([SubscriptionRequest(
-            Query("q1", ("shared", "p1"), bid=10.0), "month")])
-        assert len(day1.admitted) == 1
-        assert sched.occupied_capacity() == pytest.approx(7.0)
-        # A second subscriber of the shared operator adds only 1 unit.
-        sched.run_day([SubscriptionRequest(
-            Query("q2", ("shared", "p2"), bid=10.0), "month")])
-        assert sched.occupied_capacity() == pytest.approx(8.0)
-
-    def test_per_category_auctions_are_independent(self):
-        """Second-price style payments are computed within a category,
-        not across categories."""
-        categories = (SubscriptionCategory("day", 1, 0.5),
-                      SubscriptionCategory("week", 7, 0.5))
-        sched = scheduler(capacity=16.0, categories=categories,
-                          a=5.0, b=5.0, c=5.0)
-        requests = [
-            SubscriptionRequest(Query("d1", ("a",), bid=50.0), "day"),
-            SubscriptionRequest(Query("d2", ("b",), bid=30.0), "day"),
-            SubscriptionRequest(Query("w1", ("c",), bid=5.0), "week"),
-        ]
-        day = sched.run_day(requests)
-        # Day slice 10: d1 fits, d2 is the first loser pricing d1.
-        day_outcome = day.outcomes["day"]
-        assert day_outcome.is_winner("d1")
-        assert day_outcome.payment("d1") > 0
-        # w1 alone in its category pays 0.
-        assert day.outcomes["week"].payment("w1") == 0.0
-
-    def test_revenue_accumulates(self):
-        day_only = (SubscriptionCategory("day", 1, 1.0),)
-        sched = scheduler(capacity=6.0, categories=day_only,
-                          a=5.0, b=5.0)
-        requests = [
-            SubscriptionRequest(Query("q1", ("a",), bid=50.0), "day"),
-            SubscriptionRequest(Query("q2", ("b",), bid=30.0), "day"),
-        ]
-        sched.run_day(requests)
-        assert sched.total_revenue() > 0

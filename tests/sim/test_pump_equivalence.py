@@ -27,6 +27,7 @@ from repro.dsms.plan import ContinuousQuery
 from repro.dsms.streams import SyntheticStream
 from repro.io import save_sim_trace
 from repro.serve.gateway import DriverBackend, report_document
+from repro.service import ServiceBuilder
 from repro.sim import SimulationDriver, SubscriptionOptions
 from repro.sim.arrivals import (
     Arrival,
@@ -250,12 +251,20 @@ class TestPumpTraceReplay:
             poisoned.costs[row] = 1e308
             poisoned.bids[row] = 1e6
 
+        def build_gv_service():
+            return (ServiceBuilder()
+                    .with_sources(SyntheticStream("s", rate=5.0, seed=0))
+                    .with_capacity(40.0)
+                    .with_mechanism("GV")
+                    .with_ticks_per_period(5)
+                    .build())
+
         def replay(trace_columns, name):
             path = tmp_path / f"{name}.trace.npz"
             save_sim_trace(SimTrace(trace_columns), path)
             return assert_all_paths_identical(
-                build_service, arrivals=f"trace:path={path}",
-                subscriptions=SubscriptionOptions(seed=2, mechanism="GV"))
+                build_gv_service, arrivals=f"trace:path={path}",
+                subscriptions=SubscriptionOptions(seed=2))
 
         expected = replay(clean, "clean")
         pumped = replay(poisoned, "poisoned")

@@ -98,6 +98,37 @@ class TestCapacityReclamation:
         assert manager.held_capacity(rates) == 0.0
         assert service.engine.admitted_ids == set()
 
+    def test_two_holders_of_a_shared_operator_expiring_together(self):
+        """Three subscriptions hold operator ``a``; two expire in one
+        call.  Only ``x`` stops running, so the capacity reclaimed is
+        the drop in held capacity (5 → 4), not the sum of the expired
+        plans' loads (5 + 4)."""
+        service = build_service(capacity=100.0, rate=1.0)
+        options = SubscriptionOptions(
+            categories=(SubscriptionCategory("day", 1, 0.5),
+                        SubscriptionCategory("week", 3, 0.5)))
+        manager = SubscriptionManager(options, service.mechanism)
+        rates = {"s": 1.0}
+        a = SelectOperator("a", "s", _keep, cost_per_tuple=4.0,
+                           selectivity_estimate=1.0)
+        x = SelectOperator("x", "s", _keep, cost_per_tuple=1.0,
+                           selectivity_estimate=1.0)
+        manager.run_period(service, 1, [
+            (ContinuousQuery("d1", (a, x), sink_id="x", bid=30.0), "day"),
+            (ContinuousQuery("d2", (a,), sink_id="a", bid=30.0), "day"),
+            (ContinuousQuery("w1", (a,), sink_id="a", bid=30.0), "week"),
+        ])
+        assert set(manager.active) == {"d1", "d2", "w1"}
+        before = manager.held_capacity(rates)
+        assert before == pytest.approx(5.0)
+
+        entries, reclaimed = manager.expire(service, ["d1", "d2"], rates)
+        after = manager.held_capacity(rates)
+        assert [entry.query.query_id for entry in entries] == ["d1", "d2"]
+        assert after == pytest.approx(4.0)
+        assert reclaimed == pytest.approx(before - after)
+        assert service.engine.admitted_ids == {"w1"}
+
     def test_expiring_unknown_subscription_raises(self):
         service = build_service()
         manager = SubscriptionManager(SubscriptionOptions(),
@@ -207,14 +238,50 @@ class TestBilling:
 # ----------------------------------------------------------------------
 
 
+class TestPerCategoryAuctions:
+    CATEGORIES = (SubscriptionCategory("day", 1, 0.5),
+                  SubscriptionCategory("week", 7, 0.5))
+
+    def run_boundary(self, capacity, pending):
+        service = build_service(capacity=capacity, rate=1.0)
+        manager = SubscriptionManager(
+            SubscriptionOptions(categories=self.CATEGORIES),
+            service.mechanism)
+        return manager.run_period(service, 1, pending)
+
+    def test_a_candidate_larger_than_its_slice_is_rejected(self):
+        # Capacity 10 splits 5 / 5: the 6-unit day candidate cannot fit
+        # its slice even though the week slice admits.
+        result = self.run_boundary(10.0, [
+            (plan("big", cost=6.0, bid=100.0), "day"),
+            (plan("ok", cost=4.0, bid=10.0), "week"),
+        ])
+        assert result.admitted == ("ok",)
+        assert result.rejected == ("big",)
+
+    def test_prices_are_set_within_a_category(self):
+        # Capacity 16 splits 8 / 8: one 5-unit day query fits, so d2
+        # loses and prices d1; w1 is alone in its slice and pays 0.
+        result = self.run_boundary(16.0, [
+            (plan("d1", cost=5.0, bid=50.0), "day"),
+            (plan("d2", cost=5.0, bid=30.0), "day"),
+            (plan("w1", cost=5.0, bid=5.0), "week"),
+        ])
+        assert result.admitted == ("d1", "w1")
+        assert result.rejected == ("d2",)
+        day, week = result.outcomes["day"], result.outcomes["week"]
+        assert day.payment("d1") == pytest.approx(30.0)
+        assert week.payment("w1") == 0.0
+        assert result.revenue == pytest.approx(30.0)
+
+
 def _category_utility(requests, manipulator_bid):
     """The manipulator's utility when bidding *manipulator_bid*."""
     service = build_service(capacity=30.0, mechanism="CAT")
     manager = SubscriptionManager(
         SubscriptionOptions(
             categories=(SubscriptionCategory("day", 1, 0.6),
-                        SubscriptionCategory("week", 2, 0.4)),
-            mechanism="CAT"),
+                        SubscriptionCategory("week", 2, 0.4))),
         service.mechanism)
     pending = []
     valuation = None
@@ -329,12 +396,6 @@ class TestOptions:
                 SubscriptionCategory("week", 7, 0.6)))
         assert "day=0.7" in str(excinfo.value)
         assert "week=0.6" in str(excinfo.value)
-
-    def test_mechanism_spec_validated_up_front(self):
-        with pytest.raises(KeyError):
-            SubscriptionOptions(mechanism="nope")
-        with pytest.raises(ValidationError):
-            SubscriptionOptions(mechanism=42)
 
     def test_max_renewals_must_be_non_negative(self):
         with pytest.raises(ValidationError):

@@ -17,12 +17,18 @@ idle on every path.
 import hashlib
 import importlib
 import json
+import os
 
 import pytest
 
 from repro.cluster import ClusterSnapshot, FederatedAdmissionService
 from repro.dsms.streams import SyntheticStream
-from repro.serve.gateway import HostBackend, make_backend, report_document
+from repro.serve.gateway import (
+    DriverBackend,
+    HostBackend,
+    make_backend,
+    report_document,
+)
 from repro.service import ServiceBuilder, ServiceSnapshot
 from repro.sim import ScheduledArrivals, SimulationDriver
 from repro.sim.arrivals import Arrival
@@ -198,3 +204,49 @@ def test_a_wal_with_an_unknown_host_kind_is_refused_untouched(tmp_path):
     with pytest.raises(ValidationError, match="host kind 'bogus'"):
         recover_gateway_backend(directory, HostBackend(build_service("CAT")))
     assert checksums(directory) == before
+
+
+def host_backend():
+    return HostBackend(build_service("CAT"))
+
+
+def driver_backend():
+    return DriverBackend(SimulationDriver(build_service("CAT")))
+
+
+def host_state():
+    return gateway_wal_state(host_backend())
+
+
+def driver_state():
+    return gateway_wal_state(driver_backend())
+
+
+def bogus_host_kind_state():
+    return dict(host_state(), host_kind="bogus")
+
+
+@pytest.mark.parametrize("written, handed_to, message", [
+    (driver_state, host_backend, "written by a driver-backed gateway"),
+    (host_state, driver_backend, "written by a host-backed gateway"),
+    (bogus_host_kind_state, host_backend, "host kind 'bogus'"),
+], ids=["driver-to-host", "host-to-driver", "unknown-host-kind"])
+def test_a_refused_wal_with_a_torn_tail_is_left_as_found(
+        tmp_path, written, handed_to, message):
+    """Every refusal comes before the log is reopened: the torn final
+    frame a resume would cut is still there, and no handle is left
+    open."""
+    directory = tmp_path / "wal"
+    WriteAheadLog.create(directory, written()).close()
+    with open(directory / "wal-00000000.log", "ab") as segment:
+        segment.write(b"\x07torn final frame")
+    backend = handed_to()
+    before = checksums(directory)
+    open_fds = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(ValidationError) as refused:
+        recover_gateway_backend(directory, backend)
+    # The refusal is still held here, as a gateway holds the one it
+    # reports, so a log its traceback reached would still be open.
+    assert len(os.listdir("/proc/self/fd")) == open_fds
+    assert checksums(directory) == before
+    assert message in str(refused.value)

@@ -14,7 +14,7 @@ import pytest
 import repro.__main__ as cli
 from repro.dsms.scheduler import ScheduledEngine
 from repro.serve import GatewayConfig, run_load
-from repro.sim import SimulationDriver
+from repro.sim import SimulationDriver, SubscriptionOptions
 from repro.wal import (
     WriteAheadLog,
     recover_gateway_backend,
@@ -58,6 +58,8 @@ def test_each_flag_is_defined_once_and_the_counts_are_pinned():
         "add_argument call sites":
             inspect.getsource(cli).count(".add_argument("),
         "GatewayConfig fields": len(dataclasses.fields(GatewayConfig)),
+        "SubscriptionOptions fields":
+            len(dataclasses.fields(SubscriptionOptions)),
         "SimulationDriver parameters":
             len(inspect.signature(SimulationDriver).parameters),
         "ScheduledEngine parameters":
@@ -75,6 +77,7 @@ def test_each_flag_is_defined_once_and_the_counts_are_pinned():
         "distinct CLI options": 38,
         "add_argument call sites": 40,
         "GatewayConfig fields": 22,
+        "SubscriptionOptions fields": 4,
         "SimulationDriver parameters": 8,
         "ScheduledEngine parameters": 5,
         # directory (+ state / scan / backend), fsync, compact_every.
@@ -102,14 +105,21 @@ def test_each_flag_is_defined_once_and_the_counts_are_pinned():
     lambda: WriteAheadLog.create("d", "state", period=1),
     lambda: WriteAheadLog("d").append_period(
         period=1, events=1, revenue=0.0, arrivals=0),
+    lambda: SubscriptionOptions(mechanism="CAT"),
 ], ids=["wal_group_commit", "wal_group_window", "window", "lookahead",
         "probe_retention", "allow_idle", "max_latency_samples",
         "client_prefix",
         "resume-keep_kinds", "tail-keep_kinds", "segment_bytes",
-        "recover-segment_bytes", "create-period", "arrivals"])
+        "recover-segment_bytes", "create-period", "arrivals",
+        "subscription-mechanism"])
 def test_removed_keywords_are_type_errors(call):
     with pytest.raises(TypeError, match="unexpected keyword"):
         call()
+
+
+def test_the_bare_instance_subscription_scheduler_is_gone():
+    with pytest.raises(ImportError):
+        from repro.cloud import SubscriptionScheduler  # noqa: F401
 
 
 def test_the_write_only_record_family_is_gone():

@@ -7,6 +7,7 @@ client got a ``200`` for must still be there.
 """
 
 import asyncio
+import os
 
 import pytest
 
@@ -274,8 +275,13 @@ class TestReceiptEvents:
         assert events > 0
         recover_gateway_backend(tmp_path / "wal", build_backend()).close()
         rewrite_last_receipt(tmp_path / "wal", events=lambda n: n - 1)
-        with pytest.raises(ValidationError, match="events"):
-            recover_gateway_backend(tmp_path / "wal", build_backend())
+        backend = build_backend()
+        open_fds = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(ValidationError) as failed:
+            recover_gateway_backend(tmp_path / "wal", backend)
+        # The failed replay closed the log it had reopened.
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+        assert "events" in str(failed.value)
 
 
 class TestGroupCommit:

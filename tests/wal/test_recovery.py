@@ -8,6 +8,8 @@ are simulated physically (truncating segment bytes, exactly what
 mid-run without closing it).
 """
 
+import os
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -117,8 +119,12 @@ class TestRecoveryEquivalence:
         driver.run(3)
         log.close()
         rewrite_last_receipt(tmp_path / "wal", events=lambda n: n + 1)
-        with pytest.raises(ValidationError, match="events"):
+        open_fds = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(ValidationError) as failed:
             recover_sim_driver(tmp_path / "wal", fsync="never")
+        # The failed replay closed the log it had reopened.
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+        assert "events" in str(failed.value)
 
     def test_filtering_plans_are_logged_and_recovered(self, tmp_path):
         # The log never needed an arrival's bytes — recovery restores
