@@ -206,15 +206,10 @@ class FederatedAdmissionService:
 
     def shard_statuses(self) -> tuple[ShardStatus, ...]:
         """The per-shard view placement policies route on."""
-        return tuple(
-            ShardStatus(
-                index=index,
-                capacity=shard.capacity,
-                pending_count=len(shard.pending_ids),
-                admitted_count=len(shard.engine.admitted_ids),
-            )
-            for index, shard in enumerate(self.shards)
-        )
+        return tuple([
+            ShardStatus(index, shard.capacity, len(shard.pending_ids),
+                        len(shard.engine.admitted_ids))
+            for index, shard in enumerate(self.shards)])
 
     def locate(self, query_id: str) -> "int | None":
         """The shard currently holding *query_id* (pending or running)."""

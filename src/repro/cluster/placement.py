@@ -26,15 +26,19 @@ import bisect
 import hashlib
 from dataclasses import dataclass
 from collections.abc import Callable, Mapping, Sequence
+from typing import NamedTuple
 
 from repro.dsms.plan import ContinuousQuery
 from repro.utils.registry import RegistrySpec, SpecRegistry
 from repro.utils.validation import ValidationError, require
 
 
-@dataclass(frozen=True)
-class ShardStatus:
-    """What a placement policy may know about one shard."""
+class ShardStatus(NamedTuple):
+    """What a placement policy may know about one shard.
+
+    A named tuple, because the federation builds one per shard on
+    every routed submit.
+    """
 
     index: int
     capacity: float

@@ -916,6 +916,60 @@ def serve_request_to_dict(request: ServeRequest) -> dict:
     return document
 
 
+#: The canonical JSON encoder every wire body and WAL record uses
+#: (sorted keys, no spaces, ASCII): the reference the direct writers
+#: below must match byte for byte, and what they fall back to for a
+#: value outside their fast cases.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_json_string = json.encoder.encode_basestring_ascii
+
+
+def _json_str(value: object) -> str:
+    return (_json_string(value) if type(value) is str
+            else _CANONICAL.encode(value))
+
+
+def _json_number(value: object) -> str:
+    if type(value) is float:
+        if value - value == 0.0:        # finite: repr is its JSON
+            return float.__repr__(value)
+    elif type(value) is int:
+        return int.__repr__(value)
+    return _CANONICAL.encode(value)
+
+
+_OWNER = ',"owner":'
+_VALUATION = ',"valuation":'
+
+
+def serve_request_body(query, category: "str | None" = None) -> bytes:
+    """The canonical bytes of a submit (or, with a *category*, a
+    subscribe) of *query*, written straight from its select row.
+
+    Equal to ``json_body(serve_request_to_dict(ServeRequest(...)))``
+    — the keys in sorted order, each value as the canonical encoder
+    writes it — without building the request, the dict or the sorted
+    encoding.  A plan with no select row is refused as
+    :func:`serve_request_to_dict` refuses it.
+    """
+    from repro.sim.trace import require_select_plan
+
+    plan = require_select_plan(query)
+    head = ('{"op":"submit"' if category is None else
+            '{"category":' + _json_str(category) + ',"op":"subscribe"')
+    owner, valuation = plan.owner, plan.valuation
+    return (f'{head},"query":{{"bid":{_json_number(plan.bid)},'
+            f'"cost":{_json_number(plan.cost)},'
+            f'"id":{_json_str(plan.query_id)},"op":{_json_str(plan.op_id)}'
+            f'{"" if owner is None else _OWNER + _json_str(owner)},'
+            f'"plan":"select",'
+            f'"selectivity":{_json_number(plan.selectivity)},'
+            f'"stream":{_json_str(plan.stream)}'
+            f'{"" if valuation is None else _VALUATION + _json_number(valuation)}'
+            f'}},"schema":"{SERVE_REQUEST_SCHEMA}",'
+            f'"version":{SERVE_REQUEST_VERSION}}}').encode("ascii")
+
+
 def serve_request_from_dict(payload: object) -> ServeRequest:
     """Parse and validate a :func:`serve_request_to_dict` document.
 
@@ -972,6 +1026,36 @@ def serve_response_to_dict(
         "request_id": str(request_id),
         **fields,
     }
+
+
+def serve_ok_body(op: str, request_id: str, query_id: str, pending: int,
+                  *, period: "int | None" = None,
+                  shard: "int | None" = None,
+                  category: "str | None" = None) -> bytes:
+    """The canonical bytes of the ``ok`` answer to one mutation.
+
+    Equal to ``json_body(serve_response_to_dict("ok", request_id,
+    **fields))`` for the gateway's answer to *op*, written straight to
+    bytes.  The fields are ``query_id`` and ``pending``, plus:
+
+    * ``submit`` — ``period`` and ``shard`` (``null`` when the backend
+      names none);
+    * ``subscribe`` — ``period`` and ``category``;
+    * ``withdraw`` — ``withdrawn: true``.
+    """
+    before = ('{"category":' + _json_str(category) + ","
+              if op == "subscribe" else "{")
+    period_field = ("" if op == "withdraw" else
+                    f'"period":{_json_number(period)},')
+    shard_field = (f'"shard":{_json_number(shard)},' if op == "submit"
+                   else "")
+    after = ',"withdrawn":true' if op == "withdraw" else ""
+    return (f'{before}"pending":{_json_number(pending)},{period_field}'
+            f'"query_id":{_json_str(query_id)},'
+            f'"request_id":{_json_str(request_id)},'
+            f'"schema":"{SERVE_RESPONSE_SCHEMA}",{shard_field}'
+            f'"status":"ok","version":{SERVE_RESPONSE_VERSION}{after}}}'
+            ).encode("ascii")
 
 
 def serve_response_from_dict(payload: object) -> dict:

@@ -53,6 +53,7 @@ from dataclasses import dataclass
 
 from repro.cluster.federation import FederatedAdmissionService
 from repro.io import (
+    serve_ok_body,
     serve_request_from_dict,
     serve_request_to_dict,
     serve_response_to_dict,
@@ -163,7 +164,7 @@ class HostBackend:
         return self.last_report
 
     def pending_count(self) -> int:
-        return sum(len(service.pending_ids) for service in self.services)
+        return sum([len(shard.pending_ids) for shard in self.cluster.shards])
 
     def total_revenue(self) -> float:
         return self.cluster.total_revenue()
@@ -285,7 +286,8 @@ class RawBody:
 
     Handlers normally return envelope fields; returning a ``RawBody``
     instead short-circuits JSON encoding entirely — the cached
-    ``/v1/report`` body uses it.
+    ``/v1/report`` body and the mutations' ``ok`` answers
+    (:func:`~repro.io.serve_ok_body`) use it.
     """
 
     __slots__ = ("body",)
@@ -318,10 +320,11 @@ class ServiceLock(asyncio.Lock):
         return True
 
 
-async def _after_commit(receipt: "asyncio.Future", fields: dict) -> dict:
-    """*fields*, once the group commit holding the mutation is durable."""
+async def _after_commit(receipt: "asyncio.Future",
+                        answer: RawBody) -> RawBody:
+    """*answer*, once the group commit holding the mutation is durable."""
     await receipt
-    return fields
+    return answer
 
 
 #: The counter key for every path the gateway does not route, so
@@ -1004,10 +1007,11 @@ class AdmissionGateway:
                 f"/v1/submit got a {parsed.op!r} request")
         shard = self.backend.submit(parsed.query, category=parsed.category)
         receipt = self._wal_append_op(parsed)
-        fields = {"query_id": parsed.query.query_id, "shard": shard,
-                  "period": self.backend.period,
-                  "pending": self.backend.pending_count()}
-        return fields if receipt is None else _after_commit(receipt, fields)
+        answer = RawBody(serve_ok_body(
+            "submit", request_id, parsed.query.query_id,
+            self.backend.pending_count(), period=self.backend.period,
+            shard=shard))
+        return answer if receipt is None else _after_commit(receipt, answer)
 
     def _handle_subscribe(self, request: HttpRequest, request_id: str):
         parsed = self._parse_request(request)
@@ -1021,11 +1025,11 @@ class AdmissionGateway:
                      "subscriptions enabled")
         self.backend.submit(parsed.query, category=parsed.category)
         receipt = self._wal_append_op(parsed)
-        fields = {"query_id": parsed.query.query_id,
-                  "category": parsed.category,
-                  "period": self.backend.period,
-                  "pending": self.backend.pending_count()}
-        return fields if receipt is None else _after_commit(receipt, fields)
+        answer = RawBody(serve_ok_body(
+            "subscribe", request_id, parsed.query.query_id,
+            self.backend.pending_count(), period=self.backend.period,
+            category=parsed.category))
+        return answer if receipt is None else _after_commit(receipt, answer)
 
     def _handle_withdraw(self, request: HttpRequest, request_id: str):
         parsed = self._parse_request(request)
@@ -1041,9 +1045,10 @@ class AdmissionGateway:
                 404, f"unknown query id {parsed.query_id!r}; "
                      f"nothing to withdraw") from exc
         receipt = self._wal_append_op(parsed)
-        fields = {"query_id": parsed.query_id, "withdrawn": True,
-                  "pending": self.backend.pending_count()}
-        return fields if receipt is None else _after_commit(receipt, fields)
+        answer = RawBody(serve_ok_body(
+            "withdraw", request_id, parsed.query_id,
+            self.backend.pending_count()))
+        return answer if receipt is None else _after_commit(receipt, answer)
 
     def _handle_report(self, request: HttpRequest,
                        request_id: str) -> RawBody:

@@ -10,14 +10,15 @@ One synchronous parser reads every message head and declares every
 body length (:func:`_parse_head`, :func:`_body_length`), so the two
 ways bytes arrive cannot drift apart:
 
-* the gateway's server is an ``asyncio.Protocol`` that feeds whatever
-  the socket delivers into a :class:`RequestParser` and takes complete
-  requests off its buffer — no stream reader, task or coroutine per
-  request;
-* the load generator's client, and anything else holding an
-  ``asyncio.StreamReader``, reads one message at a time with
-  :func:`read_request` / :func:`read_response`: a ``readuntil`` for the
-  head and a ``readexactly`` for the body around the same parser.
+* the gateway's server and the load generator's client are
+  ``asyncio.Protocol`` callbacks that feed whatever the socket delivers
+  into a :class:`RequestParser` / :class:`ResponseParser` and take
+  complete messages off its buffer — no stream reader, task or
+  coroutine per message;
+* anything holding an ``asyncio.StreamReader`` reads one message at a
+  time with :func:`read_request` / :func:`read_response`: a
+  ``readuntil`` for the head and a ``readexactly`` for the body around
+  the same parser.
 
 Framing limits are explicit arguments — an over-long request line, a
 head over :data:`MAX_HEAD` or an oversized body raises
@@ -33,6 +34,7 @@ that is not a token.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import re
 from dataclasses import dataclass, field
@@ -124,9 +126,27 @@ _TOKEN = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")
 MAX_HEAD = 1 << 16
 
 
+#: Heads up to this many bytes are memoised (256 of them at most).
+_MEMO_HEAD = 1024
+
+
 def _parse_head(head: bytes, max_line: int,
                 max_headers: int) -> tuple[str, dict[str, str]]:
     """The start line and headers of one head (its final CRLFCRLF cut).
+
+    A keep-alive peer sends the same few heads over and over (only
+    the Content-Length digits differ), so a short head's parse is
+    memoised by its bytes; each caller gets its own headers dict.
+    """
+    if len(head) > _MEMO_HEAD:
+        return _split_head(head, max_line, max_headers)
+    line, headers = _split_head_memo(head, max_line, max_headers)
+    return line, headers.copy()
+
+
+def _split_head(head: bytes, max_line: int,
+                max_headers: int) -> tuple[str, dict[str, str]]:
+    """:func:`_parse_head`'s work.
 
     Lines end in CRLF; a bare LF is not a terminator (RFC 9112 lets a
     server insist), so one inside a CRLF-framed head is a 400.  Over
@@ -156,6 +176,9 @@ def _parse_head(head: bytes, max_line: int,
                                  "different values")
         headers[name] = value
     return lines[0], headers
+
+
+_split_head_memo = functools.lru_cache(maxsize=256)(_split_head)
 
 
 def _body_length(headers: dict[str, str], max_body: int) -> int:
@@ -201,7 +224,7 @@ def _request_head(head: bytes, max_line: int, max_headers: int,
         method=method.upper(),
         target=target,
         path=split.path or "/",
-        params=dict(parse_qsl(split.query)),
+        params=dict(parse_qsl(split.query)) if split.query else {},
         headers=headers,
     ), _body_length(headers, max_body)
 
@@ -239,7 +262,12 @@ class RequestParser:
     stream reader's buffer limit used to give.  After
     :meth:`feed_eof`, a partial message is a 400 and :attr:`finished`
     says the peer closed cleanly between messages.
+    :class:`ResponseParser` is the same machine reading responses.
     """
+
+    #: Parses one head: the message with its body still to come, and
+    #: that body's length.
+    _head = staticmethod(_request_head)
 
     def __init__(self, *, max_line: int = 8192, max_headers: int = 64,
                  max_body: int = 1 << 20, max_head: int = MAX_HEAD) -> None:
@@ -251,7 +279,7 @@ class RequestParser:
         #: Where the search for the head's end resumes.
         self._scanned = 0
         #: The parsed head whose body is still arriving.
-        self._pending: "tuple[HttpRequest, int] | None" = None
+        self._pending: "tuple[HttpRequest | HttpResponse, int] | None" = None
         self._eof = False
 
     @property
@@ -271,7 +299,7 @@ class RequestParser:
         self._eof = True
 
     def next_request(self) -> "HttpRequest | None":
-        """The next complete request, or ``None`` until one is."""
+        """The next complete message, or ``None`` until one is."""
         buffer = self._buffer
         if self._pending is None:
             end = buffer.find(b"\r\n\r\n", self._scanned)
@@ -291,21 +319,41 @@ class RequestParser:
                     431, f"header block too long: the head ends "
                          f"{end} bytes in, past the {self.max_head}-byte "
                          f"limit")
-            self._pending = _request_head(
+            self._pending = self._head(
                 bytes(buffer[:end]), self.max_line, self.max_headers,
                 self.max_body)
             del buffer[:end + 4]
             self._scanned = 0
-        request, length = self._pending
+        message, length = self._pending
         if len(buffer) < length:
             if self._eof:
                 raise _mid_body(len(buffer), length)
             return None
         if length:
-            request.body = bytes(buffer[:length])
+            message.body = bytes(buffer[:length])
             del buffer[:length]
         self._pending = None
-        return request
+        return message
+
+
+class ResponseParser(RequestParser):
+    """Responses out of a byte stream: the client's half.
+
+    The same buffer, limits and end-of-stream rules as
+    :class:`RequestParser`; only the head is a status line, and the
+    body limit is the 8 MiB :func:`read_response` allows (a settle's
+    report is the largest answer the gateway sends).
+    """
+
+    _head = staticmethod(_response_head)
+
+    def __init__(self, *, max_line: int = 8192, max_headers: int = 64,
+                 max_body: int = 8 << 20, max_head: int = MAX_HEAD) -> None:
+        super().__init__(max_line=max_line, max_headers=max_headers,
+                         max_body=max_body, max_head=max_head)
+
+    #: The next complete response, or ``None`` until one is.
+    next_response = RequestParser.next_request
 
 
 async def _read_head(reader: asyncio.StreamReader) -> "bytes | None":
@@ -417,6 +465,33 @@ def render_response(
     return head + body
 
 
+def request_head(
+    method: str,
+    target: str,
+    *,
+    with_body: bool,
+    host: str = "localhost",
+    headers: "dict[str, str] | None" = None,
+    keep_alive: bool = True,
+) -> tuple[bytes, bytes]:
+    """One request head split around its Content-Length digits.
+
+    What :func:`render_request` writes before and after the length, so
+    a client that sends many requests to one target can cache the pair
+    and send ``prefix + digits + suffix + body``.
+    """
+    lines = [f"{method.upper()} {target} HTTP/1.1", f"Host: {host}"]
+    if with_body:
+        lines.append("Content-Type: application/json")
+    lines.append("Content-Length: ")
+    prefix = "\r\n".join(lines).encode("latin-1")
+    lines = ["", "Connection: " + ("keep-alive" if keep_alive else "close")]
+    for name, value in (headers or {}).items():
+        lines.append(f"{name}: {value}")
+    suffix = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+    return prefix, suffix
+
+
 def render_request(
     method: str,
     target: str,
@@ -426,16 +501,11 @@ def render_request(
     headers: "dict[str, str] | None" = None,
     keep_alive: bool = True,
 ) -> bytes:
-    """Serialize one request (the load generator's half)."""
-    lines = [f"{method.upper()} {target} HTTP/1.1", f"Host: {host}"]
-    if body:
-        lines.append("Content-Type: application/json")
-    lines.append(f"Content-Length: {len(body)}")
-    lines.append("Connection: " + ("keep-alive" if keep_alive else "close"))
-    for name, value in (headers or {}).items():
-        lines.append(f"{name}: {value}")
-    head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
-    return head + body
+    """Serialize one request, ready for ``transport.write``."""
+    prefix, suffix = request_head(
+        method, target, with_body=bool(body), host=host, headers=headers,
+        keep_alive=keep_alive)
+    return b"".join((prefix, b"%d" % len(body), suffix, body))
 
 
 #: One encoder for every body: ``json.dumps`` with these options would

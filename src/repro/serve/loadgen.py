@@ -23,23 +23,77 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.io import ServeRequest, serve_request_to_dict
+from repro.io import ServeRequest, serve_request_body, serve_request_to_dict
 from repro.serve import http
 from repro.serve.http import HttpError
 from repro.sim.arrivals import Arrival, resolve_arrivals
 from repro.utils.validation import ValidationError, require
 
 
+class _ClientProtocol(asyncio.Protocol):
+    """One client connection's callbacks: responses out of a
+    :class:`~repro.serve.http.ResponseParser`, one future per request.
+
+    :attr:`waiter` is the future of the request in flight.  It gets
+    the response, an :class:`~repro.serve.http.HttpError` when the
+    bytes do not frame one, or ``None`` when the connection closed
+    with no response begun.
+    """
+
+    def __init__(self) -> None:
+        self.parser = http.ResponseParser()
+        self.transport: "asyncio.Transport | None" = None
+        self.waiter: "asyncio.Future | None" = None
+        self.lost = False
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        self.parser.feed(data)
+        self._deliver()
+
+    def eof_received(self) -> bool:
+        self.parser.feed_eof()
+        self._deliver()
+        return False            # nothing more to send on it: close
+
+    def connection_lost(self, exc) -> None:
+        self.lost = True
+        self.parser.feed_eof()
+        self._deliver()
+
+    def _deliver(self) -> None:
+        waiter = self.waiter
+        if waiter is None:
+            return
+        try:
+            response = self.parser.next_response()
+        except HttpError as exc:
+            self.waiter = None
+            self.transport.close()
+            if not waiter.done():
+                waiter.set_exception(exc)
+            return
+        if response is None and not self.parser.finished:
+            return              # more bytes to come
+        self.waiter = None
+        if not waiter.done():
+            waiter.set_result(response)
+
+
 class GatewayClient:
     """One keep-alive HTTP connection to the gateway.
 
-    Reconnects and resends once if an *established* keep-alive
-    connection (one that has completed a round trip) proves stale.  A
-    connection that dies on its very first exchange gets no resend —
-    the server may have executed the request before the connection
-    failed, and resending would duplicate a non-idempotent mutation
-    (a tick would settle twice).  Protocol-level failures raise
-    :class:`~repro.serve.http.HttpError`.
+    The connection is an ``asyncio.Protocol`` whose response parser
+    settles one future per request; the request head for each target
+    is rendered once and cached.  Reconnects and resends once if an
+    *established* keep-alive connection (one that has completed a
+    round trip) proves stale.  A connection that dies on its very
+    first exchange gets no resend — the server may have executed the
+    request before the connection failed, and resending would
+    duplicate a non-idempotent mutation (a tick would settle twice).
+    Protocol-level failures raise :class:`~repro.serve.http.HttpError`.
     """
 
     def __init__(self, host: str, port: int,
@@ -47,26 +101,27 @@ class GatewayClient:
         self.host = host
         self.port = int(port)
         self.client_id = client_id
-        self._reader: "asyncio.StreamReader | None" = None
-        self._writer: "asyncio.StreamWriter | None" = None
+        self._protocol: "_ClientProtocol | None" = None
         #: True once this connection has completed a round trip.
         self._seasoned = False
+        #: (method, target, with body, client id) -> the request head
+        #: around its Content-Length digits.
+        self._heads: dict[tuple, tuple[bytes, bytes]] = {}
         #: Headers of the most recent response (e.g. ``retry-after``).
         self.last_headers: dict[str, str] = {}
 
     async def connect(self) -> None:
-        self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port)
+        loop = asyncio.get_running_loop()
+        _transport, self._protocol = await loop.create_connection(
+            _ClientProtocol, self.host, self.port)
         self._seasoned = False
 
     async def close(self) -> None:
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-            self._reader = self._writer = None
+        protocol, self._protocol = self._protocol, None
+        if protocol is not None and not protocol.lost:
+            protocol.transport.close()
+            # Let connection_lost run, as a stream's wait_closed would.
+            await asyncio.sleep(0)
 
     async def __aenter__(self) -> "GatewayClient":
         await self.connect()
@@ -81,20 +136,34 @@ class GatewayClient:
     ) -> tuple[int, dict]:
         """One request/response round trip; returns (status, body)."""
         body = b"" if document is None else http.json_body(document)
-        payload = http.render_request(
-            method, target, body,
-            host=f"{self.host}:{self.port}",
-            headers={"x-client-id": self.client_id})
+        return await self._exchange(method, target, body)
+
+    async def _exchange(self, method: str, target: str,
+                        body: bytes) -> tuple[int, dict]:
+        key = (method, target, bool(body), self.client_id)
+        head = self._heads.get(key)
+        if head is None:
+            head = self._heads[key] = http.request_head(
+                method, target, with_body=bool(body),
+                host=f"{self.host}:{self.port}",
+                headers={"x-client-id": self.client_id})
+        payload = b"".join((head[0], b"%d" % len(body), head[1], body))
         for attempt in (1, 2):
-            if self._writer is None:
+            if self._protocol is None:
                 await self.connect()
-            try:
-                self._writer.write(payload)
-                await self._writer.drain()
-                response = await http.read_response(self._reader)
-            except (ConnectionResetError, BrokenPipeError,
-                    asyncio.IncompleteReadError):
-                response = None
+            protocol = self._protocol
+            response = None
+            if not protocol.lost:
+                waiter = protocol.waiter = (
+                    asyncio.get_running_loop().create_future())
+                protocol.transport.write(payload)
+                try:
+                    response = await waiter
+                except BaseException:
+                    # A parse failure or a cancelled wait: the
+                    # connection's framing is lost with it.
+                    await self.close()
+                    raise
             if response is not None:
                 self.last_headers = response.headers
                 self._seasoned = True
@@ -115,10 +184,9 @@ class GatewayClient:
 
     async def submit(self, query,
                      category: "str | None" = None) -> tuple[int, dict]:
-        op = "subscribe" if category is not None else "submit"
-        document = serve_request_to_dict(ServeRequest(
-            op=op, query=query, category=category))
-        return await self.request("POST", f"/v1/{op}", document)
+        target = "/v1/submit" if category is None else "/v1/subscribe"
+        return await self._exchange(
+            "POST", target, serve_request_body(query, category))
 
     async def withdraw(self, query_id: str) -> tuple[int, dict]:
         document = serve_request_to_dict(ServeRequest(

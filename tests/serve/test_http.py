@@ -345,6 +345,34 @@ class TestHeadFramingFed(TestHeadFraming):
         assert "mid-body (5/50 bytes)" in excinfo.value.message
 
 
+class TestRepeatedHeads:
+    """Heads a keep-alive peer repeats are parsed once; every message
+    still gets its own headers, and a refused head stays refused."""
+
+    def test_each_message_gets_its_own_headers(self):
+        raw = render_request("POST", "/v1/submit", b'{"n":1}',
+                             headers={"x-client-id": "c7"})
+        first = parse_via_feed(raw)
+        first.headers["x-client-id"] = "changed"
+        first.headers["injected"] = "1"
+        second = parse_via_feed(raw)
+        assert second.headers["x-client-id"] == "c7"
+        assert "injected" not in second.headers
+
+    def test_a_refused_head_is_refused_every_time(self):
+        raw = b"GET / HTTP/1.1\r\nHost : a\r\n\r\n"
+        for _ in range(2):
+            with pytest.raises(HttpError) as excinfo:
+                parse_via_feed(raw)
+            assert excinfo.value.status == 400
+
+    def test_a_long_head_parses_like_a_short_one(self):
+        headers = {f"x-pad-{n}": "v" * 40 for n in range(30)}
+        raw = render_request("GET", "/healthz", headers=headers)
+        assert raw.index(b"\r\n\r\n") > 1024
+        assert parse_via_feed(raw).headers["x-pad-29"] == "v" * 40
+
+
 class TestResponseParsing:
     def test_round_trip(self):
         raw = render_response(200, json_body({"ok": True}),

@@ -15,6 +15,8 @@ from repro.serve import (
     materialize,
     run_load,
 )
+from repro.serve.http import HttpError
+from repro.serve.loadgen import GatewayClient
 from repro.utils.validation import ValidationError
 
 pytestmark = pytest.mark.serve
@@ -171,3 +173,195 @@ class TestSeededRuns:
         assert result.completed == 15
         assert throttled > 0
         assert result.retries >= throttled
+
+
+class ScriptedServer:
+    """A loopback server whose connections follow a script.
+
+    Each accepted connection takes the next entry of *plan*: an async
+    function ``(reader, writer, log)`` that reads and answers (or
+    fails to answer) however the case needs.  *log* collects
+    ``(connection index, request line)`` for every request read, so a
+    test can count what reached the server and over which connection.
+    """
+
+    def __init__(self, *plan) -> None:
+        self.plan = list(plan)
+        self.log: list[tuple[int, str]] = []
+        self.connections = 0
+        self.server = None
+
+    async def __aenter__(self) -> "ScriptedServer":
+        self.server = await asyncio.start_server(
+            self._accept, "127.0.0.1", 0)
+        return self
+
+    async def __aexit__(self, *_exc) -> None:
+        self.server.close()
+        await self.server.wait_closed()
+
+    @property
+    def port(self) -> int:
+        return self.server.sockets[0].getsockname()[1]
+
+    async def _accept(self, reader, writer) -> None:
+        index = self.connections
+        self.connections += 1
+        try:
+            await self.plan[index](reader, writer, self.log, index)
+        finally:
+            writer.close()
+
+    @staticmethod
+    async def read_one(reader, log, index) -> bool:
+        """Read one request; log it; False on a clean close."""
+        from repro.serve.http import read_request
+
+        request = await read_request(reader)
+        if request is None:
+            return False
+        log.append((index, f"{request.method} {request.path}"))
+        return True
+
+
+OK_BODY = b'{"status":"ok"}'
+OK = (b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+      b"Content-Length: %d\r\nConnection: keep-alive\r\n"
+      b"Retry-After: 0.25\r\n\r\n" % len(OK_BODY)) + OK_BODY
+
+
+async def answer_forever(reader, writer, log, index):
+    while await ScriptedServer.read_one(reader, log, index):
+        writer.write(OK)
+        await writer.drain()
+
+
+async def answer_once_then_close(reader, writer, log, index):
+    await ScriptedServer.read_one(reader, log, index)
+    writer.write(OK)
+    await writer.drain()
+
+
+async def read_then_close(reader, writer, log, index):
+    await ScriptedServer.read_one(reader, log, index)
+
+
+class TestClientTransport:
+    """The client's resend rule and its response framing, pinned
+    against a scripted server."""
+
+    def test_idle_close_of_a_seasoned_connection_resends_once(self):
+        async def go():
+            async with ScriptedServer(answer_once_then_close,
+                                      answer_forever) as server:
+                async with GatewayClient("127.0.0.1", server.port) as c:
+                    first = await c.health()
+                    await asyncio.sleep(0.05)   # the server closes, idle
+                    second = await c.health()
+                return first, second, server.log, c.last_headers
+
+        first, second, log, headers = asyncio.run(go())
+        assert first[0] == second[0] == 200
+        assert second[1] == {"status": "ok"}
+        # The second request reached the server once, on a new
+        # connection.
+        assert log == [(0, "GET /healthz"), (1, "GET /healthz")]
+        assert headers["retry-after"] == "0.25"
+
+    def test_first_exchange_failure_is_503_and_never_resent(self):
+        async def go():
+            async with ScriptedServer(read_then_close,
+                                      answer_forever) as server:
+                async with GatewayClient("127.0.0.1", server.port) as c:
+                    with pytest.raises(HttpError) as excinfo:
+                        await c.tick()
+                    # The connection that failed is gone; the next
+                    # request opens another and goes through.
+                    after = await c.health()
+                return excinfo.value, after, server.log
+
+        error, after, log = asyncio.run(go())
+        assert error.status == 503
+        assert "closed the connection" in error.message
+        # The tick reached the server exactly once: it could not
+        # settle twice.
+        assert log == [(0, "POST /v1/tick"), (1, "GET /healthz")]
+        assert after[0] == 200
+
+    def test_a_resend_that_fails_again_is_503(self):
+        """A seasoned connection that dies mid-exchange gets one
+        resend, on a fresh connection; that one's failure is final."""
+
+        async def go():
+            async def answer_then_read_then_close(reader, writer, log,
+                                                  index):
+                await ScriptedServer.read_one(reader, log, index)
+                writer.write(OK)
+                await writer.drain()
+                await ScriptedServer.read_one(reader, log, index)
+
+            async with ScriptedServer(answer_then_read_then_close,
+                                      read_then_close) as server:
+                async with GatewayClient("127.0.0.1", server.port) as c:
+                    await c.health()
+                    with pytest.raises(HttpError) as excinfo:
+                        await c.tick()
+                return excinfo.value, server.log
+
+        error, log = asyncio.run(go())
+        assert error.status == 503
+        assert log == [(0, "GET /healthz"), (0, "POST /v1/tick"),
+                       (1, "POST /v1/tick")]
+
+    def test_a_response_one_byte_per_segment_parses(self):
+        async def go():
+            async def trickle(reader, writer, log, index):
+                await ScriptedServer.read_one(reader, log, index)
+                for at in range(len(OK)):
+                    writer.write(OK[at:at + 1])
+                    await writer.drain()
+                    await asyncio.sleep(0.001)
+
+            async with ScriptedServer(trickle) as server:
+                async with GatewayClient("127.0.0.1", server.port) as c:
+                    return await c.health(), c.last_headers
+
+        (status, body), headers = asyncio.run(go())
+        assert (status, body) == (200, {"status": "ok"})
+        assert headers["content-length"] == str(len(OK_BODY))
+
+    def test_a_peer_closing_mid_body_is_400(self):
+        async def go():
+            async def cut(reader, writer, log, index):
+                await ScriptedServer.read_one(reader, log, index)
+                writer.write(b"HTTP/1.1 200 OK\r\nContent-Length: 50"
+                             b"\r\n\r\nshort")
+                await writer.drain()
+
+            async with ScriptedServer(cut) as server:
+                async with GatewayClient("127.0.0.1", server.port) as c:
+                    with pytest.raises(HttpError) as excinfo:
+                        await c.health()
+                return excinfo.value, server.log
+
+        error, log = asyncio.run(go())
+        assert error.status == 400
+        assert "mid-body (5/50 bytes)" in error.message
+        assert log == [(0, "GET /healthz")]
+
+    def test_a_body_over_8_mib_is_413(self):
+        async def go():
+            async def huge(reader, writer, log, index):
+                await ScriptedServer.read_one(reader, log, index)
+                writer.write(b"HTTP/1.1 200 OK\r\nContent-Length: %d"
+                             b"\r\n\r\n" % ((8 << 20) + 1))
+                await writer.drain()
+                await asyncio.sleep(0.05)
+
+            async with ScriptedServer(huge) as server:
+                async with GatewayClient("127.0.0.1", server.port) as c:
+                    with pytest.raises(HttpError) as excinfo:
+                        await c.health()
+                return excinfo.value
+
+        assert asyncio.run(go()).status == 413

@@ -5,16 +5,28 @@ import base64
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.io import (
     ServeRequest,
+    serve_ok_body,
+    serve_request_body,
     serve_request_from_dict,
     serve_request_to_dict,
     serve_response_from_dict,
     serve_response_to_dict,
 )
+from repro.serve.http import json_body
 from repro.utils.validation import ValidationError
-from tests.strategies import select_query
+from repro.wal.records import encode_json
+from tests.strategies import select_plans, select_query
+
+#: Category names, request ids and query ids a writer must escape.
+NAMES = st.one_of(
+    st.text(max_size=10),
+    st.sampled_from(["day", 'q"1', "caf\u00e9", "\u2603", "a\\b",
+                     "\n\x00"]))
 
 
 class TestServeRequest:
@@ -125,6 +137,63 @@ class TestServeResponse:
         document["version"] = 99
         with pytest.raises(ValidationError, match="version"):
             serve_response_from_dict(document)
+
+
+class TestDirectWritersAreByteIdentical:
+    """The bodies written straight to bytes are the canonical encoding
+    of the documents they stand for, whatever the plan holds."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(plan=select_plans(), category=st.none() | NAMES)
+    def test_request_body(self, plan, category):
+        op = "submit" if category is None else "subscribe"
+        document = serve_request_to_dict(
+            ServeRequest(op=op, query=plan, category=category))
+        body = serve_request_body(plan, category)
+        assert body == json_body(document)
+        # The WAL op record frames the same canonical bytes.
+        assert body == encode_json(document)
+
+    def test_request_body_refuses_what_the_dict_refuses(self):
+        from repro.dsms.operators import SelectOperator
+        from repro.dsms.plan import ContinuousQuery
+
+        op = SelectOperator("sel", "s", lambda _tuple: True,
+                            cost_per_tuple=1.0)
+        query = ContinuousQuery("q", (op,), sink_id="sel", bid=1.0)
+        with pytest.raises(ValidationError, match="single pass-all"):
+            serve_request_to_dict(ServeRequest(op="submit", query=query))
+        with pytest.raises(ValidationError, match="single pass-all"):
+            serve_request_body(query)
+
+    @settings(max_examples=300, deadline=None)
+    @given(request_id=NAMES, query_id=NAMES,
+           pending=st.integers(0, 2 ** 40),
+           period=st.integers(0, 2 ** 40),
+           shard=st.none() | st.integers(0, 64), category=NAMES)
+    def test_ok_answers(self, request_id, query_id, pending, period,
+                        shard, category):
+        cases = (
+            ("submit", {"query_id": query_id, "shard": shard,
+                        "period": period, "pending": pending}),
+            ("subscribe", {"query_id": query_id, "category": category,
+                           "period": period, "pending": pending}),
+            ("withdraw", {"query_id": query_id, "withdrawn": True,
+                          "pending": pending}),
+        )
+        for op, fields in cases:
+            expected = json_body(
+                serve_response_to_dict("ok", request_id, **fields))
+            assert serve_ok_body(
+                op, request_id, query_id, pending, period=period,
+                shard=shard, category=category) == expected, op
+
+    def test_a_submit_with_no_shard_answers_shard_null(self):
+        body = serve_ok_body("submit", "r000001", "q1", 3, period=0)
+        assert b'"shard":null' in body
+        assert body == json_body(serve_response_to_dict(
+            "ok", "r000001", query_id="q1", shard=None, period=0,
+            pending=3))
 
 
 class TestFrontEndIsGone:

@@ -6,6 +6,11 @@ picking random operator subsets (so sharing arises naturally), bids on
 a bounded positive range, and a capacity somewhere between "almost
 nothing fits" and "everything fits".
 
+:func:`select_plans` draws the one plan shape every byte boundary
+carries — a single pass-all select — with ids, owners and numbers
+chosen to stress a JSON writer (escapes, non-ASCII, ``None``, ints,
+``1e16``, ``5e-324``, ``-0.0``, NaN and infinities).
+
 :func:`cluster_workloads` draws end-to-end *federation* workloads for
 the :mod:`repro.cluster` invariant suite: a shard count, per-shard
 capacity, a stream rate, a placement-policy spec, and several periods
@@ -22,7 +27,7 @@ from hypothesis import strategies as st
 from repro.core.model import AuctionInstance, Operator, Query
 from repro.dsms.operators import SelectOperator
 from repro.dsms.plan import ContinuousQuery
-from repro.sim.arrivals import pass_all
+from repro.sim.arrivals import SelectPlan, pass_all
 
 
 @st.composite
@@ -225,3 +230,45 @@ def plan_recipes(draw, query_id: str) -> PlanRecipe:
         shared=shared,
         private_cost=draw(st.sampled_from([0.25, 0.5, 1.0, 2.0])),
     )
+
+
+#: Text a JSON writer must escape or cannot write as plain ASCII.
+_AWKWARD_TEXT = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(['q"1', "back\\slash", "tab\there", "new\nline",
+                     "\x00\x1f\x7f", "caf\u00e9", "\u2603\U0001f600",
+                     "\ud800", "", "</script>"]),
+)
+
+#: Numbers whose canonical JSON is easy to get wrong.
+_AWKWARD_NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-(2 ** 70), 2 ** 70),
+    st.sampled_from([1e16, 5e-324, -0.0, 0.0, 1.0, 0, 1, 0.1, 1e-7,
+                     123456789.0, 2.5e300, float("nan"), float("inf"),
+                     -float("inf")]),
+)
+
+
+@st.composite
+def select_plans(draw):
+    """A single pass-all select: as a :class:`SelectPlan`, or (with
+    plain numbers, which plan validation accepts) as the
+    :class:`ContinuousQuery` it materialises to."""
+    plan = SelectPlan(
+        draw(_AWKWARD_TEXT), draw(_AWKWARD_TEXT), draw(_AWKWARD_TEXT),
+        draw(_AWKWARD_NUMBERS), draw(_AWKWARD_NUMBERS),
+        draw(_AWKWARD_NUMBERS),
+        draw(st.none() | _AWKWARD_NUMBERS),
+        draw(st.none() | _AWKWARD_TEXT),
+    )
+    if draw(st.booleans()):
+        return plan
+    query_id = draw(_AWKWARD_TEXT.filter(bool))
+    return SelectPlan(
+        query_id, f"sel_{query_id}", draw(st.sampled_from(["s", "t\u00e9"])),
+        draw(st.floats(0.0, 10.0)), draw(st.floats(0.0, 1.0)),
+        draw(st.floats(0.0, 1e6) | st.integers(0, 10 ** 6)),
+        draw(st.none() | st.floats(0.0, 1e6)),
+        plan.owner,
+    ).materialize()
