@@ -19,6 +19,7 @@ the key survives so the record stays debuggable.
 from __future__ import annotations
 
 import json
+import re
 import sys
 import threading
 import time
@@ -34,10 +35,14 @@ REDACTED = "[redacted]"
 
 _LEVELS = ("debug", "info", "warning", "error")
 
+#: One scan per field name for every marker, and once for every record
+#: the encoder ``json.dumps(..., sort_keys=True, default=repr)`` builds.
+_SECRET_PATTERN = re.compile("|".join(map(re.escape, SECRET_MARKERS)))
+_ENCODER = json.JSONEncoder(sort_keys=True, default=repr)
+
 
 def _is_secret(key: str) -> bool:
-    lowered = key.lower()
-    return any(marker in lowered for marker in SECRET_MARKERS)
+    return _SECRET_PATTERN.search(key.lower()) is not None
 
 
 def redact(fields: Mapping) -> dict:
@@ -111,9 +116,7 @@ class StructuredLog:
             if self.stream is not None:
                 print(self._format_line(record), file=self.stream)
             if self._handle is not None:
-                self._handle.write(
-                    json.dumps(record, sort_keys=True, default=repr)
-                    + "\n")
+                self._handle.write(_ENCODER.encode(record) + "\n")
                 self._handle.flush()
         return record
 

@@ -510,8 +510,10 @@ class _SyntheticRows(_RowProcess):
         base = self._count
         ids = [f"{self._prefix}{base + offset}" for offset in range(count)]
         ops = ["sel_" + query_id for query_id in ids]
-        owners = [f"user_{(base + offset) % clients}"
-                  for offset in range(count)]
+        # One string per distinct owner, shared by all of its rows.
+        names = [f"user_{(base + offset) % clients}"
+                 for offset in range(min(count, clients))]
+        owners = [names[offset % clients] for offset in range(count)]
         self._count = base + count
         return ArrivalBlock(times, ids, ops, owners, self._stream,
                             costs, 1.0, bids)

@@ -8,8 +8,10 @@ but holds only column slices; ``operators``/``queries`` materialize on
 first touch, so the fastpath selection kernels — which read
 ``_select_columns`` / ``_index_columns`` and never the object tuples —
 admit a whole block without constructing a single ``SelectPlan`` for
-the losers.  Winners materialize one by one when billing and the
-subscription book ask for them.
+the losers.  Winners materialize one by one, straight from the
+columns, when billing and the subscription book ask for them.  Once
+they are admitted the pump drops every view it built, so a settled
+instance a report keeps holds what its pickle holds.
 
 Everything observable (repr, ``union_load`` float-summation order,
 ``query()`` lookups, pickles) is pinned to what the eager reference
@@ -103,11 +105,17 @@ class ColumnarSelectInstance(AuctionInstance):
         sets(instance, "_all_truthful", valuations is None)
         # The fastpath kernels read these without touching .queries.
         sets(instance, "_select_columns",
-             (list(ids), np.asarray(bids, dtype=np.float64),
+             (ids, np.asarray(bids, dtype=np.float64),
               np.asarray(loads, dtype=np.float64)))
         return instance
 
-    # -- lazy float views (python floats, matching the eager objects) --
+    # -- lazy views ---------------------------------------------------
+
+    #: Every view built on first touch: never pickled, dropped once a
+    #: period settles, rebuilt when read again.
+    _DERIVED = ("_fastpath_cache", "_load_list", "_row_map", "_row_cache",
+                "_mat_operators", "_mat_queries", "_mat_by_id",
+                "_mat_sharing")
 
     def _cache(self, name, build):
         value = self.__dict__.get(name)
@@ -116,11 +124,10 @@ class ColumnarSelectInstance(AuctionInstance):
             object.__setattr__(self, name, value)
         return value
 
-    def _cost_floats(self):
-        return self._cache("_cost_list", lambda: [float(c) for c in self._costs])
-
-    def _bid_floats(self):
-        return self._cache("_bid_list", lambda: [float(b) for b in self._bids])
+    def forget_derived(self) -> None:
+        """Drop every lazily built view; each rebuilds when next read."""
+        for name in self._DERIVED:
+            self.__dict__.pop(name, None)
 
     def _load_floats(self):
         return self._cache("_load_list", lambda: [float(x) for x in self._loads])
@@ -129,12 +136,6 @@ class ColumnarSelectInstance(AuctionInstance):
         return self._cache(
             "_row_map",
             lambda: {query_id: row for row, query_id in enumerate(self._ids)})
-
-    def _op_load_of(self):
-        def build():
-            loads = self._load_floats()
-            return {op_id: loads[row] for row, op_id in enumerate(self._ops)}
-        return self._cache("_op_loads", build)
 
     # -- materialization ----------------------------------------------
 
@@ -145,8 +146,8 @@ class ColumnarSelectInstance(AuctionInstance):
         valuations = self._valuations
         return SelectPlan(
             self._ids[row], self._ops[row], self._inputs[row],
-            self._cost_floats()[row], float(self._sels[row]),
-            self._bid_floats()[row],
+            float(self._costs[row]), float(self._sels[row]),
+            float(self._bids[row]),
             None if valuations is None else valuations[row],
             self._owners[row])
 
@@ -207,10 +208,12 @@ class ColumnarSelectInstance(AuctionInstance):
         row_of = self._row_of()
         ops = self._ops
         seen = set()
+        row_of_op = {}
         for query_id in query_ids:
-            seen.add(ops[row_of[query_id]])
-        op_load = self._op_load_of()
-        return sum(op_load[op_id] for op_id in seen)
+            row = row_of[query_id]
+            seen.add(ops[row])
+            row_of_op[ops[row]] = row
+        return sum(float(self._loads[row_of_op[op_id]]) for op_id in seen)
 
     def _index_columns(self):
         """Columns for InstanceIndex.from_select_columns (duck hook)."""
@@ -234,9 +237,6 @@ class ColumnarSelectInstance(AuctionInstance):
 
     def __getstate__(self):
         state = dict(self.__dict__)
-        state.pop("_fastpath_cache", None)
-        for name in ("_cost_list", "_bid_list", "_load_list", "_row_map",
-                     "_op_loads", "_row_cache", "_mat_operators",
-                     "_mat_queries", "_mat_by_id", "_mat_sharing"):
+        for name in self._DERIVED:
             state.pop(name, None)
         return state

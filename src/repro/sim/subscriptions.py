@@ -574,6 +574,9 @@ class SubscriptionManager:
             else:
                 for query in to_admit:
                     engine.admit(query)
+        # A report keeps each instance for the run; its working views go.
+        for outcome in outcomes.values():
+            outcome.instance.forget_derived()
         stats["winners"] = len(admitted)
         result = SubscriptionPeriodResult(
             period=period,

@@ -75,3 +75,17 @@ class TestStructuredLog:
         lines = path.read_text().splitlines()
         assert [json.loads(line)["event"] for line in lines] == ["a",
                                                                  "b"]
+
+    def test_file_line_is_the_sorted_json_of_the_record(self, tmp_path):
+        """One shared encoder writes what ``json.dumps(record,
+        sort_keys=True, default=repr)`` would: same bytes, unencodable
+        values as their repr."""
+        path = tmp_path / "gw.jsonl"
+        with StructuredLog(path=path, stream=None,
+                           clock=lambda: 3.25) as log:
+            record = log.log("settle", zeta=[1, 0.1, None], alpha="é\n",
+                             nested={"b": 2, "a": {"Token": "x"}},
+                             phase=complex(1, 2))
+        assert path.read_text(encoding="utf-8") == (
+            json.dumps(record, sort_keys=True, default=repr) + "\n")
+        assert record["nested"]["a"]["Token"] == REDACTED
