@@ -207,7 +207,6 @@ class ScheduledEngine:
         sources: Iterable[StreamSource],
         capacity: float,
         policy: "SchedulingPolicy | PolicySpec | str | None" = None,
-        keep_latency_samples: bool = False,
         count_mode: bool = False,
     ) -> None:
         require(capacity > 0, "capacity must be positive")
@@ -223,11 +222,10 @@ class ScheduledEngine:
         self.catalog = QueryPlanCatalog()
         self.results: dict[str, list[StreamTuple]] = {}
         self.latency: dict[str, LatencyStats] = {}
-        #: Raw per-delivery latencies (ticks), kept only on request —
-        #: the SLA percentiles of the open-system simulation need the
-        #: distribution, not just the running mean.
-        self.latency_samples: "list[int] | None" = (
-            [] if keep_latency_samples else None)
+        #: Raw per-delivery latencies (ticks) — the SLA percentiles of
+        #: the open-system simulation need the distribution, not just
+        #: the running mean.
+        self.latency_samples: list[int] = []
         # op id -> input name -> queue of (arrival tick, tuple)
         self._queues: dict[str, dict[str, deque]] = {}
         # Count mode (latency accounting only): queues carry
@@ -263,10 +261,8 @@ class ScheduledEngine:
 
     def __deepcopy__(self, memo: dict) -> "ScheduledEngine":
         """Copy the queues; share delivered tuples and latency samples."""
-        logs = list(self.results.values())
-        if self.latency_samples is not None:
-            logs.append(self.latency_samples)
-        return deepcopy_sharing_records(self, memo, logs)
+        return deepcopy_sharing_records(
+            self, memo, [*self.results.values(), self.latency_samples])
 
     # ------------------------------------------------------------------
     # Admission
@@ -504,19 +500,17 @@ class ScheduledEngine:
     def _execute_tick_counts(self) -> None:
         """One budget-bounded tick over run-length queues.
 
-        Mirrors :meth:`_execute_tick` exactly — same budget maths,
-        same policy ordering, same latency sequence — but tracks
-        ``[birth tick, count]`` runs instead of tuples.
+        Mirrors :meth:`_execute_tick` (the reference) — same budget
+        maths, same policy ordering, same latency sequence — but
+        drains ``[birth tick, count]`` runs instead of tuples and
+        delivers their latencies straight to the sinks.
         """
         self._tick += 1
         self.ticks_run += 1
         tick = self._tick
         queued = self._queued
         nonempty = self._nonempty
-        fifo = type(self.policy) is FifoPolicy
-        if fifo and not nonempty:
-            self._tick_counts_fresh(tick)
-            return
+        run_queues = self._run_queues
         for name, source in self._sources.items():
             n = source.emit_count(tick)
             if n is None:
@@ -524,210 +518,82 @@ class ScheduledEngine:
             if not n:
                 continue
             for op in self._stream_consumers.get(name, ()):
-                self._run_queues[op.op_id].append([tick, n])
+                run_queues[op.op_id].append([tick, n])
                 queued[op.op_id] += n
                 nonempty.add(op.op_id)
 
+        # Count mode only runs on source-fed passthroughs feeding sinks
+        # (the _counts_supported contract), so draining one operator
+        # never refills another's queue, and an operator a fifo pass
+        # left partially drained ended it with a budget remainder below
+        # its own per-tuple cost: a second fifo pass can never consume
+        # anything, so fifo stops after one.  Stateful policies keep
+        # the reference's passes: their per-pass ``order`` calls
+        # advance cursors, which *is* observable on later ticks.
+        fifo = type(self.policy) is FifoPolicy
+        sinks = self._sinks
+        latency_map = self.latency
+        samples = self.latency_samples
         budget = self.capacity
-        if fifo:
-            # Count mode only runs on source-fed passthroughs feeding
-            # sinks (the _counts_supported contract), so draining one
-            # operator never refills another's queue, and an operator
-            # its pass left partially drained ended it with budget
-            # remainder below its own per-tuple cost — the budget only
-            # shrinks after that, so a second pass can never consume
-            # anything.  The reference multi-pass loop would only
-            # rediscover that at ~2x the drain calls; one pass is
-            # observation-equivalent.  Stateful policies keep the
-            # reference loop below: their per-pass ``order`` calls
-            # advance cursors, which *is* observable on later ticks.
-            if budget > 1e-12 and nonempty:
-                # Inlined _drain_counts (same arithmetic, same order):
-                # on a deep backlog this runs tens of times per tick,
-                # and the call frame plus per-call attribute lookups
-                # are the dominant cost of the drain itself.
-                run_queues = self._run_queues
-                sinks = self._sinks
-                latency_map = self.latency
-                samples = self.latency_samples
-                for op in [op for op in self._order
-                           if op.op_id in nonempty]:
-                    if budget <= 1e-12:
-                        break
-                    op_id = op.op_id
-                    backlog = queued[op_id]
-                    cost = op.cost_per_tuple
-                    affordable = (backlog if cost <= 0
-                                  else int(budget / cost))
-                    if affordable <= 0 or not backlog:
-                        continue
-                    take = (backlog if backlog <= affordable
-                            else affordable)
-                    runs = run_queues[op_id]
-                    remaining = take
-                    lat_sum = 0
-                    lat_max = 0
-                    segments: list[tuple[int, int]] = []
-                    while remaining:
-                        head = runs[0]
-                        birth, count = head
-                        use = count if count <= remaining else remaining
-                        if use == count:
-                            runs.popleft()
-                        else:
-                            head[1] = count - use
-                        latency = tick - birth
-                        lat_sum += latency * use
-                        if latency > lat_max:
-                            lat_max = latency
-                        segments.append((latency, use))
-                        remaining -= use
-                    queued[op_id] = backlog - take
-                    if backlog == take:
-                        nonempty.discard(op_id)
-                    op.processed_tuples += take
-                    op.emitted_tuples += take
-                    for query_id in sinks.get(op_id, ()):
-                        stats = latency_map[query_id]
-                        stats.total += lat_sum
-                        stats.count += take
-                        if lat_max > stats.maximum:
-                            stats.maximum = lat_max
-                        self.delivered_count += take
-                        self.delivered_latency += lat_sum
-                        if samples is not None:
-                            for latency, use in segments:
-                                samples.extend(repeat(latency, use))
-                    budget -= take * cost
-                    self.work_done += take * cost
-            return
         progressed = True
         while budget > 1e-12 and progressed and nonempty:
             progressed = False
-            operators = [op for op in self._order
-                         if op.op_id in nonempty]
-            queue_lengths = {op.op_id: queued[op.op_id]
-                             for op in operators}
-            ordered = self.policy.order(operators, queue_lengths)
+            operators = [op for op in self._order if op.op_id in nonempty]
+            if fifo:
+                ordered = operators
+            else:
+                queue_lengths = {op.op_id: queued[op.op_id]
+                                 for op in operators}
+                ordered = self.policy.order(operators, queue_lengths)
             for op in ordered:
                 if budget <= 1e-12:
                     break
-                consumed = self._drain_counts(op, budget)
-                if consumed:
-                    progressed = True
-                    budget -= consumed * op.cost_per_tuple
-                    self.work_done += consumed * op.cost_per_tuple
-
-    def _tick_counts_fresh(self, tick: int) -> None:
-        """One fifo count-mode tick starting from all-empty queues.
-
-        The common under-load tick: nothing was carried over, so every
-        tuple drained this tick was also born this tick — latency is
-        zero by construction and the run queues never need touching
-        unless the budget leaves a remainder.  The budget walk below
-        runs the exact float sequence of :meth:`_drain_counts` over
-        the same operator order, so counters, latency stats and
-        ``work_done`` come out bitwise identical to the general path.
-        """
-        fresh: dict[str, int] = {}
-        for name, source in self._sources.items():
-            n = source.emit_count(tick)
-            if n is None:
-                n = len(source.emit(tick))
-            if not n:
-                continue
-            for op in self._stream_consumers.get(name, ()):
                 op_id = op.op_id
-                fresh[op_id] = fresh.get(op_id, 0) + n
-        if not fresh:
-            return
-        queued = self._queued
-        nonempty = self._nonempty
-        run_queues = self._run_queues
-        sinks = self._sinks
-        latency = self.latency
-        samples = self.latency_samples
-        budget = self.capacity
-        for op in self._order:
-            op_id = op.op_id
-            count = fresh.get(op_id)
-            if count is None:
-                continue
-            cost = op.cost_per_tuple
-            if budget <= 1e-12:
-                take = 0
-            else:
-                affordable = count if cost <= 0 else int(budget / cost)
-                take = count if count <= affordable else affordable
-            left = count - take
-            if left:
-                run_queues[op_id].append([tick, left])
-                queued[op_id] += left
-                nonempty.add(op_id)
-            if not take:
-                continue
-            op.processed_tuples += take
-            op.emitted_tuples += take
-            for query_id in sinks.get(op_id, ()):
-                # latency == 0 for every delivered tuple: the float
-                # accumulators are unchanged bitwise by adding 0.0, so
-                # only the counts move.
-                latency[query_id].count += take
-                self.delivered_count += take
-                if samples is not None:
-                    samples.extend(repeat(0, take))
-            budget -= take * cost
-            self.work_done += take * cost
-
-    def _drain_counts(self, op: StreamOperator, budget: float) -> int:
-        """Drain runs under the budget; deliver latencies to sinks."""
-        op_id = op.op_id
-        queued = self._queued.get(op_id, 0)
-        if op.cost_per_tuple <= 0:
-            affordable = queued
-        else:
-            affordable = int(budget / op.cost_per_tuple)
-        if affordable <= 0 or not queued:
-            return 0
-        take = queued if queued <= affordable else affordable
-        runs = self._run_queues[op_id]
-        tick = self._tick
-        remaining = take
-        lat_sum = 0
-        lat_max = 0
-        segments: list[tuple[int, int]] = []
-        while remaining:
-            head = runs[0]
-            birth, count = head
-            use = count if count <= remaining else remaining
-            if use == count:
-                runs.popleft()
-            else:
-                head[1] = count - use
-            latency = tick - birth
-            lat_sum += latency * use
-            if latency > lat_max:
-                lat_max = latency
-            segments.append((latency, use))
-            remaining -= use
-        self._queued[op_id] = queued - take
-        if queued == take:
-            self._nonempty.discard(op_id)
-        op.processed_tuples += take
-        op.emitted_tuples += take
-        samples = self.latency_samples
-        for query_id in self._sinks.get(op_id, ()):
-            stats = self.latency[query_id]
-            stats.total += lat_sum
-            stats.count += take
-            if lat_max > stats.maximum:
-                stats.maximum = lat_max
-            self.delivered_count += take
-            self.delivered_latency += lat_sum
-            if samples is not None:
-                for latency, use in segments:
-                    samples.extend(repeat(latency, use))
-        return take
+                backlog = queued[op_id]
+                cost = op.cost_per_tuple
+                affordable = backlog if cost <= 0 else int(budget / cost)
+                if affordable <= 0 or not backlog:
+                    continue
+                take = backlog if backlog <= affordable else affordable
+                runs = run_queues[op_id]
+                remaining = take
+                lat_sum = 0
+                lat_max = 0
+                segments: list[tuple[int, int]] = []
+                while remaining:
+                    head = runs[0]
+                    birth, count = head
+                    use = count if count <= remaining else remaining
+                    if use == count:
+                        runs.popleft()
+                    else:
+                        head[1] = count - use
+                    latency = tick - birth
+                    lat_sum += latency * use
+                    if latency > lat_max:
+                        lat_max = latency
+                    segments.append((latency, use))
+                    remaining -= use
+                queued[op_id] = backlog - take
+                if backlog == take:
+                    nonempty.discard(op_id)
+                op.processed_tuples += take
+                op.emitted_tuples += take
+                for query_id in sinks.get(op_id, ()):
+                    stats = latency_map[query_id]
+                    stats.total += lat_sum
+                    stats.count += take
+                    if lat_max > stats.maximum:
+                        stats.maximum = lat_max
+                    self.delivered_count += take
+                    self.delivered_latency += lat_sum
+                    for latency, use in segments:
+                        samples.extend(repeat(latency, use))
+                progressed = True
+                budget -= take * cost
+                self.work_done += take * cost
+            if fifo:
+                break
 
     def _birth_tick(self, t: StreamTuple) -> int:
         """Earliest source tick in *t*'s provenance (this tick when
@@ -782,8 +648,7 @@ class ScheduledEngine:
                 stats.maximum = lat_max
             self.delivered_count += count
             self.delivered_latency += lat_sum
-            if samples is not None:
-                samples.extend(latencies)
+            samples.extend(latencies)
 
     # ------------------------------------------------------------------
     # Introspection

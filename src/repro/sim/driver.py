@@ -202,7 +202,7 @@ class LatencyProbe:
         # back to tuple queues by itself on anything richer).
         self.engine = ScheduledEngine(
             copy.deepcopy(tuple(sources)), capacity,
-            policy=policy, keep_latency_samples=True, count_mode=True)
+            policy=policy, count_mode=True)
         self.shard = int(shard)
         #: Per-tick records, exact over the whole run.
         self.metrics: "list[TickMetrics]" = []
@@ -210,12 +210,17 @@ class LatencyProbe:
         self._latency_total = 0.0
 
     def sync(self, plans: Mapping[str, ContinuousQuery]) -> None:
-        """Make the probe run exactly the given admitted plans."""
+        """Make the probe run exactly the given admitted plans.
+
+        The probe admits its own deep copy of each new plan: the
+        shard's operators carry state (windows, counters) that only
+        the shard's engine may advance.
+        """
         current = set(self.engine.admitted_ids)
         for query_id in sorted(current - set(plans)):
             self.engine.remove(query_id)
         for query_id in sorted(set(plans) - current):
-            self.engine.admit(plans[query_id])
+            self.engine.admit(copy.deepcopy(plans[query_id]))
 
     def tick(self, time: float) -> TickMetrics:
         """Execute one probed tick and record its metrics."""
@@ -246,7 +251,7 @@ class LatencyProbe:
         self, percentiles: Sequence[float] = (50.0, 95.0, 99.0)
     ) -> dict[float, float]:
         """Exact delivery-latency percentiles over the probed run."""
-        return _latency_percentiles(self.engine.latency_samples or [],
+        return _latency_percentiles(self.engine.latency_samples,
                                     percentiles)
 
 
@@ -420,7 +425,7 @@ class SimulationDriver:
         """Cluster-wide delivery-latency percentiles from the probes."""
         samples: list[int] = []
         for probe in self.probes or ():
-            samples.extend(probe.engine.latency_samples or [])
+            samples.extend(probe.engine.latency_samples)
         return _latency_percentiles(samples, percentiles)
 
     def metrics_snapshot(
@@ -432,7 +437,7 @@ class SimulationDriver:
         every shard's probe."""
         samples: list[int] = []
         for probe in self.probes or ():
-            samples.extend(probe.engine.latency_samples or [])
+            samples.extend(probe.engine.latency_samples)
         snapshot = _metrics_snapshot(self.tick_metrics(), samples,
                                      percentiles)
         snapshot["pump"] = {"enabled": self.pump, **self._pump_stats}

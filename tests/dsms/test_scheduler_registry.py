@@ -112,20 +112,13 @@ class TestEngineIntegration:
         with pytest.raises(KeyError):
             engine.remove("ghost")
 
-    def test_latency_samples_kept_only_on_request(self):
-        def run_engine(keep):
-            engine = ScheduledEngine(
-                [SyntheticStream("s", rate=3.0, seed=0)],
-                capacity=50.0, keep_latency_samples=keep)
-            engine.admit(_query("q1"))
-            engine.run(5)
-            return engine
-
-        assert run_engine(False).latency_samples is None
-        sampled = run_engine(True)
-        assert sampled.latency_samples
-        stats = sampled.latency[
-            "q1"]
-        assert len(sampled.latency_samples) == stats.count
-        assert sum(sampled.latency_samples) == pytest.approx(
+    def test_latency_samples_match_the_latency_stats(self):
+        engine = ScheduledEngine(
+            [SyntheticStream("s", rate=3.0, seed=0)], capacity=50.0)
+        engine.admit(_query("q1"))
+        engine.run(5)
+        assert engine.latency_samples
+        stats = engine.latency["q1"]
+        assert len(engine.latency_samples) == stats.count
+        assert sum(engine.latency_samples) == pytest.approx(
             stats.total)

@@ -313,6 +313,43 @@ class TestProbe:
         assert all(m.work <= 20.0 + 1e-9
                    for m in driver.tick_metrics())
 
+    def test_probe_runs_its_own_copy_of_the_shard_plans(self):
+        """A stateful operator's window is advanced by the shard's
+        engine alone: the shard's results are the same with a probe
+        attached and after a restore, and no probe operator is a shard
+        operator."""
+        from repro.dsms.operators import AggregateOperator
+        from repro.dsms.plan import ContinuousQuery
+        from repro.sim.arrivals import Arrival
+
+        def run(probe, periods=3):
+            op = AggregateOperator("agg", "s", "v", len, window=4)
+            query = ContinuousQuery("q", (op,), sink_id="agg", bid=50.0)
+            driver = SimulationDriver(
+                build_service(ticks=10),
+                arrivals=ScheduledArrivals([Arrival(1.0, query)]),
+                probe=probe)
+            driver.run(periods)
+            return driver
+
+        def windows(driver):
+            [shard] = driver.host.shards
+            return {query_id: [t.payload for t in tuples]
+                    for query_id, tuples in shard.engine.results.items()}
+
+        probed = run("fifo")
+        assert "q" in probed.reports[-1].admitted
+        assert probed.probes[0].engine.admitted_ids == {"q"}
+        assert windows(probed) == windows(run(None))
+        resumed = SimulationDriver.restore(run("fifo", periods=2).snapshot())
+        resumed.run(1)
+        assert windows(resumed) == windows(probed)
+        [shard] = probed.host.shards
+        shard_ops = {id(op) for op in shard.engine.catalog.operators.values()}
+        assert not any(
+            id(op) in shard_ops
+            for op in probed.probes[0].engine.catalog.operators.values())
+
 
 class TestCheckpointing:
     @staticmethod

@@ -11,6 +11,9 @@ suite pins that:
 * trace-v2 (binary) replay ≡ trace-v1 (JSON) replay ≡ the live run;
 * the property-based sweep covers arrival rates, seeds, subscription
   lifecycles, and sharded stream routing.
+
+The probe's count-mode engine is pinned to its tuple queues in
+``tests/dsms/test_count_mode.py``.
 """
 
 import dataclasses

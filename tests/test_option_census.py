@@ -79,7 +79,7 @@ def test_each_flag_is_defined_once_and_the_counts_are_pinned():
         "GatewayConfig fields": 22,
         "SubscriptionOptions fields": 4,
         "SimulationDriver parameters": 8,
-        "ScheduledEngine parameters": 5,
+        "ScheduledEngine parameters": 4,
         # directory (+ state / scan / backend), fsync, compact_every.
         "WriteAheadLog parameters": 3,
         "WriteAheadLog.create parameters": 4,
@@ -97,6 +97,7 @@ def test_each_flag_is_defined_once_and_the_counts_are_pinned():
     lambda: SimulationDriver(None, probe_retention=5),
     lambda: SimulationDriver(None, allow_idle=False),
     lambda: ScheduledEngine([], 1.0, max_latency_samples=4),
+    lambda: ScheduledEngine([], 1.0, keep_latency_samples=True),
     lambda: run_load("127.0.0.1", 1, client_prefix="x"),
     lambda: WriteAheadLog.resume("d", keep_kinds=()),
     lambda: WalScan("d", [], []).tail(keep_kinds=()),
@@ -108,6 +109,7 @@ def test_each_flag_is_defined_once_and_the_counts_are_pinned():
     lambda: SubscriptionOptions(mechanism="CAT"),
 ], ids=["wal_group_commit", "wal_group_window", "window", "lookahead",
         "probe_retention", "allow_idle", "max_latency_samples",
+        "keep_latency_samples",
         "client_prefix",
         "resume-keep_kinds", "tail-keep_kinds", "segment_bytes",
         "recover-segment_bytes", "create-period", "arrivals",
@@ -120,6 +122,13 @@ def test_removed_keywords_are_type_errors(call):
 def test_the_bare_instance_subscription_scheduler_is_gone():
     with pytest.raises(ImportError):
         from repro.cloud import SubscriptionScheduler  # noqa: F401
+
+
+def test_the_forked_count_mode_drains_are_gone():
+    """Count mode drains run-length queues in one loop
+    (``_execute_tick_counts``); a second drain is a visible diff."""
+    for name in ("_drain_counts", "_tick_counts_fresh"):
+        assert not hasattr(ScheduledEngine, name)
 
 
 def test_the_write_only_record_family_is_gone():
