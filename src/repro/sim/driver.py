@@ -59,6 +59,7 @@ from repro.sim.arrivals import (
     ArrivalBlock,
     ArrivalProcess,
     ArrivalSpec,
+    SelectPlan,
     as_continuous_query,
     resolve_arrivals,
 )
@@ -347,8 +348,8 @@ class SimulationDriver:
             self.managers = tuple(
                 SubscriptionManager(options, service.mechanism, shard=i)
                 for i, service in enumerate(self.host.shards))
-        self.pending: list[list[tuple[ContinuousQuery, str]]] = [
-            [] for _ in range(shards)]
+        self.pending: list[list[tuple[ContinuousQuery | SelectPlan, str]
+                                | RowChunk]] = [[] for _ in range(shards)]
 
         self.probes: "tuple[LatencyProbe, ...] | None" = None
         if probe is not None and probe is not False:

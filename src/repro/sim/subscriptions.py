@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field, replace
+from functools import partial
+from itertools import repeat
 from collections.abc import Mapping, Sequence
 from math import isfinite
 
@@ -196,24 +198,28 @@ class SubscriptionManager:
             [as_continuous_query(plan) for plan in plans])
         return estimate_operator_loads(catalog, stream_rates)
 
-    def held_capacity(
-        self, stream_rates: Mapping[str, float]
-    ) -> float:
-        """Estimated union load of every active subscription's plan.
-
-        Shared operators are counted once — the engine runs them once.
-        """
-        if not self.active:
-            return 0.0
-        loads = self._estimated_loads(
-            self._deduplicated_active_plans(), stream_rates)
+    def _held_operators(self) -> set[str]:
+        """Every operator some active subscription's plan runs."""
         held_ops: set[str] = set()
         for entry in self.active.values():
             held_ops.update(entry.query.operator_ids)
-        return sum(loads.get(op_id, 0.0) for op_id in held_ops)
+        return held_ops
 
-    def _deduplicated_active_plans(self) -> list[ContinuousQuery]:
-        return [entry.query for entry in self.active.values()]
+    def _held(self, loads: Mapping[str, float]) -> float:
+        """Union load of the active book under *loads*.
+
+        Shared operators are counted once — the engine runs them once.
+        """
+        return sum(loads.get(op_id, 0.0) for op_id in self._held_operators())
+
+    def held_capacity(
+        self, stream_rates: Mapping[str, float]
+    ) -> float:
+        """Estimated union load of every active subscription's plan."""
+        if not self.active:
+            return 0.0
+        return self._held(self._estimated_loads(
+            [entry.query for entry in self.active.values()], stream_rates))
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -259,25 +265,22 @@ class SubscriptionManager:
         """Run the per-category auctions of one period boundary.
 
         *pending* are the (query, category) requests that arrived since
-        the last boundary (including renewals).  Active subscriptions
-        do not re-bid: their capacity is held, their shared operators
-        cost newcomers nothing extra (zero-load in the auction input),
-        and winners are billed through the service's ledger and
-        admitted into its engine.
+        the last boundary (including renewals); per category the last
+        request for an id wins.  Active subscriptions do not re-bid:
+        their capacity is held, their shared operators cost newcomers
+        nothing extra (zero-load in the auction input), and winners are
+        billed through the service's ledger and admitted into its
+        engine.  This object builder is the reference the columnar
+        :meth:`run_period_rows` is held to.
         """
         for _query, category_name in pending:
             self.category(category_name)  # validate early
         stream_rates = {source.name: source.expected_rate()
                         for source in service.sources}
-        all_plans = (self._deduplicated_active_plans()
+        all_plans = ([entry.query for entry in self.active.values()]
                      + [query for query, _category in pending])
-        loads = (self._estimated_loads(all_plans, stream_rates)
-                 if all_plans else {})
-        held_ops: set[str] = set()
-        for entry in self.active.values():
-            held_ops.update(entry.query.operator_ids)
-        held = sum(loads.get(op_id, 0.0) for op_id in held_ops)
-        free = max(service.capacity - held, 0.0)
+        loads = self._estimated_loads(all_plans, stream_rates)
+        held_ops = self._held_operators()
 
         def priced(op_id: str) -> Operator:
             return Operator._trusted(
@@ -288,21 +291,11 @@ class SubscriptionManager:
         overflowed = {op_id for op_id, load in loads.items()
                       if not isfinite(load)} - held_ops
 
-        outcomes: dict[str, AuctionOutcome] = {}
-        admitted: list[str] = []
         rejected: list[str] = []
-        revenue = 0.0
-        to_admit: list[ContinuousQuery] = []
+        auctions = []
         for category in self.options.categories:
-            requests = [(query, name) for query, name in pending
-                        if name == category.name]
-            if not requests:
-                continue
-            slice_capacity = free * category.capacity_fraction
-            if slice_capacity <= 0:
-                rejected.extend(query.query_id for query, _name in requests)
-                continue
-            plans = {query.query_id: query for query, _name in requests}
+            plans = {query.query_id: query for query, name in pending
+                     if name == category.name}
             if overflowed:
                 # A candidate holding an overflowed operator is left out
                 # and reported rejected, as AuctionCoordinator.build does.
@@ -310,54 +303,17 @@ class SubscriptionManager:
                     if not overflowed.isdisjoint(query.operator_ids):
                         del plans[query_id]
                         rejected.append(query_id)
-                if not plans:
-                    continue
+            if not plans:
+                continue
             # Pending plans were validated on entry: the trusted assembler
             # (validating costs ~10µs per candidate, more than the auction
             # itself).  Held operators cost newcomers nothing.
-            auction_queries = tuple(map(_auction_candidate, plans.values()))
-            instance = AuctionInstance._assemble(
-                auction_queries, slice_capacity, priced)
-            outcome = self.mechanisms[category.name].run(instance)
-            outcome = replace(
-                outcome,
-                mechanism=f"{outcome.mechanism}@{category.name}")
-            outcomes[category.name] = outcome
-            revenue += service.ledger.bill_outcome(period, outcome)
-            for query_id, query in plans.items():
-                if not outcome.is_winner(query_id):
-                    rejected.append(query_id)
-                    continue
-                admitted.append(query_id)
-                # Only winners materialize: the engine needs a real
-                # plan to run, losers never leave their compact form.
-                query = as_continuous_query(query)
-                to_admit.append(query)
-                self.active[query_id] = SubscriptionEntry(
-                    query=query,
-                    category=category.name,
-                    start_period=period,
-                    expires_period=period + category.length_days,
-                    payment=outcome.payment(query_id),
-                    renewals=self.renewal_counts.get(query_id, 0),
-                )
-        if to_admit:
-            engine = service.engine
-            if engine.admitted_ids:
-                engine.transition(
-                    add=tuple(to_admit), remove=(),
-                    hold_ticks=service.transitions.hold_ticks)
-            else:
-                for query in to_admit:
-                    engine.admit(query)
-        return SubscriptionPeriodResult(
-            period=period,
-            outcomes=outcomes,
-            admitted=tuple(sorted(admitted)),
-            rejected=tuple(sorted(rejected)),
-            revenue=revenue,
-            held_capacity=held,
-        )
+            auctions.append((category, plans.items(), partial(
+                AuctionInstance._assemble,
+                tuple(map(_auction_candidate, plans.values())),
+                priced=priced)))
+        return self._settle(service, period, self._held(loads), rejected,
+                            auctions)
 
     def run_period_rows(
         self,
@@ -381,7 +337,7 @@ class SubscriptionManager:
         way.
 
         Returns ``(result, stats)`` with ``stats`` the pump counters
-        for this boundary (``rows``, ``winners``, ``fell_back``).
+        for this boundary (``winners``, ``fell_back``).
         """
         ids: list[str] = []
         ops: list[str] = []
@@ -393,7 +349,6 @@ class SubscriptionManager:
         cats: list[str] = []
         cost_list: list[float] = []
         bid_list: list[float] = []
-        convertible = True
         for item in pending:
             if type(item) is RowChunk:
                 block = item.block
@@ -423,8 +378,8 @@ class SubscriptionManager:
                 query, name = item
                 plan = as_select_plan(query)
                 if plan is None:
-                    convertible = False
-                    break
+                    return self._run_period_fallback(service, period,
+                                                     pending)
                 ids.append(plan.query_id)
                 ops.append(plan.op_id)
                 owners.append(plan.owner)
@@ -437,10 +392,6 @@ class SubscriptionManager:
                 cats.append(name)
 
         row_count = len(ids)
-        stats = {"rows": row_count, "winners": 0, "fell_back": False}
-        if not convertible:
-            return self._run_period_fallback(service, period, pending,
-                                             stats)
 
         # Category validation first, in arrival order — the reference's
         # error surfaces before any other work.
@@ -451,9 +402,8 @@ class SubscriptionManager:
 
         stream_rates = {source.name: source.expected_rate()
                         for source in service.sources}
-        active_plans = self._deduplicated_active_plans()
-        active = (_single_select_loads_ex(active_plans, stream_rates)
-                  if active_plans else ({}, set()))
+        active = _single_select_loads_ex(
+            [entry.query for entry in self.active.values()], stream_rates)
         op_set = set(ops)
         if (active is None
                 # Duplicate pending ids/operators: the reference dedups
@@ -468,15 +418,7 @@ class SubscriptionManager:
                 or (op_set & active[0].keys())
                 or ((active[1] | set(inputs))
                     & (active[0].keys() | op_set))):
-            return self._run_period_fallback(service, period, pending,
-                                             stats)
-        loads_active, _active_inputs = active
-
-        held_ops: set[str] = set()
-        for entry in self.active.values():
-            held_ops.update(entry.query.operator_ids)
-        held = sum(loads_active.get(op_id, 0.0) for op_id in held_ops)
-        free = max(service.capacity - held, 0.0)
+            return self._run_period_fallback(service, period, pending)
 
         # Vectorized twin of the reference's per-plan
         # ``stream_rate * cost`` (elementwise float64 multiplies are
@@ -506,21 +448,19 @@ class SubscriptionManager:
         has_vals = any(v is not None for v in valuations)
         has_objs = any(obj is not None for obj in objs)
 
-        outcomes: dict[str, AuctionOutcome] = {}
-        admitted: list[str] = []
-        revenue = 0.0
-        to_admit: list[ContinuousQuery] = []
+        auctions = []
         for category in self.options.categories:
             rows = by_cat.get(category.name)
             if not rows:
                 continue
-            slice_capacity = free * category.capacity_fraction
-            if slice_capacity <= 0:
-                rejected.extend(ids[row] for row in rows)
-                continue
             take = np.asarray(rows, dtype=np.intp)
             cat_ids = [ids[row] for row in rows]
-            instance = ColumnarSelectInstance._from_rows(
+            cat_objs = [objs[row] for row in rows] if has_objs else None
+            # Object rows (renewals) run as their original plan object,
+            # exactly as the reference winner loop would see it.
+            candidates = zip(cat_ids, cat_objs or repeat(None))
+            auctions.append((category, candidates, partial(
+                ColumnarSelectInstance._from_rows,
                 ids=cat_ids,
                 ops=[ops[row] for row in rows],
                 inputs=[inputs[row] for row in rows],
@@ -531,10 +471,49 @@ class SubscriptionManager:
                 valuations=([valuations[row] for row in rows]
                             if has_vals else None),
                 owners=[owners[row] for row in rows],
-                objs=([objs[row] for row in rows]
-                      if has_objs else None),
-                capacity=slice_capacity,
-            )
+                objs=cat_objs,
+            )))
+        result = self._settle(service, period, self._held(active[0]),
+                              rejected, auctions)
+        return result, {"winners": len(result.admitted), "fell_back": False}
+
+    def _run_period_fallback(self, service, period, pending):
+        """Expand row chunks to objects and run the reference boundary."""
+        expanded: list[tuple[ContinuousQuery, str]] = []
+        for item in pending:
+            if type(item) is RowChunk:
+                expanded.extend(zip(
+                    map(item.block.plan, range(item.start, item.stop)),
+                    item.categories))
+            else:
+                expanded.append(item)
+        result = self.run_period(service, period, expanded)
+        return result, {"winners": len(result.admitted), "fell_back": True}
+
+    def _settle(self, service, period, held, rejected,
+                auctions) -> SubscriptionPeriodResult:
+        """Auction, bill, book and admit one boundary's candidates.
+
+        *auctions* holds one ``(category, candidates, build)`` entry per
+        category with candidates, in declared order.  ``candidates`` is
+        read once: it yields each id, in auction order, with the plan
+        object a winner runs as, or ``None`` for a row the instance
+        materializes (per category: one id may be pending in two).
+        ``build(capacity=...)`` returns the category's auction instance
+        over its slice of what the *held* capacity leaves free.
+        *rejected* lists the candidates the builder already left out.
+        """
+        free = max(service.capacity - held, 0.0)
+        outcomes: dict[str, AuctionOutcome] = {}
+        admitted: list[str] = []
+        revenue = 0.0
+        to_admit: list[ContinuousQuery] = []
+        for category, candidates, build in auctions:
+            slice_capacity = free * category.capacity_fraction
+            if slice_capacity <= 0:
+                rejected.extend(query_id for query_id, _query in candidates)
+                continue
+            instance = build(capacity=slice_capacity)
             outcome = self.mechanisms[category.name].run(instance)
             outcome = replace(
                 outcome,
@@ -544,25 +523,22 @@ class SubscriptionManager:
             # is_winner is payments-membership; hoisting the dict off
             # the outcome skips a method call per (mostly losing) row.
             payments = outcome.payments
-            for row, query_id in zip(rows, cat_ids):
+            for query_id, query in candidates:
                 if query_id not in payments:
                     rejected.append(query_id)
                     continue
                 admitted.append(query_id)
-                # Only winners materialize; object rows (renewals) keep
-                # their original plan object, exactly as the reference
-                # winner loop would see it.
-                obj = objs[row]
+                # Only winners materialize: the engine needs a real
+                # plan to run, losers never leave their compact form.
                 query = as_continuous_query(
-                    obj if obj is not None
-                    else instance.query(query_id))
+                    instance.query(query_id) if query is None else query)
                 to_admit.append(query)
                 self.active[query_id] = SubscriptionEntry(
                     query=query,
                     category=category.name,
                     start_period=period,
                     expires_period=period + category.length_days,
-                    payment=outcome.payment(query_id),
+                    payment=payments[query_id],
                     renewals=self.renewal_counts.get(query_id, 0),
                 )
         if to_admit:
@@ -574,11 +550,11 @@ class SubscriptionManager:
             else:
                 for query in to_admit:
                     engine.admit(query)
-        # A report keeps each instance for the run; its working views go.
+        # A report keeps each columnar instance; its working views go.
         for outcome in outcomes.values():
-            outcome.instance.forget_derived()
-        stats["winners"] = len(admitted)
-        result = SubscriptionPeriodResult(
+            if isinstance(outcome.instance, ColumnarSelectInstance):
+                outcome.instance.forget_derived()
+        return SubscriptionPeriodResult(
             period=period,
             outcomes=outcomes,
             admitted=tuple(sorted(admitted)),
@@ -586,24 +562,6 @@ class SubscriptionManager:
             revenue=revenue,
             held_capacity=held,
         )
-        return result, stats
-
-    def _run_period_fallback(self, service, period, pending, stats):
-        """Expand row chunks to objects and run the reference boundary."""
-        stats["fell_back"] = True
-        expanded: list[tuple[ContinuousQuery, str]] = []
-        for item in pending:
-            if type(item) is RowChunk:
-                block = item.block
-                for offset, row in enumerate(
-                        range(item.start, item.stop)):
-                    expanded.append(
-                        (block.plan(row), item.categories[offset]))
-            else:
-                expanded.append(item)
-        result = self.run_period(service, period, expanded)
-        stats["winners"] = len(result.admitted)
-        return result, stats
 
 
 def _single_select_loads_ex(

@@ -8,7 +8,8 @@ Pins the four lifecycle guarantees of the open-system runtime:
    never two for the same query in one period);
 3. per-category auctions stay bid-strategyproof (misreporting never
    beats truth within a category);
-4. a replayed trace reproduces the live run byte-identically.
+4. a replayed trace reproduces the live run byte-identically;
+5. the columnar boundary settles exactly as the object boundary does.
 """
 
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cloud.subscriptions import SubscriptionCategory
-from repro.dsms.operators import SelectOperator
+from repro.dsms.operators import ProjectOperator, SelectOperator
 from repro.dsms.plan import ContinuousQuery
 from repro.dsms.streams import SyntheticStream
 from repro.service import ServiceBuilder
@@ -26,6 +27,8 @@ from repro.sim import (
     SubscriptionOptions,
     TraceArrivals,
 )
+from repro.sim.arrivals import ArrivalBlock, SelectPlan, pass_all
+from repro.sim.columnar import RowChunk
 from repro.utils.validation import ValidationError
 
 lifecycle_settings = settings(max_examples=30, deadline=None)
@@ -274,6 +277,44 @@ class TestPerCategoryAuctions:
         assert week.payment("w1") == 0.0
         assert result.revenue == pytest.approx(30.0)
 
+    def test_an_id_pending_in_two_categories_runs_its_own_plan(self):
+        # "x" asks for both slices with different plans; only the day
+        # plan fits its slice, so the day auction admits "x" and the
+        # book and the engine run the day plan, not the week one.
+        service = build_service(capacity=10.0, rate=1.0)
+        manager = SubscriptionManager(
+            SubscriptionOptions(categories=self.CATEGORIES),
+            service.mechanism)
+        day = plan("x", cost=1.0, bid=10.0, op_id="op_day")
+        week = plan("x", cost=100.0, bid=10.0, op_id="op_week")
+        result = manager.run_period(service, 1, [(day, "day"),
+                                                 (week, "week")])
+        assert result.admitted == ("x",) and result.rejected == ("x",)
+        assert manager.active["x"].category == "day"
+        assert manager.active["x"].query is day
+        assert service.engine.admitted_ids == {"x"}
+
+    def test_a_duplicate_id_is_rejected_once_when_the_book_is_full(self):
+        # A 1-load subscription fills capacity 1: the boundary after it
+        # has no free slice.  The two requests for "b" are one
+        # candidate (the last wins), so "b" is reported rejected once,
+        # as it is listed once when the slice is free.
+        service = build_service(capacity=1.0, rate=1.0)
+        manager = SubscriptionManager(
+            SubscriptionOptions(
+                categories=(SubscriptionCategory("only", 2, 1.0),)),
+            service.mechanism)
+        first = manager.run_period(
+            service, 1, [(plan("a", cost=1.0, bid=10.0), "only")])
+        assert first.admitted == ("a",)
+        result = manager.run_period(service, 2, [
+            (plan("b", cost=0.5, bid=5.0), "only"),
+            (plan("b", cost=0.5, bid=9.0), "only"),
+        ])
+        assert result.held_capacity == pytest.approx(1.0)
+        assert result.outcomes == {}
+        assert result.rejected == ("b",)
+
 
 def _category_utility(requests, manipulator_bid):
     """The manipulator's utility when bidding *manipulator_bid*."""
@@ -381,6 +422,122 @@ class TestTraceReplay:
             _report_fingerprint(replay.run(4))
         # The round-trip preserves every bid/cost bit-exactly.
         assert load_sim_trace(path) == live.trace()
+
+
+# ----------------------------------------------------------------------
+# 5. Row boundary ≡ object boundary
+# ----------------------------------------------------------------------
+
+TWIN_CATEGORIES = (SubscriptionCategory("day", 1, 0.5),
+                   SubscriptionCategory("week", 3, 0.3),
+                   SubscriptionCategory("month", 4, 0.2))
+
+
+def select_plan(qid, cost, bid):
+    """A single pass-all select: the shape the row boundary scores."""
+    op = SelectOperator(f"sel_{qid}", "s", pass_all, cost_per_tuple=cost,
+                        selectivity_estimate=1.0)
+    return ContinuousQuery(qid, (op,), sink_id=op.op_id, bid=bid,
+                           owner=f"o_{qid}")
+
+
+def project_plan(qid, cost, bid):
+    """A single project: a plan the row boundary cannot score."""
+    op = ProjectOperator(f"proj_{qid}", "s", ("v",), cost_per_tuple=cost)
+    return ContinuousQuery(qid, (op,), sink_id=op.op_id, bid=bid)
+
+
+#: Capacity 20 over a rate-2 stream: (id, cost, bid, category) rows.
+#: "r1" overflows (2 × 1e308), and neither month row fits its slice.
+TWIN_ROWS = (("r0", 1.0, 10.0, "day"), ("r1", 1e308, 50.0, "day"),
+             ("r2", 3.0, 30.0, "month"), ("r3", 1.5, 20.0, "day"),
+             ("r4", 1.0, 15.0, "week"), ("r5", 2.5, 7.0, "month"))
+
+
+def twin_pending(renewal):
+    """Two row chunks of one block with *renewal* parked between them."""
+    block = ArrivalBlock.of_plans(
+        [float(row) for row in range(len(TWIN_ROWS))],
+        [SelectPlan(qid, f"sel_{qid}", "s", cost, 1.0, bid, None,
+                    f"o_{qid}") for qid, cost, bid, _name in TWIN_ROWS])
+    names = [name for *_row, name in TWIN_ROWS]
+    return [RowChunk(block, 0, 3, names[:3]), (renewal, "week"),
+            RowChunk(block, 3, 6, names[3:])]
+
+
+def expanded(pending):
+    """*pending* with every row chunk as its (plan, category) pairs."""
+    pairs = []
+    for item in pending:
+        if type(item) is RowChunk:
+            pairs.extend((item.block.plan(row), name) for row, name in
+                         zip(range(item.start, item.stop), item.categories))
+        else:
+            pairs.append(item)
+    return pairs
+
+
+class TestRowsSettleAsObjects:
+    """``run_period_rows`` only builds its candidates from columns; the
+    one settle they share with ``run_period`` must leave the same
+    result, invoices, book and engine either way."""
+
+    def twin_boundary(self, held, renewal):
+        books = []
+        for _twin in range(2):
+            service = build_service(capacity=20.0, rate=2.0)
+            manager = SubscriptionManager(
+                SubscriptionOptions(categories=TWIN_CATEGORIES),
+                service.mechanism)
+            first = manager.run_period(service, 1, held)
+            assert first.admitted == tuple(sorted(
+                query.query_id for query, _name in held))
+            books.append((service, manager))
+        pending = twin_pending(renewal)
+        (ref_service, reference), (row_service, rows) = books
+        want = reference.run_period(ref_service, 2, expanded(pending))
+        got, stats = rows.run_period_rows(row_service, 2, pending)
+        assert repr(got) == repr(want)
+        assert (repr(row_service.ledger.invoices)
+                == repr(ref_service.ledger.invoices))
+        assert repr(rows.active) == repr(reference.active)
+        assert (row_service.engine.admitted_ids
+                == ref_service.engine.admitted_ids)
+        assert stats == {"winners": len(got.admitted),
+                         "fell_back": stats["fell_back"]}
+        return got, stats
+
+    def test_free_capacity(self):
+        result, stats = self.twin_boundary(
+            [(select_plan("h", cost=2.0, bid=40.0), "week")],
+            select_plan("renew", cost=0.5, bid=12.0))
+        assert not stats["fell_back"]
+        assert "r1" in result.rejected            # overflowed, left out
+        assert "renew" in result.admitted         # the object row won
+        month = result.outcomes["month"]
+        assert month.payments == {}               # a category, no winner
+        assert {"r2", "r5"} <= set(result.rejected)
+
+    def test_full_book(self):
+        # Three subscriptions fill each slice exactly: no capacity is
+        # free at the next boundary, so every candidate is rejected.
+        result, stats = self.twin_boundary(
+            [(select_plan("hd", cost=5.0, bid=40.0), "day"),
+             (select_plan("hw", cost=3.0, bid=40.0), "week"),
+             (select_plan("hm", cost=2.0, bid=40.0), "month")],
+            select_plan("renew", cost=0.5, bid=12.0))
+        assert not stats["fell_back"]
+        assert result.held_capacity == 20.0
+        assert result.outcomes == {} and result.admitted == ()
+        assert len(result.rejected) == len(TWIN_ROWS) + 1
+
+    def test_a_non_select_renewal_falls_back_to_objects(self):
+        result, stats = self.twin_boundary(
+            [(select_plan("h", cost=2.0, bid=40.0), "week")],
+            project_plan("renew", cost=0.5, bid=12.0))
+        assert stats["fell_back"]
+        assert "renew" in result.admitted
+        assert "r1" in result.rejected
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,12 @@ import pytest
 import repro.__main__ as cli
 from repro.dsms.scheduler import ScheduledEngine
 from repro.serve import GatewayConfig, run_load
-from repro.sim import SimulationDriver, SubscriptionOptions
+import repro.sim.subscriptions as sim_subscriptions
+from repro.sim import (
+    SimulationDriver,
+    SubscriptionManager,
+    SubscriptionOptions,
+)
 from repro.wal import (
     WriteAheadLog,
     recover_gateway_backend,
@@ -129,6 +134,16 @@ def test_the_forked_count_mode_drains_are_gone():
     (``_execute_tick_counts``); a second drain is a visible diff."""
     for name in ("_drain_counts", "_tick_counts_fresh"):
         assert not hasattr(ScheduledEngine, name)
+
+
+def test_section_vii_settles_once():
+    """The object and the columnar boundary only build candidates; one
+    ``_settle`` bills, books and admits them, so a second settle loop
+    is a visible diff."""
+    source = inspect.getsource(sim_subscriptions)
+    assert source.count("bill_outcome") == 1
+    assert source.count("SubscriptionEntry(") == 1
+    assert not hasattr(SubscriptionManager, "_deduplicated_active_plans")
 
 
 def test_the_write_only_record_family_is_gone():
