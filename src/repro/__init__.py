@@ -46,8 +46,7 @@ Packages:
 * :mod:`repro.cloud` — billing, multi-period subscriptions and
   energy-aware capacity selection (Section VII).
 * :mod:`repro.experiments` — the harness behind ``python -m repro
-  report`` and ``benchmarks/bench_*.py``: every table and figure of
-  the evaluation.
+  report``: every table and figure of the evaluation.
 
 Quickstart — one auction::
 

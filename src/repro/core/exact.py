@@ -9,7 +9,8 @@ things the paper's discussion implies but cannot plot:
 * the **social-welfare optimum** ``max Σ bids`` over fitting sets —
   an upper bound on any mechanism's winner-set value; and
 * the **price of greedy**: how far the CAF/CAT winner sets fall short
-  of that optimum (see ``benchmarks/bench_exact_gap.py``).
+  of that optimum (``tests/core/test_exact.py`` checks they keep more
+  than half of it).
 
 The search branches on queries in decreasing bid order, bounding with
 the remaining queries' total bid sum, and prunes by marginal load.

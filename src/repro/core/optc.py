@@ -14,7 +14,8 @@ distinct bids in decreasing order, growing the mandatory winner set
 incrementally; the first price whose mandatory winners no longer fit
 ends the scan.  Users tied at ``p`` are packed by exhaustive search
 below a size threshold and by a marginal-load greedy above it (with
-operator sharing, maximal tie-packing is NP-hard; see DESIGN.md).
+operator sharing, maximal tie-packing contains Section III's
+densest-subgraph case, so no polynomial exact packer is known).
 """
 
 from __future__ import annotations

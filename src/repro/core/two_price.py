@@ -75,8 +75,8 @@ def largest_fitting_subset(
 
     Step 3 of Algorithm 3.  Exhaustive when ``len(candidates)`` is at
     most *exhaustive_limit* (the exponential search the paper allows);
-    otherwise a marginal-load greedy approximation (the polynomial
-    fallback noted in DESIGN.md).
+    otherwise a marginal-load greedy approximation, which keeps large
+    tie sets polynomial (``TestLargestFittingSubset`` pins both).
     """
     capacity = instance.capacity
     base_ops: set[str] = set()

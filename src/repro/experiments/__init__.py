@@ -1,7 +1,7 @@
 """Experiment harness regenerating every table and figure of Section VI.
 
 ``python -m repro report`` prints them all (:func:`full_report`); the
-``benchmarks/bench_*.py`` scripts run one each."""
+tests under ``tests/experiments/`` assert each one's shape."""
 
 from repro.experiments.figures import (
     FigureResult,

@@ -113,7 +113,8 @@ class UtilizationSummary:
     Two-price 96–98%.  With Table III's own parameters the claim can
     only hold while total demand exceeds capacity, so the summary also
     reports the restriction to *overloaded* sweep points (demand ≥
-    capacity); see EXPERIMENTS.md.
+    capacity): below that, capacity does not bind, so utilization
+    measures the workload, not the mechanism.
     """
 
     sweep: SweepResult

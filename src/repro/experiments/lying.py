@@ -74,7 +74,8 @@ def figure5(
     where fair-share loads shrink below the ratio threshold), and at
     15K those degrees are under-loaded, so the experiment is also worth
     running at ``paper_capacity=5_000`` where the overload persists —
-    see EXPERIMENTS.md.
+    ``tests/experiments/test_runtime_and_lying.py`` asserts the claim
+    there.
     """
     scale = scale or ExperimentScale.from_env()
     capacity = scale.scaled_capacity(paper_capacity)

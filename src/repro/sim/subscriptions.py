@@ -293,9 +293,16 @@ class SubscriptionManager:
 
         rejected: list[str] = []
         auctions = []
+        seen: set[str] = set()
         for category in self.options.categories:
             plans = {query.query_id: query for query, name in pending
                      if name == category.name}
+            # An id pending in several categories competes only in the
+            # first: two wins would bill it twice and admit it twice.
+            for query_id in seen.intersection(plans):
+                del plans[query_id]
+                rejected.append(query_id)
+            seen.update(plans)
             if overflowed:
                 # A candidate holding an overflowed operator is left out
                 # and reported rejected, as AuctionCoordinator.build does.

@@ -63,7 +63,7 @@ class WorkloadConfig:
       ``P(b) ∝ b^{-skew}``, b in 1..max_bid.  Under this literal
       reading constant pricing extracts so much revenue that Two-price
       dominates everywhere, contradicting Figure 4; kept for ablation
-      (see EXPERIMENTS.md).
+      (``test_bid_mode_ablation`` in ``tests/workload/test_generator.py``).
     """
 
     num_queries: int = 2000

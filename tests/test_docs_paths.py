@@ -20,3 +20,17 @@ def test_named_paths_exist(doc):
     missing = sorted(path for path in named
                      if not any(REPO.glob(path.split("::")[0])))
     assert not missing, f"{doc} names paths that do not exist: {missing}"
+
+
+#: A `*.md` file named in program text, read from the repository root.
+MARKDOWN = re.compile(r"[\w./-]+\.md\b")
+
+
+def test_markdown_named_in_code_exists():
+    missing = sorted(
+        f"{path.relative_to(REPO)}: {name}"
+        for top in ("src", "tests", "examples")
+        for path in (REPO / top).rglob("*.py")
+        for name in MARKDOWN.findall(path.read_text())
+        if not (REPO / name).exists())
+    assert not missing, f"code names docs that do not exist: {missing}"

@@ -28,6 +28,7 @@ from repro.wal import (
 )
 from repro.wal.groupcommit import GroupCommitter
 from repro.wal.log import WalScan
+from tests.test_reachability import ORACLES, REPO
 
 RULE = ("an option stays only when two callers that are not tests or "
         "examples need different values (ROADMAP, ground rules): name "
@@ -144,6 +145,18 @@ def test_section_vii_settles_once():
     assert source.count("bill_outcome") == 1
     assert source.count("SubscriptionEntry(") == 1
     assert not hasattr(SubscriptionManager, "_deduplicated_active_plans")
+
+
+def test_the_paper_claims_live_in_tier1():
+    """Figs. 4-5, Tables I and IV, the bid-mode ablation and the price
+    of greedy are asserted under ``tests/`` only: a bench script or
+    conftest beside ``benchmarks/macro`` is a second home nothing runs,
+    and the exact optimum stays as the oracle of
+    ``tests/core/test_exact.py``."""
+    benchmarks = REPO / "benchmarks"
+    assert not list(benchmarks.glob("bench_*.py"))
+    assert not (benchmarks / "conftest.py").exists()
+    assert "repro.core.exact" in ORACLES
 
 
 def test_the_write_only_record_family_is_gone():

@@ -4,9 +4,9 @@ An AST import walk sorts the package's modules by what reaches them.
 A module stays if one of these reaches it:
 
 * an entry point — ``python -m repro`` (its eight subcommands), the
-  gateway, ``benchmarks/macro/**`` and the ``benchmarks/bench_*.py``
-  paper artifacts; what a package ``__init__`` *runs* (the mechanism
-  registrations) counts, what it merely re-exports does not;
+  gateway and ``benchmarks/macro/**``; what a package ``__init__``
+  *runs* (the mechanism registrations) counts, what it merely
+  re-exports does not;
 * an example that demonstrates a claim the paper makes (:data:`CLAIMED`);
 * a test suite that uses it as the oracle it checks production code
   against (:data:`ORACLES`).
@@ -31,9 +31,9 @@ REACHED = {
     "repro": "__main__ io",
     "repro.cloud": "billing subscriptions",
     "repro.cluster": "federation placement rebalance reports",
-    "repro.core": "caf car cat density exact greedy gv loads mechanism "
-                  "model movement_window optc random_admission result "
-                  "selection special_cases two_price",
+    "repro.core": "caf car cat density greedy gv loads mechanism model "
+                  "movement_window optc random_admission result selection "
+                  "special_cases two_price",
     "repro.core.fastpath": "index kernels select",
     "repro.dsms": "backend engine load metrics operators plan scheduler "
                   "streams tuples",
@@ -68,6 +68,9 @@ CLAIMED = {
 
 #: Module → (test suite that uses it as its oracle, what it checks).
 ORACLES = {
+    "repro.core.exact": (
+        "tests/core/test_exact.py",
+        "Section III: no greedy winner set out-values the exact optimum"),
     "repro.gametheory.critical_value": (
         "tests/gametheory/test_critical_value.py",
         "Table I: payments equal the bisected critical bid"),
@@ -161,7 +164,6 @@ def entry_reached() -> set:
     benchmarks = REPO / "benchmarks"
     scripts = [path for path in sorted((benchmarks / "macro").rglob("*.py"))
                if "tests" not in path.parts]
-    scripts += sorted(benchmarks.glob("bench_*.py"))
     return reach(*scripts, modules=["repro.__main__", "repro.serve.gateway"])
 
 

@@ -9,9 +9,9 @@ import re
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-FILES = [path for top in ("src", "tests", "examples", "benchmarks")
+FILES = [path for top in ("src", "tests", "examples")
          for path in sorted((REPO / top).rglob("*.py"))
-         if path.name != "__init__.py" and "macro" not in path.parts]
+         if path.name != "__init__.py"]
 
 
 def unused_imports(path):

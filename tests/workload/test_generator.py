@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core import make_mechanism
+from repro.utils.rng import derive_seed
 from repro.utils.validation import ValidationError
 from repro.workload.generator import (
     PAPER_CAPACITIES,
@@ -89,6 +91,20 @@ class TestWorkloadGenerator:
         bids = [q.bid for q in base.queries]
         assert all(1 <= b <= 100 for b in bids)
         assert all(float(b).is_integer() for b in bids)
+
+    @pytest.mark.parametrize("bid_mode, winner",
+                             [("rank", "CAT"), ("sampled", "Two-price")])
+    def test_bid_mode_ablation(self, bid_mode, winner):
+        """Read as a rank profile, Table III's bids give CAT Figure
+        4(c)'s lead at degree 1; read as i.i.d. samples, they hand the
+        win to Two-price's constant pricing even there."""
+        config = WorkloadConfig(bid_mode=bid_mode).scaled(150)
+        instance = WorkloadGenerator(
+            config=config, seed=derive_seed(2010, "abl", bid_mode),
+        ).instance(max_sharing=1, capacity=5_000.0 * 150 / 2_000)
+        cat = make_mechanism("CAT").run(instance).profit
+        two_price = make_mechanism("Two-price", seed=0).run(instance).profit
+        assert ("CAT" if cat > two_price else "Two-price") == winner
 
     def test_sweep_yields_all_degrees(self, generator):
         degrees = [d for d, _ in generator.sweep(degrees=(1, 3, 5))]

@@ -54,8 +54,8 @@ class TestBoundedZipf:
             BoundedZipf(10, -0.5)
 
     def test_paper_load_distribution_mean(self):
-        """Mean of Zipf(10, s=1) is 10/H_10 ≈ 3.41 (used to validate
-        Table III's demand arithmetic in DESIGN.md)."""
+        """Mean of Zipf(10, s=1) is 10/H_10 ≈ 3.41: Table III's mean
+        operator load, which sets its demand-to-capacity ratios."""
         dist = BoundedZipf(10, 1.0)
         h10 = sum(1.0 / k for k in range(1, 11))
         assert dist.mean() == pytest.approx(10.0 / h10)
