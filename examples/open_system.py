@@ -24,22 +24,26 @@ from repro.utils.tables import format_table
 
 def build_driver(record: bool, arrivals: object) -> SimulationDriver:
     """An open-system driver over a freshly built service."""
-    return (ServiceBuilder()
-            .with_sources(SyntheticStream("s", rate=4.0, seed=11))
-            .with_capacity(45.0)
-            .with_mechanism("CAT")
-            .with_ticks_per_period(15)
-            .with_scheduler("fifo")          # latency probe policy
-            .with_arrivals(arrivals)
-            .with_subscriptions(SubscriptionOptions(
-                categories=(
-                    SubscriptionCategory("day", 1, 0.45),
-                    SubscriptionCategory("week", 4, 0.35),
-                    SubscriptionCategory("month", 12, 0.20),
-                ),
-                seed=11,
-            ))
-            .build_simulation(record=record))
+    service = (ServiceBuilder()
+               .with_sources(SyntheticStream("s", rate=4.0, seed=11))
+               .with_capacity(45.0)
+               .with_mechanism("CAT")
+               .with_ticks_per_period(15)
+               .build())
+    return SimulationDriver(
+        service,
+        arrivals=arrivals,
+        subscriptions=SubscriptionOptions(
+            categories=(
+                SubscriptionCategory("day", 1, 0.45),
+                SubscriptionCategory("week", 4, 0.35),
+                SubscriptionCategory("month", 12, 0.20),
+            ),
+            seed=11,
+        ),
+        probe="fifo",                        # latency probe policy
+        record=record,
+    )
 
 
 def main() -> None:

@@ -1,13 +1,12 @@
-"""Checkpoint/restore and lifecycle hooks on the AdmissionService.
+"""Checkpoint/restore on the AdmissionService, with a lying client.
 
 Demonstrates the composable ``repro.service`` API end to end:
 
 1. assemble a service from a mechanism *spec string*
    (``"two-price:seed=7"`` — parsed and validated against the
    registry);
-2. attach a ``pre_auction`` hook implementing a *lying client* who
-   inflates one query's bid — a scenario that previously required
-   forking the center;
+2. let a *lying client*, alice, submit bids 50% over her stated
+   valuation — a lie is just the bid a client chooses to submit;
 3. run two subscription periods, write a checkpoint to disk, run a
    third period;
 4. restore the checkpoint (a fresh service, same state) and replay
@@ -22,7 +21,7 @@ from pathlib import Path
 
 from repro.dsms import ContinuousQuery, SelectOperator, SyntheticStream
 from repro.io import report_to_dict
-from repro.service import AdmissionService, HookRegistry, ServiceBuilder
+from repro.service import AdmissionService, ServiceBuilder
 
 
 def accept_every_tuple(_tuple) -> bool:
@@ -30,31 +29,23 @@ def accept_every_tuple(_tuple) -> bool:
     return True
 
 
-def subscriber_query(qid: str, bid: float, cost: float) -> ContinuousQuery:
+def subscriber_query(qid: str, value: float, cost: float,
+                     markup: float = 1.0) -> ContinuousQuery:
+    """A query worth *value* to its owner, who bids ``markup × value``."""
     op = SelectOperator(f"sel_{qid}", "events", accept_every_tuple,
                        cost_per_tuple=cost, selectivity_estimate=1.0)
-    return ContinuousQuery(qid, (op,), sink_id=op.op_id, bid=bid,
+    return ContinuousQuery(qid, (op,), sink_id=op.op_id,
+                           bid=value * markup, valuation=value,
                            owner=f"owner_{qid}")
 
 
-def inflate_alice(service, instance):
-    """pre_auction hook: alice always bids 50% over her submission."""
-    from repro.core import AuctionInstance, Query
-
-    queries = tuple(
-        Query(q.query_id, q.operator_ids, bid=q.bid * 1.5,
-              valuation=q.valuation, owner=q.owner)
-        if q.owner_id == "owner_alice" else q
-        for q in instance.queries
-    )
-    return AuctionInstance(instance.operators, queries, instance.capacity)
-
-
 def submissions_for(period: int) -> list[ContinuousQuery]:
-    base = [("alice", 20.0, 1.0), ("bob", 35.0, 1.5),
-            ("carol", 50.0, 2.0), ("dave", 15.0, 0.5)]
-    return [subscriber_query(f"{name}_p{period}", bid + period, cost)
-            for name, bid, cost in base]
+    # Alice lies: she bids 50% over what her query is worth to her.
+    base = [("alice", 20.0, 1.0, 1.5), ("bob", 35.0, 1.5, 1.0),
+            ("carol", 50.0, 2.0, 1.0), ("dave", 15.0, 0.5, 1.0)]
+    return [subscriber_query(f"{name}_p{period}", value + period, cost,
+                             markup)
+            for name, value, cost, markup in base]
 
 
 def report_bytes(report) -> bytes:
@@ -62,15 +53,11 @@ def report_bytes(report) -> bytes:
 
 
 def main() -> None:
-    hooks = HookRegistry()
-    hooks.add("pre_auction", inflate_alice)
-
     service = (ServiceBuilder()
                .with_sources(SyntheticStream("events", rate=6, seed=11))
                .with_capacity(25.0)
                .with_mechanism("two-price:seed=7")
                .with_ticks_per_period(15)
-               .pre_auction(inflate_alice)
                .build())
 
     for period in (1, 2):
@@ -90,7 +77,7 @@ def main() -> None:
             service.submit(query)
         original = service.run_period()
 
-        resumed = AdmissionService.load_checkpoint(checkpoint, hooks=hooks)
+        resumed = AdmissionService.load_checkpoint(checkpoint)
         for query in submissions_for(3):
             resumed.submit(query)
         replayed = resumed.run_period()

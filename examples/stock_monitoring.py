@@ -9,8 +9,8 @@ subscription period, transitions the engine (holding tuples at the
 connection points), executes the admitted queries, and bills winners.
 
 Built on the composable ``repro.service`` API: the service is
-assembled by a ``ServiceBuilder``, and the revenue audit trail is an
-``on_billing`` lifecycle hook rather than post-hoc inspection.
+assembled by a ``ServiceBuilder``, and the billing audit trail is read
+from each period's report.
 
 Run:  python examples/stock_monitoring.py
 """
@@ -70,9 +70,6 @@ def main() -> None:
                .with_capacity(30.0)
                .with_mechanism("CAT")
                .with_ticks_per_period(40)
-               .on_billing(lambda _svc, period, revenue, outcome: audit.append(
-                   f"  period {period}: billed {len(outcome.winner_ids)} "
-                   f"winners, ${revenue:.2f} ({outcome.mechanism})"))
                .build())
 
     rows = []
@@ -84,6 +81,10 @@ def main() -> None:
             service.submit(trader_query(next_trader, bid))
             next_trader += 1
         report = service.run_period()
+        audit.append(
+            f"  period {report.period}: billed "
+            f"{len(report.outcome.winner_ids)} winners, "
+            f"${report.revenue:.2f} ({report.outcome.mechanism})")
         rows.append([
             period,
             arrivals,
@@ -100,7 +101,7 @@ def main() -> None:
         title="Stock-monitoring admission service, CAT auction"))
     print()
     print(f"total revenue: ${service.total_revenue():.2f}")
-    print("billing hook audit trail:")
+    print("billing audit trail:")
     print("\n".join(audit))
 
     print()

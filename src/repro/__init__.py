@@ -3,8 +3,8 @@
 A full reproduction of Chung et al. (ICDE 2010): auction-based admission
 control for continuous queries submitted to a capacity-limited DSMS
 "cloud", with operator sharing between queries — grown into a
-composable admission *service* with pluggable mechanisms, lifecycle
-hooks, and checkpoint/restore.
+composable admission *service* with pluggable mechanisms and
+checkpoint/restore.
 
 Packages:
 
@@ -14,8 +14,8 @@ Packages:
 * :mod:`repro.service` — the public service API: an
   :class:`AdmissionService` facade assembled by a
   :class:`ServiceBuilder`, composed of an auction coordinator, a
-  transition manager, a billing ledger, and a lifecycle-hook system;
-  snapshot/restore included.
+  transition manager and a billing ledger; snapshot/restore
+  included.
 * :mod:`repro.cluster` — the scale-out layer: a
   :class:`FederatedAdmissionService` sharding submissions over N
   service instances via pluggable placement policies, with cross-shard
@@ -101,7 +101,6 @@ from repro.core import (
 )
 from repro.service import (
     AdmissionService,
-    HookRegistry,
     PeriodReport,
     ServiceBuilder,
     ServiceSnapshot,
@@ -119,7 +118,6 @@ __all__ = [
     "CAT",
     "CATPlus",
     "GreedyByValuation",
-    "HookRegistry",
     "Mechanism",
     "MechanismSpec",
     "Operator",

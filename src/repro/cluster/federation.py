@@ -65,8 +65,7 @@ class ClusterSnapshot:
     cursor/ring state), the rebalancer, the period counter, and the
     report history.  Obtained from
     :meth:`FederatedAdmissionService.snapshot`; restored any number of
-    times.  Shard hooks are code, not state — re-attach them per shard
-    after restore.
+    times.
     """
 
     version: int
@@ -86,9 +85,9 @@ class FederatedAdmissionService:
 
     Build one from existing shards, or with :meth:`build` for the
     homogeneous case.  Shards stay fully independent services — each
-    with its own engine, ledger, mechanism and hooks — so everything
-    that works on one :class:`AdmissionService` (hooks, introspection,
-    per-shard checkpoints) still works on ``cluster.shards[i]``.  It
+    with its own engine, ledger and mechanism — so everything that
+    works on one :class:`AdmissionService` (introspection, per-shard
+    checkpoints) still works on ``cluster.shards[i]``.  It
     starts at the period its shards are at, which must be one period.
     """
 
@@ -161,7 +160,6 @@ class FederatedAdmissionService:
         capacity: float,
         mechanism: object,
         ticks_per_period: int = 50,
-        hold_ticks: int = 1,
         placement: "PlacementPolicy | str" = "consistent-hash",
         rebalance: bool = True,
     ) -> "FederatedAdmissionService":
@@ -181,8 +179,7 @@ class FederatedAdmissionService:
                    .with_sources(*sources)
                    .with_capacity(capacity)
                    .with_mechanism(mechanism)
-                   .with_ticks_per_period(ticks_per_period)
-                   .with_hold_ticks(hold_ticks))
+                   .with_ticks_per_period(ticks_per_period))
         shards = [builder.build() for _ in range(int(num_shards))]
         return cls(
             shards=shards,
@@ -295,7 +292,7 @@ class FederatedAdmissionService:
             finally:
                 self._period = shard.period
         # Phase A/B — prepare and auction.  Nothing is billed or
-        # transitioned yet, so a failure here (a pre_auction hook, a
+        # transitioned yet, so a failure here (building the input, a
         # mechanism bug) rolls back cleanly: shard counters return to
         # where they were, pending queues are untouched, and the
         # period can simply be retried.  Every active shard is
@@ -431,8 +428,7 @@ class FederatedAdmissionService:
 
         Live state is copied out of the snapshot and the immutable
         report history is shared with it, so it can be restored again
-        later.  Shard hooks are not serialized state; re-attach them on
-        ``cluster.shards[i].hooks`` after restore.
+        later.
         """
         if snapshot.version != CLUSTER_STATE_VERSION:
             raise ValidationError(

@@ -36,8 +36,8 @@ class ClusterReport:
     ``shard_reports`` holds exactly one :class:`PeriodReport` per shard
     (idle shards report under the mechanism name ``"idle"`` with an
     empty auction).  ``shard_capacities`` are the shards' *service*
-    capacities — recorded separately because a ``pre_auction`` hook may
-    auction under a different capacity than the engine executes with.
+    capacities, a field of their own because the report's serialized
+    form carries them.
     ``rejected_load`` is the summed standalone demand of the queries
     that stayed rejected after rebalancing — the load the cluster
     turned away this period.

@@ -23,8 +23,8 @@ regimes).
 Policies are *spec-string addressable* through the shared registry
 grammar (``"fifo"``, ``"round-robin"``, ``"longest-queue-first"``,
 ``"cheapest-first"``), the currency of
-:meth:`~repro.service.builder.ServiceBuilder.with_scheduler` and the
-CLI's ``--scheduler`` flag — direct construction keeps working, but is
+:class:`~repro.sim.SimulationDriver`'s ``probe=`` and the CLI's
+``--scheduler`` flag — direct construction keeps working, but is
 no longer the only way in.
 """
 

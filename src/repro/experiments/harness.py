@@ -21,7 +21,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 from repro.core.mechanism import Mechanism, MechanismSpec
 from repro.core.result import AuctionOutcome
@@ -189,22 +189,14 @@ def run_sharing_sweep(
     scale: ExperimentScale,
     paper_capacity: float,
     mechanisms: Sequence[str] = FIGURE_MECHANISMS,
-    instance_hook: "Callable[[object], object] | None" = None,
 ) -> SweepResult:
-    """Run the Figure 4 sweep at one capacity.
-
-    *instance_hook*, when given, transforms each instance before the
-    mechanisms run (the lying experiment uses it to inject strategic
-    bids).
-    """
+    """Run the Figure 4 sweep at one capacity."""
     capacity = scale.scaled_capacity(paper_capacity)
     result = SweepResult(capacity_label=paper_capacity, scale=scale)
     for set_index, generator in enumerate(scale.generators()):
         for degree in scale.degrees:
             instance = generator.instance(
                 max_sharing=degree, capacity=capacity)
-            if instance_hook is not None:
-                instance = instance_hook(instance)
             for name in mechanisms:
                 mechanism = mechanism_factory(
                     name, derive_seed(scale.seed, name, set_index, degree))

@@ -1,17 +1,13 @@
 """The composable admission-service API.
 
 This package decomposes the paper's DSMS center into a stable facade
-over pluggable components:
+over its components:
 
 * :class:`AdmissionService` — the facade: submit/withdraw, the
   per-period auction-bill-transition-execute cycle, checkpointing;
 * :class:`ServiceBuilder` — fluent assembly from validated settings;
 * :class:`AuctionCoordinator` — candidate collection + load estimation;
 * :class:`TransitionManager` — engine add/remove/transition;
-* :class:`HookRegistry` — lifecycle middleware (``on_submit``,
-  ``pre_auction``, ``post_auction``, ``on_transition``,
-  ``on_billing``) so scenarios like lying clients, sybil attacks and
-  energy-aware capacity are plug-ins, not forks;
 * :class:`PeriodReport` — the versioned per-period business record;
 * :class:`ServiceSnapshot` — full checkpoint/restore of a running
   service.
@@ -33,7 +29,6 @@ Quickstart::
 
 from repro.service.builder import ServiceBuilder
 from repro.service.coordinator import AuctionCoordinator
-from repro.service.hooks import FILTER_EVENTS, HOOK_EVENTS, HookRegistry
 from repro.service.reports import PeriodReport
 from repro.service.service import (
     SNAPSHOT_STATE_VERSION,
@@ -47,9 +42,6 @@ from repro.service.transition import TransitionManager
 __all__ = [
     "AdmissionService",
     "AuctionCoordinator",
-    "FILTER_EVENTS",
-    "HOOK_EVENTS",
-    "HookRegistry",
     "PeriodPreparation",
     "PeriodReport",
     "PeriodSettlement",

@@ -6,17 +6,13 @@ each subscription-period boundary the service runs the admission
 auction, bills the winners, transitions the stream engine to the new
 admitted set, and executes it for the period.
 
-The facade owns no policy of its own — it composes three pluggable
-components plus a hook registry:
+The facade owns no policy of its own — it composes three components:
 
 * :class:`~repro.service.coordinator.AuctionCoordinator` — pending
   queue and auction input, priced at arrival, assembled at the tick;
 * :class:`~repro.service.transition.TransitionManager` — engine
   add/remove/transition;
-* :class:`~repro.cloud.billing.BillingLedger` — invoicing and audit;
-* :class:`~repro.service.hooks.HookRegistry` — lifecycle middleware
-  (``on_submit``, ``pre_auction``, ``post_auction``, ``on_transition``,
-  ``on_billing``).
+* :class:`~repro.cloud.billing.BillingLedger` — invoicing and audit.
 
 A service can be checkpointed (:meth:`AdmissionService.snapshot`) and
 resumed (:meth:`AdmissionService.restore`) mid-run: the snapshot
@@ -39,10 +35,9 @@ from repro.dsms.engine import StreamEngine
 from repro.dsms.plan import ContinuousQuery
 from repro.dsms.streams import StreamSource
 from repro.service.coordinator import AuctionCoordinator
-from repro.service.hooks import HookRegistry
 from repro.service.reports import PeriodReport
 from repro.service.transition import TransitionManager
-from repro.utils.validation import ValidationError
+from repro.utils.validation import ValidationError, require
 
 #: Version of the in-memory snapshot layout below.
 SNAPSHOT_STATE_VERSION = 1
@@ -59,7 +54,7 @@ class PeriodPreparation:
 
     Produced by :meth:`AdmissionService.prepare_period`: the period
     index being run, the candidate plans competing (queued + running),
-    and the built :class:`AuctionInstance` after ``pre_auction`` hooks.
+    and the built :class:`AuctionInstance`.
     """
 
     period: int
@@ -92,8 +87,6 @@ class ServiceSnapshot:
     Obtained from :meth:`AdmissionService.snapshot`; turned back into a
     live service by :meth:`AdmissionService.restore`.  One snapshot can
     be restored any number of times (each restore gets its own copy).
-    Hooks are *not* part of a snapshot — they are code, not state —
-    and must be re-attached after restore.
     """
 
     version: int
@@ -125,10 +118,8 @@ class AdmissionService:
         ``"two-price:seed=7"``).  The paper recommends CAT — the only
         strategyproof *and* sybil-immune choice.
     ticks_per_period:
-        Engine ticks constituting one subscription period ("a day").
-    hold_ticks:
-        Ticks of arrivals held at the connection points during each
-        transition.
+        Engine ticks constituting one subscription period ("a day");
+        at least one.
     """
 
     def __init__(
@@ -138,9 +129,6 @@ class AdmissionService:
         capacity: float,
         mechanism: "Mechanism | MechanismSpec | str",
         ticks_per_period: int = 50,
-        hold_ticks: int = 1,
-        ledger: "object | None" = None,
-        hooks: "HookRegistry | None" = None,
     ) -> None:
         from repro.cloud.billing import BillingLedger
 
@@ -148,11 +136,12 @@ class AdmissionService:
         self.capacity = float(capacity)
         self.mechanism = resolve_mechanism(mechanism)
         self.ticks_per_period = int(ticks_per_period)
+        require(self.ticks_per_period >= 1, f"ticks_per_period must be "
+                f">= 1, got {self.ticks_per_period}")
         self.engine = StreamEngine(self.sources, capacity=self.capacity)
-        self.ledger = BillingLedger() if ledger is None else ledger
-        self.hooks = HookRegistry() if hooks is None else hooks
+        self.ledger = BillingLedger()
         self.coordinator = AuctionCoordinator(self.capacity)
-        self.transitions = TransitionManager(hold_ticks=hold_ticks)
+        self.transitions = TransitionManager()
         self._period = 0
         self.reports: list[PeriodReport] = []
 
@@ -162,7 +151,6 @@ class AdmissionService:
 
     def submit(self, query: ContinuousQuery) -> None:
         """Queue *query* (with its bid) for the next period's auction."""
-        self.hooks.notify("on_submit", self, query)
         self.coordinator.submit(query, running=self.engine.catalog)
 
     def withdraw(self, query_id: str) -> ContinuousQuery:
@@ -210,16 +198,15 @@ class AdmissionService:
     def prepare_period(self) -> PeriodPreparation:
         """Phase 1: open the next period and build its auction input.
 
-        Collects candidates (queued + running), assembles their rows, and
-        applies the ``pre_auction`` hooks.  Callers that split the cycle
-        (e.g. the :mod:`repro.cluster` federation, which batches all
-        shard auctions) must follow with :meth:`settle_period` and
-        :meth:`execute_period`; :meth:`run_period` does all three.
+        Collects candidates (queued + running) and assembles their rows.
+        Callers that split the cycle (e.g. the :mod:`repro.cluster`
+        federation, which batches all shard auctions) must follow with
+        :meth:`settle_period` and :meth:`execute_period`;
+        :meth:`run_period` does all three.
         """
         self._period += 1
         try:
             candidates, instance = self._collect_and_build()
-            instance = self.hooks.filter("pre_auction", self, instance)
         except Exception:
             self._period -= 1
             raise
@@ -229,32 +216,27 @@ class AdmissionService:
     def settle_period(
         self, preparation: PeriodPreparation, outcome: AuctionOutcome
     ) -> PeriodSettlement:
-        """Phase 2: apply *outcome* — filter, validate, bill, transition.
+        """Phase 2: apply *outcome* — validate, bill, transition.
 
-        Runs the ``post_auction`` hooks, rejects outcomes naming
-        planless winners (rolling the period counter back, nothing
-        billed), invoices the winners, transitions the engine to the
-        admitted set, and clears the pending queue.
+        Rejects outcomes naming planless winners (rolling the period
+        counter back, nothing billed), invoices the winners, transitions
+        the engine to the admitted set, and clears the pending queue.
         """
         candidates = preparation.candidates
-        outcome = self.hooks.filter("post_auction", self, outcome)
 
         unknown = sorted(outcome.winner_ids - set(candidates))
         if unknown:
             self._period -= 1
             raise ValidationError(
-                f"auction outcome admits query id(s) {unknown} with no "
-                f"submitted plan; hooks that add queries to the auction "
-                f"must submit matching plans via service.submit() first")
+                f"auction outcome admits query id(s) {unknown} that are "
+                f"not among period {preparation.period}'s candidates; "
+                f"settle only an outcome of that period's auction")
 
         revenue = self.ledger.bill_outcome(self._period, outcome)
-        self.hooks.notify("on_billing", self, self._period, revenue, outcome)
 
         admitted = sorted(outcome.winner_ids)
         rejected = sorted(set(candidates) - outcome.winner_ids)
-        added, removed = self.transitions.apply(
-            self.engine, admitted, candidates)
-        self.hooks.notify("on_transition", self, added, removed)
+        self.transitions.apply(self.engine, admitted, candidates)
         self.coordinator.clear(keep=outcome.winner_ids)
         return PeriodSettlement(
             period=self._period,
@@ -362,18 +344,13 @@ class AdmissionService:
         return ServiceSnapshot(version=SNAPSHOT_STATE_VERSION, state=state)
 
     @classmethod
-    def restore(
-        cls,
-        snapshot: ServiceSnapshot,
-        hooks: "HookRegistry | None" = None,
-    ) -> "AdmissionService":
+    def restore(cls, snapshot: ServiceSnapshot) -> "AdmissionService":
         """Rebuild a live service from *snapshot*.
 
         Live state (engine, pending queue, mechanism and source RNGs)
         is copied out of the snapshot; the immutable history — reports,
         outcomes, invoices, delivered tuples — is shared with it.  The
-        snapshot can therefore be restored again later.  Hooks are not
-        serialized state; pass *hooks* to re-attach them.
+        snapshot can therefore be restored again later.
         """
         if snapshot.version != SNAPSHOT_STATE_VERSION:
             raise ValidationError(
@@ -387,7 +364,6 @@ class AdmissionService:
         service.ticks_per_period = state["ticks_per_period"]
         service.engine = state["engine"]
         service.ledger = state["ledger"]
-        service.hooks = HookRegistry() if hooks is None else hooks
         service.coordinator = AuctionCoordinator(state["capacity"])
         service.coordinator.restore_pending(state["pending"])
         service.transitions = TransitionManager(
@@ -400,8 +376,8 @@ class AdmissionService:
         """Write a restorable checkpoint file (see :mod:`repro.io`).
 
         The file is a versioned pickle envelope; everything in the
-        service (query predicates, payload functions, hooks excluded)
-        must be picklable — module-level functions are, lambdas are
+        service (query predicates, payload functions) must be
+        picklable — module-level functions are, lambdas are
         not.  Only load checkpoints you trust.
         """
         from repro.io import save_snapshot
@@ -409,12 +385,8 @@ class AdmissionService:
         save_snapshot(self.snapshot(), path)
 
     @classmethod
-    def load_checkpoint(
-        cls,
-        path: object,
-        hooks: "HookRegistry | None" = None,
-    ) -> "AdmissionService":
+    def load_checkpoint(cls, path: object) -> "AdmissionService":
         """Resume a service from a :meth:`save_checkpoint` file."""
         from repro.io import load_snapshot
 
-        return cls.restore(load_snapshot(path), hooks=hooks)
+        return cls.restore(load_snapshot(path))

@@ -61,9 +61,13 @@ class WorkloadConfig:
       sharing, with the crossover sliding left as capacity grows.
     * ``"sampled"`` — bids drawn i.i.d. from the bounded Zipf pmf
       ``P(b) ∝ b^{-skew}``, b in 1..max_bid.  Under this literal
-      reading constant pricing extracts so much revenue that Two-price
-      dominates everywhere, contradicting Figure 4; kept for ablation
-      (``test_bid_mode_ablation`` in ``tests/workload/test_generator.py``).
+      reading constant pricing extracts enough revenue that Two-price
+      usually beats CAT even at degree 1, contradicting Figure 4: with
+      150 queries at capacity 375, over 42 instances (seeds 0-39, 11
+      and 2010), Two-price beats CAT in 30 with sampled bids, while
+      CAT beats Two-price in 38 with rank bids.  Kept for ablation
+      (``test_bid_mode_ablation`` in
+      ``tests/workload/test_generator.py``).
     """
 
     num_queries: int = 2000

@@ -198,14 +198,15 @@ class TestClusterPeriods:
         assert report.admitted == ()
         assert cluster.period == 1
 
-    def test_pre_auction_failure_rolls_back_cleanly(self):
-        """Nothing billed yet ⇒ full rollback, the period is retryable."""
-        def boom(_service, _instance):
+    def test_prepare_failure_rolls_back_cleanly(self, monkeypatch):
+        """A failure building a shard's auction input: nothing billed
+        yet ⇒ full rollback, the period is retryable."""
+        def boom(*_args):
             raise ValidationError("boom")
 
         cluster = build_cluster(num_shards=2)
         cluster.submit(select_query("q0", "a", 10.0, 1.0))
-        cluster.shards[0].hooks.add("pre_auction", boom)
+        monkeypatch.setattr(cluster.shards[0].coordinator, "build", boom)
         with pytest.raises(ValidationError, match="boom"):
             cluster.run_period()
         assert cluster.period == 0
@@ -213,7 +214,7 @@ class TestClusterPeriods:
         assert cluster.pending_ids == {"q0"}
         assert cluster.reports == []
 
-        cluster.shards[0].hooks = type(cluster.shards[0].hooks)()
+        monkeypatch.undo()
         report = cluster.run_period()  # retry succeeds
         assert report.period == 1
 
@@ -269,15 +270,15 @@ class TestClusterPeriods:
         assert report.period == 1
         assert [shard.period for shard in cluster.shards] == [1, 1, 1]
 
-    def test_post_settlement_failure_commits_the_period(self):
+    def test_post_settlement_failure_commits_the_period(self, monkeypatch):
         """Once a shard billed, the period is consumed: counters stay
         aligned everywhere even though no report is recorded."""
-        def boom(_service, outcome):
+        def boom(*_args):
             raise ValidationError("boom")
 
         cluster = build_cluster(num_shards=2)
         cluster.submit(select_query("q0", "a", 10.0, 1.0))
-        cluster.shards[0].hooks.add("post_auction", boom)
+        monkeypatch.setattr(cluster.shards[0].transitions, "apply", boom)
         with pytest.raises(ValidationError, match="boom"):
             cluster.run_period()
         assert cluster.period == 1

@@ -68,17 +68,6 @@ class TestRunSharingSweep:
         assert [degree for degree, _ in series] == [1, 4]
         assert all(0 <= v <= 1 for _, v in series)
 
-    def test_instance_hook_applied(self):
-        calls = []
-
-        def hook(instance):
-            calls.append(instance.num_queries)
-            return instance
-
-        run_sharing_sweep(TINY, 15_000.0, mechanisms=("CAT",),
-                          instance_hook=hook)
-        assert len(calls) == TINY.num_sets * len(TINY.degrees)
-
     def test_mechanism_factory_seeds_randomized(self):
         two_price = mechanism_factory("Two-price", 5)
         assert two_price.name == "Two-price"

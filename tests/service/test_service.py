@@ -1,16 +1,12 @@
-"""AdmissionService facade: the center cycle, builder, hooks."""
+"""AdmissionService facade: the center cycle and its builder."""
 
 import pytest
 
-from repro.core import CAT, AuctionInstance, Query
+from repro.core import CAT, AuctionInstance, AuctionOutcome, Query
 from repro.dsms.operators import SelectOperator
 from repro.dsms.plan import ContinuousQuery
 from repro.dsms.streams import SyntheticStream
-from repro.service import (
-    AdmissionService,
-    HookRegistry,
-    ServiceBuilder,
-)
+from repro.service import AdmissionService, ServiceBuilder
 from repro.utils.validation import ValidationError
 
 
@@ -142,6 +138,27 @@ class TestPeriodPhases:
         assert service.period == 0
         assert service.total_revenue() == 0.0
 
+    def test_settle_refuses_a_forged_planless_winner(self):
+        """An outcome admitting an id beside the real candidates, over
+        an operator they share, is refused before billing: nothing is
+        invoiced or transitioned, and the period can be run again."""
+        service = build_service()
+        service.submit(make_query("q0", 10.0, 2.0))
+        preparation = service.prepare_period()
+        instance = preparation.instance
+        forged = AuctionInstance(
+            instance.operators,
+            instance.queries + (Query("ghost", ("sel_q0",), bid=1000.0),),
+            instance.capacity)
+        outcome = AuctionOutcome(forged, {"q0": 0.0, "ghost": 10.0})
+        with pytest.raises(ValidationError, match="ghost"):
+            service.settle_period(preparation, outcome)
+        assert service.total_revenue() == 0.0  # nothing was billed
+        assert service.period == 0
+        assert service.pending_ids == {"q0"}
+        assert service.engine.admitted_ids == set()
+        assert service.run_period().admitted == ("q0",)
+
     def test_idle_period_advances_engine_without_auction(self):
         service = build_service()
         report = service.run_idle_period()
@@ -233,6 +250,22 @@ class TestBuilderAndConfig:
         with pytest.raises(TypeError):
             ServiceBuilder(object())
 
+    def test_a_period_below_one_tick_is_refused(self):
+        def build(ticks):
+            return (ServiceBuilder()
+                    .with_sources(SyntheticStream("s", rate=5))
+                    .with_capacity(30.0)
+                    .with_mechanism("CAT")
+                    .with_ticks_per_period(ticks)
+                    .build())
+
+        for ticks in (0, -2):
+            with pytest.raises(ValidationError,
+                               match=f"ticks_per_period must be >= 1, "
+                                     f"got {ticks}"):
+                build(ticks)
+        assert build(1).ticks_per_period == 1
+
     def test_builds_are_independent(self):
         builder = (ServiceBuilder()
                    .with_sources(SyntheticStream("s", rate=5,
@@ -243,8 +276,6 @@ class TestBuilderAndConfig:
         first, second = builder.build(), builder.build()
         first.submit(make_query("q1", 10.0, 1.0))
         assert second.pending_ids == set()
-        first.hooks.add("on_billing", lambda *a: None)
-        assert second.hooks.hooks("on_billing") == ()
 
     def test_builds_do_not_share_source_state(self):
         """Running one built service must not advance another's source
@@ -266,92 +297,3 @@ class TestBuilderAndConfig:
 
     def test_backend_option_is_gone(self):
         assert not hasattr(ServiceBuilder(), "with_backend")
-
-
-class TestHooks:
-    def test_unknown_event_rejected(self):
-        with pytest.raises(ValidationError, match="unknown hook event"):
-            HookRegistry().add("on_coffee", lambda: None)
-
-    def test_on_submit_can_veto(self):
-        def no_cheapskates(_service, query):
-            if query.bid < 5:
-                raise ValidationError("bid below the house minimum")
-
-        service = build_service()
-        service.hooks.add("on_submit", no_cheapskates)
-        service.submit(make_query("rich", 50.0, 1.0))
-        with pytest.raises(ValidationError, match="house minimum"):
-            service.submit(make_query("poor", 1.0, 1.0))
-        assert service.pending_ids == {"rich"}
-
-    def test_pre_auction_lying_client(self):
-        """Bid inflation as a hook changes the auction the mechanism
-        sees — the lying scenarios become plug-ins."""
-        def inflate(_service, instance):
-            queries = tuple(
-                Query(q.query_id, q.operator_ids, bid=q.bid * 10,
-                      valuation=q.valuation, owner=q.owner)
-                if q.query_id == "liar" else q
-                for q in instance.queries)
-            return AuctionInstance(
-                instance.operators, queries, instance.capacity)
-
-        service = build_service()
-        service.hooks.add("pre_auction", inflate)
-        service.submit(make_query("liar", 5.0, 2.0))
-        for i, bid in enumerate([40, 30, 20]):
-            service.submit(make_query(f"q{i}", bid, 2.0))
-        report = service.run_period()
-        assert "liar" in report.admitted  # 50 beats the honest field
-
-    def test_observer_hooks_fire_in_cycle_order(self):
-        events = []
-        service = (ServiceBuilder()
-                   .with_sources(SyntheticStream("s", rate=5,
-                                                 poisson=False, seed=0))
-                   .with_capacity(30.0)
-                   .with_mechanism("CAT")
-                   .with_ticks_per_period(5)
-                   .on_submit(lambda *a: events.append("submit"))
-                   .pre_auction(lambda *a: events.append("pre") or None)
-                   .post_auction(lambda *a: events.append("post") or None)
-                   .on_billing(lambda *a: events.append("billing"))
-                   .on_transition(lambda *a: events.append("transition"))
-                   .build())
-        service.submit(make_query("q1", 10.0, 1.0))
-        service.run_period()
-        assert events == ["submit", "pre", "post", "billing", "transition"]
-
-    def test_pre_auction_cannot_invent_planless_winners(self):
-        """A hook that admits a query id with no submitted plan must
-        fail cleanly before billing, not KeyError mid-transition."""
-        def add_ghost(_service, instance):
-            queries = instance.queries + (
-                Query("ghost", ("sel_q0",), bid=1000.0),)
-            return AuctionInstance(
-                instance.operators, queries, instance.capacity)
-
-        service = build_service()
-        service.hooks.add("pre_auction", add_ghost)
-        service.submit(make_query("q0", 10.0, 2.0))
-        with pytest.raises(ValidationError, match="ghost"):
-            service.run_period()
-        assert service.total_revenue() == 0.0  # nothing was billed
-        assert service.period == 0
-
-    def test_on_transition_reports_changes(self):
-        seen = {}
-
-        def record(_service, added, removed):
-            seen["added"], seen["removed"] = added, removed
-
-        service = build_service()
-        service.hooks.add("on_transition", record)
-        service.submit(make_query("q1", 30.0, 2.0))
-        service.run_period()
-        assert seen == {"added": ("q1",), "removed": ()}
-        for i, bid in enumerate([90, 80, 70]):
-            service.submit(make_query(f"new{i}", bid, 2.0))
-        service.run_period()
-        assert seen["removed"] == ("q1",)

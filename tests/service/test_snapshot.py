@@ -163,22 +163,3 @@ def test_snapshot_from_a_build_with_the_columnar_backend_is_refused():
     message = str(refused.value)
     assert "written by a build that has repro.dsms.columnar" in message
     assert "malformed" not in message
-
-
-def test_hooks_are_reattached_not_restored(tmp_path):
-    calls = []
-    service = build_service()
-    service.hooks.add("on_billing", lambda *a: calls.append("live"))
-    service.run_periods([batch(1)])
-    snapshot = service.snapshot()
-
-    resumed = AdmissionService.restore(snapshot)
-    assert resumed.hooks.hooks("on_billing") == ()
-
-    from repro.service import HookRegistry
-
-    hooks = HookRegistry()
-    hooks.add("on_billing", lambda *a: calls.append("resumed"))
-    rewired = AdmissionService.restore(snapshot, hooks=hooks)
-    rewired.run_periods([batch(2)])
-    assert calls.count("resumed") == 1

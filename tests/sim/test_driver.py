@@ -94,22 +94,18 @@ class TestLockstepEquivalence:
         with pytest.raises(ValidationError):
             service.run_periods([[]])
 
-    def test_hooks_fire_in_submit_order(self):
-        events = []
-        service = (ServiceBuilder()
-                   .with_sources(SyntheticStream("s", rate=5.0, seed=0))
-                   .with_capacity(40.0)
-                   .with_mechanism("CAT")
-                   .with_ticks_per_period(5)
-                   .on_submit(lambda svc, q:
-                              events.append(("submit", q.query_id)))
-                   .on_billing(lambda svc, period, revenue, outcome:
-                               events.append(("billing", period)))
-                   .build())
-        service.run_periods(batches(periods=2, count=2))
-        submitted = [e for e in events if e[0] == "submit"]
-        assert [e[1] for e in submitted[:2]] == ["p1q0", "p1q1"]
-        assert ("billing", 1) in events and ("billing", 2) in events
+    def test_batches_are_auctioned_and_billed_in_period_order(self):
+        service = build_service(ticks=5)
+        reports = service.run_periods(batches(periods=2, count=2))
+        assert [report.period for report in reports] == [1, 2]
+        assert sorted(reports[0].admitted + reports[0].rejected) == [
+            "p1q0", "p1q1"]
+        invoices = [(invoice.period, invoice.query_id)
+                    for invoice in service.ledger.invoices]
+        assert invoices == [(report.period, query_id)
+                            for report in reports
+                            for query_id in report.admitted]
+        assert {period for period, _ in invoices} == {1, 2}
 
     def test_cluster_run_periods_matches_manual_loop(self):
         manual = build_cluster()
@@ -433,41 +429,20 @@ class TestCheckpointing:
         assert a == b
 
 
-class TestBuilderIntegration:
-    def test_build_simulation_wires_arrivals_probe_and_recording(self):
-        driver = (ServiceBuilder()
-                  .with_sources(SyntheticStream("s", rate=5.0, seed=0))
-                  .with_capacity(40.0)
-                  .with_mechanism("CAT")
-                  .with_ticks_per_period(10)
-                  .with_arrivals("poisson:rate=1,seed=2")
-                  .with_scheduler("longest-queue-first")
-                  .build_simulation(record=True))
-        assert driver.probes is not None
+class TestDriverAssembly:
+    def test_probe_policy_and_recording(self):
+        driver = SimulationDriver(
+            build_service(), arrivals="poisson:rate=1,seed=2",
+            probe="longest-queue-first", record=True)
         assert driver.probes[0].engine.policy.name == \
             "longest-queue-first"
         driver.run(2)
         assert len(driver.trace().entries) > 0
 
-    def test_build_rejects_open_system_settings(self):
-        builder = (ServiceBuilder()
-                   .with_sources(SyntheticStream("s", rate=5.0))
-                   .with_capacity(40.0)
-                   .with_mechanism("CAT")
-                   .with_subscriptions())
-        with pytest.raises(ValidationError):
-            builder.build()
-
-    def test_config_scheduler_is_validated_and_adopted(self):
-        def builder():
-            return (ServiceBuilder()
-                    .with_sources(SyntheticStream("s", rate=5.0))
-                    .with_capacity(10.0)
-                    .with_mechanism("CAT"))
-
+    def test_unknown_probe_policy_names_the_known_ones(self):
         with pytest.raises(KeyError, match="fifo.*round-robin"):
-            builder().with_scheduler("warp-speed").build_simulation()
-        driver = builder().with_scheduler("fifo").build_simulation()
+            SimulationDriver(build_service(), probe="warp-speed")
+        driver = SimulationDriver(build_service(), probe="fifo")
         assert driver.probes[0].engine.policy.name == "fifo"
 
     def test_unwrappable_host_rejected(self):

@@ -149,6 +149,18 @@ class TestCLI:
         assert captured.err == (
             f"repro: error: {flag} must be >= 1, got {argv[-1]}\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["sim", "--ticks", "0", "--periods", "3",
+         "--arrivals", "poisson:rate=2"],
+        ["simulate", "--ticks", "-2", "--periods", "2"],
+    ], ids=["sim-zero", "simulate-negative"])
+    def test_a_period_below_one_tick_is_refused(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"repro: error: ticks_per_period must be >= 1, got {argv[2]}\n")
+
     def test_verify_command(self, capsys, monkeypatch):
         # Shrink the battery via a tiny seed-compatible call by
         # patching the defaults.

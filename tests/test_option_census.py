@@ -12,8 +12,11 @@ import inspect
 import pytest
 
 import repro.__main__ as cli
+from repro.cluster import FederatedAdmissionService
 from repro.dsms.scheduler import ScheduledEngine
+from repro.experiments.harness import run_sharing_sweep
 from repro.serve import GatewayConfig, run_load
+from repro.service import AdmissionService, ServiceBuilder
 import repro.sim.subscriptions as sim_subscriptions
 from repro.sim import (
     SimulationDriver,
@@ -70,8 +73,14 @@ def test_each_flag_is_defined_once_and_the_counts_are_pinned():
             len(inspect.signature(SimulationDriver).parameters),
         "ScheduledEngine parameters":
             len(inspect.signature(ScheduledEngine).parameters),
+        "ServiceBuilder public methods": len(
+            [name for name, member in vars(ServiceBuilder).items()
+             if callable(member) and not name.startswith("_")]),
         **{f"{name} parameters": len(inspect.signature(call).parameters)
            for name, call in [
+               ("AdmissionService", AdmissionService),
+               ("FederatedAdmissionService.build",
+                FederatedAdmissionService.build),
                ("WriteAheadLog", WriteAheadLog),
                ("WriteAheadLog.create", WriteAheadLog.create),
                ("WriteAheadLog.resume", WriteAheadLog.resume),
@@ -86,6 +95,10 @@ def test_each_flag_is_defined_once_and_the_counts_are_pinned():
         "SubscriptionOptions fields": 4,
         "SimulationDriver parameters": 8,
         "ScheduledEngine parameters": 4,
+        # sources, capacity, mechanism, ticks_per_period, selection, build.
+        "ServiceBuilder public methods": 6,
+        "AdmissionService parameters": 4,
+        "FederatedAdmissionService.build parameters": 7,
         # directory (+ state / scan / backend), fsync, compact_every.
         "WriteAheadLog parameters": 3,
         "WriteAheadLog.create parameters": 4,
@@ -113,13 +126,25 @@ def test_each_flag_is_defined_once_and_the_counts_are_pinned():
     lambda: WriteAheadLog("d").append_period(
         period=1, events=1, revenue=0.0, arrivals=0),
     lambda: SubscriptionOptions(mechanism="CAT"),
+    lambda: AdmissionService(sources=(), capacity=1.0, mechanism="CAT",
+                             hooks=None),
+    lambda: AdmissionService(sources=(), capacity=1.0, mechanism="CAT",
+                             ledger=None),
+    lambda: AdmissionService(sources=(), capacity=1.0, mechanism="CAT",
+                             hold_ticks=1),
+    lambda: FederatedAdmissionService.build(
+        num_shards=1, sources=(), capacity=1.0, mechanism="CAT",
+        hold_ticks=1),
+    lambda: AdmissionService.restore(None, hooks=None),
+    lambda: run_sharing_sweep(None, 1.0, instance_hook=None),
 ], ids=["wal_group_commit", "wal_group_window", "window", "lookahead",
         "probe_retention", "allow_idle", "max_latency_samples",
         "keep_latency_samples",
         "client_prefix",
         "resume-keep_kinds", "tail-keep_kinds", "segment_bytes",
         "recover-segment_bytes", "create-period", "arrivals",
-        "subscription-mechanism"])
+        "subscription-mechanism", "hooks", "ledger", "hold_ticks",
+        "build-hold_ticks", "restore-hooks", "instance_hook"])
 def test_removed_keywords_are_type_errors(call):
     with pytest.raises(TypeError, match="unexpected keyword"):
         call()
@@ -128,6 +153,20 @@ def test_removed_keywords_are_type_errors(call):
 def test_the_bare_instance_subscription_scheduler_is_gone():
     with pytest.raises(ImportError):
         from repro.cloud import SubscriptionScheduler  # noqa: F401
+
+
+def test_the_service_has_no_plugin_seam():
+    """A service is assembled one way (``ServiceBuilder.build``) and
+    extended by nobody: the lifecycle-hook registry, its builder sugar,
+    the builder's second road to a ``SimulationDriver`` and the
+    one-value options are gone."""
+    with pytest.raises(ModuleNotFoundError):
+        import repro.service.hooks  # noqa: F401
+    for name in ("with_hook", "on_submit", "pre_auction", "post_auction",
+                 "on_transition", "on_billing", "with_arrivals",
+                 "with_subscriptions", "with_scheduler",
+                 "build_simulation", "with_ledger", "with_hold_ticks"):
+        assert not hasattr(ServiceBuilder, name), name
 
 
 def test_the_forked_count_mode_drains_are_gone():
