@@ -13,9 +13,8 @@ Packages:
   registry, and declarative :class:`MechanismSpec` configuration.
 * :mod:`repro.service` — the public service API: an
   :class:`AdmissionService` facade assembled by a
-  :class:`ServiceBuilder`, composed of an auction coordinator, a
-  transition manager and a billing ledger; snapshot/restore
-  included.
+  :class:`ServiceBuilder`, composed of an auction coordinator, the
+  stream engine and a billing ledger; snapshot/restore included.
 * :mod:`repro.cluster` — the scale-out layer: a
   :class:`FederatedAdmissionService` sharding submissions over N
   service instances via pluggable placement policies, with cross-shard

@@ -3,10 +3,10 @@
 After all shard auctions of a period settle, some shards rejected
 queries for lack of capacity while others have headroom to spare.  The
 :class:`Rebalancer` migrates rejected queries onto shards whose
-admitted set leaves spare capacity, using each target shard's existing
-:class:`~repro.service.TransitionManager` so the move goes through the
-paper's transition phase (tuples held, subnetworks drained) — not a
-side door into the engine.
+admitted set leaves spare capacity, through the target engine's
+:meth:`~repro.dsms.engine.StreamEngine.transition` so the move goes
+through the paper's transition phase (tuples held, subnetworks
+drained) — not a side door into the engine.
 
 Migration economics: a migrated query pays **nothing** for the
 remainder of the period.  The spare capacity would otherwise idle, and
@@ -25,7 +25,7 @@ from collections.abc import Mapping, Sequence
 from repro.cluster.reports import Migration
 from repro.dsms.plan import ContinuousQuery
 from repro.service.service import AdmissionService, PeriodSettlement
-from repro.utils.validation import require
+from repro.utils.validation import ValidationError, require
 
 #: Numeric slack when comparing loads against spare capacity.
 _EPSILON = 1e-9
@@ -99,7 +99,7 @@ class Rebalancer:
                     query, query_id, origin, shards, spare, streams, load)
                 if target is None:
                     continue
-                self._migrate(shards[target], query)
+                shards[target].engine.transition(add=(query,))
                 spare[target] -= load
                 roomiest = max(spare.values())
                 migrations.append(Migration(
@@ -130,13 +130,10 @@ class Rebalancer:
             if (query_id in shard.engine.admitted_ids
                     or query_id in shard.pending_ids):
                 continue
+            try:
+                shard.engine.catalog.check_operators(query)
+            except ValidationError:
+                continue  # the target runs another definition of an op id
             if best is None or spare[index] > best_spare:
                 best, best_spare = index, spare[index]
         return best
-
-    @staticmethod
-    def _migrate(target: AdmissionService, query: ContinuousQuery) -> None:
-        """Admit *query* on *target* through its transition manager."""
-        admitted = sorted({*target.engine.admitted_ids, query.query_id})
-        target.transitions.apply(
-            target.engine, admitted, {query.query_id: query})

@@ -280,19 +280,40 @@ class StreamEngine:
         self,
         add: Sequence[ContinuousQuery] = (),
         remove: Sequence[str] = (),
-        hold_ticks: int = 1,
     ) -> None:
-        """Convenience: the full transition-phase sequence."""
-        # Fail fast, before the transition even opens: a bad plan in
-        # the add set must leave the engine exactly as it was.
+        """Change the admitted set: remove *remove*, then admit *add*.
+
+        A warm engine runs the full transition-phase sequence: the
+        connection points hold one tick of arrivals, the removed
+        queries drain, the plans change and the held tuples replay
+        before new arrivals.  An engine with nothing admitted has no
+        stream to keep gap-free, so *add* is admitted directly.
+        """
+        # Refuse before anything moves: a change set that end_transition
+        # could not apply whole must leave the engine exactly as it was.
+        admitted = self.catalog.query_ids
+        removing = set(remove)
+        unknown = sorted(query_id for query_id in removing
+                         if query_id not in admitted)
+        if unknown:
+            raise ValidationError(
+                f"cannot remove query id(s) {unknown}: not admitted")
+        staged = QueryPlanCatalog()
         for query in add:
+            if query.query_id in admitted and query.query_id not in removing:
+                raise ValidationError(
+                    f"duplicate query id {query.query_id!r}")
             self.validate_streams(query)
+            self.catalog.check_operators(query, dropped=removing)
+            staged.add(query)
+        if not admitted:
+            for query in add:
+                self.admit(query)
+            return
         self.begin_transition()
-        drain_targets = set(remove)
-        if drain_targets:
-            self.drain(drain_targets)
-        for _ in range(hold_ticks):
-            self.hold_tick()
+        if removing:
+            self.drain(removing)
+        self.hold_tick()
         self.end_transition(add=add, remove=remove)
 
     # ------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from collections.abc import Iterable, KeysView, Mapping, Sequence
+from collections.abc import Collection, Iterable, KeysView, Mapping, Sequence
 
 from repro.dsms.operators import StreamOperator
 from repro.utils.validation import ValidationError, require
@@ -132,6 +132,21 @@ class QueryPlanCatalog:
         self._queries[query.query_id] = query
         self._order_cache = None
         self._generation += 1
+
+    def check_operators(self, query: ContinuousQuery,
+                        dropped: Collection[str] = ()) -> None:
+        """Refuse *query* if it redefines an operator this catalog
+        holds, other than one only the *dropped* queries contain."""
+        for op in query.operators:
+            existing = self._operators.get(op.op_id)
+            if existing is None:
+                continue
+            try:
+                check_compatible(existing, op)
+            except ValidationError:
+                if not set(self.queries_containing(op.op_id)).issubset(
+                        dropped):
+                    raise
 
     def remove(self, query_id: str) -> ContinuousQuery:
         """Deregister a query; orphaned operators are dropped too."""

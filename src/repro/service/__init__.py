@@ -7,7 +7,6 @@ over its components:
   per-period auction-bill-transition-execute cycle, checkpointing;
 * :class:`ServiceBuilder` — fluent assembly from validated settings;
 * :class:`AuctionCoordinator` — candidate collection + load estimation;
-* :class:`TransitionManager` — engine add/remove/transition;
 * :class:`PeriodReport` — the versioned per-period business record;
 * :class:`ServiceSnapshot` — full checkpoint/restore of a running
   service.
@@ -37,7 +36,6 @@ from repro.service.service import (
     PeriodSettlement,
     ServiceSnapshot,
 )
-from repro.service.transition import TransitionManager
 
 __all__ = [
     "AdmissionService",
@@ -48,5 +46,4 @@ __all__ = [
     "SNAPSHOT_STATE_VERSION",
     "ServiceBuilder",
     "ServiceSnapshot",
-    "TransitionManager",
 ]

@@ -10,8 +10,8 @@ The facade owns no policy of its own — it composes three components:
 
 * :class:`~repro.service.coordinator.AuctionCoordinator` — pending
   queue and auction input, priced at arrival, assembled at the tick;
-* :class:`~repro.service.transition.TransitionManager` — engine
-  add/remove/transition;
+* :class:`~repro.dsms.engine.StreamEngine` — executes the admitted
+  set, changing it through the Section II transition phase;
 * :class:`~repro.cloud.billing.BillingLedger` — invoicing and audit.
 
 A service can be checkpointed (:meth:`AdmissionService.snapshot`) and
@@ -36,7 +36,6 @@ from repro.dsms.plan import ContinuousQuery
 from repro.dsms.streams import StreamSource
 from repro.service.coordinator import AuctionCoordinator
 from repro.service.reports import PeriodReport
-from repro.service.transition import TransitionManager
 from repro.utils.validation import ValidationError, require
 
 #: Version of the in-memory snapshot layout below.
@@ -141,7 +140,6 @@ class AdmissionService:
         self.engine = StreamEngine(self.sources, capacity=self.capacity)
         self.ledger = BillingLedger()
         self.coordinator = AuctionCoordinator(self.capacity)
-        self.transitions = TransitionManager()
         self._period = 0
         self.reports: list[PeriodReport] = []
 
@@ -236,7 +234,11 @@ class AdmissionService:
 
         admitted = sorted(outcome.winner_ids)
         rejected = sorted(set(candidates) - outcome.winner_ids)
-        self.transitions.apply(self.engine, admitted, candidates)
+        running = set(self.engine.admitted_ids)
+        self.engine.transition(
+            add=[candidates[query_id] for query_id in admitted
+                 if query_id not in running],
+            remove=sorted(running - outcome.winner_ids))
         self.coordinator.clear(keep=outcome.winner_ids)
         return PeriodSettlement(
             period=self._period,
@@ -332,7 +334,8 @@ class AdmissionService:
         state = copy.deepcopy({
             "capacity": self.capacity,
             "ticks_per_period": self.ticks_per_period,
-            "hold_ticks": self.transitions.hold_ticks,
+            # Older builds' restore reads it; the engine holds one tick.
+            "hold_ticks": 1,
             "mechanism": self.mechanism,
             "sources": self.sources,
             "engine": self.engine,
@@ -356,6 +359,11 @@ class AdmissionService:
             raise ValidationError(
                 f"cannot restore snapshot version {snapshot.version}; "
                 f"this build supports version {SNAPSHOT_STATE_VERSION}")
+        hold_ticks = snapshot.state["hold_ticks"]
+        if hold_ticks != 1:
+            raise ValidationError(
+                f"cannot restore a snapshot with hold_ticks "
+                f"{hold_ticks!r}; this build holds arrivals one tick")
         state = copy.deepcopy(dict(snapshot.state))
         service = object.__new__(AdmissionService)
         service.sources = tuple(state["sources"])
@@ -366,8 +374,6 @@ class AdmissionService:
         service.ledger = state["ledger"]
         service.coordinator = AuctionCoordinator(state["capacity"])
         service.coordinator.restore_pending(state["pending"])
-        service.transitions = TransitionManager(
-            hold_ticks=state["hold_ticks"])
         service._period = state["period"]
         service.reports = list(state["reports"])
         return service

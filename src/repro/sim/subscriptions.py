@@ -251,8 +251,7 @@ class SubscriptionManager:
             entry.query.query_id for entry in entries
             if entry.query.query_id in engine.admitted_ids)
         if to_remove:
-            engine.transition(add=(), remove=to_remove,
-                              hold_ticks=service.transitions.hold_ticks)
+            engine.transition(remove=to_remove)
         self.expired_total += len(entries)
         return entries, reclaimed
 
@@ -275,6 +274,13 @@ class SubscriptionManager:
         """
         for _query, category_name in pending:
             self.category(category_name)  # validate early
+        # A request for an id the book holds active is refused
+        # unauctioned: a win would bill it twice and admit it twice.
+        rejected = sorted({query.query_id for query, _category in pending
+                           if query.query_id in self.active})
+        if rejected:
+            pending = [(query, name) for query, name in pending
+                       if query.query_id not in self.active]
         stream_rates = {source.name: source.expected_rate()
                         for source in service.sources}
         all_plans = ([entry.query for entry in self.active.values()]
@@ -291,7 +297,6 @@ class SubscriptionManager:
         overflowed = {op_id for op_id, load in loads.items()
                       if not isfinite(load)} - held_ops
 
-        rejected: list[str] = []
         auctions = []
         seen: set[str] = set()
         for category in self.options.categories:
@@ -418,6 +423,8 @@ class SubscriptionManager:
                 # shapes the flat columns do not model.
                 or len(op_set) != row_count
                 or len(set(ids)) != row_count
+                # Requests for active ids: the reference refuses them.
+                or not self.active.keys().isdisjoint(ids)
                 # Pending rows touching operators the active book holds
                 # (zero-load in the reference instance), or any
                 # operator feeding another: topology matters, so the
@@ -549,14 +556,7 @@ class SubscriptionManager:
                     renewals=self.renewal_counts.get(query_id, 0),
                 )
         if to_admit:
-            engine = service.engine
-            if engine.admitted_ids:
-                engine.transition(
-                    add=tuple(to_admit), remove=(),
-                    hold_ticks=service.transitions.hold_ticks)
-            else:
-                for query in to_admit:
-                    engine.admit(query)
+            service.engine.transition(add=to_admit)
         # A report keeps each columnar instance; its working views go.
         for outcome in outcomes.values():
             if isinstance(outcome.instance, ColumnarSelectInstance):

@@ -273,12 +273,12 @@ class TestClusterPeriods:
     def test_post_settlement_failure_commits_the_period(self, monkeypatch):
         """Once a shard billed, the period is consumed: counters stay
         aligned everywhere even though no report is recorded."""
-        def boom(*_args):
+        def boom(*_args, **_kwargs):
             raise ValidationError("boom")
 
         cluster = build_cluster(num_shards=2)
         cluster.submit(select_query("q0", "a", 10.0, 1.0))
-        monkeypatch.setattr(cluster.shards[0].transitions, "apply", boom)
+        monkeypatch.setattr(cluster.shards[0].engine, "transition", boom)
         with pytest.raises(ValidationError, match="boom"):
             cluster.run_period()
         assert cluster.period == 1
@@ -406,6 +406,24 @@ class TestRebalancing:
         cluster.rebalancer = Rebalancer(max_migrations=0)
         report = cluster.run_period()
         assert report.migrations == ()
+
+    def test_no_migration_onto_a_conflicting_operator(self):
+        """A client-chosen op id the target runs under another
+        definition keeps the query where it is: rejected, not moved,
+        and no shard is left in a transition."""
+        cluster = build_cluster(num_shards=2)
+        # Loads (rate 4): big 8 and qx 4 overflow shard 0; qy leaves
+        # shard 1 room for qx but runs sel_x at another cost.
+        cluster.submit(select_query("big", "a", 100.0, 2.0), shard=0)
+        cluster.submit(select_query("qx", "b", 1.0, 1.0, op_id="sel_x"),
+                       shard=0)
+        cluster.submit(select_query("qy", "c", 50.0, 0.5, op_id="sel_x"),
+                       shard=1)
+        report = cluster.run_period()
+        assert report.migrations == ()
+        assert report.rejected == ("qx",)
+        assert [cluster.run_period().admitted for _ in range(2)] == [
+            ("big", "qy")] * 2
 
     def test_rejected_load_accounts_for_migrations(self):
         unbalanced = self.overload_one_shard(rebalance=False)

@@ -155,7 +155,10 @@ class TestTransition:
         engine.admit(ContinuousQuery("q", (passthrough("a"),),
                                      sink_id="a"))
         engine.run(3)                      # 12 tuples
-        engine.transition(hold_ticks=2)    # 8 tuples held then replayed
+        engine.begin_transition()
+        engine.hold_tick()
+        engine.hold_tick()                 # 8 tuples held ...
+        engine.end_transition()            # ... then replayed
         engine.run(3)                      # 12 tuples
         source = engine._sources["s"]
         assert len(engine.results["q"]) == source.emitted
@@ -178,7 +181,7 @@ class TestTransition:
         engine.run(2)
         new_query = ContinuousQuery("q2", (passthrough("b"),),
                                     sink_id="b")
-        engine.transition(add=[new_query], remove=["q1"], hold_ticks=1)
+        engine.transition(add=[new_query], remove=["q1"])
         assert engine.admitted_ids == {"q2"}
         engine.run(2)
         # q2 receives the held tick's tuples plus the new ticks.
@@ -211,7 +214,11 @@ class TestTransition:
         agg = AggregateOperator("agg", "s", "x", len, window=10)
         engine.admit(ContinuousQuery("q", (agg,), sink_id="agg"))
         engine.run(3)
-        engine.transition(remove=["q"], hold_ticks=2)
+        engine.begin_transition()
+        engine.drain(["q"])
+        engine.hold_tick()
+        engine.hold_tick()
+        engine.end_transition(remove=["q"])
         partial, = engine.results["q"]
         assert partial.value("partial") is True
         assert partial.value("count") == 12
@@ -254,11 +261,63 @@ class TestTransition:
         bad = ContinuousQuery("q2", (passthrough("b", source="nope"),),
                               sink_id="b")
         with pytest.raises(ValidationError, match="unknown streams"):
-            engine.transition(add=[bad], remove=["q1"], hold_ticks=1)
+            engine.transition(add=[bad], remove=["q1"])
         # q1 still runs; the next transition opens cleanly.
         assert engine.admitted_ids == {"q1"}
-        engine.transition(hold_ticks=0)
+        engine.begin_transition()
+        engine.end_transition()
         engine.run(1)
+
+    @pytest.mark.parametrize("change", [
+        dict(add=[ContinuousQuery("q1", (passthrough("c"),), sink_id="c")]),
+        dict(add=[ContinuousQuery("q2", (passthrough("b"),), sink_id="b"),
+                  ContinuousQuery("q2", (passthrough("c"),), sink_id="c")]),
+        dict(remove=["ghost"]),
+        dict(add=[ContinuousQuery("q2", (passthrough("a", cost=2.0),),
+                                  sink_id="a")]),
+        dict(add=[ContinuousQuery("q2", (passthrough("b"),), sink_id="b"),
+                  ContinuousQuery("q3", (passthrough("b", cost=2.0),),
+                                  sink_id="b")], remove=["q1"]),
+    ], ids=["admitted-id", "repeated-id", "unknown-remove",
+            "conflicting-operator", "conflicting-adds"])
+    def test_refused_change_leaves_the_engine_as_it_was(
+            self, engine, change):
+        """Every change set is checked before the transition opens."""
+        engine.admit(ContinuousQuery("q1", (passthrough("a"),),
+                                     sink_id="a"))
+        engine.run(2)
+        with pytest.raises(ValidationError):
+            engine.transition(**change)
+        assert engine.admitted_ids == {"q1"}
+        assert engine.current_tick == 2
+        assert engine.held_tuples() == 0
+        engine.run(1)
+        assert len(engine.results["q1"]) == 12
+
+    @pytest.mark.parametrize("add", [
+        [ContinuousQuery("q", (passthrough("a"),), sink_id="a")] * 2,
+        [ContinuousQuery("q", (passthrough("a"),), sink_id="a"),
+         ContinuousQuery("r", (passthrough("a", cost=2.0),), sink_id="a")],
+    ], ids=["repeated-id", "conflicting-adds"])
+    def test_cold_engine_admits_all_or_nothing(self, engine, add):
+        with pytest.raises(ValidationError):
+            engine.transition(add=add)
+        assert not engine.admitted_ids
+
+    def test_removed_operator_id_may_return_redefined(self, engine):
+        engine.admit(ContinuousQuery("q1", (passthrough("a"),),
+                                     sink_id="a"))
+        engine.transition(
+            add=[ContinuousQuery("q2", (passthrough("a", cost=2.0),),
+                                 sink_id="a")],
+            remove=["q1"])
+        assert engine.catalog.operators["a"].cost_per_tuple == 2.0
+
+    def test_cold_engine_admits_without_a_transition(self, engine):
+        engine.transition(add=[ContinuousQuery(
+            "q", (passthrough("a"),), sink_id="a")])
+        assert engine.admitted_ids == {"q"}
+        assert engine.current_tick == 0  # no hold, no replay tick
 
 
 def test_engine_setstate_defaults_scalar_backend(keyed_engine):

@@ -568,6 +568,39 @@ class TestWireHardening:
         assert outcome(first) == ({"harmless"}, {"poisoned"})
         assert outcome(second) == ({"harmless", "later"}, set())
 
+    def test_operator_id_redefined_across_shards_cannot_wedge_a_tick(self):
+        """Clients choose op ids, and each shard checks a redefinition
+        only against its own queue.  qx loses on shard 0 and fits only
+        on shard 1, which runs ``sel_x`` at another cost: it stays
+        rejected, and every tick after it settles."""
+        cluster = FederatedAdmissionService.build(
+            num_shards=4, sources=[SyntheticStream("s", rate=2.0, seed=0)],
+            capacity=10.0, mechanism="CAT", ticks_per_period=4,
+            placement="round-robin")
+        submits = [  # round-robin: shards 0, 1, 2, 3, 0
+            select_query("big", "a", 100.0, 4.5),
+            select_query("qy", "b", 50.0, 2.0, op_id="sel_x"),
+            select_query("f2", "c", 10.0, 4.5),
+            select_query("f3", "d", 10.0, 4.5),
+            select_query("qx", "e", 1.0, 1.0, op_id="sel_x"),
+        ]
+
+        async def go():
+            gateway = await started_gateway(cluster)
+            async with GatewayClient(*gateway.address) as client:
+                for submitted in submits:
+                    assert (await client.submit(submitted))[0] == 200
+                ticks = [await client.tick() for _ in range(3)]
+            await gateway.stop(final_settle=False)
+            return ticks
+
+        ticks = asyncio.run(go())
+        assert [status for status, _body in ticks] == [200] * 3
+        first = ticks[0][1]["report"]
+        assert first["migrations"] == []
+        assert [shard["rejected"] for shard in first["shards"]] == [
+            ["qx"], [], [], []]
+
     def test_client_id_rotation_cannot_duck_the_peer_floor(self):
         """Rotating x-client-id buys no rate: the per-peer-address
         bucket still throttles the connection's sixth request."""

@@ -15,9 +15,9 @@ import pytest
 
 from repro.cluster import FederatedAdmissionService
 from repro.cluster.rebalance import Rebalancer
+from repro.core.result import AuctionOutcome
 from repro.dsms.streams import SyntheticStream
 from repro.serve import DriverBackend, HostBackend
-from repro.service.transition import TransitionManager
 from repro.sim import SimulationDriver
 from repro.sim.driver import LatencyProbe
 from repro.utils.validation import ValidationError
@@ -134,12 +134,22 @@ class TestLiveViews:
 
     def test_transition_sees_a_stable_running_set(self):
         service = small_service()
-        plans = {name: query(name) for name in ("a", "b", "c", "d")}
         for name in ("a", "b", "c"):
-            service.engine.admit(plans[name])
-        added, removed = TransitionManager(hold_ticks=0).apply(
-            service.engine, ["b", "d"], plans)
-        assert (added, removed) == (("d",), ("a", "c"))
+            service.engine.admit(query(name))
+        service.submit(query("d"))
+        changes = []
+        transition = service.engine.transition
+
+        def recorded(add=(), remove=()):
+            changes.append(([plan.query_id for plan in add], list(remove)))
+            transition(add=add, remove=remove)
+
+        service.engine.transition = recorded
+        preparation = service.prepare_period()
+        settlement = service.settle_period(preparation, AuctionOutcome(
+            preparation.instance, {"b": 0.0, "d": 0.0}))
+        assert changes == [(["d"], ["a", "c"])]
+        assert settlement.rejected == ("a", "c")
         assert service.engine.admitted_ids == {"b", "d"}
 
     def test_probe_sync_sees_a_stable_running_set(self):
@@ -151,8 +161,14 @@ class TestLiveViews:
         assert probe.engine.admitted_ids == {"b", "d"}
 
     def test_migration_keeps_the_targets_running_set(self):
-        target = small_service()
+        origin, target = small_service(), small_service()
         for name in ("a", "b"):
             target.engine.admit(query(name))
-        Rebalancer._migrate(target, query("moved"))
+        origin.submit(query("moved"))
+        preparation = origin.prepare_period()
+        settlement = origin.settle_period(
+            preparation, AuctionOutcome(preparation.instance, {}))
+        migrations = Rebalancer().rebalance(
+            [origin, target], {0: settlement}, {0: {"moved": 2.0}})
+        assert [(m.query_id, m.target) for m in migrations] == [("moved", 1)]
         assert target.engine.admitted_ids == {"a", "b", "moved"}

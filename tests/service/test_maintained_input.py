@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.rebalance import Rebalancer
 from repro.dsms.load import auction_instance_from_catalog
 from repro.dsms.operators import SelectOperator
 from repro.dsms.plan import ContinuousQuery, QueryPlanCatalog
@@ -118,7 +117,7 @@ def apply(step, argument, service):
     elif step == "migrate":
         # What Rebalancer.rebalance does to its target shard: the plan
         # goes straight into the engine, past the coordinator.
-        Rebalancer._migrate(service, plan_from_recipe(argument))
+        service.engine.transition(add=(plan_from_recipe(argument),))
     elif step == "withdraw":
         pending = sorted(service.pending_ids)
         if pending:
@@ -279,8 +278,8 @@ class TestAClashBetweenTwoOtherCandidates:
     def test_is_adopted_once_and_leaks_nothing(self, monkeypatch):
         service = build_service(30.0)
         service.submit(plan("queued", select("shared", "s", cost=1.0)))
-        Rebalancer._migrate(
-            service, plan("moved", select("shared", "s", cost=2.0), bid=5.0))
+        service.engine.transition(add=(
+            plan("moved", select("shared", "s", cost=2.0), bid=5.0),))
         adoptions = []
         sync = AuctionCoordinator._sync
         monkeypatch.setattr(

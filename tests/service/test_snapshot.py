@@ -122,6 +122,19 @@ def test_snapshot_version_mismatch_rejected():
         AdmissionService.restore(stale)
 
 
+@pytest.mark.parametrize("hold_ticks", [0, 2])
+def test_snapshot_holding_other_than_one_tick_rejected(hold_ticks):
+    """Builds before the engine owned the transition could write
+    another hold; this one holds arrivals one tick and says so."""
+    snapshot = build_service().snapshot()
+    assert snapshot.state["hold_ticks"] == 1
+    other = ServiceSnapshot(
+        version=snapshot.version,
+        state={**snapshot.state, "hold_ticks": hold_ticks})
+    with pytest.raises(ValidationError, match="hold_ticks"):
+        AdmissionService.restore(other)
+
+
 def test_snapshot_missing_state_rejected():
     with pytest.raises(ValidationError, match="missing state"):
         ServiceSnapshot(version=1, state={"capacity": 1.0})

@@ -210,6 +210,24 @@ class TestBilling:
             assert invoice.mechanism.split("@")[1] in (
                 "day", "week", "month")
 
+    def test_a_request_for_an_active_id_is_refused_unbilled(self):
+        """A schedule or a trace can ask again for a subscription the
+        book holds: it is rejected without an auction, so it is billed
+        once and the engine never sees the id twice."""
+        from repro.sim.arrivals import Arrival, ScheduledArrivals
+
+        service = build_service(ticks=5)
+        driver = SimulationDriver(service, arrivals=ScheduledArrivals([
+            Arrival(0.0, plan("x"), category="month"),
+            Arrival(6.0, plan("x"), category="month")]),
+            subscriptions=True)
+        reports = driver.run(3)
+        assert [(r.admitted, r.rejected) for r in reports] == [
+            (("x",), ()), ((), ()), ((), ("x",))]
+        assert [(i.period, i.query_id)
+                for i in service.ledger.invoices] == [(1, "x")]
+        assert [r.period for r in driver.run(2)] == [4, 5]
+
     def test_max_renewals_bounds_resubmission(self):
         service = build_service(capacity=100.0)
         driver = SimulationDriver(
@@ -548,6 +566,14 @@ class TestRowsSettleAsObjects:
         assert result.held_capacity == 20.0
         assert result.outcomes == {} and result.admitted == ()
         assert len(result.rejected) == len(TWIN_ROWS) + 1
+
+    def test_a_row_for_an_active_id_falls_back_to_objects(self):
+        # "r3" is booked under another operator: only its id collides.
+        result, stats = self.twin_boundary(
+            [(plan("r3", cost=1.5, bid=20.0, op_id="sel_held"), "week")],
+            select_plan("renew", cost=0.5, bid=12.0))
+        assert stats["fell_back"]
+        assert "r3" in result.rejected and "r3" not in result.admitted
 
     def test_a_non_select_renewal_falls_back_to_objects(self):
         result, stats = self.twin_boundary(

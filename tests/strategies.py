@@ -95,10 +95,11 @@ class ClusterWorkload:
         return tuple(q for batch in self.submissions for q in batch)
 
 
-def select_query(qid: str, owner: str, bid: float,
-                 cost: float, stream: str = "s") -> ContinuousQuery:
+def select_query(qid: str, owner: str, bid: float, cost: float,
+                 stream: str = "s", op_id: str | None = None,
+                 ) -> ContinuousQuery:
     """A one-operator select plan bidding *bid* (picklable)."""
-    op = SelectOperator(f"sel_{qid}", stream, pass_all,
+    op = SelectOperator(op_id or f"sel_{qid}", stream, pass_all,
                         cost_per_tuple=cost, selectivity_estimate=1.0)
     return ContinuousQuery(qid, (op,), sink_id=op.op_id, bid=bid,
                            owner=owner)

@@ -6,6 +6,7 @@ ground rule asks of it.
 """
 
 import argparse
+import ast
 import dataclasses
 import inspect
 
@@ -13,6 +14,7 @@ import pytest
 
 import repro.__main__ as cli
 from repro.cluster import FederatedAdmissionService
+from repro.dsms.engine import StreamEngine
 from repro.dsms.scheduler import ScheduledEngine
 from repro.experiments.harness import run_sharing_sweep
 from repro.serve import GatewayConfig, run_load
@@ -31,7 +33,7 @@ from repro.wal import (
 )
 from repro.wal.groupcommit import GroupCommitter
 from repro.wal.log import WalScan
-from tests.test_reachability import ORACLES, REPO
+from tests.test_reachability import ORACLES, REPO, SRC
 
 RULE = ("an option stays only when two callers that are not tests or "
         "examples need different values (ROADMAP, ground rules): name "
@@ -137,6 +139,7 @@ def test_each_flag_is_defined_once_and_the_counts_are_pinned():
         hold_ticks=1),
     lambda: AdmissionService.restore(None, hooks=None),
     lambda: run_sharing_sweep(None, 1.0, instance_hook=None),
+    lambda: StreamEngine([]).transition(hold_ticks=1),
 ], ids=["wal_group_commit", "wal_group_window", "window", "lookahead",
         "probe_retention", "allow_idle", "max_latency_samples",
         "keep_latency_samples",
@@ -144,7 +147,8 @@ def test_each_flag_is_defined_once_and_the_counts_are_pinned():
         "resume-keep_kinds", "tail-keep_kinds", "segment_bytes",
         "recover-segment_bytes", "create-period", "arrivals",
         "subscription-mechanism", "hooks", "ledger", "hold_ticks",
-        "build-hold_ticks", "restore-hooks", "instance_hook"])
+        "build-hold_ticks", "restore-hooks", "instance_hook",
+        "transition-hold_ticks"])
 def test_removed_keywords_are_type_errors(call):
     with pytest.raises(TypeError, match="unexpected keyword"):
         call()
@@ -167,6 +171,32 @@ def test_the_service_has_no_plugin_seam():
                  "with_subscriptions", "with_scheduler",
                  "build_simulation", "with_ledger", "with_hold_ticks"):
         assert not hasattr(ServiceBuilder, name), name
+
+
+def test_an_engine_changes_its_admitted_set_one_way():
+    """``StreamEngine.transition`` decides between the Section II
+    sequence and a direct admit and holds one tick; outside ``dsms/``
+    only the latency probe's private mirror admits plans itself."""
+    with pytest.raises(ModuleNotFoundError):
+        import repro.service.transition  # noqa: F401
+    assert list(inspect.signature(StreamEngine.transition).parameters) == [
+        "self", "add", "remove"]
+    callers = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        if path.parent.name == "dsms":
+            continue
+        tree = ast.parse(path.read_text())
+        mirror = {id(node) for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef)
+                  and cls.name == "LatencyProbe"
+                  for node in ast.walk(cls)}
+        callers.extend(
+            f"{path.relative_to(SRC)}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "admit" and id(node) not in mirror)
+    assert not callers, callers
 
 
 def test_the_forked_count_mode_drains_are_gone():

@@ -40,7 +40,7 @@ REACHED = {
     "repro.experiments": "figures harness lying report runtime timeline",
     "repro.gametheory": "properties strategyproof sybil",
     "repro.serve": "backpressure gateway http loadgen logs",
-    "repro.service": "builder coordinator reports service transition",
+    "repro.service": "builder coordinator reports service",
     "repro.sim": "arrivals columnar driver events metrics "
                  "subscriptions trace",
     "repro.utils": "records registry rng specparse tables validation",
