@@ -176,11 +176,13 @@ class AuctionInstance:
         :class:`repro.core.fastpath.InstanceIndex` caches itself on the
         instance (immutable, so never invalidated); it is derived state,
         cheap to rebuild, and would bloat checkpoints — so copies start
-        without it.
+        without it, and without the JSON fragments the admission
+        service attaches for the report writer.
         """
         state = dict(self.__dict__)
         state.pop("_fastpath_cache", None)
         state.pop("_select_columns", None)
+        state.pop("_json_fragments", None)
         return state
 
     def __setstate__(self, state: dict) -> None:

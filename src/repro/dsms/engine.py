@@ -21,7 +21,7 @@ ones — so continuing queries observe a gap-free stream.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, KeysView, Mapping, Sequence
+from collections.abc import Collection, Iterable, KeysView, Mapping, Sequence
 
 from repro.dsms.backend import ScalarBackend
 from repro.dsms.load import LoadMeter
@@ -108,8 +108,10 @@ class StreamEngine:
     # Admission
     # ------------------------------------------------------------------
 
-    def validate_streams(self, query: ContinuousQuery) -> None:
-        """Reject *query* if its plan reads streams this engine lacks.
+    def validate_streams(self, query: ContinuousQuery,
+                         dropped: Collection[str] = ()) -> None:
+        """Reject *query* if its plan reads streams this engine lacks,
+        counting no operator that only the *dropped* queries hold.
 
         Checked before any state mutates, so callers (and the
         transition phase) can rely on a failed admission leaving the
@@ -121,6 +123,10 @@ class StreamEngine:
                for name in op.inputs):
             return
         shared, own = self.catalog.operator_ids, query.operator_ids
+        if dropped:
+            shared = {op_id for held in self.catalog.iter_queries()
+                      if held.query_id not in dropped
+                      for op_id in held.operator_ids}
         missing = sorted({name for op in query.operators
                           for name in op.inputs
                           if name not in sources and name not in shared
@@ -303,7 +309,7 @@ class StreamEngine:
             if query.query_id in admitted and query.query_id not in removing:
                 raise ValidationError(
                     f"duplicate query id {query.query_id!r}")
-            self.validate_streams(query)
+            self.validate_streams(query, dropped=removing)
             self.catalog.check_operators(query, dropped=removing)
             staged.add(query)
         if not admitted:

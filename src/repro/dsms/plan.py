@@ -119,16 +119,19 @@ class QueryPlanCatalog:
     # ------------------------------------------------------------------
 
     def add(self, query: ContinuousQuery) -> None:
-        """Register *query*, merging shared operators by id."""
+        """Register *query*, merging shared operators by id.
+
+        Every operator is checked before any is stored, so a refused
+        query leaves the catalog as it was."""
         if query.query_id in self._queries:
             raise ValidationError(
                 f"duplicate query id {query.query_id!r}")
+        operators = self._operators
         for op in query.operators:
-            existing = self._operators.get(op.op_id)
-            if existing is None:
-                self._operators[op.op_id] = op
-            else:
-                check_compatible(existing, op)
+            if op.op_id in operators:
+                check_compatible(operators[op.op_id], op)
+        for op in query.operators:
+            operators.setdefault(op.op_id, op)
         self._queries[query.query_id] = query
         self._order_cache = None
         self._generation += 1

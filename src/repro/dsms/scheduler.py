@@ -270,23 +270,7 @@ class ScheduledEngine:
 
     def admit(self, query: ContinuousQuery) -> None:
         """Register *query* and allocate queues for its operators."""
-        self.catalog.add(query)
-        missing = self.catalog.stream_names() - set(self._sources)
-        if missing:
-            self.catalog.remove(query.query_id)
-            raise ValidationError(
-                f"query {query.query_id!r} references unknown "
-                f"streams {sorted(missing)}")
-        self.results.setdefault(query.query_id, [])
-        self.latency.setdefault(query.query_id, LatencyStats())
-        for op in self.catalog.operators.values():
-            queues = self._queues.setdefault(op.op_id, {})
-            for name in op.inputs:
-                queues.setdefault(name, deque())
-            self._queued.setdefault(op.op_id, 0)
-            if self._counts:
-                self._run_queues.setdefault(op.op_id, deque())
-        self._rebuild_routing()
+        self.transition(add=(query,))
 
     def remove(self, query_id: str) -> ContinuousQuery:
         """Deregister *query_id*; orphaned operators drop their queues.
@@ -296,15 +280,58 @@ class ScheduledEngine:
         are discarded with their contents (the subscription expired —
         nobody is paying for those results).
         """
+        try:
+            return self._drop(query_id)
+        finally:
+            self._rebuild_routing()
+
+    def transition(
+        self,
+        add: Sequence[ContinuousQuery] = (),
+        remove: Sequence[str] = (),
+    ) -> None:
+        """Change the admitted set: remove *remove*, then admit *add*,
+        one at a time as :meth:`remove` and :meth:`admit` do, with the
+        routing rebuilt once at the end (also when an admission is
+        refused part way)."""
+        try:
+            for query_id in remove:
+                self._drop(query_id)
+            for query in add:
+                self._add(query)
+        finally:
+            self._rebuild_routing()
+
+    def _add(self, query: ContinuousQuery) -> None:
+        catalog = self.catalog
+        catalog.add(query)
+        live, sources = catalog.operator_ids, self._sources
+        missing = {name for op in query.operators for name in op.inputs
+                   if name not in sources and name not in live}
+        if missing:
+            catalog.remove(query.query_id)
+            raise ValidationError(
+                f"query {query.query_id!r} references unknown "
+                f"streams {sorted(missing)}")
+        self.results.setdefault(query.query_id, [])
+        self.latency.setdefault(query.query_id, LatencyStats())
+        for op in query.operators:
+            queues = self._queues.setdefault(op.op_id, {})
+            for name in op.inputs:
+                queues.setdefault(name, deque())
+            self._queued.setdefault(op.op_id, 0)
+            if self._counts:
+                self._run_queues.setdefault(op.op_id, deque())
+
+    def _drop(self, query_id: str) -> ContinuousQuery:
         query = self.catalog.remove(query_id)
-        live = self.catalog.operators
-        for op_id in list(self._queues):
+        live = self.catalog.operator_ids
+        for op_id in query.operator_ids:
             if op_id not in live:
                 del self._queues[op_id]
                 del self._queued[op_id]
                 self._nonempty.discard(op_id)
                 self._run_queues.pop(op_id, None)
-        self._rebuild_routing()
         return query
 
     def _rebuild_routing(self) -> None:

@@ -267,6 +267,8 @@ def _jsonable(value: object) -> object:
     if isinstance(value, dict):
         return {str(key): _jsonable(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
+        if all(type(item) is str for item in value):  # an id list
+            return list(value)
         return [_jsonable(item) for item in value]
     if isinstance(value, (set, frozenset)):
         return sorted((_jsonable(item) for item in value), key=repr)
@@ -940,6 +942,8 @@ def _json_number(value: object) -> str:
 
 _OWNER = ',"owner":'
 _VALUATION = ',"valuation":'
+#: An envelope field the caller did not pass (``None`` is ``null``).
+_NO_FIELD = object()
 
 
 def serve_request_body(query, category: "str | None" = None) -> bytes:
@@ -1056,6 +1060,116 @@ def serve_ok_body(op: str, request_id: str, query_id: str, pending: int,
             f'"schema":"{SERVE_RESPONSE_SCHEMA}",{shard_field}'
             f'"status":"ok","version":{SERVE_RESPONSE_VERSION}{after}}}'
             ).encode("ascii")
+
+
+def query_fragment(query: Query) -> str:
+    """*query*'s entry in :func:`instance_to_dict` as canonical JSON
+    text (keys sorted; ``owner`` and ``valuation`` only when set)."""
+    owner, valuation = query.owner, query.valuation
+    return (f'{{"bid":{_json_number(query.bid)},'
+            f'"id":{_json_str(query.query_id)},'
+            f'"operators":[{",".join(map(_json_str, query.operator_ids))}]'
+            f'{"" if owner is None else _OWNER + _json_str(owner)}'
+            f'{"" if valuation is None else _VALUATION + _json_number(valuation)}'
+            f'}}')
+
+
+def operator_fragment(op_id: str, load: float) -> str:
+    """The ``"op":load`` member of an instance document's
+    ``operators`` object, as canonical JSON text."""
+    if type(op_id) is str:
+        return f"{_json_string(op_id)}:{_json_number(load)}"
+    return _CANONICAL.encode({op_id: load})[1:-1]
+
+
+def _instance_json(instance: AuctionInstance) -> str:
+    """``instance_to_dict(instance)`` as canonical JSON text, joined
+    from the fragments the admission service wrote for each row when
+    it was priced (``_json_fragments``); an instance without them is
+    encoded from its dict."""
+    fragments = getattr(instance, "_json_fragments", None)
+    if fragments is None:
+        return _CANONICAL.encode(instance_to_dict(instance))
+    queries, operators = fragments
+    return (f'{{"capacity":{_json_number(instance.capacity)},"operators":{{'
+            f'{",".join([operators[op_id] for op_id in sorted(operators)])}'
+            f'}},"queries":[{",".join(queries)}]}}')
+
+
+def _period_report_json(report: object) -> str:
+    """``report_to_dict(report)`` as canonical JSON text: the instance
+    joined from its fragments, what the period decided through the
+    canonical encoder."""
+    outcome = report.outcome
+    head = _CANONICAL.encode({
+        "admitted": report.admitted,
+        "engine_ticks": report.engine_ticks,
+        "engine_utilization": report.engine_utilization,
+    })
+    tail = _CANONICAL.encode({
+        "outcome": full_outcome_to_dict(outcome),
+        "period": report.period,
+        "rejected": report.rejected,
+        "revenue": report.revenue,
+        "schema": PERIOD_REPORT_SCHEMA,
+        "version": PERIOD_REPORT_VERSION,
+    })
+    return (f'{head[:-1]},"instance":{_instance_json(outcome.instance)},'
+            f'{tail[1:]}')
+
+
+def report_body(report: object) -> bytes:
+    """The canonical bytes of a :class:`ClusterReport`'s or a
+    :class:`PeriodReport`'s document.
+
+    Equal to ``json_body(cluster_report_to_dict(report))`` or
+    ``json_body(report_to_dict(report))``.  Each shard's instance is
+    joined from fragments written once per row, when the row was
+    priced at submit; only what the period decided — payments,
+    ``details``, metrics, admitted, rejected and migrations — is
+    encoded here.
+    """
+    shard_reports = getattr(report, "shard_reports", None)
+    if shard_reports is None:
+        return _period_report_json(report).encode("ascii")
+    head = _CANONICAL.encode({
+        "migrations": [
+            {"query_id": migration.query_id, "origin": migration.origin,
+             "target": migration.target, "load": migration.load}
+            for migration in report.migrations],
+        "period": report.period,
+        "rejected_load": report.rejected_load,
+        "schema": CLUSTER_REPORT_SCHEMA,
+        "shard_capacities": report.shard_capacities,
+    })
+    tail = _CANONICAL.encode({
+        "total_revenue": report.total_revenue,
+        "utilization": report.utilization,
+        "version": CLUSTER_REPORT_VERSION,
+    })
+    return (f'{head[:-1]},"shards":['
+            f'{",".join(map(_period_report_json, shard_reports))}],'
+            f'{tail[1:]}').encode("ascii")
+
+
+def serve_report_body(request_id: str, period: int, report: bytes,
+                      revenue: object = _NO_FIELD) -> bytes:
+    """The canonical bytes of the ``ok`` answer that carries a period
+    report already rendered to *report* (canonical JSON bytes).
+
+    Equal to ``json_body(serve_response_to_dict("ok", request_id,
+    period=period, report=document))`` where *report* is
+    ``json_body(document)``: the tick's answer.  Given *revenue*, the
+    envelope carries it too, as ``/v1/report``'s does.
+    """
+    extra = ("" if revenue is _NO_FIELD
+             else f',"revenue":{_json_number(revenue)}')
+    return b"".join((
+        f'{{"period":{_json_number(period)},"report":'.encode("ascii"),
+        report,
+        f',"request_id":{_json_str(request_id)}{extra},'
+        f'"schema":"{SERVE_RESPONSE_SCHEMA}","status":"ok",'
+        f'"version":{SERVE_RESPONSE_VERSION}}}'.encode("ascii")))
 
 
 def serve_response_from_dict(payload: object) -> dict:

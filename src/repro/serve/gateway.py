@@ -38,6 +38,15 @@ The auction itself runs in a worker thread under ``asyncio.shield``
 with the service lock released by a done-callback — a client whose
 ``/v1/tick`` times out mid-auction gets its ``504``, but the settle
 still completes and the lock is released exactly once, when it does.
+
+Answers are written straight to bytes, equal to the canonical encoding
+of their dict forms: the mutations' ``ok`` bodies by
+:func:`~repro.io.serve_ok_body`, and a host's ``/v1/tick`` and
+``/v1/report`` bodies by :func:`~repro.io.serve_report_body` over
+:func:`~repro.io.report_body`, which joins the JSON fragment each
+auction row got when it was priced at submit and encodes only what the
+period decided.  A driver's report goes through
+:func:`report_document`, the dict form the writers are tested against.
 """
 
 from __future__ import annotations
@@ -52,8 +61,11 @@ from collections import Counter, OrderedDict, deque
 from dataclasses import dataclass
 
 from repro.cluster.federation import FederatedAdmissionService
+from repro.cluster.reports import ClusterReport
 from repro.io import (
+    report_body,
     serve_ok_body,
+    serve_report_body,
     serve_request_from_dict,
     serve_request_to_dict,
     serve_response_to_dict,
@@ -62,6 +74,7 @@ from repro.serve import http
 from repro.serve.backpressure import RetryBudget, TokenBucket
 from repro.serve.http import HttpError, HttpRequest
 from repro.serve.logs import StructuredLog
+from repro.service.reports import PeriodReport
 from repro.sim.arrivals import ArrivalBlock, SelectPlan
 from repro.sim.trace import require_select_plan
 from repro.utils.validation import ValidationError, require
@@ -72,10 +85,13 @@ CP_TICK_AFTER_PERIOD = register("gateway.tick.after-period-record")
 
 
 def report_document(report: object) -> "dict | None":
-    """Any period report as a JSON-ready dict (``None`` passes through)."""
-    from repro.cluster.reports import ClusterReport
+    """Any period report as a JSON-ready dict (``None`` passes through).
+
+    A driver's :class:`~repro.sim.driver.SimPeriodReport` is answered
+    through it; a host's reports are written by
+    :func:`repro.io.report_body`, which must equal this dict's bytes.
+    """
     from repro.io import cluster_report_to_dict, report_to_dict
-    from repro.service.reports import PeriodReport
     from repro.sim.driver import SimPeriodReport
 
     if report is None:
@@ -98,6 +114,15 @@ def report_document(report: object) -> "dict | None":
         }
     raise ValidationError(
         f"cannot serialize a {type(report).__name__} period report")
+
+
+def _report_json(report: object) -> bytes:
+    """``json_body(report_document(report))``, without the dict for a
+    host's report: a :class:`ClusterReport` or :class:`PeriodReport`
+    is joined from its rows' cached fragments."""
+    if isinstance(report, (ClusterReport, PeriodReport)):
+        return report_body(report)
+    return http.json_body(report_document(report))
 
 
 # ----------------------------------------------------------------------
@@ -608,11 +633,12 @@ class AdmissionGateway:
             # failure must not leak the sockets or the JSONL sink.
             try:
                 report = await self._tick_locked("shutdown")
-                document = report_document(report) or {}
                 self.log.log("final_settle",
                              period=self.backend.period,
-                             admitted=len(document.get("admitted", ())),
-                             revenue=document.get("revenue"))
+                             admitted=len(report.admitted),
+                             revenue=(report.total_revenue
+                                      if isinstance(report, ClusterReport)
+                                      else report.revenue))
             except Exception as exc:  # noqa: BLE001 - shutdown proceeds
                 self.log.log("final_settle_failed", level="error",
                              pending=self.backend.pending_count(),
@@ -1066,11 +1092,10 @@ class AdmissionGateway:
         serving a request is then two slices and a join instead of a
         full report→dict→JSON encode.
         """
-        body = http.json_body(serve_response_to_dict(
-            "ok", _RID_SENTINEL,
-            period=self.backend.period,
-            revenue=self.backend.total_revenue(),
-            report=report_document(self.backend.last_report)))
+        body = serve_report_body(
+            _RID_SENTINEL, self.backend.period,
+            _report_json(self.backend.last_report),
+            revenue=self.backend.total_revenue())
         at = body.index(_RID_TOKEN)
         prefix = body[:at] + _RID_PREFIX
         suffix = body[at + len(_RID_TOKEN) - 1:]
@@ -1078,10 +1103,10 @@ class AdmissionGateway:
         return self._report_cache
 
     async def _handle_tick(self, request: HttpRequest,
-                           request_id: str) -> dict:
+                           request_id: str) -> RawBody:
         report = await self._tick_locked(request_id)
-        return {"period": self.backend.period,
-                "report": report_document(report)}
+        return RawBody(serve_report_body(
+            request_id, self.backend.period, _report_json(report)))
 
     # -- operational documents -----------------------------------------
 

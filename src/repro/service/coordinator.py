@@ -11,7 +11,9 @@ their input chain).  Withdrawals and rejections evict, winners carry
 forward, running queries never seen (a migration, a restore) are
 adopted at the next look, and ``build`` copies pointers.  The table is
 derived, never snapshotted, and always equals the from-scratch
-:func:`repro.dsms.load.auction_instance_from_catalog`.
+:func:`repro.dsms.load.auction_instance_from_catalog`.  Each row, and
+each operator once priced, also holds its entry in the instance's JSON
+document, which :func:`repro.io.report_body` joins at the tick.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from math import isfinite
 
 from repro.core.model import AuctionInstance, Operator, Query
 from repro.dsms.plan import ContinuousQuery, QueryPlanCatalog, check_compatible
+from repro.io import operator_fragment, query_fragment
 from repro.utils.validation import ValidationError, require
 
 
@@ -47,13 +50,18 @@ class AuctionCoordinator:
         self.capacity = capacity
         self._pending: dict[str, ContinuousQuery] = {}
         self._rates: dict[str, float] = {}
+        #: the instance :meth:`build` last handed out; it holds its
+        #: rows' JSON fragments until the next build takes them back
+        self._built: "AuctionInstance | None" = None
         self._forget()
 
     def _forget(self) -> None:
         """Drop the derived table; the next look re-adopts everything."""
-        #: query id → (the plan the row was built from, its auction row)
-        self._rows: dict[str, tuple[ContinuousQuery, Query]] = {}
-        #: op id → [representative, holders, output rate, priced operator]
+        #: query id → (the plan the row was built from, its auction row,
+        #: the row's entry in the instance document as JSON text)
+        self._rows: dict[str, tuple[ContinuousQuery, Query, str]] = {}
+        #: op id → [representative, holders, output rate, priced
+        #: operator, its ``"op":load`` JSON member]
         self._live: dict[str, list] = {}
         #: input name → how many live operators read it
         self._readers: dict[str, int] = {}
@@ -160,7 +168,7 @@ class AuctionCoordinator:
             elif op.op_id in readers:
                 self._flush()  # a live operator read it as a bare name
         for op in query.operators:
-            entry = live.setdefault(op.op_id, [op, 0, None, None])
+            entry = live.setdefault(op.op_id, [op, 0, None, None, None])
             entry[1] += 1
             if entry[1] == 1:
                 for name in op.inputs:
@@ -171,7 +179,7 @@ class AuctionCoordinator:
         ids = tuple(op.op_id for op in query.operators)
         row = Query._trusted(
             query.query_id, ids, query.bid, query.valuation, query.owner)
-        self._rows[query.query_id] = (query, row)
+        self._rows[query.query_id] = (query, row, query_fragment(row))
         try:
             for op_id in row.operator_ids:
                 self._rate(op_id)
@@ -201,7 +209,7 @@ class AuctionCoordinator:
     def _flush(self) -> None:
         """Forget every price (the operators stay live)."""
         for entry in self._live.values():
-            entry[2] = entry[3] = None
+            entry[2] = entry[3] = entry[4] = None
 
     def _rate(self, name: str) -> float:
         """Expected tuples per tick out of *name*: a live operator (priced
@@ -221,6 +229,7 @@ class AuctionCoordinator:
             finally:
                 entry[2] = None
             entry[3] = Operator(name, fed * op.cost_per_tuple)  # load >= 0
+            entry[4] = operator_fragment(name, entry[3].load)
             entry[2] = fed * op.selectivity()
         return entry[2]
 
@@ -253,7 +262,13 @@ class AuctionCoordinator:
         *stream_rates* re-price every operator, unseen candidates enter.
         A candidate holding an operator whose load overflowed (``cost ×
         rate`` past the largest float) is left out, so it is reported
-        rejected and the others clear as if it had never come."""
+        rejected and the others clear as if it had never come.
+
+        The instance carries its rows' JSON fragments
+        (``_json_fragments``: the query entries in row order and the
+        operator members by id) for :func:`repro.io.report_body`; the
+        previous instance built here gives its back, so only one
+        period's fragments outlive their rows."""
         if not candidates:
             raise ValidationError("no queries to auction")
         if self._contested:
@@ -272,6 +287,13 @@ class AuctionCoordinator:
                 tuple(row for row in rows
                       if overflowed.isdisjoint(row.operator_ids)),
                 self.capacity, self._operator)
+        held, live = self._rows, self._live
+        object.__setattr__(instance, "_json_fragments", (
+            [held[row.query_id][2] for row in instance.queries],
+            {op_id: live[op_id][4] for op_id in instance.operators}))
+        if self._built is not None:
+            vars(self._built).pop("_json_fragments", None)
+        self._built = instance
         return instance
 
     def _operator(self, op_id: str) -> Operator:

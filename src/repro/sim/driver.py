@@ -218,10 +218,10 @@ class LatencyProbe:
         the shard's engine may advance.
         """
         current = set(self.engine.admitted_ids)
-        for query_id in sorted(current - set(plans)):
-            self.engine.remove(query_id)
-        for query_id in sorted(set(plans) - current):
-            self.engine.admit(copy.deepcopy(plans[query_id]))
+        self.engine.transition(
+            add=[copy.deepcopy(plans[query_id])
+                 for query_id in sorted(set(plans) - current)],
+            remove=sorted(current - set(plans)))
 
     def tick(self, time: float) -> TickMetrics:
         """Execute one probed tick and record its metrics."""

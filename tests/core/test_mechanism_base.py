@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import mechanism as mechanism_module
 from repro.core.mechanism import Mechanism, make_mechanism, register_mechanism
 from repro.core.model import AuctionInstance, Operator, Query
 
@@ -44,6 +45,13 @@ class TestSealing:
 
 
 class TestRegistryExtension:
+    @pytest.fixture(autouse=True)
+    def _restore_registry(self, monkeypatch):
+        """The mechanisms registered here leave with the test: a later
+        test that runs every registered mechanism must not meet them."""
+        registry = mechanism_module._REGISTRY
+        monkeypatch.setattr(registry, "_factories", dict(registry._factories))
+
     def test_register_custom_mechanism(self):
         register_mechanism("peeker-test", PeekingMechanism)
         mechanism = make_mechanism("PEEKER-TEST")

@@ -278,8 +278,11 @@ class TestTransition:
         dict(add=[ContinuousQuery("q2", (passthrough("b"),), sink_id="b"),
                   ContinuousQuery("q3", (passthrough("b", cost=2.0),),
                                   sink_id="b")], remove=["q1"]),
+        dict(add=[ContinuousQuery("q2", (passthrough("b", source="a"),),
+                                  sink_id="b")], remove=["q1"]),
     ], ids=["admitted-id", "repeated-id", "unknown-remove",
-            "conflicting-operator", "conflicting-adds"])
+            "conflicting-operator", "conflicting-adds",
+            "reads-a-removed-operator"])
     def test_refused_change_leaves_the_engine_as_it_was(
             self, engine, change):
         """Every change set is checked before the transition opens."""

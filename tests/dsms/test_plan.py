@@ -39,12 +39,18 @@ class TestCatalogSharing:
         assert set(catalog.queries_containing("shared")) == {"q1", "q2"}
 
     def test_conflicting_share_rejected(self):
+        """Every operator is checked before any is stored: the refused
+        query's fresh operator ``b`` is not left behind."""
         catalog = QueryPlanCatalog()
         catalog.add(ContinuousQuery("q1", (select("x", cost=1.0),),
                                     sink_id="x"))
         with pytest.raises(ValidationError):
-            catalog.add(ContinuousQuery("q2", (select("x", cost=9.0),),
-                                        sink_id="x"))
+            catalog.add(ContinuousQuery(
+                "q2", (select("b"), select("x", cost=9.0)), sink_id="x"))
+        assert list(catalog.operator_ids) == ["x"]
+        assert list(catalog.query_ids) == ["q1"]
+        catalog.add(ContinuousQuery("q3", (select("b", cost=2.0),),
+                                    sink_id="b"))
 
     def test_remove_drops_orphans_keeps_shared(self):
         catalog = QueryPlanCatalog()

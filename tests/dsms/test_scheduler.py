@@ -142,3 +142,52 @@ class TestValidation:
 
         with pytest.raises(ValidationError):
             ScheduledEngine([], capacity=0.0)
+
+
+class TestTransition:
+    @staticmethod
+    def plans():
+        """Four plans over one shared operator, each with its own sink."""
+        return [ContinuousQuery(
+            f"q{index}", (passthrough("shared"),
+                          passthrough(f"own{index}", source="shared")),
+            sink_id=f"own{index}") for index in range(4)]
+
+    def test_one_transition_is_one_plan_at_a_time(self):
+        """A change set ends where removing, then admitting, each plan
+        in turn ends — queued tuples, latencies and routing — with the
+        routing rebuilt once."""
+        single, batch = make_engine(capacity=3.0), make_engine(capacity=3.0)
+        for engine in (single, batch):
+            for plan in self.plans()[:3]:
+                engine.admit(plan)
+            engine.run(3)
+        single.remove("q0")
+        single.remove("q1")
+        single.admit(self.plans()[3])
+        rebuilds = []
+        rebuild = batch._rebuild_routing
+        batch._rebuild_routing = lambda: (rebuilds.append(1), rebuild())
+        batch.transition(add=[self.plans()[3]], remove=["q0", "q1"])
+        assert len(rebuilds) == 1
+        for engine in (single, batch):
+            engine.run(3)
+        assert ({q: len(r) for q, r in batch.results.items()}
+                == {q: len(r) for q, r in single.results.items()})
+        assert batch.latency_samples == single.latency_samples
+        assert batch.total_queued() == single.total_queued()
+        assert ([op.op_id for op in batch._order]
+                == [op.op_id for op in single._order])
+
+    def test_a_refused_plan_keeps_the_ones_before_it(self):
+        from repro.utils.validation import ValidationError
+
+        engine = make_engine(rate=4, capacity=100.0)
+        first, second = self.plans()[:2]
+        stray = ContinuousQuery("bad", (passthrough("b", source="nope"),),
+                                sink_id="b")
+        with pytest.raises(ValidationError, match="unknown streams"):
+            engine.transition(add=[first, stray, second])
+        assert set(engine.admitted_ids) == {"q0"}
+        engine.run(2)
+        assert len(engine.results["q0"]) == 8

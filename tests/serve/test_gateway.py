@@ -25,8 +25,12 @@ from repro.serve import (
     HostBackend,
     REDACTED,
 )
-from repro.io import ServeRequest, serve_request_to_dict
-from repro.serve.http import HttpResponse
+from repro.io import (
+    ServeRequest,
+    serve_request_to_dict,
+    serve_response_to_dict,
+)
+from repro.serve.http import HttpResponse, json_body
 from repro.sim import SimulationDriver, SubscriptionOptions
 from tests.strategies import select_query
 
@@ -140,9 +144,10 @@ class TestHappyPath:
 
 
 class TestInProcessEquivalence:
-    def test_reports_byte_identical_to_in_process(self):
+    def test_reports_byte_identical_to_in_process(self, monkeypatch):
         """The gateway adds transport, never semantics: two batches
-        over the wire settle to the bytes direct calls settle to."""
+        over the wire settle to the tick bodies the dict path renders
+        for the same submissions made by direct calls, byte for byte."""
         from repro.serve.gateway import report_document
 
         def build():
@@ -151,9 +156,6 @@ class TestInProcessEquivalence:
                 sources=[SyntheticStream("s", rate=2.0, seed=0)],
                 capacity=20.0, mechanism="CAT", ticks_per_period=4,
                 placement="consistent-hash")
-
-        def canonical(document):
-            return json.dumps(document, sort_keys=True)
 
         batches = [
             [select_query(f"q{i}", f"owner{i}", bid=4.0 + (i % 3),
@@ -165,11 +167,17 @@ class TestInProcessEquivalence:
         for batch in batches:
             for each in batch:
                 backend.submit(each)
-            expected.append(canonical(report_document(backend.tick())))
+            report = backend.tick()
+            expected.append((backend.period, report_document(report)))
+
+        bodies = []
+        parse = HttpResponse.json
+        monkeypatch.setattr(HttpResponse, "json", lambda response: (
+            bodies.append(response.body), parse(response))[1])
 
         async def go():
             gateway = await started_gateway(build())
-            reports = []
+            ticks = []
             try:
                 async with GatewayClient(*gateway.address) as client:
                     for batch in batches:
@@ -178,12 +186,16 @@ class TestInProcessEquivalence:
                             assert status == 200, body
                         status, body = await client.tick()
                         assert status == 200, body
-                        reports.append(canonical(body["report"]))
+                        ticks.append((body["request_id"], bodies[-1]))
             finally:
                 await gateway.stop(final_settle=False)
-            return reports
+            return ticks
 
-        assert asyncio.run(go()) == expected
+        ticks = asyncio.run(go())
+        assert [raw for _rid, raw in ticks] == [
+            json_body(serve_response_to_dict(
+                "ok", rid, period=period, report=document))
+            for (rid, _raw), (period, document) in zip(ticks, expected)]
 
 
 class TestProtocolErrors:
@@ -903,20 +915,33 @@ class TestTimeoutsAndRetryBudget:
 
 
 class TestShutdown:
-    def test_stop_runs_final_settle_over_pending_work(self):
+    def test_stop_runs_final_settle_over_pending_work(self, tmp_path):
+        """The settle runs, and its log line carries the federation's
+        admitted count and revenue (a cluster report's document has
+        neither key)."""
+        log_path = tmp_path / "gateway.jsonl"
+        cluster = build_cluster()
+
         async def go():
-            cluster = build_cluster()
-            gateway = await started_gateway(cluster)
+            gateway = await started_gateway(cluster, log_path=str(log_path))
             async with GatewayClient(*gateway.address) as client:
-                for n in range(3):
-                    await client.submit(query(n))
-            assert gateway.backend.pending_count() == 3
+                for n in range(24):
+                    await client.submit(query(n, bid=4.0 + n % 5))
+            assert gateway.backend.pending_count() == 24
             await gateway.stop()
             assert gateway.backend.pending_count() == 0
             assert gateway.backend.period == 1
             assert len(cluster.reports) == 1
 
         asyncio.run(go())
+        report = cluster.reports[0]
+        assert 0 < len(report.admitted) < 24 and report.total_revenue > 0
+        records = [json.loads(line)
+                   for line in log_path.read_text().splitlines()]
+        settle = next(r for r in records if r["event"] == "final_settle")
+        assert settle["period"] == 1
+        assert settle["admitted"] == len(report.admitted)
+        assert settle["revenue"] == report.total_revenue
 
     def test_draining_gateway_refuses_new_work(self):
         async def go():
