@@ -6,7 +6,12 @@ A discrete-tick simulator of the paper's Aurora-style query network
 1. every source emits its arrivals;
 2. operators execute **once each** in topological order, regardless of
    how many admitted queries share them (this is the shared processing
-   that the admission mechanisms price);
+   that the admission mechanisms price).  A *passthrough network* —
+   every operator a stock constant-true select reading a source
+   (:func:`~repro.dsms.plan.is_passthrough_network`) — moves each
+   source's tuples unchanged to its sinks, so :meth:`StreamEngine.run`
+   settles a whole period of it in one pass, with the numbers and
+   tuples the per-tick interpreter would give;
 3. each query's sink output is appended to its result log;
 4. per-operator work (input tuples × cost) is metered for load
    measurement.
@@ -22,12 +27,17 @@ ones — so continuing queries observe a gap-free stream.
 from __future__ import annotations
 
 from collections.abc import Collection, Iterable, KeysView, Mapping, Sequence
+from itertools import chain
 
 from repro.dsms.backend import ScalarBackend
 from repro.dsms.load import LoadMeter
 from repro.dsms.metrics import EngineReport
 from repro.dsms.operators import AggregateOperator
-from repro.dsms.plan import ContinuousQuery, QueryPlanCatalog
+from repro.dsms.plan import (
+    ContinuousQuery,
+    QueryPlanCatalog,
+    is_passthrough_network,
+)
 from repro.dsms.streams import StreamSource
 from repro.dsms.tuples import StreamTuple
 from repro.utils.records import deepcopy_sharing_records
@@ -165,12 +175,86 @@ class StreamEngine:
     # ------------------------------------------------------------------
 
     def run(self, ticks: int) -> EngineReport:
-        """Execute *ticks* ticks; returns the cumulative report."""
+        """Execute *ticks* ticks; returns the cumulative report.
+
+        A passthrough network runs them in one pass
+        (:meth:`_run_passthrough`); every other network runs tick by
+        tick through the interpreter."""
         require(not self._in_transition,
                 "cannot run while a transition is open")
+        program = self._passthrough_program() if ticks > 0 else None
+        if program is not None:
+            self._run_passthrough(ticks, program)
+            return self.report
         for _ in range(ticks):
             self._execute_tick()
         return self.report
+
+    def _passthrough_program(self) -> "tuple | None":
+        """What a period pass needs, or ``None`` when the admitted
+        network is not a passthrough one or the engine hooks the
+        per-tick path (a :class:`~repro.dsms.shedding.SheddingEngine`
+        sheds in ``_process``, which the pass never calls).
+
+        The program is ``(operators, sinks)``: ``(op id, operator,
+        source)`` in topological order and ``(query id, source)`` in
+        query order."""
+        kind = type(self)
+        catalog = self.catalog
+        if (kind._execute_tick is not StreamEngine._execute_tick
+                or kind._process is not StreamEngine._process
+                or not is_passthrough_network(catalog, self._sources)):
+            return None
+        live = catalog.operators
+        return (
+            [(op.op_id, op, op.inputs[0])
+             for op in catalog.ordered_operators()],
+            [(query.query_id, live[query.sink_id].inputs[0])
+             for query in catalog.iter_queries()])
+
+    def _run_passthrough(self, ticks: int, program: tuple) -> None:
+        """Run *ticks* ticks of a passthrough network in one pass.
+
+        Sources draw tick-major and source-minor, as the interpreter
+        draws them.  Each operator then forwards its source's tuples
+        unchanged, so a tick's work is ``tuples × cost`` per operator:
+        the meter adds it per operator one tick at a time and each
+        tick's aggregate is the builtin ``sum`` in topological order,
+        the interpreter's own arithmetic, so every float carries its
+        bits.  Each query's log takes one ``extend`` of the period."""
+        operators, sinks = program
+        sources = list(self._sources.items())
+        drawn: dict[str, list[list[StreamTuple]]] = {
+            name: [] for name, _source in sources}
+        first = self._tick + 1
+        for tick in range(first, first + ticks):
+            for name, source in sources:
+                drawn[name].append(source.emit(tick))
+        counts = {name: [len(batch) for batch in batches]
+                  for name, batches in drawn.items()}
+        totals = {name: sum(per_tick) for name, per_tick in counts.items()}
+        works: dict[str, list[float]] = {}
+        for op_id, op, name in operators:
+            cost = op.cost_per_tuple
+            works[op_id] = [n * cost for n in counts[name]]
+            op.processed_tuples += totals[name]
+            op.emitted_tuples += totals[name]
+        self.meter.record_ticks(works, ticks)
+        periods: dict[str, list[StreamTuple]] = {}
+        delivered: dict[str, int] = {}
+        for query_id, name in sinks:
+            produced = periods.get(name)
+            if produced is None:
+                produced = periods[name] = list(
+                    chain.from_iterable(drawn[name]))
+            self.results[query_id].extend(produced)
+            delivered[query_id] = len(produced)
+        self._tick += ticks
+        self.report.merge_ticks(
+            sum(totals.values()),
+            [sum(tick) for tick in zip(*works.values())] if works
+            else [0] * ticks,
+            delivered)
 
     def _execute_tick(self) -> None:
         self._tick += 1

@@ -19,7 +19,9 @@ the loop between the DSMS substrate and the auction layer.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
+from functools import reduce
+from operator import add
 
 from repro.core.model import AuctionInstance, Operator, Query
 from repro.dsms.plan import QueryPlanCatalog
@@ -53,9 +55,18 @@ class LoadMeter:
 
     def record_tick(self, work_by_operator: Mapping[str, float]) -> None:
         """Add one tick's work measurements."""
-        for op_id, work in work_by_operator.items():
-            self._work[op_id] = self._work.get(op_id, 0.0) + work
-        self._ticks += 1
+        self.record_ticks(
+            {op_id: (work,) for op_id, work in work_by_operator.items()}, 1)
+
+    def record_ticks(self, work_by_operator: Mapping[str, Sequence[float]],
+                     ticks: int) -> None:
+        """Add *ticks* ticks' work: each operator's per-tick works, in
+        tick order.  Each total is added to one tick at a time, so it
+        carries the bits :meth:`record_tick` per tick would give."""
+        work = self._work
+        for op_id, works in work_by_operator.items():
+            work[op_id] = reduce(add, works, work.get(op_id, 0.0))
+        self._ticks += ticks
 
     @property
     def ticks(self) -> int:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 
 
 @dataclass
@@ -44,11 +44,25 @@ class EngineReport:
         delivered: Mapping[str, int],
     ) -> None:
         """Fold one tick's numbers into the report."""
-        self.ticks += 1
+        self.merge_ticks(source_count, (work,), delivered)
+
+    def merge_ticks(
+        self,
+        source_count: int,
+        works: Sequence[float],
+        delivered: Mapping[str, int],
+    ) -> None:
+        """Fold ``len(works)`` ticks into the report: their source
+        tuples, each tick's aggregate work in tick order (so the total
+        and the overload count match one :meth:`merge_tick` per tick)
+        and the tuples each query was delivered."""
+        self.ticks += len(works)
         self.source_tuples += source_count
-        self.total_work += work
-        if self.capacity is not None and work > self.capacity:
-            self.overload_ticks += 1
+        capacity = self.capacity
+        for work in works:
+            self.total_work += work
+            if capacity is not None and work > capacity:
+                self.overload_ticks += 1
         # Accumulate in place: copying the whole per-query dict every
         # tick is quadratic over a long run.  Instances deserialized
         # from old snapshots may hold a shared mapping, so rebind once.

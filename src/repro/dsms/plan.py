@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from collections.abc import Collection, Iterable, KeysView, Mapping, Sequence
 
-from repro.dsms.operators import StreamOperator
+from repro.dsms.operators import SelectOperator, StreamOperator
 from repro.utils.validation import ValidationError, require
 
 
@@ -84,6 +84,32 @@ def check_compatible(first: StreamOperator, second: StreamOperator) -> None:
     if first.cost_per_tuple != second.cost_per_tuple:
         raise ValidationError(
             f"operator {first.op_id!r} shared with conflicting costs")
+
+
+def is_passthrough_network(catalog: "QueryPlanCatalog",
+                           sources: Collection[str]) -> bool:
+    """True when every operator of *catalog* is a stock passthrough
+    select reading one of *sources* and feeding no other operator, and
+    every query's sink is one of them.
+
+    Such a network moves each source's tuples unchanged to its sinks,
+    so both engines may settle it without executing an operator: the
+    stream engine a period per pass, the scheduled engine's count mode
+    over run-length queues.  "Stock" means the interpreter's own
+    shortcut would skip the operator's methods too: ``work``,
+    ``execute`` and ``execute_drained`` are not overridden.
+    """
+    live = catalog.operator_ids
+    for op in catalog.ordered_operators():
+        kind = type(op)
+        if not (isinstance(op, SelectOperator) and op._passthrough
+                and kind.work is StreamOperator.work
+                and kind.execute is StreamOperator.execute
+                and kind.execute_drained is SelectOperator.execute_drained
+                and len(op.inputs) == 1 and op.inputs[0] in sources
+                and op.inputs[0] not in live):
+            return False
+    return all(query.sink_id in live for query in catalog.iter_queries())
 
 
 class QueryPlanCatalog:

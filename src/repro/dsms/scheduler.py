@@ -37,7 +37,11 @@ from collections.abc import Callable, Iterable, KeysView, Mapping, Sequence
 from itertools import repeat
 
 from repro.dsms.operators import StreamOperator
-from repro.dsms.plan import ContinuousQuery, QueryPlanCatalog
+from repro.dsms.plan import (
+    ContinuousQuery,
+    QueryPlanCatalog,
+    is_passthrough_network,
+)
 from repro.dsms.streams import StreamSource
 from repro.dsms.tuples import StreamTuple
 from repro.utils.records import deepcopy_sharing_records
@@ -199,6 +203,11 @@ class LatencyStats:
         return self.total / self.count if self.count else 0.0
 
 
+#: Derived attributes :meth:`ScheduledEngine._rebuild_table` makes;
+#: a pickle or copy leaves them out.
+_DRAIN_TABLE = ("_table", "_feeds")
+
+
 class ScheduledEngine:
     """A bounded-work engine with per-operator input queues."""
 
@@ -230,9 +239,9 @@ class ScheduledEngine:
         self._queues: dict[str, dict[str, deque]] = {}
         # Count mode (latency accounting only): queues carry
         # ``[birth tick, count]`` runs instead of tuples and result
-        # logs stay empty — valid only while every admitted network is
-        # a source-fed passthrough select delivering straight to its
-        # sink, over sources whose origins embed the emitting tick.
+        # logs stay empty — valid only while the admitted network is a
+        # passthrough network (:func:`is_passthrough_network`), over
+        # sources whose origins embed the emitting tick.
         # The engine drops back to tuple queues (permanently, results
         # still skipped) the moment a non-conforming plan is admitted.
         self._keep_results = not count_mode
@@ -258,6 +267,17 @@ class ScheduledEngine:
         self._tick = 0
         self.work_done = 0.0
         self.ticks_run = 0
+        self._rebuild_table()
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        for name in _DRAIN_TABLE:
+            del state[name]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._rebuild_table()
 
     def __deepcopy__(self, memo: dict) -> "ScheduledEngine":
         """Copy the queues; share delivered tuples and latency samples."""
@@ -356,19 +376,33 @@ class ScheduledEngine:
         self._sinks = {}
         for query_id, query in self.catalog.queries.items():
             self._sinks.setdefault(query.sink_id, []).append(query_id)
-        if self._counts and not self._counts_supported():
+        if self._counts and not is_passthrough_network(
+                self.catalog, self._sources):
             self._deactivate_counts()
+        self._rebuild_table()
 
-    def _counts_supported(self) -> bool:
-        """True while every operator is a source-fed passthrough
-        select feeding only sinks (the count-mode contract)."""
+    def _rebuild_table(self) -> None:
+        """Recompute count mode's drain table from the routing maps.
+
+        ``_table`` maps each op id, in topological order, to ``(op, op
+        id, cost per tuple, run queue, the LatencyStats of the queries
+        it is the sink of)``; ``_feeds`` maps each stream to ``(op id,
+        run queue)`` per consumer.  Both point into this engine's own
+        queues and stats, so they are never pickled or copied: a
+        restored or copied engine rebuilds them."""
+        self._table: dict[str, tuple] = {}
+        self._feeds: dict[str, list[tuple[str, deque]]] = {}
+        if not self._counts:
+            return
+        runs, latency = self._run_queues, self.latency
         for op in self._order:
-            if (len(op.inputs) != 1
-                    or op.inputs[0] not in self._sources
-                    or not getattr(op, "_passthrough", False)
-                    or self._consumers.get(op.op_id)):
-                return False
-        return True
+            self._table[op.op_id] = (
+                op, op.op_id, op.cost_per_tuple, runs[op.op_id],
+                [latency[query_id]
+                 for query_id in self._sinks.get(op.op_id, ())])
+        for name, consumers in self._stream_consumers.items():
+            self._feeds[name] = [(op.op_id, runs[op.op_id])
+                                 for op in consumers]
 
     def _deactivate_counts(self) -> None:
         """One-way fallback from run-length to tuple queues.
@@ -529,98 +563,119 @@ class ScheduledEngine:
 
         Mirrors :meth:`_execute_tick` (the reference) — same budget
         maths, same policy ordering, same latency sequence — but
-        drains ``[birth tick, count]`` runs instead of tuples and
-        delivers their latencies straight to the sinks.
+        drains ``[birth tick, count]`` runs through the drain table
+        (:meth:`_rebuild_table`) and delivers their latencies straight
+        to the sinks.  Work and delivery totals gather in locals and
+        are written back once; the float work adds in the reference's
+        order, so it keeps its bits.
         """
         self._tick += 1
         self.ticks_run += 1
         tick = self._tick
         queued = self._queued
         nonempty = self._nonempty
-        run_queues = self._run_queues
+        feeds = self._feeds
         for name, source in self._sources.items():
             n = source.emit_count(tick)
             if n is None:
                 n = len(source.emit(tick))
             if not n:
                 continue
-            for op in self._stream_consumers.get(name, ()):
-                run_queues[op.op_id].append([tick, n])
-                queued[op.op_id] += n
-                nonempty.add(op.op_id)
+            for op_id, runs in feeds.get(name, ()):
+                runs.append([tick, n])
+                queued[op_id] += n
+                nonempty.add(op_id)
 
-        # Count mode only runs on source-fed passthroughs feeding sinks
-        # (the _counts_supported contract), so draining one operator
-        # never refills another's queue, and an operator a fifo pass
-        # left partially drained ended it with a budget remainder below
-        # its own per-tuple cost: a second fifo pass can never consume
-        # anything, so fifo stops after one.  Stateful policies keep
-        # the reference's passes: their per-pass ``order`` calls
-        # advance cursors, which *is* observable on later ticks.
-        fifo = type(self.policy) is FifoPolicy
-        sinks = self._sinks
-        latency_map = self.latency
+        # Count mode only runs on passthrough networks, so draining one
+        # operator never refills another's queue, and an operator a
+        # fifo pass left partially drained ended it with a budget
+        # remainder below its own per-tuple cost: a second fifo pass can
+        # never consume anything, so fifo walks the table once.
+        # Stateful policies keep the reference's passes: their per-pass
+        # ``order`` calls advance cursors, which *is* observable on
+        # later ticks.
+        table = self._table
+        policy = None if type(self.policy) is FifoPolicy else self.policy
         samples = self.latency_samples
         budget = self.capacity
+        work = self.work_done
+        delivered = delivered_latency = 0
         progressed = True
         while budget > 1e-12 and progressed and nonempty:
             progressed = False
-            operators = [op for op in self._order if op.op_id in nonempty]
-            if fifo:
-                ordered = operators
+            if policy is None:
+                entries = table.values()
             else:
-                queue_lengths = {op.op_id: queued[op.op_id]
-                                 for op in operators}
-                ordered = self.policy.order(operators, queue_lengths)
-            for op in ordered:
+                operators = [entry[0] for entry in table.values()
+                             if entry[1] in nonempty]
+                entries = [table[op.op_id] for op in policy.order(
+                    operators,
+                    {op.op_id: queued[op.op_id] for op in operators})]
+            for op, op_id, cost, runs, sinks in entries:
                 if budget <= 1e-12:
                     break
-                op_id = op.op_id
                 backlog = queued[op_id]
-                cost = op.cost_per_tuple
+                if not backlog:
+                    continue
                 affordable = backlog if cost <= 0 else int(budget / cost)
-                if affordable <= 0 or not backlog:
+                if affordable <= 0:
                     continue
                 take = backlog if backlog <= affordable else affordable
-                runs = run_queues[op_id]
-                remaining = take
-                lat_sum = 0
-                lat_max = 0
-                segments: list[tuple[int, int]] = []
-                while remaining:
-                    head = runs[0]
-                    birth, count = head
-                    use = count if count <= remaining else remaining
-                    if use == count:
+                head = runs[0]
+                birth, count = head
+                latency = tick - birth
+                if count >= take:
+                    # One run covers the drain: no segment list.
+                    if count == take:
                         runs.popleft()
                     else:
-                        head[1] = count - use
-                    latency = tick - birth
-                    lat_sum += latency * use
-                    if latency > lat_max:
-                        lat_max = latency
-                    segments.append((latency, use))
-                    remaining -= use
+                        head[1] = count - take
+                    lat_sum = latency * take
+                    lat_max = latency
+                    segments = None
+                else:
+                    remaining = take
+                    lat_sum = lat_max = 0
+                    segments = []
+                    while remaining:
+                        head = runs[0]
+                        birth, count = head
+                        use = count if count <= remaining else remaining
+                        if use == count:
+                            runs.popleft()
+                        else:
+                            head[1] = count - use
+                        latency = tick - birth
+                        lat_sum += latency * use
+                        if latency > lat_max:
+                            lat_max = latency
+                        segments.append((latency, use))
+                        remaining -= use
                 queued[op_id] = backlog - take
                 if backlog == take:
                     nonempty.discard(op_id)
                 op.processed_tuples += take
                 op.emitted_tuples += take
-                for query_id in sinks.get(op_id, ()):
-                    stats = latency_map[query_id]
+                for stats in sinks:
                     stats.total += lat_sum
                     stats.count += take
                     if lat_max > stats.maximum:
                         stats.maximum = lat_max
-                    self.delivered_count += take
-                    self.delivered_latency += lat_sum
-                    for latency, use in segments:
-                        samples.extend(repeat(latency, use))
+                    delivered += take
+                    delivered_latency += lat_sum
+                    if segments is None:
+                        samples.extend(repeat(latency, take))
+                    else:
+                        for latency, use in segments:
+                            samples.extend(repeat(latency, use))
                 progressed = True
                 budget -= take * cost
-                self.work_done += take * cost
-            if fifo:
+                work += take * cost
+            if policy is None:
                 break
+        self.work_done = work
+        self.delivered_count += delivered
+        self.delivered_latency += delivered_latency
 
     def _birth_tick(self, t: StreamTuple) -> int:
         """Earliest source tick in *t*'s provenance (this tick when

@@ -1082,18 +1082,37 @@ def operator_fragment(op_id: str, load: float) -> str:
     return _CANONICAL.encode({op_id: load})[1:-1]
 
 
+class JsonFragments:
+    """An auction instance's rows as JSON text, written when each row
+    was priced: ``queries`` holds the query entries in row order and
+    ``operators`` the ``"op":load`` members by id, or both are ``None``
+    when the instance is to be encoded from its dict.  Rendering the
+    instance sets ``read``: the writer watches it to learn whether its
+    fragments are used at all."""
+
+    __slots__ = ("queries", "operators", "read")
+
+    def __init__(self) -> None:
+        self.queries: "list[str] | None" = None
+        self.operators: "dict[str, str] | None" = None
+        self.read = False
+
+
 def _instance_json(instance: AuctionInstance) -> str:
     """``instance_to_dict(instance)`` as canonical JSON text, joined
     from the fragments the admission service wrote for each row when
     it was priced (``_json_fragments``); an instance without them is
     encoded from its dict."""
     fragments = getattr(instance, "_json_fragments", None)
-    if fragments is None:
-        return _CANONICAL.encode(instance_to_dict(instance))
-    queries, operators = fragments
-    return (f'{{"capacity":{_json_number(instance.capacity)},"operators":{{'
-            f'{",".join([operators[op_id] for op_id in sorted(operators)])}'
-            f'}},"queries":[{",".join(queries)}]}}')
+    if fragments is not None:
+        fragments.read = True
+        queries, operators = fragments.queries, fragments.operators
+        if queries is not None:
+            return (f'{{"capacity":{_json_number(instance.capacity)},'
+                    f'"operators":{{'
+                    f'{",".join([operators[op] for op in sorted(operators)])}'
+                    f'}},"queries":[{",".join(queries)}]}}')
+    return _CANONICAL.encode(instance_to_dict(instance))
 
 
 def _period_report_json(report: object) -> str:

@@ -13,7 +13,10 @@ adopted at the next look, and ``build`` copies pointers.  The table is
 derived, never snapshotted, and always equals the from-scratch
 :func:`repro.dsms.load.auction_instance_from_catalog`.  Each row, and
 each operator once priced, also holds its entry in the instance's JSON
-document, which :func:`repro.io.report_body` joins at the tick.
+document, which :func:`repro.io.report_body` joins at the tick — while
+someone renders: a host whose last instance went unread (a simulation
+driver reports through its own documents) stops writing them until
+one is read again.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from math import isfinite
 
 from repro.core.model import AuctionInstance, Operator, Query
 from repro.dsms.plan import ContinuousQuery, QueryPlanCatalog, check_compatible
-from repro.io import operator_fragment, query_fragment
+from repro.io import JsonFragments, operator_fragment, query_fragment
 from repro.utils.validation import ValidationError, require
 
 
@@ -53,15 +56,19 @@ class AuctionCoordinator:
         #: the instance :meth:`build` last handed out; it holds its
         #: rows' JSON fragments until the next build takes them back
         self._built: "AuctionInstance | None" = None
+        #: whether rows get their JSON fragments as they are priced: on
+        #: until a build finds the previous instance's never read
+        self._writing = True
         self._forget()
 
     def _forget(self) -> None:
         """Drop the derived table; the next look re-adopts everything."""
         #: query id → (the plan the row was built from, its auction row,
-        #: the row's entry in the instance document as JSON text)
-        self._rows: dict[str, tuple[ContinuousQuery, Query, str]] = {}
+        #: the row's entry in the instance document as JSON text, or
+        #: None when it was entered while the writers were off)
+        self._rows: dict[str, tuple[ContinuousQuery, Query, str | None]] = {}
         #: op id → [representative, holders, output rate, priced
-        #: operator, its ``"op":load`` JSON member]
+        #: operator, its ``"op":load`` JSON member or None]
         self._live: dict[str, list] = {}
         #: input name → how many live operators read it
         self._readers: dict[str, int] = {}
@@ -179,7 +186,8 @@ class AuctionCoordinator:
         ids = tuple(op.op_id for op in query.operators)
         row = Query._trusted(
             query.query_id, ids, query.bid, query.valuation, query.owner)
-        self._rows[query.query_id] = (query, row, query_fragment(row))
+        self._rows[query.query_id] = (
+            query, row, query_fragment(row) if self._writing else None)
         try:
             for op_id in row.operator_ids:
                 self._rate(op_id)
@@ -229,7 +237,8 @@ class AuctionCoordinator:
             finally:
                 entry[2] = None
             entry[3] = Operator(name, fed * op.cost_per_tuple)  # load >= 0
-            entry[4] = operator_fragment(name, entry[3].load)
+            if self._writing:
+                entry[4] = operator_fragment(name, entry[3].load)
             entry[2] = fed * op.selectivity()
         return entry[2]
 
@@ -265,10 +274,13 @@ class AuctionCoordinator:
         rejected and the others clear as if it had never come.
 
         The instance carries its rows' JSON fragments
-        (``_json_fragments``: the query entries in row order and the
-        operator members by id) for :func:`repro.io.report_body`; the
-        previous instance built here gives its back, so only one
-        period's fragments outlive their rows."""
+        (``_json_fragments``, a :class:`~repro.io.JsonFragments`) for
+        :func:`repro.io.report_body`; the previous instance built here
+        gives its back, so only one period's fragments outlive their
+        rows.  If nobody rendered that previous instance, the writers
+        turn off and this instance is encoded from its dict if it is
+        ever rendered; if somebody did, they turn (or stay) on and a
+        row entered while they were off gets its fragment now."""
         if not candidates:
             raise ValidationError("no queries to auction")
         if self._contested:
@@ -287,14 +299,34 @@ class AuctionCoordinator:
                 tuple(row for row in rows
                       if overflowed.isdisjoint(row.operator_ids)),
                 self.capacity, self._operator)
-        held, live = self._rows, self._live
-        object.__setattr__(instance, "_json_fragments", (
-            [held[row.query_id][2] for row in instance.queries],
-            {op_id: live[op_id][4] for op_id in instance.operators}))
-        if self._built is not None:
-            vars(self._built).pop("_json_fragments", None)
-        self._built = instance
+        previous, self._built = self._built, instance
+        if previous is not None:
+            fragments = vars(previous).pop("_json_fragments", None)
+            if fragments is not None:
+                self._writing = fragments.read
+        fragments = JsonFragments()
+        if self._writing:
+            fragments.queries = [self._query_json(row.query_id)
+                                 for row in instance.queries]
+            fragments.operators = {op_id: self._operator_json(op_id)
+                                   for op_id in instance.operators}
+        object.__setattr__(instance, "_json_fragments", fragments)
         return instance
+
+    def _query_json(self, query_id: str) -> str:
+        """The row's JSON fragment, written now if it has none yet."""
+        held = self._rows[query_id]
+        if held[2] is None:
+            held = self._rows[query_id] = (*held[:2], query_fragment(held[1]))
+        return held[2]
+
+    def _operator_json(self, op_id: str) -> str:
+        """The priced operator's JSON member, written now if it has
+        none yet."""
+        entry = self._live[op_id]
+        if entry[4] is None:
+            entry[4] = operator_fragment(op_id, entry[3].load)
+        return entry[4]
 
     def _operator(self, op_id: str) -> Operator:
         """The priced operator, re-issued under the first holder's own id

@@ -27,12 +27,13 @@ def deepcopy_sharing_records(obj, memo: dict, record_logs):
     *record_logs* are the containers of immutable records (result
     tuples, latency samples) that *obj* only ever appends to.  Each
     enters *memo* as a shallow copy of itself, so the deep copy of
-    ``obj.__dict__`` picks those up instead of walking the elements;
-    everything else is copied exactly as the default would copy it.
+    ``obj.__getstate__()`` picks those up instead of walking the
+    elements; everything else is copied exactly as pickling would
+    carry it, and ``__setstate__`` rebuilds what the state leaves out.
     """
     clone = object.__new__(type(obj))
     memo[id(obj)] = clone
     for log in record_logs:
         memo[id(log)] = copy.copy(log)
-    clone.__dict__.update(copy.deepcopy(obj.__dict__, memo))
+    clone.__setstate__(copy.deepcopy(obj.__getstate__(), memo))
     return clone

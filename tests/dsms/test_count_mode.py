@@ -10,6 +10,9 @@ work, delivery totals, queue depth, latency samples, per-query
 ``LatencyStats`` and every operator's counters.
 """
 
+import copy
+import pickle
+
 import pytest
 
 from repro.dsms.operators import SelectOperator
@@ -79,19 +82,26 @@ def observe(engine):
     }
 
 
-def run_both(seed, capacity, policy, schedule):
-    """Yield (tick, count-mode observation, tuple-mode observation)."""
+def run_both(seed, capacity, policy, schedule, copies=()):
+    """Yield (tick, count-mode observation, tuple-mode observation).
+
+    *copies* maps a tick to a function of the count-mode engine: its
+    result runs beside it from that tick on, and each yield carries
+    the copies made so far after the reference."""
     counted = build(SyntheticStream, seed, capacity, policy)
     reference = build(TupleStream, seed, capacity, policy)
+    copied = []
     for tick in range(1, TICKS + 1):
-        for engine in (counted, reference):
+        if tick in copies:
+            copied.append(copies[tick](counted))
+        for engine in (counted, reference, *copied):
             for step in schedule.get(tick, ()):
                 if step[0] == "admit":
                     engine.admit(select_query(*step[1:]))
                 else:
                     engine.remove(step[1])
             engine.run(1)
-        yield tick, counted, reference
+        yield tick, counted, reference, *copied
 
 
 @pytest.mark.parametrize("capacity", sorted(CAPACITIES))
@@ -122,3 +132,70 @@ def test_deactivation_keeps_the_backlog_latencies(policy, seed):
         if tick >= 8:
             assert not counted._counts
         assert observe(counted) == observe(reference), f"tick {tick}"
+
+
+def pickled(engine):
+    return pickle.loads(pickle.dumps(engine))
+
+
+def assert_table_is_the_engines_own(engine):
+    """The drain table is rebuilt from this engine's own queues and
+    stats, in topological order."""
+    assert list(engine._table) == [op.op_id for op in engine._order]
+    for op_id, (op, same_id, cost, runs, sinks) in engine._table.items():
+        assert op is engine.catalog.operators[op_id] and same_id == op_id
+        assert cost == op.cost_per_tuple
+        assert runs is engine._run_queues[op_id]
+        assert all(stats is engine.latency[query_id] for stats, query_id
+                   in zip(sinks, engine._sinks.get(op_id, ()), strict=True))
+    for name, feeds in engine._feeds.items():
+        assert [runs for _op_id, runs in feeds] == [
+            engine._run_queues[op.op_id]
+            for op in engine._stream_consumers[name]]
+
+
+@pytest.mark.parametrize("copier", [pickled, copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+@pytest.mark.parametrize("policy", POLICIES)
+def test_a_copy_mid_schedule_continues(policy, copier):
+    """Copies taken with a backlog, before and after the removals, run
+    beside the engine they were copied from; all match the tuple
+    reference, so no copy drains the original's queues."""
+    copies = {8: copier, 13: copier}
+    for tick, counted, reference, *copied in run_both(
+            0, CAPACITIES["tight"], policy, SCHEDULE, copies):
+        for engine in copied:
+            assert engine._counts
+            assert_table_is_the_engines_own(engine)
+            assert observe(engine) == observe(reference), f"tick {tick}"
+        assert observe(counted) == observe(reference), f"tick {tick}"
+    assert len(copied) == 2 and reference.total_queued() > 0
+
+
+def test_the_table_is_never_pickled():
+    engine = build(SyntheticStream, 0, CAPACITIES["tight"], "fifo")
+    engine.admit(select_query("q0", "a0", "a", 1.0))
+    assert engine._table and engine._feeds
+    assert not {"_table", "_feeds"} & set(engine.__getstate__())
+
+
+def test_an_old_probe_checkpoint_rebuilds_its_table():
+    """The committed sim checkpoint's probe engine was pickled before
+    the table existed: it restores with the table rebuilt, and resumes
+    as its own state continues through tuple queues."""
+    from repro.io import load_sim_snapshot
+    from repro.sim import SimulationDriver
+    from tests.checkpoints import TIERS
+
+    (tier,) = [tier for tier in TIERS if tier.name == "sim"]
+    driver = SimulationDriver.restore(load_sim_snapshot(tier.fixture))
+    engine = driver.probes[0].engine
+    assert engine._counts and engine._table
+    assert_table_is_the_engines_own(engine)
+    reference = copy.deepcopy(engine)
+    reference._deactivate_counts()
+    for tick in range(TICKS):
+        engine.run(1)
+        reference.run(1)
+        assert observe(engine) == observe(reference), f"tick {tick}"
+    assert engine.delivered_count > 0

@@ -13,10 +13,11 @@ from repro.dsms.shedding import (
 )
 from repro.dsms.streams import SyntheticStream
 from repro.dsms.tuples import StreamTuple
+from repro.sim.arrivals import pass_all
 
 
-def passthrough(op_id, source="s", cost=1.0):
-    return SelectOperator(op_id, source, lambda t: True,
+def passthrough(op_id, source="s", cost=1.0, predicate=lambda t: True):
+    return SelectOperator(op_id, source, predicate,
                           cost_per_tuple=cost, selectivity_estimate=1.0)
 
 
@@ -56,13 +57,18 @@ class TestShedders:
 
 
 class TestSheddingEngine:
-    def test_keeps_work_within_capacity(self):
+    # pass_all is marked constant-true, so a plain StreamEngine would
+    # run its network a period per pass; the shedder must still see
+    # every tick.
+    @pytest.mark.parametrize("predicate", [lambda t: True, pass_all],
+                             ids=["lambda", "pass_all"])
+    def test_keeps_work_within_capacity(self, predicate):
         engine = SheddingEngine(
             [SyntheticStream("s", rate=20, poisson=False, seed=0)],
             capacity=10.0,
             shedder=RandomShedder(seed=1))
-        engine.admit(ContinuousQuery("q", (passthrough("a"),),
-                                     sink_id="a"))
+        engine.admit(ContinuousQuery(
+            "q", (passthrough("a", predicate=predicate),), sink_id="a"))
         report = engine.run(10)
         # Work per tick ≈ capacity (sheds exactly the overload).
         assert report.work_per_tick <= 10.0 + 1e-6

@@ -189,3 +189,72 @@ class TestFragmentsAreDerivedState:
         reports = host.shards[0].reports
         assert [vars(report.outcome.instance).get("_json_fragments")
                 is not None for report in reports] == [False, False, True]
+
+
+def fragment_calls(monkeypatch) -> list:
+    """Count the coordinator's calls to both fragment writers."""
+    import repro.service.coordinator as coordinator
+
+    calls = []
+    for name in ("query_fragment", "operator_fragment"):
+        writer = getattr(coordinator, name)
+
+        def counted(*args, _writer=writer, _name=name):
+            calls.append(_name)
+            return _writer(*args)
+
+        monkeypatch.setattr(coordinator, name, counted)
+    return calls
+
+
+class TestWritersFollowTheReader:
+    def test_a_driver_without_subscriptions_stops_writing(
+            self, monkeypatch):
+        """Nobody renders a driver's instances: the build after the
+        first unread period turns the writers off, and they stay off."""
+        from repro.sim import SimulationDriver
+
+        calls = fragment_calls(monkeypatch)
+        service = (ServiceBuilder()
+                   .with_sources(SyntheticStream("s", rate=2.0, seed=0))
+                   .with_capacity(20.0).with_mechanism("GV")
+                   .with_ticks_per_period(4).build())
+        driver = SimulationDriver(service, arrivals="poisson:rate=3,seed=1")
+        written = []
+        for _ in range(6):
+            before = len(calls)
+            driver.run(1)
+            written.append(len(calls) - before)
+        assert written[0] > 0
+        assert written[2:] == [0, 0, 0, 0]
+        assert driver.host.shards[0].coordinator._writing is False
+
+    @pytest.mark.parametrize("shards", [0, 2])
+    def test_ticks_equal_the_dict_path_across_a_flip(self, shards):
+        """A period nobody renders turns the writers off; the next
+        period is encoded from its dict, and once it is read the
+        writers come back, filling in the rows entered while off."""
+        host = build_host(shards, "CAT", 12.0)
+        coordinators = [shard.coordinator for shard in host.shards]
+        rendered = [True, False, True, True, True]
+        writing = []
+        for period, render in enumerate(rendered):
+            for index in range(4):
+                op = SelectOperator(
+                    f"sel_{period}_{index}", "s", pass_all,
+                    cost_per_tuple=0.5 + 0.25 * index,
+                    selectivity_estimate=1.0)
+                host.submit(ContinuousQuery(
+                    f"q{period}_{index}", (op,), sink_id=op.op_id,
+                    bid=1.0 + index + period, owner=f"o{index % 2}"))
+            report = host.run_period()
+            writing.append([c._writing for c in coordinators])
+            if render:
+                args = ("r1", host.period, report, host.total_revenue())
+                assert joined_bodies(*args) == dict_bodies(*args)
+        assert writing == [[True] * len(coordinators)] * 2 + [
+            [False] * len(coordinators)] + [[True] * len(coordinators)] * 2
+        # The period built while off was encoded; the last was joined.
+        for shard in shard_reports(report):
+            fragments = vars(shard.outcome.instance)["_json_fragments"]
+            assert fragments.read and fragments.queries is not None

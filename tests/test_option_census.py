@@ -9,6 +9,7 @@ import argparse
 import ast
 import dataclasses
 import inspect
+import re
 
 import pytest
 
@@ -201,9 +202,40 @@ def test_an_engine_changes_its_admitted_set_one_way():
 
 def test_the_forked_count_mode_drains_are_gone():
     """Count mode drains run-length queues in one loop
-    (``_execute_tick_counts``); a second drain is a visible diff."""
-    for name in ("_drain_counts", "_tick_counts_fresh"):
+    (``_execute_tick_counts``) for every policy; a second drain — a
+    fifo-only fork or a ``_ref`` twin kept beside it — is a visible
+    diff."""
+    for name in ("_drain_counts", "_tick_counts_fresh",
+                 "_counts_supported"):
         assert not hasattr(ScheduledEngine, name)
+    assert not [name for name in vars(ScheduledEngine)
+                if name.endswith("_ref") or "fifo" in name.lower()]
+    [engine_class] = [
+        node for node in ast.parse(inspect.getsource(ScheduledEngine)).body]
+    drains = sorted(
+        method.name for method in engine_class.body
+        if isinstance(method, ast.FunctionDef)
+        and any(isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "repeat"
+                for node in ast.walk(method)))
+    assert drains == ["_execute_tick_counts"]
+
+
+def test_one_passthrough_shape_test_serves_both_engines():
+    """``is_passthrough_network`` alone decides whether a network may
+    skip its operators: the stream engine's period pass and the
+    scheduled engine's count mode each call it once, and only the
+    interpreter's own shortcut reads the select flag besides it."""
+    dsms = SRC / "repro" / "dsms"
+    for name in ("engine.py", "scheduler.py"):
+        source = (dsms / name).read_text()
+        assert source.count("is_passthrough_network(") == 1, name
+    readers = sorted(
+        str(path.relative_to(SRC)) for path in (SRC / "repro").rglob("*.py")
+        if re.search(r"\._passthrough\b", path.read_text()))
+    assert readers == ["repro/dsms/backend.py", "repro/dsms/operators.py",
+                       "repro/dsms/plan.py"]
 
 
 def test_section_vii_settles_once():
