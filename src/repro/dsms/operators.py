@@ -74,15 +74,6 @@ class StreamOperator(abc.ABC):
         """Work units this tick's input would cost (before execute)."""
         return self._consumed(batches) * self.cost_per_tuple
 
-    def execute_drained(self, batch: Sequence[StreamTuple]) -> list[StreamTuple]:
-        """Single-input fast path: like :meth:`execute`, but the caller
-        already drained our only input into *batch* (no per-input dict).
-        Callers must only use this on operators with one input."""
-        output = self._process({self.inputs[0]: batch})
-        self.processed_tuples += len(batch)
-        self.emitted_tuples += len(output)
-        return output
-
     @abc.abstractmethod
     def _process(self, batches: Batches) -> list[StreamTuple]:
         """Operator semantics (subclass hook)."""
@@ -130,18 +121,6 @@ class SelectOperator(StreamOperator):
         if self._passthrough:
             return list(batch)
         return [t for t in batch if self._predicate(t)]
-
-    def execute_drained(self, batch: Sequence[StreamTuple]) -> list[StreamTuple]:
-        n = len(batch)
-        if self._passthrough:
-            # The caller hands over a fresh list it no longer owns, so
-            # the passthrough can return it without copying.
-            output = batch if isinstance(batch, list) else list(batch)
-        else:
-            output = [t for t in batch if self._predicate(t)]
-        self.processed_tuples += n
-        self.emitted_tuples += len(output)
-        return output
 
     def selectivity(self) -> float:
         return self._selectivity

@@ -95,9 +95,10 @@ def is_passthrough_network(catalog: "QueryPlanCatalog",
     Such a network moves each source's tuples unchanged to its sinks,
     so both engines may settle it without executing an operator: the
     stream engine a period per pass, the scheduled engine's count mode
-    over run-length queues.  "Stock" means the interpreter's own
-    shortcut would skip the operator's methods too: ``work``,
-    ``execute`` and ``execute_drained`` are not overridden.
+    over run-length queues.  "Stock" means ``work``, ``execute`` and
+    ``_process``, which both skip, are not overridden: a select
+    subclass with its own ``_process`` runs through the interpreter
+    (tuple queues in count mode), and its override with it.
     """
     live = catalog.operator_ids
     for op in catalog.ordered_operators():
@@ -105,7 +106,7 @@ def is_passthrough_network(catalog: "QueryPlanCatalog",
         if not (isinstance(op, SelectOperator) and op._passthrough
                 and kind.work is StreamOperator.work
                 and kind.execute is StreamOperator.execute
-                and kind.execute_drained is SelectOperator.execute_drained
+                and kind._process is SelectOperator._process
                 and len(op.inputs) == 1 and op.inputs[0] in sources
                 and op.inputs[0] not in live):
             return False
@@ -119,26 +120,16 @@ class QueryPlanCatalog:
         self._queries: dict[str, ContinuousQuery] = {}
         self._operators: dict[str, StreamOperator] = {}
         self._order_cache: "list[StreamOperator] | None" = None
-        self._generation = 0
         for query in queries:
             self.add(query)
 
     def __setstate__(self, state: dict) -> None:
         # Catalogs pickled before the order cache existed get an
-        # (empty) cache on resume; same for the generation counter.
+        # (empty) cache on resume; the generation counter older builds
+        # pickled has no reader, so it is dropped.
+        state.pop("_generation", None)
         self.__dict__.update(state)
         self.__dict__.setdefault("_order_cache", None)
-        self.__dict__.setdefault("_generation", 0)
-
-    @property
-    def generation(self) -> int:
-        """Bumped by every :meth:`add`/:meth:`remove`.
-
-        Lets per-tick callers cache derived views (sink sets, query
-        lists) and revalidate with one integer compare instead of
-        rebuilding from the tables each tick.
-        """
-        return self._generation
 
     # ------------------------------------------------------------------
     # Mutation
@@ -160,7 +151,6 @@ class QueryPlanCatalog:
             operators.setdefault(op.op_id, op)
         self._queries[query.query_id] = query
         self._order_cache = None
-        self._generation += 1
 
     def check_operators(self, query: ContinuousQuery,
                         dropped: Collection[str] = ()) -> None:
@@ -189,7 +179,6 @@ class QueryPlanCatalog:
             if op_id not in still_used:
                 del self._operators[op_id]
         self._order_cache = None
-        self._generation += 1
         return query
 
     # ------------------------------------------------------------------
@@ -246,14 +235,6 @@ class QueryPlanCatalog:
         return [qid for qid, q in self._queries.items()
                 if op_id in q.operator_ids]
 
-    def stream_names(self) -> set[str]:
-        """External stream inputs referenced by the graph."""
-        op_ids = set(self._operators)
-        names: set[str] = set()
-        for op in self._operators.values():
-            names.update(i for i in op.inputs if i not in op_ids)
-        return names
-
     def topological_order(self) -> list[StreamOperator]:
         """Operators in dependency order (streams are roots).
 
@@ -290,13 +271,3 @@ class QueryPlanCatalog:
             visit(op_id)
         self._order_cache = order
         return list(order)
-
-    def subgraph_order(
-        self, query_ids: Sequence[str]
-    ) -> list[StreamOperator]:
-        """Topological order restricted to the given queries' operators."""
-        keep: set[str] = set()
-        for qid in query_ids:
-            keep.update(self._queries[qid].operator_ids)
-        return [op for op in self.topological_order()
-                if op.op_id in keep]

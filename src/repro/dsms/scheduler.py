@@ -478,19 +478,12 @@ class ScheduledEngine:
         # out.
         budget = self.capacity
         progressed = True
-        # Fifo keeps the offered (topological) order untouched, so the
-        # per-pass queue-length snapshot it ignores is skipped.
-        fifo = type(self.policy) is FifoPolicy
         while budget > 1e-12 and progressed and nonempty:
             progressed = False
             operators = [op for op in self._order
                          if op.op_id in nonempty]
-            if fifo:
-                ordered = operators
-            else:
-                queue_lengths = {op.op_id: queued[op.op_id]
-                                 for op in operators}
-                ordered = self.policy.order(operators, queue_lengths)
+            ordered = self.policy.order(
+                operators, {op.op_id: queued[op.op_id] for op in operators})
             for op in ordered:
                 if budget <= 1e-12:
                     break
@@ -512,31 +505,9 @@ class ScheduledEngine:
             affordable = int(budget / op.cost_per_tuple)
         if affordable <= 0:
             return 0, []
-        queues = self._queues[op_id]
-        if len(queues) == 1 and type(op).execute is StreamOperator.execute:
-            # Single-input operator (the dominant shape) with the stock
-            # execute: drain the one queue straight into a batch, no
-            # per-input dict.  Subclasses overriding ``execute`` keep
-            # the reference path.
-            name, queue = next(iter(queues.items()))
-            take = min(len(queue), affordable)
-            if take == 0:
-                return 0, []
-            if take == len(queue):
-                # Full drain — the common under-load case.
-                batch = [t for _arrival, t in queue]
-                queue.clear()
-            else:
-                popleft = queue.popleft
-                batch = [popleft()[1] for _ in range(take)]
-            remaining = self._queued[op_id] - take
-            self._queued[op_id] = remaining
-            if not remaining:
-                self._nonempty.discard(op_id)
-            return take, op.execute_drained(batch)
         batches: dict[str, list[StreamTuple]] = {}
         consumed = 0
-        for name, queue in queues.items():
+        for name, queue in self._queues[op_id].items():
             take = min(len(queue), affordable - consumed)
             if take == len(queue):
                 batch = [t for _arrival, t in queue]

@@ -321,15 +321,6 @@ class RawBody:
         self.body = body
 
 
-#: The request-id placeholder baked into cached response bodies; its
-#: JSON encoding (``rid``) cannot collide with real data
-#: because the splice searches for the full ``"request_id":"..."``
-#: pattern, whose bare quotes cannot occur inside a JSON string value.
-_RID_SENTINEL = "\x01rid\x01"
-_RID_TOKEN = b'"request_id":"\\u0001rid\\u0001"'
-_RID_PREFIX = b'"request_id":"'
-
-
 class ServiceLock(asyncio.Lock):
     """The service lock, which a request can also take without waiting."""
 
@@ -495,7 +486,7 @@ class AdmissionGateway:
         #: /v1/report and /metrics body caches key on it.
         self._settle_generation = 0
         self._mutations_acked = 0
-        self._report_cache: "tuple[int, bytes, bytes] | None" = None
+        self._report_cache: "tuple[int, int, bytes, object] | None" = None
         self._metrics_cache: "tuple[tuple, float, bytes] | None" = None
         self._recovering = False
         self._recovered_from_wal = False
@@ -1078,29 +1069,18 @@ class AdmissionGateway:
 
     def _handle_report(self, request: HttpRequest,
                        request_id: str) -> RawBody:
+        """The settled period's report, rendered once per settle
+        generation; each answer joins it under its own request id, as
+        :meth:`_handle_tick` does."""
         cache = self._report_cache
         if cache is None or cache[0] != self._settle_generation:
-            cache = self._render_report_cache()
-        return RawBody(b"".join(
-            (cache[1], request_id.encode("ascii"), cache[2])))
-
-    def _render_report_cache(self) -> "tuple[int, bytes, bytes]":
-        """Render /v1/report once per settle generation.
-
-        The response envelope embeds a per-request id, so the cache
-        holds the rendered body split around a sentinel request id;
-        serving a request is then two slices and a join instead of a
-        full report→dict→JSON encode.
-        """
-        body = serve_report_body(
-            _RID_SENTINEL, self.backend.period,
-            _report_json(self.backend.last_report),
-            revenue=self.backend.total_revenue())
-        at = body.index(_RID_TOKEN)
-        prefix = body[:at] + _RID_PREFIX
-        suffix = body[at + len(_RID_TOKEN) - 1:]
-        self._report_cache = (self._settle_generation, prefix, suffix)
-        return self._report_cache
+            backend = self.backend
+            cache = self._report_cache = (
+                self._settle_generation, backend.period,
+                _report_json(backend.last_report), backend.total_revenue())
+        _generation, period, report, revenue = cache
+        return RawBody(serve_report_body(
+            request_id, period, report, revenue=revenue))
 
     async def _handle_tick(self, request: HttpRequest,
                            request_id: str) -> RawBody:

@@ -190,11 +190,19 @@ class CostlySelect(SelectOperator):
         return 2.0 * super().work(batches)
 
 
+class EvenTicksSelect(SelectOperator):
+    """A passthrough select whose own ``_process`` filters."""
+
+    def _process(self, batches):
+        return [t for t in super()._process(batches) if t.tick % 2 == 0]
+
+
 NOT_PASSTHROUGH = {
     "filtering-select": lambda: (select("f", "a", even_ticks),),
     "join": lambda: (JoinOperator("j", "a", "b", same_key, same_key,
                                   window=2),),
     "overridden-work": lambda: (CostlySelect("c", "a", pass_all),),
+    "overridden-process": lambda: (EvenTicksSelect("e", "a", pass_all),),
     "select-over-select": lambda: (select("x", "a"), select("y", "x")),
 }
 

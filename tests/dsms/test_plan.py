@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dsms.operators import SelectOperator, UnionOperator
+from repro.dsms.operators import SelectOperator
 from repro.dsms.plan import ContinuousQuery, QueryPlanCatalog
 from repro.utils.validation import ValidationError
 
@@ -86,23 +86,6 @@ class TestTopology:
             [ContinuousQuery("q", (a, b), sink_id="a")])
         with pytest.raises(ValidationError):
             catalog.topological_order()
-
-    def test_stream_names(self):
-        a = select("a", source="s1")
-        u = UnionOperator("u", ["a", "s2"])
-        catalog = QueryPlanCatalog(
-            [ContinuousQuery("q", (a, u), sink_id="u")])
-        assert catalog.stream_names() == {"s1", "s2"}
-
-    def test_subgraph_order(self):
-        a = select("a")
-        b = select("b")
-        catalog = QueryPlanCatalog([
-            ContinuousQuery("q1", (a,), sink_id="a"),
-            ContinuousQuery("q2", (b,), sink_id="b"),
-        ])
-        sub = [op.op_id for op in catalog.subgraph_order(["q1"])]
-        assert sub == ["a"]
 
 
 class TestTopologicalOrderCache:

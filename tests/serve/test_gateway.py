@@ -198,6 +198,45 @@ class TestInProcessEquivalence:
             for (rid, _raw), (period, document) in zip(ticks, expected)]
 
 
+    def test_report_answers_differ_only_in_request_id(self, monkeypatch):
+        """Two /v1/report answers between settles share the rendered
+        report; each is the dict path's body for its own request id."""
+        from tests.serve.test_report_body import dict_bodies
+
+        bodies = []
+        parse = HttpResponse.json
+        monkeypatch.setattr(HttpResponse, "json", lambda response: (
+            bodies.append(response.body), parse(response))[1])
+
+        async def go():
+            gateway = await started_gateway(build_cluster(shards=4))
+            answers = []
+            try:
+                async with GatewayClient(*gateway.address) as client:
+                    for n in range(6):
+                        status, body = await client.submit(query(n, 4.0 + n))
+                        assert status == 200, body
+                    status, body = await client.tick()
+                    assert status == 200, body
+                    for _ in range(2):
+                        status, body = await client.report()
+                        assert status == 200, body
+                        answers.append((body["request_id"], bodies[-1]))
+                    backend = gateway.backend
+                    settled = (backend.period, backend.last_report,
+                               backend.total_revenue())
+            finally:
+                await gateway.stop(final_settle=False)
+            return answers, settled
+
+        answers, (period, report, revenue) = asyncio.run(go())
+        (first_id, first), (second_id, second) = answers
+        assert first_id != second_id
+        assert first.replace(first_id.encode(), second_id.encode()) == second
+        for request_id, raw in answers:
+            assert raw == dict_bodies(request_id, period, report, revenue)[1]
+
+
 class TestProtocolErrors:
     def test_unknown_endpoint_404(self):
         async def go():

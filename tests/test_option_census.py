@@ -15,7 +15,9 @@ import pytest
 
 import repro.__main__ as cli
 from repro.cluster import FederatedAdmissionService
+from repro.dsms.backend import ScalarBackend
 from repro.dsms.engine import StreamEngine
+from repro.dsms.plan import QueryPlanCatalog
 from repro.dsms.scheduler import ScheduledEngine
 from repro.experiments.harness import run_sharing_sweep
 from repro.serve import GatewayConfig, run_load
@@ -226,7 +228,7 @@ def test_one_passthrough_shape_test_serves_both_engines():
     """``is_passthrough_network`` alone decides whether a network may
     skip its operators: the stream engine's period pass and the
     scheduled engine's count mode each call it once, and only the
-    interpreter's own shortcut reads the select flag besides it."""
+    select's own ``_process`` reads the flag besides it."""
     dsms = SRC / "repro" / "dsms"
     for name in ("engine.py", "scheduler.py"):
         source = (dsms / name).read_text()
@@ -234,8 +236,30 @@ def test_one_passthrough_shape_test_serves_both_engines():
     readers = sorted(
         str(path.relative_to(SRC)) for path in (SRC / "repro").rglob("*.py")
         if re.search(r"\._passthrough\b", path.read_text()))
-    assert readers == ["repro/dsms/backend.py", "repro/dsms/operators.py",
-                       "repro/dsms/plan.py"]
+    assert readers == ["repro/dsms/operators.py", "repro/dsms/plan.py"]
+
+
+def test_the_interpreters_have_one_operator_body():
+    """The stream engine's interpreter and the scheduled engine's tuple
+    drain run every operator through ``execute``: a second body beside
+    it (a single-input shortcut, an ``execute_drained`` twin of
+    ``_process``) is a visible diff, and so are the catalog views
+    nothing reads."""
+    assert not [str(path.relative_to(SRC))
+                for path in (SRC / "repro").rglob("*.py")
+                if "execute_drained" in path.read_text()]
+    interpreter = inspect.getsource(ScalarBackend.run_operators)
+    assert "_passthrough" not in interpreter
+    assert "execute_drained" not in interpreter
+    called = [node.func.attr
+              for node in ast.walk(ast.parse(inspect.getsource(
+                  ScheduledEngine._run_operator).lstrip()))
+              if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)]
+    assert called.count("execute") == 1
+    assert "execute_drained" not in called
+    for name in ("generation", "stream_names", "subgraph_order"):
+        assert not hasattr(QueryPlanCatalog, name), name
 
 
 def test_section_vii_settles_once():
